@@ -20,7 +20,8 @@ type searchPlan struct {
 // instead while the first rate fails), then bisects geometrically between
 // the last passing and the first failing rate. A failed probe is retried
 // once before the search steps down: one failure alone never ends the
-// ramp, two at the same rate do. It returns 0 when no rate passed.
+// ramp, two at the same rate do. It visits at most ramp+refine rates, so it
+// runs at most 2×(ramp+refine) probes. It returns 0 when no rate passed.
 func searchCapacity(plan searchPlan, probe func(rate float64) bool) float64 {
 	passes := func(rate float64) bool { return probe(rate) || probe(rate) }
 	lo, hi := 0.0, 0.0

@@ -161,7 +161,7 @@ var errUsage = errors.New("unknown workload")
 func main() {
 	workload := flag.String("workload", "", "workload to run: "+strings.Join(workloadNames, ", ")+", or all")
 	seed := flag.Int64("seed", 1, "seed of the run's inputs: arrival times, model choice, feature vectors")
-	seconds := flag.Float64("seconds", 30, "how long the run measures")
+	seconds := flag.Float64("seconds", 20, "how long the run measures")
 	trace := flag.Int("trace", 0, "0: end-to-end metrics; 1: per-layer metrics from a traced run")
 	outDir := flag.String("out", ".bench_build", "directory the traced runs write their spans to")
 	flag.Parse()

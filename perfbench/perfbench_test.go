@@ -120,6 +120,24 @@ func TestCapacitySearchBisectsAndStepsDown(t *testing.T) {
 	}
 }
 
+func TestCapacitySearchProbeCountIsBounded(t *testing.T) {
+	plan := searchPlan{start: 100, step: 1.2, ramp: 4, refine: 2}
+	for _, capacity := range []float64{0, 50, 100, 130, 1000} {
+		// Every first probe at a rate fails, so every rate costs a retry.
+		probes := 0
+		seen := map[float64]bool{}
+		searchCapacity(plan, func(rate float64) bool {
+			probes++
+			first := !seen[rate]
+			seen[rate] = true
+			return !first && rate <= capacity
+		})
+		if limit := 2 * (plan.ramp + plan.refine); probes > limit {
+			t.Errorf("capacity %v: %d probes, want at most %d", capacity, probes, limit)
+		}
+	}
+}
+
 func TestProbePassesNeedsAllThreeCriteria(t *testing.T) {
 	ok := phaseStats{rate: 1000, p99: 50, backlog: 20}
 	if !probePasses(ok) {

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Builds the benchmark from source and runs it with the given flags, e.g.
 #
-#   bash perfbench/run.sh --workload structured_http --seed 1 --seconds 30 --trace 0
+#   bash perfbench/run.sh --workload structured_http --seed 1 --seconds 20 --trace 0
 #
 # Run it from the root of the repository. Build outputs, the Go build cache
 # and the traced runs' span files all stay under $CARGO_TARGET_DIR

@@ -226,8 +226,11 @@ func (w servingWorkload) open(seed int64, opts serve.Options, sp *spans) (*sessi
 	return &session{w: w, reg: reg, srv: serve.NewServer(reg), in: in, seed: seed}, nil
 }
 
-// setupRepeats is how many times a run sets up; setup_s is their median.
-const setupRepeats = 3
+// setupRepeats is how many times a run sets up; setup_s is their median,
+// which neither the process's first set-up (slower: the heap grows from
+// the OS) nor a few set-ups caught in the host's speed dips of a few
+// hundred milliseconds can move.
+const setupRepeats = 7
 
 // runServingE2E is the end-to-end run of a serving workload.
 func runServingE2E(w servingWorkload, seed int64, seconds float64) (report, error) {
@@ -262,10 +265,11 @@ func runServingE2E(w servingWorkload, seed int64, seconds float64) (report, erro
 	calib0 := calibGflops()
 	s.warm()
 	fixed, _, _ := s.phase("fixed", w.rate, 0, w.fixedCount(seconds), nil)
-	// The ramp starts near 6× the fixed rate, at a seed-dependent point
+	// The ramp starts near 8× the fixed rate, at a seed-dependent point
 	// within ±10%, so the probed rates, and the reported capacity, are not
-	// pinned to one grid for every run.
-	plan := searchPlan{start: 6 * w.rate, step: 1.2, ramp: 5, refine: 3}
+	// pinned to one grid for every run. At most 2×(5+2) = 14 probes run,
+	// which bounds the run's length.
+	plan := searchPlan{start: 8 * w.rate, step: 1.2, ramp: 5, refine: 2}
 	plan.start *= 0.9 + 0.2*rand.New(rand.NewSource(seed)).Float64()
 	// Going from the light fixed rate to the first probe rate recompiles
 	// plans and grows the heap; settle there unmeasured so the first probe

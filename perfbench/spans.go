@@ -39,17 +39,16 @@ func (s *spans) begin(name string, parent int) int {
 	return len(s.list) - 1
 }
 
-// end closes the span and returns its duration.
-func (s *spans) end(id int) time.Duration {
+// end closes the span.
+func (s *spans) end(id int) {
 	if s == nil || id < 0 {
-		return 0
+		return
 	}
 	now := time.Since(s.t0)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	sp := &s.list[id]
 	sp.Dur = now - sp.Start
-	return sp.Dur
 }
 
 // add records an already timed span.

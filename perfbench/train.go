@@ -158,8 +158,9 @@ func runTrainTraced(outDir, file string) (report, error) {
 	m.set("dataset.generate_s", sp.total("dataset.Generate"))
 	var handWall time.Duration
 	for _, md := range trainMethods {
+		net := buildTrainNet(md)
 		t0 := time.Now()
-		got, steps, allocBytes := handTrain(buildTrainNet(md), ds, md.name, sp)
+		got, steps, allocBytes := handTrain(net, ds, md.name, sp)
 		handWall += time.Since(t0)
 		c.check(md.name, got)
 		p := "nn.train." + md.name + "."
