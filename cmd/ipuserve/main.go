@@ -88,7 +88,6 @@ func main() {
 		methods  = flag.String("methods", "dense,butterfly,pixelfly", "comma-separated methods to register, or 'all'")
 		seed     = flag.Int64("seed", 42, "weight-init seed")
 		maxBatch = flag.Int("maxbatch", 64, "micro-batcher: max coalesced batch size")
-		maxDelay = flag.Duration("maxdelay", 2*time.Millisecond, "micro-batcher: max queue delay before flush")
 		workers  = flag.Int("workers", 0, "micro-batcher: worker goroutines (0 = GOMAXPROCS)")
 		device   = flag.String("device", "gc200", "device model for the program cache: gc200 or gc2")
 		loadgen  = flag.Bool("loadgen", false, "run the built-in load generator instead of serving")
@@ -138,7 +137,6 @@ func main() {
 
 	bcfg := serve.BatcherConfig{
 		MaxBatch: *maxBatch,
-		MaxDelay: *maxDelay,
 		Workers:  *workers,
 	}
 	opts := serve.Options{

@@ -17,29 +17,20 @@ type BatcherConfig struct {
 	// MaxBatch is the largest number of requests coalesced into one
 	// inference batch. Default 32.
 	MaxBatch int
-	// MaxDelay bounds how long the first request of a batch waits for
-	// company before the batch is flushed anyway. Default 2ms.
+	// Deprecated: MaxDelay is ignored. Workers take every waiting request
+	// the moment they are free, so no request waits for a flush timer.
 	MaxDelay time.Duration
 	// Workers is the number of goroutines executing batches; batches run
 	// concurrently because Infer is read-only. Default GOMAXPROCS.
 	Workers int
-	// QueueCap bounds the number of assembled batches waiting for a
-	// worker. Default Workers.
-	QueueCap int
 }
 
 func (c BatcherConfig) withDefaults() BatcherConfig {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 32
 	}
-	if c.MaxDelay <= 0 {
-		c.MaxDelay = 2 * time.Millisecond
-	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.QueueCap <= 0 {
-		c.QueueCap = c.Workers
 	}
 	return c
 }
@@ -68,7 +59,7 @@ type runFunc func(x *tensor.Matrix, info *execInfo) *tensor.Matrix
 
 type request struct {
 	features []float32
-	enq      time.Time // when Do handed the request to the collector
+	enq      time.Time // when Do queued the request
 	resp     chan response
 
 	// abandoned arbitrates the race between a caller giving up on an
@@ -105,24 +96,24 @@ type response struct {
 var reqPool = sync.Pool{New: func() any { return &request{resp: make(chan response, 1)} }}
 
 // Batcher coalesces concurrent single-row requests into batched calls of
-// one inference function. One collector goroutine assembles batches
-// (flushing on MaxBatch or MaxDelay, whichever first); a pool of workers
-// executes them.
+// one inference function. It is work-conserving: each of Workers
+// goroutines blocks for one request, takes every request already queued
+// behind it (up to MaxBatch) and runs them as one batch. Rows coalesce
+// only while the workers are busy; no request waits for company while a
+// worker sits idle.
 type Batcher struct {
 	cfg  BatcherConfig
 	dim  int
 	run  runFunc
 	mets *batcherMetrics // nil when the batcher is not instrumented
 
+	// reqs holds requests waiting for a worker. Its MaxBatch×Workers
+	// buffer lets every worker find a full batch queued; past that, Do
+	// blocks until a worker frees room.
 	reqs    chan *request
-	batches chan *batchBuf
 	stopped chan struct{}
 	stopOne sync.Once
 	wg      sync.WaitGroup
-
-	// batchPool recycles batchBuf holders between the collector and the
-	// workers (slice capacity MaxBatch, so appends never reallocate).
-	batchPool sync.Pool
 
 	nreq    atomic.Int64
 	nbatch  atomic.Int64
@@ -130,12 +121,12 @@ type Batcher struct {
 }
 
 // batcherMetrics is the obs instrumentation of one batcher: why batches
-// flushed and how big they were. Fixed at construction so the collector
-// goroutine reads it without synchronization.
+// closed and how big they were. Fixed at construction so the worker
+// goroutines read it without synchronization.
 type batcherMetrics struct {
 	flushFull    *obs.Counter   // batch reached MaxBatch
-	flushTimeout *obs.Counter   // MaxDelay expired first
-	batchSize    *obs.Histogram // coalesced requests per flush
+	flushDrained *obs.Counter   // queue emptied before MaxBatch
+	batchSize    *obs.Histogram // coalesced requests per batch
 }
 
 // NewBatcher starts a batcher over run, which must accept a (rows × dim)
@@ -154,8 +145,8 @@ func NewBatcher(dim int, cfg BatcherConfig, run func(*tensor.Matrix) *tensor.Mat
 
 // newBatcher is the internal constructor: the run function may fill in
 // the per-batch execution report, and mets (optional) wires the flush
-// counters and batch-size histogram. Both are fixed before the collector
-// and worker goroutines start, so they need no synchronization.
+// counters and batch-size histogram. Both are fixed before the worker
+// goroutines start, so they need no synchronization.
 func newBatcher(dim int, cfg BatcherConfig, mets *batcherMetrics, run runFunc) *Batcher {
 	cfg = cfg.withDefaults()
 	b := &Batcher{
@@ -163,15 +154,9 @@ func newBatcher(dim int, cfg BatcherConfig, mets *batcherMetrics, run runFunc) *
 		dim:     dim,
 		run:     run,
 		mets:    mets,
-		reqs:    make(chan *request),
-		batches: make(chan *batchBuf, cfg.QueueCap),
+		reqs:    make(chan *request, cfg.MaxBatch*cfg.Workers),
 		stopped: make(chan struct{}),
 	}
-	b.batchPool.New = func() any {
-		return &batchBuf{reqs: make([]*request, 0, cfg.MaxBatch)}
-	}
-	b.wg.Add(1)
-	go b.collect()
 	for i := 0; i < cfg.Workers; i++ {
 		b.wg.Add(1)
 		go b.work()
@@ -212,8 +197,9 @@ func (b *Batcher) do(ctx context.Context, features []float32) (response, error) 
 		return resp, nil
 	case <-b.stopped:
 		if r.abandoned.CompareAndSwap(false, true) {
-			// Won the arbitration: no worker will send; whoever holds
-			// the request (worker or collector fail path) recycles it.
+			// Won the arbitration: no worker will send. A worker that
+			// still dequeues the request recycles it; one left queued
+			// at shutdown is dropped with the batcher.
 			return response{}, ErrStopped
 		}
 		// A worker claimed delivery concurrently with the shutdown —
@@ -256,8 +242,9 @@ func (b *Batcher) deliver(r *request, resp response) {
 	b.release(r)
 }
 
-// Stop shuts the batcher down and waits for the workers to drain. Pending
-// and subsequent Do calls return ErrStopped.
+// Stop shuts the batcher down and waits for the workers to exit. Pending
+// and subsequent Do calls return ErrStopped, unless a worker delivers
+// their scores first.
 func (b *Batcher) Stop() {
 	b.stopOne.Do(func() { close(b.stopped) })
 	b.wg.Wait()
@@ -284,92 +271,47 @@ func (b *Batcher) Stats() BatcherStats {
 	return s
 }
 
-// collect assembles batches: block for the first request, then fill until
-// MaxBatch requests have arrived or MaxDelay has elapsed. One flush timer
-// and pooled batch slices are reused across batches so steady-state
-// assembly allocates nothing.
-func (b *Batcher) collect() {
-	defer b.wg.Done()
-	defer close(b.batches)
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	for {
-		var first *request
-		select {
-		case <-b.stopped:
-			return
-		case first = <-b.reqs:
-		}
-		bb := b.batchPool.Get().(*batchBuf)
-		bb.reqs = append(bb.reqs[:0], first)
-		timer.Reset(b.cfg.MaxDelay)
-		expired := false
-	fill:
-		for len(bb.reqs) < b.cfg.MaxBatch {
-			select {
-			case <-b.stopped:
-				if !timer.Stop() {
-					<-timer.C
-				}
-				b.fail(bb.reqs, ErrStopped)
-				return
-			case r := <-b.reqs:
-				bb.reqs = append(bb.reqs, r)
-			case <-timer.C:
-				expired = true
-				break fill
-			}
-		}
-		if !expired && !timer.Stop() {
-			<-timer.C
-		}
-		if b.mets != nil {
-			b.mets.batchSize.Observe(float64(len(bb.reqs)))
-			if expired {
-				b.mets.flushTimeout.Inc()
-			} else {
-				b.mets.flushFull.Inc()
-			}
-		}
-		select {
-		case b.batches <- bb:
-		case <-b.stopped:
-			b.fail(bb.reqs, ErrStopped)
-			return
-		}
-	}
-}
-
-// batchBuf is a reusable batch holder passed from the collector to a
-// worker and back to the pool.
-type batchBuf struct {
-	reqs []*request
-}
-
-// putBatch returns a finished batch holder to the pool, dropping request
-// references so recycled buffers don't pin them.
-func (b *Batcher) putBatch(bb *batchBuf) {
-	for i := range bb.reqs {
-		bb.reqs[i] = nil
-	}
-	bb.reqs = bb.reqs[:0]
-	b.batchPool.Put(bb)
-}
-
+// work is one worker's loop: block for a request, take every request
+// already queued behind it up to MaxBatch, and run them as one batch.
 func (b *Batcher) work() {
 	defer b.wg.Done()
-	// Each worker owns one reusable input matrix; it grows to MaxBatch×dim
-	// once and is recycled across batches, so batch assembly allocates
-	// nothing at steady state.
+	// Each worker owns one reusable input matrix, batch slice and
+	// execution report: the matrix grows to MaxBatch×dim once, so steady
+	// state allocates nothing.
 	in := &tensor.Matrix{Cols: b.dim}
-	// One execution report per worker, reused across batches, so the
-	// per-step timing plumbing never allocates at steady state.
 	info := new(execInfo)
-	for bb := range b.batches {
-		b.exec(bb.reqs, in, info)
-		b.putBatch(bb)
+	batch := make([]*request, 0, b.cfg.MaxBatch)
+	for {
+		select {
+		case <-b.stopped:
+			return
+		case r := <-b.reqs:
+			batch = append(batch[:0], r)
+		}
+		// A send to a parked worker hands the request over and runs the
+		// worker before senders that are already runnable, so requests
+		// arriving together would otherwise leave as 1-row batches.
+		// Yielding once lets them reach the queue first.
+		runtime.Gosched()
+	drain:
+		for len(batch) < b.cfg.MaxBatch {
+			select {
+			case r := <-b.reqs:
+				batch = append(batch, r)
+			default:
+				break drain
+			}
+		}
+		if b.mets != nil {
+			b.mets.batchSize.Observe(float64(len(batch)))
+			if len(batch) == b.cfg.MaxBatch {
+				b.mets.flushFull.Inc()
+			} else {
+				b.mets.flushDrained.Inc()
+			}
+		}
+		b.exec(batch, in, info)
+		clear(batch) // don't pin recycled requests
 	}
 }
 

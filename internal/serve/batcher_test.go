@@ -39,7 +39,7 @@ func (d *doubler) batchSizes() []int {
 
 func TestBatcherCoalescesConcurrentRequests(t *testing.T) {
 	d := &doubler{delay: time.Millisecond}
-	b := NewBatcher(4, BatcherConfig{MaxBatch: 16, MaxDelay: 20 * time.Millisecond, Workers: 1}, d.run)
+	b := NewBatcher(4, BatcherConfig{MaxBatch: 16, Workers: 1}, d.run)
 	defer b.Stop()
 
 	const requests = 64
@@ -90,9 +90,12 @@ func TestBatcherCoalescesConcurrentRequests(t *testing.T) {
 	}
 }
 
-func TestBatcherFlushesOnMaxDelay(t *testing.T) {
+// TestBatcherLoneRequestRunsAtOnce pins the work-conserving contract: a
+// request reaching an idle batcher runs at once instead of waiting for
+// company, whatever the deprecated MaxDelay says.
+func TestBatcherLoneRequestRunsAtOnce(t *testing.T) {
 	d := &doubler{}
-	b := NewBatcher(1, BatcherConfig{MaxBatch: 1024, MaxDelay: 5 * time.Millisecond}, d.run)
+	b := NewBatcher(1, BatcherConfig{MaxBatch: 1024, MaxDelay: 10 * time.Second}, d.run)
 	defer b.Stop()
 
 	start := time.Now()
@@ -100,8 +103,8 @@ func TestBatcherFlushesOnMaxDelay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if elapsed := time.Since(start); elapsed > time.Second {
-		t.Fatalf("lone request waited %v; MaxDelay flush is broken", elapsed)
+	if elapsed := time.Since(start); elapsed > 100*time.Millisecond {
+		t.Fatalf("lone request waited %v at an idle batcher", elapsed)
 	}
 	if batch != 1 || scores[0] != 42 {
 		t.Fatalf("got batch=%d scores=%v, want batch=1 scores=[42]", batch, scores)
@@ -118,6 +121,88 @@ func TestBatcherStop(t *testing.T) {
 	b.Stop() // idempotent
 }
 
+// heldRun wraps d.run so that its first call blocks until release is
+// closed, announcing on entered that the worker is inside it.
+func heldRun(d *doubler) (run runFunc, entered, release chan struct{}) {
+	entered, release = make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	run = func(x *tensor.Matrix, _ *execInfo) *tensor.Matrix {
+		once.Do(func() {
+			close(entered)
+			<-release
+		})
+		return d.run(x)
+	}
+	return run, entered, release
+}
+
+// waitQueued waits until at least n requests wait in the batcher's queue.
+func waitQueued(b *Batcher, n int) {
+	for len(b.reqs) < n {
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// TestBatcherStopWithQueuedRequests stops a batcher whose only worker is
+// held inside run while its queue is full and more callers block on it.
+// Every caller must return ErrStopped or its own scores without waiting
+// for the worker, and Stop must return once the worker is released,
+// which means the worker goroutine has exited. Run with -race.
+func TestBatcherStopWithQueuedRequests(t *testing.T) {
+	const maxBatch = 4
+	d := &doubler{}
+	run, entered, release := heldRun(d)
+	b := newBatcher(4, BatcherConfig{MaxBatch: maxBatch, Workers: 1}, nil, run)
+
+	const callers = maxBatch + 3 // one running, a full queue, two blocked
+	var wg sync.WaitGroup
+	call := func(i int) {
+		defer wg.Done()
+		f := []float32{float32(i), 1, 2, 3}
+		scores, _, err := b.Do(context.Background(), f)
+		switch {
+		case err == ErrStopped:
+		case err != nil:
+			t.Errorf("caller %d got %v, want ErrStopped or scores", i, err)
+		case len(scores) != 4 || scores[0] != 2*f[0]:
+			t.Errorf("caller %d got scores %v for features %v", i, scores, f)
+		}
+	}
+	wg.Add(1)
+	go call(0)
+	<-entered
+	for i := 1; i < callers; i++ {
+		wg.Add(1)
+		go call(i)
+	}
+	waitQueued(b, cap(b.reqs))
+
+	stopped := make(chan struct{})
+	go func() {
+		b.Stop()
+		close(stopped)
+	}()
+	returned := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(returned)
+	}()
+	select {
+	case <-returned:
+	case <-time.After(10 * time.Second):
+		t.Fatal("callers still blocked after Stop")
+	}
+	close(release)
+	select {
+	case <-stopped:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Stop did not return: the worker did not exit")
+	}
+	if _, _, err := b.Do(context.Background(), []float32{1, 2, 3, 4}); err != ErrStopped {
+		t.Fatalf("Do after Stop = %v, want ErrStopped", err)
+	}
+}
+
 func TestBatcherContextCancelled(t *testing.T) {
 	d := &doubler{}
 	b := NewBatcher(1, BatcherConfig{}, d.run)
@@ -130,7 +215,7 @@ func TestBatcherContextCancelled(t *testing.T) {
 }
 
 func TestBatcherRecoversInferencePanic(t *testing.T) {
-	b := NewBatcher(1, BatcherConfig{MaxDelay: time.Millisecond},
+	b := NewBatcher(1, BatcherConfig{},
 		func(*tensor.Matrix) *tensor.Matrix { panic("boom") })
 	defer b.Stop()
 	if _, _, err := b.Do(context.Background(), []float32{1}); err == nil {
@@ -151,7 +236,7 @@ func TestBatcherRecoversInferencePanic(t *testing.T) {
 // worker that then blocked or delivered into the void. Run with -race.
 func TestBatcherCancelMidBatchUnderLoad(t *testing.T) {
 	d := &doubler{delay: 2 * time.Millisecond}
-	b := NewBatcher(4, BatcherConfig{MaxBatch: 8, MaxDelay: time.Millisecond, Workers: 2}, d.run)
+	b := NewBatcher(4, BatcherConfig{MaxBatch: 8, Workers: 2}, d.run)
 	defer b.Stop()
 
 	const rounds = 40

@@ -4,7 +4,6 @@ import (
 	"context"
 	"math/rand"
 	"testing"
-	"time"
 
 	"repro/internal/nn"
 	"repro/internal/tensor"
@@ -25,7 +24,7 @@ func benchFeatures(n int) []float32 {
 // allocating inference path.
 func BenchmarkPredictSteadyState(b *testing.B) {
 	reg := NewRegistry(Options{Batcher: BatcherConfig{
-		MaxBatch: 32, MaxDelay: 100 * time.Microsecond,
+		MaxBatch: 32,
 	}})
 	defer reg.Close()
 	m, err := reg.Register(ModelSpec{Name: "bf", Method: nn.Butterfly, N: 1024, Classes: 10, Seed: 42})
@@ -56,7 +55,7 @@ func BenchmarkPredictSteadyState(b *testing.B) {
 func BenchmarkPredictLegacyInfer(b *testing.B) {
 	net := nn.BuildSHL(nn.Butterfly, 1024, 10, rand.New(rand.NewSource(42)))
 	bt := NewBatcher(1024, BatcherConfig{
-		MaxBatch: 32, MaxDelay: 100 * time.Microsecond,
+		MaxBatch: 32,
 	}, net.Infer)
 	defer bt.Stop()
 	features := benchFeatures(1024)

@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"repro/internal/nn"
 )
@@ -14,7 +13,7 @@ import (
 func testServer(t *testing.T) (*httptest.Server, *Registry) {
 	t.Helper()
 	reg := NewRegistry(Options{
-		Batcher: BatcherConfig{MaxBatch: 8, MaxDelay: time.Millisecond, Workers: 2},
+		Batcher: BatcherConfig{MaxBatch: 8, Workers: 2},
 	})
 	t.Cleanup(reg.Close)
 	ts := httptest.NewServer(NewServer(reg))

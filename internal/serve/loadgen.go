@@ -20,10 +20,11 @@ type LoadConfig struct {
 	// Seed drives the synthetic feature vectors. Default 1.
 	Seed int64
 	// Burst issues that many requests per tick (at RPS/Burst ticks per
-	// second, so the offered rate is unchanged). Bursty arrivals let the
-	// micro-batcher coalesce multi-row batches even when the per-request
-	// inter-arrival time exceeds its flush delay — the arrival shape that
-	// exercises pipelined multi-batch execution. Default 1 (uniform).
+	// second, so the offered rate is unchanged). A burst's requests reach
+	// the micro-batcher together, so they coalesce into multi-row batches
+	// even when uniform arrivals at the same rate would find a worker
+	// idle for each one — the arrival shape that exercises pipelined
+	// multi-batch execution. Default 1 (uniform).
 	Burst int
 }
 

@@ -51,9 +51,9 @@ func registerHelp(reg *obs.Registry) {
 	reg.Help(metRequests, "Requests served successfully, per model.")
 	reg.Help(metErrors, "Requests that failed (bad input, stopped model, inference error), per model.")
 	reg.Help(metLatency, "Host-side request latency from enqueue to response, per model.")
-	reg.Help(metBatchSize, "Requests coalesced per micro-batch flush, per model.")
-	reg.Help(metQueueDepth, "Assembled batches waiting for a worker, per model.")
-	reg.Help(metFlush, "Micro-batch flushes by reason (full = MaxBatch reached, timeout = MaxDelay expired).")
+	reg.Help(metBatchSize, "Requests coalesced per micro-batch, per model.")
+	reg.Help(metQueueDepth, "Requests waiting for a batcher worker, per model.")
+	reg.Help(metFlush, "Micro-batches by reason (full = MaxBatch reached, drained = the worker emptied the queue first).")
 	reg.Help(metCacheHits, "Program-cache lookups that rode an already-compiled program.")
 	reg.Help(metCacheMisses, "Program-cache lookups that paid or waited on a compile.")
 	reg.Help(metCacheEvict, "Cached programs dropped by model replacement or removal.")
@@ -115,7 +115,7 @@ func newBatcherMetrics(reg *obs.Registry, name string) *batcherMetrics {
 	lm := obs.L{Key: "model", Value: name}
 	return &batcherMetrics{
 		flushFull:    reg.Counter(metFlush, lm, obs.L{Key: "reason", Value: "full"}),
-		flushTimeout: reg.Counter(metFlush, lm, obs.L{Key: "reason", Value: "timeout"}),
+		flushDrained: reg.Counter(metFlush, lm, obs.L{Key: "reason", Value: "drained"}),
 		batchSize:    reg.Histogram(metBatchSize, obs.SizeBuckets(12), lm),
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"repro/internal/nn"
+	"repro/internal/obs"
 	"repro/internal/shard"
 	"repro/internal/tensor"
 )
@@ -380,48 +381,44 @@ func TestModelRemovalDropsSeries(t *testing.T) {
 	}
 }
 
-// TestBatcherFlushReasons checks both flush-reason counters move under
-// the loads that should trigger them.
+// TestBatcherFlushReasons checks both flush-reason counters without
+// depending on timing. The single worker runs a lone request (drained)
+// and is held inside run while MaxBatch+1 more requests arrive: MaxBatch
+// fill its queue and one waits for room. Released, it takes a full batch
+// and then the one left over (drained).
 func TestBatcherFlushReasons(t *testing.T) {
-	spec := ModelSpec{Name: "bf", Method: nn.Butterfly, N: 64, Classes: 4, Seed: 1}
-	reg := obsTestRegistry(t, Options{Batcher: BatcherConfig{MaxBatch: 4, Workers: 2}}, spec)
-	features := obsTestFeatures(spec.N)
+	const maxBatch = 4
+	reg := obs.NewRegistry()
+	run, entered, release := heldRun(&doubler{})
+	b := newBatcher(1, BatcherConfig{MaxBatch: maxBatch, Workers: 1}, newBatcherMetrics(reg, "bf"), run)
+	defer b.Stop()
 
-	// Sequential requests flush on timeout (batch of 1)...
-	for i := 0; i < 3; i++ {
-		if _, err := reg.Predict(context.Background(), "bf", features); err != nil {
-			t.Fatal(err)
+	var wg sync.WaitGroup
+	predict := func() {
+		defer wg.Done()
+		if _, _, err := b.Do(context.Background(), []float32{1}); err != nil {
+			t.Error(err)
 		}
 	}
-	// ...a concurrent burst well past MaxBatch flushes on full.
-	var wg sync.WaitGroup
-	for i := 0; i < 64; i++ {
+	wg.Add(1)
+	go predict()
+	<-entered
+	for i := 0; i < maxBatch+1; i++ {
 		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := reg.Predict(context.Background(), "bf", features); err != nil {
-				t.Error(err)
-			}
-		}()
+		go predict()
 	}
+	waitQueued(b, maxBatch)
+	close(release)
 	wg.Wait()
 
-	var b strings.Builder
-	if err := reg.Obs().WritePrometheus(&b); err != nil {
+	var body strings.Builder
+	if err := reg.WritePrometheus(&body); err != nil {
 		t.Fatal(err)
 	}
-	body := b.String()
-	for _, reason := range []string{"timeout", "full"} {
-		prefix := fmt.Sprintf(`ipuserve_batcher_flush_total{model="bf",reason=%q} `, reason)
-		found := false
-		for _, line := range strings.Split(body, "\n") {
-			if strings.HasPrefix(line, prefix) && !strings.HasSuffix(line, " 0") {
-				found = true
-				break
-			}
-		}
-		if !found {
-			t.Errorf("no non-zero %s-flush count in exposition", reason)
+	for reason, want := range map[string]int{"full": 1, "drained": 2} {
+		line := fmt.Sprintf("ipuserve_batcher_flush_total{model=\"bf\",reason=%q} %d\n", reason, want)
+		if !strings.Contains(body.String(), line) {
+			t.Errorf("exposition lacks %q", line)
 		}
 	}
 }

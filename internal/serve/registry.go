@@ -218,14 +218,14 @@ func (r *Registry) install(spec ModelSpec, net *nn.Sequential, label string, wb 
 		r.registerPhaseGauges(m)
 	}
 	// The batcher's instruments must exist before its goroutines start:
-	// the collector reads the metrics pointer without synchronization.
+	// the workers read the metrics pointer without synchronization.
 	m.batcher = newBatcher(spec.N, r.opts.Batcher, newBatcherMetrics(r.obs, spec.Name), m.runBatch)
 	// Scrape-time readers over the model's existing serving atomics —
 	// re-registering on replace swaps the closures to the new instance
 	// (counter-reset semantics, which Prometheus handles).
 	lm := obs.L{Key: "model", Value: spec.Name}
 	r.obs.CounterFunc(metRequests, m.served.Load, lm)
-	r.obs.GaugeFunc(metQueueDepth, func() float64 { return float64(len(m.batcher.batches)) }, lm)
+	r.obs.GaugeFunc(metQueueDepth, func() float64 { return float64(len(m.batcher.reqs)) }, lm)
 
 	r.mu.Lock()
 	r.versions[spec.Name]++

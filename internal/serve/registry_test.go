@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/nn"
 	"repro/internal/stats"
@@ -15,7 +14,7 @@ import (
 func testRegistry(t *testing.T) *Registry {
 	t.Helper()
 	r := NewRegistry(Options{
-		Batcher: BatcherConfig{MaxBatch: 8, MaxDelay: time.Millisecond, Workers: 2},
+		Batcher: BatcherConfig{MaxBatch: 8, Workers: 2},
 	})
 	t.Cleanup(r.Close)
 	return r

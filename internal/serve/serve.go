@@ -8,9 +8,11 @@
 //     thread-safe Predictor interface;
 //   - the read-only forward pass (nn.Sequential.Infer) that lets any number
 //     of goroutines share one model's weights;
-//   - a dynamic micro-batcher (Batcher) that coalesces concurrent requests
-//     into one tensor.Matrix batch, because a batched butterfly multiply
-//     amortizes the O(N log N) factor sweeps across the whole batch;
+//   - a work-conserving micro-batcher (Batcher): a free worker takes every
+//     request already waiting as one tensor.Matrix batch, so requests
+//     coalesce while the workers are busy (a batched butterfly multiply
+//     amortizes the O(N log N) factor sweeps across the whole batch) and
+//     none waits for company while a worker is idle;
 //   - a compiled-program cache (ProgramCache) that memoizes ipu.Compile
 //     results per (model, batch size), so every response can carry the
 //     modelled IPU latency and memory of the batch it rode in without

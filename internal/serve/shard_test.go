@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/ipu"
 	"repro/internal/nn"
@@ -17,7 +16,7 @@ import (
 func shardedRegistry(t *testing.T, budget, fixed int) *Registry {
 	t.Helper()
 	r := NewRegistry(Options{
-		Batcher:        BatcherConfig{MaxBatch: 8, MaxDelay: time.Millisecond, Workers: 2},
+		Batcher:        BatcherConfig{MaxBatch: 8, Workers: 2},
 		NumIPUs:        4,
 		PerIPUMemBytes: budget,
 		Shards:         fixed,

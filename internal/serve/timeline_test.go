@@ -8,7 +8,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/nn"
 	"repro/internal/obs/timeline"
@@ -19,7 +18,7 @@ import (
 func timelineRegistry(t *testing.T, sp ModelSpec) *Registry {
 	t.Helper()
 	reg := NewRegistry(Options{
-		Batcher:             BatcherConfig{MaxBatch: 8, MaxDelay: time.Millisecond, Workers: 2},
+		Batcher:             BatcherConfig{MaxBatch: 8, Workers: 2},
 		NumIPUs:             2,
 		Shards:              2,
 		TimelineSampleEvery: 1,
@@ -127,7 +126,7 @@ func TestTimelineEndpointPipeline(t *testing.T) {
 func TestTimelineUnshardedNoBubble(t *testing.T) {
 	sp := spec("bf", nn.Butterfly)
 	reg := NewRegistry(Options{
-		Batcher:             BatcherConfig{MaxBatch: 8, MaxDelay: time.Millisecond, Workers: 1},
+		Batcher:             BatcherConfig{MaxBatch: 8, Workers: 1},
 		TimelineSampleEvery: 1,
 	})
 	t.Cleanup(reg.Close)
@@ -155,7 +154,7 @@ func TestTimelineUnshardedNoBubble(t *testing.T) {
 // off entirely — no summaries, an empty chrome export, no phase series.
 func TestTimelineDisabled(t *testing.T) {
 	reg := NewRegistry(Options{
-		Batcher:             BatcherConfig{MaxBatch: 8, MaxDelay: time.Millisecond, Workers: 1},
+		Batcher:             BatcherConfig{MaxBatch: 8, Workers: 1},
 		TimelineSampleEvery: -1,
 	})
 	t.Cleanup(reg.Close)
