@@ -88,7 +88,11 @@ type Butterfly struct {
 
 	// saved stage inputs from the last Forward, for Backward
 	stageInputs []*tensor.Matrix
-	permInput   *tensor.Matrix
+
+	// Backward's working set, kept to reuse the slices: the gradient at
+	// each stage input (then dY), and each factor transposed.
+	stageGrads []*tensor.Matrix
+	transposed []Factor
 }
 
 // New creates a random butterfly of size n (a power of two) with the given
@@ -210,18 +214,19 @@ func (b *Butterfly) Flops(batch int) float64 {
 // reordered by Perm: out[r][i] = x[r][Perm[i]].
 func (b *Butterfly) applyPermRows(x *tensor.Matrix) *tensor.Matrix {
 	out := tensor.New(x.Rows, x.Cols)
-	b.applyPermRowsInto(out, x)
+	b.applyPermRowsInto(out, x, 0, x.Rows)
 	return out
 }
 
-// applyPermRowsInto is applyPermRows into caller-owned out (which must not
-// alias x); a nil Perm degenerates to a copy.
-func (b *Butterfly) applyPermRowsInto(out, x *tensor.Matrix) {
+// applyPermRowsInto is applyPermRows over the rows [lo, hi), into
+// caller-owned out (which must not alias x); a nil Perm degenerates to a
+// copy.
+func (b *Butterfly) applyPermRowsInto(out, x *tensor.Matrix, lo, hi int) {
 	if b.Perm == nil {
-		copy(out.Data, x.Data)
+		copy(out.Data[lo*x.Cols:hi*x.Cols], x.Data[lo*x.Cols:hi*x.Cols])
 		return
 	}
-	for r := 0; r < x.Rows; r++ {
+	for r := lo; r < hi; r++ {
 		src := x.Row(r)
 		dst := out.Row(r)
 		for i, p := range b.Perm {
@@ -231,22 +236,50 @@ func (b *Butterfly) applyPermRowsInto(out, x *tensor.Matrix) {
 }
 
 // Forward applies the butterfly to each row of x (batch × N), returning
-// batch × N. Stage inputs are retained for Backward.
+// batch × N. Stage inputs are retained for Backward. Rows are independent,
+// so row windows are split across GOMAXPROCS (tensor.ParallelRows) and
+// each window runs the permutation and every stage sweep
+// (applyFactorRowsMicro) in turn; the result is bit-for-bit Apply's.
 func (b *Butterfly) Forward(x *tensor.Matrix) *tensor.Matrix {
 	if x.Cols != b.N {
 		panic(fmt.Sprintf("butterfly: input width %d != N %d", x.Cols, b.N))
 	}
-	b.permInput = x
-	cur := b.applyPermRows(x)
 	b.stageInputs = b.stageInputs[:0]
-	for _, f := range b.Factors {
-		b.stageInputs = append(b.stageInputs, cur)
-		next := tensor.New(cur.Rows, cur.Cols)
-		applyFactorRows(f, cur, next)
-		cur = next
+	for range b.Factors {
+		b.stageInputs = append(b.stageInputs, tensor.New(x.Rows, x.Cols))
 	}
-	return cur
+	out := tensor.New(x.Rows, x.Cols)
+	tensor.ParallelRows(x.Rows, b.macs(x.Rows), forwardJob{b, x, out}, func(j forwardJob, lo, hi int) {
+		j.b.forwardRows(j.x, j.out, lo, hi)
+	})
+	return out
 }
+
+// forwardJob carries Forward's operands to its workers.
+type forwardJob struct {
+	b      *Butterfly
+	x, out *tensor.Matrix
+}
+
+// forwardRows runs the rows [lo, hi) of x through the permutation and
+// every stage, filling the saved stage inputs and out.
+func (b *Butterfly) forwardRows(x, out *tensor.Matrix, lo, hi int) {
+	stage := func(s int) *tensor.Matrix {
+		if s < len(b.stageInputs) {
+			return b.stageInputs[s]
+		}
+		return out
+	}
+	b.applyPermRowsInto(stage(0), x, lo, hi)
+	for s, f := range b.Factors {
+		applyFactorRowsMicro(f, stage(s), stage(s+1), lo, hi)
+	}
+}
+
+// macs is the multiply-add count of sweeping every stage over the given
+// number of rows, two per element per stage: the work measure
+// tensor.ParallelRows compares against its serial cutoff.
+func (b *Butterfly) macs(rows int) int { return 2 * rows * b.N * len(b.Factors) }
 
 // Apply is Forward without retaining state (inference path).
 func (b *Butterfly) Apply(x *tensor.Matrix) *tensor.Matrix {
@@ -298,7 +331,7 @@ func (b *Butterfly) applyIntoEpilogue(dst, x *tensor.Matrix, ws *tensor.Workspac
 		panic(fmt.Sprintf("butterfly: ApplyIntoEpilogue bias length %d != N %d", len(bias), b.N))
 	}
 	if len(b.Factors) == 0 {
-		b.applyPermRowsInto(dst, x)
+		b.applyPermRowsInto(dst, x, 0, x.Rows)
 		tensor.ApplyBiasActInto(dst, dst, bias, act)
 		return
 	}
@@ -309,10 +342,10 @@ func (b *Butterfly) applyIntoEpilogue(dst, x *tensor.Matrix, ws *tensor.Workspac
 	if len(b.Factors)%2 == 1 {
 		cur, other = tmp, dst
 	}
-	b.applyPermRowsInto(cur, x)
+	b.applyPermRowsInto(cur, x, 0, x.Rows)
 	for _, f := range b.Factors[:len(b.Factors)-1] {
 		if micro {
-			applyFactorRowsMicro(f, cur, other)
+			applyFactorRowsMicro(f, cur, other, 0, x.Rows)
 		} else {
 			applyFactorRows(f, cur, other)
 		}
@@ -379,73 +412,102 @@ func applyFactorRowsEpilogue(f *Factor, in, out *tensor.Matrix, bias []float32, 
 
 // Backward propagates dY (batch × N) through the butterfly, accumulating
 // parameter gradients (into GradA..GradD / GradTheta) and returning dX.
-// Forward must have been called first.
+// Forward must have been called first. It runs in two fan-outs over
+// GOMAXPROCS (tensor.ParallelRows). The first splits rows, which are
+// independent: each row window runs the input-gradient sweep of every
+// stage in turn, dX = Bᵀ·dY per pair, through the forward micro-kernels
+// on the transposed factors, then the permutation. The second splits
+// pairs: each pair's coefficient gradients sum the rows in ascending
+// order, as the serial sweep does, so the result does not depend on the
+// worker count.
 func (b *Butterfly) Backward(dY *tensor.Matrix) *tensor.Matrix {
 	if len(b.stageInputs) != len(b.Factors) {
 		panic("butterfly: Backward called before Forward")
 	}
-	cur := dY
-	for s := len(b.Factors) - 1; s >= 0; s-- {
-		f := b.Factors[s]
-		in := b.stageInputs[s]
-		next := tensor.New(cur.Rows, cur.Cols)
-		backwardFactorRows(f, in, cur, next)
-		if b.Param == Rotation {
-			foldRotationGrads(f)
+	b.stageGrads, b.transposed = b.stageGrads[:0], b.transposed[:0]
+	for _, f := range b.Factors {
+		b.stageGrads = append(b.stageGrads, tensor.New(dY.Rows, dY.Cols))
+		b.transposed = append(b.transposed, Factor{N: f.N, Stage: f.Stage, A: f.A, B: f.C, C: f.B, D: f.D})
+	}
+	b.stageGrads = append(b.stageGrads, dY)
+	dX := b.stageGrads[0]
+	if b.Perm != nil {
+		dX = tensor.New(dY.Rows, dY.Cols)
+	}
+	tensor.ParallelRows(dY.Rows, b.macs(dY.Rows), backwardJob{b, dX}, func(j backwardJob, lo, hi int) {
+		j.b.inputGradRows(j.dX, lo, hi)
+	})
+	tensor.ParallelRows(b.N/2, b.macs(dY.Rows), b, func(bf *Butterfly, lo, hi int) {
+		for s, f := range bf.Factors {
+			gradFactorPairs(f, bf.stageInputs[s], bf.stageGrads[s+1], lo, hi)
+			if bf.Param == Rotation {
+				foldRotationGrads(f, lo, hi)
+			}
 		}
-		cur = next
+	})
+	clear(b.stageGrads)
+	return dX
+}
+
+// backwardJob carries Backward's operands to its workers.
+type backwardJob struct {
+	b  *Butterfly
+	dX *tensor.Matrix
+}
+
+// inputGradRows runs the rows [lo, hi) of the output gradient back through
+// every stage, then the permutation into dX. The forward permutation read
+// dst[i] = src[Perm[i]], so its gradient scatters dX[Perm[i]] = g[i].
+func (b *Butterfly) inputGradRows(dX *tensor.Matrix, lo, hi int) {
+	for s := len(b.Factors) - 1; s >= 0; s-- {
+		applyFactorRowsMicro(&b.transposed[s], b.stageGrads[s+1], b.stageGrads[s], lo, hi)
 	}
-	// backward through the permutation: forward had dst[i] = src[Perm[i]],
-	// so grad wrt src[Perm[i]] += dcur[i].
 	if b.Perm == nil {
-		return cur
+		return
 	}
-	out := tensor.New(cur.Rows, cur.Cols)
-	for r := 0; r < cur.Rows; r++ {
-		src := cur.Row(r)
-		dst := out.Row(r)
+	for r := lo; r < hi; r++ {
+		src := b.stageGrads[0].Row(r)
+		dst := dX.Row(r)
 		for i, p := range b.Perm {
 			dst[p] += src[i]
 		}
 	}
-	return out
 }
 
-func backwardFactorRows(f *Factor, in, dOut, dIn *tensor.Matrix) {
+// gradFactorPairs adds one factor's coefficient gradients for the pairs
+// [p0, p1), taking the rows in ascending order: in is the stage input
+// saved by Forward, dOut the gradient at the stage output.
+func gradFactorPairs(f *Factor, in, dOut *tensor.Matrix, p0, p1 int) {
 	half := 1 << (f.Stage - 1)
-	block := half << 1
-	n := f.N
+	gA, gB, gC, gD := f.GradA[:p1], f.GradB[:p1], f.GradC[:p1], f.GradD[:p1]
 	for r := 0; r < in.Rows; r++ {
-		x := in.Row(r)
-		dy := dOut.Row(r)
-		dx := dIn.Row(r)
-		p := 0
-		for start := 0; start < n; start += block {
-			for k := 0; k < half; k++ {
-				top := start + k
-				bot := top + half
-				xt, xb := x[top], x[bot]
-				gt, gb := dy[top], dy[bot]
-				// dX = Bᵀ·dY per pair
-				dx[top] = f.A[p]*gt + f.C[p]*gb
-				dx[bot] = f.B[p]*gt + f.D[p]*gb
-				// weight grads
-				f.GradA[p] += gt * xt
-				f.GradB[p] += gt * xb
-				f.GradC[p] += gb * xt
-				f.GradD[p] += gb * xb
-				p++
+		x, dy := in.Row(r), dOut.Row(r)
+		k := p0 % half
+		top := 2*(p0-k) + k // pair p couples top and top+half
+		for p := p0; p < p1; p++ {
+			bot := top + half
+			vt, vb := x[top], x[bot]
+			ut, ub := dy[top], dy[bot]
+			gA[p] += ut * vt
+			gB[p] += ut * vb
+			gC[p] += ub * vt
+			gD[p] += ub * vb
+			top++
+			if k++; k == half {
+				k = 0
+				top += half
 			}
 		}
 	}
 }
 
 // foldRotationGrads converts the accumulated dense-coefficient gradients
-// into angle gradients: with a=cosθ, b=sinθ, c=−sinθ, d=cosθ,
+// of the pairs [p0, p1) into angle gradients: with a=cosθ, b=sinθ,
+// c=−sinθ, d=cosθ,
 // dL/dθ = −sinθ·(dA+dD) + cosθ·dB − cosθ·dC ... specifically
 // dL/dθ = dA·(−sin) + dB·(cos) + dC·(−cos) + dD·(−sin).
-func foldRotationGrads(f *Factor) {
-	for p := range f.Theta {
+func foldRotationGrads(f *Factor, p0, p1 int) {
+	for p := p0; p < p1; p++ {
 		c := float64(math.Cos(float64(f.Theta[p])))
 		s := float64(math.Sin(float64(f.Theta[p])))
 		g := -s*float64(f.GradA[p]) + c*float64(f.GradB[p]) - c*float64(f.GradC[p]) - s*float64(f.GradD[p])

@@ -27,18 +27,18 @@ func (b *Butterfly) ApplyIntoEpilogueMicro(dst, x *tensor.Matrix, ws *tensor.Wor
 // step metadata when this transform compiles through the micro path.
 func (b *Butterfly) MicroVariant() string { return "unrolled" }
 
-// applyFactorRowsMicro dispatches one stage sweep to the specialized
-// kernel for its pair distance.
-func applyFactorRowsMicro(f *Factor, in, out *tensor.Matrix) {
+// applyFactorRowsMicro dispatches one stage sweep over the rows
+// [lo, hi) to the specialized kernel for its pair distance.
+func applyFactorRowsMicro(f *Factor, in, out *tensor.Matrix, lo, hi int) {
 	switch f.Stage {
 	case 1:
-		factorRowsHalf1(f, in, out)
+		factorRowsHalf1(f, in, out, lo, hi)
 	case 2:
-		factorRowsHalf2(f, in, out)
+		factorRowsHalf2(f, in, out, lo, hi)
 	case 3:
-		factorRowsHalf4(f, in, out)
+		factorRowsHalf4(f, in, out, lo, hi)
 	default:
-		factorRowsWide(f, in, out)
+		factorRowsWide(f, in, out, lo, hi)
 	}
 }
 
@@ -55,14 +55,14 @@ func applyFactorRowsEpilogueMicro(f *Factor, in, out *tensor.Matrix, bias []floa
 }
 
 // factorRowsHalf1 handles stage 1: adjacent pairs (2p, 2p+1).
-func factorRowsHalf1(f *Factor, in, out *tensor.Matrix) {
+func factorRowsHalf1(f *Factor, in, out *tensor.Matrix, lo, hi int) {
 	n := f.N
 	pairs := n >> 1
 	A := f.A[:pairs:pairs]
 	B := f.B[:pairs:pairs]
 	C := f.C[:pairs:pairs]
 	D := f.D[:pairs:pairs]
-	for r := 0; r < in.Rows; r++ {
+	for r := lo; r < hi; r++ {
 		src := in.Row(r)
 		dst := out.Row(r)
 		for p := range A {
@@ -77,14 +77,14 @@ func factorRowsHalf1(f *Factor, in, out *tensor.Matrix) {
 }
 
 // factorRowsHalf2 handles stage 2: blocks of 4 with pair distance 2.
-func factorRowsHalf2(f *Factor, in, out *tensor.Matrix) {
+func factorRowsHalf2(f *Factor, in, out *tensor.Matrix, lo, hi int) {
 	n := f.N
 	pairs := n >> 1
 	A := f.A[:pairs:pairs]
 	B := f.B[:pairs:pairs]
 	C := f.C[:pairs:pairs]
 	D := f.D[:pairs:pairs]
-	for r := 0; r < in.Rows; r++ {
+	for r := lo; r < hi; r++ {
 		src := in.Row(r)
 		dst := out.Row(r)
 		p := 0
@@ -106,14 +106,14 @@ func factorRowsHalf2(f *Factor, in, out *tensor.Matrix) {
 }
 
 // factorRowsHalf4 handles stage 3: blocks of 8 with pair distance 4.
-func factorRowsHalf4(f *Factor, in, out *tensor.Matrix) {
+func factorRowsHalf4(f *Factor, in, out *tensor.Matrix, lo, hi int) {
 	n := f.N
 	pairs := n >> 1
 	A := f.A[:pairs:pairs]
 	B := f.B[:pairs:pairs]
 	C := f.C[:pairs:pairs]
 	D := f.D[:pairs:pairs]
-	for r := 0; r < in.Rows; r++ {
+	for r := lo; r < hi; r++ {
 		src := in.Row(r)
 		dst := out.Row(r)
 		p := 0
@@ -145,11 +145,11 @@ func factorRowsHalf4(f *Factor, in, out *tensor.Matrix) {
 // the block — inputs, outputs, and the four coefficient streams — is
 // re-headed to the same length, so ranging over the coefficients makes
 // the whole pair loop bounds-check-free.
-func factorRowsWide(f *Factor, in, out *tensor.Matrix) {
+func factorRowsWide(f *Factor, in, out *tensor.Matrix, lo, hi int) {
 	half := 1 << (f.Stage - 1)
 	block := half << 1
 	n := f.N
-	for r := 0; r < in.Rows; r++ {
+	for r := lo; r < hi; r++ {
 		src := in.Row(r)
 		dst := out.Row(r)
 		p := 0

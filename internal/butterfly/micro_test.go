@@ -24,7 +24,7 @@ func TestMicroSweepsMatchReference(t *testing.T) {
 				want := tensor.New(rows, n)
 				got := tensor.New(rows, n)
 				applyFactorRows(f, x, want)
-				applyFactorRowsMicro(f, x, got)
+				applyFactorRowsMicro(f, x, got, 0, rows)
 				for i := range want.Data {
 					if want.Data[i] != got.Data[i] {
 						t.Fatalf("n=%d stage=%d rows=%d: data[%d] = %v, want %v",
@@ -115,7 +115,7 @@ func BenchmarkApplyFactorRows(b *testing.B) {
 			b.SetBytes(flops)
 			for i := 0; i < b.N; i++ {
 				for _, f := range bf.Factors {
-					applyFactorRowsMicro(f, x, out)
+					applyFactorRowsMicro(f, x, out, 0, rows)
 				}
 			}
 		})

@@ -1,0 +1,172 @@
+package butterfly
+
+import (
+	"fmt"
+	"math/rand"
+	"runtime"
+	"testing"
+
+	"repro/internal/tensor"
+)
+
+// backwardFactorRows is the serial backward sweep of one factor, row by
+// row and pair by pair — the oracle for Backward's input-gradient sweep
+// and gradFactorPairs.
+func backwardFactorRows(f *Factor, in, dOut, dIn *tensor.Matrix) {
+	half := 1 << (f.Stage - 1)
+	block := half << 1
+	n := f.N
+	for r := 0; r < in.Rows; r++ {
+		x := in.Row(r)
+		dy := dOut.Row(r)
+		dx := dIn.Row(r)
+		p := 0
+		for start := 0; start < n; start += block {
+			for k := 0; k < half; k++ {
+				top := start + k
+				bot := top + half
+				xt, xb := x[top], x[bot]
+				gt, gb := dy[top], dy[bot]
+				// dX = Bᵀ·dY per pair
+				dx[top] = f.A[p]*gt + f.C[p]*gb
+				dx[bot] = f.B[p]*gt + f.D[p]*gb
+				// weight grads
+				f.GradA[p] += gt * xt
+				f.GradB[p] += gt * xb
+				f.GradC[p] += gb * xt
+				f.GradD[p] += gb * xb
+				p++
+			}
+		}
+	}
+}
+
+// refForward and refBackward are Forward and Backward on the serial
+// reference sweeps: the oracles for the split training path.
+func refForward(b *Butterfly, x *tensor.Matrix) *tensor.Matrix {
+	cur := b.applyPermRows(x)
+	b.stageInputs = b.stageInputs[:0]
+	for _, f := range b.Factors {
+		b.stageInputs = append(b.stageInputs, cur)
+		next := tensor.New(cur.Rows, cur.Cols)
+		applyFactorRows(f, cur, next)
+		cur = next
+	}
+	return cur
+}
+
+func refBackward(b *Butterfly, dY *tensor.Matrix) *tensor.Matrix {
+	cur := dY
+	for s := len(b.Factors) - 1; s >= 0; s-- {
+		f := b.Factors[s]
+		next := tensor.New(cur.Rows, cur.Cols)
+		backwardFactorRows(f, b.stageInputs[s], cur, next)
+		if b.Param == Rotation {
+			foldRotationGrads(f, 0, f.NumPairs())
+		}
+		cur = next
+	}
+	if b.Perm == nil {
+		return cur
+	}
+	out := tensor.New(cur.Rows, cur.Cols)
+	for r := 0; r < cur.Rows; r++ {
+		for i, p := range b.Perm {
+			out.Row(r)[p] += cur.Row(r)[i]
+		}
+	}
+	return out
+}
+
+func randRows(rng *rand.Rand, rows, n int) *tensor.Matrix {
+	m := tensor.New(rows, n)
+	for i := range m.Data {
+		m.Data[i] = rng.Float32()*2 - 1
+	}
+	return m
+}
+
+// TestTrainingPathMatchesOracles runs Forward and two accumulating
+// Backward calls on the split path and on the serial oracles, and
+// compares outputs, input gradients and every parameter gradient by ==,
+// at GOMAXPROCS 1 and 4, for both parameterizations.
+func TestTrainingPathMatchesOracles(t *testing.T) {
+	for _, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		for _, n := range []int{2, 16, 1024} {
+			for _, param := range []Parameterization{Dense2x2, Rotation} {
+				tag := fmt.Sprintf("procs=%d n=%d %v", procs, n, param)
+				got := New(n, param, rand.New(rand.NewSource(21)))
+				want := New(n, param, rand.New(rand.NewSource(21)))
+				rng := rand.New(rand.NewSource(22))
+				for call := 0; call < 2; call++ {
+					x := randRows(rng, 50, n)
+					dY := randRows(rng, 50, n)
+					assertSame(t, n, 50, tag+" Forward", refForward(want, x), got.Forward(x))
+					assertSame(t, n, 50, tag+" Backward dX", refBackward(want, dY), got.Backward(dY))
+				}
+				_, wg := want.Params()
+				_, gg := got.Params()
+				for i := range wg {
+					for j := range wg[i] {
+						if wg[i][j] != gg[i][j] {
+							t.Fatalf("%s: gradient group %d [%d] = %v, want %v", tag, i, j, gg[i][j], wg[i][j])
+						}
+					}
+				}
+				for s, f := range want.Factors {
+					for p := range f.GradA {
+						g := got.Factors[s]
+						if f.GradA[p] != g.GradA[p] || f.GradB[p] != g.GradB[p] || f.GradC[p] != g.GradC[p] || f.GradD[p] != g.GradD[p] {
+							t.Fatalf("%s: stage %d pair %d coefficient gradients differ", tag, s+1, p)
+						}
+					}
+				}
+			}
+		}
+		runtime.GOMAXPROCS(prev)
+	}
+}
+
+// TestGradPairRanges checks the pair-range gradient kernel on ranges that
+// cut stage blocks at every offset, against the full serial sweep.
+func TestGradPairRanges(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	const n = 32
+	for stage := 1; stage <= 5; stage++ {
+		for cut := 0; cut <= n/2; cut++ {
+			want := New(n, Dense2x2, rand.New(rand.NewSource(24))).Factors[stage-1]
+			got := New(n, Dense2x2, rand.New(rand.NewSource(24))).Factors[stage-1]
+			in, dOut := randRows(rng, 3, n), randRows(rng, 3, n)
+			backwardFactorRows(want, in, dOut, tensor.New(3, n))
+			gradFactorPairs(got, in, dOut, 0, cut)
+			gradFactorPairs(got, in, dOut, cut, n/2)
+			for p := range want.GradA {
+				if want.GradA[p] != got.GradA[p] || want.GradB[p] != got.GradB[p] || want.GradC[p] != got.GradC[p] || want.GradD[p] != got.GradD[p] {
+					t.Fatalf("stage %d cut %d: pair %d gradients differ", stage, cut, p)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkTrainStep times Forward+Backward of the N=1024 rotation
+// butterfly at batch 50 (the training shape) on the split path and on
+// the serial oracles.
+func BenchmarkTrainStep(b *testing.B) {
+	rng := rand.New(rand.NewSource(25))
+	bf := New(1024, Rotation, rng)
+	x, dY := randRows(rng, 50, 1024), randRows(rng, 50, 1024)
+	b.Run("ref", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			refForward(bf, x)
+			refBackward(bf, dY)
+		}
+	})
+	b.Run("new", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			bf.Forward(x)
+			bf.Backward(dY)
+		}
+	})
+}

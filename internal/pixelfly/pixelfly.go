@@ -190,19 +190,23 @@ func (p *Pixelfly) Flops(batch int) float64 {
 }
 
 // Forward computes Y (batch×N) from X (batch×N): y_row = W·x_row + U·Vᵀ·x_row.
-// State is retained for Backward.
+// State is retained for Backward. The products run on the training
+// kernels, split across GOMAXPROCS (BSR.MulDenseParallel,
+// tensor.MatMulParallel); each output element is summed by one worker in
+// the serial order, so for finite inputs the result is bit-for-bit
+// Apply's.
 func (p *Pixelfly) Forward(x *tensor.Matrix) *tensor.Matrix {
 	if x.Cols != p.Cfg.N {
 		panic(fmt.Sprintf("pixelfly: input width %d != N %d", x.Cols, p.Cfg.N))
 	}
 	p.xSaved = x
-	xt := x.Transpose()   // N×batch
-	y := p.W.MulDense(xt) // N×batch
-	out := y.Transpose()  // batch×N
+	xt := x.Transpose()           // N×batch
+	y := p.W.MulDenseParallel(xt) // N×batch
+	out := y.Transpose()          // batch×N
 	if p.Cfg.LowRank > 0 {
-		xv := tensor.MatMul(x, p.V) // batch×r
+		xv := tensor.MatMulParallel(x, p.V) // batch×r
 		p.xvSaved = xv
-		lr := tensor.MatMul(xv, p.U.Transpose()) // batch×N
+		lr := tensor.MatMulParallel(xv, p.ut) // batch×N
 		tensor.AddInPlace(out, lr)
 	}
 	return out
@@ -272,6 +276,9 @@ func (p *Pixelfly) ApplyIntoEpilogue(dst, x *tensor.Matrix, ws *tensor.Workspace
 }
 
 // Backward propagates dY (batch×N), accumulating gradients, and returns dX.
+// Like Forward it runs on the training kernels split across GOMAXPROCS,
+// each output and gradient element summed by one worker in the serial
+// order.
 func (p *Pixelfly) Backward(dY *tensor.Matrix) *tensor.Matrix {
 	if p.xSaved == nil {
 		panic("pixelfly: Backward called before Forward")
@@ -282,14 +289,15 @@ func (p *Pixelfly) Backward(dY *tensor.Matrix) *tensor.Matrix {
 	dx := p.W.TransposeMulDense(dyt) // N×batch
 	dX := dx.Transpose()             // batch×N
 	// dW = dYᵀ·X masked to the support.
-	p.GradW.AccumulateOuter(dyt, x.Transpose(), 1)
+	xt := x.Transpose() // N×batch
+	p.GradW.AccumulateOuter(dyt, xt, 1)
 	if p.Cfg.LowRank > 0 {
 		// y += (X·V)·Uᵀ, so:
 		// dU = dYᵀ·(X·V); dV = Xᵀ·(dY·U); dX += (dY·U)·Vᵀ
-		dyU := tensor.MatMul(dY, p.U) // batch×r
-		tensor.AddInPlace(p.GradU, tensor.MatMul(dY.Transpose(), p.xvSaved))
-		tensor.AddInPlace(p.GradV, tensor.MatMul(x.Transpose(), dyU))
-		tensor.AddInPlace(dX, tensor.MatMul(dyU, p.V.Transpose()))
+		dyU := tensor.MatMulParallel(dY, p.U) // batch×r
+		tensor.AddInPlace(p.GradU, tensor.MatMulParallel(dyt, p.xvSaved))
+		tensor.AddInPlace(p.GradV, tensor.MatMulParallel(xt, dyU))
+		tensor.AddInPlace(dX, tensor.MatMulParallel(dyU, p.V.Transpose()))
 	}
 	return dX
 }

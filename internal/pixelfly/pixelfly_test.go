@@ -1,8 +1,10 @@
 package pixelfly
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -290,5 +292,41 @@ func BenchmarkPixelflyForward1024(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p.Apply(x)
+	}
+}
+
+// TestForwardMatchesApplyBitForBit checks the training forward pass —
+// split products, cached Uᵀ — against the serial Apply by ==, at
+// GOMAXPROCS 1 and 4, on the paper configuration at batch 50.
+func TestForwardMatchesApplyBitForBit(t *testing.T) {
+	p := mustNew(t, Config{N: 1024, BlockSize: 64, ButterflySize: 16, LowRank: 32}, 18)
+	x := tensor.New(50, 1024)
+	x.FillRandom(rand.New(rand.NewSource(19)), 1)
+	for _, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		assertSameMat(t, fmt.Sprintf("procs=%d Forward", procs), p.Apply(x), p.Forward(x))
+		runtime.GOMAXPROCS(prev)
+	}
+}
+
+// BenchmarkTrainStep times Forward+Backward of the paper pixelfly layer
+// (N 1024, block size 64, butterfly size 16, low rank 32) at batch 50,
+// the training shape.
+func BenchmarkTrainStep(b *testing.B) {
+	cfg := Config{N: 1024, BlockSize: 64, ButterflySize: 16, LowRank: 32}
+	p, err := New(cfg, rand.New(rand.NewSource(16)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(17))
+	x := tensor.New(50, 1024)
+	x.FillRandom(rng, 1)
+	dY := tensor.New(50, 1024)
+	dY.FillRandom(rng, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.Forward(x)
+		p.Backward(dY)
 	}
 }

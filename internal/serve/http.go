@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -9,6 +10,7 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
+	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -84,17 +86,35 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
-// writeJSON encodes v as the response body. Encoding failures cannot be
-// reported to the client (the status line is already written), so they
-// are counted and logged instead of silently dropped.
+// maxPredictBody caps a /predict request body. A 1024-feature request is
+// about 20 KB, so 1 MiB leaves room for wide models while bounding what
+// one request can make the server buffer.
+const maxPredictBody = 1 << 20
+
+// jsonBufs recycles response buffers; buffers grown past 64 KiB by a large
+// debug response are dropped rather than pinned.
+var jsonBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// writeJSON encodes v into a buffer and only then sends the status and
+// body, so an encoding failure never follows a committed status: it is
+// counted, logged and answered with a 500 and a JSON error body instead.
 func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
+	buf := jsonBufs.Get().(*bytes.Buffer)
+	buf.Reset()
+	enc := json.NewEncoder(buf)
 	enc.SetEscapeHTML(false)
 	if err := enc.Encode(v); err != nil {
 		s.encodeErrs.Inc()
 		log.Printf("serve: encoding %T response: %v", v, err)
+		buf.Reset()
+		code = http.StatusInternalServerError
+		enc.Encode(errorBody{fmt.Sprintf("encoding response: %v", err)})
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	w.Write(buf.Bytes())
+	if buf.Cap() <= 64<<10 {
+		jsonBufs.Put(buf)
 	}
 }
 
@@ -105,8 +125,13 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	}
 	t0 := time.Now()
 	var req PredictRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeJSON(w, http.StatusBadRequest, errorBody{fmt.Sprintf("bad request body: %v", err)})
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxPredictBody)).Decode(&req); err != nil {
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		s.writeJSON(w, code, errorBody{fmt.Sprintf("bad request body: %v", err)})
 		return
 	}
 	// Sampled requests get a trace covering the whole HTTP round trip;
@@ -142,6 +167,8 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		s.writeJSON(w, http.StatusServiceUnavailable, errorBody{err.Error()})
 	case errors.Is(err, ErrBadInput):
 		s.writeJSON(w, http.StatusBadRequest, errorBody{err.Error()})
+	case errors.Is(err, ErrNonFinite):
+		s.writeJSON(w, http.StatusUnprocessableEntity, errorBody{err.Error()})
 	default:
 		s.writeJSON(w, http.StatusInternalServerError, errorBody{err.Error()})
 	}

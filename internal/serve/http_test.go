@@ -2,9 +2,12 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"repro/internal/nn"
@@ -152,5 +155,75 @@ func TestHTTPModelsAndStats(t *testing.T) {
 	}
 	if a.Served != 2 || a.Latency.Count != 2 {
 		t.Fatalf("model a stats: %+v", a)
+	}
+}
+
+// assertJSONError fails unless resp has the given status and a JSON body
+// whose error field is set.
+func assertJSONError(t *testing.T, resp *http.Response, code int) {
+	t.Helper()
+	if resp.StatusCode != code {
+		t.Fatalf("status = %d, want %d", resp.StatusCode, code)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+		t.Fatalf("Content-Type = %q, want application/json", ct)
+	}
+	var body errorBody
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil || body.Error == "" {
+		t.Fatalf("want a JSON error body, got err %v body %+v", err, body)
+	}
+}
+
+// TestHTTPPredictNonFiniteScores feeds finite features large enough to
+// overflow the dense model's scores to ±Inf/NaN, which JSON cannot carry:
+// the answer must be a typed 422 with a JSON error body, never a 200 whose
+// body the encoder then fails to write.
+func TestHTTPPredictNonFiniteScores(t *testing.T) {
+	ts, reg := testServer(t)
+	if _, err := reg.Register(spec("m", nn.Baseline)); err != nil {
+		t.Fatal(err)
+	}
+	features := make([]float32, 64)
+	for i := range features {
+		features[i] = 3e38
+		if i%2 == 1 {
+			features[i] = -3e38
+		}
+	}
+	resp := postPredict(t, ts.URL, PredictRequest{Model: "m", Features: features})
+	defer resp.Body.Close()
+	assertJSONError(t, resp, http.StatusUnprocessableEntity)
+
+	m, _ := reg.Get("m")
+	if _, err := m.Predict(context.Background(), features); !errors.Is(err, ErrNonFinite) {
+		t.Fatalf("Predict error = %v, want ErrNonFinite", err)
+	}
+}
+
+// TestHTTPPredictBodyLimit sends a well-formed request just over
+// maxPredictBody: it must be cut off with a 413 and a JSON error body,
+// while one just under the limit still decodes (and fails only on width).
+func TestHTTPPredictBodyLimit(t *testing.T) {
+	ts, reg := testServer(t)
+	if _, err := reg.Register(spec("m", nn.Baseline)); err != nil {
+		t.Fatal(err)
+	}
+	body := func(size int) []byte {
+		head, tail := `{"model":"m","features":[`, `0]}`
+		b := []byte(head + strings.Repeat("0,", (size-len(head)-len(tail))/2) + tail)
+		if len(b) > size {
+			t.Fatalf("built %d bytes for a %d-byte body", len(b), size)
+		}
+		return b
+	}
+	for _, tc := range []struct {
+		size, code int
+	}{{maxPredictBody, http.StatusBadRequest}, {maxPredictBody + 64, http.StatusRequestEntityTooLarge}} {
+		resp, err := http.Post(ts.URL+"/predict", "application/json", bytes.NewReader(body(tc.size)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertJSONError(t, resp, tc.code)
+		resp.Body.Close()
 	}
 }

@@ -27,6 +27,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime/pprof"
 	"sync"
 	"sync/atomic"
@@ -49,6 +50,21 @@ var ErrStopped = errors.New("serve: model stopped")
 // ErrBadInput marks client mistakes (wrong feature width); the HTTP layer
 // maps it to 400 instead of 500.
 var ErrBadInput = errors.New("serve: bad input")
+
+// ErrNonFinite marks a request whose finite features drove a score to
+// ±Inf or NaN (float32 overflow), which JSON cannot carry; the HTTP layer
+// maps it to 422.
+var ErrNonFinite = errors.New("serve: non-finite scores")
+
+// allFinite reports whether no score is ±Inf or NaN.
+func allFinite(scores []float32) bool {
+	for _, v := range scores {
+		if math.IsInf(float64(v), 0) || math.IsNaN(float64(v)) {
+			return false
+		}
+	}
+	return true
+}
 
 // ModelSpec describes a servable model to build.
 type ModelSpec struct {
@@ -266,6 +282,9 @@ func (m *Model) Predict(ctx context.Context, features []float32) (Prediction, er
 	resp, err := m.batcher.do(ctx, features)
 	if err == nil {
 		err = resp.err
+	}
+	if err == nil && !allFinite(resp.scores) {
+		err = fmt.Errorf("%w from model %q", ErrNonFinite, m.spec.Name)
 	}
 	if err != nil {
 		if m.mets != nil {

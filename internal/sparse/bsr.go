@@ -18,6 +18,12 @@ type BSR struct {
 	RowPtr     []int32   // length BlockRows+1, indexes into ColIdx/Blocks
 	ColIdx     []int32   // block-column index per stored block
 	Blocks     []float32 // len(ColIdx) * BlockSize * BlockSize, row-major per block
+
+	// Column index of the same pattern, for the transposed product:
+	// colPtr (length BlockCols+1) indexes colRow/colBlk, which list each
+	// block column's stored blocks by ascending block row — their block
+	// row and their index into Blocks.
+	colPtr, colRow, colBlk []int32
 }
 
 // NewBSR builds a BSR matrix from an explicit block pattern. pattern lists
@@ -54,6 +60,23 @@ func NewBSR(rows, cols, blockSize int, pattern [][2]int) (*BSR, error) {
 		out.RowPtr[i+1] = int32(len(out.ColIdx))
 	}
 	out.Blocks = make([]float32, len(out.ColIdx)*blockSize*blockSize)
+	out.colPtr = make([]int32, bc+1)
+	for _, j := range out.ColIdx {
+		out.colPtr[j+1]++
+	}
+	for j := 0; j < bc; j++ {
+		out.colPtr[j+1] += out.colPtr[j]
+	}
+	out.colRow = make([]int32, len(out.ColIdx))
+	out.colBlk = make([]int32, len(out.ColIdx))
+	next := append([]int32(nil), out.colPtr[:bc]...)
+	for i := 0; i < br; i++ {
+		for p := out.RowPtr[i]; p < out.RowPtr[i+1]; p++ {
+			j := out.ColIdx[p]
+			out.colRow[next[j]], out.colBlk[next[j]] = int32(i), p
+			next[j]++
+		}
+	}
 	return out, nil
 }
 
@@ -242,59 +265,52 @@ func (b *BSR) MulDenseRowsInto(out, x *tensor.Matrix, br0, br1 int) {
 }
 
 // TransposeMulDense computes bᵀ·x: (Cols×Rows)·(Rows×K); used in backward
-// passes of block-sparse layers.
+// passes of block-sparse layers. Output block columns are split across
+// GOMAXPROCS workers (tensor.ParallelRows). Each output element sums its
+// contributions by ascending block row, then ascending row within the
+// block — the order of the plain row-major loop — so the result does not
+// depend on the worker count.
 func (b *BSR) TransposeMulDense(x *tensor.Matrix) *tensor.Matrix {
 	if b.Rows != x.Rows {
 		panic(fmt.Sprintf("sparse: BSR TransposeMulDense shape mismatch %dx%d^T x %dx%d", b.Rows, b.Cols, x.Rows, x.Cols))
 	}
 	out := tensor.New(b.Cols, x.Cols)
-	bs, k := b.BlockSize, x.Cols
-	for bi := 0; bi < b.BlockRows; bi++ {
-		for p := b.RowPtr[bi]; p < b.RowPtr[bi+1]; p++ {
-			bj := int(b.ColIdx[p])
-			blk := b.Block(int(p))
-			for r := 0; r < bs; r++ {
-				xrow := x.Data[(bi*bs+r)*k : (bi*bs+r+1)*k]
-				for c := 0; c < bs; c++ {
-					v := blk[r*bs+c]
-					if v == 0 {
-						continue
-					}
-					orow := out.Row(bj*bs + c)
-					for j := 0; j < k; j++ {
-						orow[j] += v * xrow[j]
-					}
-				}
-			}
-		}
-	}
+	tensor.ParallelRows(b.BlockCols, b.macs(x.Cols), bsrJob{b, out, x}, func(j bsrJob, lo, hi int) {
+		j.b.transposeMulCols(j.out, j.x, lo, hi)
+	})
 	return out
 }
 
-// AccumulateOuter adds dY·Xᵀ contributions into the stored blocks only —
-// the weight-gradient of a block-sparse layer. dY is (Rows×K), x is (Cols×K).
+// AccumulateOuter adds lr·dY·xᵀ into the stored blocks only — the
+// weight-gradient of a block-sparse layer. dY is (Rows×K), x is (Cols×K).
+// Block rows are split across GOMAXPROCS workers; every stored entry is
+// one dot product over K, summed in ascending order, so the result does
+// not depend on the worker count.
 func (b *BSR) AccumulateOuter(dY, x *tensor.Matrix, lr float32) {
 	if dY.Rows != b.Rows || x.Rows != b.Cols || dY.Cols != x.Cols {
 		panic("sparse: AccumulateOuter shape mismatch")
 	}
-	bs, k := b.BlockSize, dY.Cols
-	for bi := 0; bi < b.BlockRows; bi++ {
-		for p := b.RowPtr[bi]; p < b.RowPtr[bi+1]; p++ {
-			bj := int(b.ColIdx[p])
-			blk := b.Block(int(p))
-			for r := 0; r < bs; r++ {
-				dyrow := dY.Data[(bi*bs+r)*k : (bi*bs+r+1)*k]
-				for c := 0; c < bs; c++ {
-					xrow := x.Data[(bj*bs+c)*k : (bj*bs+c+1)*k]
-					var s float32
-					for j := 0; j < k; j++ {
-						s += dyrow[j] * xrow[j]
-					}
-					blk[r*bs+c] += lr * s
-				}
-			}
-		}
-	}
+	tensor.ParallelRows(b.BlockRows, b.macs(dY.Cols), outerJob{b, dY, x, lr}, func(j outerJob, lo, hi int) {
+		j.b.accumulateOuterRows(j.dY, j.x, j.lr, lo, hi)
+	})
+}
+
+// macs is the multiply-add count of one product of b with a width-k
+// dense operand: the work measure tensor.ParallelRows compares against
+// its serial cutoff.
+func (b *BSR) macs(k int) int { return len(b.Blocks) * k }
+
+// bsrJob carries a product's operands to its workers.
+type bsrJob struct {
+	b      *BSR
+	out, x *tensor.Matrix
+}
+
+// outerJob carries AccumulateOuter's operands to its workers.
+type outerJob struct {
+	b     *BSR
+	dY, x *tensor.Matrix
+	lr    float32
 }
 
 // Flops returns the useful flops of MulDense with a width-k RHS:

@@ -27,7 +27,7 @@ func (b *BSR) MulDenseIntoMicro(out, x *tensor.Matrix) {
 		panic(fmt.Sprintf("sparse: BSR MulDenseIntoMicro dst %dx%d, want %dx%d", out.Rows, out.Cols, b.Rows, x.Cols))
 	}
 	out.Zero()
-	b.mulDenseMicro(out, x, nil, tensor.ActNone, false)
+	b.mulDenseMicro(out, x, nil, tensor.ActNone, false, 0, b.BlockRows)
 }
 
 // MulDenseBiasActIntoMicro is MulDenseBiasActInto through the
@@ -44,7 +44,22 @@ func (b *BSR) MulDenseBiasActIntoMicro(out, x *tensor.Matrix, bias []float32, ac
 		panic(fmt.Sprintf("sparse: BSR MulDenseBiasActIntoMicro bias length %d != rows %d", len(bias), b.Rows))
 	}
 	out.Zero()
-	b.mulDenseMicro(out, x, bias, act, true)
+	b.mulDenseMicro(out, x, bias, act, true, 0, b.BlockRows)
+}
+
+// MulDenseParallel is MulDense through the block-specialized kernels,
+// with block rows split across GOMAXPROCS workers (tensor.ParallelRows):
+// the training forward product. Each output row belongs to one block row,
+// so it is bit-for-bit MulDenseIntoMicro at any worker count.
+func (b *BSR) MulDenseParallel(x *tensor.Matrix) *tensor.Matrix {
+	if b.Cols != x.Rows {
+		panic(fmt.Sprintf("sparse: BSR MulDense shape mismatch %dx%d x %dx%d", b.Rows, b.Cols, x.Rows, x.Cols))
+	}
+	out := tensor.New(b.Rows, x.Cols)
+	tensor.ParallelRows(b.BlockRows, b.macs(x.Cols), bsrJob{b, out, x}, func(j bsrJob, lo, hi int) {
+		j.b.mulDenseMicro(j.out, j.x, nil, tensor.ActNone, false, lo, hi)
+	})
+	return out
 }
 
 // MicroVariant names the kernel variant the plan dispatcher stamps into
@@ -60,9 +75,12 @@ func (b *BSR) MicroVariant() string {
 	}
 }
 
-func (b *BSR) mulDenseMicro(out, x *tensor.Matrix, bias []float32, act tensor.Activation, epi bool) {
+// mulDenseMicro accumulates the block rows [br0, br1) of b·x into out,
+// which the caller has zeroed, finishing each block row with the
+// epilogue when epi is set.
+func (b *BSR) mulDenseMicro(out, x *tensor.Matrix, bias []float32, act tensor.Activation, epi bool, br0, br1 int) {
 	bs, k := b.BlockSize, x.Cols
-	for bi := 0; bi < b.BlockRows; bi++ {
+	for bi := br0; bi < br1; bi++ {
 		for p := b.RowPtr[bi]; p < b.RowPtr[bi+1]; p++ {
 			bj := int(b.ColIdx[p])
 			blk := b.Block(int(p))
@@ -176,6 +194,103 @@ func accBlockTiled(out, x *tensor.Matrix, blk []float32, row0, col0, bs, k int) 
 			op := orow[:len(xrow)]
 			for j, xv := range xrow {
 				op[j] += v * xv
+			}
+		}
+	}
+}
+
+// transposeMulCols accumulates the block columns [bc0, bc1) of bᵀ·x into
+// out, which the caller has zeroed: block row bi of x (its rows
+// bi·bs … bi·bs+bs-1) scaled by the block's transpose, for each stored
+// block of the column in ascending block-row order.
+func (b *BSR) transposeMulCols(out, x *tensor.Matrix, bc0, bc1 int) {
+	bs, k := b.BlockSize, x.Cols
+	for bj := bc0; bj < bc1; bj++ {
+		for q := b.colPtr[bj]; q < b.colPtr[bj+1]; q++ {
+			accBlockT(out, x, b.Block(int(b.colBlk[q])), bj*bs, int(b.colRow[q])*bs, bs, k)
+		}
+	}
+}
+
+// accBlockT accumulates blkᵀ·x[row0 : row0+bs] into out[col0 : col0+bs]
+// with the block's rows in tiles of four: one pass over an output row
+// takes four x rows, and every output element still receives its adds in
+// ascending r order, as sequential float32 adds.
+func accBlockT(out, x *tensor.Matrix, blk []float32, col0, row0, bs, k int) {
+	r := 0
+	for ; r+4 <= bs; r += 4 {
+		x0 := x.Data[(row0+r)*k : (row0+r)*k+k]
+		x1 := x.Data[(row0+r+1)*k : (row0+r+1)*k+k][:len(x0)]
+		x2 := x.Data[(row0+r+2)*k : (row0+r+2)*k+k][:len(x0)]
+		x3 := x.Data[(row0+r+3)*k : (row0+r+3)*k+k][:len(x0)]
+		b0 := blk[r*bs : r*bs+bs]
+		b1 := blk[(r+1)*bs : (r+1)*bs+bs][:len(b0)]
+		b2 := blk[(r+2)*bs : (r+2)*bs+bs][:len(b0)]
+		b3 := blk[(r+3)*bs : (r+3)*bs+bs][:len(b0)]
+		for c, v0 := range b0 {
+			v1, v2, v3 := b1[c], b2[c], b3[c]
+			orow := out.Row(col0 + c)[:len(x0)]
+			for j, xv := range x0 {
+				s := orow[j]
+				s += v0 * xv
+				s += v1 * x1[j]
+				s += v2 * x2[j]
+				s += v3 * x3[j]
+				orow[j] = s
+			}
+		}
+	}
+	for ; r < bs; r++ {
+		xr := x.Data[(row0+r)*k : (row0+r)*k+k]
+		for c, v := range blk[r*bs : r*bs+bs] {
+			orow := out.Row(col0 + c)[:len(xr)]
+			for j, xv := range xr {
+				orow[j] += v * xv
+			}
+		}
+	}
+}
+
+// accumulateOuterRows adds lr·dY·xᵀ into the stored blocks of the block
+// rows [br0, br1). Each dY row is loaded once per four block columns:
+// four dot products run side by side, each summing over K in ascending
+// order as a sequential float32 chain.
+func (b *BSR) accumulateOuterRows(dY, x *tensor.Matrix, lr float32, br0, br1 int) {
+	bs, k := b.BlockSize, dY.Cols
+	for bi := br0; bi < br1; bi++ {
+		for p := b.RowPtr[bi]; p < b.RowPtr[bi+1]; p++ {
+			col0 := int(b.ColIdx[p]) * bs
+			blk := b.Block(int(p))
+			for r := 0; r < bs; r++ {
+				dy := dY.Data[(bi*bs+r)*k : (bi*bs+r)*k+k]
+				g := blk[r*bs : r*bs+bs]
+				c := 0
+				for ; c+4 <= bs; c += 4 {
+					x0 := x.Data[(col0+c)*k : (col0+c)*k+k][:len(dy)]
+					x1 := x.Data[(col0+c+1)*k : (col0+c+1)*k+k][:len(dy)]
+					x2 := x.Data[(col0+c+2)*k : (col0+c+2)*k+k][:len(dy)]
+					x3 := x.Data[(col0+c+3)*k : (col0+c+3)*k+k][:len(dy)]
+					var s0, s1, s2, s3 float32
+					for j, d := range dy {
+						s0 += d * x0[j]
+						s1 += d * x1[j]
+						s2 += d * x2[j]
+						s3 += d * x3[j]
+					}
+					gc := g[c : c+4 : c+4]
+					gc[0] += lr * s0
+					gc[1] += lr * s1
+					gc[2] += lr * s2
+					gc[3] += lr * s3
+				}
+				for ; c < bs; c++ {
+					xr := x.Data[(col0+c)*k : (col0+c)*k+k][:len(dy)]
+					var s float32
+					for j, d := range dy {
+						s += d * xr[j]
+					}
+					g[c] += lr * s
+				}
 			}
 		}
 	}

@@ -1,10 +1,6 @@
 package tensor
 
-import (
-	"fmt"
-	"runtime"
-	"sync"
-)
+import "fmt"
 
 // Activation identifies the elementwise nonlinearity an epilogue-aware
 // kernel applies as it writes each output element. The fusion contract of
@@ -134,29 +130,16 @@ func MatMulBiasActParallelInto(dst, a, b *Matrix, bias []float32, act Activation
 	checkMulShapes(a, b)
 	checkIntoShape("MatMulBiasActParallelInto", dst, a.Rows, b.Cols)
 	checkBiasLen("MatMulBiasActParallelInto", bias, b.Cols)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > a.Rows {
-		workers = a.Rows
-	}
-	if workers <= 1 || a.Rows*a.Cols*b.Cols < 1<<16 {
-		matMulBiasActRows(a, b, dst, bias, act, 0, a.Rows)
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (a.Rows + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := min(lo+chunk, a.Rows)
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			matMulBiasActRows(a, b, dst, bias, act, lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
+	ParallelRows(a.Rows, a.Rows*a.Cols*b.Cols, biasActJob{a, b, dst, bias, act}, func(j biasActJob, lo, hi int) {
+		matMulBiasActRows(j.a, j.b, j.out, j.bias, j.act, lo, hi)
+	})
+}
+
+// biasActJob carries MatMulBiasActParallelInto's operands to its workers.
+type biasActJob struct {
+	a, b, out *Matrix
+	bias      []float32
+	act       Activation
 }
 
 // MatMulColsBiasActInto computes act(a·b + bias) into the column window

@@ -11,8 +11,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
-	"sync"
 )
 
 // Matrix is a dense row-major float32 matrix.
@@ -317,30 +315,9 @@ func MatMulParallelInto(dst, a, b *Matrix) {
 	checkMulShapes(a, b)
 	checkIntoShape("MatMulParallelInto", dst, a.Rows, b.Cols)
 	dst.Zero()
-	out := dst
-	workers := runtime.GOMAXPROCS(0)
-	if workers > a.Rows {
-		workers = a.Rows
-	}
-	if workers <= 1 || a.Rows*a.Cols*b.Cols < 1<<16 {
-		matMulRows(a, b, out, 0, a.Rows)
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (a.Rows + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := min(lo+chunk, a.Rows)
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			matMulRows(a, b, out, lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
+	ParallelRows(a.Rows, a.Rows*a.Cols*b.Cols, [3]*Matrix{a, b, dst}, func(m [3]*Matrix, lo, hi int) {
+		matMulRows(m[0], m[1], m[2], lo, hi)
+	})
 }
 
 func matMulRows(a, b, out *Matrix, lo, hi int) {

@@ -2,8 +2,6 @@ package tensor
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"repro/internal/tensor/microkernel"
 )
@@ -82,29 +80,17 @@ func MatMulPackedBiasActParallelInto(dst, a *Matrix, pb *PackedB, bias []float32
 }
 
 func matMulPackedRowsParallel(dst, a *Matrix, pb *PackedB, bias []float32, relu bool) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > a.Rows {
-		workers = a.Rows
-	}
-	if workers <= 1 || a.Rows*a.Cols*pb.cols < 1<<16 {
-		microkernel.MatMul(dst.Data, dst.Cols, 0, a.Data, a.Cols, 0, a.Rows, pb.data, pb.rows, pb.cols, bias, relu)
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (a.Rows + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := min(lo+chunk, a.Rows)
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			microkernel.MatMul(dst.Data, dst.Cols, 0, a.Data, a.Cols, lo, hi, pb.data, pb.rows, pb.cols, bias, relu)
-		}(lo, hi)
-	}
-	wg.Wait()
+	ParallelRows(a.Rows, a.Rows*a.Cols*pb.cols, packedJob{dst, a, pb, bias, relu}, func(j packedJob, lo, hi int) {
+		microkernel.MatMul(j.dst.Data, j.dst.Cols, 0, j.a.Data, j.a.Cols, lo, hi, j.pb.data, j.pb.rows, j.pb.cols, j.bias, j.relu)
+	})
+}
+
+// packedJob carries matMulPackedRowsParallel's operands to its workers.
+type packedJob struct {
+	dst, a *Matrix
+	pb     *PackedB
+	bias   []float32
+	relu   bool
 }
 
 // MatMulPackedColsBiasActInto computes act(a·B + bias) into the column
