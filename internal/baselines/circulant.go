@@ -82,29 +82,22 @@ func (c *Circulant) Apply(x *tensor.Matrix) *tensor.Matrix {
 
 // ApplyInto is Apply writing into caller-owned dst (shape x.Rows×N, fully
 // overwritten), convolving every row through the precomputed in-place FFT
-// plan with workspace scratch. The cached fft(C) (see Refresh) is reused
-// across rows; every row then sees exactly the operations of
-// fft.CircularConvolve, so the result is bit-for-bit equal. dst must not
-// alias x. It is the nil-epilogue form of ApplyIntoEpilogue — one
-// implementation, one contract.
-func (c *Circulant) ApplyInto(dst, x *tensor.Matrix, ws *tensor.Workspace) {
-	c.ApplyIntoEpilogue(dst, x, ws, nil, tensor.ActNone)
-}
-
-// ApplyIntoEpilogue is ApplyInto with a fused bias add and activation
-// folded into the inverse-FFT writeback — the loop that already touches
-// every output element — instead of two further sweeps over dst. The
-// convolved value is produced by exactly ApplyInto's operations, so the
-// result is bit-for-bit act(ApplyInto(x) + bias). bias may be nil.
-func (c *Circulant) ApplyIntoEpilogue(dst, x *tensor.Matrix, ws *tensor.Workspace, bias []float32, act tensor.Activation) {
+// plan with workspace scratch, with a fused bias add and activation folded
+// into the inverse-FFT writeback — the loop that already touches every
+// output element — instead of two further sweeps over dst. The cached
+// fft(C) (see Refresh) is reused across rows; every row then sees exactly
+// the operations of fft.CircularConvolve, so the result is bit-for-bit
+// act(Apply(x) + bias). bias may be nil; a nil bias with ActNone is the
+// plain product. dst must not alias x.
+func (c *Circulant) ApplyInto(dst, x *tensor.Matrix, ws *tensor.Workspace, bias []float32, act tensor.Activation) {
 	if x.Cols != c.N {
 		panic(fmt.Sprintf("baselines: Circulant input width %d != %d", x.Cols, c.N))
 	}
 	if dst.Rows != x.Rows || dst.Cols != c.N {
-		panic(fmt.Sprintf("baselines: Circulant ApplyIntoEpilogue dst %dx%d, want %dx%d", dst.Rows, dst.Cols, x.Rows, c.N))
+		panic(fmt.Sprintf("baselines: Circulant ApplyInto dst %dx%d, want %dx%d", dst.Rows, dst.Cols, x.Rows, c.N))
 	}
 	if bias != nil && len(bias) != c.N {
-		panic(fmt.Sprintf("baselines: Circulant ApplyIntoEpilogue bias length %d != %d", len(bias), c.N))
+		panic(fmt.Sprintf("baselines: Circulant ApplyInto bias length %d != %d", len(bias), c.N))
 	}
 	n := c.N
 	fc := c.fc

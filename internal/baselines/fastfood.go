@@ -158,36 +158,30 @@ func (f *Fastfood) Apply(x *tensor.Matrix) *tensor.Matrix {
 
 // ApplyInto is Apply writing into caller-owned dst (shape x.Rows×N, fully
 // overwritten), running the S·Ĥ·G·Π·Ĥ·B pipeline through two workspace
-// buffers with in-place FWHTs. Each step performs the same arithmetic as
-// Apply, so the result is bit-for-bit equal. dst must not alias x. It is
-// the nil-epilogue form of ApplyIntoEpilogue — one implementation, one
-// contract.
-func (f *Fastfood) ApplyInto(dst, x *tensor.Matrix, ws *tensor.Workspace) {
-	f.ApplyIntoEpilogue(dst, x, ws, nil, tensor.ActNone)
-}
-
-// ApplyIntoEpilogue is ApplyInto with a fused bias add and activation
-// folded into the final S-diagonal scaling — the last stage that writes
-// dst — so the output leaves cache finished. act(S⊙u + bias) is computed
-// with the same float32 chain as separate sweeps, so the result is
-// bit-for-bit act(ApplyInto(x) + bias). bias may be nil.
-func (f *Fastfood) ApplyIntoEpilogue(dst, x *tensor.Matrix, ws *tensor.Workspace, bias []float32, act tensor.Activation) {
+// buffers with in-place FWHTs on the radix-8 micro-kernel
+// (fwhtRowsInPlaceFast), and with a fused bias add and activation folded
+// into the final S-diagonal scaling — the last stage that writes dst — so
+// the output leaves cache finished. Each step performs the same float32
+// operations as Apply, and act(S⊙u + bias) is the same chain as separate
+// sweeps, so the result is bit-for-bit act(Apply(x) + bias). bias may be
+// nil; a nil bias with ActNone is the plain product. dst must not alias x.
+func (f *Fastfood) ApplyInto(dst, x *tensor.Matrix, ws *tensor.Workspace, bias []float32, act tensor.Activation) {
 	if x.Cols != f.N {
 		panic(fmt.Sprintf("baselines: Fastfood input width %d != %d", x.Cols, f.N))
 	}
 	if dst.Rows != x.Rows || dst.Cols != f.N {
-		panic(fmt.Sprintf("baselines: Fastfood ApplyIntoEpilogue dst %dx%d, want %dx%d", dst.Rows, dst.Cols, x.Rows, f.N))
+		panic(fmt.Sprintf("baselines: Fastfood ApplyInto dst %dx%d, want %dx%d", dst.Rows, dst.Cols, x.Rows, f.N))
 	}
 	if bias != nil && len(bias) != f.N {
-		panic(fmt.Sprintf("baselines: Fastfood ApplyIntoEpilogue bias length %d != %d", len(bias), f.N))
+		panic(fmt.Sprintf("baselines: Fastfood ApplyInto bias length %d != %d", len(bias), f.N))
 	}
 	u := ws.Take(x.Rows, f.N)
 	v := ws.Take(x.Rows, f.N)
 	scaleRowsInto(u, x, f.B)
-	fwhtRowsInPlace(u)
+	fwhtRowsInPlaceFast(u)
 	permuteRowsInto(v, u, f.Perm)
 	scaleRowsInto(u, v, f.G)
-	fwhtRowsInPlace(u)
+	fwhtRowsInPlaceFast(u)
 	for r := 0; r < x.Rows; r++ {
 		src := u.Row(r)
 		out := dst.Row(r)

@@ -1,7 +1,6 @@
 package baselines
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/hadamard"
@@ -23,48 +22,9 @@ func fwhtRowsInPlaceFast(x *tensor.Matrix) {
 	}
 }
 
-// ApplyIntoMicro is ApplyInto with both Walsh–Hadamard stages running
-// through the radix-8 micro-kernel.
-func (f *Fastfood) ApplyIntoMicro(dst, x *tensor.Matrix, ws *tensor.Workspace) {
-	f.ApplyIntoEpilogueMicro(dst, x, ws, nil, tensor.ActNone)
-}
-
-// ApplyIntoEpilogueMicro is ApplyIntoEpilogue with both Walsh–Hadamard
-// stages running through the radix-8 micro-kernel. The diagonal
-// scalings, permutation, and fused bias/act tail are unchanged, so the
-// result is bit-for-bit equal to the reference chain.
-func (f *Fastfood) ApplyIntoEpilogueMicro(dst, x *tensor.Matrix, ws *tensor.Workspace, bias []float32, act tensor.Activation) {
-	if x.Cols != f.N {
-		panic(fmt.Sprintf("baselines: Fastfood input width %d != %d", x.Cols, f.N))
-	}
-	if dst.Rows != x.Rows || dst.Cols != f.N {
-		panic(fmt.Sprintf("baselines: Fastfood ApplyIntoEpilogueMicro dst %dx%d, want %dx%d", dst.Rows, dst.Cols, x.Rows, f.N))
-	}
-	if bias != nil && len(bias) != f.N {
-		panic(fmt.Sprintf("baselines: Fastfood ApplyIntoEpilogueMicro bias length %d != %d", len(bias), f.N))
-	}
-	u := ws.Take(x.Rows, f.N)
-	v := ws.Take(x.Rows, f.N)
-	scaleRowsInto(u, x, f.B)
-	fwhtRowsInPlaceFast(u)
-	permuteRowsInto(v, u, f.Perm)
-	scaleRowsInto(u, v, f.G)
-	fwhtRowsInPlaceFast(u)
-	for r := 0; r < x.Rows; r++ {
-		src := u.Row(r)
-		out := dst.Row(r)
-		for i := range src {
-			val := src[i] * f.S[i]
-			if bias != nil {
-				val += bias[i]
-			}
-			out[i] = act.Apply(val)
-		}
-	}
-}
-
-// MicroVariant names the kernel variant the plan dispatcher stamps into
-// step metadata when this transform compiles through the micro path.
+// MicroVariant names the FWHT kernel ApplyInto runs, which the plan
+// compiler stamps into step metadata (below n=8 the FWHT runs a plain
+// loop).
 func (f *Fastfood) MicroVariant() string {
 	if f.N >= 8 {
 		return "radix8"

@@ -9,8 +9,9 @@ import (
 )
 
 // TestFastfoodApplyIntoMicroMatchesReference checks the radix-8 FWHT
-// apply path against the reference chain, bit-for-bit, across sizes
-// spanning the n<8 fallback and the chunked regime.
+// inference kernel against Apply followed by a separate bias and
+// activation sweep, bit-for-bit, across sizes spanning the n<8 fallback
+// and the chunked regime, with and without bias, under both activations.
 func TestFastfoodApplyIntoMicroMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	for _, n := range []int{4, 8, 64, 1024} {
@@ -25,21 +26,15 @@ func TestFastfoodApplyIntoMicroMatchesReference(t *testing.T) {
 			for i := range bias {
 				bias[i] = rng.Float32()*2 - 1
 			}
-			want := tensor.New(rows, n)
 			got := tensor.New(rows, n)
-
-			ws.Reset()
-			f.ApplyInto(want, x, ws)
-			ws.Reset()
-			f.ApplyIntoMicro(got, x, ws)
-			assertFastfoodSame(t, fmt.Sprintf("n=%d rows=%d ApplyIntoMicro", n, rows), want, got)
-
-			for _, act := range []tensor.Activation{tensor.ActNone, tensor.ActReLU} {
-				ws.Reset()
-				f.ApplyIntoEpilogue(want, x, ws, bias, act)
-				ws.Reset()
-				f.ApplyIntoEpilogueMicro(got, x, ws, bias, act)
-				assertFastfoodSame(t, fmt.Sprintf("n=%d rows=%d epilogue/%v", n, rows, act), want, got)
+			for _, bv := range [][]float32{nil, bias} {
+				for _, act := range []tensor.Activation{tensor.ActNone, tensor.ActReLU} {
+					want := f.Apply(x)
+					tensor.ApplyBiasActInto(want, want, bv, act)
+					ws.Reset()
+					f.ApplyInto(got, x, ws, bv, act)
+					assertFastfoodSame(t, fmt.Sprintf("n=%d rows=%d bias=%t/%v", n, rows, bv != nil, act), want, got)
+				}
 			}
 		}
 	}

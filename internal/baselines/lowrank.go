@@ -114,23 +114,18 @@ func (l *LowRank) Apply(x *tensor.Matrix) *tensor.Matrix {
 }
 
 // ApplyInto is Apply writing into caller-owned dst (shape x.Rows×N, fully
-// overwritten), staging X·V and Uᵀ through the workspace. Same kernels,
-// bit-for-bit equal result. dst must not alias x. It is the nil-epilogue
-// form of ApplyIntoEpilogue — one implementation, one contract.
-func (l *LowRank) ApplyInto(dst, x *tensor.Matrix, ws *tensor.Workspace) {
-	l.ApplyIntoEpilogue(dst, x, ws, nil, tensor.ActNone)
-}
-
-// ApplyIntoEpilogue is ApplyInto with the bias add and activation folded
-// into the wide back-projection through Uᵀ — the final matmul finishes
-// each output row and applies the epilogue before the row leaves cache.
-// Bit-for-bit act(ApplyInto(x) + bias); bias may be nil.
-func (l *LowRank) ApplyIntoEpilogue(dst, x *tensor.Matrix, ws *tensor.Workspace, bias []float32, act tensor.Activation) {
+// overwritten), staging X·V through the workspace, with the bias add and
+// activation folded into the wide back-projection through Uᵀ — the final
+// matmul finishes each output row and applies the epilogue before the row
+// leaves cache. Same kernels as Apply: bit-for-bit act(Apply(x) + bias).
+// bias may be nil; a nil bias with ActNone is the plain product. dst must
+// not alias x.
+func (l *LowRank) ApplyInto(dst, x *tensor.Matrix, ws *tensor.Workspace, bias []float32, act tensor.Activation) {
 	if x.Cols != l.N {
 		panic(fmt.Sprintf("baselines: LowRank input width %d != %d", x.Cols, l.N))
 	}
 	if dst.Rows != x.Rows || dst.Cols != l.N {
-		panic(fmt.Sprintf("baselines: LowRank ApplyIntoEpilogue dst %dx%d, want %dx%d", dst.Rows, dst.Cols, x.Rows, l.N))
+		panic(fmt.Sprintf("baselines: LowRank ApplyInto dst %dx%d, want %dx%d", dst.Rows, dst.Cols, x.Rows, l.N))
 	}
 	xv := ws.Take(x.Rows, l.Rank)
 	tensor.MatMulInto(xv, x, l.V)

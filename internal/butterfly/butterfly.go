@@ -296,39 +296,26 @@ func (b *Butterfly) Apply(x *tensor.Matrix) *tensor.Matrix {
 }
 
 // ApplyInto is Apply writing into caller-owned dst (shape x.Rows×N, fully
-// overwritten), ping-ponging the stage sweep between dst and one workspace
-// scratch buffer instead of allocating a fresh matrix per factor. The
-// arithmetic per stage is identical to Apply, so the result is bit-for-bit
-// equal. dst must not alias x. It is the nil-epilogue form of
-// ApplyIntoEpilogue — one implementation, one contract.
-func (b *Butterfly) ApplyInto(dst, x *tensor.Matrix, ws *tensor.Workspace) {
-	b.ApplyIntoEpilogue(dst, x, ws, nil, tensor.ActNone)
-}
-
-// ApplyIntoEpilogue is ApplyInto with the fused tail of a linear layer —
-// bias add then activation — folded into the final factor stage, so each
-// output element is written exactly once already finished instead of being
-// reswept by two more arena passes. The linear value entering the epilogue
-// is produced by exactly ApplyInto's arithmetic, and act(v + bias) is the
-// same float32 chain as separate sweeps, so the result is bit-for-bit
-// act(ApplyInto(x) + bias). bias may be nil; a factorless butterfly (N=1)
-// degenerates to the permutation plus a post-sweep.
-func (b *Butterfly) ApplyIntoEpilogue(dst, x *tensor.Matrix, ws *tensor.Workspace, bias []float32, act tensor.Activation) {
-	b.applyIntoEpilogue(dst, x, ws, bias, act, false)
-}
-
-// applyIntoEpilogue is the shared ping-pong driver behind the reference
-// and micro-kernel entry points; micro selects the unrolled sweeps
-// (bit-for-bit equal, see micro.go).
-func (b *Butterfly) applyIntoEpilogue(dst, x *tensor.Matrix, ws *tensor.Workspace, bias []float32, act tensor.Activation, micro bool) {
+// overwritten), with the fused tail of a linear layer — bias add then
+// activation — folded into the final factor stage, so each output element
+// is written exactly once already finished instead of being reswept by two
+// more arena passes. The stage sweep ping-pongs between dst and one
+// workspace scratch buffer instead of allocating a fresh matrix per
+// factor, through the unrolled sweeps of micro.go. Every element is
+// produced by Apply's per-stage arithmetic, and act(v + bias) is the same
+// float32 chain as separate sweeps, so the result is bit-for-bit
+// act(Apply(x) + bias). bias may be nil; a nil bias with ActNone is the
+// plain product. A factorless butterfly (N=1) degenerates to the
+// permutation plus a post-sweep. dst must not alias x.
+func (b *Butterfly) ApplyInto(dst, x *tensor.Matrix, ws *tensor.Workspace, bias []float32, act tensor.Activation) {
 	if x.Cols != b.N {
 		panic(fmt.Sprintf("butterfly: input width %d != N %d", x.Cols, b.N))
 	}
 	if dst.Rows != x.Rows || dst.Cols != b.N {
-		panic(fmt.Sprintf("butterfly: ApplyIntoEpilogue dst %dx%d, want %dx%d", dst.Rows, dst.Cols, x.Rows, b.N))
+		panic(fmt.Sprintf("butterfly: ApplyInto dst %dx%d, want %dx%d", dst.Rows, dst.Cols, x.Rows, b.N))
 	}
 	if bias != nil && len(bias) != b.N {
-		panic(fmt.Sprintf("butterfly: ApplyIntoEpilogue bias length %d != N %d", len(bias), b.N))
+		panic(fmt.Sprintf("butterfly: ApplyInto bias length %d != N %d", len(bias), b.N))
 	}
 	if len(b.Factors) == 0 {
 		b.applyPermRowsInto(dst, x, 0, x.Rows)
@@ -344,21 +331,14 @@ func (b *Butterfly) applyIntoEpilogue(dst, x *tensor.Matrix, ws *tensor.Workspac
 	}
 	b.applyPermRowsInto(cur, x, 0, x.Rows)
 	for _, f := range b.Factors[:len(b.Factors)-1] {
-		if micro {
-			applyFactorRowsMicro(f, cur, other, 0, x.Rows)
-		} else {
-			applyFactorRows(f, cur, other)
-		}
+		applyFactorRowsMicro(f, cur, other, 0, x.Rows)
 		cur, other = other, cur
 	}
-	last := b.Factors[len(b.Factors)-1]
-	if micro {
-		applyFactorRowsEpilogueMicro(last, cur, other, bias, act)
-	} else {
-		applyFactorRowsEpilogue(last, cur, other, bias, act)
-	}
+	applyFactorRowsEpilogueMicro(b.Factors[len(b.Factors)-1], cur, other, bias, act)
 }
 
+// applyFactorRows is one stage sweep in its reference form: Apply's path,
+// and the oracle the unrolled sweeps are tested against.
 func applyFactorRows(f *Factor, in, out *tensor.Matrix) {
 	half := 1 << (f.Stage - 1)
 	block := half << 1

@@ -343,12 +343,12 @@ func BenchmarkButterflyApplyInto(b *testing.B) {
 	x.FillRandom(rng, 1)
 	dst := tensor.New(32, 1024)
 	ws := tensor.NewWorkspace()
-	bf.ApplyInto(dst, x, ws)
+	bf.ApplyInto(dst, x, ws, nil, tensor.ActNone)
 	ws.Reset()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ws.Reset()
-		bf.ApplyInto(dst, x, ws)
+		bf.ApplyInto(dst, x, ws, nil, tensor.ActNone)
 	}
 }

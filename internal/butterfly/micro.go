@@ -12,19 +12,8 @@ import (
 // pair loop is check-free. Each output element is produced by the exact
 // reference expression (A·xt + B·xb etc.), so results are bit-identical.
 
-// ApplyIntoMicro is ApplyInto through the unrolled sweeps.
-func (b *Butterfly) ApplyIntoMicro(dst, x *tensor.Matrix, ws *tensor.Workspace) {
-	b.applyIntoEpilogue(dst, x, ws, nil, tensor.ActNone, true)
-}
-
-// ApplyIntoEpilogueMicro is ApplyIntoEpilogue through the unrolled
-// sweeps.
-func (b *Butterfly) ApplyIntoEpilogueMicro(dst, x *tensor.Matrix, ws *tensor.Workspace, bias []float32, act tensor.Activation) {
-	b.applyIntoEpilogue(dst, x, ws, bias, act, true)
-}
-
-// MicroVariant names the kernel variant the plan dispatcher stamps into
-// step metadata when this transform compiles through the micro path.
+// MicroVariant names the kernel variant ApplyInto runs, which the plan
+// compiler stamps into step metadata.
 func (b *Butterfly) MicroVariant() string { return "unrolled" }
 
 // applyFactorRowsMicro dispatches one stage sweep over the rows

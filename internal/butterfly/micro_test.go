@@ -36,9 +36,10 @@ func TestMicroSweepsMatchReference(t *testing.T) {
 	}
 }
 
-// TestApplyIntoMicroMatchesReference checks the full transform — perm,
-// ping-pong, fused epilogue — through the micro sweeps, with and without
-// bias/activation.
+// TestApplyIntoMicroMatchesReference checks the full inference kernel —
+// perm, ping-pong through the micro sweeps, fused epilogue — against Apply
+// followed by a separate bias and activation sweep, with and without bias,
+// under both activations.
 func TestApplyIntoMicroMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for _, n := range []int{1, 2, 4, 8, 16, 64, 128} {
@@ -53,27 +54,15 @@ func TestApplyIntoMicroMatchesReference(t *testing.T) {
 			for i := range bias {
 				bias[i] = rng.Float32()*2 - 1
 			}
-			want := tensor.New(rows, n)
 			got := tensor.New(rows, n)
-
-			ws.Reset()
-			b.ApplyInto(want, x, ws)
-			ws.Reset()
-			b.ApplyIntoMicro(got, x, ws)
-			assertSame(t, n, rows, "ApplyIntoMicro", want, got)
-
-			for _, act := range []tensor.Activation{tensor.ActNone, tensor.ActReLU} {
-				ws.Reset()
-				b.ApplyIntoEpilogue(want, x, ws, bias, act)
-				ws.Reset()
-				b.ApplyIntoEpilogueMicro(got, x, ws, bias, act)
-				assertSame(t, n, rows, fmt.Sprintf("ApplyIntoEpilogueMicro/%v", act), want, got)
-
-				ws.Reset()
-				b.ApplyIntoEpilogue(want, x, ws, nil, act)
-				ws.Reset()
-				b.ApplyIntoEpilogueMicro(got, x, ws, nil, act)
-				assertSame(t, n, rows, fmt.Sprintf("ApplyIntoEpilogueMicro/nilbias/%v", act), want, got)
+			for _, bv := range [][]float32{nil, bias} {
+				for _, act := range []tensor.Activation{tensor.ActNone, tensor.ActReLU} {
+					want := b.Apply(x)
+					tensor.ApplyBiasActInto(want, want, bv, act)
+					ws.Reset()
+					b.ApplyInto(got, x, ws, bv, act)
+					assertSame(t, n, rows, fmt.Sprintf("ApplyInto/bias=%t/%v", bv != nil, act), want, got)
+				}
 			}
 		}
 	}
@@ -88,9 +77,9 @@ func assertSame(t *testing.T, n, rows int, op string, want, got *tensor.Matrix) 
 	}
 }
 
-// BenchmarkApplyFactorRows compares the reference pairs sweep against
-// the unrolled micro sweep across the full stage ladder at
-// serving-realistic shapes.
+// BenchmarkApplyFactorRows compares the reference pairs sweep (Apply's
+// path and the oracle) against the unrolled micro sweep across the full
+// stage ladder at serving-realistic shapes.
 func BenchmarkApplyFactorRows(b *testing.B) {
 	rng := rand.New(rand.NewSource(13))
 	for _, sh := range [][2]int{{1, 256}, {16, 256}, {1, 1024}, {16, 1024}} {

@@ -10,6 +10,8 @@
 package nn_test
 
 import (
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -54,10 +56,6 @@ func equivTrial(t *testing.T, rng *rand.Rand, net *nn.Sequential, n, maxBatch in
 	if err != nil {
 		t.Fatalf("CompilePlanOpts(NoFuse): %v", err)
 	}
-	reference, err := net.CompilePlanOpts(maxBatch, nn.PlanOptions{NoMicroKernel: true})
-	if err != nil {
-		t.Fatalf("CompilePlanOpts(NoMicroKernel): %v", err)
-	}
 	fs, us := fused.Stats(), unfused.Stats()
 	if us.FusedSteps != 0 {
 		t.Fatalf("unfused plan reports %d fused steps", us.FusedSteps)
@@ -82,7 +80,7 @@ func equivTrial(t *testing.T, rng *rand.Rand, net *nn.Sequential, n, maxBatch in
 		x.FillRandom(rng, 1)
 		inputs[i] = x
 		refs[i] = net.Infer(x)
-		for tag, pl := range map[string]*nn.Plan{"unfused": unfused, "fused": fused, "reference": reference} {
+		for tag, pl := range map[string]*nn.Plan{"unfused": unfused, "fused": fused} {
 			got, err := pl.Execute(x)
 			if err != nil {
 				t.Fatalf("%s Execute(batch=%d): %v", tag, batch, err)
@@ -176,7 +174,7 @@ func TestEquivalenceFuzzCompressed(t *testing.T) {
 
 // TestEquivalenceFuzzPixelflyNoLowRank exercises the BSR fused final stage
 // (pixelfly without a low-rank term routes the epilogue through
-// BSR.MulDenseBiasActInto) and its sharded transpose-epilogue counterpart.
+// BSR.MulDenseInto) and its sharded transpose-epilogue counterpart.
 func TestEquivalenceFuzzPixelflyNoLowRank(t *testing.T) {
 	rng := rand.New(rand.NewSource(88))
 	cfg := pixelfly.Config{N: 128, BlockSize: 16, ButterflySize: 16, LowRank: 0}
@@ -185,4 +183,112 @@ func TestEquivalenceFuzzPixelflyNoLowRank(t *testing.T) {
 		t.Fatalf("BuildSHLPixelfly: %v", err)
 	}
 	equivTrial(t, rng, net, 128, 9)
+}
+
+// FuzzPlanExecute is the plan's independent second check: a randomized
+// SHL of any family, compiled fused and unfused and sharded (pipeline,
+// and tensor-parallel where the plan splits, at 2 and 4 shards), must
+// produce exactly Infer's output for arbitrary finite features. Elements
+// must be equal, or NaN on both sides: finite inputs can overflow to ±Inf
+// inside a layer and then meet an Inf of the other sign, which both paths
+// turn into NaN. The fuzzer drives the family, the width (from
+// methodWidths), the class count, MaxBatch, the batch rows, the weight
+// seed and the feature bits; NaN and ±Inf features are mapped to finite
+// values, as JSON can carry only finite features.
+func FuzzPlanExecute(f *testing.F) {
+	// Edge values every seed starts with: signed zeros, the largest
+	// finite magnitudes and subnormals.
+	edges := []float32{0, float32(math.Copysign(0, -1)), math.MaxFloat32, -math.MaxFloat32,
+		math.SmallestNonzeroFloat32, -1e-40, 1, -0.5}
+	for i := range nn.AllMethods {
+		feats := make([]byte, 0, 4*(len(edges)+4))
+		for _, v := range edges {
+			feats = binary.LittleEndian.AppendUint32(feats, math.Float32bits(v))
+		}
+		rng := rand.New(rand.NewSource(int64(i)))
+		for j := 0; j < 4; j++ {
+			feats = binary.LittleEndian.AppendUint32(feats, math.Float32bits(rng.Float32()*2-1))
+		}
+		f.Add(uint8(i), uint8(i), uint8(3+i), uint8(4), uint8(2+i), int64(100+i), feats)
+	}
+	topo := shard.DefaultTopology(4)
+	f.Fuzz(func(t *testing.T, family, width, classes, maxBatch, rows uint8, seed int64, feats []byte) {
+		method := nn.AllMethods[int(family)%len(nn.AllMethods)]
+		widths := methodWidths(method)
+		n := widths[int(width)%len(widths)]
+		nc := 2 + int(classes)%11
+		mb := 1 + int(maxBatch)%8
+		x := tensor.New(1+int(rows)%mb, n)
+		if k := len(feats) / 4; k > 0 {
+			for i := range x.Data {
+				j := 4 * (i % k)
+				x.Data[i] = finiteFeature(math.Float32frombits(binary.LittleEndian.Uint32(feats[j:])))
+			}
+		}
+		net := nn.BuildSHL(method, n, nc, rand.New(rand.NewSource(seed)))
+		want := net.Infer(x)
+
+		fused, err := net.CompilePlan(mb)
+		if err != nil {
+			t.Fatalf("CompilePlan: %v", err)
+		}
+		unfused, err := net.CompilePlanOpts(mb, nn.PlanOptions{NoFuse: true})
+		if err != nil {
+			t.Fatalf("CompilePlanOpts(NoFuse): %v", err)
+		}
+		for tag, pl := range map[string]*nn.Plan{"fused": fused, "unfused": unfused} {
+			got, err := pl.Execute(x)
+			if err != nil {
+				t.Fatalf("%s Execute: %v", tag, err)
+			}
+			assertEqualOrBothNaN(t, tag, want, got)
+		}
+		for _, shards := range []int{2, 4} {
+			strategies := []shard.Strategy{shard.Pipeline}
+			if shard.Splittable(fused, shards) == nil {
+				strategies = append(strategies, shard.TensorParallel)
+			}
+			for _, strat := range strategies {
+				sp, err := shard.CompileWith(fused, topo, shards, strat)
+				if err != nil {
+					t.Fatalf("CompileWith(%d, %v): %v", shards, strat, err)
+				}
+				got, err := sp.Execute(x)
+				sp.Close()
+				if err != nil {
+					t.Fatalf("sharded %d/%v Execute: %v", shards, strat, err)
+				}
+				assertEqualOrBothNaN(t, "sharded", want, got)
+			}
+		}
+	})
+}
+
+// finiteFeature maps a fuzzed float32 onto the finite values a JSON
+// request can carry: NaN becomes 0 and ±Inf the largest finite value of
+// that sign.
+func finiteFeature(v float32) float32 {
+	switch {
+	case v != v:
+		return 0
+	case v > math.MaxFloat32:
+		return math.MaxFloat32
+	case v < -math.MaxFloat32:
+		return -math.MaxFloat32
+	}
+	return v
+}
+
+// assertEqualOrBothNaN fails unless every element of got equals want's,
+// or both are NaN.
+func assertEqualOrBothNaN(t *testing.T, tag string, want, got *tensor.Matrix) {
+	t.Helper()
+	if want.Rows != got.Rows || want.Cols != got.Cols {
+		t.Fatalf("%s: shape %dx%d vs %dx%d", tag, want.Rows, want.Cols, got.Rows, got.Cols)
+	}
+	for i, w := range want.Data {
+		if g := got.Data[i]; w != g && !(w != w && g != g) {
+			t.Fatalf("%s: element %d differs: %g vs %g", tag, i, w, g)
+		}
+	}
 }

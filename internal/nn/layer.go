@@ -35,17 +35,19 @@ type Layer interface {
 type refresher interface{ Refresh() }
 
 // Transform is a learnable square linear operator; the butterfly, pixelfly
-// and baseline packages all satisfy it. Apply is Forward without retaining
-// state: it writes nothing through the receiver, making shared-weight
-// concurrent inference safe. ApplyInto is Apply in destination-passing
-// form: it writes the result into caller-owned dst, staging intermediates
-// through the caller's workspace arena instead of allocating, and must
-// produce output bit-identical to Apply — the contract the compiled
-// inference plans (Sequential.CompilePlan) are built on.
+// and baseline packages all satisfy it. Forward is the training path.
+// Apply is Forward without retaining state: it writes nothing through the
+// receiver, making shared-weight concurrent inference safe, and it is the
+// reference the inference kernel is tested against. ApplyInto is the one
+// inference kernel the compiled plans (Sequential.CompilePlan) run: it
+// writes act(Apply(x) + bias) into caller-owned dst, bit-for-bit, staging
+// intermediates through the caller's workspace arena instead of
+// allocating and folding the bias add and activation into the stage that
+// writes dst. A nil bias with tensor.ActNone gives the plain product.
 type Transform interface {
 	Forward(x *tensor.Matrix) *tensor.Matrix
 	Apply(x *tensor.Matrix) *tensor.Matrix
-	ApplyInto(dst, x *tensor.Matrix, ws *tensor.Workspace)
+	ApplyInto(dst, x *tensor.Matrix, ws *tensor.Workspace, bias []float32, act tensor.Activation)
 	Backward(dY *tensor.Matrix) *tensor.Matrix
 	ZeroGrad()
 	Params() (params, grads [][]float32)

@@ -49,31 +49,6 @@ func (k StepKind) String() string {
 	}
 }
 
-// EpilogueApplier is implemented by transforms whose ApplyInto can fold a
-// trailing bias add and elementwise activation into the final stage that
-// writes the output — the hook the plan fusion pass uses to write each
-// output element exactly once instead of resweeping the arena. The result
-// must be bit-for-bit equal to act(ApplyInto(x) + bias) computed by
-// separate passes. All six of the repo's operator families implement it;
-// transforms that don't still fuse through a generic post-sweep.
-type EpilogueApplier interface {
-	ApplyIntoEpilogue(dst, x *tensor.Matrix, ws *tensor.Workspace, bias []float32, act tensor.Activation)
-}
-
-// MicroKernelApplier is implemented by transforms that carry a
-// register-tiled micro-kernel apply path: the same float32 operation per
-// output element as ApplyInto/ApplyIntoEpilogue — bit-for-bit equal
-// results — restructured for bounds-check elimination and unrolling.
-// The plan compiler dispatches to it once at CompilePlan time, so the
-// executing step pays no per-row branching. MicroVariant names the
-// selected kernel shape for observability (step metadata, /debug
-// surfaces, the loadgen kernel table).
-type MicroKernelApplier interface {
-	ApplyIntoMicro(dst, x *tensor.Matrix, ws *tensor.Workspace)
-	ApplyIntoEpilogueMicro(dst, x *tensor.Matrix, ws *tensor.Workspace, bias []float32, act tensor.Activation)
-	MicroVariant() string
-}
-
 // Plan is a compiled inference program: the result of walking a Sequential
 // once, lowering every layer to a destination-passing step with pre-sized
 // buffers, and fusing adjacent multiply + bias + activation steps into
@@ -90,7 +65,6 @@ type MicroKernelApplier interface {
 type Plan struct {
 	maxBatch int
 	in, out  int
-	micro    bool
 	steps    []planStep
 
 	// preFusion is the step silhouette before the fusion pass ran (equal
@@ -138,15 +112,15 @@ type planStep struct {
 	sweeps int
 	run    func(dst, x *tensor.Matrix, ws *tensor.Workspace)
 
-	// variant names the micro-kernel shape the step dispatched to at
-	// compile time ("tiled4x8", "unrolled", "radix8", "blockunroll", …),
-	// "reference" for kernel steps on the reference path, and "" for
-	// steps with no kernel family (activations, generic fallbacks).
+	// variant names the kernel shape the step runs ("tiled4x8",
+	// "unrolled", "radix8", "blockunroll", …; "reference" for a transform
+	// that declares no variant) and is "" for steps with no kernel family
+	// (activations, generic fallbacks).
 	variant string
-	// packedW / packedA hold panel-packed copies of the step's weight
-	// matrices when it dispatched to the tiled matmul kernels (packedA is
-	// the first factor of a FactorizedDense). Plan-owned, built once at
-	// compile time.
+	// packedW / packedA hold panel-packed copies of a dense-family step's
+	// weight matrices for the tiled matmul kernel (packedA is the first
+	// factor of a FactorizedDense). Plan-owned, built once at compile
+	// time.
 	packedW, packedA *tensor.PackedB
 
 	// kernel is the Into-kernel family the step executes and flopsPerRow /
@@ -170,12 +144,6 @@ type PlanOptions struct {
 	// form is the reference the equivalence tests pin fusion against and
 	// a debugging aid when a fused kernel is suspect.
 	NoFuse bool
-
-	// NoMicroKernel disables the compile-time micro-kernel dispatch,
-	// lowering every step to the reference kernels. Micro and reference
-	// plans are bit-for-bit equivalent; the reference form is the oracle
-	// the equivalence tests pin the micro kernels against.
-	NoMicroKernel bool
 }
 
 // CompilePlan walks the network once, emits the execution plan for batches
@@ -205,10 +173,10 @@ func (s *Sequential) CompilePlanOpts(maxBatch int, opts PlanOptions) (*Plan, err
 	if err != nil {
 		return nil, err
 	}
-	p := &Plan{maxBatch: maxBatch, in: in, micro: !opts.NoMicroKernel, ws: tensor.NewWorkspace()}
+	p := &Plan{maxBatch: maxBatch, in: in, ws: tensor.NewWorkspace()}
 	width := in
 	for i, l := range s.Layers {
-		st, outW, err := lowerLayer(l, width, p.micro)
+		st, outW, err := lowerLayer(l, width)
 		if err != nil {
 			return nil, fmt.Errorf("nn: plan layer %d (%s): %w", i, l.Name(), err)
 		}
@@ -293,50 +261,22 @@ func fusePair(lin, actStep *planStep) (planStep, bool) {
 	}
 	const act = tensor.ActReLU
 	var run func(dst, x *tensor.Matrix, ws *tensor.Workspace)
-	sweeps := 0
 	switch t := lin.layer.(type) {
 	case *Dense:
-		if pw := lin.packedW; pw != nil {
-			run = func(dst, x *tensor.Matrix, ws *tensor.Workspace) {
-				tensor.MatMulPackedBiasActParallelInto(dst, x, pw, t.Bias, act)
-			}
-			break
-		}
+		pw := lin.packedW
 		run = func(dst, x *tensor.Matrix, ws *tensor.Workspace) {
-			tensor.MatMulBiasActParallelInto(dst, x, t.W, t.Bias, act)
+			tensor.MatMulPackedBiasActParallelInto(dst, x, pw, t.Bias, act)
 		}
 	case *FactorizedDense:
-		if pa, pb := lin.packedA, lin.packedW; pa != nil {
-			run = func(dst, x *tensor.Matrix, ws *tensor.Workspace) {
-				xa := ws.Take(x.Rows, t.Rank)
-				tensor.MatMulPackedParallelInto(xa, x, pa)
-				tensor.MatMulPackedBiasActParallelInto(dst, xa, pb, t.Bias, act)
-			}
-			break
-		}
+		pa, pb := lin.packedA, lin.packedW
 		run = func(dst, x *tensor.Matrix, ws *tensor.Workspace) {
 			xa := ws.Take(x.Rows, t.Rank)
-			tensor.MatMulParallelInto(xa, x, t.A)
-			tensor.MatMulBiasActParallelInto(dst, xa, t.B, t.Bias, act)
+			tensor.MatMulPackedBiasActParallelInto(xa, x, pa, nil, tensor.ActNone)
+			tensor.MatMulPackedBiasActParallelInto(dst, xa, pb, t.Bias, act)
 		}
 	case *StructuredLinear:
-		if mka, ok := t.T.(MicroKernelApplier); ok && lin.variant != "reference" {
-			run = func(dst, x *tensor.Matrix, ws *tensor.Workspace) {
-				mka.ApplyIntoEpilogueMicro(dst, x, ws, t.Bias, act)
-			}
-		} else if ea, ok := t.T.(EpilogueApplier); ok {
-			run = func(dst, x *tensor.Matrix, ws *tensor.Workspace) {
-				ea.ApplyIntoEpilogue(dst, x, ws, t.Bias, act)
-			}
-		} else {
-			// Transform without a fused final stage: still collapse the
-			// bias and activation into one post-sweep (two arena passes
-			// instead of three).
-			sweeps = 1
-			run = func(dst, x *tensor.Matrix, ws *tensor.Workspace) {
-				t.T.ApplyInto(dst, x, ws)
-				tensor.ApplyBiasActInto(dst, dst, t.Bias, act)
-			}
+		run = func(dst, x *tensor.Matrix, ws *tensor.Workspace) {
+			t.T.ApplyInto(dst, x, ws, t.Bias, act)
 		}
 	default:
 		return planStep{}, false
@@ -347,11 +287,8 @@ func fusePair(lin, actStep *planStep) (planStep, bool) {
 		kind:    StepFused,
 		layer:   lin.layer,
 		act:     actStep.layer,
-		sweeps:  sweeps,
 		run:     run,
 		variant: lin.variant,
-		packedW: lin.packedW,
-		packedA: lin.packedA,
 		// The fused step keeps the linear step's kernel family and adds
 		// the folded activation's element ops, matching the modelled-cost
 		// accounting in the shard layer's describePlan.
@@ -463,9 +400,9 @@ type StepInfo struct {
 	Layer Layer
 	// Act is the activation layer folded into a fused step; nil otherwise.
 	Act Layer
-	// Variant names the micro-kernel shape the step dispatched to at
-	// compile time ("reference" on the reference path, "" for steps with
-	// no kernel family).
+	// Variant names the kernel shape the step runs ("reference" for a
+	// transform that declares no variant, "" for steps with no kernel
+	// family).
 	Variant string
 }
 
@@ -488,14 +425,9 @@ func (p *Plan) Step(i int) StepInfo {
 	return StepInfo{Index: i, Name: st.name, Cols: st.cols, Kind: st.kind, Layer: st.layer, Act: st.act, Variant: st.variant}
 }
 
-// MicroKernel reports whether the plan compiled with the micro-kernel
-// dispatch (the default; PlanOptions.NoMicroKernel compiles the
-// reference path).
-func (p *Plan) MicroKernel() bool { return p.micro }
-
-// StepVariant returns the micro-kernel variant name of step i —
-// "reference" for kernel steps on the reference path, "" for steps with
-// no kernel family.
+// StepVariant returns the kernel variant name of step i — "reference"
+// for a transform that declares no variant, "" for steps with no kernel
+// family.
 func (p *Plan) StepVariant(i int) string { return p.steps[i].variant }
 
 // StepVariants returns the variant name of every step, in execution
@@ -631,48 +563,31 @@ func inputWidth(l Layer) (int, error) {
 }
 
 // lowerLayer emits the plan step for one layer given its input width,
-// returning the step and the layer's output width. With micro set, layers
-// whose kernels have a register-tiled variant dispatch to it here — once,
-// at compile time — and the step records the selected variant name; the
-// dense layers additionally pack their weight panels so the tiled matmul
-// streams B in panel order.
-func lowerLayer(l Layer, width int, micro bool) (planStep, int, error) {
+// returning the step and the layer's output width. Dense layers pack their
+// weight panels here — once, at compile time — so the tiled matmul
+// streams B in panel order; structured layers run their transform's
+// ApplyInto, and the step records the kernel variant it names.
+func lowerLayer(l Layer, width int) (planStep, int, error) {
 	switch t := l.(type) {
 	case *Dense:
 		if t.In != width {
 			return planStep{}, 0, fmt.Errorf("input width %d != %d", width, t.In)
 		}
-		if micro {
-			pw := tensor.Pack(t.W)
-			return planStep{name: t.Name(), cols: t.Out, kind: StepLinear, sweeps: 1,
-				variant: "tiled4x8", packedW: pw,
-				run: func(dst, x *tensor.Matrix, ws *tensor.Workspace) {
-					tensor.MatMulPackedParallelInto(dst, x, pw)
-					tensor.AddRowVector(dst, t.Bias)
-				}}, t.Out, nil
-		}
+		pw := tensor.Pack(t.W)
 		return planStep{name: t.Name(), cols: t.Out, kind: StepLinear, sweeps: 1,
-			variant: "reference",
+			variant: "tiled4x8", packedW: pw,
 			run: func(dst, x *tensor.Matrix, ws *tensor.Workspace) {
-				tensor.MatMulParallelInto(dst, x, t.W)
+				tensor.MatMulPackedBiasActParallelInto(dst, x, pw, nil, tensor.ActNone)
 				tensor.AddRowVector(dst, t.Bias)
 			}}, t.Out, nil
 	case *StructuredLinear:
 		if t.N != width {
 			return planStep{}, 0, fmt.Errorf("input width %d != %d", width, t.N)
 		}
-		if mka, ok := t.T.(MicroKernelApplier); ok && micro {
-			return planStep{name: t.Name(), cols: t.N, kind: StepLinear, sweeps: 1,
-				variant: mka.MicroVariant(),
-				run: func(dst, x *tensor.Matrix, ws *tensor.Workspace) {
-					mka.ApplyIntoMicro(dst, x, ws)
-					tensor.AddRowVector(dst, t.Bias)
-				}}, t.N, nil
-		}
 		return planStep{name: t.Name(), cols: t.N, kind: StepLinear, sweeps: 1,
-			variant: "reference",
+			variant: transformVariant(t.T),
 			run: func(dst, x *tensor.Matrix, ws *tensor.Workspace) {
-				t.T.ApplyInto(dst, x, ws)
+				t.T.ApplyInto(dst, x, ws, nil, tensor.ActNone)
 				tensor.AddRowVector(dst, t.Bias)
 			}}, t.N, nil
 	case *ReLU:
@@ -690,23 +605,13 @@ func lowerLayer(l Layer, width int, micro bool) (planStep, int, error) {
 		if t.In != width {
 			return planStep{}, 0, fmt.Errorf("input width %d != %d", width, t.In)
 		}
-		if micro {
-			pa, pb := tensor.Pack(t.A), tensor.Pack(t.B)
-			return planStep{name: t.Name(), cols: t.Out, kind: StepLinear, sweeps: 1,
-				variant: "tiled4x8", packedW: pb, packedA: pa,
-				run: func(dst, x *tensor.Matrix, ws *tensor.Workspace) {
-					xa := ws.Take(x.Rows, t.Rank)
-					tensor.MatMulPackedParallelInto(xa, x, pa)
-					tensor.MatMulPackedParallelInto(dst, xa, pb)
-					tensor.AddRowVector(dst, t.Bias)
-				}}, t.Out, nil
-		}
+		pa, pb := tensor.Pack(t.A), tensor.Pack(t.B)
 		return planStep{name: t.Name(), cols: t.Out, kind: StepLinear, sweeps: 1,
-			variant: "reference",
+			variant: "tiled4x8", packedW: pb, packedA: pa,
 			run: func(dst, x *tensor.Matrix, ws *tensor.Workspace) {
 				xa := ws.Take(x.Rows, t.Rank)
-				tensor.MatMulParallelInto(xa, x, t.A)
-				tensor.MatMulParallelInto(dst, xa, t.B)
+				tensor.MatMulPackedBiasActParallelInto(xa, x, pa, nil, tensor.ActNone)
+				tensor.MatMulPackedBiasActParallelInto(dst, xa, pb, nil, tensor.ActNone)
 				tensor.AddRowVector(dst, t.Bias)
 			}}, t.Out, nil
 	default:
@@ -725,4 +630,13 @@ func lowerLayer(l Layer, width int, micro bool) (planStep, int, error) {
 				copy(dst.Data, y.Data)
 			}}, outW, nil
 	}
+}
+
+// transformVariant names the kernel a transform's ApplyInto runs: its
+// MicroVariant where it declares one, "reference" otherwise.
+func transformVariant(t Transform) string {
+	if v, ok := t.(interface{ MicroVariant() string }); ok {
+		return v.MicroVariant()
+	}
+	return "reference"
 }

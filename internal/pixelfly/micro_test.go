@@ -8,10 +8,12 @@ import (
 	"repro/internal/tensor"
 )
 
-// TestApplyIntoMicroMatchesReference checks the micro apply path —
-// block-specialized BSR kernels plus unchanged staging — against the
-// reference path, bit-for-bit, across block sizes hitting the bs=4/8
-// unrolls and the tiled fallback, with and without the low-rank term.
+// TestApplyIntoMicroMatchesReference checks the inference kernel —
+// block-specialized BSR kernels plus unchanged staging and fused epilogue
+// — against Apply followed by a separate bias and activation sweep,
+// bit-for-bit, across block sizes hitting the bs=4/8 unrolls and the tiled
+// fallback, with and without the low-rank term, with and without bias,
+// under both activations.
 func TestApplyIntoMicroMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for _, cfg := range []Config{
@@ -34,21 +36,15 @@ func TestApplyIntoMicroMatchesReference(t *testing.T) {
 			for i := range bias {
 				bias[i] = rng.Float32()*2 - 1
 			}
-			want := tensor.New(rows, cfg.N)
 			got := tensor.New(rows, cfg.N)
-
-			ws.Reset()
-			p.ApplyInto(want, x, ws)
-			ws.Reset()
-			p.ApplyIntoMicro(got, x, ws)
-			assertSameMat(t, fmt.Sprintf("%+v rows=%d ApplyIntoMicro", cfg, rows), want, got)
-
-			for _, act := range []tensor.Activation{tensor.ActNone, tensor.ActReLU} {
-				ws.Reset()
-				p.ApplyIntoEpilogue(want, x, ws, bias, act)
-				ws.Reset()
-				p.ApplyIntoEpilogueMicro(got, x, ws, bias, act)
-				assertSameMat(t, fmt.Sprintf("%+v rows=%d epilogue/%v", cfg, rows, act), want, got)
+			for _, bv := range [][]float32{nil, bias} {
+				for _, act := range []tensor.Activation{tensor.ActNone, tensor.ActReLU} {
+					want := p.Apply(x)
+					tensor.ApplyBiasActInto(want, want, bv, act)
+					ws.Reset()
+					p.ApplyInto(got, x, ws, bv, act)
+					assertSameMat(t, fmt.Sprintf("%+v rows=%d bias=%t/%v", cfg, rows, bv != nil, act), want, got)
+				}
 			}
 		}
 	}

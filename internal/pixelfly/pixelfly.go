@@ -227,52 +227,58 @@ func (p *Pixelfly) Apply(x *tensor.Matrix) *tensor.Matrix {
 }
 
 // ApplyInto is Apply writing into caller-owned dst (shape x.Rows×N, fully
-// overwritten), staging the transposes, the block-sparse product and the
-// low-rank term through the workspace instead of allocating. The kernels
-// run in the same order with the same loop structure as Apply, so the
-// result is bit-for-bit equal. dst must not alias x. It is the
-// nil-epilogue form of ApplyIntoEpilogue — one implementation, one
-// contract.
-func (p *Pixelfly) ApplyInto(dst, x *tensor.Matrix, ws *tensor.Workspace) {
-	p.ApplyIntoEpilogue(dst, x, ws, nil, tensor.ActNone)
-}
-
-// ApplyIntoEpilogue is ApplyInto with the bias add and activation fused
-// into the layer's last output-writing stage. With a low-rank term the
-// residual accumulation already resweeps dst, so the epilogue rides that
-// pass (dst = act((W·x + U·Vᵀ·x) + bias), one sweep instead of three);
-// without one, the bias and activation fold into the block-sparse product
-// itself via BSR.MulDenseBiasActInto, feature-major, and the transpose
-// back to batch-major moves finished values. Either way every float32
-// operation matches the unfused chain, so the result is bit-for-bit
-// act(ApplyInto(x) + bias). bias may be nil.
-func (p *Pixelfly) ApplyIntoEpilogue(dst, x *tensor.Matrix, ws *tensor.Workspace, bias []float32, act tensor.Activation) {
+// overwritten), with the bias add and activation fused into the layer's
+// last output-writing stage. It stages the transposes, the block-sparse
+// product and the low-rank term through the workspace instead of
+// allocating, and runs the block-sparse product through the
+// block-specialized BSR kernels (BSR.MulDenseInto); the transposes and
+// the low-rank term keep their reference kernels, which are
+// transpose-bound rather than flop-bound at serving shapes. With a
+// low-rank term the residual accumulation already resweeps dst, so the
+// epilogue rides that pass (dst = act((W·x + U·Vᵀ·x) + bias)); without
+// one, the bias and activation fold into the block-sparse product itself,
+// feature-major, and the transpose back to batch-major moves finished
+// values. Every float32 operation matches Apply's chain, so the result is
+// bit-for-bit act(Apply(x) + bias). bias may be nil; a nil bias with
+// ActNone is the plain product. dst must not alias x.
+func (p *Pixelfly) ApplyInto(dst, x *tensor.Matrix, ws *tensor.Workspace, bias []float32, act tensor.Activation) {
 	n := p.Cfg.N
 	if x.Cols != n {
 		panic(fmt.Sprintf("pixelfly: input width %d != N %d", x.Cols, n))
 	}
 	if dst.Rows != x.Rows || dst.Cols != n {
-		panic(fmt.Sprintf("pixelfly: ApplyIntoEpilogue dst %dx%d, want %dx%d", dst.Rows, dst.Cols, x.Rows, n))
+		panic(fmt.Sprintf("pixelfly: ApplyInto dst %dx%d, want %dx%d", dst.Rows, dst.Cols, x.Rows, n))
 	}
 	if bias != nil && len(bias) != n {
-		panic(fmt.Sprintf("pixelfly: ApplyIntoEpilogue bias length %d != N %d", len(bias), n))
+		panic(fmt.Sprintf("pixelfly: ApplyInto bias length %d != N %d", len(bias), n))
 	}
 	xt := ws.Take(n, x.Rows)
 	tensor.TransposeInto(xt, x)
 	yt := ws.Take(n, x.Rows)
 	r := p.Cfg.LowRank
 	if r == 0 {
-		p.W.MulDenseBiasActInto(yt, xt, bias, act)
+		p.W.MulDenseInto(yt, xt, bias, act)
 		tensor.TransposeInto(dst, yt)
 		return
 	}
-	p.W.MulDenseInto(yt, xt)
+	p.W.MulDenseInto(yt, xt, nil, tensor.ActNone)
 	tensor.TransposeInto(dst, yt)
 	xv := ws.Take(x.Rows, r)
 	tensor.MatMulInto(xv, x, p.V)
 	lr := ws.Take(x.Rows, n)
 	tensor.MatMulInto(lr, xv, p.ut)
 	tensor.AddInPlaceBiasAct(dst, lr, bias, act)
+}
+
+// MicroVariant names the block kernel ApplyInto runs, which the plan
+// compiler stamps into step metadata.
+func (p *Pixelfly) MicroVariant() string {
+	switch p.Cfg.BlockSize {
+	case 4, 8:
+		return "blockunroll"
+	default:
+		return "blocktiled"
+	}
 }
 
 // Backward propagates dY (batch×N), accumulating gradients, and returns dX.

@@ -91,6 +91,10 @@ type errorBody struct {
 // one request can make the server buffer.
 const maxPredictBody = 1 << 20
 
+// errTrailingData rejects a /predict body that carries anything but
+// whitespace after its JSON object.
+var errTrailingData = errors.New("trailing data after the JSON object")
+
 // jsonBufs recycles response buffers; buffers grown past 64 KiB by a large
 // debug response are dropped rather than pinned.
 var jsonBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
@@ -125,7 +129,14 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	}
 	t0 := time.Now()
 	var req PredictRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxPredictBody)).Decode(&req); err != nil {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxPredictBody))
+	err := dec.Decode(&req)
+	if err == nil {
+		if _, tail := dec.Token(); tail != io.EOF {
+			err = errTrailingData
+		}
+	}
+	if err != nil {
 		code := http.StatusBadRequest
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {

@@ -90,6 +90,33 @@ func TestHTTPPredictErrors(t *testing.T) {
 		t.Fatalf("bad json status = %d, want 400", r.StatusCode)
 	}
 
+	// A body is one JSON object: trailing bytes or a second object after
+	// a valid request are a 400 with a JSON error, not silently dropped.
+	valid, err := json.Marshal(PredictRequest{Model: "m", Features: make([]float32, 64)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tail := range []string{" trailing garbage", `{"model":"nope"}`} {
+		r, err := http.Post(ts.URL+"/predict", "application/json", strings.NewReader(string(valid)+tail))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var eb errorBody
+		decErr := json.NewDecoder(r.Body).Decode(&eb)
+		r.Body.Close()
+		if r.StatusCode != http.StatusBadRequest || decErr != nil || eb.Error == "" {
+			t.Fatalf("body with tail %q: status %d, error body %+v (%v); want 400 with a JSON error", tail, r.StatusCode, eb, decErr)
+		}
+	}
+	r, err = http.Post(ts.URL+"/predict", "application/json", strings.NewReader(string(valid)+" \n\t"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Body.Close()
+	if r.StatusCode != http.StatusOK {
+		t.Fatalf("trailing whitespace status = %d, want 200", r.StatusCode)
+	}
+
 	g, err := http.Get(ts.URL + "/predict")
 	if err != nil {
 		t.Fatal(err)

@@ -130,11 +130,11 @@ type stepObs struct {
 	spanNames []string
 	hists     []*obs.Histogram
 
-	// variants[i] names the micro-kernel variant step i dispatched to at
-	// compile time ("" for executors that predate the dispatcher or for
-	// steps with no kernel family); kernels[i] is the step's Into-kernel
-	// family name. Together they feed the kernel-variant gauge, the drift
-	// report and the loadgen kernel table.
+	// variants[i] names the kernel variant step i runs ("" for executors
+	// that report no variants or for steps with no kernel family);
+	// kernels[i] is the step's Into-kernel family name. Together they
+	// feed the kernel-variant gauge, the drift report and the loadgen
+	// kernel table.
 	variants []string
 	kernels  []string
 

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/baselines"
+	"repro/internal/butterfly"
 	"repro/internal/nn"
 	"repro/internal/tensor"
 )
@@ -42,6 +44,24 @@ func TestShardedMatchesPlanAllMethods(t *testing.T) {
 					sp, err := CompileWith(pl, topo, shards, strat)
 					if err != nil {
 						t.Fatalf("CompileWith(%d, %v): %v", shards, strat, err)
+					}
+					// Every micro-step reports the kernel variant of its
+					// source plan step, except the tensor-parallel windows
+					// of a butterfly (its own pair kernel) and of a
+					// low-rank transform (the packed window matmul).
+					for i, st := range sp.e.steps {
+						want := pl.StepVariant(st.src)
+						if sl, ok := pl.StepLayer(st.src).(*nn.StructuredLinear); ok && strat == TensorParallel && shards > 1 {
+							switch sl.T.(type) {
+							case *butterfly.Butterfly:
+								want = "reference"
+							case *baselines.LowRank:
+								want = "tiled4x8"
+							}
+						}
+						if got := sp.StepVariant(i); got != want {
+							t.Fatalf("shards=%d %v step %d (%s): variant %q, want %q", shards, strat, i, st.name, got, want)
+						}
 					}
 					for _, batch := range []int{1, 3, testMaxBatch} {
 						x := tensor.New(batch, testN)

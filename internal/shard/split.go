@@ -31,7 +31,7 @@ func lowerTensorParallel(pl *nn.Plan, shards int) ([]step, error) {
 		if err := canSplit(l, outW, shards); err != nil {
 			return nil, fmt.Errorf("shard: step %d (%s): %w", i, info.Name, err)
 		}
-		ss := splitStep(l, info.Activation(), inW, outW, shards, pl.MicroKernel())
+		ss := splitStep(l, info.Activation(), inW, outW, shards)
 		for j := range ss {
 			ss[j].src = i
 		}
@@ -94,18 +94,20 @@ func canSplit(l nn.Layer, outW, shards int) error {
 
 // splitStep lowers one layer to its tensor-parallel micro-steps, folding
 // the step's fused activation (ActNone for unfused steps) into each
-// shard's final column-window kernel. With micro set, the dense-family
-// splits pack their per-shard weight slices and run the tiled matmul
-// window kernels; the windowed butterfly and pixelfly sweeps keep their
-// reference kernels (their windows cut across the micro-kernels' block
-// structure). canSplit must have accepted the layer first.
-func splitStep(l nn.Layer, act tensor.Activation, inW, outW, shards int, micro bool) []step {
+// shard's final column-window kernel. The dense-family splits pack their
+// per-shard weight slices for the tiled matmul window kernel, and the
+// pixelfly split runs the block-specialized BSR kernel over its block
+// rows; the windowed butterfly sweeps keep their own kernel (a shard's
+// window in a global stage holds only the top or only the bottom halves
+// of its pairs, and the unrolled pair kernels write both). canSplit must
+// have accepted the layer first.
+func splitStep(l nn.Layer, act tensor.Activation, inW, outW, shards int) []step {
 	pts := splitPoints(outW, shards)
 	switch t := l.(type) {
 	case *nn.Dense:
-		return []step{denseSplit(t.Name(), t.W, t.Bias, outW, pts, act, micro)}
+		return []step{denseSplit(t.Name(), t.W, t.Bias, outW, pts, act)}
 	case *nn.FactorizedDense:
-		return []step{factorizedSplit(t, pts, act, micro)}
+		return []step{factorizedSplit(t, pts, act)}
 	case *nn.ReLU:
 		return []step{reluSplit(outW, pts)}
 	case *nn.StructuredLinear:
@@ -113,7 +115,7 @@ func splitStep(l nn.Layer, act tensor.Activation, inW, outW, shards int, micro b
 		case *butterfly.Butterfly:
 			return butterflySplit(t.Name(), tr, t.Bias, pts, act)
 		case *baselines.LowRank:
-			return []step{lowRankSplit(t.Name(), tr, t.Bias, pts, act, micro)}
+			return []step{lowRankSplit(t.Name(), tr, t.Bias, pts, act)}
 		case *pixelfly.Pixelfly:
 			return []step{pixelflySplit(t.Name(), tr, t.Bias, pts, act)}
 		}
@@ -157,68 +159,41 @@ func fusedTag(act tensor.Activation) string {
 // split of a linear layer, each IPU holding 1/S of the N² matrix — in one
 // fused pass (act is ActNone for unfused steps; the kernel's arithmetic
 // chain per element is identical either way).
-func denseSplit(name string, w *tensor.Matrix, bias []float32, outW int, pts []int, act tensor.Activation, micro bool) step {
+func denseSplit(name string, w *tensor.Matrix, bias []float32, outW int, pts []int, act tensor.Activation) step {
 	shards := len(pts) - 1
-	st := step{name: name + fusedTag(act) + "/tp", cols: outW, variant: splitVariant(micro), run: make([]func(dst, x *tensor.Matrix, ws *tensor.Workspace), shards)}
+	st := step{name: name + fusedTag(act) + "/tp", cols: outW, variant: "tiled4x8", run: make([]func(dst, x *tensor.Matrix, ws *tensor.Workspace), shards)}
 	for k := 0; k < shards; k++ {
 		lo, hi := pts[k], pts[k+1]
 		if lo == hi {
 			continue
 		}
-		wk := sliceCols(w, lo, hi)
+		pwk := tensor.Pack(sliceCols(w, lo, hi))
 		bk := append([]float32(nil), bias[lo:hi]...)
-		if micro {
-			pwk := tensor.Pack(wk)
-			st.run[k] = func(dst, x *tensor.Matrix, ws *tensor.Workspace) {
-				tensor.MatMulPackedColsBiasActInto(dst, lo, x, pwk, bk, act)
-			}
-			continue
-		}
 		st.run[k] = func(dst, x *tensor.Matrix, ws *tensor.Workspace) {
-			tensor.MatMulColsBiasActInto(dst, lo, x, wk, bk, act)
+			tensor.MatMulPackedColsBiasActInto(dst, lo, x, pwk, bk, act)
 		}
 	}
 	return st
 }
 
-// splitVariant names the dense-family window kernels' dispatch.
-func splitVariant(micro bool) string {
-	if micro {
-		return "tiled4x8"
-	}
-	return "reference"
-}
-
 // factorizedSplit: the rank-r bottleneck x·A is replicated on every shard
 // (it is tiny — r ≪ out), the wide B factor is column-sliced with the
 // epilogue fused into the window write.
-func factorizedSplit(t *nn.FactorizedDense, pts []int, act tensor.Activation, micro bool) step {
+func factorizedSplit(t *nn.FactorizedDense, pts []int, act tensor.Activation) step {
 	shards := len(pts) - 1
-	st := step{name: t.Name() + fusedTag(act) + "/tp", cols: t.Out, variant: splitVariant(micro), run: make([]func(dst, x *tensor.Matrix, ws *tensor.Workspace), shards)}
-	var pa *tensor.PackedB
-	if micro {
-		pa = tensor.Pack(t.A)
-	}
+	st := step{name: t.Name() + fusedTag(act) + "/tp", cols: t.Out, variant: "tiled4x8", run: make([]func(dst, x *tensor.Matrix, ws *tensor.Workspace), shards)}
+	pa := tensor.Pack(t.A)
 	for k := 0; k < shards; k++ {
 		lo, hi := pts[k], pts[k+1]
 		if lo == hi {
 			continue
 		}
-		bk := sliceCols(t.B, lo, hi)
+		pbk := tensor.Pack(sliceCols(t.B, lo, hi))
 		biask := append([]float32(nil), t.Bias[lo:hi]...)
-		if micro {
-			pbk := tensor.Pack(bk)
-			st.run[k] = func(dst, x *tensor.Matrix, ws *tensor.Workspace) {
-				xa := ws.Take(x.Rows, t.Rank)
-				tensor.MatMulPackedInto(xa, x, pa)
-				tensor.MatMulPackedColsBiasActInto(dst, lo, xa, pbk, biask, act)
-			}
-			continue
-		}
 		st.run[k] = func(dst, x *tensor.Matrix, ws *tensor.Workspace) {
 			xa := ws.Take(x.Rows, t.Rank)
-			tensor.MatMulInto(xa, x, t.A)
-			tensor.MatMulColsBiasActInto(dst, lo, xa, bk, biask, act)
+			tensor.MatMulPackedColsBiasActInto(xa, 0, x, pa, nil, tensor.ActNone)
+			tensor.MatMulPackedColsBiasActInto(dst, lo, xa, pbk, biask, act)
 		}
 	}
 	return st
@@ -253,33 +228,21 @@ func reluSplit(width int, pts []int) step {
 // lowRankSplit: xv = x·V is replicated (rank columns only); the n-wide
 // back-projection through Uᵀ is column-sliced per shard with the epilogue
 // fused into the window write.
-func lowRankSplit(name string, t *baselines.LowRank, bias []float32, pts []int, act tensor.Activation, micro bool) step {
+func lowRankSplit(name string, t *baselines.LowRank, bias []float32, pts []int, act tensor.Activation) step {
 	shards := len(pts) - 1
-	st := step{name: name + fusedTag(act) + "/tp", cols: t.N, variant: splitVariant(micro), run: make([]func(dst, x *tensor.Matrix, ws *tensor.Workspace), shards)}
-	var pv *tensor.PackedB
-	if micro {
-		pv = tensor.Pack(t.V)
-	}
+	st := step{name: name + fusedTag(act) + "/tp", cols: t.N, variant: "tiled4x8", run: make([]func(dst, x *tensor.Matrix, ws *tensor.Workspace), shards)}
+	pv := tensor.Pack(t.V)
 	for k := 0; k < shards; k++ {
 		lo, hi := pts[k], pts[k+1]
 		if lo == hi {
 			continue
 		}
-		utk := sliceRowsT(t.U, lo, hi)
+		putk := tensor.Pack(sliceRowsT(t.U, lo, hi))
 		bk := append([]float32(nil), bias[lo:hi]...)
-		if micro {
-			putk := tensor.Pack(utk)
-			st.run[k] = func(dst, x *tensor.Matrix, ws *tensor.Workspace) {
-				xv := ws.Take(x.Rows, t.Rank)
-				tensor.MatMulPackedInto(xv, x, pv)
-				tensor.MatMulPackedColsBiasActInto(dst, lo, xv, putk, bk, act)
-			}
-			continue
-		}
 		st.run[k] = func(dst, x *tensor.Matrix, ws *tensor.Workspace) {
 			xv := ws.Take(x.Rows, t.Rank)
-			tensor.MatMulInto(xv, x, t.V)
-			tensor.MatMulColsBiasActInto(dst, lo, xv, utk, bk, act)
+			tensor.MatMulPackedColsBiasActInto(xv, 0, x, pv, nil, tensor.ActNone)
+			tensor.MatMulPackedColsBiasActInto(dst, lo, xv, putk, bk, act)
 		}
 	}
 	return st
@@ -294,7 +257,7 @@ func lowRankSplit(name string, t *baselines.LowRank, bias []float32, pts []int, 
 func pixelflySplit(name string, t *pixelfly.Pixelfly, bias []float32, pts []int, act tensor.Activation) step {
 	shards := len(pts) - 1
 	n, bs := t.Cfg.N, t.Cfg.BlockSize
-	st := step{name: name + fusedTag(act) + "/tp", cols: n, variant: "reference", run: make([]func(dst, x *tensor.Matrix, ws *tensor.Workspace), shards)}
+	st := step{name: name + fusedTag(act) + "/tp", cols: n, variant: t.MicroVariant(), run: make([]func(dst, x *tensor.Matrix, ws *tensor.Workspace), shards)}
 	for k := 0; k < shards; k++ {
 		lo, hi := pts[k], pts[k+1]
 		if lo == hi {

@@ -133,24 +133,14 @@ func (b *BSR) ToDense() *tensor.Matrix {
 
 // MulDense computes b·x with x dense: (Rows×Cols)·(Cols×K). This is the
 // block-sparse matmul that pixelfly's GPU implementation maps onto tensor
-// cores; here it is the reference semantics for both machine models.
+// cores; here it is the reference semantics for both machine models, the
+// path of pixelfly's Apply, and the oracle the block-specialized kernels
+// (MulDenseInto, MulDenseRowsInto, MulDenseParallel) are tested against.
 func (b *BSR) MulDense(x *tensor.Matrix) *tensor.Matrix {
-	out := tensor.New(b.Rows, x.Cols)
-	b.MulDenseInto(out, x)
-	return out
-}
-
-// MulDenseInto is MulDense writing into caller-owned out (shape
-// Rows×x.Cols, overwritten); the allocation-free kernel the compiled
-// pixelfly inference path executes through. out must not alias x.
-func (b *BSR) MulDenseInto(out, x *tensor.Matrix) {
 	if b.Cols != x.Rows {
 		panic(fmt.Sprintf("sparse: BSR MulDense shape mismatch %dx%d x %dx%d", b.Rows, b.Cols, x.Rows, x.Cols))
 	}
-	if out.Rows != b.Rows || out.Cols != x.Cols {
-		panic(fmt.Sprintf("sparse: BSR MulDenseInto dst %dx%d, want %dx%d", out.Rows, out.Cols, b.Rows, x.Cols))
-	}
-	out.Zero()
+	out := tensor.New(b.Rows, x.Cols)
 	bs, k := b.BlockSize, x.Cols
 	for bi := 0; bi < b.BlockRows; bi++ {
 		for p := b.RowPtr[bi]; p < b.RowPtr[bi+1]; p++ {
@@ -171,66 +161,16 @@ func (b *BSR) MulDenseInto(out, x *tensor.Matrix) {
 			}
 		}
 	}
-}
-
-// MulDenseBiasActInto is MulDenseInto with a fused epilogue: as soon as a
-// block row's accumulation completes, the per-output-feature bias (indexed
-// by the logical row of out, i.e. feature-major like the product itself)
-// and the activation are applied while the rows are still cache-hot. The
-// accumulation is exactly MulDenseInto's, and act(v + bias) is the same
-// float32 chain as separate sweeps, so the result is bit-for-bit equal to
-// MulDenseInto followed by a row-broadcast bias add and an activation
-// pass. bias may be nil (len == Rows otherwise). out must not alias x.
-func (b *BSR) MulDenseBiasActInto(out, x *tensor.Matrix, bias []float32, act tensor.Activation) {
-	if b.Cols != x.Rows {
-		panic(fmt.Sprintf("sparse: BSR MulDenseBiasAct shape mismatch %dx%d x %dx%d", b.Rows, b.Cols, x.Rows, x.Cols))
-	}
-	if out.Rows != b.Rows || out.Cols != x.Cols {
-		panic(fmt.Sprintf("sparse: BSR MulDenseBiasActInto dst %dx%d, want %dx%d", out.Rows, out.Cols, b.Rows, x.Cols))
-	}
-	if bias != nil && len(bias) != b.Rows {
-		panic(fmt.Sprintf("sparse: BSR MulDenseBiasActInto bias length %d != rows %d", len(bias), b.Rows))
-	}
-	out.Zero()
-	bs, k := b.BlockSize, x.Cols
-	for bi := 0; bi < b.BlockRows; bi++ {
-		for p := b.RowPtr[bi]; p < b.RowPtr[bi+1]; p++ {
-			bj := int(b.ColIdx[p])
-			blk := b.Block(int(p))
-			for r := 0; r < bs; r++ {
-				orow := out.Row(bi*bs + r)
-				for c := 0; c < bs; c++ {
-					v := blk[r*bs+c]
-					if v == 0 {
-						continue
-					}
-					xrow := x.Data[(bj*bs+c)*k : (bj*bs+c+1)*k]
-					for j := 0; j < k; j++ {
-						orow[j] += v * xrow[j]
-					}
-				}
-			}
-		}
-		// This block row's accumulation is complete: finish its rows
-		// while they are still cache-hot.
-		for r := 0; r < bs; r++ {
-			row := out.Row(bi*bs + r)
-			for j, v := range row {
-				if bias != nil {
-					v += bias[bi*bs+r]
-				}
-				row[j] = act.Apply(v)
-			}
-		}
-	}
+	return out
 }
 
 // MulDenseRowsInto computes the block-row window [br0, br1) of b·x into
-// out (shape (br1-br0)·BlockSize × x.Cols, overwritten). The window's rows
-// accumulate the same blocks in the same order as MulDenseInto, so the
-// result is bit-for-bit the corresponding row slice of the full product —
-// the kernel one tensor-parallel shard of a pixelfly layer executes.
-// out must not alias x.
+// out (shape (br1-br0)·BlockSize × x.Cols, overwritten) through the
+// block-specialized kernels. The window's rows accumulate the same blocks
+// in the same order as MulDenseInto, so the result is bit-for-bit the
+// corresponding row slice of the full product — the kernel one
+// tensor-parallel shard of a pixelfly layer executes. out must not alias
+// x.
 func (b *BSR) MulDenseRowsInto(out, x *tensor.Matrix, br0, br1 int) {
 	if b.Cols != x.Rows {
 		panic(fmt.Sprintf("sparse: BSR MulDenseRows shape mismatch %dx%d x %dx%d", b.Rows, b.Cols, x.Rows, x.Cols))
@@ -243,25 +183,7 @@ func (b *BSR) MulDenseRowsInto(out, x *tensor.Matrix, br0, br1 int) {
 		panic(fmt.Sprintf("sparse: BSR MulDenseRowsInto dst %dx%d, want %dx%d", out.Rows, out.Cols, (br1-br0)*bs, k))
 	}
 	out.Zero()
-	for bi := br0; bi < br1; bi++ {
-		for p := b.RowPtr[bi]; p < b.RowPtr[bi+1]; p++ {
-			bj := int(b.ColIdx[p])
-			blk := b.Block(int(p))
-			for r := 0; r < bs; r++ {
-				orow := out.Row((bi-br0)*bs + r)
-				for c := 0; c < bs; c++ {
-					v := blk[r*bs+c]
-					if v == 0 {
-						continue
-					}
-					xrow := x.Data[(bj*bs+c)*k : (bj*bs+c+1)*k]
-					for j := 0; j < k; j++ {
-						orow[j] += v * xrow[j]
-					}
-				}
-			}
-		}
-	}
+	b.mulDenseMicro(out, x, nil, tensor.ActNone, br0, br1, br0*bs)
 }
 
 // TransposeMulDense computes bᵀ·x: (Cols×Rows)·(Rows×K); used in backward

@@ -15,55 +15,48 @@ import (
 // sign of exact-zero contributions, which float comparison treats as
 // equal. Accumulation per output element stays c-ascending with
 // sequential adds, so results are otherwise bit-identical to the
-// reference kernels.
+// reference loop in MulDense.
 
-// MulDenseIntoMicro is MulDenseInto through the block-specialized
-// kernels: full unroll at bs=4 and bs=8, a 4-column tiling otherwise.
-func (b *BSR) MulDenseIntoMicro(out, x *tensor.Matrix) {
+// MulDenseInto computes act(b·x + bias) into caller-owned out (shape
+// Rows×x.Cols, overwritten) through the block-specialized kernels: full
+// unroll at bs=4 and bs=8, a 4-column tiling otherwise. It is the
+// allocation-free kernel the compiled pixelfly inference path executes
+// through. bias is indexed by the logical row of out (feature-major, like
+// the product) and may be nil; a nil bias with ActNone is the plain
+// product. As soon as a block row's accumulation completes, its rows get
+// the bias and activation while they are still cache-hot, with the same
+// float32 chain as separate sweeps. out must not alias x.
+func (b *BSR) MulDenseInto(out, x *tensor.Matrix, bias []float32, act tensor.Activation) {
 	if b.Cols != x.Rows {
 		panic(fmt.Sprintf("sparse: BSR MulDense shape mismatch %dx%d x %dx%d", b.Rows, b.Cols, x.Rows, x.Cols))
 	}
 	if out.Rows != b.Rows || out.Cols != x.Cols {
-		panic(fmt.Sprintf("sparse: BSR MulDenseIntoMicro dst %dx%d, want %dx%d", out.Rows, out.Cols, b.Rows, x.Cols))
-	}
-	out.Zero()
-	b.mulDenseMicro(out, x, nil, tensor.ActNone, false, 0, b.BlockRows)
-}
-
-// MulDenseBiasActIntoMicro is MulDenseBiasActInto through the
-// block-specialized kernels, with the same cache-hot per-block-row
-// epilogue.
-func (b *BSR) MulDenseBiasActIntoMicro(out, x *tensor.Matrix, bias []float32, act tensor.Activation) {
-	if b.Cols != x.Rows {
-		panic(fmt.Sprintf("sparse: BSR MulDenseBiasAct shape mismatch %dx%d x %dx%d", b.Rows, b.Cols, x.Rows, x.Cols))
-	}
-	if out.Rows != b.Rows || out.Cols != x.Cols {
-		panic(fmt.Sprintf("sparse: BSR MulDenseBiasActIntoMicro dst %dx%d, want %dx%d", out.Rows, out.Cols, b.Rows, x.Cols))
+		panic(fmt.Sprintf("sparse: BSR MulDenseInto dst %dx%d, want %dx%d", out.Rows, out.Cols, b.Rows, x.Cols))
 	}
 	if bias != nil && len(bias) != b.Rows {
-		panic(fmt.Sprintf("sparse: BSR MulDenseBiasActIntoMicro bias length %d != rows %d", len(bias), b.Rows))
+		panic(fmt.Sprintf("sparse: BSR MulDenseInto bias length %d != rows %d", len(bias), b.Rows))
 	}
 	out.Zero()
-	b.mulDenseMicro(out, x, bias, act, true, 0, b.BlockRows)
+	b.mulDenseMicro(out, x, bias, act, 0, b.BlockRows, 0)
 }
 
 // MulDenseParallel is MulDense through the block-specialized kernels,
 // with block rows split across GOMAXPROCS workers (tensor.ParallelRows):
 // the training forward product. Each output row belongs to one block row,
-// so it is bit-for-bit MulDenseIntoMicro at any worker count.
+// so it is bit-for-bit MulDenseInto at any worker count.
 func (b *BSR) MulDenseParallel(x *tensor.Matrix) *tensor.Matrix {
 	if b.Cols != x.Rows {
 		panic(fmt.Sprintf("sparse: BSR MulDense shape mismatch %dx%d x %dx%d", b.Rows, b.Cols, x.Rows, x.Cols))
 	}
 	out := tensor.New(b.Rows, x.Cols)
 	tensor.ParallelRows(b.BlockRows, b.macs(x.Cols), bsrJob{b, out, x}, func(j bsrJob, lo, hi int) {
-		j.b.mulDenseMicro(j.out, j.x, nil, tensor.ActNone, false, lo, hi)
+		j.b.mulDenseMicro(j.out, j.x, nil, tensor.ActNone, lo, hi, 0)
 	})
 	return out
 }
 
-// MicroVariant names the kernel variant the plan dispatcher stamps into
-// step metadata when this matrix multiplies through the micro path.
+// MicroVariant names the block-specialized kernel this matrix multiplies
+// through.
 func (b *BSR) MicroVariant() string {
 	switch b.BlockSize {
 	case 4:
@@ -76,26 +69,29 @@ func (b *BSR) MicroVariant() string {
 }
 
 // mulDenseMicro accumulates the block rows [br0, br1) of b·x into out,
-// which the caller has zeroed, finishing each block row with the
-// epilogue when epi is set.
-func (b *BSR) mulDenseMicro(out, x *tensor.Matrix, bias []float32, act tensor.Activation, epi bool, br0, br1 int) {
+// which the caller has zeroed, writing logical row i to out row i-off.
+// Unless bias is nil and act is ActNone, each block row is finished with
+// the epilogue (bias indexed by logical row) as soon as it completes.
+func (b *BSR) mulDenseMicro(out, x *tensor.Matrix, bias []float32, act tensor.Activation, br0, br1, off int) {
 	bs, k := b.BlockSize, x.Cols
+	epi := bias != nil || act != tensor.ActNone
 	for bi := br0; bi < br1; bi++ {
+		row0 := bi*bs - off
 		for p := b.RowPtr[bi]; p < b.RowPtr[bi+1]; p++ {
 			bj := int(b.ColIdx[p])
 			blk := b.Block(int(p))
 			switch bs {
 			case 4:
-				accBlock4(out, x, blk, bi*4, bj*4, k)
+				accBlock4(out, x, blk, row0, bj*4, k)
 			case 8:
-				accBlock8(out, x, blk, bi*8, bj*8, k)
+				accBlock8(out, x, blk, row0, bj*8, k)
 			default:
-				accBlockTiled(out, x, blk, bi*bs, bj*bs, bs, k)
+				accBlockTiled(out, x, blk, row0, bj*bs, bs, k)
 			}
 		}
 		if epi {
 			for r := 0; r < bs; r++ {
-				row := out.Row(bi*bs + r)
+				row := out.Row(row0 + r)
 				if bias != nil {
 					bv := bias[bi*bs+r]
 					for j, v := range row {

@@ -43,8 +43,10 @@ func randomBSR(t testing.TB, rng *rand.Rand, rows, cols, bs int, density float64
 }
 
 // TestMulDenseMicroMatchesReference demands float equality between the
-// block-specialized kernels and the reference loops across block sizes
-// covering the bs=4/8 unrolls, the tiled path, and its scalar tail.
+// block-specialized kernel MulDenseInto and the reference loop in
+// MulDense followed by a separate bias and activation sweep, across block
+// sizes covering the bs=4/8 unrolls, the tiled path, and its scalar tail,
+// with and without bias, under both activations.
 func TestMulDenseMicroMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for _, bs := range []int{1, 2, 3, 4, 5, 8, 16} {
@@ -55,25 +57,26 @@ func TestMulDenseMicroMatchesReference(t *testing.T) {
 			for i := range x.Data {
 				x.Data[i] = rng.Float32()*2 - 1
 			}
-			want := tensor.New(rows, k)
-			got := tensor.New(rows, k)
-
-			b.MulDenseInto(want, x)
-			b.MulDenseIntoMicro(got, x)
-			assertSameMat(t, fmt.Sprintf("bs=%d k=%d MulDenseIntoMicro", bs, k), want, got)
-
 			bias := make([]float32, rows)
 			for i := range bias {
 				bias[i] = rng.Float32()*2 - 1
 			}
-			for _, act := range []tensor.Activation{tensor.ActNone, tensor.ActReLU} {
-				b.MulDenseBiasActInto(want, x, bias, act)
-				b.MulDenseBiasActIntoMicro(got, x, bias, act)
-				assertSameMat(t, fmt.Sprintf("bs=%d k=%d bias/%v", bs, k, act), want, got)
-
-				b.MulDenseBiasActInto(want, x, nil, act)
-				b.MulDenseBiasActIntoMicro(got, x, nil, act)
-				assertSameMat(t, fmt.Sprintf("bs=%d k=%d nilbias/%v", bs, k, act), want, got)
+			got := tensor.New(rows, k)
+			for _, bv := range [][]float32{nil, bias} {
+				for _, act := range []tensor.Activation{tensor.ActNone, tensor.ActReLU} {
+					want := b.MulDense(x)
+					for i := 0; i < want.Rows; i++ {
+						row := want.Row(i)
+						for j, v := range row {
+							if bv != nil {
+								v += bv[i]
+							}
+							row[j] = act.Apply(v)
+						}
+					}
+					b.MulDenseInto(got, x, bv, act)
+					assertSameMat(t, fmt.Sprintf("bs=%d k=%d bias=%t/%v", bs, k, bv != nil, act), want, got)
+				}
 			}
 		}
 	}
@@ -103,10 +106,11 @@ func assertSameMat(t *testing.T, op string, want, got *tensor.Matrix) {
 	}
 }
 
-// BenchmarkBSRMulDense compares the reference product against the
-// block-specialized kernels at serving-realistic shapes: pixelated
-// butterfly weights at width 1024, including the transposed batch-1
-// case (k=1) that dominates serving.
+// BenchmarkBSRMulDense compares the reference product (MulDense, the
+// oracle, which allocates its output) against the block-specialized
+// kernel at serving-realistic shapes: pixelated butterfly weights at
+// width 1024, including the transposed batch-1 case (k=1) that dominates
+// serving.
 func BenchmarkBSRMulDense(b *testing.B) {
 	rng := rand.New(rand.NewSource(32))
 	for _, bs := range []int{4, 8, 16} {
@@ -122,13 +126,13 @@ func BenchmarkBSRMulDense(b *testing.B) {
 			b.Run(fmt.Sprintf("ref/bs%dk%d", bs, k), func(b *testing.B) {
 				b.SetBytes(flops)
 				for i := 0; i < b.N; i++ {
-					m.MulDenseInto(out, x)
+					m.MulDense(x)
 				}
 			})
 			b.Run(fmt.Sprintf("micro/bs%dk%d", bs, k), func(b *testing.B) {
 				b.SetBytes(flops)
 				for i := 0; i < b.N; i++ {
-					m.MulDenseIntoMicro(out, x)
+					m.MulDenseInto(out, x, nil, tensor.ActNone)
 				}
 			})
 		}

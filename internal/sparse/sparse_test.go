@@ -288,8 +288,9 @@ func TestBSRMulDenseRowsIntoPanics(t *testing.T) {
 }
 
 // TestBSRMulDenseBiasActMatchesUnfused pins the fused block-sparse
-// epilogue (pixelfly's fused final stage without a low-rank term) to the
-// unfused MulDenseInto + bias broadcast + activation chain, bit-for-bit.
+// epilogue of MulDenseInto (pixelfly's fused final stage without a
+// low-rank term) to the unfused MulDense + bias broadcast + activation
+// chain, bit-for-bit.
 func TestBSRMulDenseBiasActMatchesUnfused(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	pattern := [][2]int{{0, 0}, {0, 2}, {1, 1}, {2, 3}, {3, 0}, {3, 3}}
@@ -307,8 +308,7 @@ func TestBSRMulDenseBiasActMatchesUnfused(t *testing.T) {
 		bias[i] = rng.Float32()*2 - 1
 	}
 
-	want := tensor.New(16, 5)
-	b.MulDenseInto(want, x)
+	want := b.MulDense(x)
 	for i := 0; i < want.Rows; i++ {
 		row := want.Row(i)
 		for j, v := range row {
@@ -320,16 +320,16 @@ func TestBSRMulDenseBiasActMatchesUnfused(t *testing.T) {
 		}
 	}
 	got := tensor.New(16, 5)
-	b.MulDenseBiasActInto(got, x, bias, tensor.ActReLU)
+	b.MulDenseInto(got, x, bias, tensor.ActReLU)
 	for i := range want.Data {
 		if want.Data[i] != got.Data[i] {
 			t.Fatalf("element %d differs: %g vs %g", i, want.Data[i], got.Data[i])
 		}
 	}
 
-	// nil bias, no activation degenerates to MulDenseInto exactly.
+	// nil bias, no activation degenerates to MulDense exactly.
 	plain := tensor.New(16, 5)
-	b.MulDenseBiasActInto(plain, x, nil, tensor.ActNone)
+	b.MulDenseInto(plain, x, nil, tensor.ActNone)
 	ref := b.MulDense(x)
 	for i := range ref.Data {
 		if ref.Data[i] != plain.Data[i] {

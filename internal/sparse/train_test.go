@@ -190,13 +190,12 @@ func BenchmarkBSRTrainKernels(b *testing.B) {
 	}
 	x := randDense(rng, 1024, 50)
 	dY := randDense(rng, 1024, 50)
-	out := tensor.New(1024, 50)
 	flops := int64(m.Flops(50))
 	for _, bc := range []struct {
 		name string
 		run  func()
 	}{
-		{"MulDense/ref", func() { m.MulDenseInto(out, x) }},
+		{"MulDense/ref", func() { m.MulDense(x) }},
 		{"MulDense/new", func() { m.MulDenseParallel(x) }},
 		{"TransposeMulDense/ref", func() { refTransposeMulDense(m, dY) }},
 		{"TransposeMulDense/new", func() { m.TransposeMulDense(dY) }},

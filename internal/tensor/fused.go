@@ -77,31 +77,6 @@ func ApplyBiasActInto(dst, x *Matrix, bias []float32, act Activation) {
 	}
 }
 
-// matMulBiasActRows is matMulRows with the epilogue applied to each output
-// row as soon as its accumulation finishes — the row leaves cache exactly
-// once.
-func matMulBiasActRows(a, b, out *Matrix, bias []float32, act Activation, lo, hi int) {
-	n, k := a.Cols, b.Cols
-	for i := lo; i < hi; i++ {
-		arow := a.Row(i)
-		orow := out.Row(i)
-		for j := range orow {
-			orow[j] = 0
-		}
-		for p := 0; p < n; p++ {
-			av := arow[p]
-			if av == 0 {
-				continue
-			}
-			brow := b.Data[p*k : (p+1)*k]
-			for j := 0; j < k; j++ {
-				orow[j] += av * brow[j]
-			}
-		}
-		epilogueRow(orow, bias, act)
-	}
-}
-
 func checkBiasLen(op string, bias []float32, cols int) {
 	if bias != nil && len(bias) != cols {
 		panic(fmt.Sprintf("tensor: %s bias length %d != cols %d", op, len(bias), cols))
@@ -118,61 +93,10 @@ func MatMulBiasActInto(dst, a, b *Matrix, bias []float32, act Activation) {
 	checkMulShapes(a, b)
 	checkIntoShape("MatMulBiasActInto", dst, a.Rows, b.Cols)
 	checkBiasLen("MatMulBiasActInto", bias, b.Cols)
-	matMulBiasActRows(a, b, dst, bias, act, 0, a.Rows)
-}
-
-// MatMulBiasActParallelInto is MatMulBiasActInto with MatMulParallelInto's
-// row partition (same worker count and serial threshold). Every output row
-// is accumulated and finished by exactly one goroutine in the serial order,
-// so the result is bit-identical to the serial kernel — and to the unfused
-// MatMulParallelInto + AddRowVector + activation sweeps.
-func MatMulBiasActParallelInto(dst, a, b *Matrix, bias []float32, act Activation) {
-	checkMulShapes(a, b)
-	checkIntoShape("MatMulBiasActParallelInto", dst, a.Rows, b.Cols)
-	checkBiasLen("MatMulBiasActParallelInto", bias, b.Cols)
-	ParallelRows(a.Rows, a.Rows*a.Cols*b.Cols, biasActJob{a, b, dst, bias, act}, func(j biasActJob, lo, hi int) {
-		matMulBiasActRows(j.a, j.b, j.out, j.bias, j.act, lo, hi)
-	})
-}
-
-// biasActJob carries MatMulBiasActParallelInto's operands to its workers.
-type biasActJob struct {
-	a, b, out *Matrix
-	bias      []float32
-	act       Activation
-}
-
-// MatMulColsBiasActInto computes act(a·b + bias) into the column window
-// [dstLo, dstLo+b.Cols) of dst in one pass — the fused form of
-// MatMulColsInto + AddRowVectorCols + an activation sweep one tensor-
-// parallel shard executes. bias is window-relative (len == b.Cols) and may
-// be nil. Columns outside the window are untouched. dst must not alias a
-// or b.
-func MatMulColsBiasActInto(dst *Matrix, dstLo int, a, b *Matrix, bias []float32, act Activation) {
-	checkMulShapes(a, b)
-	if dst.Rows != a.Rows {
-		panic(fmt.Sprintf("tensor: MatMulColsBiasActInto dst rows %d != %d", dst.Rows, a.Rows))
-	}
-	checkColWindow("MatMulColsBiasActInto", dst, dstLo, b.Cols)
-	checkBiasLen("MatMulColsBiasActInto", bias, b.Cols)
-	n, k, w := a.Cols, dst.Cols, b.Cols
+	dst.Zero()
 	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		orow := dst.Data[i*k+dstLo : i*k+dstLo+w]
-		for j := range orow {
-			orow[j] = 0
-		}
-		for p := 0; p < n; p++ {
-			av := arow[p]
-			if av == 0 {
-				continue
-			}
-			brow := b.Data[p*w : (p+1)*w]
-			for j := 0; j < w; j++ {
-				orow[j] += av * brow[j]
-			}
-		}
-		epilogueRow(orow, bias, act)
+		matMulRows(a, b, dst, i, i+1)
+		epilogueRow(dst.Row(i), bias, act)
 	}
 }
 

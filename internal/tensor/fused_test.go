@@ -37,9 +37,10 @@ func assertBitIdentical(t *testing.T, tag string, a, b *Matrix) {
 	}
 }
 
-// TestMatMulBiasActIntoMatchesUnfused pins the fused matmul epilogue to
-// the unfused three-sweep chain, serial and parallel, for both
-// activations, across sizes straddling the parallel threshold.
+// TestMatMulBiasActIntoMatchesUnfused pins the fused matmul epilogues —
+// the serial reference kernel and the packed row-parallel one — to the
+// unfused three-sweep chain, for both activations, across sizes
+// straddling the parallel threshold.
 func TestMatMulBiasActIntoMatchesUnfused(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, dims := range [][3]int{{1, 4, 4}, {3, 16, 10}, {8, 64, 64}, {48, 48, 48}} {
@@ -58,7 +59,7 @@ func TestMatMulBiasActIntoMatchesUnfused(t *testing.T) {
 			MatMulBiasActInto(got, a, b, bias, act)
 			assertBitIdentical(t, "serial", want, got)
 			gotPar := New(r, k)
-			MatMulBiasActParallelInto(gotPar, a, b, bias, act)
+			MatMulPackedBiasActParallelInto(gotPar, a, Pack(b), bias, act)
 			assertBitIdentical(t, "parallel", want, gotPar)
 		}
 	}
@@ -72,7 +73,7 @@ func TestMatMulBiasActIntoMatchesUnfused(t *testing.T) {
 	AddRowVector(want, bias)
 	reluSweep(want)
 	got := New(40, 40)
-	MatMulBiasActParallelInto(got, a, b, bias, ActReLU)
+	MatMulPackedBiasActParallelInto(got, a, Pack(b), bias, ActReLU)
 	assertBitIdentical(t, "parallel-large", want, got)
 }
 
@@ -106,9 +107,9 @@ func TestApplyBiasActInto(t *testing.T) {
 	assertBitIdentical(t, "aliased", want, aliased)
 }
 
-// TestMatMulColsBiasActInto pins the fused column-window kernel — the
-// tensor-parallel shard path — to the unfused window chain, and checks
-// columns outside the window stay untouched.
+// TestMatMulColsBiasActInto pins the packed fused column-window kernel —
+// the tensor-parallel shard path — to the unfused reference window chain,
+// and checks columns outside the window stay untouched.
 func TestMatMulColsBiasActInto(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	const rows, n, full, lo, w = 6, 12, 20, 5, 8
@@ -131,7 +132,7 @@ func TestMatMulColsBiasActInto(t *testing.T) {
 	}
 
 	got := sentinel.Clone()
-	MatMulColsBiasActInto(got, lo, a, b, bias, ActReLU)
+	MatMulPackedColsBiasActInto(got, lo, a, Pack(b), bias, ActReLU)
 	assertBitIdentical(t, "window", want, got)
 	for i := 0; i < rows; i++ {
 		for j := 0; j < full; j++ {

@@ -11,7 +11,7 @@
 // results are IEEE-754 identical (modulo the sign of exact zeros, which
 // float comparison treats as equal).
 //
-// The matmul kernel deliberately drops the reference path's `av == 0`
+// The matmul kernel deliberately drops the reference loop's `av == 0`
 // skip branch: on dense weights the branch is nearly always not taken
 // and costs more than it saves; zeros there are incidental, not
 // structural. The BSR kernels in internal/sparse keep zero-skipping at

@@ -44,48 +44,24 @@ func checkPackedShapes(name string, dst, a *Matrix, pb *PackedB) {
 	checkIntoShape(name, dst, a.Rows, pb.cols)
 }
 
-// MatMulPackedInto computes dst = a·B through the register-tiled
-// micro-kernel. Bit-for-bit equal to MatMulInto up to the sign of exact
-// zeros (the tiled path drops the reference av==0 skip, which only
-// affects signed-zero outputs).
-func MatMulPackedInto(dst, a *Matrix, pb *PackedB) {
-	checkPackedShapes("MatMulPackedInto", dst, a, pb)
-	microkernel.MatMul(dst.Data, dst.Cols, 0, a.Data, a.Cols, 0, a.Rows, pb.data, pb.rows, pb.cols, nil, false)
-}
-
-// MatMulPackedBiasActInto computes dst = act(a·B + bias) through the
-// register-tiled micro-kernel — the packed counterpart of
-// MatMulBiasActInto.
-func MatMulPackedBiasActInto(dst, a *Matrix, pb *PackedB, bias []float32, act Activation) {
-	checkPackedShapes("MatMulPackedBiasActInto", dst, a, pb)
-	checkBiasLen("MatMulPackedBiasActInto", bias, pb.cols)
-	microkernel.MatMul(dst.Data, dst.Cols, 0, a.Data, a.Cols, 0, a.Rows, pb.data, pb.rows, pb.cols, bias, act == ActReLU)
-}
-
-// MatMulPackedParallelInto is the row-parallel form of MatMulPackedInto,
-// using the same worker count, serial-cutoff product, and chunking as
-// MatMulParallelInto so scheduling behaviour is comparable. Rows are
-// independent, so the partition never affects results.
-func MatMulPackedParallelInto(dst, a *Matrix, pb *PackedB) {
-	checkPackedShapes("MatMulPackedParallelInto", dst, a, pb)
-	matMulPackedRowsParallel(dst, a, pb, nil, false)
-}
-
-// MatMulPackedBiasActParallelInto is the row-parallel form of
-// MatMulPackedBiasActInto.
+// MatMulPackedBiasActParallelInto computes dst = act(a·B + bias) through
+// the register-tiled micro-kernel, with rows split across GOMAXPROCS
+// workers (ParallelRows, the same work measure as MatMulParallelInto).
+// bias may be nil; a nil bias with ActNone is the plain product. Rows are
+// independent, so the partition never affects results, which are
+// bit-for-bit MatMulInto + AddRowVector + an activation sweep up to the
+// sign of exact zeros (the tiled path drops the reference av==0 skip,
+// which only affects signed-zero outputs).
 func MatMulPackedBiasActParallelInto(dst, a *Matrix, pb *PackedB, bias []float32, act Activation) {
 	checkPackedShapes("MatMulPackedBiasActParallelInto", dst, a, pb)
 	checkBiasLen("MatMulPackedBiasActParallelInto", bias, pb.cols)
-	matMulPackedRowsParallel(dst, a, pb, bias, act == ActReLU)
-}
-
-func matMulPackedRowsParallel(dst, a *Matrix, pb *PackedB, bias []float32, relu bool) {
-	ParallelRows(a.Rows, a.Rows*a.Cols*pb.cols, packedJob{dst, a, pb, bias, relu}, func(j packedJob, lo, hi int) {
+	ParallelRows(a.Rows, a.Rows*a.Cols*pb.cols, packedJob{dst, a, pb, bias, act == ActReLU}, func(j packedJob, lo, hi int) {
 		microkernel.MatMul(j.dst.Data, j.dst.Cols, 0, j.a.Data, j.a.Cols, lo, hi, j.pb.data, j.pb.rows, j.pb.cols, j.bias, j.relu)
 	})
 }
 
-// packedJob carries matMulPackedRowsParallel's operands to its workers.
+// packedJob carries MatMulPackedBiasActParallelInto's operands to its
+// workers.
 type packedJob struct {
 	dst, a *Matrix
 	pb     *PackedB
@@ -93,10 +69,13 @@ type packedJob struct {
 	relu   bool
 }
 
-// MatMulPackedColsBiasActInto computes act(a·B + bias) into the column
-// window [dstLo, dstLo+B.Cols) of dst — the packed counterpart of
-// MatMulColsBiasActInto for sharded column-parallel execution. bias is
-// window-relative, matching the unpacked variant.
+// MatMulPackedColsBiasActInto is the serial column-window form of
+// MatMulPackedBiasActParallelInto: it computes act(a·B + bias) into the
+// column window [dstLo, dstLo+B.Cols) of dst, the kernel one
+// tensor-parallel shard runs on its slice of a weight. bias is
+// window-relative and may be nil; columns outside the window are
+// untouched. With dstLo 0 and a dst as wide as B it is the serial full
+// product.
 func MatMulPackedColsBiasActInto(dst *Matrix, dstLo int, a *Matrix, pb *PackedB, bias []float32, act Activation) {
 	if a.Cols != pb.rows {
 		panic(fmt.Sprintf("tensor: MatMulPackedColsBiasActInto shape mismatch (%d×%d)·packed(%d×%d)", a.Rows, a.Cols, pb.rows, pb.cols))

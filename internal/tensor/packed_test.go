@@ -45,19 +45,18 @@ func TestMatMulPackedMatchesReference(t *testing.T) {
 		got := New(m, k)
 
 		MatMulInto(want, a, b)
-		MatMulPackedInto(got, a, pb)
-		assertEqualMat(t, "MatMulPackedInto", sh, want, got)
+		MatMulPackedColsBiasActInto(got, 0, a, pb, nil, ActNone)
+		assertEqualMat(t, "MatMulPackedColsBiasActInto/plain", sh, want, got)
 
 		MatMulParallelInto(want, a, b)
-		MatMulPackedParallelInto(got, a, pb)
-		assertEqualMat(t, "MatMulPackedParallelInto", sh, want, got)
+		MatMulPackedBiasActParallelInto(got, a, pb, nil, ActNone)
+		assertEqualMat(t, "MatMulPackedBiasActParallelInto/plain", sh, want, got)
 
 		for _, act := range []Activation{ActNone, ActReLU} {
 			MatMulBiasActInto(want, a, b, bias, act)
-			MatMulPackedBiasActInto(got, a, pb, bias, act)
-			assertEqualMat(t, fmt.Sprintf("MatMulPackedBiasActInto/%v", act), sh, want, got)
+			MatMulPackedColsBiasActInto(got, 0, a, pb, bias, act)
+			assertEqualMat(t, fmt.Sprintf("MatMulPackedColsBiasActInto/%v", act), sh, want, got)
 
-			MatMulBiasActParallelInto(want, a, b, bias, act)
 			MatMulPackedBiasActParallelInto(got, a, pb, bias, act)
 			assertEqualMat(t, fmt.Sprintf("MatMulPackedBiasActParallelInto/%v", act), sh, want, got)
 		}
@@ -65,7 +64,8 @@ func TestMatMulPackedMatchesReference(t *testing.T) {
 }
 
 // TestMatMulPackedColsMatchesReference checks the sharded column-window
-// form against MatMulColsBiasActInto, windows at ragged offsets.
+// form against the reference MatMulBiasActInto product copied into the
+// window, windows at ragged offsets.
 func TestMatMulPackedColsMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	m, n, full := 6, 37, 40
@@ -85,7 +85,9 @@ func TestMatMulPackedColsMatchesReference(t *testing.T) {
 		}
 		want := randMatrix(rng, m, full)
 		got := want.Clone()
-		MatMulColsBiasActInto(want, lo, a, wk, bias, ActReLU)
+		ref := New(m, k)
+		MatMulBiasActInto(ref, a, wk, bias, ActReLU)
+		CopyCols(want, lo, ref, 0, k)
 		MatMulPackedColsBiasActInto(got, lo, a, pb, bias, ActReLU)
 		for i := range want.Data {
 			if want.Data[i] != got.Data[i] {
@@ -126,7 +128,7 @@ func BenchmarkMatMulInto(b *testing.B) {
 		b.Run(fmt.Sprintf("tiled/b%dxn%d", batch, width), func(b *testing.B) {
 			b.SetBytes(flops)
 			for i := 0; i < b.N; i++ {
-				MatMulPackedInto(dst, a, pb)
+				MatMulPackedColsBiasActInto(dst, 0, a, pb, nil, ActNone)
 			}
 		})
 	}

@@ -43,9 +43,9 @@ func TestParallelRowsPartition(t *testing.T) {
 }
 
 // TestParallelKernelsInlineAllocFree pins the reason ParallelRows takes
-// its operands by value: below the serial cutoff the three parallel
-// matmuls must not allocate, or compiled plans lose their zero-alloc
-// steady state.
+// its operands by value: below the serial cutoff the parallel matmuls
+// must not allocate, or compiled plans lose their zero-alloc steady
+// state.
 func TestParallelKernelsInlineAllocFree(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	rng := rand.New(rand.NewSource(11))
@@ -55,10 +55,9 @@ func TestParallelKernelsInlineAllocFree(t *testing.T) {
 	bias := randomBias(rng, 10)
 	dst := New(1, 10)
 	for name, run := range map[string]func(){
-		"MatMulParallelInto":              func() { MatMulParallelInto(dst, a, b) },
-		"MatMulBiasActParallelInto":       func() { MatMulBiasActParallelInto(dst, a, b, bias, ActReLU) },
-		"MatMulPackedParallelInto":        func() { MatMulPackedParallelInto(dst, a, pb) },
-		"MatMulPackedBiasActParallelInto": func() { MatMulPackedBiasActParallelInto(dst, a, pb, bias, ActReLU) },
+		"MatMulParallelInto":                  func() { MatMulParallelInto(dst, a, b) },
+		"MatMulPackedBiasActParallelInto":     func() { MatMulPackedBiasActParallelInto(dst, a, pb, bias, ActReLU) },
+		"MatMulPackedBiasActParallelInto/nil": func() { MatMulPackedBiasActParallelInto(dst, a, pb, nil, ActNone) },
 	} {
 		if n := testing.AllocsPerRun(100, run); n != 0 {
 			t.Errorf("%s: %v allocs per inline call, want 0", name, n)
@@ -82,11 +81,8 @@ func TestParallelMatMulsBitIdentical(t *testing.T) {
 			MatMulInto(want, a, b)
 			MatMulParallelInto(got, a, b)
 			assertEqualMat(t, fmt.Sprintf("procs=%d MatMulParallelInto", procs), sh, want, got)
-			MatMulBiasActInto(want, a, b, bias, ActReLU)
-			MatMulBiasActParallelInto(got, a, b, bias, ActReLU)
-			assertEqualMat(t, fmt.Sprintf("procs=%d MatMulBiasActParallelInto", procs), sh, want, got)
 			pb := Pack(b)
-			MatMulPackedBiasActInto(want, a, pb, bias, ActReLU)
+			MatMulPackedColsBiasActInto(want, 0, a, pb, bias, ActReLU)
 			MatMulPackedBiasActParallelInto(got, a, pb, bias, ActReLU)
 			assertEqualMat(t, fmt.Sprintf("procs=%d MatMulPackedBiasActParallelInto", procs), sh, want, got)
 		}
