@@ -94,7 +94,6 @@ func main() {
 		rps      = flag.Int("rps", 500, "loadgen: offered requests/second per method")
 		duration = flag.Duration("duration", 10*time.Second, "loadgen: time to offer load per method")
 		burst    = flag.Int("burst", 1, "loadgen: requests issued per arrival tick (ticks slow to rps/burst, so the offered rate is unchanged; >1 lets the batcher coalesce multi-row batches)")
-		microB   = flag.Int("microbatch", 0, "pipeline wavefront width: micro-batches per batch (0 = planner-picked, 1 = barrier loop)")
 		benchout = flag.String("benchout", "BENCH_serve.json", "loadgen: machine-readable perf record path (empty disables)")
 		history  = flag.String("history", "", "loadgen: append this run as one line of the JSONL perf history (empty disables)")
 		metout   = flag.String("metricsout", "", "loadgen: after the load, scrape /metrics over a real loopback listener and write the exposition here (empty disables)")
@@ -145,7 +144,6 @@ func main() {
 		NumIPUs:        *ipus,
 		PerIPUMemBytes: *ipuMemMB << 20,
 		Shards:         *shards,
-		MicroBatches:   *microB,
 		PprofLabels:    *pprofOn,
 	}
 	reg := serve.NewRegistry(opts)
@@ -313,7 +311,7 @@ type phaseRecord struct {
 	Shards   int    `json:"shards"`
 	Strategy string `json:"strategy,omitempty"`
 	// MicroBatches is the wavefront width pipeline batches were split
-	// into (0/1 = barrier loop; omitted for tensor-parallel models).
+	// into (omitted for tensor-parallel and unsharded models).
 	MicroBatches   int     `json:"micro_batches,omitempty"`
 	SampledBatches int64   `json:"sampled_batches"`
 	ComputeShare   float64 `json:"compute_share"`

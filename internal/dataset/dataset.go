@@ -57,20 +57,6 @@ func CIFAR10Config() Config {
 	}
 }
 
-// MNISTConfig returns a smaller, easier task (the paper reports MNIST
-// results are in line with CIFAR-10 and omits most of them). Side 32 keeps
-// the power-of-two input the structured layers need; real MNIST (28×28)
-// needed padding for the same reason — the paper notes pixelfly could not
-// run on MNIST because dimensions must be powers of two.
-func MNISTConfig() Config {
-	return Config{
-		Name: "synthetic-mnist", Classes: 10, Side: 32,
-		Train: 4000, Test: 800, ValFraction: 0.15,
-		AtomsPerClass: 4, BlobsPerClass: 2,
-		NoiseStd: 0.3, GainStd: 0.3, Seed: 7,
-	}
-}
-
 // Split holds row-major sample matrices and integer labels.
 type Split struct {
 	Name                string

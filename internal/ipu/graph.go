@@ -167,11 +167,6 @@ func (g *Graph) Execute(cs ComputeSetID) {
 	g.Program = append(g.Program, Step{Kind: StepExecute, CS: cs, Label: g.CSs[cs].Name})
 }
 
-// HostCopy appends a host transfer step.
-func (g *Graph) HostCopy(label string, bytes float64) {
-	g.Program = append(g.Program, Step{Kind: StepHostCopy, HostBytes: bytes, Label: label})
-}
-
 // NumEdges counts vertex<->variable connections across the whole graph.
 func (g *Graph) NumEdges() int {
 	n := 0

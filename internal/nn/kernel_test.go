@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/obs/timeline"
 	"repro/internal/tensor"
 )
 
@@ -50,10 +51,22 @@ func TestPlanKernelClassification(t *testing.T) {
 	}
 }
 
-// TestPlanKernelAccounting executes a butterfly plan with the sink
-// installed and checks the recorded totals against the plan's own
-// per-row figures: flops and bytes must match rows × per-row exactly,
-// and every executed step must land in its attributed family.
+// recordFrame files the plan's last Execute into a kernel sink the way
+// the serving layer derives it: one record per step, its per-row figures
+// scaled by the batch rows, timed by the frame's step time.
+func recordFrame(ks *obs.KernelStats, plan *Plan) {
+	f := plan.Frame()
+	rows := int64(f.Rows)
+	for i := 0; i < f.Steps; i++ {
+		ks.Record(plan.StepKernel(i), rows*plan.StepFlopsPerRow(i), rows*plan.StepArenaBytesPerRow(i), f.StepNanos(i))
+	}
+}
+
+// TestPlanKernelAccounting executes a butterfly plan and checks its
+// frame and the kernel totals derived from it against the plan's own
+// per-row figures: every batch's frame carries its rows and a positive
+// time per step laid back to back, flops and bytes match rows × per-row
+// exactly, and every executed step lands in its attributed family.
 func TestPlanKernelAccounting(t *testing.T) {
 	const n, classes, maxBatch = 64, 10, 8
 	net := BuildSHL(Butterfly, n, classes, rand.New(rand.NewSource(9)))
@@ -62,7 +75,6 @@ func TestPlanKernelAccounting(t *testing.T) {
 		t.Fatalf("CompilePlan: %v", err)
 	}
 	ks := obs.NewKernelStats()
-	plan.SetKernelStats(ks)
 
 	rows := int64(0)
 	rng := rand.New(rand.NewSource(10))
@@ -72,6 +84,23 @@ func TestPlanKernelAccounting(t *testing.T) {
 		if _, err := plan.Execute(x); err != nil {
 			t.Fatalf("Execute: %v", err)
 		}
+		f := plan.Frame()
+		if f.Rows != batch || f.Micro != 1 || f.IPUs != 1 || f.Steps != plan.NumSteps() {
+			t.Fatalf("frame = %d rows × %d micro on %d IPUs over %d steps, want %d × 1 on 1 over %d",
+				f.Rows, f.Micro, f.IPUs, f.Steps, batch, plan.NumSteps())
+		}
+		var off int64
+		for i := 0; i < f.Steps; i++ {
+			c := f.Cell(i, 0, 0)
+			if c.Start != off || c.Dur <= 0 || f.StepNanos(i) != c.Dur {
+				t.Fatalf("batch %d step %d: cell %+v, want a positive span at %dns", batch, i, *c, off)
+			}
+			off += c.Dur
+		}
+		if f.Wall != off {
+			t.Fatalf("batch %d: wall %dns, want the summed steps %dns", batch, f.Wall, off)
+		}
+		recordFrame(ks, plan)
 		rows += int64(batch)
 	}
 
@@ -106,8 +135,9 @@ func TestPlanKernelAccounting(t *testing.T) {
 }
 
 // TestPlanKernelStatsAllocFree pins the accounting overhead contract:
-// with the sink installed, steady-state Execute still performs zero heap
-// allocations (striped atomic adds only).
+// steady-state Execute plus deriving its frame — kernel records into a
+// sink and a timeline on a recorder that samples every batch — performs
+// zero heap allocations.
 func TestPlanKernelStatsAllocFree(t *testing.T) {
 	const n, classes, maxBatch = 64, 10, 8
 	net := BuildSHL(Butterfly, n, classes, rand.New(rand.NewSource(17)))
@@ -115,13 +145,21 @@ func TestPlanKernelStatsAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatalf("CompilePlan: %v", err)
 	}
-	plan.SetKernelStats(obs.NewKernelStats())
+	ks := obs.NewKernelStats()
+	rec := timeline.NewRecorder(1, 2)
 	x := tensor.New(maxBatch, n)
 	x.FillRandom(rand.New(rand.NewSource(18)), 1)
-	if _, err := plan.Execute(x); err != nil {
-		t.Fatalf("Execute: %v", err)
+	run := func() {
+		if _, err := plan.Execute(x); err != nil {
+			t.Fatalf("Execute: %v", err)
+		}
+		recordFrame(ks, plan)
+		rec.Record(plan.Frame())
 	}
-	if avg := testing.AllocsPerRun(20, func() { plan.Execute(x) }); avg != 0 {
-		t.Errorf("Execute with kernel accounting allocates %.1f objects per run, want 0", avg)
+	for i := 0; i < 4; i++ {
+		run() // fill the recorder's ring
+	}
+	if avg := testing.AllocsPerRun(20, run); avg != 0 {
+		t.Errorf("Execute with kernel accounting and timeline allocates %.1f objects per run, want 0", avg)
 	}
 }

@@ -72,24 +72,10 @@ type Plan struct {
 	// can report the fusion win without compiling a second plan.
 	preFusion []stepShape
 
-	// stepNanos holds the wall-clock duration of each step of the most
-	// recent Execute — the measured counterpart the serving layer lines
-	// up against the modelled per-step cost. Plan-owned and overwritten
-	// every Execute, so recording it allocates nothing.
-	stepNanos []int64
-
-	// kstats, when set, receives one per-kernel accounting record per
-	// executed step (flops, arena bytes, measured nanoseconds). Nil by
-	// default; the serving layer installs the registry-wide sink. Kept a
-	// plain pointer so the hot path pays a nil check plus striped atomic
-	// adds and nothing else.
-	kstats *obs.KernelStats
-
-	// rec, when set, receives a BSP phase timeline of sampled batches:
-	// a single-IPU plan is one track of back-to-back compute spans (the
-	// step clocks Execute measures anyway, re-emitted as events). Nil by
-	// default — then nothing is recorded.
-	rec *timeline.Recorder
+	// frame is the measurement of the most recent Execute: one cell per
+	// step on one IPU, laid back to back. Plan-owned and overwritten
+	// every Execute, so measuring allocates nothing.
+	frame *timeline.Frame
 
 	ws         *tensor.Workspace
 	bufA, bufB []float32
@@ -213,7 +199,7 @@ func (s *Sequential) CompilePlanOpts(maxBatch int, opts PlanOptions) (*Plan, err
 	}
 	p.bufA = make([]float32, maxBatch*wA)
 	p.bufB = make([]float32, maxBatch*wB)
-	p.stepNanos = make([]int64, len(p.steps))
+	p.frame = timeline.NewFrame(len(p.steps), 1, 1, nil, false)
 
 	// Two warm-up executions: the first records every buffer's demand, the
 	// second runs after the workspace has grown to it, leaving the arena at
@@ -474,10 +460,9 @@ func (p *Plan) Execute(x *tensor.Matrix) (*tensor.Matrix, error) {
 	if x.Rows < 1 || x.Rows > p.maxBatch {
 		return nil, fmt.Errorf("%w: got %d rows, plan accepts 1..%d", ErrPlanBatch, x.Rows, p.maxBatch)
 	}
-	tb := p.rec.Sample()
-	if tb != nil {
-		tb.Begin(len(p.steps), 1, x.Rows)
-	}
+	f := p.frame
+	f.Begin(x.Rows, 1)
+	f.Start = time.Now()
 	var off int64
 	cur := x
 	useA := true
@@ -492,41 +477,22 @@ func (p *Plan) Execute(x *tensor.Matrix) (*tensor.Matrix, error) {
 		p.ws.Reset()
 		t0 := time.Now()
 		st.run(act, cur, p.ws)
-		p.stepNanos[i] = time.Since(t0).Nanoseconds()
-		if p.kstats != nil {
-			rows := int64(x.Rows)
-			p.kstats.Record(st.kernel, rows*st.flopsPerRow, rows*st.bytesPerRow, p.stepNanos[i])
-		}
-		if tb != nil {
-			// The single-IPU timeline is the measured step clocks laid
-			// back-to-back: one compute span per step, no gaps (there is
-			// no exchange or barrier on one chip).
-			tb.Record(i, 0, timeline.LaneWork, timeline.Compute, off, p.stepNanos[i])
-			off += p.stepNanos[i]
-		}
+		// One chip has no exchange or barrier: the steps' clocks are
+		// laid back to back, and the batch wall is their sum.
+		d := time.Since(t0).Nanoseconds()
+		*f.Cell(i, 0, 0) = timeline.Cell{Start: off, Dur: d}
+		off += d
 		cur = act
 		useA = !useA
 	}
-	if tb != nil {
-		p.rec.Finish(tb, off)
-	}
+	f.Wall = off
 	return cur, nil
 }
 
-// SetKernelStats installs (or, with nil, removes) the per-kernel
-// accounting sink Execute reports each step's flops, arena bytes and
-// measured time into. The sink is shared and internally synchronized; the
-// plan itself stays single-goroutine. Recording is a few striped atomic
-// adds, so enabling accounting does not change the plan's steady-state
-// allocation profile.
-func (p *Plan) SetKernelStats(ks *obs.KernelStats) { p.kstats = ks }
-
-// SetTimeline installs (or, with nil, removes) the BSP phase flight
-// recorder Execute samples batches into. A single-IPU plan records one
-// compute span per step on track 0; recording a sampled batch reuses
-// pooled buffers, and with no recorder installed nothing is emitted, so
-// neither case changes the plan's steady-state allocation profile.
-func (p *Plan) SetTimeline(rec *timeline.Recorder) { p.rec = rec }
+// Frame returns the measurement of the most recent Execute: one kernel
+// cell per step on IPU 0, laid back to back, with the batch wall their
+// sum. Plan-owned and overwritten by the next Execute.
+func (p *Plan) Frame() *timeline.Frame { return p.frame }
 
 // StepKernel returns the Into-kernel family step i executes — the
 // attribution key of the per-kernel accounting (fused steps report their
@@ -540,12 +506,6 @@ func (p *Plan) StepFlopsPerRow(i int) int64 { return p.steps[i].flopsPerRow }
 // StepArenaBytesPerRow returns the modelled per-sample activation-arena
 // traffic of step i, from the same silhouette trafficBytes prices.
 func (p *Plan) StepArenaBytesPerRow(i int) int64 { return p.steps[i].bytesPerRow }
-
-// LastStepNanos returns the wall-clock duration, in nanoseconds, of each
-// step of the most recent Execute (index-aligned with Step/Steps). The
-// slice is plan-owned and overwritten by the next Execute — copy it to
-// retain. Before the first Execute all entries are zero.
-func (p *Plan) LastStepNanos() []int64 { return p.stepNanos }
 
 // inputWidth infers the feature width a layer consumes; layers without a
 // declared width (e.g. a leading ReLU) cannot head a plan.

@@ -46,9 +46,9 @@ const batchGapUS = 50.0
 // WriteChrome renders the processes as one trace-event JSON document.
 // Batches are laid back-to-back per process (their recorded wall
 // clocks, separated by a small gap); events within a batch keep their
-// measured offsets, so the per-track picture is exactly the recorded
-// BSP timeline: compute spans, exchange/barrier gaps, and — under
-// pipeline partitioning — the fill/drain bubbles.
+// offsets, so each track shows the batch's BSP timeline tiling its
+// wall: compute spans, exchange/barrier gaps, and — under pipeline
+// partitioning — the fill/drain bubbles.
 func WriteChrome(w io.Writer, procs []ChromeProcess) error {
 	trace := chromeTrace{TraceEvents: []chromeEvent{}, DisplayTimeUnit: "ms"}
 	for pid, proc := range procs {
@@ -75,25 +75,11 @@ func WriteChrome(w io.Writer, procs []ChromeProcess) error {
 		base := 0.0
 		for _, b := range proc.Batches {
 			trace.TraceEvents = append(trace.TraceEvents, batchEvents(pid, base, b, proc.Meta)...)
-			wallUS := float64(b.WallNanos) / 1e3
-			if span := batchSpanUS(b); span > wallUS {
-				wallUS = span
-			}
-			base += wallUS + batchGapUS
+			base += float64(b.WallNanos)/1e3 + batchGapUS
 		}
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(trace)
-}
-
-func batchSpanUS(b BatchRecord) float64 {
-	var end int64
-	for _, ev := range b.Events {
-		if e := ev.StartNanos + ev.DurNanos; e > end {
-			end = e
-		}
-	}
-	return float64(end) / 1e3
 }
 
 // bubbleKind classifies a bubble event as pipeline fill (before the

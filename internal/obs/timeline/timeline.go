@@ -1,30 +1,29 @@
 // Package timeline is the BSP phase flight recorder: a per-batch record
 // of what every modelled IPU was doing — computing, exchanging, waiting
-// at a barrier, or sitting in a pipeline bubble — at each micro-step of
-// one executed batch, in the spirit of Graphcore's PopVision execution
-// profiles.
+// at a barrier, or sitting in a pipeline bubble — over one executed
+// batch, in the spirit of Graphcore's PopVision execution profiles.
 //
-// The executors (nn.Plan, shard.ShardedPlan) write events; the serving
-// layer reads them back as a utilization summary (/debug/timeline) and
-// as Chrome trace-event JSON loadable in Perfetto. Recording is built
-// for the serving hot path:
+// The executors (nn.Plan, shard.ShardedPlan) only measure: each writes
+// one Frame per batch — a kernel cell per (micro-step, micro-batch,
+// modelled IPU), the barrier loop's step spans and the batch wall. The
+// serving layer derives every view from that frame: step times and
+// per-IPU compute on every batch, and on sampled batches the timeline
+// events, read back as a utilization summary (/debug/timeline) and as
+// Chrome trace-event JSON loadable in Perfetto. Recording is built for
+// the serving hot path:
 //
-//   - batches are sampled one-in-N (like obs.Tracer), so most Executes
+//   - batches are sampled one-in-N (like obs.Tracer), so most batches
 //     pay one atomic add and nothing else;
-//   - a sampled batch writes into a pre-sized per-executor event buffer
-//     at fixed (step, ipu, lane) slots — no locks, no appends, and shard
-//     goroutines never contend because each owns its own slots;
-//   - batches are pooled and the last-N ring recycles what it evicts, so
-//     steady-state recording performs zero heap allocations and a plan
-//     with no recorder installed emits nothing at all.
+//   - a sampled batch's events are derived on the serving goroutine
+//     into a buffer the last-N ring evicted, so steady-state recording
+//     performs zero heap allocations.
 //
 // Phase semantics on the host executor: compute is a shard's measured
-// kernel time inside one barrier-delimited micro-step; barrier_wait (or
-// exchange, when the cost model prices IPU-Link traffic into the step)
-// is the remaining step wall after that shard's kernel returned; bubble
-// is a whole step spent idle because the shard owns no kernel there —
-// under pipeline partitioning, exactly the fill/drain cost of the
-// stages before and after the shard's own.
+// kernel time; every other span of an IPU's batch wall is a wait,
+// labelled by what it waits on: bubble for pipeline fill and drain,
+// exchange for a step or boundary the cost model prices IPU-Link
+// traffic into, barrier_wait otherwise. Each IPU's events tile the
+// batch wall exactly.
 package timeline
 
 import (
@@ -34,21 +33,21 @@ import (
 )
 
 // Phase classifies one event of the BSP execution model. The zero value
-// is reserved: an Event with Phase 0 is an unused buffer slot.
+// is reserved as invalid.
 type Phase uint8
 
 const (
 	phaseInvalid Phase = iota
 	// Compute is a shard's kernel running inside one micro-step.
 	Compute
-	// Exchange is step wall attributed to modelled IPU-Link traffic
-	// (all-gather, butterfly pairwise round, pipeline p2p hop).
+	// Exchange is a wait on a step or stage boundary the cost model
+	// prices IPU-Link traffic into (all-gather, butterfly pairwise
+	// round, pipeline p2p hop).
 	Exchange
-	// BarrierWait is step wall after the shard's kernel returned, on
-	// steps the cost model prices no exchange into — pure sync skew.
+	// BarrierWait is any other wait — host sync skew and wake-up.
 	BarrierWait
-	// Bubble is a whole micro-step the shard spent idle (no kernel
-	// owned): pipeline fill/drain.
+	// Bubble is a pipeline stage idling before its first input (fill)
+	// or after its last output (drain).
 	Bubble
 
 	numPhases = 4
@@ -84,29 +83,188 @@ type Event struct {
 	IPU   int32 `json:"ipu"`
 	Phase Phase `json:"phase"`
 	// MB is the micro-batch index inside a wavefront-scheduled batch;
-	// 0 for the single-micro-batch (barrier loop) executors.
+	// 0 for the single-micro-batch executors.
 	MB int32 `json:"mb,omitempty"`
-	// StartNanos is the monotonic offset from the batch's first step;
-	// DurNanos the measured span length.
+	// StartNanos is the monotonic offset from the batch's start;
+	// DurNanos the span length.
 	StartNanos int64 `json:"start_ns"`
 	DurNanos   int64 `json:"dur_ns"`
 }
 
-// Each (step, IPU) cell owns two fixed event slots: the work lane holds
-// the shard's kernel span (or the bubble covering an idle step), the
-// sync lane the post-kernel barrier/exchange gap. Fixed slots are what
-// make concurrent recording lock-free — writers never share a slot.
-const (
-	LaneWork = 0
-	LaneSync = 1
-	lanes    = 2
-)
+// Cell is one measured span of an executed batch, in nanoseconds from
+// the batch's first clock read: a kernel's run, or a barrier-loop step
+// from its workers' wake to its barrier.
+type Cell struct {
+	Start int64
+	Dur   int64
+}
 
-// Batch is one sampled batch's event buffer. It is owned by the
-// executor between Recorder.Sample and Recorder.Finish; concurrent
-// shard goroutines may Record into distinct (step, ipu) slots, with the
-// executor's own barrier ordering the writes before Finish publishes.
-type Batch struct {
+// Frame is an executor's one measurement of a batch: a kernel cell per
+// (micro-step, micro-batch, modelled IPU), the barrier loop's step
+// spans, and the batch wall. The executor owns it and rewrites it on
+// every Execute without allocating; the serving layer derives every
+// view of the batch from it — step times, per-IPU compute and, on
+// sampled batches, the timeline events.
+//
+// Steps, IPUs and Owner are fixed at compile time. Owner, when set,
+// maps each micro-step to the one pipeline stage that runs it (the
+// wavefront), and only that IPU's cells are written; nil means every
+// IPU runs every step (nn.Plan, the tensor-parallel barrier loop).
+type Frame struct {
+	Steps, IPUs int
+	Owner       []int
+
+	// Rows and Micro describe the last batch: its row count and the
+	// micro-batches it streamed as (1 outside the wavefront). Start is
+	// its first clock read and Wall its duration in nanoseconds.
+	Rows, Micro int
+	Start       time.Time
+	Wall        int64
+
+	// Spans holds the barrier loop's per-step spans, whose durations are
+	// its step times; nil for the other executors.
+	Spans []Cell
+
+	cells []Cell // (step*Micro+mb)*IPUs + ipu, sized for the widest batch
+}
+
+// NewFrame sizes a frame for steps × maxMicro × ipus kernel cells;
+// spans adds the barrier loop's per-step spans. owner is kept, not
+// copied.
+func NewFrame(steps, ipus, maxMicro int, owner []int, spans bool) *Frame {
+	f := &Frame{Steps: steps, IPUs: ipus, Owner: owner, Micro: 1,
+		cells: make([]Cell, steps*max(maxMicro, 1)*ipus)}
+	if spans {
+		f.Spans = make([]Cell, steps)
+	}
+	return f
+}
+
+// Begin starts a batch of rows rows streamed as micro micro-batches, at
+// most the maxMicro the frame was sized for.
+func (f *Frame) Begin(rows, micro int) { f.Rows, f.Micro = rows, micro }
+
+// Cell returns kernel cell (step, mb, ipu) of the current batch.
+func (f *Frame) Cell(step, mb, ipu int) *Cell {
+	return &f.cells[(step*f.Micro+mb)*f.IPUs+ipu]
+}
+
+// runs reports whether IPU k runs micro-step i.
+func (f *Frame) runs(i, k int) bool { return f.Owner == nil || f.Owner[i] == k }
+
+// StepNanos returns micro-step i's measured time: its span under the
+// barrier loop (kernels plus barrier wait), otherwise the sum of its
+// kernel cells over the batch's micro-batches.
+func (f *Frame) StepNanos(i int) int64 {
+	if f.Spans != nil {
+		return f.Spans[i].Dur
+	}
+	var ns int64
+	for j := 0; j < f.Micro; j++ {
+		for k := 0; k < f.IPUs; k++ {
+			if f.runs(i, k) {
+				ns += f.Cell(i, j, k).Dur
+			}
+		}
+	}
+	return ns
+}
+
+// ComputeNanos returns IPU k's summed kernel time over the batch.
+func (f *Frame) ComputeNanos(k int) int64 {
+	var ns int64
+	for i := 0; i < f.Steps; i++ {
+		if !f.runs(i, k) {
+			continue
+		}
+		for j := 0; j < f.Micro; j++ {
+			ns += f.Cell(i, j, k).Dur
+		}
+	}
+	return ns
+}
+
+// stage returns the first and last micro-step pipeline stage k runs
+// (-1, -1 when it runs none).
+func (f *Frame) stage(k int) (first, last int) {
+	first, last = -1, -1
+	for i, o := range f.Owner {
+		if o == k {
+			if first < 0 {
+				first = i
+			}
+			last = i
+		}
+	}
+	return first, last
+}
+
+// appendEvents derives the batch's timeline from the frame and appends
+// it to dst: for each IPU in turn, its non-empty kernel cells in
+// execution order as compute events, with every gap before, between and
+// after them labelled, so each IPU's events tile [0, Wall]. A gap is
+// labelled by what the IPU waits on:
+//
+//   - a pipeline stage's wait for its first input (fill) and its idle
+//     tail after its last output (drain) are bubble;
+//   - a wait on a step or stage boundary the cost model prices IPU-Link
+//     exchange into is exchange;
+//   - any other wait is barrier_wait.
+//
+// Under the barrier loop a gap waits on the previous step's barrier. A
+// wavefront stage waits on its inbound boundary before each micro-batch
+// (stage 0 on its outbound handoff slot instead). An IPU's wait for its
+// first kernel with no stage upstream is host dispatch: barrier_wait.
+// m supplies the exchange pricing; nil prices none.
+func appendEvents(dst []Event, f *Frame, m *Meta) []Event {
+	wave := f.Owner != nil
+	for k := 0; k < f.IPUs; k++ {
+		first, last := 0, f.Steps-1
+		if wave {
+			if first, last = f.stage(k); first < 0 {
+				continue
+			}
+		}
+		var cur int64
+		for j := 0; j < f.Micro; j++ {
+			for i := first; i <= last; i++ {
+				c := f.Cell(i, j, k)
+				if d := c.Start - cur; d > 0 {
+					ph, s := m.waitPhase(i-1), i-1
+					if i == first {
+						switch {
+						case !wave, k == 0 && j == 0:
+							ph, s = BarrierWait, i
+						case k == 0:
+							ph, s = m.waitPhase(last), last
+						case j == 0:
+							ph, s = Bubble, first-1
+						default:
+							ph, s = m.waitPhase(first-1), first-1
+						}
+					}
+					dst = append(dst, Event{Step: int32(s), IPU: int32(k), Phase: ph, MB: int32(j), StartNanos: cur, DurNanos: d})
+				}
+				if c.Dur > 0 {
+					dst = append(dst, Event{Step: int32(i), IPU: int32(k), Phase: Compute, MB: int32(j), StartNanos: c.Start, DurNanos: c.Dur})
+				}
+				cur = c.Start + c.Dur
+			}
+		}
+		if d := f.Wall - cur; d > 0 {
+			ph, s := m.waitPhase(last), last
+			if wave && k < f.IPUs-1 {
+				ph, s = Bubble, last+1
+			}
+			dst = append(dst, Event{Step: int32(s), IPU: int32(k), Phase: ph, MB: int32(f.Micro - 1), StartNanos: cur, DurNanos: d})
+		}
+	}
+	return dst
+}
+
+// batch is one sampled batch's derived timeline, recycled through the
+// recorder's ring.
+type batch struct {
 	id     uint64
 	start  time.Time
 	rows   int
@@ -115,69 +273,6 @@ type Batch struct {
 	tracks int
 	wall   int64
 	events []Event
-}
-
-// Begin sizes the buffer for steps×tracks cells and clears every slot.
-// The first Begin on a pooled batch grows the backing array; after that
-// it is a memclr.
-func (b *Batch) Begin(steps, tracks, rows int) {
-	b.BeginMicro(steps, 1, tracks, rows)
-}
-
-// BeginMicro sizes the buffer for a wavefront-scheduled batch of micro
-// micro-batches: steps×micro×tracks cells, every slot cleared. The
-// micro dimension folds into the slot layout, so micro=1 is exactly the
-// classic Begin buffer.
-func (b *Batch) BeginMicro(steps, micro, tracks, rows int) {
-	if micro < 1 {
-		micro = 1
-	}
-	b.steps, b.micro, b.tracks, b.rows = steps, micro, tracks, rows
-	need := steps * micro * tracks * lanes
-	if cap(b.events) < need {
-		b.events = make([]Event, need)
-	}
-	b.events = b.events[:need]
-	for i := range b.events {
-		b.events[i] = Event{}
-	}
-}
-
-// Rows returns the batch size this timeline was recorded at.
-func (b *Batch) Rows() int { return b.rows }
-
-func (b *Batch) slot(step, mb, ipu, lane int) int {
-	return ((step*b.micro+mb)*b.tracks+ipu)*lanes + lane
-}
-
-// Record writes one phase span into its fixed slot. Out-of-range
-// coordinates are dropped silently — a recorder installed mid-flight
-// must never be able to corrupt the buffer.
-func (b *Batch) Record(step, ipu, lane int, ph Phase, startNanos, durNanos int64) {
-	b.RecordMicro(step, 0, ipu, lane, ph, startNanos, durNanos)
-}
-
-// RecordMicro writes one phase span of one micro-batch into its fixed
-// slot. Out-of-range coordinates are dropped silently.
-func (b *Batch) RecordMicro(step, mb, ipu, lane int, ph Phase, startNanos, durNanos int64) {
-	if step < 0 || step >= b.steps || mb < 0 || mb >= b.micro ||
-		ipu < 0 || ipu >= b.tracks || lane < 0 || lane >= lanes {
-		return
-	}
-	b.events[b.slot(step, mb, ipu, lane)] = Event{
-		Step: int32(step), IPU: int32(ipu), Phase: ph, MB: int32(mb),
-		StartNanos: startNanos, DurNanos: durNanos,
-	}
-}
-
-// Work returns the work-lane event of one (step, ipu) cell — how the
-// orchestrator reads back a shard goroutine's compute span (the barrier
-// ordered the write) to place the sync gap after it.
-func (b *Batch) Work(step, ipu int) Event {
-	if step < 0 || step >= b.steps || ipu < 0 || ipu >= b.tracks {
-		return Event{}
-	}
-	return b.events[b.slot(step, 0, ipu, LaneWork)]
 }
 
 // Meta is the static description of the executor whose batches a
@@ -193,8 +288,8 @@ type Meta struct {
 	Kernels  []string `json:"kernels,omitempty"`
 	Variants []string `json:"variants,omitempty"`
 
-	// MicroBatches is the wavefront width the executor splits a full
-	// batch into (1 = classic barrier loop). Descriptive only — each
+	// MicroBatches is the wavefront width a pipeline executor splits a
+	// full batch into (0 outside the wavefront). Descriptive only — each
 	// sampled batch carries its own effective micro count.
 	MicroBatches int `json:"micro_batches,omitempty"`
 
@@ -229,6 +324,15 @@ func (m *Meta) variant(i int) string {
 		return m.Variants[i]
 	}
 	return ""
+}
+
+// waitPhase labels a wait on micro-step s: exchange when the cost model
+// prices IPU-Link traffic into it, barrier_wait otherwise.
+func (m *Meta) waitPhase(s int) Phase {
+	if m != nil && s >= 0 && s < len(m.ExchangeSecPerRow) && m.ExchangeSecPerRow[s] > 0 {
+		return Exchange
+	}
+	return BarrierWait
 }
 
 // microRows returns the row count of micro-batch mb when rows are split
@@ -268,8 +372,8 @@ func (m *Meta) modelledNanos(ev Event, rows, micro int) float64 {
 
 // BatchRecord is the detached, JSON-ready copy of one recorded batch
 // that Snapshot hands out (safe to hold after the pooled original is
-// recycled). Events carry only valid slots, in buffer order (grouped by
-// step, then IPU; work lane before sync lane).
+// recycled). Events are grouped by IPU, each IPU's in time order, and
+// tile [0, WallNanos].
 type BatchRecord struct {
 	ID        uint64    `json:"id"`
 	Start     time.Time `json:"start"`
@@ -281,24 +385,26 @@ type BatchRecord struct {
 	Events    []Event   `json:"events"`
 }
 
-// Recorder samples one executed batch in every sampleEvery into a
-// pooled event buffer and keeps the last keep finished batches in a
-// ring for /debug/timeline. Per-event recording is lock-free (fixed
-// slots); only Finish — once per sampled batch — and the read side take
-// the ring mutex.
+// Recorder samples one executed batch in every sampleEvery, derives its
+// timeline from the batch's frame into a recycled event buffer, and keeps
+// the last keep batches in a ring for /debug/timeline. Only Record on a
+// sampled batch and the read side take the ring mutex.
 type Recorder struct {
 	every uint64
 	seq   atomic.Uint64
 	ids   atomic.Uint64
-	pool  sync.Pool
 	meta  atomic.Pointer[Meta]
 
 	mu   sync.Mutex
-	ring []*Batch
+	ring []*batch
 	next int
 	n    int
+	// free holds batches the ring evicted, for the next sampled batch to
+	// derive into: unlike a sync.Pool, nothing empties it behind the
+	// recorder's back, so steady-state recording never allocates.
+	free []*batch
 
-	// Accumulated phase totals over every finished batch: measured
+	// Accumulated phase totals over every recorded batch: measured
 	// nanos per (IPU, phase), and the cost model's priced counterpart.
 	// Guarded by mu; read back by Totals/PhaseSeconds/BubbleFraction.
 	batches  int64
@@ -316,9 +422,7 @@ func NewRecorder(sampleEvery, keep int) *Recorder {
 	if keep < 1 {
 		keep = 1
 	}
-	r := &Recorder{every: uint64(sampleEvery), ring: make([]*Batch, keep)}
-	r.pool.New = func() any { return &Batch{} }
-	return r
+	return &Recorder{every: uint64(sampleEvery), ring: make([]*batch, keep)}
 }
 
 // SampleEvery returns the sampling period.
@@ -347,33 +451,35 @@ func (r *Recorder) Meta() *Meta {
 	return r.meta.Load()
 }
 
-// Sample returns a pooled batch buffer if this execution falls on the
-// sampling grid, nil otherwise (the common, zero-cost case). The caller
-// must Begin it, Record into it, and hand it to Finish.
-func (r *Recorder) Sample() *Batch {
-	if r == nil {
-		return nil
-	}
-	if r.seq.Add(1)%r.every != 0 {
-		return nil
-	}
-	b := r.pool.Get().(*Batch)
-	b.id = r.ids.Add(1)
-	b.start = time.Now()
-	b.wall = 0
-	return b
-}
-
-// Finish publishes a recorded batch: the measured wall clock is
-// stamped, the per-phase totals accumulate, and the batch enters the
-// last-N ring (recycling whatever it evicts). The batch must not be
-// touched after Finish.
-func (r *Recorder) Finish(b *Batch, wallNanos int64) {
-	if r == nil || b == nil {
+// Record counts one executed batch and, when it falls on the sampling
+// grid, derives its timeline from the frame (appendEvents under the
+// installed meta), adds it to the phase totals and enters it into the
+// last-N ring, recycling whatever it evicts. Off the grid — the common
+// case — it costs one atomic add. The frame is only read, and only
+// during the call.
+func (r *Recorder) Record(f *Frame) {
+	if r == nil || r.seq.Add(1)%r.every != 0 {
 		return
 	}
-	b.wall = wallNanos
 	meta := r.meta.Load()
+	var b *batch
+	r.mu.Lock()
+	if n := len(r.free); n > 0 {
+		b, r.free = r.free[n-1], r.free[:n-1]
+	}
+	r.mu.Unlock()
+	if b == nil {
+		b = new(batch)
+	}
+	b.id = r.ids.Add(1)
+	b.start, b.wall = f.Start, f.Wall
+	b.rows, b.steps, b.micro, b.tracks = f.Rows, f.Steps, f.Micro, f.IPUs
+	// Each IPU contributes at most one gap per kernel cell plus its tail.
+	if need := 2*f.Steps*f.Micro*f.IPUs + f.IPUs; cap(b.events) < need {
+		b.events = make([]Event, 0, need)
+	}
+	b.events = appendEvents(b.events[:0], f, meta)
+
 	r.mu.Lock()
 	r.batches++
 	r.rows += int64(b.rows)
@@ -383,26 +489,22 @@ func (r *Recorder) Finish(b *Batch, wallNanos int64) {
 		r.perIPU = grown
 	}
 	for _, ev := range b.events {
-		if ev.Phase == phaseInvalid {
-			continue
-		}
 		r.perIPU[ev.IPU][ev.Phase.index()] += ev.DurNanos
 		r.modelled[ev.Phase.index()] += meta.modelledNanos(ev, b.rows, b.micro) / 1e9
 	}
-	old := r.ring[r.next]
+	if old := r.ring[r.next]; old != nil {
+		r.free = append(r.free, old)
+	}
 	r.ring[r.next] = b
 	r.next = (r.next + 1) % len(r.ring)
 	if r.n < len(r.ring) {
 		r.n++
 	}
 	r.mu.Unlock()
-	if old != nil {
-		r.pool.Put(old)
-	}
 }
 
 // Snapshot returns detached copies of the retained batches, oldest
-// first. Only valid event slots are copied.
+// first.
 func (r *Recorder) Snapshot() []BatchRecord {
 	if r == nil {
 		return nil
@@ -412,17 +514,11 @@ func (r *Recorder) Snapshot() []BatchRecord {
 	out := make([]BatchRecord, 0, r.n)
 	for i := 0; i < r.n; i++ {
 		b := r.ring[(r.next-r.n+i+len(r.ring))%len(r.ring)]
-		rec := BatchRecord{
+		out = append(out, BatchRecord{
 			ID: b.id, Start: b.start, Rows: b.rows,
 			Steps: b.steps, Micro: b.micro, Tracks: b.tracks, WallNanos: b.wall,
-			Events: make([]Event, 0, len(b.events)),
-		}
-		for _, ev := range b.events {
-			if ev.Phase != phaseInvalid {
-				rec.Events = append(rec.Events, ev)
-			}
-		}
-		out = append(out, rec)
+			Events: append(make([]Event, 0, len(b.events)), b.events...),
+		})
 	}
 	return out
 }
@@ -434,22 +530,6 @@ type IPUPhaseSeconds struct {
 	Exchange float64 `json:"exchange_s"`
 	Barrier  float64 `json:"barrier_s"`
 	Bubble   float64 `json:"bubble_s"`
-}
-
-// Of returns the named phase's seconds.
-func (s IPUPhaseSeconds) Of(p Phase) float64 {
-	switch p {
-	case Compute:
-		return s.Compute
-	case Exchange:
-		return s.Exchange
-	case BarrierWait:
-		return s.Barrier
-	case Bubble:
-		return s.Bubble
-	default:
-		return 0
-	}
 }
 
 // Total returns the IPU's summed phase time — its sampled wall.

@@ -2,35 +2,30 @@ package timeline
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"sync"
 	"testing"
 )
 
-// finishBatch records a tiny two-step, two-IPU pipeline-shaped batch
-// (IPU 1 bubbles in step 0, IPU 0 in step 1) and finishes it.
-func finishBatch(r *Recorder) bool {
-	b := r.Sample()
-	if b == nil {
-		return false
-	}
-	b.Begin(2, 2, 4)
-	b.Record(0, 0, LaneWork, Compute, 0, 100)
-	b.Record(0, 0, LaneSync, Exchange, 100, 20)
-	b.Record(0, 1, LaneWork, Bubble, 0, 120)
-	b.Record(1, 0, LaneWork, Bubble, 120, 110)
-	b.Record(1, 1, LaneWork, Compute, 120, 100)
-	b.Record(1, 1, LaneSync, BarrierWait, 220, 10)
-	r.Finish(b, 230)
-	return true
+// pipelineFrame builds a two-step, two-stage wavefront frame of two
+// micro-batches over 4 rows: stage 0 runs step 0 back to back, stage 1
+// waits 120ns for its first input, runs step 1, stalls 20ns for the
+// second, runs it, and idles 10ns to the 350ns wall.
+func pipelineFrame() *Frame {
+	f := NewFrame(2, 2, 2, []int{0, 1}, false)
+	f.Begin(4, 2)
+	*f.Cell(0, 0, 0) = Cell{Start: 0, Dur: 100}
+	*f.Cell(0, 1, 0) = Cell{Start: 100, Dur: 100}
+	*f.Cell(1, 0, 1) = Cell{Start: 120, Dur: 100}
+	*f.Cell(1, 1, 1) = Cell{Start: 240, Dur: 100}
+	f.Wall = 350
+	return f
 }
 
 func TestNilRecorderIsSafe(t *testing.T) {
 	var r *Recorder
-	if b := r.Sample(); b != nil {
-		t.Fatal("nil recorder sampled a batch")
-	}
-	r.Finish(nil, 0)
+	r.Record(pipelineFrame())
 	r.SetMeta(&Meta{})
 	if r.Meta() != nil || r.Snapshot() != nil || r.SampleEvery() != 0 {
 		t.Fatal("nil recorder leaked state")
@@ -45,24 +40,19 @@ func TestNilRecorderIsSafe(t *testing.T) {
 
 func TestSampling(t *testing.T) {
 	r := NewRecorder(3, 4)
-	var sampled int
+	f := pipelineFrame()
 	for i := 0; i < 12; i++ {
-		if finishBatch(r) {
-			sampled++
-		}
-	}
-	if sampled != 4 {
-		t.Fatalf("sampled %d of 12 batches at 1-in-3, want 4", sampled)
+		r.Record(f)
 	}
 	if tot := r.Totals(); tot.Batches != 4 || tot.Rows != 16 {
-		t.Fatalf("totals = %d batches / %d rows, want 4 / 16", tot.Batches, tot.Rows)
+		t.Fatalf("totals = %d batches / %d rows from 12 at 1-in-3, want 4 / 16", tot.Batches, tot.Rows)
 	}
 }
 
 func TestRingWraparound(t *testing.T) {
 	r := NewRecorder(1, 3)
 	for i := 0; i < 7; i++ {
-		finishBatch(r)
+		r.Record(pipelineFrame())
 	}
 	snap := r.Snapshot()
 	if len(snap) != 3 {
@@ -88,35 +78,42 @@ func TestPhaseAccounting(t *testing.T) {
 		ComputeSecPerRow:  []float64{10e-9, 10e-9},
 		ExchangeSecPerRow: []float64{2e-9, 0},
 	})
-	finishBatch(r)
+	r.Record(pipelineFrame())
 
-	if got := r.PhaseSeconds(0, Compute); got != 100e-9 {
-		t.Fatalf("ipu0 compute = %g s, want 100e-9", got)
-	}
-	if got := r.PhaseSeconds(0, Exchange); got != 20e-9 {
-		t.Fatalf("ipu0 exchange = %g s, want 20e-9", got)
-	}
-	if got := r.PhaseSeconds(1, BarrierWait); got != 10e-9 {
-		t.Fatalf("ipu1 barrier = %g s, want 10e-9", got)
+	// Stage 1's stall waits on the priced step-0 boundary: exchange. Its
+	// tail after the last kernel waits on nothing priced: barrier_wait.
+	for _, c := range []struct {
+		ipu  int
+		ph   Phase
+		want float64
+	}{
+		{0, Compute, 200e-9}, {0, Bubble, 150e-9},
+		{1, Compute, 200e-9}, {1, Bubble, 120e-9},
+		{1, Exchange, 20e-9}, {1, BarrierWait, 10e-9},
+	} {
+		if got := r.PhaseSeconds(c.ipu, c.ph); got != c.want {
+			t.Errorf("ipu%d %s = %g s, want %g", c.ipu, c.ph, got, c.want)
+		}
 	}
 	tot := r.Totals()
 	if len(tot.PerIPU) != 2 {
 		t.Fatalf("PerIPU tracks = %d, want 2", len(tot.PerIPU))
 	}
-	if got := tot.PerIPU[1].Bubble; got != 120e-9 {
-		t.Fatalf("ipu1 bubble = %g s, want 120e-9", got)
+	for k, ps := range tot.PerIPU {
+		if ps.Total() != 350e-9 {
+			t.Errorf("ipu%d phases sum to %g s, want the 350ns wall", k, ps.Total())
+		}
 	}
-	// Modelled: 2 compute events × 10ns/row × 4 rows; 1 exchange event on
-	// step 0 × 2ns/row × 4 rows.
-	if want := 80e-9; tot.ModelledCompute != want {
+	// Modelled: 4 compute events × 10ns/row × 2 rows; 1 exchange event on
+	// step 0 × 2ns/row × 2 rows.
+	if want := 80e-9; math.Abs(tot.ModelledCompute-want) > 1e-18 {
 		t.Fatalf("modelled compute = %g s, want %g", tot.ModelledCompute, want)
 	}
-	if want := 8e-9; tot.ModelledExchange != want {
+	if want := 4e-9; math.Abs(tot.ModelledExchange-want) > 1e-18 {
 		t.Fatalf("modelled exchange = %g s, want %g", tot.ModelledExchange, want)
 	}
-	// Bubble share: (120+110) of (100+20+120+110+100+10).
-	want := 230.0 / 460.0
-	if got := r.BubbleFraction(); got != want {
+	// Bubble share: drain 150 + fill 120 of two 350ns walls.
+	if got, want := r.BubbleFraction(), 270.0/700.0; got != want {
 		t.Fatalf("bubble fraction = %g, want %g", got, want)
 	}
 }
@@ -131,24 +128,47 @@ func TestSetMetaFirstWins(t *testing.T) {
 	}
 }
 
+// TestRecordOutOfRangeDropped: cells outside the batch's layout — left
+// behind by a wider earlier batch, or written under another micro-batch
+// count at a different stage's position — never reach the derived step
+// times, compute totals or events.
 func TestRecordOutOfRangeDropped(t *testing.T) {
+	f := NewFrame(2, 2, 4, []int{0, 1}, false)
+	f.Begin(8, 4)
+	for i := 0; i < 2; i++ {
+		for j := 0; j < 4; j++ {
+			for k := 0; k < 2; k++ {
+				*f.Cell(i, j, k) = Cell{Start: 0, Dur: 1000}
+			}
+		}
+	}
+	f.Begin(1, 1)
+	*f.Cell(0, 0, 0) = Cell{Start: 0, Dur: 100}
+	*f.Cell(1, 0, 1) = Cell{Start: 150, Dur: 100}
+	f.Wall = 300
+	for i := 0; i < 2; i++ {
+		if got := f.StepNanos(i); got != 100 {
+			t.Errorf("step %d = %dns, want 100 (stale cells leaked in)", i, got)
+		}
+		if got := f.ComputeNanos(i); got != 100 {
+			t.Errorf("ipu%d compute = %dns, want 100", i, got)
+		}
+	}
 	r := NewRecorder(1, 1)
-	b := r.Sample()
-	b.Begin(2, 2, 1)
-	b.Record(-1, 0, LaneWork, Compute, 0, 1)
-	b.Record(2, 0, LaneWork, Compute, 0, 1)
-	b.Record(0, 2, LaneWork, Compute, 0, 1)
-	b.Record(0, 0, 2, Compute, 0, 1)
-	r.Finish(b, 1)
-	if snap := r.Snapshot(); len(snap[0].Events) != 0 {
-		t.Fatalf("out-of-range records produced %d events", len(snap[0].Events))
+	r.Record(f)
+	for _, ev := range r.Snapshot()[0].Events {
+		if ev.Phase == Compute && ev.DurNanos != 100 {
+			t.Errorf("stale cell became an event: %+v", ev)
+		}
+		if ev.StartNanos+ev.DurNanos > f.Wall {
+			t.Errorf("event %+v ends past the %dns wall", ev, f.Wall)
+		}
 	}
 }
 
-// TestConcurrentRecordAndScrape exercises the lock-free write path under
-// the race detector: writer goroutines play the executor (each owning
-// disjoint (step, ipu) slots of its own sampled batch) while readers
-// scrape summaries and snapshots.
+// TestConcurrentRecordAndScrape exercises the recorder under the race
+// detector: writer goroutines play serving workers, each recording its
+// own executor's frame, while readers scrape summaries and snapshots.
 func TestConcurrentRecordAndScrape(t *testing.T) {
 	r := NewRecorder(1, 4)
 	stop := make(chan struct{})
@@ -175,22 +195,9 @@ func TestConcurrentRecordAndScrape(t *testing.T) {
 		writers.Add(1)
 		go func() {
 			defer writers.Done()
+			f := pipelineFrame()
 			for i := 0; i < 200; i++ {
-				b := r.Sample()
-				b.Begin(2, 2, 1)
-				// Two "shard goroutines" writing disjoint slots, as the
-				// executor's workers do.
-				var shards sync.WaitGroup
-				for k := 0; k < 2; k++ {
-					shards.Add(1)
-					go func(k int) {
-						defer shards.Done()
-						b.Record(0, k, LaneWork, Compute, 0, 10)
-						b.Record(1, k, LaneWork, Compute, 10, 10)
-					}(k)
-				}
-				shards.Wait()
-				r.Finish(b, 20)
+				r.Record(f)
 			}
 		}()
 	}
@@ -202,16 +209,17 @@ func TestConcurrentRecordAndScrape(t *testing.T) {
 	}
 }
 
-// TestRecordingAllocFree proves the steady-state sampled path — Sample,
-// Begin, Record, Finish — performs zero heap allocations once the pool
-// and ring are warm, mirroring the executor alloc guarantees.
+// TestRecordingAllocFree proves the steady-state sampled path — deriving
+// a frame's events and publishing them — performs zero heap allocations
+// once the ring is full, mirroring the executor alloc guarantees.
 func TestRecordingAllocFree(t *testing.T) {
 	r := NewRecorder(1, 2)
+	f := pipelineFrame()
 	for i := 0; i < 4; i++ {
-		finishBatch(r) // warm the pool and fill the ring
+		r.Record(f) // fill the ring
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		finishBatch(r)
+		r.Record(f)
 	})
 	if allocs != 0 {
 		t.Fatalf("sampled recording allocates %.1f times per batch, want 0", allocs)
@@ -228,8 +236,8 @@ func TestChromeExportRoundTrip(t *testing.T) {
 		ComputeSecPerRow: []float64{10e-9, 10e-9},
 	}
 	r.SetMeta(meta)
-	finishBatch(r)
-	finishBatch(r)
+	r.Record(pipelineFrame())
+	r.Record(pipelineFrame())
 
 	var buf bytes.Buffer
 	err := WriteChrome(&buf, []ChromeProcess{{Name: "bf", Meta: r.Meta(), Batches: r.Snapshot()}})
@@ -242,9 +250,9 @@ func TestChromeExportRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("exported trace fails its own lint: %v", err)
 	}
-	// 6 recorded events per batch × 2 batches.
-	if n != 12 {
-		t.Fatalf("lint counted %d complete events, want 12", n)
+	// 8 derived events per batch (3 on ipu0, 5 on ipu1) × 2 batches.
+	if n != 16 {
+		t.Fatalf("lint counted %d complete events, want 16", n)
 	}
 	for _, want := range []string{
 		`"bf (pipeline, 2 shards)"`, // process label

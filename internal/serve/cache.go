@@ -41,7 +41,7 @@ type ProgramCost struct {
 	ExchangeBytes   int     `json:"exchange_bytes,omitempty"`
 	ExchangeSeconds float64 `json:"exchange_s,omitempty"`
 	// MicroBatches is the wavefront width the pipeline schedule was priced
-	// at (1 = barrier loop; 0/omitted under tensor parallelism), and
+	// at (1 = the stages in series; 0/omitted under tensor parallelism), and
 	// PipelineStages the effective stage count after clamping to the plan's
 	// step count.
 	MicroBatches   int `json:"micro_batches,omitempty"`
@@ -93,7 +93,6 @@ type Executor interface {
 type Program struct {
 	batch  int
 	shards int
-	micro  int // forced wavefront width (0 = let the shard planner pick)
 	topo   shard.Topology
 	budget int
 
@@ -210,7 +209,7 @@ func (p *Program) shardEstimate(pl *nn.Plan) (shard.Cost, error) {
 				return
 			}
 		}
-		if p.sc, p.scErr = shard.EstimateBudgetMicro(pl, p.batch, p.shards, p.topo, p.budget, p.micro); p.scErr != nil {
+		if p.sc, p.scErr = shard.EstimateBudget(pl, p.batch, p.shards, p.topo, p.budget); p.scErr != nil {
 			return
 		}
 		p.scOne, p.scErr = shard.EstimateBudget(pl, p.batch, 1, p.topo, p.budget)
@@ -275,7 +274,7 @@ func (p *Program) GetPlan() (Executor, error) {
 	if err != nil {
 		return nil, err
 	}
-	return shard.CompileMicro(pl, p.topo, p.shards, sc.Strategy, p.micro)
+	return shard.CompileMicro(pl, p.topo, p.shards, sc.Strategy, sc.MicroBatches)
 }
 
 // PutPlan returns a plan obtained from GetPlan to the pool.
@@ -293,7 +292,6 @@ type ProgramCache struct {
 	cfg    ipu.Config
 	topo   shard.Topology
 	budget int
-	micro  int // forced wavefront width for pipeline programs (0 = auto)
 
 	mu      sync.Mutex
 	entries map[programKey]*Program
@@ -320,11 +318,6 @@ func NewProgramCache(cfg ipu.Config) *ProgramCache {
 func NewShardedProgramCache(cfg ipu.Config, topo shard.Topology, budgetBytes int) *ProgramCache {
 	return &ProgramCache{cfg: cfg, topo: topo, budget: budgetBytes, entries: map[programKey]*Program{}}
 }
-
-// SetMicroBatches forces the wavefront width of every pipeline-partitioned
-// program the cache compiles (0 restores the planner's auto pick). Must be
-// called before the first Program is created.
-func (c *ProgramCache) SetMicroBatches(m int) { c.micro = m }
 
 // workloadBuilder produces the IPU workload whose compiled program prices
 // a model at one batch size. The registry installs a layout-aware builder
@@ -362,7 +355,7 @@ func (c *ProgramCache) lookup(name string, version, batch, shards int, net *nn.S
 	c.mu.Lock()
 	p, ok := c.entries[key]
 	if !ok {
-		p = &Program{batch: batch, shards: shards, micro: c.micro, topo: c.topo, budget: c.budget, cfg: c.cfg, build: build, mets: c.mets}
+		p = &Program{batch: batch, shards: shards, topo: c.topo, budget: c.budget, cfg: c.cfg, build: build, mets: c.mets}
 		c.entries[key] = p
 	}
 	if count {

@@ -30,7 +30,6 @@ const (
 	metCacheCompile   = "ipuserve_cache_compile_seconds"
 	metPlanStep       = "ipuserve_plan_step_seconds"
 	metShardCompute   = "ipuserve_shard_compute_seconds"
-	metShardExchange  = "ipuserve_shard_exchange_seconds"
 	metFactorErr      = "ipuserve_model_factorization_error"
 	metModelledReq    = "ipuserve_modelled_per_request_seconds"
 	metModels         = "ipuserve_models"
@@ -61,7 +60,6 @@ func registerHelp(reg *obs.Registry) {
 	reg.Help(metCacheCompile, "Wall time of modelled-IPU program compiles (cache misses).")
 	reg.Help(metPlanStep, "Measured wall time of one compiled-plan step, per model and step.")
 	reg.Help(metShardCompute, "Measured per-IPU kernel time of one sharded batch, per model and modelled IPU.")
-	reg.Help(metShardExchange, "Sharded-batch wall time not covered by the slowest shard's compute - the measured sync/exchange proxy to compare against the modelled IPU-Link exchange.")
 	reg.Help(metFactorErr, "Max per-layer relative Frobenius error of the factorization the model serves (0 = exact weights).")
 	reg.Help(metModelledReq, "Modelled per-request seconds of the most recent batch bucket (compare against "+metLatency+").")
 	reg.Help(metModels, "Models currently registered.")
@@ -84,9 +82,9 @@ type modelMetrics struct {
 	modelled      *obs.Gauge
 	factorization *obs.Gauge
 
-	// Sharded-execution instruments; nil/empty for single-IPU models.
-	shardCompute  []*obs.Histogram // indexed by modelled IPU
-	shardExchange *obs.Histogram
+	// Sharded-execution instruments, indexed by modelled IPU; empty for
+	// single-IPU models.
+	shardCompute []*obs.Histogram
 }
 
 func newModelMetrics(reg *obs.Registry, name string, shards int) *modelMetrics {
@@ -103,7 +101,6 @@ func newModelMetrics(reg *obs.Registry, name string, shards int) *modelMetrics {
 			mm.shardCompute[i] = reg.Histogram(metShardCompute, obs.LatencyBuckets(),
 				lm, obs.L{Key: "ipu", Value: strconv.Itoa(i)})
 		}
-		mm.shardExchange = reg.Histogram(metShardExchange, obs.LatencyBuckets(), lm)
 	}
 	return mm
 }
@@ -130,13 +127,15 @@ type stepObs struct {
 	spanNames []string
 	hists     []*obs.Histogram
 
-	// variants[i] names the kernel variant step i runs ("" for executors
-	// that report no variants or for steps with no kernel family);
-	// kernels[i] is the step's Into-kernel family name. Together they
-	// feed the kernel-variant gauge, the drift report and the loadgen
-	// kernel table.
-	variants []string
-	kernels  []string
+	// variants[i] names the kernel variant step i runs ("" for steps
+	// with no kernel family); kern[i] is the step's Into-kernel family
+	// and flopsPerRow/bytesPerRow its per-sample work. Together they
+	// feed the per-kernel accounting, the kernel-variant gauge, the drift
+	// report and the loadgen kernel table.
+	variants    []string
+	kern        []obs.Kernel
+	flopsPerRow []int64
+	bytesPerRow []int64
 
 	// Cost-model drift accounting: modelled[i] is the modelled per-row
 	// seconds of step i under the registry's topology (0 when the step has
@@ -189,22 +188,17 @@ func driftRatio(acc *driftAcc, modelled float64) float64 {
 }
 
 // steppedExecutor is the introspection surface both executor kinds
-// (nn.Plan, shard.ShardedPlan) share: lowered step names and the measured
-// wall time of each step of the most recent Execute.
+// (nn.Plan, shard.ShardedPlan) share: the lowered steps with their kernel
+// families, variants and per-row work, and the frame each Execute
+// measures into.
 type steppedExecutor interface {
 	Executor
 	Steps() []string
-	LastStepNanos() []int64
-}
-
-// variantReporter is the kernel-dispatch introspection surface both
-// executor kinds also share: which micro-kernel variant each step
-// compiled to and which Into-kernel family it belongs to. Kept a
-// separate interface so stepInstruments degrades gracefully for
-// executors without it.
-type variantReporter interface {
-	StepVariant(i int) string
 	StepKernel(i int) obs.Kernel
+	StepVariant(i int) string
+	StepFlopsPerRow(i int) int64
+	StepArenaBytesPerRow(i int) int64
+	Frame() *timeline.Frame
 }
 
 // stepInstruments returns the model's per-step instruments, building them
@@ -216,18 +210,20 @@ func (m *Model) stepInstruments(se steppedExecutor) *stepObs {
 	}
 	names := se.Steps()
 	so := &stepObs{
-		spanNames: make([]string, len(names)),
-		hists:     make([]*obs.Histogram, len(names)),
-		variants:  make([]string, len(names)),
-		kernels:   make([]string, len(names)),
-		modelled:  modelledPerRow(se, m.topo),
-		measured:  make([]driftAcc, len(names)),
+		spanNames:   make([]string, len(names)),
+		hists:       make([]*obs.Histogram, len(names)),
+		variants:    make([]string, len(names)),
+		kern:        make([]obs.Kernel, len(names)),
+		flopsPerRow: make([]int64, len(names)),
+		bytesPerRow: make([]int64, len(names)),
+		modelled:    modelledPerRow(se, m.topo),
+		measured:    make([]driftAcc, len(names)),
 	}
-	if vr, ok := se.(variantReporter); ok {
-		for i := range names {
-			so.variants[i] = vr.StepVariant(i)
-			so.kernels[i] = vr.StepKernel(i).String()
-		}
+	for i := range names {
+		so.variants[i] = se.StepVariant(i)
+		so.kern[i] = se.StepKernel(i)
+		so.flopsPerRow[i] = se.StepFlopsPerRow(i)
+		so.bytesPerRow[i] = se.StepArenaBytesPerRow(i)
 	}
 	if len(so.modelled) != len(names) {
 		so.modelled = make([]float64, len(names))
@@ -260,7 +256,7 @@ func (m *Model) stepInstruments(se steppedExecutor) *stepObs {
 		}
 		m.obsReg.Gauge(metKernelVariant,
 			obs.L{Key: "model", Value: m.spec.Name},
-			obs.L{Key: "kernel", Value: so.kernels[i]},
+			obs.L{Key: "kernel", Value: so.kern[i].String()},
 			obs.L{Key: "variant", Value: so.variants[i]}).Set(1)
 	}
 	m.installTimelineMeta(se, so)
@@ -280,8 +276,11 @@ func (m *Model) installTimelineMeta(se steppedExecutor, so *stepObs) {
 		Model:    m.spec.Name,
 		Shards:   1,
 		Steps:    append([]string(nil), se.Steps()...),
-		Kernels:  append([]string(nil), so.kernels...),
+		Kernels:  make([]string, len(so.kern)),
 		Variants: append([]string(nil), so.variants...),
+	}
+	for i, k := range so.kern {
+		meta.Kernels[i] = k.String()
 	}
 	switch ex := se.(type) {
 	case *nn.Plan:
@@ -321,60 +320,53 @@ func (m *Model) KernelVariants() map[string]string {
 		if v == "" {
 			continue
 		}
-		out[so.kernels[i]] = v
+		out[so.kern[i].String()] = v
 	}
 	return out
 }
 
-// observeExec harvests the executor's measured timings after one batch:
-// per-step wall time into the execution report (for the request traces),
-// the step/shard histograms, and the cost-model drift accumulators (rows
-// is the executed batch size the per-row measured cost divides by). Runs
-// on the batcher worker, once per batch, allocation-free after the first
-// batch builds the instruments.
-func (m *Model) observeExec(ex Executor, info *execInfo, rows int) {
+// observeExec derives every view of one executed batch from the frame
+// its executor measured, in one place: the per-step times of the
+// request traces (into info), the per-kernel accounting records, the
+// cost-model drift accumulators, the step and shard-compute histograms,
+// and — on the recorder's sampled batches — the timeline events. A step's
+// time is its span under the barrier loop and the sum of its kernel
+// cells otherwise; a shard's compute is the sum of its cells. Runs on
+// the batcher worker, once per batch, before the plan returns to its
+// pool; allocation-free after the first batch builds the instruments.
+func (m *Model) observeExec(ex Executor, info *execInfo) {
 	se, ok := ex.(steppedExecutor)
 	if !ok {
 		return
 	}
-	nanos := se.LastStepNanos()
-	n := len(nanos)
-	if n > maxTraceSteps {
-		n = maxTraceSteps
-	}
-	info.nsteps = n
-	copy(info.stepNanos[:n], nanos[:n])
+	f := se.Frame()
+	info.nsteps = min(f.Steps, maxTraceSteps)
 	if m.obsReg == nil {
+		for i := 0; i < info.nsteps; i++ {
+			info.stepNanos[i] = f.StepNanos(i)
+		}
 		return
 	}
 	so := m.stepInstruments(se)
-	for i := 0; i < n && i < len(so.hists); i++ {
-		so.hists[i].Observe(float64(nanos[i]) / 1e9)
-	}
-	for i := 0; i < len(nanos) && i < len(so.measured); i++ {
-		so.measured[i].nanos.Add(nanos[i])
-		so.measured[i].rows.Add(int64(rows))
-	}
-	sp, ok := ex.(*shard.ShardedPlan)
-	if !ok || m.mets == nil || len(m.mets.shardCompute) == 0 {
-		return
-	}
-	comp := sp.LastComputeNanos()
-	var slowest int64
-	for i, c := range comp {
-		if i < len(m.mets.shardCompute) {
-			m.mets.shardCompute[i].Observe(float64(c) / 1e9)
+	rows := int64(f.Rows)
+	for i := 0; i < f.Steps; i++ {
+		ns := f.StepNanos(i)
+		if i < info.nsteps {
+			info.stepNanos[i] = ns
 		}
-		if c > slowest {
-			slowest = c
+		so.hists[i].Observe(float64(ns) / 1e9)
+		so.measured[i].nanos.Add(ns)
+		so.measured[i].rows.Add(rows)
+		if m.kstats != nil {
+			m.kstats.Record(so.kern[i], rows*so.flopsPerRow[i], rows*so.bytesPerRow[i], ns)
 		}
 	}
-	// Wall time beyond the slowest shard's kernels is the host-side
-	// sync/exchange proxy - the measured counterpart of the modelled
-	// IPU-Link ExchangeSeconds in ProgramCost.
-	if gap := sp.LastWallNanos() - slowest; gap > 0 && m.mets.shardExchange != nil {
-		m.mets.shardExchange.Observe(float64(gap) / 1e9)
+	if m.mets != nil {
+		for k, h := range m.mets.shardCompute {
+			h.Observe(float64(f.ComputeNanos(k)) / 1e9)
+		}
 	}
+	m.timeline.Record(f)
 }
 
 // StepCostDrift is one row of the cost-model drift report: one plan

@@ -41,11 +41,6 @@ type Options struct {
 	// Shards fixes the shard count for every registered model instead of
 	// auto-picking the smallest count that fits PerIPUMemBytes (0 = auto).
 	Shards int
-	// MicroBatches forces the wavefront width pipeline-partitioned plans
-	// split each batch into (0 = let the shard planner pick the width that
-	// minimizes the modelled schedule latency; 1 = the barrier loop).
-	MicroBatches int
-
 	// TraceSampleEvery samples one request in every N for the
 	// /debug/traces ring (0 = default 64; negative disables tracing).
 	TraceSampleEvery int
@@ -123,7 +118,6 @@ func NewRegistry(opts Options) *Registry {
 		models:   map[string]*Model{},
 		versions: map[string]int{},
 	}
-	r.cache.SetMicroBatches(opts.MicroBatches)
 	registerHelp(r.obs)
 	r.kstats = obs.NewKernelStats()
 	r.kstats.Export(r.obs, metKernelGflops, metKernelBytes)

@@ -201,15 +201,14 @@ type Model struct {
 	mets    *modelMetrics
 	stepObs atomic.Pointer[stepObs]
 
-	// kstats is the registry-wide per-kernel accounting sink, installed on
-	// every pooled plan before execution (nil outside a registry).
+	// kstats is the registry-wide per-kernel accounting sink observeExec
+	// records every executed step into (nil outside a registry).
 	kstats *obs.KernelStats
 
-	// timeline is the model's BSP phase flight recorder, installed on
-	// every pooled plan before execution like kstats; it samples one
-	// batch in N into the /debug/timeline ring and the phase gauges.
-	// Nil when disabled (or outside a registry) — then executors emit no
-	// events at all.
+	// timeline is the model's BSP phase flight recorder: observeExec
+	// hands it every executed batch's frame, and it derives one batch in
+	// N into the /debug/timeline ring and the phase gauges. Nil when
+	// disabled (or outside a registry).
 	timeline *timeline.Recorder
 
 	// pprofCtx is the precomputed pprof-labeled context ("model" label)
@@ -359,9 +358,8 @@ func (m *Model) ModelledCost(batch int) (*ProgramCost, error) {
 // batch on a pooled compiled plan (allocation-free at steady state except
 // the result copy handed to responses) and falls back to the generic
 // read-only forward pass if the plan path is unavailable. The executor's
-// measured per-step timings are harvested into info (and the per-step
-// histograms) before the plan returns to the pool; the fallback path
-// leaves info empty.
+// frame is derived into info and the model's instruments before the plan
+// returns to the pool; the fallback path leaves info empty.
 func (m *Model) runBatch(x *tensor.Matrix, info *execInfo) *tensor.Matrix {
 	if m.pprofCtx != nil {
 		// Pin the model name on the worker goroutine for CPU-profile
@@ -373,16 +371,6 @@ func (m *Model) runBatch(x *tensor.Matrix, info *execInfo) *tensor.Matrix {
 	prog, err := m.cache.programQuiet(m.spec.Name, m.version, nextPow2(x.Rows), m.shards, m.net, m.workload)
 	if err == nil {
 		if pl, perr := prog.GetPlan(); perr == nil {
-			if m.kstats != nil {
-				if ks, ok := pl.(kernelSink); ok {
-					ks.SetKernelStats(m.kstats)
-				}
-			}
-			if m.timeline != nil {
-				if ts, ok := pl.(timelineSink); ok {
-					ts.SetTimeline(m.timeline)
-				}
-			}
 			if m.pprofCtx != nil {
 				if ps, ok := pl.(pprofSink); ok {
 					// Sharded executors refine the model label with a
@@ -398,7 +386,7 @@ func (m *Model) runBatch(x *tensor.Matrix, info *execInfo) *tensor.Matrix {
 				// recycled by the next worker that draws it from the pool.
 				out := tensor.New(y.Rows, y.Cols)
 				copy(out.Data, y.Data)
-				m.observeExec(pl, info, x.Rows)
+				m.observeExec(pl, info)
 				prog.PutPlan(pl)
 				return out
 			}
@@ -406,17 +394,6 @@ func (m *Model) runBatch(x *tensor.Matrix, info *execInfo) *tensor.Matrix {
 		}
 	}
 	return m.net.Infer(x)
-}
-
-// kernelSink is the per-kernel accounting hook both executor kinds
-// (nn.Plan, shard.ShardedPlan) expose.
-type kernelSink interface {
-	SetKernelStats(*obs.KernelStats)
-}
-
-// timelineSink is the flight-recorder hook both executor kinds expose.
-type timelineSink interface {
-	SetTimeline(*timeline.Recorder)
 }
 
 // pprofSink is the per-shard pprof label hook sharded executors expose.

@@ -25,7 +25,7 @@ type TimelineSummary struct {
 	Strategy string `json:"strategy,omitempty"`
 	Shards   int    `json:"shards"`
 	// MicroBatches is the wavefront width pipeline batches split into
-	// (0/1 = barrier loop; omitted for tensor-parallel models).
+	// (omitted for tensor-parallel and unsharded models).
 	MicroBatches int   `json:"micro_batches,omitempty"`
 	SampleEvery  int   `json:"sample_every"`
 	Batches      int64 `json:"sampled_batches"`

@@ -40,8 +40,8 @@ type Cost struct {
 
 	// MicroBatches is the wavefront width the latency is priced at: how
 	// many micro-batches a full batch splits into under pipeline
-	// partitioning (1 = the classic one-batch barrier loop; always 1
-	// under tensor parallelism, which has no fill/drain to amortize).
+	// partitioning (1 = one micro-batch, the stages in series; 0 under
+	// tensor parallelism, which has no fill/drain to amortize).
 	MicroBatches int `json:"micro_batches,omitempty"`
 	// PipelineStages is the effective pipeline depth after clamping the
 	// requested shard count to the plan's step count — a stage cannot own
@@ -176,15 +176,15 @@ func Estimate(pl *nn.Plan, batch, shards int, topo Topology) (Cost, error) {
 // tensor-parallel still fits and the planner switches. Unsplittable
 // layers (fastfood, circulant, generic fallbacks) force pipeline.
 func EstimateBudget(pl *nn.Plan, batch, shards int, topo Topology, budgetBytes int) (Cost, error) {
-	return EstimateBudgetMicro(pl, batch, shards, topo, budgetBytes, 0)
+	return estimateBudgetMicro(pl, batch, shards, topo, budgetBytes, 0)
 }
 
-// EstimateBudgetMicro is EstimateBudget with the pipeline wavefront
+// estimateBudgetMicro is EstimateBudget with the pipeline wavefront
 // width pinned: micro 0 lets the planner pick the width minimizing
-// modelled latency (up to maxAutoMicro), micro 1 prices the classic
-// barrier loop, micro > 1 forces that width. Tensor-parallel pricing
+// modelled latency (up to maxAutoMicro), micro 1 prices the stages in
+// series, micro > 1 forces that width. Tensor-parallel pricing
 // ignores micro — it has no pipeline bubble to amortize.
-func EstimateBudgetMicro(pl *nn.Plan, batch, shards int, topo Topology, budgetBytes, micro int) (Cost, error) {
+func estimateBudgetMicro(pl *nn.Plan, batch, shards int, topo Topology, budgetBytes, micro int) (Cost, error) {
 	topo = topo.withDefaults()
 	if budgetBytes <= 0 {
 		budgetBytes = topo.IPU.TotalMemBytes()
@@ -232,7 +232,7 @@ func estimateWith(pl *nn.Plan, batch, shards int, topo Topology, strategy Strate
 }
 
 // estimateMicro prices one specific strategy at a pipeline wavefront
-// width (micro 0 = planner-chosen, see EstimateBudgetMicro).
+// width (micro 0 = planner-chosen, see estimateBudgetMicro).
 func estimateMicro(pl *nn.Plan, batch, shards int, topo Topology, strategy Strategy, micro int) (Cost, error) {
 	topo = topo.withDefaults()
 	descs, maxW := describePlan(pl, batch)
@@ -342,7 +342,7 @@ func pipelineSchedule(stageComp []float64, boundaryBytes []int, topo Topology, m
 	// and each of the remaining m−1 micro-batches adds one tick of the
 	// bottleneck resource. Exact for unbalanced stages too — the naive
 	// (m+S−1)×tick form overprices skewed pipelines and would make the
-	// planner wrongly prefer the barrier loop.
+	// planner wrongly prefer one micro-batch.
 	//
 	// Boundary messages stream: the m micro-batch transfers on one
 	// boundary are back-to-back messages on the same link, so the fixed
@@ -350,7 +350,7 @@ func pipelineSchedule(stageComp []float64, boundaryBytes []int, topo Topology, m
 	// message lands one wire-time later (LinkConfig.WireSeconds). Charging
 	// the fixed overhead m times would make modelled latency grow
 	// monotonically with m on latency-dominated fabrics and the planner
-	// would never leave the barrier loop.
+	// would never leave one micro-batch.
 	var chain, tick float64
 	for _, s := range stageComp {
 		u := s / float64(m)
@@ -410,7 +410,7 @@ func classRate(topo Topology, cl ipu.ComputeClass) float64 {
 // one batch of the unsharded plan (index-aligned with pl.Steps) — the same
 // per-class compute pricing estimateWith charges, without exchange. This
 // is the analytic baseline the serving layer's cost-model drift detector
-// lines the plan's measured LastStepNanos up against.
+// lines the plan's measured step times (Frame().StepNanos) up against.
 func PlanStepSeconds(pl *nn.Plan, batch int, topo Topology) []float64 {
 	topo = topo.withDefaults()
 	descs, _ := describePlan(pl, batch)

@@ -208,11 +208,11 @@ func TestMicroPickEngagesWavefront(t *testing.T) {
 	topo := DefaultTopology(2)
 	_, pl := buildPlan(t, nn.Butterfly, 3)
 	for _, batch := range []int{4, testMaxBatch} {
-		auto, err := EstimateBudgetMicro(pl, batch, 2, topo, 0, 0)
+		auto, err := estimateBudgetMicro(pl, batch, 2, topo, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		barrier, err := EstimateBudgetMicro(pl, batch, 2, topo, 0, 1)
+		barrier, err := estimateBudgetMicro(pl, batch, 2, topo, 0, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -234,7 +234,7 @@ func TestMicroPickEngagesWavefront(t *testing.T) {
 		}
 	}
 	// A forced width wider than the batch must clamp to the batch.
-	forced, err := EstimateBudgetMicro(pl, 2, 2, topo, 0, 64)
+	forced, err := estimateBudgetMicro(pl, 2, 2, topo, 0, 64)
 	if err != nil {
 		t.Fatal(err)
 	}

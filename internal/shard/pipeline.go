@@ -16,7 +16,7 @@ import (
 // moves. The runners capture layer weights, not the source plan, so its
 // arenas do not stay resident behind the sharded plan's own. Activations
 // crossing a stage boundary ride one IPU-Link transfer in the cost model;
-// on the host they are already in the shared arena.
+// on the host the wavefront hands them over through a per-boundary arena.
 func lowerPipeline(pl *nn.Plan, shards int) ([]step, error) {
 	owners := pipelineOwners(pl, shards)
 	steps := make([]step, pl.NumSteps())

@@ -130,29 +130,28 @@ type engine struct {
 	in, out  int
 	steps    []step
 
+	// Barrier-loop arenas (tensor-parallel plans only): the shared
+	// full-width activation ping-pong every shard writes its slice into.
 	bufA, bufB []float32
 	actA, actB tensor.Matrix
 	ws         []*tensor.Workspace
 
-	// Measured phase timings of the most recent Execute: per micro-step
-	// wall clock (orchestrator-written), per-shard accumulated kernel
-	// time (each shard writes only its own slot; the barrier orders the
-	// writes before the orchestrator reads), and the whole batch's wall
-	// clock. The serving layer lines these up against the analytic Cost
-	// model — measured compute vs modelled compute, and wall minus the
-	// slowest shard's compute as the sync/exchange proxy.
-	stepNanos    []int64
-	computeNanos []int64
-	wallNanos    int64
+	// frame is the measurement of the most recent Execute: each shard
+	// writes its own kernel cells (the barrier or the stage tokens order
+	// the writes before the orchestrator returns), the orchestrator the
+	// barrier loop's step spans and the batch wall. execStart, the clock
+	// every cell offset is taken against, is published to the workers by
+	// the first start-channel send.
+	frame     *timeline.Frame
+	execStart time.Time
 
-	// Per-kernel accounting: kern/flopsPerRow/bytesPerRow carry each
-	// micro-step's kernel family and per-sample work (the plan step's
-	// figures divided over its micro-steps), recorded into kstats when a
-	// sink is installed. modelSec is the modelled per-micro-step seconds
-	// of one MaxBatch execution (compute under the chosen strategy, with
-	// the source step's exchange charged to its last micro-step) — the
-	// analytic counterpart the drift detector lines stepNanos up against.
-	kstats      *obs.KernelStats
+	// Per-kernel accounting figures: kern/flopsPerRow/bytesPerRow carry
+	// each micro-step's kernel family and per-sample work (the plan
+	// step's figures divided over its micro-steps). modelSec is the
+	// modelled per-micro-step seconds of one MaxBatch execution (compute
+	// under the chosen strategy, with the source step's exchange charged
+	// to its last micro-step) — the analytic counterpart the drift
+	// detector lines measured step times up against.
 	kern        []obs.Kernel
 	variants    []string
 	flopsPerRow []int64
@@ -160,22 +159,12 @@ type engine struct {
 	modelSec    []float64
 
 	// Modelled phase split of modelSec (compute + exchange == modelSec
-	// per micro-step): the timeline recorder uses the exchange half to
-	// decide whether a post-kernel gap is priced IPU-Link traffic or pure
-	// barrier skew, and the serving layer exports both as the modelled
+	// per micro-step): the timeline derivation uses the exchange half to
+	// decide whether a wait is priced IPU-Link traffic or pure barrier
+	// skew, and the serving layer exports both as the modelled
 	// counterpart of the measured phase spans.
 	modelCompSec []float64
 	modelExchSec []float64
-
-	// Flight recorder state: rec is installed per batch by the serving
-	// layer (nil in steady state — then no events are emitted at all);
-	// curBatch/execStart are published before the per-step channel sends,
-	// which order them for the workers. Each shard records its compute
-	// span into its own fixed slot; the orchestrator fills in sync gaps
-	// and bubbles after each barrier.
-	rec       *timeline.Recorder
-	curBatch  *timeline.Batch
-	execStart time.Time
 
 	// pprof goroutine labels: pprofBase is the serving layer's labelled
 	// context (model=...); pprofCtxs[k] adds ipu=k. Workers apply their
@@ -196,33 +185,27 @@ type engine struct {
 	done         chan struct{}
 	quit         chan struct{}
 
-	// Wavefront state (pipeline lowerings compiled at micro > 1 with at
-	// least two stages; nil stageFirst means the barrier loop runs).
-	// A batch splits into waveM = min(micro, rows) contiguous row chunks
-	// streamed through the stages GPipe-style: stage k runs micro-batch j
-	// while stage k+1 runs j−1. Each stage owns a contiguous micro-step
-	// range, private ping-pong scratch for intra-stage activations, and a
-	// double-buffered handoff arena per boundary; ready/free token
+	// Wavefront state (every pipeline plan; nil stageFirst means the
+	// tensor-parallel barrier loop runs). A batch splits into waveM =
+	// min(micro, rows) contiguous row chunks streamed through the stages
+	// GPipe-style: stage k runs micro-batch j while stage k+1 runs j−1.
+	// Each stage owns a contiguous micro-step range, private ping-pong
+	// scratch for intra-stage activations, and a handoff arena per
+	// boundary (double-buffered when micro > 1); ready/free token
 	// channels replace the global barrier with stage-local handoffs.
-	micro      int             // configured wavefront width (1 = barrier loop)
+	micro      int             // planned wavefront width
 	waveM      int             // effective width of the current batch
-	wave       bool            // mode flag workers read after their start token
 	rowPts     []int           // micro+1 row boundaries of the current batch
 	stageFirst []int           // per stage: first owned micro-step
 	stageLast  []int           // per stage: last owned micro-step
 	scratch    [][2][]float32  // per stage: intra-stage ping-pong arenas
-	hand       [][2][]float32  // per boundary: double-buffered handoff
+	hand       [][2][]float32  // per boundary: handoff slots
 	ready      []chan struct{} // per boundary: micro-batch produced
-	free       []chan struct{} // per boundary: handoff slot free (primed 2)
+	free       []chan struct{} // per boundary: handoff slot free (primed per slot)
 	outBuf     []float32       // final stage's full-batch output arena
 	wfOut      tensor.Matrix   // returned header over outBuf
 	wfDst      []tensor.Matrix // per stage: reusable kernel dst header
 	wfSrc      []tensor.Matrix // per stage: reusable kernel src header
-	// Per-stage finish offset of the current batch (nanos from
-	// execStart), written by each stage before its done token when a
-	// timeline batch is being recorded — the orchestrator turns the gap
-	// to the batch's wall into the residual drain bubble.
-	stageEndNanos []int64
 }
 
 // ShardedPlan is a compiled multi-IPU inference program. Like nn.Plan it
@@ -251,19 +234,19 @@ func Compile(pl *nn.Plan, topo Topology, shards int) (*ShardedPlan, error) {
 }
 
 // CompileWith is Compile with the partitioning strategy forced and the
-// classic one-batch barrier loop pinned — the hook the equivalence tests
-// use to cover both lowerings at every shard count.
+// pipeline wavefront pinned to one micro-batch — the hook the
+// equivalence tests use to cover both lowerings at every shard count.
 func CompileWith(pl *nn.Plan, topo Topology, shards int, strategy Strategy) (*ShardedPlan, error) {
 	return CompileMicro(pl, topo, shards, strategy, 1)
 }
 
 // CompileMicro is CompileWith with the pipeline wavefront width forced:
-// micro 0 lets the cost model pick, 1 pins the barrier loop, and micro
-// > 1 compiles the multi-micro-batch wavefront executor (pipeline
-// strategy with at least two effective stages; tensor-parallel plans
-// ignore micro). Execute stays bit-for-bit identical to nn.Plan.Execute
-// at every width — micro-batches are contiguous row slices and every
-// kernel is row-wise.
+// micro 0 lets the cost model pick, micro ≥ 1 streams each batch as that
+// many micro-batches (clamped to the plan's MaxBatch). Pipeline plans
+// always run the wavefront; tensor-parallel plans run the barrier loop
+// and ignore micro. Execute stays bit-for-bit identical to
+// nn.Plan.Execute at every width — micro-batches are contiguous row
+// slices and every kernel is row-wise.
 func CompileMicro(pl *nn.Plan, topo Topology, shards int, strategy Strategy, micro int) (*ShardedPlan, error) {
 	topo = topo.withDefaults()
 	if shards < 1 || shards&(shards-1) != 0 {
@@ -307,23 +290,23 @@ func CompileMicro(pl *nn.Plan, topo Topology, shards int, strategy Strategy, mic
 		in:       pl.InputWidth(),
 		out:      pl.OutputWidth(),
 		steps:    steps,
-		micro:    1,
+		micro:    cost.MicroBatches,
 		done:     make(chan struct{}, eff),
 		quit:     make(chan struct{}),
 	}
-	if strategy == Pipeline && cost.MicroBatches > 1 {
-		e.micro = cost.MicroBatches
-	}
-	maxW := 0
-	for _, st := range steps {
-		if st.cols > maxW {
-			maxW = st.cols
+	if strategy == Pipeline {
+		e.buildWavefront()
+	} else {
+		maxW := 0
+		for _, st := range steps {
+			if st.cols > maxW {
+				maxW = st.cols
+			}
 		}
+		e.bufA = make([]float32, e.maxBatch*maxW)
+		e.bufB = make([]float32, e.maxBatch*maxW)
+		e.frame = timeline.NewFrame(len(steps), eff, 1, nil, true)
 	}
-	e.bufA = make([]float32, e.maxBatch*maxW)
-	e.bufB = make([]float32, e.maxBatch*maxW)
-	e.stepNanos = make([]int64, len(steps))
-	e.computeNanos = make([]int64, eff)
 
 	// Annotate each micro-step with its share of the source plan step's
 	// kernel accounting figures and modelled cost: a source step lowered
@@ -350,9 +333,6 @@ func CompileMicro(pl *nn.Plan, topo Topology, shards int, strategy Strategy, mic
 	e.modelSec = make([]float64, len(steps))
 	for i := range e.modelSec {
 		e.modelSec[i] = e.modelCompSec[i] + e.modelExchSec[i]
-	}
-	if e.micro > 1 && eff > 1 {
-		e.buildWavefront()
 	}
 	e.workerCtx = make([]context.Context, eff)
 	e.ws = make([]*tensor.Workspace, eff)
@@ -385,11 +365,13 @@ func CompileMicro(pl *nn.Plan, topo Topology, shards int, strategy Strategy, mic
 // buildWavefront sizes the wavefront executor's stage-local state: the
 // owned micro-step range per stage, per-stage scratch and per-boundary
 // handoff arenas (each sized for the largest micro-batch,
-// ceil(maxBatch/micro) rows), the token channels, and the full-batch
-// output arena the final stage writes row slices into. Everything is
+// ceil(maxBatch/micro) rows; one handoff slot at micro 1, two
+// otherwise), the token channels, the full-batch output arena the final
+// stage writes row slices into, and the frame. Everything is
 // preallocated here so Execute stays allocation-free.
 func (e *engine) buildWavefront() {
 	S := e.shards
+	owner := make([]int, len(e.steps))
 	e.stageFirst = make([]int, S)
 	e.stageLast = make([]int, S)
 	for s := range e.stageFirst {
@@ -400,6 +382,7 @@ func (e *engine) buildWavefront() {
 			if f == nil {
 				continue
 			}
+			owner[i] = k
 			if e.stageFirst[k] < 0 {
 				e.stageFirst[k] = i
 			}
@@ -407,6 +390,7 @@ func (e *engine) buildWavefront() {
 		}
 	}
 	microCap := (e.maxBatch + e.micro - 1) / e.micro
+	slots := min(e.micro, 2)
 	e.rowPts = make([]int, e.micro+1)
 	e.scratch = make([][2][]float32, S)
 	e.hand = make([][2][]float32, S-1)
@@ -427,20 +411,18 @@ func (e *engine) buildWavefront() {
 		}
 		if s < S-1 {
 			bw := e.steps[e.stageLast[s]].cols
-			e.hand[s] = [2][]float32{
-				make([]float32, microCap*bw),
-				make([]float32, microCap*bw),
-			}
 			e.ready[s] = make(chan struct{}, e.micro)
-			e.free[s] = make(chan struct{}, 2)
-			e.free[s] <- struct{}{}
-			e.free[s] <- struct{}{}
+			e.free[s] = make(chan struct{}, slots)
+			for h := 0; h < slots; h++ {
+				e.hand[s][h] = make([]float32, microCap*bw)
+				e.free[s] <- struct{}{}
+			}
 		}
 	}
 	e.outBuf = make([]float32, e.maxBatch*e.out)
 	e.wfDst = make([]tensor.Matrix, S)
 	e.wfSrc = make([]tensor.Matrix, S)
-	e.stageEndNanos = make([]int64, S)
+	e.frame = timeline.NewFrame(len(e.steps), S, e.micro, owner, false)
 }
 
 // Shards returns the number of modelled IPUs the plan runs on — for
@@ -448,8 +430,8 @@ func (e *engine) buildWavefront() {
 // plan's step count.
 func (p *ShardedPlan) Shards() int { return p.e.shards }
 
-// MicroBatches returns the wavefront width the plan executes full
-// batches at (1 = classic barrier loop).
+// MicroBatches returns the wavefront width a pipeline plan executes full
+// batches at (0 for tensor-parallel plans, which run the barrier loop).
 func (p *ShardedPlan) MicroBatches() int { return p.e.micro }
 
 // Strategy returns the partitioning the planner (or caller) chose.
@@ -484,19 +466,22 @@ func (p *ShardedPlan) StepKernel(i int) obs.Kernel { return p.e.kern[i] }
 // StepVariant returns the micro-kernel variant name of micro-step i.
 func (p *ShardedPlan) StepVariant(i int) string { return p.e.variants[i] }
 
-// StepVariants returns the variant name of every micro-step, in
-// execution order (index-aligned with Steps).
-func (p *ShardedPlan) StepVariants() []string {
-	out := make([]string, len(p.e.variants))
-	copy(out, p.e.variants)
-	return out
-}
+// StepFlopsPerRow returns the modelled per-sample flop count of
+// micro-step i: its source plan step's figure divided over the
+// micro-steps that step lowered into.
+func (p *ShardedPlan) StepFlopsPerRow(i int) int64 { return p.e.flopsPerRow[i] }
+
+// StepArenaBytesPerRow returns the modelled per-sample activation-arena
+// traffic of micro-step i, divided like StepFlopsPerRow.
+func (p *ShardedPlan) StepArenaBytesPerRow(i int) int64 { return p.e.bytesPerRow[i] }
 
 // Execute runs the sharded program over x (rows in [1, MaxBatch], cols ==
-// InputWidth), dispatching each micro-step to the goroutine-per-IPU pool
-// and barriering between steps. The result aliases plan-owned memory,
-// valid until the next Execute. Output is bit-for-bit identical to the
-// unsharded nn.Plan.Execute (and hence to Sequential.Infer).
+// InputWidth): pipeline plans stream it through the wavefront, tensor-
+// parallel plans dispatch each micro-step to the goroutine-per-IPU pool
+// and barrier between steps. Either way the batch's measurement lands in
+// Frame. The result aliases plan-owned memory, valid until the next
+// Execute. Output is bit-for-bit identical to the unsharded
+// nn.Plan.Execute (and hence to Sequential.Infer).
 func (p *ShardedPlan) Execute(x *tensor.Matrix) (*tensor.Matrix, error) {
 	// The cleanup finalizer closes e.quit; without this the GC may deem p
 	// dead the moment e is loaded (a caller's last use of p can be this
@@ -510,27 +495,17 @@ func (p *ShardedPlan) Execute(x *tensor.Matrix) (*tensor.Matrix, error) {
 	if x.Rows < 1 || x.Rows > e.maxBatch {
 		return nil, fmt.Errorf("%w: got %d rows, plan accepts 1..%d", nn.ErrPlanBatch, x.Rows, e.maxBatch)
 	}
-	for k := range e.computeNanos {
-		e.computeNanos[k] = 0
+	if e.stageFirst != nil {
+		return e.executeWave(x), nil
 	}
-	// Sampled batches get a pooled event buffer; the common case is nil
-	// and every timeline branch below is a single pointer test. curBatch
-	// and execStart are published to the workers by the first step's
-	// channel sends.
-	tb := e.rec.Sample()
-	if e.stageFirst != nil && x.Rows > 1 {
-		return e.executeWave(x, tb)
-	}
-	if tb != nil {
-		tb.Begin(len(e.steps), e.shards, x.Rows)
-	}
-	e.curBatch = tb
+	f := e.frame
+	f.Begin(x.Rows, 1)
 	if e.pprofCtxs != nil {
 		// Wear ipu=0 for the inline shard's spans; restored below.
 		pprof.SetGoroutineLabels(e.pprofCtxs[0])
 	}
 	execStart := time.Now()
-	e.execStart = execStart
+	e.execStart, f.Start = execStart, execStart
 	cur := x
 	useA := true
 	for i := range e.steps {
@@ -550,54 +525,15 @@ func (p *ShardedPlan) Execute(x *tensor.Matrix) (*tensor.Matrix, error) {
 		for range e.start {
 			<-e.done
 		}
-		e.stepNanos[i] = time.Since(t0).Nanoseconds()
-		if e.kstats != nil {
-			rows := int64(x.Rows)
-			e.kstats.Record(e.kern[i], rows*e.flopsPerRow[i], rows*e.bytesPerRow[i], e.stepNanos[i])
-		}
-		if tb != nil {
-			e.recordStepGaps(tb, i, t0.Sub(execStart).Nanoseconds(), e.stepNanos[i])
-		}
+		f.Spans[i] = timeline.Cell{Start: t0.Sub(execStart).Nanoseconds(), Dur: time.Since(t0).Nanoseconds()}
 		cur = act
 		useA = !useA
 	}
-	e.wallNanos = time.Since(execStart).Nanoseconds()
+	f.Wall = time.Since(execStart).Nanoseconds()
 	if e.pprofCtxs != nil {
 		pprof.SetGoroutineLabels(e.pprofBase)
 	}
-	if tb != nil {
-		e.curBatch = nil
-		e.rec.Finish(tb, e.wallNanos)
-	}
 	return cur, nil
-}
-
-// recordStepGaps fills in everything but the compute spans of micro-step
-// i, after its barrier: for idle shards a bubble covering the whole step
-// (pipeline fill/drain — tensor-parallel lowering gives every shard a
-// kernel on every step), and for working shards the gap between their
-// kernel's return and the barrier's close — exchange when the cost model
-// prices IPU-Link traffic into this micro-step, barrier_wait otherwise.
-// The barrier's done-tokens order the workers' compute-span writes
-// before these reads.
-func (e *engine) recordStepGaps(tb *timeline.Batch, i int, stepOff, stepDur int64) {
-	st := &e.steps[i]
-	gapPhase := timeline.BarrierWait
-	if e.modelExchSec[i] > 0 {
-		gapPhase = timeline.Exchange
-	}
-	stepEnd := stepOff + stepDur
-	for k := 0; k < e.shards; k++ {
-		if st.run[k] == nil {
-			tb.Record(i, k, timeline.LaneWork, timeline.Bubble, stepOff, stepDur)
-			continue
-		}
-		work := tb.Work(i, k)
-		gapStart := work.StartNanos + work.DurNanos
-		if gap := stepEnd - gapStart; gap > 0 {
-			tb.Record(i, k, timeline.LaneSync, gapPhase, gapStart, gap)
-		}
-	}
 }
 
 // executeWave runs the multi-micro-batch wavefront schedule: the batch
@@ -607,29 +543,20 @@ func (e *engine) recordStepGaps(tb *timeline.Batch, i int, stepOff, stepDur int6
 // global per-step barrier — stage k computes micro-batch j while stage
 // k+1 computes j−1, so fill/drain shrinks from (S−1)/S of a stage's
 // wall to (S−1)/(S−1+waveM).
-func (e *engine) executeWave(x *tensor.Matrix, tb *timeline.Batch) (*tensor.Matrix, error) {
-	waveM := e.micro
-	if waveM > x.Rows {
-		waveM = x.Rows
-	}
-	if tb != nil {
-		tb.BeginMicro(len(e.steps), waveM, e.shards, x.Rows)
-	}
-	e.curBatch = tb
-	for i := range e.stepNanos {
-		e.stepNanos[i] = 0
-	}
+func (e *engine) executeWave(x *tensor.Matrix) *tensor.Matrix {
+	waveM := min(e.micro, x.Rows)
+	f := e.frame
+	f.Begin(x.Rows, waveM)
 	e.waveM = waveM
 	for j := 0; j <= waveM; j++ {
 		e.rowPts[j] = j * x.Rows / waveM
 	}
 	e.curX = x
-	e.wave = true
 	if e.pprofCtxs != nil {
 		pprof.SetGoroutineLabels(e.pprofCtxs[0])
 	}
 	execStart := time.Now()
-	e.execStart = execStart
+	e.execStart, f.Start = execStart, execStart
 	// One wake per worker per batch (not per step): each stage drains
 	// every micro-batch before sending its done token.
 	for _, c := range e.start {
@@ -639,34 +566,13 @@ func (e *engine) executeWave(x *tensor.Matrix, tb *timeline.Batch) (*tensor.Matr
 	for range e.start {
 		<-e.done
 	}
-	e.wave = false
-	e.wallNanos = time.Since(execStart).Nanoseconds()
-	if e.kstats != nil {
-		rows := int64(x.Rows)
-		for i := range e.steps {
-			e.kstats.Record(e.kern[i], rows*e.flopsPerRow[i], rows*e.bytesPerRow[i], e.stepNanos[i])
-		}
-	}
+	f.Wall = time.Since(execStart).Nanoseconds()
 	if e.pprofCtxs != nil {
 		pprof.SetGoroutineLabels(e.pprofBase)
 	}
-	if tb != nil {
-		// Residual drain: every stage but the last finished before the
-		// batch's wall and idles through the tail of the wavefront.
-		// Recorded one virtual step past the stage's range so the trace
-		// classifier names it bubble/drain.
-		for k := 0; k < e.shards-1; k++ {
-			if gap := e.wallNanos - e.stageEndNanos[k]; gap > 0 {
-				tb.RecordMicro(e.stageLast[k]+1, waveM-1, k,
-					timeline.LaneWork, timeline.Bubble, e.stageEndNanos[k], gap)
-			}
-		}
-		e.curBatch = nil
-		e.rec.Finish(tb, e.wallNanos)
-	}
 	e.wfOut.Rows, e.wfOut.Cols = x.Rows, e.out
 	e.wfOut.Data = e.outBuf[:x.Rows*e.out]
-	return &e.wfOut, nil
+	return &e.wfOut
 }
 
 // runStage streams every micro-batch of the current wavefront batch
@@ -675,7 +581,7 @@ func (e *engine) executeWave(x *tensor.Matrix, tb *timeline.Batch) (*tensor.Matr
 // ordered by the token channels.
 func (e *engine) runStage(k int) {
 	first, last := e.stageFirst[k], e.stageLast[k]
-	tb := e.curBatch
+	f := e.frame
 	w := e.ws[k]
 	x := e.curX
 	S := e.shards
@@ -683,42 +589,16 @@ func (e *engine) runStage(k int) {
 	if k > 0 {
 		inW = e.steps[e.stageLast[k-1]].cols
 	}
-	gapPhase := timeline.BarrierWait
-	if k > 0 && e.modelExchSec[first-1] > 0 {
-		gapPhase = timeline.Exchange
-	} else if k == 0 && e.modelExchSec[last] > 0 {
-		gapPhase = timeline.Exchange
-	}
 	for j := 0; j < e.waveM; j++ {
 		lo, hi := e.rowPts[j], e.rowPts[j+1]
 		nr := hi - lo
 		// Acquire the input (upstream ready token) and the output slot
-		// (downstream free token). The combined wait is this stage's
-		// pipeline fill on the first micro-batch, a wavefront stall
-		// after; stage 0 records its (backpressure-only) wait one step
-		// past its range so it lands on an unused slot.
-		var waitStart time.Time
-		if tb != nil {
-			waitStart = time.Now()
-		}
+		// (downstream free token).
 		if k > 0 {
 			<-e.ready[k-1]
 		}
 		if k < S-1 {
 			<-e.free[k]
-		}
-		if tb != nil {
-			off := waitStart.Sub(e.execStart).Nanoseconds()
-			if dur := time.Since(waitStart).Nanoseconds(); dur > 0 {
-				switch {
-				case k == 0:
-					tb.RecordMicro(last+1, j, k, timeline.LaneSync, gapPhase, off, dur)
-				case j == 0:
-					tb.RecordMicro(first-1, j, k, timeline.LaneWork, timeline.Bubble, off, dur)
-				default:
-					tb.RecordMicro(first-1, j, k, timeline.LaneSync, gapPhase, off, dur)
-				}
-			}
 		}
 		src, dst := &e.wfSrc[k], &e.wfDst[k]
 		if k == 0 {
@@ -746,13 +626,7 @@ func (e *engine) runStage(k int) {
 			w.Reset()
 			t0 := time.Now()
 			st.run[k](dst, src, w)
-			d := time.Since(t0).Nanoseconds()
-			e.stepNanos[i] += d
-			e.computeNanos[k] += d
-			if tb != nil {
-				tb.RecordMicro(i, j, k, timeline.LaneWork, timeline.Compute,
-					t0.Sub(e.execStart).Nanoseconds(), d)
-			}
+			*f.Cell(i, j, k) = timeline.Cell{Start: t0.Sub(e.execStart).Nanoseconds(), Dur: time.Since(t0).Nanoseconds()}
 			if i == first && k > 0 {
 				// The handoff input is consumed; let the upstream stage
 				// overwrite the slot (micro-batch j+2 reuses it).
@@ -764,25 +638,7 @@ func (e *engine) runStage(k int) {
 			e.ready[k] <- struct{}{}
 		}
 	}
-	if tb != nil {
-		e.stageEndNanos[k] = time.Since(e.execStart).Nanoseconds()
-	}
 }
-
-// SetKernelStats installs (or, with nil, removes) the per-kernel
-// accounting sink Execute reports each micro-step's flops, arena bytes
-// and measured time into — the sharded counterpart of
-// nn.Plan.SetKernelStats. The sink is internally synchronized; only the
-// orchestrator goroutine records.
-func (p *ShardedPlan) SetKernelStats(ks *obs.KernelStats) { p.e.kstats = ks }
-
-// SetTimeline installs (or, with nil, removes) the BSP phase flight
-// recorder Execute samples batches into: per-shard compute spans,
-// post-kernel exchange/barrier gaps, and pipeline fill/drain bubbles.
-// With no recorder installed Execute emits no events at all. Must be
-// called from the executing goroutine (the plan is single-caller, like
-// SetKernelStats).
-func (p *ShardedPlan) SetTimeline(rec *timeline.Recorder) { p.e.rec = rec }
 
 // SetPprofLabels gives the execution goroutines pprof labels derived
 // from base (the serving layer's model-labelled context) with ipu=<k>
@@ -812,28 +668,18 @@ func (p *ShardedPlan) ModelledPhaseSeconds() (compute, exchange []float64) {
 
 // ModelledStepSeconds returns the modelled duration of each micro-step of
 // one MaxBatch execution under the plan's topology and strategy
-// (index-aligned with Steps/LastStepNanos): the source plan step's
+// (index-aligned with Steps and the Frame's steps): the source plan step's
 // modelled compute spread over its micro-steps, with the step's exchange
 // time charged to the last of them. The slice is plan-owned — copy to
 // modify. Dividing by MaxBatch gives the per-row modelled cost the drift
 // detector compares measured wall-clock against.
 func (p *ShardedPlan) ModelledStepSeconds() []float64 { return p.e.modelSec }
 
-// LastStepNanos returns the wall-clock duration, in nanoseconds, of each
-// barrier-delimited micro-step of the most recent Execute (index-aligned
-// with Steps). Plan-owned, overwritten by the next Execute.
-func (p *ShardedPlan) LastStepNanos() []int64 { return p.e.stepNanos }
-
-// LastComputeNanos returns each modelled IPU's accumulated kernel time
-// over the most recent Execute — the measured per-shard compute phase.
-// Plan-owned, overwritten by the next Execute.
-func (p *ShardedPlan) LastComputeNanos() []int64 { return p.e.computeNanos }
-
-// LastWallNanos returns the wall-clock duration of the most recent
-// Execute. Wall minus the slowest shard's compute is the host-side
-// proxy for the sync + exchange overhead the Cost model prices
-// analytically.
-func (p *ShardedPlan) LastWallNanos() int64 { return p.e.wallNanos }
+// Frame returns the measurement of the most recent Execute: one kernel
+// cell per (micro-step, micro-batch, modelled IPU), under the barrier
+// loop also each micro-step's span, and the batch wall. Plan-owned and
+// overwritten by the next Execute.
+func (p *ShardedPlan) Frame() *timeline.Frame { return p.e.frame }
 
 // Close stops the worker goroutines. A closed plan must not be executed
 // again; plans that are simply dropped are cleaned up by a finalizer, so
@@ -851,21 +697,15 @@ func (e *engine) stop() {
 	}
 }
 
+// runShard runs shard k's kernel of one barrier-loop micro-step and
+// writes its cell — a slot only this shard writes, ordered before the
+// orchestrator returns by the done token.
 func (e *engine) runShard(k int, st *step) {
-	if f := st.run[k]; f != nil {
-		w := e.ws[k]
-		w.Reset()
-		t0 := time.Now()
-		f(e.curDst, e.curX, w)
-		d := time.Since(t0).Nanoseconds()
-		e.computeNanos[k] += d
-		if tb := e.curBatch; tb != nil {
-			// Each shard owns this (step, ipu) slot — lock-free write,
-			// ordered before the orchestrator's read by the done token.
-			tb.Record(e.stepIdx, k, timeline.LaneWork, timeline.Compute,
-				t0.Sub(e.execStart).Nanoseconds(), d)
-		}
-	}
+	w := e.ws[k]
+	w.Reset()
+	t0 := time.Now()
+	st.run[k](e.curDst, e.curX, w)
+	*e.frame.Cell(e.stepIdx, 0, k) = timeline.Cell{Start: t0.Sub(e.execStart).Nanoseconds(), Dur: time.Since(t0).Nanoseconds()}
 }
 
 func (e *engine) workerLoop(k int, start <-chan struct{}) {
@@ -881,10 +721,9 @@ func (e *engine) workerLoop(k int, start <-chan struct{}) {
 				e.workerCtx[k] = c[k]
 				pprof.SetGoroutineLabels(c[k])
 			}
-			// e.wave was published by the start-channel send: one token
-			// per batch under the wavefront (the worker drains its whole
-			// stage), one per step under the barrier loop.
-			if e.wave {
+			// One token per batch under the wavefront (the worker drains
+			// its whole stage), one per step under the barrier loop.
+			if e.stageFirst != nil {
 				e.runStage(k)
 			} else {
 				e.runShard(k, &e.steps[e.stepIdx])

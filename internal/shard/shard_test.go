@@ -207,8 +207,7 @@ func TestShardedZeroAllocSteadyState(t *testing.T) {
 // multi-micro-batch executor: pipeline plans compiled at wavefront
 // widths 1, 2 and 4 stay bit-for-bit equal to the unsharded plan at
 // every batch size — including batches smaller than the width (the
-// executor clamps to one row per micro-batch) and single rows (which
-// fall back to the barrier loop).
+// executor clamps to one row per micro-batch) and single rows.
 func TestWavefrontMatchesPlan(t *testing.T) {
 	for _, method := range []nn.Method{nn.Baseline, nn.Butterfly, nn.Fastfood} {
 		method := method
@@ -267,8 +266,8 @@ func TestWavefrontZeroAlloc(t *testing.T) {
 // TestPipelineStageClamp covers shards > NumSteps: a 3-step plan on an
 // 8-IPU request must clamp to 3 effective stages — in the engine (no
 // idle tracks skewing the bubble gauge), in the cost model
-// (PipelineStages), and still execute bit-for-bit, barrier loop and
-// wavefront alike.
+// (PipelineStages), and still execute bit-for-bit at one micro-batch and
+// at four.
 func TestPipelineStageClamp(t *testing.T) {
 	net := nn.BuildSHL(nn.Baseline, testN, testClasses, rand.New(rand.NewSource(5)))
 	pl, err := net.CompilePlanOpts(testMaxBatch, nn.PlanOptions{NoFuse: true})
@@ -328,9 +327,9 @@ func TestPipelineOwnersContiguous(t *testing.T) {
 	}
 }
 
-// BenchmarkPipelinedExecute compares the barrier loop (M=1) against the
-// wavefront schedule (M=4) on the CI reference shape: butterfly, 2
-// shards, pipeline, full batch.
+// BenchmarkPipelinedExecute compares the wavefront at one micro-batch
+// (M=1, the stages in series) against M=4 on the CI reference shape:
+// butterfly, 2 shards, pipeline, full batch.
 func BenchmarkPipelinedExecute(b *testing.B) {
 	for _, micro := range []int{1, 4} {
 		b.Run("micro="+string(rune('0'+micro)), func(b *testing.B) {

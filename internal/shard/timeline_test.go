@@ -9,8 +9,9 @@ import (
 	"repro/internal/tensor"
 )
 
-// executeSampled runs one batch through sp with a sample-every-batch
-// recorder installed and returns the recorded timeline.
+// executeSampled runs one batch through sp and records its frame with a
+// sample-every-batch recorder described by the plan's cost model,
+// returning the derived timeline.
 func executeSampled(t *testing.T, sp *ShardedPlan, rec *timeline.Recorder) timeline.BatchRecord {
 	t.Helper()
 	x := tensor.New(testMaxBatch, testN)
@@ -18,6 +19,9 @@ func executeSampled(t *testing.T, sp *ShardedPlan, rec *timeline.Recorder) timel
 	if _, err := sp.Execute(x); err != nil {
 		t.Fatal(err)
 	}
+	comp, exch := sp.ModelledPhaseSeconds()
+	rec.SetMeta(&timeline.Meta{Steps: sp.Steps(), ComputeSecPerRow: comp, ExchangeSecPerRow: exch})
+	rec.Record(sp.Frame())
 	snap := rec.Snapshot()
 	if len(snap) == 0 {
 		t.Fatal("recorder at sampleEvery=1 captured no batch")
@@ -25,10 +29,27 @@ func executeSampled(t *testing.T, sp *ShardedPlan, rec *timeline.Recorder) timel
 	return snap[len(snap)-1]
 }
 
-// TestTimelineReconcilesWithMeasuredClocks asserts the flight recorder
-// agrees with the executor's own accounting: per-IPU compute event sums
-// equal LastComputeNanos exactly (both copy the same clock reads), and
-// no event extends past the measured batch wall.
+// checkTiles asserts each IPU's events tile [0, wall] in order.
+func checkTiles(t *testing.T, b timeline.BatchRecord) {
+	t.Helper()
+	end := make([]int64, b.Tracks)
+	for _, ev := range b.Events {
+		if ev.StartNanos != end[ev.IPU] {
+			t.Fatalf("event %+v starts at %dns, ipu%d's previous event ends at %dns", ev, ev.StartNanos, ev.IPU, end[ev.IPU])
+		}
+		end[ev.IPU] += ev.DurNanos
+	}
+	for k, e := range end {
+		if e != b.WallNanos {
+			t.Fatalf("ipu%d events end at %dns, batch wall is %dns", k, e, b.WallNanos)
+		}
+	}
+}
+
+// TestTimelineReconcilesWithMeasuredClocks asserts the derived timeline
+// agrees with the frame it came from: per-IPU compute event sums equal
+// the frame's per-IPU compute exactly (both read the same clock reads),
+// and each IPU's events tile the measured batch wall.
 func TestTimelineReconcilesWithMeasuredClocks(t *testing.T) {
 	_, pl := buildPlan(t, nn.Butterfly, 31)
 	for _, strat := range []Strategy{TensorParallel, Pipeline} {
@@ -37,26 +58,22 @@ func TestTimelineReconcilesWithMeasuredClocks(t *testing.T) {
 			t.Fatalf("CompileWith(%v): %v", strat, err)
 		}
 		rec := timeline.NewRecorder(1, 2)
-		sp.SetTimeline(rec)
 		b := executeSampled(t, sp, rec)
 
-		if b.Tracks != 2 || b.Steps != len(sp.Steps()) {
-			t.Fatalf("%v: batch is %d tracks × %d steps, want 2 × %d",
-				strat, b.Tracks, b.Steps, len(sp.Steps()))
+		if b.Tracks != 2 || b.Steps != len(sp.Steps()) || b.WallNanos != sp.Frame().Wall {
+			t.Fatalf("%v: batch is %d tracks × %d steps over %dns, want 2 × %d over %dns",
+				strat, b.Tracks, b.Steps, b.WallNanos, len(sp.Steps()), sp.Frame().Wall)
 		}
+		checkTiles(t, b)
 		computeByIPU := make([]int64, b.Tracks)
 		for _, ev := range b.Events {
-			if end := ev.StartNanos + ev.DurNanos; end > sp.LastWallNanos() {
-				t.Fatalf("%v: event %+v ends %dns past the %dns batch wall",
-					strat, ev, end-sp.LastWallNanos(), sp.LastWallNanos())
-			}
 			if ev.Phase == timeline.Compute {
 				computeByIPU[ev.IPU] += ev.DurNanos
 			}
 		}
-		for k, want := range sp.LastComputeNanos() {
-			if computeByIPU[k] != want {
-				t.Errorf("%v: ipu%d compute events sum to %dns, LastComputeNanos says %dns",
+		for k := range computeByIPU {
+			if want := sp.Frame().ComputeNanos(k); computeByIPU[k] != want {
+				t.Errorf("%v: ipu%d compute events sum to %dns, the frame says %dns",
 					strat, k, computeByIPU[k], want)
 			}
 		}
@@ -66,9 +83,9 @@ func TestTimelineReconcilesWithMeasuredClocks(t *testing.T) {
 
 // TestTimelineBubblesOnlyUnderPipeline asserts the acceptance contract
 // for the bubble phase: tensor-parallel lowering gives every shard a
-// kernel on every micro-step, so its timeline has no bubbles; pipeline
-// partitioning idles every shard outside its own stage, so fill/drain
-// bubbles must appear and dominate a two-shard timeline's idle time.
+// kernel on every micro-step, so its timeline has no bubbles; a pipeline
+// stage idles before its first input and after its last output, so a
+// two-stage timeline shows exactly one fill and one drain bubble.
 func TestTimelineBubblesOnlyUnderPipeline(t *testing.T) {
 	_, pl := buildPlan(t, nn.Baseline, 13)
 
@@ -77,7 +94,6 @@ func TestTimelineBubblesOnlyUnderPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	tpRec := timeline.NewRecorder(1, 2)
-	tp.SetTimeline(tpRec)
 	b := executeSampled(t, tp, tpRec)
 	for _, ev := range b.Events {
 		if ev.Phase == timeline.Bubble {
@@ -94,18 +110,22 @@ func TestTimelineBubblesOnlyUnderPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	ppRec := timeline.NewRecorder(1, 2)
-	pp.SetTimeline(ppRec)
 	b = executeSampled(t, pp, ppRec)
-	bubbles := 0
+	var fills, drains int
 	for _, ev := range b.Events {
-		if ev.Phase == timeline.Bubble {
-			bubbles++
+		if ev.Phase != timeline.Bubble {
+			continue
+		}
+		if ev.IPU == 1 && ev.StartNanos == 0 {
+			fills++
+		} else if ev.IPU == 0 && ev.StartNanos+ev.DurNanos == b.WallNanos {
+			drains++
+		} else {
+			t.Fatalf("pipeline bubble %+v is neither stage 1's fill nor stage 0's drain", ev)
 		}
 	}
-	// Every step has exactly one owner of two shards, so the other shard
-	// bubbles: one bubble per micro-step.
-	if want := len(pp.Steps()); bubbles != want {
-		t.Fatalf("pipeline timeline recorded %d bubbles, want %d (one per micro-step)", bubbles, want)
+	if fills != 1 || drains != 1 {
+		t.Fatalf("pipeline timeline recorded %d fill and %d drain bubbles, want 1 and 1", fills, drains)
 	}
 	if f := ppRec.BubbleFraction(); f <= 0 {
 		t.Fatalf("pipeline bubble fraction = %g, want > 0", f)
@@ -113,12 +133,11 @@ func TestTimelineBubblesOnlyUnderPipeline(t *testing.T) {
 	pp.Close()
 }
 
-// TestWavefrontTimeline pins the wavefront recorder semantics: a
+// TestWavefrontTimeline pins the wavefront's derived timeline: a
 // sampled batch carries the micro dimension, every (step, micro-batch)
-// compute span lands on the owning stage's track and sums to
-// LastComputeNanos, and the only bubbles are the per-stage fill (first
-// micro-batch) and residual drain — a wavefront at M=4 must idle far
-// less than the barrier loop's one-whole-step-per-foreign-stage.
+// compute span lands on the owning stage's track and sums to the frame's
+// per-IPU compute, and the only bubbles are stage 1's fill and stage 0's
+// drain.
 func TestWavefrontTimeline(t *testing.T) {
 	_, pl := buildPlan(t, nn.Butterfly, 31)
 	sp, err := CompileMicro(pl, DefaultTopology(2), 2, Pipeline, 4)
@@ -127,7 +146,6 @@ func TestWavefrontTimeline(t *testing.T) {
 	}
 	defer sp.Close()
 	rec := timeline.NewRecorder(1, 2)
-	sp.SetTimeline(rec)
 	b := executeSampled(t, sp, rec)
 
 	if b.Micro != 4 {
@@ -136,13 +154,11 @@ func TestWavefrontTimeline(t *testing.T) {
 	if b.Tracks != 2 {
 		t.Fatalf("batch recorded %d tracks, want 2", b.Tracks)
 	}
+	checkTiles(t, b)
 	computeByIPU := make([]int64, b.Tracks)
 	computeCells := map[[2]int32]bool{}
 	bubbles := 0
 	for _, ev := range b.Events {
-		if end := ev.StartNanos + ev.DurNanos; end > sp.LastWallNanos() {
-			t.Fatalf("event %+v ends past the %dns batch wall", ev, sp.LastWallNanos())
-		}
 		switch ev.Phase {
 		case timeline.Compute:
 			computeByIPU[ev.IPU] += ev.DurNanos
@@ -151,51 +167,52 @@ func TestWavefrontTimeline(t *testing.T) {
 			bubbles++
 		}
 	}
-	for k, want := range sp.LastComputeNanos() {
-		if computeByIPU[k] != want {
-			t.Errorf("ipu%d compute events sum to %dns, LastComputeNanos says %dns",
-				k, computeByIPU[k], want)
+	for k := range computeByIPU {
+		if want := sp.Frame().ComputeNanos(k); computeByIPU[k] != want {
+			t.Errorf("ipu%d compute events sum to %dns, the frame says %dns", k, computeByIPU[k], want)
 		}
 	}
 	// Every step must run every micro-batch exactly once.
 	if want := len(sp.Steps()) * 4; len(computeCells) != want {
 		t.Errorf("recorded %d (step, mb) compute cells, want %d", len(computeCells), want)
 	}
-	// At most one fill per waiting stage and one drain per non-final
-	// stage: with 2 stages, ≤ 2 bubbles (vs one per foreign micro-step
-	// under the barrier loop).
-	if bubbles > 2 {
-		t.Errorf("wavefront recorded %d bubble events, want ≤ 2 (fill + drain)", bubbles)
+	if bubbles != 2 {
+		t.Errorf("wavefront recorded %d bubble events, want 2 (fill + drain)", bubbles)
 	}
 }
 
 // TestShardedTimelineAllocFree extends the zero-alloc steady-state
 // contract to a worst-case recorder: sampling every batch, with pprof
-// labels pinned, Execute still allocates nothing after warm-up.
+// labels pinned, Execute plus deriving its timeline still allocates
+// nothing after warm-up.
 func TestShardedTimelineAllocFree(t *testing.T) {
 	_, pl := buildPlan(t, nn.Butterfly, 17)
-	sp, err := CompileWith(pl, DefaultTopology(4), 2, TensorParallel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sp.Close()
-	rec := timeline.NewRecorder(1, 2)
-	sp.SetTimeline(rec)
-	sp.SetPprofLabels(t.Context())
-	x := tensor.New(testMaxBatch, testN)
-	x.FillRandom(rand.New(rand.NewSource(18)), 1)
-	// Warm: fill the ring and the batch pool to steady state.
-	for i := 0; i < 4; i++ {
-		if _, err := sp.Execute(x); err != nil {
+	for _, strat := range []Strategy{TensorParallel, Pipeline} {
+		sp, err := CompileWith(pl, DefaultTopology(4), 2, strat)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	avg := testing.AllocsPerRun(20, func() { sp.Execute(x) })
-	if avg != 0 {
-		t.Errorf("Execute with recorder+labels allocates %.1f objects per run, want 0", avg)
-	}
-	if tot := rec.Totals(); tot.Batches < 20 {
-		t.Fatalf("recorder only saw %d batches — sampling did not run", tot.Batches)
+		rec := timeline.NewRecorder(1, 2)
+		sp.SetPprofLabels(t.Context())
+		x := tensor.New(testMaxBatch, testN)
+		x.FillRandom(rand.New(rand.NewSource(18)), 1)
+		run := func() {
+			if _, err := sp.Execute(x); err != nil {
+				t.Fatal(err)
+			}
+			rec.Record(sp.Frame())
+		}
+		// Warm: fill the ring to steady state.
+		for i := 0; i < 4; i++ {
+			run()
+		}
+		if avg := testing.AllocsPerRun(20, run); avg != 0 {
+			t.Errorf("%v: Execute+Record with labels allocates %.1f objects per run, want 0", strat, avg)
+		}
+		if tot := rec.Totals(); tot.Batches < 20 {
+			t.Fatalf("%v: recorder only saw %d batches — sampling did not run", strat, tot.Batches)
+		}
+		sp.Close()
 	}
 }
 
@@ -204,12 +221,12 @@ func TestShardedTimelineAllocFree(t *testing.T) {
 func TestPlanTimeline(t *testing.T) {
 	_, pl := buildPlan(t, nn.Baseline, 23)
 	rec := timeline.NewRecorder(1, 2)
-	pl.SetTimeline(rec)
 	x := tensor.New(testMaxBatch, testN)
 	x.FillRandom(rand.New(rand.NewSource(24)), 1)
 	if _, err := pl.Execute(x); err != nil {
 		t.Fatal(err)
 	}
+	rec.Record(pl.Frame())
 	snap := rec.Snapshot()
 	if len(snap) != 1 {
 		t.Fatalf("got %d batches, want 1", len(snap))
@@ -227,8 +244,8 @@ func TestPlanTimeline(t *testing.T) {
 		if ev.StartNanos != off {
 			t.Fatalf("event %d starts at %dns, want back-to-back at %dns", i, ev.StartNanos, off)
 		}
-		if want := pl.LastStepNanos()[i]; ev.DurNanos != want {
-			t.Fatalf("event %d duration %dns, want LastStepNanos %dns", i, ev.DurNanos, want)
+		if want := pl.Frame().StepNanos(i); ev.DurNanos != want {
+			t.Fatalf("event %d duration %dns, want the frame's step time %dns", i, ev.DurNanos, want)
 		}
 		off += ev.DurNanos
 		total += ev.DurNanos
