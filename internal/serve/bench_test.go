@@ -1,8 +1,12 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"repro/internal/nn"
@@ -73,4 +77,33 @@ func BenchmarkPredictLegacyInfer(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkPredictHTTP sends one perfbench-shaped request, a 1024-feature
+// /predict body for a butterfly model, through Server.ServeHTTP at a
+// time: body read, decode, batcher, plan execution and JSON response.
+func BenchmarkPredictHTTP(b *testing.B) {
+	reg := NewRegistry(Options{Batcher: BatcherConfig{MaxBatch: 32}})
+	defer reg.Close()
+	if _, err := reg.Register(ModelSpec{Name: "butterfly", Method: nn.Butterfly, N: 1024, Classes: 10, Seed: 42}); err != nil {
+		b.Fatal(err)
+	}
+	srv := NewServer(reg)
+	body, err := json.Marshal(PredictRequest{Model: "butterfly", Features: benchFeatures(1024)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	post := func() {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/predict", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+	}
+	post()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		post()
+	}
 }

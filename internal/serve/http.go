@@ -95,9 +95,27 @@ const maxPredictBody = 1 << 20
 // whitespace after its JSON object.
 var errTrailingData = errors.New("trailing data after the JSON object")
 
-// jsonBufs recycles response buffers; buffers grown past 64 KiB by a large
-// debug response are dropped rather than pinned.
+// jsonBufs recycles /predict body and response buffers.
 var jsonBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// putBuf returns buf to jsonBufs, unless a large body or debug response
+// grew it past 64 KiB: such a buffer is dropped rather than pinned.
+func putBuf(buf *bytes.Buffer) {
+	if buf.Cap() <= 64<<10 {
+		jsonBufs.Put(buf)
+	}
+}
+
+// allowOnly answers a request whose method is not method with a 405, an
+// Allow header and a JSON error, and reports whether the method matched.
+func (s *Server) allowOnly(w http.ResponseWriter, r *http.Request, method string) bool {
+	if r.Method == method {
+		return true
+	}
+	w.Header().Set("Allow", method)
+	s.writeJSON(w, http.StatusMethodNotAllowed, errorBody{method + " required"})
+	return false
+}
 
 // writeJSON encodes v into a buffer and only then sends the status and
 // body, so an encoding failure never follows a committed status: it is
@@ -117,25 +135,24 @@ func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	w.Write(buf.Bytes())
-	if buf.Cap() <= 64<<10 {
-		jsonBufs.Put(buf)
-	}
+	putBuf(buf)
 }
 
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		s.writeJSON(w, http.StatusMethodNotAllowed, errorBody{"POST required"})
+	if !s.allowOnly(w, r, http.MethodPost) {
 		return
 	}
 	t0 := time.Now()
+	// The body is read whole under the cap before it is decoded, so every
+	// body over maxPredictBody is a 413, whatever it holds.
+	buf := jsonBufs.Get().(*bytes.Buffer)
+	buf.Reset()
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxPredictBody))
 	var req PredictRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxPredictBody))
-	err := dec.Decode(&req)
 	if err == nil {
-		if _, tail := dec.Token(); tail != io.EOF {
-			err = errTrailingData
-		}
+		req, err = decodePredict(buf.Bytes())
 	}
+	putBuf(buf) // the request holds copies of the model name and features
 	if err != nil {
 		code := http.StatusBadRequest
 		var tooBig *http.MaxBytesError
@@ -190,8 +207,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		s.writeJSON(w, http.StatusMethodNotAllowed, errorBody{"GET required"})
+	if !s.allowOnly(w, r, http.MethodGet) {
 		return
 	}
 	s.writeJSON(w, http.StatusOK, s.reg.List())
@@ -205,8 +221,7 @@ type StatsResponse struct {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		s.writeJSON(w, http.StatusMethodNotAllowed, errorBody{"GET required"})
+	if !s.allowOnly(w, r, http.MethodGet) {
 		return
 	}
 	s.writeJSON(w, http.StatusOK, StatsResponse{
@@ -217,8 +232,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		s.writeJSON(w, http.StatusMethodNotAllowed, errorBody{"GET required"})
+	if !s.allowOnly(w, r, http.MethodGet) {
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -240,8 +254,7 @@ type TracesResponse struct {
 }
 
 func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		s.writeJSON(w, http.StatusMethodNotAllowed, errorBody{"GET required"})
+	if !s.allowOnly(w, r, http.MethodGet) {
 		return
 	}
 	resp := TracesResponse{Traces: s.tracer.Snapshot()}
@@ -295,8 +308,7 @@ type TimelineResponse struct {
 // JSON (one process per model, one track per modelled IPU) loadable in
 // Perfetto or chrome://tracing. ?model= restricts either view.
 func (s *Server) handleTimeline(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		s.writeJSON(w, http.StatusMethodNotAllowed, errorBody{"GET required"})
+	if !s.allowOnly(w, r, http.MethodGet) {
 		return
 	}
 	filter := r.URL.Query().Get("model")
@@ -351,8 +363,7 @@ type CostModelResponse struct {
 }
 
 func (s *Server) handleCostModel(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		s.writeJSON(w, http.StatusMethodNotAllowed, errorBody{"GET required"})
+	if !s.allowOnly(w, r, http.MethodGet) {
 		return
 	}
 	resp := CostModelResponse{Models: []ModelCostDrift{}}

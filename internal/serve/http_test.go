@@ -5,12 +5,16 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/nn"
+	"repro/internal/tensor"
 )
 
 func testServer(t *testing.T) (*httptest.Server, *Registry) {
@@ -227,8 +231,8 @@ func TestHTTPPredictNonFiniteScores(t *testing.T) {
 	}
 }
 
-// TestHTTPPredictBodyLimit sends a well-formed request just over
-// maxPredictBody: it must be cut off with a 413 and a JSON error body,
+// TestHTTPPredictBodyLimit sends well-formed requests just over
+// maxPredictBody: they must be cut off with a 413 and a JSON error body,
 // while one just under the limit still decodes (and fails only on width).
 func TestHTTPPredictBodyLimit(t *testing.T) {
 	ts, reg := testServer(t)
@@ -243,14 +247,155 @@ func TestHTTPPredictBodyLimit(t *testing.T) {
 		}
 		return b
 	}
+	// The body is read whole under the cap, so whitespace that carries an
+	// object under the cap past it is a 413 too.
 	for _, tc := range []struct {
-		size, code int
-	}{{maxPredictBody, http.StatusBadRequest}, {maxPredictBody + 64, http.StatusRequestEntityTooLarge}} {
-		resp, err := http.Post(ts.URL+"/predict", "application/json", bytes.NewReader(body(tc.size)))
+		size, pad, code int
+	}{
+		{maxPredictBody, 0, http.StatusBadRequest},
+		{maxPredictBody + 64, 0, http.StatusRequestEntityTooLarge},
+		{maxPredictBody - 64, 128, http.StatusRequestEntityTooLarge},
+	} {
+		raw := append(body(tc.size), strings.Repeat(" ", tc.pad)...)
+		resp, err := http.Post(ts.URL+"/predict", "application/json", bytes.NewReader(raw))
 		if err != nil {
 			t.Fatal(err)
 		}
 		assertJSONError(t, resp, tc.code)
 		resp.Body.Close()
+	}
+}
+
+// TestHTTPPredictFallbackShapes sends bodies the one-pass scanner declines
+// through the handler: each must get the status and error message that
+// encoding/json alone gave them.
+func TestHTTPPredictFallbackShapes(t *testing.T) {
+	reg := NewRegistry(Options{Batcher: BatcherConfig{MaxBatch: 8, Workers: 2}})
+	t.Cleanup(reg.Close)
+	if _, err := reg.Register(spec("m", nn.Baseline)); err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(reg)
+	zeros := "0" + strings.Repeat(",0", 63)
+	for _, tc := range []struct {
+		name, body string
+		code       int
+		err        string
+	}{
+		{"mixed-case key", `{"Model":"m","features":[` + zeros + `]}`, http.StatusOK, ""},
+		{"escaped model", `{"model":"\u006d","features":[` + zeros + `]}`, http.StatusOK, ""},
+		{"non-ASCII model", `{"model":"mÃ©","features":[` + zeros + `]}`, http.StatusNotFound, `unknown model "mÃ©"`},
+		{"unknown key", `{"model":"m","features":[` + zeros + `],"shards":2}`, http.StatusOK, ""},
+		{"null features", `{"model":"m","features":null}`, http.StatusBadRequest,
+			`serve: bad input: model "m" expects 64 features, got 0`},
+		{"out of float32 range", `{"model":"m","features":[1e39,` + zeros[2:] + `]}`, http.StatusBadRequest,
+			"bad request body: json: cannot unmarshal number 1e39 into Go struct field PredictRequest.features of type float32"},
+	} {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/predict", strings.NewReader(tc.body)))
+		if rec.Code != tc.code {
+			t.Fatalf("%s: status %d, want %d; body %s", tc.name, rec.Code, tc.code, rec.Body)
+		}
+		if tc.err == "" {
+			continue
+		}
+		var eb errorBody
+		if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil || eb.Error != tc.err {
+			t.Fatalf("%s: error body %s (%v), want error %q", tc.name, rec.Body, err, tc.err)
+		}
+	}
+}
+
+// TestHTTPPredictConcurrentBodies sends many distinct bodies for two
+// models at once: every response must carry the scores of its own body's
+// features, bit for bit, so no request reads a pooled body buffer that
+// another request has since refilled.
+func TestHTTPPredictConcurrentBodies(t *testing.T) {
+	ts, reg := testServer(t)
+	names := []string{"bf", "ff"}
+	var nets []*nn.Sequential
+	for i, method := range []nn.Method{nn.Butterfly, nn.Fastfood} {
+		sp := spec(names[i], method)
+		if _, err := reg.Register(sp); err != nil {
+			t.Fatal(err)
+		}
+		nets = append(nets, nn.BuildSHL(method, sp.N, sp.Classes, rand.New(rand.NewSource(sp.Seed))))
+	}
+	const clients, perClient = 8, 12
+	bodies := make([][]byte, clients*perClient)
+	want := make([][]float32, len(bodies))
+	rng := rand.New(rand.NewSource(7))
+	for i := range bodies {
+		x := tensor.New(1, 64)
+		x.FillRandom(rng, 1)
+		m := rng.Intn(len(names))
+		raw, err := json.Marshal(PredictRequest{Model: names[m], Features: x.Data})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bodies[i], want[i] = raw, nets[m].Infer(x).Row(0)
+	}
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := c; i < len(bodies); i += clients {
+				resp, err := ts.Client().Post(ts.URL+"/predict", "application/json", bytes.NewReader(bodies[i]))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				var pred Prediction
+				err = json.NewDecoder(resp.Body).Decode(&pred)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK || err != nil {
+					t.Errorf("body %d: status %d, decode error %v", i, resp.StatusCode, err)
+					return
+				}
+				if len(pred.Scores) != len(want[i]) {
+					t.Errorf("body %d: %d scores, want %d", i, len(pred.Scores), len(want[i]))
+					return
+				}
+				for j, v := range pred.Scores {
+					if math.Float32bits(v) != math.Float32bits(want[i][j]) {
+						t.Errorf("body %d: score %d = %v, want %v", i, j, v, want[i][j])
+						return
+					}
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+}
+
+// TestHTTPMethodNotAllowedAllow checks that every 405 names the method the
+// endpoint takes in an Allow header (RFC 9110 §15.5.6) and carries a JSON
+// error.
+func TestHTTPMethodNotAllowedAllow(t *testing.T) {
+	ts, _ := testServer(t)
+	for _, tc := range []struct{ method, path, allow string }{
+		{http.MethodGet, "/predict", http.MethodPost},
+		{http.MethodPut, "/predict", http.MethodPost},
+		{http.MethodPost, "/models", http.MethodGet},
+		{http.MethodPost, "/stats", http.MethodGet},
+		{http.MethodPost, "/metrics", http.MethodGet},
+		{http.MethodPost, "/debug/traces", http.MethodGet},
+		{http.MethodPost, "/debug/timeline", http.MethodGet},
+		{http.MethodPost, "/debug/costmodel", http.MethodGet},
+	} {
+		req, err := http.NewRequest(tc.method, ts.URL+tc.path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertJSONError(t, resp, http.StatusMethodNotAllowed)
+		resp.Body.Close()
+		if got := resp.Header.Get("Allow"); got != tc.allow {
+			t.Fatalf("%s %s: Allow %q, want %q", tc.method, tc.path, got, tc.allow)
+		}
 	}
 }
