@@ -341,7 +341,7 @@ func main() {
 	newPath := flag.String("new", "", "freshly generated perf record (enables snapshot mode)")
 	tol := flag.Float64("tol", 0.2, "snapshot: allowed relative regression (0.2 = 20%)")
 	allocSlack := flag.Float64("alloc-slack", 50,
-		"absolute allocs/op increase always tolerated: sync.Pool refills after a GC recompile a plan inside the measurement window, which jitters the per-op figure by tens of allocs; a real loss of the compiled-plan path costs hundreds")
+		"absolute allocs/op increase always tolerated: pricing a batch bucket first met inside the measurement window (Model.ModelledCost: IPU compile, simulation and probe plan, 19k-40k allocations) steps the per-op figure by tens of allocs; a real loss of the compiled-plan path costs hundreds")
 	history := flag.String("history", "", "append-only JSONL perf history (enables trajectory mode)")
 	window := flag.Int("window", 3, "history: runs averaged on each side of a split point")
 	stepTol := flag.Float64("step-tol", 0.05, "history: relative windowed-mean throughput drop that fails the gate")

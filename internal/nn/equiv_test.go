@@ -99,9 +99,9 @@ func equivTrial(t *testing.T, rng *rand.Rand, net *nn.Sequential, n, maxBatch in
 				strategies = append(strategies, shard.TensorParallel)
 			}
 			for _, strat := range strategies {
-				sp, err := shard.CompileWith(src.pl, topo, shards, strat)
+				sp, err := shard.CompileMicro(src.pl, topo, shards, strat, 1)
 				if err != nil {
-					t.Fatalf("CompileWith(%s, %d, %v): %v", src.tag, shards, strat, err)
+					t.Fatalf("CompileMicro(%s, %d, %v): %v", src.tag, shards, strat, err)
 				}
 				for i, x := range inputs {
 					got, err := sp.Execute(x)
@@ -249,9 +249,9 @@ func FuzzPlanExecute(f *testing.F) {
 				strategies = append(strategies, shard.TensorParallel)
 			}
 			for _, strat := range strategies {
-				sp, err := shard.CompileWith(fused, topo, shards, strat)
+				sp, err := shard.CompileMicro(fused, topo, shards, strat, 1)
 				if err != nil {
-					t.Fatalf("CompileWith(%d, %v): %v", shards, strat, err)
+					t.Fatalf("CompileMicro(%d, %v): %v", shards, strat, err)
 				}
 				got, err := sp.Execute(x)
 				sp.Close()

@@ -60,8 +60,9 @@ func (k StepKind) String() string {
 // A Plan shares the model's weights read-only (training the model while
 // executing its plans is not safe — the same contract as Sequential.Infer)
 // but owns its activation buffers, so a Plan must not be used from two
-// goroutines at once. Pool instances (sync.Pool) for concurrent serving;
-// compiling another instance from the same model is cheap.
+// goroutines at once: compile one instance per concurrent caller from the
+// same model. The serving layer keeps idle instances on a free list per
+// compiled program.
 type Plan struct {
 	maxBatch int
 	in, out  int

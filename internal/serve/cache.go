@@ -78,18 +78,34 @@ type programKey struct {
 
 // Executor is the host-side compiled program the batch path runs:
 // nn.Plan on one modelled IPU, shard.ShardedPlan across several. Both are
-// single-goroutine objects pooled per worker.
+// single-goroutine objects; a Program owns the idle ones and lends each to
+// one worker at a time.
 type Executor interface {
 	Execute(x *tensor.Matrix) (*tensor.Matrix, error)
 	MaxBatch() int
 }
 
+// closer is the shutdown hook of executors that own goroutines
+// (shard.ShardedPlan); nn.Plan owns none, so dropping it is enough.
+type closer interface {
+	Close()
+}
+
+// closePlan ends an executor the Program will not hand out again.
+func closePlan(pl Executor) {
+	if c, ok := pl.(closer); ok {
+		c.Close()
+	}
+}
+
 // Program is the cache's unit of work: everything compiled once per
 // (model, version, pow2-batch, shards) key. It bundles the modelled IPU
-// cost of the batch program with a pool of host execution plans (nn.Plan,
-// or shard.ShardedPlan when the model is sharded) sized for the same batch
-// bucket, so the micro-batcher's workers run allocation-free at steady
-// state and every response can report device cost without recompiling.
+// cost of the batch program with a free list of host execution plans
+// (nn.Plan, or shard.ShardedPlan when the model is sharded) sized for the
+// same batch bucket, so the micro-batcher's workers run allocation-free at
+// steady state and every response can report device cost without
+// recompiling. The Program is the plans' sole owner: they stay until the
+// cache evicts it, which closes them.
 type Program struct {
 	batch  int
 	shards int
@@ -106,9 +122,17 @@ type Program struct {
 
 	// net is the host network plans compile from; set the first time the
 	// program is requested with a network attached (cost-only callers pass
-	// none). plans pools per-worker Executor instances.
-	net   atomic.Pointer[nn.Sequential]
-	plans sync.Pool
+	// none).
+	net atomic.Pointer[nn.Sequential]
+
+	// idle is the LIFO free list of plans no caller holds. It needs no
+	// cap: GetPlan compiles only when none is idle, so it holds at most
+	// the plans that were out at one moment (the model's batcher workers
+	// and a readiness probe) plus the one Cost donates. closed is set by
+	// eviction; plans returned afterwards are closed.
+	mu     sync.Mutex
+	idle   []Executor
+	closed bool
 
 	// scOnce memoizes the shard planner's verdict (strategy, per-IPU
 	// memory, exchange) and the 1-shard reference estimate, so GetPlan
@@ -159,9 +183,9 @@ func (p *Program) Cost() (*ProgramCost, error) {
 				p.cost = nil
 			}
 		} else if pl != nil {
-			// Donate the probe plan to the executor pool: the first
-			// Predict after a Cost pays no second compile.
-			p.plans.Put(pl)
+			// Donate the probe plan to the free list: the first Predict
+			// after a Cost pays no second compile.
+			p.PutPlan(pl)
 		}
 		p.costDone.Store(true)
 	})
@@ -254,14 +278,20 @@ func (p *Program) shardCost(cost *ProgramCost, pl *nn.Plan) error {
 	return nil
 }
 
-// GetPlan hands out a pooled host execution plan — sharded across the
+// GetPlan hands out an idle host execution plan — sharded across the
 // program's modelled IPUs when shards > 1 — compiling a fresh instance
-// when the pool is empty. Callers must return it with PutPlan after
-// copying anything they need out of its buffers.
+// when none is idle. Callers must return it with PutPlan after copying
+// anything they need out of its buffers.
 func (p *Program) GetPlan() (Executor, error) {
-	if v := p.plans.Get(); v != nil {
-		return v.(Executor), nil
+	p.mu.Lock()
+	if n := len(p.idle); n > 0 {
+		pl := p.idle[n-1]
+		p.idle[n-1] = nil
+		p.idle = p.idle[:n-1]
+		p.mu.Unlock()
+		return pl, nil
 	}
+	p.mu.Unlock()
 	net := p.net.Load()
 	if net == nil {
 		return nil, errNoHostNet
@@ -277,15 +307,37 @@ func (p *Program) GetPlan() (Executor, error) {
 	return shard.CompileMicro(pl, p.topo, p.shards, sc.Strategy, sc.MicroBatches)
 }
 
-// PutPlan returns a plan obtained from GetPlan to the pool.
+// PutPlan returns a plan obtained from GetPlan to the free list, or
+// closes it when the program has been evicted.
 func (p *Program) PutPlan(pl Executor) {
-	if pl != nil {
-		p.plans.Put(pl)
+	if pl == nil {
+		return
+	}
+	p.mu.Lock()
+	closed := p.closed
+	if !closed {
+		p.idle = append(p.idle, pl)
+	}
+	p.mu.Unlock()
+	if closed {
+		closePlan(pl)
 	}
 }
 
-// ProgramCache memoizes compiled programs — host plan pool plus modelled
-// IPU cost — per (model, version, batch bucket, shard count), so the
+// close closes every idle plan and makes PutPlan close the rest as they
+// come back. Callers still holding the program keep working.
+func (p *Program) close() {
+	p.mu.Lock()
+	idle := p.idle
+	p.idle, p.closed = nil, true
+	p.mu.Unlock()
+	for _, pl := range idle {
+		closePlan(pl)
+	}
+}
+
+// ProgramCache memoizes compiled programs — host plan free list plus
+// modelled IPU cost — per (model, version, batch bucket, shard count), so the
 // serving path compiles each artifact at most once and every request
 // rides prebuilt state.
 type ProgramCache struct {
@@ -303,12 +355,6 @@ type ProgramCache struct {
 	// mets is the cache's instrument set, installed once (before any
 	// Program exists) by the owning registry; nil when uninstrumented.
 	mets *cacheMetrics
-}
-
-// NewProgramCache creates a cache compiling against the given device
-// model, with a single-IPU topology (sharded keys are rejected).
-func NewProgramCache(cfg ipu.Config) *ProgramCache {
-	return NewShardedProgramCache(cfg, shard.Topology{NumIPUs: 1, IPU: cfg}, 0)
 }
 
 // NewShardedProgramCache creates a cache that can also compile programs
@@ -377,19 +423,25 @@ func (c *ProgramCache) lookup(name string, version, batch, shards int, net *nn.S
 }
 
 // Evict drops every cached program of one (model, version), releasing the
-// pinned network weights and plan pools of a replaced or removed model.
-// Programs still held by in-flight callers stay usable; they are simply
-// no longer reachable from the cache. Callers must stop the model's
-// batcher first so no new lookups can resurrect the entries.
+// pinned network weights of a replaced or removed model and closing the
+// programs' idle plans. Programs still held by in-flight callers stay
+// usable; a plan those callers compile or return afterwards is closed
+// when it comes back. Callers must stop the model's batcher first so no
+// new lookups can resurrect the entries.
 func (c *ProgramCache) Evict(name string, version int) {
+	var dropped []*Program
 	c.mu.Lock()
-	for k := range c.entries {
+	for k, p := range c.entries {
 		if k.model == name && k.version == version {
 			delete(c.entries, k)
+			dropped = append(dropped, p)
 			c.evictions.Add(1)
 		}
 	}
 	c.mu.Unlock()
+	for _, p := range dropped {
+		p.close()
+	}
 }
 
 // Cost returns the modelled cost of running spec's structured layer at the

@@ -1,15 +1,17 @@
 package serve
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
 	"repro/internal/ipu"
 	"repro/internal/nn"
+	"repro/internal/shard"
 )
 
 func TestProgramCacheHitMissAccounting(t *testing.T) {
-	c := NewProgramCache(ipu.GC200())
+	c := NewShardedProgramCache(ipu.GC200(), shard.DefaultTopology(1), 0)
 	sp := spec("m", nn.Butterfly)
 
 	cost1, err := c.Cost(sp, 1, 8)
@@ -48,7 +50,7 @@ func TestProgramCacheHitMissAccounting(t *testing.T) {
 }
 
 func TestProgramCacheConcurrentColdKeyCompilesOnce(t *testing.T) {
-	c := NewProgramCache(ipu.GC200())
+	c := NewShardedProgramCache(ipu.GC200(), shard.DefaultTopology(1), 0)
 	sp := spec("m", nn.Pixelfly)
 
 	const callers = 12
@@ -82,7 +84,7 @@ func TestProgramCacheConcurrentColdKeyCompilesOnce(t *testing.T) {
 }
 
 func TestProgramCacheAllMethodsCompile(t *testing.T) {
-	c := NewProgramCache(ipu.GC200())
+	c := NewShardedProgramCache(ipu.GC200(), shard.DefaultTopology(1), 0)
 	for _, m := range nn.AllMethods {
 		cost, err := c.Cost(spec("m-"+m.String(), m), 1, 8)
 		if err != nil {
@@ -99,7 +101,7 @@ func TestProgramCacheAllMethodsCompile(t *testing.T) {
 }
 
 func TestProgramCacheRejectsBadBatch(t *testing.T) {
-	c := NewProgramCache(ipu.GC200())
+	c := NewShardedProgramCache(ipu.GC200(), shard.DefaultTopology(1), 0)
 	if _, err := c.Cost(spec("m", nn.Baseline), 1, 0); err == nil {
 		t.Fatal("batch 0 accepted")
 	}
@@ -110,7 +112,7 @@ func TestProgramCacheRejectsBadBatch(t *testing.T) {
 // counts, at least one fused step for an SHL, and reduced modelled arena
 // traffic — and that cost-only programs simply omit the block.
 func TestProgramCostFusionBlock(t *testing.T) {
-	c := NewProgramCache(ipu.GC200())
+	c := NewShardedProgramCache(ipu.GC200(), shard.DefaultTopology(1), 0)
 	sp := spec("m", nn.Butterfly)
 
 	// Cost-only (no host net): fusion fields stay zero.
@@ -159,4 +161,39 @@ func TestProgramCostFusionBlock(t *testing.T) {
 		t.Fatalf("pooled plan MaxBatch = %d, want 8", pl.MaxBatch())
 	}
 	p.PutPlan(pl)
+}
+
+// TestProgramPlansSurviveGC pins the free list's ownership: an idle plan
+// stays with its program across garbage collections, so the next GetPlan
+// hands the same executor back instead of compiling another.
+func TestProgramPlansSurviveGC(t *testing.T) {
+	c := NewShardedProgramCache(ipu.GC200(), shard.DefaultTopology(2), 0)
+	sp := spec("m", nn.Butterfly)
+	defer c.Evict(sp.Name, 1)
+	net, err := buildNet(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := func(cfg ipu.Config, b int) (*ipu.Workload, error) { return buildWorkload(cfg, sp, b) }
+	for _, shards := range []int{1, 2} {
+		p, err := c.Program(sp.Name, 1, 4, shards, net, build)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pl, err := p.GetPlan()
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.PutPlan(pl)
+		runtime.GC()
+		runtime.GC()
+		again, err := p.GetPlan()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again != pl {
+			t.Fatalf("%d shards: GetPlan after two collections compiled a new plan", shards)
+		}
+		p.PutPlan(again)
+	}
 }

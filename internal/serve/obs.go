@@ -333,7 +333,7 @@ func (m *Model) KernelVariants() map[string]string {
 // time is its span under the barrier loop and the sum of its kernel
 // cells otherwise; a shard's compute is the sum of its cells. Runs on
 // the batcher worker, once per batch, before the plan returns to its
-// pool; allocation-free after the first batch builds the instruments.
+// program; allocation-free after the first batch builds the instruments.
 func (m *Model) observeExec(ex Executor, info *execInfo) {
 	se, ok := ex.(steppedExecutor)
 	if !ok {

@@ -230,8 +230,9 @@ func (r *Registry) install(spec ModelSpec, net *nn.Sequential, label string, wb 
 
 	if old != nil {
 		// Stop first (drains in-flight batches), then drop the old
-		// version's cached programs so replaced weights and plan pools
-		// don't accumulate across redeploys.
+		// version's cached programs, closing their plans, so replaced
+		// weights and sharded-plan workers don't accumulate across
+		// redeploys.
 		old.stop()
 		r.cache.Evict(old.spec.Name, old.version)
 	}
@@ -393,7 +394,8 @@ func (r *Registry) Stats() []ModelStats {
 	return out
 }
 
-// Close stops every model's batcher.
+// Close stops every model's batcher and evicts its programs, closing
+// their plans.
 func (r *Registry) Close() {
 	r.mu.Lock()
 	models := make([]*Model, 0, len(r.models))

@@ -355,11 +355,12 @@ func (m *Model) ModelledCost(batch int) (*ProgramCost, error) {
 }
 
 // runBatch is the micro-batcher's inference function: it executes the
-// batch on a pooled compiled plan (allocation-free at steady state except
-// the result copy handed to responses) and falls back to the generic
-// read-only forward pass if the plan path is unavailable. The executor's
-// frame is derived into info and the model's instruments before the plan
-// returns to the pool; the fallback path leaves info empty.
+// batch on a compiled plan from the program's free list (allocation-free
+// at steady state except the result copy handed to responses) and falls
+// back to the generic read-only forward pass if the plan path is
+// unavailable. The executor's frame is derived into info and the model's
+// instruments before the plan goes back to the program; the fallback path
+// leaves info empty.
 func (m *Model) runBatch(x *tensor.Matrix, info *execInfo) *tensor.Matrix {
 	if m.pprofCtx != nil {
 		// Pin the model name on the worker goroutine for CPU-profile
@@ -371,6 +372,15 @@ func (m *Model) runBatch(x *tensor.Matrix, info *execInfo) *tensor.Matrix {
 	prog, err := m.cache.programQuiet(m.spec.Name, m.version, nextPow2(x.Rows), m.shards, m.net, m.workload)
 	if err == nil {
 		if pl, perr := prog.GetPlan(); perr == nil {
+			returned := false
+			defer func() {
+				if !returned {
+					// Execute panicked (safeRun reports it): the plan's
+					// barrier or handoff tokens may still be in flight,
+					// so close it instead of handing it out again.
+					closePlan(pl)
+				}
+			}()
 			if m.pprofCtx != nil {
 				if ps, ok := pl.(pprofSink); ok {
 					// Sharded executors refine the model label with a
@@ -383,13 +393,15 @@ func (m *Model) runBatch(x *tensor.Matrix, info *execInfo) *tensor.Matrix {
 			if xerr == nil {
 				// Copy out before returning the plan: responses alias rows
 				// of the returned matrix, and the plan's buffers are
-				// recycled by the next worker that draws it from the pool.
+				// recycled by the next worker that takes it.
 				out := tensor.New(y.Rows, y.Cols)
 				copy(out.Data, y.Data)
 				m.observeExec(pl, info)
+				returned = true
 				prog.PutPlan(pl)
 				return out
 			}
+			returned = true
 			prog.PutPlan(pl)
 		}
 	}
@@ -431,6 +443,13 @@ func (m *Model) Ready() (bool, string) {
 	} else {
 		prog.PutPlan(pl)
 		rs.ready = true
+	}
+	// As in ModelledCost: a probe racing a replace or remove may have
+	// re-created an entry the registry just evicted, and only an eviction
+	// closes the plan it now holds.
+	if m.retired.Load() {
+		m.cache.Evict(m.spec.Name, m.version)
+		return false, "model stopped"
 	}
 	m.readiness.Store(rs)
 	return rs.ready, rs.err

@@ -3,8 +3,12 @@ package serve
 import (
 	"context"
 	"math/rand"
+	"runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/ipu"
 	"repro/internal/nn"
@@ -23,6 +27,63 @@ func shardedRegistry(t *testing.T, budget, fixed int) *Registry {
 	})
 	t.Cleanup(r.Close)
 	return r
+}
+
+// settledGoroutines polls for up to 2 s until at most want goroutines
+// run, and returns the last count. Closed sharded plans' workers exit
+// asynchronously, hence the poll; it never forces a collection, so a plan
+// that only a finalizer would stop keeps the count up.
+func settledGoroutines(want int) int {
+	deadline := time.Now().Add(2 * time.Second)
+	n := runtime.NumGoroutine()
+	for n > want && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+	return n
+}
+
+// TestRegistryShardedPlansStopOnReplace pins sharded-plan ownership
+// across model churn: a 2-IPU model serves, is replaced twice and is
+// removed, while a second one stays until the registry closes. Each
+// eviction closes the plans it drops, so the workers of every plan either
+// model compiled end without a garbage collection.
+func TestRegistryShardedPlansStopOnReplace(t *testing.T) {
+	before := runtime.NumGoroutine()
+	reg := NewRegistry(Options{Batcher: BatcherConfig{MaxBatch: 8, Workers: 2}, NumIPUs: 2, Shards: 2})
+	use := func(m *Model) {
+		if m.Shards() != 2 {
+			t.Fatalf("model %q runs on %d IPUs, want 2", m.Info().Name, m.Shards())
+		}
+		var wg sync.WaitGroup
+		for i := 0; i < 8; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, err := m.Predict(context.Background(), make([]float32, m.spec.N)); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		wg.Wait()
+		if ok, msg := m.Ready(); !ok {
+			t.Fatalf("model %q not ready: %s", m.Info().Name, msg)
+		}
+	}
+	for _, name := range []string{"churn", "churn", "churn", "stays"} {
+		m, err := reg.Register(spec(name, nn.Baseline))
+		if err != nil {
+			t.Fatal(err)
+		}
+		use(m)
+	}
+	if !reg.Remove("churn") {
+		t.Fatal("Remove found no model")
+	}
+	reg.Close()
+	if n := settledGoroutines(before); n > before {
+		t.Fatalf("%d goroutines 2 s after the registry closed, %d before it opened", n, before)
+	}
 }
 
 // TestRegistryAutoShardSelection asserts the acceptance criterion: the
@@ -176,8 +237,9 @@ func TestProgramCacheShardedKeysDistinct(t *testing.T) {
 // against Evict across shard counts — run under -race (the satellite
 // coverage for the cache's concurrency contract). Every lookup must either
 // produce a usable program or a clean error; entries must all be gone at
-// the end.
+// the end, and every sharded plan's workers with them.
 func TestProgramCacheConcurrentProgramEvict(t *testing.T) {
+	before := runtime.NumGoroutine()
 	topo := shard.Topology{NumIPUs: 4, IPU: ipu.GC200(), Link: ipu.IPULink()}
 	c := NewShardedProgramCache(ipu.GC200(), topo, 0)
 	sp := spec("m", nn.Butterfly)
@@ -229,6 +291,83 @@ func TestProgramCacheConcurrentProgramEvict(t *testing.T) {
 	c.Evict(sp.Name, 1)
 	if s := c.Stats(); s.Entries != 0 {
 		t.Fatalf("after final evict: %d entries, want 0", s.Entries)
+	}
+	// Every plan went back to a program that the last Evict closed, or
+	// came back to an already evicted one and was closed on return.
+	if n := settledGoroutines(before); n > before {
+		t.Fatalf("%d goroutines 2 s after the final evict, %d before the test", n, before)
+	}
+}
+
+// TestProgramClosesPlanReturnedAfterEvict: a caller holding a sharded plan
+// across an eviction keeps using it, handing it back closes it, and the
+// evicted program never hands a closed plan out again.
+func TestProgramClosesPlanReturnedAfterEvict(t *testing.T) {
+	before := runtime.NumGoroutine()
+	c := NewShardedProgramCache(ipu.GC200(), shard.DefaultTopology(2), 0)
+	sp := spec("m", nn.Baseline)
+	net, err := buildNet(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := c.Program(sp.Name, 1, 4, 2, net, func(cfg ipu.Config, b int) (*ipu.Workload, error) { return buildWorkload(cfg, sp, b) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, err := p.GetPlan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Evict(sp.Name, 1)
+	if _, err := pl.Execute(tensor.New(4, sp.N)); err != nil {
+		t.Fatalf("Execute after the evict: %v", err)
+	}
+	p.PutPlan(pl)
+	next, err := p.GetPlan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next == pl {
+		t.Fatal("an evicted program handed out the plan it closed")
+	}
+	p.PutPlan(next)
+	if n := settledGoroutines(before); n > before {
+		t.Fatalf("%d goroutines 2 s after both plans came back, %d before the test", n, before)
+	}
+}
+
+// panicPlan is an executor whose Execute panics, as a kernel bug would.
+type panicPlan struct{ closed atomic.Bool }
+
+func (p *panicPlan) Execute(*tensor.Matrix) (*tensor.Matrix, error) { panic("kernel bug") }
+func (p *panicPlan) MaxBatch() int                                  { return 1 }
+func (p *panicPlan) Close()                                         { p.closed.Store(true) }
+
+// TestRunBatchClosesPanickedPlan: a plan whose Execute panicked may still
+// have tokens in flight, so the batch path closes it rather than handing
+// it back, and fails only that batch. The free list is LIFO, so a
+// panicked plan handed back would also fail the next batch.
+func TestRunBatchClosesPanickedPlan(t *testing.T) {
+	reg := testRegistry(t)
+	m, err := reg.Register(spec("m", nn.Butterfly))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := m.cache.programQuiet(m.spec.Name, m.version, 1, m.shards, m.net, m.workload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := &panicPlan{}
+	prog.PutPlan(bad)
+	x := make([]float32, m.spec.N)
+	if _, err := m.Predict(context.Background(), x); err == nil || !strings.Contains(err.Error(), "inference panic") {
+		t.Fatalf("Predict on a panicking plan: err = %v, want an inference panic", err)
+	}
+	if !bad.closed.Load() {
+		t.Fatal("the panicked plan was not closed")
+	}
+	if _, err := m.Predict(context.Background(), x); err != nil {
+		t.Fatalf("Predict after the panic: %v", err)
 	}
 }
 

@@ -33,9 +33,9 @@ package shard
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"runtime/pprof"
 	"strconv"
+	"sync"
 	"time"
 
 	"repro/internal/ipu"
@@ -120,11 +120,14 @@ type step struct {
 	run     []func(dst, x *tensor.Matrix, ws *tensor.Workspace)
 }
 
-// engine holds everything the worker goroutines touch. It is split from
-// ShardedPlan so the workers keep only the engine alive: the plan's
-// finalizer can then stop them once the plan itself becomes unreachable
-// (pooled plans are dropped by cache eviction, never closed explicitly).
-type engine struct {
+// ShardedPlan is a compiled multi-IPU inference program. Like nn.Plan it
+// owns its activation buffers and must not be used from two goroutines at
+// once. It also owns one worker goroutine per modelled IPU past the first,
+// parked between batches, which only Close stops: every compiled
+// ShardedPlan must be closed.
+type ShardedPlan struct {
+	strategy Strategy
+	cost     Cost
 	shards   int
 	maxBatch int
 	in, out  int
@@ -178,12 +181,14 @@ type engine struct {
 	// Orchestration state: the orchestrator publishes curDst/curX/stepIdx,
 	// wakes the workers through their start channels (the channel send is
 	// the happens-before edge), runs shard 0 inline, and collects one done
-	// token per worker as the barrier.
+	// token per worker as the barrier. Close closes quit, once, which
+	// stops the parked workers.
 	curDst, curX *tensor.Matrix
 	stepIdx      int
 	start        []chan struct{}
 	done         chan struct{}
 	quit         chan struct{}
+	quitOnce     sync.Once
 
 	// Wavefront state (every pipeline plan; nil stageFirst means the
 	// tensor-parallel barrier loop runs). A batch splits into waveM =
@@ -208,16 +213,6 @@ type engine struct {
 	wfSrc      []tensor.Matrix // per stage: reusable kernel src header
 }
 
-// ShardedPlan is a compiled multi-IPU inference program. Like nn.Plan it
-// owns its activation buffers and must not be used from two goroutines at
-// once; pool instances for concurrent serving.
-type ShardedPlan struct {
-	e        *engine
-	topo     Topology
-	strategy Strategy
-	cost     Cost
-}
-
 // Compile partitions a compiled plan across shards IPUs of the topology,
 // letting the cost planner choose the strategy: tensor-parallel when every
 // layer is splittable and its modelled latency (compute/S plus all-gather
@@ -233,20 +228,13 @@ func Compile(pl *nn.Plan, topo Topology, shards int) (*ShardedPlan, error) {
 	return CompileMicro(pl, topo, shards, cost.Strategy, cost.MicroBatches)
 }
 
-// CompileWith is Compile with the partitioning strategy forced and the
-// pipeline wavefront pinned to one micro-batch — the hook the
-// equivalence tests use to cover both lowerings at every shard count.
-func CompileWith(pl *nn.Plan, topo Topology, shards int, strategy Strategy) (*ShardedPlan, error) {
-	return CompileMicro(pl, topo, shards, strategy, 1)
-}
-
-// CompileMicro is CompileWith with the pipeline wavefront width forced:
-// micro 0 lets the cost model pick, micro ≥ 1 streams each batch as that
-// many micro-batches (clamped to the plan's MaxBatch). Pipeline plans
-// always run the wavefront; tensor-parallel plans run the barrier loop
-// and ignore micro. Execute stays bit-for-bit identical to
-// nn.Plan.Execute at every width — micro-batches are contiguous row
-// slices and every kernel is row-wise.
+// CompileMicro is Compile with the partitioning strategy and the pipeline
+// wavefront width forced: micro 0 lets the cost model pick, micro ≥ 1
+// streams each batch as that many micro-batches (clamped to the plan's
+// MaxBatch). Pipeline plans always run the wavefront; tensor-parallel
+// plans run the barrier loop and ignore micro. Execute stays bit-for-bit
+// identical to nn.Plan.Execute at every width — micro-batches are
+// contiguous row slices and every kernel is row-wise.
 func CompileMicro(pl *nn.Plan, topo Topology, shards int, strategy Strategy, micro int) (*ShardedPlan, error) {
 	topo = topo.withDefaults()
 	if shards < 1 || shards&(shards-1) != 0 {
@@ -255,7 +243,7 @@ func CompileMicro(pl *nn.Plan, topo Topology, shards int, strategy Strategy, mic
 	if shards > topo.NumIPUs {
 		return nil, fmt.Errorf("shard: %d shards exceed topology of %d IPUs", shards, topo.NumIPUs)
 	}
-	// Effective engine width: a pipeline stage must own at least one
+	// Effective executor width: a pipeline stage must own at least one
 	// step, so shard counts past the plan's step count clamp — trailing
 	// IPUs would otherwise idle every step, skewing the per-IPU phase
 	// accounting and the bubble gauge (the cost model clamps identically
@@ -284,7 +272,9 @@ func CompileMicro(pl *nn.Plan, topo Topology, shards int, strategy Strategy, mic
 		return nil, err
 	}
 
-	e := &engine{
+	p := &ShardedPlan{
+		strategy: strategy,
+		cost:     cost,
 		shards:   eff,
 		maxBatch: pl.MaxBatch(),
 		in:       pl.InputWidth(),
@@ -295,7 +285,7 @@ func CompileMicro(pl *nn.Plan, topo Topology, shards int, strategy Strategy, mic
 		quit:     make(chan struct{}),
 	}
 	if strategy == Pipeline {
-		e.buildWavefront()
+		p.buildWavefront()
 	} else {
 		maxW := 0
 		for _, st := range steps {
@@ -303,9 +293,9 @@ func CompileMicro(pl *nn.Plan, topo Topology, shards int, strategy Strategy, mic
 				maxW = st.cols
 			}
 		}
-		e.bufA = make([]float32, e.maxBatch*maxW)
-		e.bufB = make([]float32, e.maxBatch*maxW)
-		e.frame = timeline.NewFrame(len(steps), eff, 1, nil, true)
+		p.bufA = make([]float32, p.maxBatch*maxW)
+		p.bufB = make([]float32, p.maxBatch*maxW)
+		p.frame = timeline.NewFrame(len(steps), eff, 1, nil, true)
 	}
 
 	// Annotate each micro-step with its share of the source plan step's
@@ -317,42 +307,37 @@ func CompileMicro(pl *nn.Plan, topo Topology, shards int, strategy Strategy, mic
 	for i := range steps {
 		counts[steps[i].src]++
 	}
-	e.kern = make([]obs.Kernel, len(steps))
-	e.variants = make([]string, len(steps))
-	e.flopsPerRow = make([]int64, len(steps))
-	e.bytesPerRow = make([]int64, len(steps))
+	p.kern = make([]obs.Kernel, len(steps))
+	p.variants = make([]string, len(steps))
+	p.flopsPerRow = make([]int64, len(steps))
+	p.bytesPerRow = make([]int64, len(steps))
 	for i := range steps {
 		src := steps[i].src
 		n := int64(counts[src])
-		e.kern[i] = pl.StepKernel(src)
-		e.variants[i] = steps[i].variant
-		e.flopsPerRow[i] = pl.StepFlopsPerRow(src) / n
-		e.bytesPerRow[i] = pl.StepArenaBytesPerRow(src) / n
+		p.kern[i] = pl.StepKernel(src)
+		p.variants[i] = steps[i].variant
+		p.flopsPerRow[i] = pl.StepFlopsPerRow(src) / n
+		p.bytesPerRow[i] = pl.StepArenaBytesPerRow(src) / n
 	}
-	e.modelCompSec, e.modelExchSec = modelledMicroPhases(pl, steps, pl.MaxBatch(), eff, topo, strategy)
-	e.modelSec = make([]float64, len(steps))
-	for i := range e.modelSec {
-		e.modelSec[i] = e.modelCompSec[i] + e.modelExchSec[i]
+	p.modelCompSec, p.modelExchSec = modelledMicroPhases(pl, steps, pl.MaxBatch(), eff, topo, strategy)
+	p.modelSec = make([]float64, len(steps))
+	for i := range p.modelSec {
+		p.modelSec[i] = p.modelCompSec[i] + p.modelExchSec[i]
 	}
-	e.workerCtx = make([]context.Context, eff)
-	e.ws = make([]*tensor.Workspace, eff)
-	for k := range e.ws {
-		e.ws[k] = tensor.NewWorkspace()
+	p.workerCtx = make([]context.Context, eff)
+	p.ws = make([]*tensor.Workspace, eff)
+	for k := range p.ws {
+		p.ws[k] = tensor.NewWorkspace()
 	}
 	for k := 1; k < eff; k++ {
 		c := make(chan struct{}, 1)
-		e.start = append(e.start, c)
-		go e.workerLoop(k, c)
+		p.start = append(p.start, c)
+		go p.workerLoop(k, c)
 	}
-	p := &ShardedPlan{e: e, topo: topo, strategy: strategy, cost: cost}
-	// Workers park on their start channels; if the plan is dropped without
-	// Close (pooled plans are), the finalizer releases them.
-	runtime.SetFinalizer(p, func(sp *ShardedPlan) { sp.e.stop() })
-
 	// Two warm-up executions, as in nn.CompilePlan: the first records
 	// every per-shard workspace's demand, the second runs with the arenas
 	// at their exact steady-state size.
-	warm := tensor.New(e.maxBatch, e.in)
+	warm := tensor.New(p.maxBatch, p.in)
 	for i := 0; i < 2; i++ {
 		if _, err := p.Execute(warm); err != nil {
 			p.Close()
@@ -369,70 +354,70 @@ func CompileMicro(pl *nn.Plan, topo Topology, shards int, strategy Strategy, mic
 // otherwise), the token channels, the full-batch output arena the final
 // stage writes row slices into, and the frame. Everything is
 // preallocated here so Execute stays allocation-free.
-func (e *engine) buildWavefront() {
-	S := e.shards
-	owner := make([]int, len(e.steps))
-	e.stageFirst = make([]int, S)
-	e.stageLast = make([]int, S)
-	for s := range e.stageFirst {
-		e.stageFirst[s] = -1
+func (p *ShardedPlan) buildWavefront() {
+	S := p.shards
+	owner := make([]int, len(p.steps))
+	p.stageFirst = make([]int, S)
+	p.stageLast = make([]int, S)
+	for s := range p.stageFirst {
+		p.stageFirst[s] = -1
 	}
-	for i := range e.steps {
-		for k, f := range e.steps[i].run {
+	for i := range p.steps {
+		for k, f := range p.steps[i].run {
 			if f == nil {
 				continue
 			}
 			owner[i] = k
-			if e.stageFirst[k] < 0 {
-				e.stageFirst[k] = i
+			if p.stageFirst[k] < 0 {
+				p.stageFirst[k] = i
 			}
-			e.stageLast[k] = i
+			p.stageLast[k] = i
 		}
 	}
-	microCap := (e.maxBatch + e.micro - 1) / e.micro
-	slots := min(e.micro, 2)
-	e.rowPts = make([]int, e.micro+1)
-	e.scratch = make([][2][]float32, S)
-	e.hand = make([][2][]float32, S-1)
-	e.ready = make([]chan struct{}, S-1)
-	e.free = make([]chan struct{}, S-1)
+	microCap := (p.maxBatch + p.micro - 1) / p.micro
+	slots := min(p.micro, 2)
+	p.rowPts = make([]int, p.micro+1)
+	p.scratch = make([][2][]float32, S)
+	p.hand = make([][2][]float32, S-1)
+	p.ready = make([]chan struct{}, S-1)
+	p.free = make([]chan struct{}, S-1)
 	for s := 0; s < S; s++ {
 		w := 0
-		for i := e.stageFirst[s]; i < e.stageLast[s]; i++ {
-			if e.steps[i].cols > w {
-				w = e.steps[i].cols
+		for i := p.stageFirst[s]; i < p.stageLast[s]; i++ {
+			if p.steps[i].cols > w {
+				w = p.steps[i].cols
 			}
 		}
 		if w > 0 {
-			e.scratch[s] = [2][]float32{
+			p.scratch[s] = [2][]float32{
 				make([]float32, microCap*w),
 				make([]float32, microCap*w),
 			}
 		}
 		if s < S-1 {
-			bw := e.steps[e.stageLast[s]].cols
-			e.ready[s] = make(chan struct{}, e.micro)
-			e.free[s] = make(chan struct{}, slots)
+			bw := p.steps[p.stageLast[s]].cols
+			p.ready[s] = make(chan struct{}, p.micro)
+			p.free[s] = make(chan struct{}, slots)
 			for h := 0; h < slots; h++ {
-				e.hand[s][h] = make([]float32, microCap*bw)
-				e.free[s] <- struct{}{}
+				p.hand[s][h] = make([]float32, microCap*bw)
+				p.free[s] <- struct{}{}
 			}
 		}
 	}
-	e.outBuf = make([]float32, e.maxBatch*e.out)
-	e.wfDst = make([]tensor.Matrix, S)
-	e.wfSrc = make([]tensor.Matrix, S)
-	e.frame = timeline.NewFrame(len(e.steps), S, e.micro, owner, false)
+	p.outBuf = make([]float32, p.maxBatch*p.out)
+	p.wfDst = make([]tensor.Matrix, S)
+	p.wfSrc = make([]tensor.Matrix, S)
+	p.frame = timeline.NewFrame(len(p.steps), S, p.micro, owner, false)
 }
 
 // Shards returns the number of modelled IPUs the plan runs on — for
 // pipeline plans, the effective stage count after clamping to the
 // plan's step count.
-func (p *ShardedPlan) Shards() int { return p.e.shards }
+func (p *ShardedPlan) Shards() int { return p.shards }
 
 // MicroBatches returns the wavefront width a pipeline plan executes full
 // batches at (0 for tensor-parallel plans, which run the barrier loop).
-func (p *ShardedPlan) MicroBatches() int { return p.e.micro }
+func (p *ShardedPlan) MicroBatches() int { return p.micro }
 
 // Strategy returns the partitioning the planner (or caller) chose.
 func (p *ShardedPlan) Strategy() Strategy { return p.strategy }
@@ -441,19 +426,19 @@ func (p *ShardedPlan) Strategy() Strategy { return p.strategy }
 func (p *ShardedPlan) Cost() Cost { return p.cost }
 
 // MaxBatch returns the largest row count Execute accepts.
-func (p *ShardedPlan) MaxBatch() int { return p.e.maxBatch }
+func (p *ShardedPlan) MaxBatch() int { return p.maxBatch }
 
 // InputWidth returns the feature width the plan expects.
-func (p *ShardedPlan) InputWidth() int { return p.e.in }
+func (p *ShardedPlan) InputWidth() int { return p.in }
 
 // OutputWidth returns the width of the result matrix.
-func (p *ShardedPlan) OutputWidth() int { return p.e.out }
+func (p *ShardedPlan) OutputWidth() int { return p.out }
 
 // Steps returns the micro-step names in execution order.
 func (p *ShardedPlan) Steps() []string {
-	names := make([]string, len(p.e.steps))
-	for i := range p.e.steps {
-		names[i] = p.e.steps[i].name
+	names := make([]string, len(p.steps))
+	for i := range p.steps {
+		names[i] = p.steps[i].name
 	}
 	return names
 }
@@ -461,19 +446,19 @@ func (p *ShardedPlan) Steps() []string {
 // StepKernel returns the Into-kernel family micro-step i executes — the
 // attribution key of the per-kernel accounting, inherited from the
 // source plan step.
-func (p *ShardedPlan) StepKernel(i int) obs.Kernel { return p.e.kern[i] }
+func (p *ShardedPlan) StepKernel(i int) obs.Kernel { return p.kern[i] }
 
 // StepVariant returns the micro-kernel variant name of micro-step i.
-func (p *ShardedPlan) StepVariant(i int) string { return p.e.variants[i] }
+func (p *ShardedPlan) StepVariant(i int) string { return p.variants[i] }
 
 // StepFlopsPerRow returns the modelled per-sample flop count of
 // micro-step i: its source plan step's figure divided over the
 // micro-steps that step lowered into.
-func (p *ShardedPlan) StepFlopsPerRow(i int) int64 { return p.e.flopsPerRow[i] }
+func (p *ShardedPlan) StepFlopsPerRow(i int) int64 { return p.flopsPerRow[i] }
 
 // StepArenaBytesPerRow returns the modelled per-sample activation-arena
 // traffic of micro-step i, divided like StepFlopsPerRow.
-func (p *ShardedPlan) StepArenaBytesPerRow(i int) int64 { return p.e.bytesPerRow[i] }
+func (p *ShardedPlan) StepArenaBytesPerRow(i int) int64 { return p.bytesPerRow[i] }
 
 // Execute runs the sharded program over x (rows in [1, MaxBatch], cols ==
 // InputWidth): pipeline plans stream it through the wavefront, tensor-
@@ -483,55 +468,49 @@ func (p *ShardedPlan) StepArenaBytesPerRow(i int) int64 { return p.e.bytesPerRow
 // Execute. Output is bit-for-bit identical to the unsharded
 // nn.Plan.Execute (and hence to Sequential.Infer).
 func (p *ShardedPlan) Execute(x *tensor.Matrix) (*tensor.Matrix, error) {
-	// The cleanup finalizer closes e.quit; without this the GC may deem p
-	// dead the moment e is loaded (a caller's last use of p can be this
-	// very call) and stop the workers mid-execution, deadlocking the
-	// barrier below.
-	defer runtime.KeepAlive(p)
-	e := p.e
-	if x.Cols != e.in {
-		return nil, fmt.Errorf("%w: got %d columns, plan expects %d", nn.ErrPlanWidth, x.Cols, e.in)
+	if x.Cols != p.in {
+		return nil, fmt.Errorf("%w: got %d columns, plan expects %d", nn.ErrPlanWidth, x.Cols, p.in)
 	}
-	if x.Rows < 1 || x.Rows > e.maxBatch {
-		return nil, fmt.Errorf("%w: got %d rows, plan accepts 1..%d", nn.ErrPlanBatch, x.Rows, e.maxBatch)
+	if x.Rows < 1 || x.Rows > p.maxBatch {
+		return nil, fmt.Errorf("%w: got %d rows, plan accepts 1..%d", nn.ErrPlanBatch, x.Rows, p.maxBatch)
 	}
-	if e.stageFirst != nil {
-		return e.executeWave(x), nil
+	if p.stageFirst != nil {
+		return p.executeWave(x), nil
 	}
-	f := e.frame
+	f := p.frame
 	f.Begin(x.Rows, 1)
-	if e.pprofCtxs != nil {
+	if p.pprofCtxs != nil {
 		// Wear ipu=0 for the inline shard's spans; restored below.
-		pprof.SetGoroutineLabels(e.pprofCtxs[0])
+		pprof.SetGoroutineLabels(p.pprofCtxs[0])
 	}
 	execStart := time.Now()
-	e.execStart, f.Start = execStart, execStart
+	p.execStart, f.Start = execStart, execStart
 	cur := x
 	useA := true
-	for i := range e.steps {
-		st := &e.steps[i]
-		act, buf := &e.actB, e.bufB
+	for i := range p.steps {
+		st := &p.steps[i]
+		act, buf := &p.actB, p.bufB
 		if useA {
-			act, buf = &e.actA, e.bufA
+			act, buf = &p.actA, p.bufA
 		}
 		act.Rows, act.Cols = x.Rows, st.cols
 		act.Data = buf[:x.Rows*st.cols]
-		e.curDst, e.curX, e.stepIdx = act, cur, i
+		p.curDst, p.curX, p.stepIdx = act, cur, i
 		t0 := time.Now()
-		for _, c := range e.start {
+		for _, c := range p.start {
 			c <- struct{}{}
 		}
-		e.runShard(0, st)
-		for range e.start {
-			<-e.done
+		p.runShard(0, st)
+		for range p.start {
+			<-p.done
 		}
 		f.Spans[i] = timeline.Cell{Start: t0.Sub(execStart).Nanoseconds(), Dur: time.Since(t0).Nanoseconds()}
 		cur = act
 		useA = !useA
 	}
 	f.Wall = time.Since(execStart).Nanoseconds()
-	if e.pprofCtxs != nil {
-		pprof.SetGoroutineLabels(e.pprofBase)
+	if p.pprofCtxs != nil {
+		pprof.SetGoroutineLabels(p.pprofBase)
 	}
 	return cur, nil
 }
@@ -543,82 +522,82 @@ func (p *ShardedPlan) Execute(x *tensor.Matrix) (*tensor.Matrix, error) {
 // global per-step barrier — stage k computes micro-batch j while stage
 // k+1 computes j−1, so fill/drain shrinks from (S−1)/S of a stage's
 // wall to (S−1)/(S−1+waveM).
-func (e *engine) executeWave(x *tensor.Matrix) *tensor.Matrix {
-	waveM := min(e.micro, x.Rows)
-	f := e.frame
+func (p *ShardedPlan) executeWave(x *tensor.Matrix) *tensor.Matrix {
+	waveM := min(p.micro, x.Rows)
+	f := p.frame
 	f.Begin(x.Rows, waveM)
-	e.waveM = waveM
+	p.waveM = waveM
 	for j := 0; j <= waveM; j++ {
-		e.rowPts[j] = j * x.Rows / waveM
+		p.rowPts[j] = j * x.Rows / waveM
 	}
-	e.curX = x
-	if e.pprofCtxs != nil {
-		pprof.SetGoroutineLabels(e.pprofCtxs[0])
+	p.curX = x
+	if p.pprofCtxs != nil {
+		pprof.SetGoroutineLabels(p.pprofCtxs[0])
 	}
 	execStart := time.Now()
-	e.execStart, f.Start = execStart, execStart
+	p.execStart, f.Start = execStart, execStart
 	// One wake per worker per batch (not per step): each stage drains
 	// every micro-batch before sending its done token.
-	for _, c := range e.start {
+	for _, c := range p.start {
 		c <- struct{}{}
 	}
-	e.runStage(0)
-	for range e.start {
-		<-e.done
+	p.runStage(0)
+	for range p.start {
+		<-p.done
 	}
 	f.Wall = time.Since(execStart).Nanoseconds()
-	if e.pprofCtxs != nil {
-		pprof.SetGoroutineLabels(e.pprofBase)
+	if p.pprofCtxs != nil {
+		pprof.SetGoroutineLabels(p.pprofBase)
 	}
-	e.wfOut.Rows, e.wfOut.Cols = x.Rows, e.out
-	e.wfOut.Data = e.outBuf[:x.Rows*e.out]
-	return &e.wfOut
+	p.wfOut.Rows, p.wfOut.Cols = x.Rows, p.out
+	p.wfOut.Data = p.outBuf[:x.Rows*p.out]
+	return &p.wfOut
 }
 
 // runStage streams every micro-batch of the current wavefront batch
 // through stage k's owned micro-steps. Called by worker k (stage 0 by
 // the orchestrator inline). All state it touches is stage-owned or
 // ordered by the token channels.
-func (e *engine) runStage(k int) {
-	first, last := e.stageFirst[k], e.stageLast[k]
-	f := e.frame
-	w := e.ws[k]
-	x := e.curX
-	S := e.shards
-	inW := e.in
+func (p *ShardedPlan) runStage(k int) {
+	first, last := p.stageFirst[k], p.stageLast[k]
+	f := p.frame
+	w := p.ws[k]
+	x := p.curX
+	S := p.shards
+	inW := p.in
 	if k > 0 {
-		inW = e.steps[e.stageLast[k-1]].cols
+		inW = p.steps[p.stageLast[k-1]].cols
 	}
-	for j := 0; j < e.waveM; j++ {
-		lo, hi := e.rowPts[j], e.rowPts[j+1]
+	for j := 0; j < p.waveM; j++ {
+		lo, hi := p.rowPts[j], p.rowPts[j+1]
 		nr := hi - lo
 		// Acquire the input (upstream ready token) and the output slot
 		// (downstream free token).
 		if k > 0 {
-			<-e.ready[k-1]
+			<-p.ready[k-1]
 		}
 		if k < S-1 {
-			<-e.free[k]
+			<-p.free[k]
 		}
-		src, dst := &e.wfSrc[k], &e.wfDst[k]
+		src, dst := &p.wfSrc[k], &p.wfDst[k]
 		if k == 0 {
 			src.Rows, src.Cols = nr, inW
 			src.Data = x.Data[lo*inW : hi*inW]
 		} else {
 			src.Rows, src.Cols = nr, inW
-			src.Data = e.hand[k-1][j&1][:nr*inW]
+			src.Data = p.hand[k-1][j&1][:nr*inW]
 		}
 		par := 0
 		for i := first; i <= last; i++ {
-			st := &e.steps[i]
+			st := &p.steps[i]
 			var data []float32
 			switch {
 			case i == last && k == S-1:
-				data = e.outBuf[lo*e.out : hi*e.out]
+				data = p.outBuf[lo*p.out : hi*p.out]
 			case i == last:
-				data = e.hand[k][j&1]
+				data = p.hand[k][j&1]
 			default:
-				data = e.scratch[k][par]
+				data = p.scratch[k][par]
 				par ^= 1
 			}
 			dst.Rows, dst.Cols = nr, st.cols
@@ -626,16 +605,16 @@ func (e *engine) runStage(k int) {
 			w.Reset()
 			t0 := time.Now()
 			st.run[k](dst, src, w)
-			*f.Cell(i, j, k) = timeline.Cell{Start: t0.Sub(e.execStart).Nanoseconds(), Dur: time.Since(t0).Nanoseconds()}
+			*f.Cell(i, j, k) = timeline.Cell{Start: t0.Sub(p.execStart).Nanoseconds(), Dur: time.Since(t0).Nanoseconds()}
 			if i == first && k > 0 {
 				// The handoff input is consumed; let the upstream stage
 				// overwrite the slot (micro-batch j+2 reuses it).
-				e.free[k-1] <- struct{}{}
+				p.free[k-1] <- struct{}{}
 			}
 			src, dst = dst, src
 		}
 		if k < S-1 {
-			e.ready[k] <- struct{}{}
+			p.ready[k] <- struct{}{}
 		}
 	}
 }
@@ -646,16 +625,15 @@ func (e *engine) runStage(k int) {
 // ipu=0 for its inline shard. Idempotent per base context, so the
 // serving layer can call it every batch for free.
 func (p *ShardedPlan) SetPprofLabels(base context.Context) {
-	e := p.e
-	if base == nil || base == e.pprofBase {
+	if base == nil || base == p.pprofBase {
 		return
 	}
-	ctxs := make([]context.Context, e.shards)
+	ctxs := make([]context.Context, p.shards)
 	for k := range ctxs {
 		ctxs[k] = pprof.WithLabels(base, pprof.Labels("ipu", strconv.Itoa(k)))
 	}
-	e.pprofBase = base
-	e.pprofCtxs = ctxs
+	p.pprofBase = base
+	p.pprofCtxs = ctxs
 }
 
 // ModelledPhaseSeconds returns the modelled per-micro-step seconds of
@@ -663,7 +641,7 @@ func (p *ShardedPlan) SetPprofLabels(base context.Context) {
 // element-wise they sum to ModelledStepSeconds. Slices are plan-owned —
 // copy to modify.
 func (p *ShardedPlan) ModelledPhaseSeconds() (compute, exchange []float64) {
-	return p.e.modelCompSec, p.e.modelExchSec
+	return p.modelCompSec, p.modelExchSec
 }
 
 // ModelledStepSeconds returns the modelled duration of each micro-step of
@@ -673,62 +651,53 @@ func (p *ShardedPlan) ModelledPhaseSeconds() (compute, exchange []float64) {
 // time charged to the last of them. The slice is plan-owned — copy to
 // modify. Dividing by MaxBatch gives the per-row modelled cost the drift
 // detector compares measured wall-clock against.
-func (p *ShardedPlan) ModelledStepSeconds() []float64 { return p.e.modelSec }
+func (p *ShardedPlan) ModelledStepSeconds() []float64 { return p.modelSec }
 
 // Frame returns the measurement of the most recent Execute: one kernel
 // cell per (micro-step, micro-batch, modelled IPU), under the barrier
 // loop also each micro-step's span, and the batch wall. Plan-owned and
 // overwritten by the next Execute.
-func (p *ShardedPlan) Frame() *timeline.Frame { return p.e.frame }
+func (p *ShardedPlan) Frame() *timeline.Frame { return p.frame }
 
-// Close stops the worker goroutines. A closed plan must not be executed
-// again; plans that are simply dropped are cleaned up by a finalizer, so
-// calling Close is optional.
+// Close stops the worker goroutines. Every compiled ShardedPlan must be
+// closed, since nothing else stops them; a closed plan must not be
+// executed again. Closing twice is harmless.
 func (p *ShardedPlan) Close() {
-	runtime.SetFinalizer(p, nil)
-	p.e.stop()
-}
-
-func (e *engine) stop() {
-	select {
-	case <-e.quit:
-	default:
-		close(e.quit)
-	}
+	p.quitOnce.Do(func() { close(p.quit) })
 }
 
 // runShard runs shard k's kernel of one barrier-loop micro-step and
 // writes its cell — a slot only this shard writes, ordered before the
 // orchestrator returns by the done token.
-func (e *engine) runShard(k int, st *step) {
-	w := e.ws[k]
+func (p *ShardedPlan) runShard(k int, st *step) {
+	w := p.ws[k]
 	w.Reset()
 	t0 := time.Now()
-	st.run[k](e.curDst, e.curX, w)
-	*e.frame.Cell(e.stepIdx, 0, k) = timeline.Cell{Start: t0.Sub(e.execStart).Nanoseconds(), Dur: time.Since(t0).Nanoseconds()}
+	st.run[k](p.curDst, p.curX, w)
+	*p.frame.Cell(p.stepIdx, 0, k) = timeline.Cell{Start: t0.Sub(p.execStart).Nanoseconds(), Dur: time.Since(t0).Nanoseconds()}
 }
 
-func (e *engine) workerLoop(k int, start <-chan struct{}) {
+func (p *ShardedPlan) workerLoop(k int, start <-chan struct{}) {
 	for {
 		select {
-		case <-e.quit:
+		case <-p.quit:
 			return
 		case <-start:
 			// Apply this worker's ipu=k pprof label lazily: workerCtx[k]
 			// is only ever touched by this goroutine, and pprofCtxs was
 			// published by the start-channel send.
-			if c := e.pprofCtxs; c != nil && e.workerCtx[k] != c[k] {
-				e.workerCtx[k] = c[k]
+			if c := p.pprofCtxs; c != nil && p.workerCtx[k] != c[k] {
+				p.workerCtx[k] = c[k]
 				pprof.SetGoroutineLabels(c[k])
 			}
 			// One token per batch under the wavefront (the worker drains
 			// its whole stage), one per step under the barrier loop.
-			if e.stageFirst != nil {
-				e.runStage(k)
+			if p.stageFirst != nil {
+				p.runStage(k)
 			} else {
-				e.runShard(k, &e.steps[e.stepIdx])
+				p.runShard(k, &p.steps[p.stepIdx])
 			}
-			e.done <- struct{}{}
+			p.done <- struct{}{}
 		}
 	}
 }

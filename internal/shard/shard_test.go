@@ -41,15 +41,15 @@ func TestShardedMatchesPlanAllMethods(t *testing.T) {
 					strategies = append(strategies, TensorParallel)
 				}
 				for _, strat := range strategies {
-					sp, err := CompileWith(pl, topo, shards, strat)
+					sp, err := CompileMicro(pl, topo, shards, strat, 1)
 					if err != nil {
-						t.Fatalf("CompileWith(%d, %v): %v", shards, strat, err)
+						t.Fatalf("CompileMicro(%d, %v): %v", shards, strat, err)
 					}
 					// Every micro-step reports the kernel variant of its
 					// source plan step, except the tensor-parallel windows
 					// of a butterfly (its own pair kernel) and of a
 					// low-rank transform (the packed window matmul).
-					for i, st := range sp.e.steps {
+					for i, st := range sp.steps {
 						want := pl.StepVariant(st.src)
 						if sl, ok := pl.StepLayer(st.src).(*nn.StructuredLinear); ok && strat == TensorParallel && shards > 1 {
 							switch sl.T.(type) {
@@ -123,7 +123,7 @@ func TestShardedMatchesPlanCompressed(t *testing.T) {
 // or shards.
 func TestShardedRepeatedExecuteIsStable(t *testing.T) {
 	_, pl := buildPlan(t, nn.Butterfly, 21)
-	sp, err := CompileWith(pl, DefaultTopology(4), 4, TensorParallel)
+	sp, err := CompileMicro(pl, DefaultTopology(4), 4, TensorParallel, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestShardedErrors(t *testing.T) {
 	}
 	// Fastfood cannot tensor-parallel split; forcing it must fail cleanly.
 	_, fp := buildPlan(t, nn.Fastfood, 2)
-	if _, err := CompileWith(fp, topo, 2, TensorParallel); err == nil {
+	if _, err := CompileMicro(fp, topo, 2, TensorParallel, 1); err == nil {
 		t.Error("forcing tensor-parallel on fastfood should fail")
 	}
 }
@@ -184,7 +184,7 @@ func TestShardedZeroAllocSteadyState(t *testing.T) {
 		t.Run(method.String(), func(t *testing.T) {
 			_, pl := buildPlan(t, method, 17)
 			for _, shards := range []int{2, 4} {
-				sp, err := CompileWith(pl, DefaultTopology(4), shards, TensorParallel)
+				sp, err := CompileMicro(pl, DefaultTopology(4), shards, TensorParallel, 1)
 				if err != nil {
 					t.Fatal(err)
 				}

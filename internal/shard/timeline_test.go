@@ -53,9 +53,9 @@ func checkTiles(t *testing.T, b timeline.BatchRecord) {
 func TestTimelineReconcilesWithMeasuredClocks(t *testing.T) {
 	_, pl := buildPlan(t, nn.Butterfly, 31)
 	for _, strat := range []Strategy{TensorParallel, Pipeline} {
-		sp, err := CompileWith(pl, DefaultTopology(4), 2, strat)
+		sp, err := CompileMicro(pl, DefaultTopology(4), 2, strat, 1)
 		if err != nil {
-			t.Fatalf("CompileWith(%v): %v", strat, err)
+			t.Fatalf("CompileMicro(%v): %v", strat, err)
 		}
 		rec := timeline.NewRecorder(1, 2)
 		b := executeSampled(t, sp, rec)
@@ -89,7 +89,7 @@ func TestTimelineReconcilesWithMeasuredClocks(t *testing.T) {
 func TestTimelineBubblesOnlyUnderPipeline(t *testing.T) {
 	_, pl := buildPlan(t, nn.Baseline, 13)
 
-	tp, err := CompileWith(pl, DefaultTopology(4), 2, TensorParallel)
+	tp, err := CompileMicro(pl, DefaultTopology(4), 2, TensorParallel, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestTimelineBubblesOnlyUnderPipeline(t *testing.T) {
 	}
 	tp.Close()
 
-	pp, err := CompileWith(pl, DefaultTopology(4), 2, Pipeline)
+	pp, err := CompileMicro(pl, DefaultTopology(4), 2, Pipeline, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestWavefrontTimeline(t *testing.T) {
 func TestShardedTimelineAllocFree(t *testing.T) {
 	_, pl := buildPlan(t, nn.Butterfly, 17)
 	for _, strat := range []Strategy{TensorParallel, Pipeline} {
-		sp, err := CompileWith(pl, DefaultTopology(4), 2, strat)
+		sp, err := CompileMicro(pl, DefaultTopology(4), 2, strat, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -85,7 +85,7 @@ func (w *Workspace) TakeComplex(n int) []complex128 {
 }
 
 // FootprintBytes reports the arena's current backing size — what one
-// pooled plan instance holds onto between executions.
+// idle plan instance holds onto between executions.
 func (w *Workspace) FootprintBytes() int {
 	return 4*len(w.buf) + 16*len(w.cbuf)
 }
