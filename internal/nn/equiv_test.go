@@ -13,6 +13,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/nn"
@@ -200,17 +201,27 @@ func FuzzPlanExecute(f *testing.F) {
 	// finite magnitudes and subnormals.
 	edges := []float32{0, float32(math.Copysign(0, -1)), math.MaxFloat32, -math.MaxFloat32,
 		math.SmallestNonzeroFloat32, -1e-40, 1, -0.5}
-	for i := range nn.AllMethods {
+	seedFeats := func(seed int64) []byte {
 		feats := make([]byte, 0, 4*(len(edges)+4))
 		for _, v := range edges {
 			feats = binary.LittleEndian.AppendUint32(feats, math.Float32bits(v))
 		}
-		rng := rand.New(rand.NewSource(int64(i)))
+		rng := rand.New(rand.NewSource(seed))
 		for j := 0; j < 4; j++ {
 			feats = binary.LittleEndian.AppendUint32(feats, math.Float32bits(rng.Float32()*2-1))
 		}
-		f.Add(uint8(i), uint8(i), uint8(3+i), uint8(4), uint8(2+i), int64(100+i), feats)
+		return feats
 	}
+	for i := range nn.AllMethods {
+		f.Add(uint8(i), uint8(i), uint8(3+i), uint8(4), uint8(2+i), int64(100+i), seedFeats(int64(i)))
+	}
+	// One-row pixelfly batches, the shape the server runs, so the BSR
+	// one-column kernel sees the edge features: width 64 at MaxBatch 1,
+	// and width 128 at MaxBatch 5, whose 2-shard tensor-parallel split
+	// runs it through MulDenseRowsInto.
+	pix := uint8(slices.Index(nn.AllMethods, nn.Pixelfly))
+	f.Add(pix, uint8(0), uint8(3), uint8(0), uint8(0), int64(200), seedFeats(200))
+	f.Add(pix, uint8(1), uint8(9), uint8(4), uint8(5), int64(201), seedFeats(201))
 	topo := shard.DefaultTopology(4)
 	f.Fuzz(func(t *testing.T, family, width, classes, maxBatch, rows uint8, seed int64, feats []byte) {
 		method := nn.AllMethods[int(family)%len(nn.AllMethods)]

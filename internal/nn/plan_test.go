@@ -2,6 +2,7 @@ package nn
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -402,5 +403,38 @@ func BenchmarkFusedPlanExecute(b *testing.B) {
 func BenchmarkUnfusedPlanExecute(b *testing.B) {
 	for _, method := range []Method{Baseline, Butterfly} {
 		b.Run(method.String(), func(b *testing.B) { benchmarkPlanExecute(b, method, PlanOptions{NoFuse: true}) })
+	}
+}
+
+// BenchmarkPlanRows times full batches of each served family's N=1024
+// SHL plan, compiled at MaxBatch 1 and at MaxBatch 64, and reports the
+// cost per row: a family whose one-row figure is well above its per-row
+// figure at 64 rows has kernels that fall off at the one-row batches the
+// server runs.
+func BenchmarkPlanRows(b *testing.B) {
+	const n, classes = 1024, 10
+	for _, method := range []Method{Baseline, Butterfly, Fastfood, Circulant, Pixelfly} {
+		net := BuildSHL(method, n, classes, rand.New(rand.NewSource(52)))
+		for _, rows := range []int{1, 64} {
+			b.Run(fmt.Sprintf("%s/rows%d", method, rows), func(b *testing.B) {
+				plan, err := net.CompilePlan(rows)
+				if err != nil {
+					b.Fatalf("CompilePlan: %v", err)
+				}
+				x := tensor.New(rows, n)
+				x.FillRandom(rand.New(rand.NewSource(53)), 1)
+				if _, err := plan.Execute(x); err != nil {
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := plan.Execute(x); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e3/float64(b.N*rows), "us/row")
+			})
+		}
 	}
 }

@@ -19,7 +19,8 @@ import (
 
 // MulDenseInto computes act(b·x + bias) into caller-owned out (shape
 // Rows×x.Cols, overwritten) through the block-specialized kernels: full
-// unroll at bs=4 and bs=8, a 4-column tiling otherwise. It is the
+// unroll at bs=4 and bs=8, a 4-column tiling otherwise, and row dot
+// products over each block when x has one column. It is the
 // allocation-free kernel the compiled pixelfly inference path executes
 // through. bias is indexed by the logical row of out (feature-major, like
 // the product) and may be nil; a nil bias with ActNone is the plain
@@ -72,7 +73,14 @@ func (b *BSR) MicroVariant() string {
 // which the caller has zeroed, writing logical row i to out row i-off.
 // Unless bias is nil and act is ActNone, each block row is finished with
 // the epilogue (bias indexed by logical row) as soon as it completes.
+// A one-column x (a one-row serving batch, feature-major) takes
+// mulVecMicro instead: the batch-tiled inner loops below would run a
+// single iteration.
 func (b *BSR) mulDenseMicro(out, x *tensor.Matrix, bias []float32, act tensor.Activation, br0, br1, off int) {
+	if x.Cols == 1 {
+		b.mulVecMicro(out.Data, x.Data, bias, act, br0, br1, off)
+		return
+	}
 	bs, k := b.BlockSize, x.Cols
 	epi := bias != nil || act != tensor.ActNone
 	for bi := br0; bi < br1; bi++ {
@@ -104,6 +112,63 @@ func (b *BSR) mulDenseMicro(out, x *tensor.Matrix, bias []float32, act tensor.Ac
 				}
 			}
 		}
+	}
+}
+
+// mulVecMicro is mulDenseMicro for a one-column x: out and x are the
+// product's and the input's single columns. Each stored block runs as row
+// dot products (accBlockVec), and the epilogue finishes each block row's
+// elements with the same float32 chain as the batch-tiled epilogue.
+func (b *BSR) mulVecMicro(out, x, bias []float32, act tensor.Activation, br0, br1, off int) {
+	bs := b.BlockSize
+	epi := bias != nil || act != tensor.ActNone
+	for bi := br0; bi < br1; bi++ {
+		o := out[bi*bs-off : bi*bs-off+bs]
+		for p := b.RowPtr[bi]; p < b.RowPtr[bi+1]; p++ {
+			bj := int(b.ColIdx[p])
+			accBlockVec(o, x[bj*bs:bj*bs+bs], b.Block(int(p)))
+		}
+		if epi {
+			for r, v := range o {
+				if bias != nil {
+					v += bias[bi*bs+r]
+				}
+				o[r] = act.Apply(v)
+			}
+		}
+	}
+}
+
+// accBlockVec accumulates one stored block times the input segment xs
+// into o, four block rows at a time with a scalar tail for bs % 4. Each
+// row's sum is its own accumulator: it starts from the running output and
+// adds blk[r][c]·xs[c] for c ascending as sequential float32 adds — the
+// chain accBlock4, accBlock8 and accBlockTiled give every element.
+func accBlockVec(o, xs, blk []float32) {
+	bs := len(xs)
+	r := 0
+	for ; r+4 <= bs; r += 4 {
+		b0 := blk[r*bs : r*bs+bs][:len(xs)]
+		b1 := blk[(r+1)*bs : (r+1)*bs+bs][:len(xs)]
+		b2 := blk[(r+2)*bs : (r+2)*bs+bs][:len(xs)]
+		b3 := blk[(r+3)*bs : (r+3)*bs+bs][:len(xs)]
+		s := o[r : r+4 : r+4]
+		s0, s1, s2, s3 := s[0], s[1], s[2], s[3]
+		for c, xv := range xs {
+			s0 += b0[c] * xv
+			s1 += b1[c] * xv
+			s2 += b2[c] * xv
+			s3 += b3[c] * xv
+		}
+		s[0], s[1], s[2], s[3] = s0, s1, s2, s3
+	}
+	for ; r < bs; r++ {
+		br := blk[r*bs : r*bs+bs][:len(xs)]
+		s := o[r]
+		for c, xv := range xs {
+			s += br[c] * xv
+		}
+		o[r] = s
 	}
 }
 

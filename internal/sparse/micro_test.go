@@ -46,10 +46,12 @@ func randomBSR(t testing.TB, rng *rand.Rand, rows, cols, bs int, density float64
 // block-specialized kernel MulDenseInto and the reference loop in
 // MulDense followed by a separate bias and activation sweep, across block
 // sizes covering the bs=4/8 unrolls, the tiled path, and its scalar tail,
-// with and without bias, under both activations.
+// and column counts covering the one-column path (k=1, whose four-row
+// groups leave a tail at bs=6) and the batch-tiled loops, with and without
+// bias, under both activations. bs=64 is the served pixelfly block.
 func TestMulDenseMicroMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	for _, bs := range []int{1, 2, 3, 4, 5, 8, 16} {
+	for _, bs := range []int{1, 2, 3, 4, 5, 6, 8, 16, 64} {
 		for _, k := range []int{1, 3, 17} {
 			rows, cols := 6*bs, 5*bs
 			b := randomBSR(t, rng, rows, cols, bs, 0.4)
@@ -110,10 +112,10 @@ func assertSameMat(t *testing.T, op string, want, got *tensor.Matrix) {
 // oracle, which allocates its output) against the block-specialized
 // kernel at serving-realistic shapes: pixelated butterfly weights at
 // width 1024, including the transposed batch-1 case (k=1) that dominates
-// serving.
+// serving and the served pixelfly block size (bs=64).
 func BenchmarkBSRMulDense(b *testing.B) {
 	rng := rand.New(rand.NewSource(32))
-	for _, bs := range []int{4, 8, 16} {
+	for _, bs := range []int{4, 8, 16, 64} {
 		for _, k := range []int{1, 16} {
 			n := 1024
 			m := randomBSR(b, rng, n, n, bs, 0.1)

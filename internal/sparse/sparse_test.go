@@ -247,19 +247,22 @@ func TestBSRMulDenseRowsIntoMatchesFull(t *testing.T) {
 	for i := range b.Blocks {
 		b.Blocks[i] = rng.Float32()*2 - 1
 	}
-	x := tensor.New(16, 5)
-	x.FillRandom(rng, 1)
-	full := b.MulDense(x)
+	// k = 5 takes the batch-tiled kernel, k = 1 the one-column one.
+	for _, k := range []int{5, 1} {
+		x := tensor.New(16, k)
+		x.FillRandom(rng, 1)
+		full := b.MulDense(x)
 
-	for _, window := range [][2]int{{0, 4}, {0, 2}, {2, 4}, {1, 3}} {
-		br0, br1 := window[0], window[1]
-		out := tensor.New((br1-br0)*b.BlockSize, x.Cols)
-		b.MulDenseRowsInto(out, x, br0, br1)
-		for r := 0; r < out.Rows; r++ {
-			for c := 0; c < out.Cols; c++ {
-				if out.At(r, c) != full.At(br0*b.BlockSize+r, c) {
-					t.Fatalf("window [%d,%d): (%d,%d) = %v, want %v (not bit-for-bit)",
-						br0, br1, r, c, out.At(r, c), full.At(br0*b.BlockSize+r, c))
+		for _, window := range [][2]int{{0, 4}, {0, 2}, {2, 4}, {1, 3}} {
+			br0, br1 := window[0], window[1]
+			out := tensor.New((br1-br0)*b.BlockSize, x.Cols)
+			b.MulDenseRowsInto(out, x, br0, br1)
+			for r := 0; r < out.Rows; r++ {
+				for c := 0; c < out.Cols; c++ {
+					if out.At(r, c) != full.At(br0*b.BlockSize+r, c) {
+						t.Fatalf("k=%d window [%d,%d): (%d,%d) = %v, want %v (not bit-for-bit)",
+							k, br0, br1, r, c, out.At(r, c), full.At(br0*b.BlockSize+r, c))
+					}
 				}
 			}
 		}
