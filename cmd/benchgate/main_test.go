@@ -1,8 +1,6 @@
 package main
 
 import (
-	"encoding/json"
-	"fmt"
 	"io"
 	"math"
 	"os"
@@ -11,366 +9,230 @@ import (
 	"testing"
 )
 
-// writeHistory writes one JSONL history line per throughput value, all
-// for the same single-model run shape ipuserve appends.
-func writeHistory(t *testing.T, path string, throughputs []float64) {
+// The fixtures in testdata are perfbench standard output, trimmed to the
+// metrics the gate reads. committed.txt is the committed side of every
+// comparison; the others are fresh runs gated against it.
+const committedFixture = "committed.txt"
+
+// gateFixtures pins what the gate makes of each fresh-run fixture: whether
+// it fails, and a line it must print.
+var gateFixtures = []struct {
+	name string
+	fail bool
+	line string
+}{
+	{committedFixture, false, "perf gate passed"},
+	{"pass.txt", false, "perf gate passed"},
+	{"kernel_regressed.txt", true, "FAIL sharded_http/kernel.bsr.gflops"},
+	{"kernel_vanished.txt", true, "FAIL structured_http/kernel.fft.gflops"},
+	{"phase_growth.txt", true, "FAIL sharded_http/shard.pixelfly.bubble_fraction"},
+	{"alloc_growth.txt", true, "FAIL structured_http/runtime.alloc_kb_per_req"},
+	{"incorrect.txt", true, "FAIL fresh record: testdata/incorrect.txt: the run reported correct=false"},
+	{"truncated.txt", true, "FAIL fresh record: testdata/truncated.txt: last line is not a perfbench record"},
+}
+
+func fixturePath(name string) string { return filepath.Join("testdata", name) }
+
+func mustLoad(t testing.TB, name string) *record {
 	t.Helper()
-	var b strings.Builder
-	for i, thr := range throughputs {
-		h := historyRecord{
-			Schema:          historySchema,
-			GeneratedAt:     fmt.Sprintf("2026-08-%02dT00:00:00Z", i+1),
-			N:               1024,
-			DurationSeconds: 6,
-			Models:          []record{{Model: "butterfly", Shards: 2, ThroughputRPS: thr, AllocsPerOp: 2}},
+	r, err := loadRecord(fixturePath(name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// with returns a copy of r with the named metrics set by f.
+func with(r *record, f func(name string, v float64) float64) *record {
+	c := *r
+	c.Metrics = make(map[string]metric, len(r.Metrics))
+	for name, m := range r.Metrics {
+		m.Value = f(name, m.Value)
+		c.Metrics[name] = m
+	}
+	return &c
+}
+
+// set returns a copy of r with one metric changed.
+func set(r *record, name string, v float64) *record {
+	return with(r, func(n string, old float64) float64 {
+		if n == name {
+			return v
 		}
-		line, err := json.Marshal(h)
-		if err != nil {
-			t.Fatal(err)
+		return old
+	})
+}
+
+func TestSnapshotGateEndToEnd(t *testing.T) {
+	for _, c := range gateFixtures {
+		var out strings.Builder
+		failed := run(&out, fixturePath(committedFixture), fixturePath(c.name))
+		if failed != c.fail || !strings.Contains(out.String(), c.line) {
+			t.Errorf("%s: failed=%v, want %v with a line %q; gate printed:\n%s", c.name, failed, c.fail, c.line, out.String())
 		}
-		b.Write(line)
-		b.WriteByte('\n')
-	}
-	if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
-		t.Fatal(err)
 	}
 }
 
-// gradualSeries is the acceptance fixture: a stable trajectory followed
-// by three consecutive 5% losses. Each individual drop — and even the
-// committed-baseline-vs-latest snapshot diff — stays inside the 20%
-// snapshot tolerance, but the trajectory clearly stepped down.
-func gradualSeries() []float64 {
-	s := []float64{2000, 2000, 2000, 2000, 2000, 2000, 2000, 2000}
-	last := s[len(s)-1]
-	for i := 0; i < 3; i++ {
-		last *= 0.95
-		s = append(s, last)
+// TestSnapshotGateTruncatedRecord: a record cut off mid-line fails the gate
+// on either side, and never parses as a record that gates nothing.
+func TestSnapshotGateTruncatedRecord(t *testing.T) {
+	var out strings.Builder
+	if !run(&out, fixturePath("truncated.txt"), fixturePath(committedFixture)) {
+		t.Fatalf("a truncated committed record passed:\n%s", out.String())
 	}
-	return s
-}
-
-func TestHistoryFlagsGradualRegressionSnapshotMisses(t *testing.T) {
-	series := gradualSeries()
-
-	// The single-snapshot gate at its 20% tolerance does NOT fire: the
-	// committed baseline (2000) vs the latest run compounds to ~14.3%.
-	first, latest := series[0], series[len(series)-1]
-	if d := rel(first, latest); d > 0.2 {
-		t.Fatalf("fixture broken: snapshot drop %.3f should be inside the 0.2 tolerance", d)
+	if !strings.Contains(out.String(), "FAIL committed record") {
+		t.Fatalf("gate did not blame the committed record:\n%s", out.String())
 	}
-
-	// The trajectory gate does fire: the windowed means around the step
-	// show a drop well beyond 5%.
-	drop, at := worstStep(series, 3)
-	if drop <= 0.05 {
-		t.Fatalf("worstStep = %.3f at %d, want > 0.05 (step detection must catch the gradual decline)", drop, at)
+	if !run(io.Discard, fixturePath(committedFixture), fixturePath("truncated.txt")) {
+		t.Fatal("a truncated fresh record passed")
 	}
-	if at != 8 {
-		t.Fatalf("worst step localized at run %d, want 8 (where the decline starts)", at)
-	}
-
-	// End-to-end through the file loader and gate driver.
-	path := filepath.Join(t.TempDir(), "hist.jsonl")
-	writeHistory(t, path, series)
-	if !runHistory(io.Discard, path, 3, 0.05, false) {
-		t.Fatal("runHistory should fail on the injected gradual regression")
-	}
-	if runHistory(io.Discard, path, 3, 0.05, true) {
-		t.Fatal("lint-only mode must not gate the trajectory")
-	}
-}
-
-func TestHistoryStableTrajectoryPasses(t *testing.T) {
-	// ±2% jitter around a flat trajectory must not trip a 5% step gate.
-	series := []float64{2000, 1980, 2030, 1990, 2010, 1975, 2025, 2005}
-	drop, _ := worstStep(series, 3)
-	if drop > 0.05 {
-		t.Fatalf("worstStep = %.3f on jittery-but-flat series, want <= 0.05", drop)
-	}
-	path := filepath.Join(t.TempDir(), "hist.jsonl")
-	writeHistory(t, path, series)
-	if runHistory(io.Discard, path, 3, 0.05, false) {
-		t.Fatal("runHistory should pass a stable trajectory")
-	}
-}
-
-func TestHistoryReportsInsufficientRuns(t *testing.T) {
-	dir := t.TempDir()
-
-	// A single run cannot support step detection at all: the gate passes
-	// but must say so explicitly instead of silently printing "ok".
-	one := filepath.Join(dir, "one.jsonl")
-	writeHistory(t, one, []float64{2000})
-	var buf strings.Builder
-	if runHistory(&buf, one, 3, 0.05, false) {
-		t.Fatal("single-run history should not fail the gate")
-	}
-	if out := buf.String(); !strings.Contains(out, "insufficient runs (1 < 2)") {
-		t.Fatalf("single-run history should report insufficient runs, got:\n%s", out)
-	}
-
-	// Fewer runs than 2*window: detection still happens at a shrunken
-	// window, and the output flags the reduced confidence.
-	short := filepath.Join(dir, "short.jsonl")
-	writeHistory(t, short, []float64{2000, 2000, 1000})
-	buf.Reset()
-	if !runHistory(&buf, short, 3, 0.05, false) {
-		t.Fatal("a 50% cliff must still fail even below 2*window runs")
-	}
-	if out := buf.String(); !strings.Contains(out, "insufficient runs for window 3") {
-		t.Fatalf("short history should note the reduced window, got:\n%s", out)
-	}
-
-	// At 2*window runs and beyond, the note disappears.
-	full := filepath.Join(dir, "full.jsonl")
-	writeHistory(t, full, []float64{2000, 2000, 2000, 2000, 2000, 2000})
-	buf.Reset()
-	if runHistory(&buf, full, 3, 0.05, false) {
-		t.Fatal("flat full-window history should pass")
-	}
-	if out := buf.String(); strings.Contains(out, "insufficient") {
-		t.Fatalf("full-window history should not claim insufficient runs, got:\n%s", out)
-	}
-}
-
-func TestWorstStepShortSeries(t *testing.T) {
-	if d, at := worstStep([]float64{100}, 3); at != -1 || d != 0 {
-		t.Fatalf("single-run series: got drop=%v at=%d, want 0, -1", d, at)
-	}
-	// Two runs: window shrinks to 1 and the gate still sees the cliff.
-	if d, _ := worstStep([]float64{100, 50}, 3); math.Abs(d-0.5) > 1e-12 {
-		t.Fatalf("two-run cliff: drop = %v, want 0.5", d)
-	}
-}
-
-func TestLoadHistoryRejectsMalformed(t *testing.T) {
-	dir := t.TempDir()
-
-	bad := filepath.Join(dir, "bad.jsonl")
-	good := `{"schema":1,"generated_at":"x","n":1024,"duration_s_per_model":6,"models":[{"model":"bf","shards":1,"throughput_rps":100,"allocs_per_op":2}]}`
-	if err := os.WriteFile(bad, []byte(good+"\n{not json\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := loadHistory(bad); err == nil || !strings.Contains(err.Error(), ":2:") {
-		t.Fatalf("malformed line should fail with its line number, got %v", err)
-	}
-
-	wrongSchema := filepath.Join(dir, "schema.jsonl")
-	if err := os.WriteFile(wrongSchema, []byte(strings.Replace(good, `"schema":1`, `"schema":99`, 1)+"\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := loadHistory(wrongSchema); err == nil || !strings.Contains(err.Error(), "schema 99") {
-		t.Fatalf("unknown schema should fail, got %v", err)
-	}
-
-	empty := filepath.Join(dir, "empty.jsonl")
-	if err := os.WriteFile(empty, []byte("\n\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := loadHistory(empty); err == nil {
-		t.Fatal("history with no records should fail")
-	}
-
-	noModels := filepath.Join(dir, "nomodels.jsonl")
-	if err := os.WriteFile(noModels, []byte(`{"schema":1,"models":[]}`+"\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := loadHistory(noModels); err == nil {
-		t.Fatal("record with no models should fail")
+	if !run(io.Discard, fixturePath(committedFixture), fixturePath("no-such-file.txt")) {
+		t.Fatal("a missing fresh record passed")
 	}
 }
 
 func TestGateKernels(t *testing.T) {
-	old := map[string]kernelRecord{
-		"matmul":    {Kernel: "matmul", Calls: 100, GFlopsPerSec: 10},
-		"butterfly": {Kernel: "butterfly", Calls: 100, GFlopsPerSec: 5},
-	}
-
-	// Within tolerance: a 10% dip on one kernel passes at tol 0.2.
-	fresh := map[string]kernelRecord{
-		"matmul":    {Kernel: "matmul", Calls: 90, GFlopsPerSec: 9},
-		"butterfly": {Kernel: "butterfly", Calls: 110, GFlopsPerSec: 5.5},
-	}
-	if gateKernels(old, fresh, 0.2) {
-		t.Fatal("10% per-kernel dip should pass at 20% tolerance")
-	}
-
-	// Beyond tolerance: a 30% GFLOP/s drop fails.
-	slow := map[string]kernelRecord{
-		"matmul":    {Kernel: "matmul", Calls: 100, GFlopsPerSec: 7},
-		"butterfly": {Kernel: "butterfly", Calls: 100, GFlopsPerSec: 5},
-	}
-	if !gateKernels(old, slow, 0.2) {
-		t.Fatal("30% per-kernel GFLOP/s drop should fail at 20% tolerance")
-	}
-
-	// A kernel vanishing from the fresh record means its accounting hook
-	// (or the code path itself) was lost — always a failure.
-	missing := map[string]kernelRecord{
-		"matmul": {Kernel: "matmul", Calls: 100, GFlopsPerSec: 10},
-	}
-	if !gateKernels(old, missing, 0.2) {
-		t.Fatal("kernel missing from the fresh record should fail")
-	}
-
-	// A brand-new kernel has no baseline and is reported, not gated.
-	grown := map[string]kernelRecord{
-		"matmul":    {Kernel: "matmul", Calls: 100, GFlopsPerSec: 10},
-		"butterfly": {Kernel: "butterfly", Calls: 100, GFlopsPerSec: 5},
-		"fwht":      {Kernel: "fwht", Calls: 10, GFlopsPerSec: 1},
-	}
-	if gateKernels(old, grown, 0.2) {
-		t.Fatal("new kernel without a baseline must not fail the gate")
-	}
-}
-
-func TestGateDrift(t *testing.T) {
-	mk := func(ratio float64) map[string]driftRecord {
-		d := driftRecord{Model: "bf", Shards: 2, Step: "butterfly(256)+relu@ipu0", Ratio: ratio}
-		return map[string]driftRecord{driftKey(d): d}
-	}
-
-	// The ratio's absolute level never matters — a steady 40x passes.
-	if gateDrift(mk(40), mk(40), 1.0) {
-		t.Fatal("unchanged drift ratio should pass regardless of level")
-	}
-	// Movement within e^1 ≈ 2.72x either way passes at drift-tol 1.0.
-	if gateDrift(mk(10), mk(20), 1.0) {
-		t.Fatal("2x drift movement should pass at log tolerance 1.0")
-	}
-	// Movement beyond the tolerance fails, in either direction.
-	if !gateDrift(mk(10), mk(40), 1.0) {
-		t.Fatal("4x upward drift movement should fail at log tolerance 1.0")
-	}
-	if !gateDrift(mk(40), mk(10), 1.0) {
-		t.Fatal("4x downward drift movement should fail at log tolerance 1.0")
-	}
-	// Steps that appear or vanish (plan recompiled differently) and rows
-	// without data are skipped, not failed.
-	other := driftRecord{Model: "bf", Shards: 2, Step: "renamed@ipu0", Ratio: 40}
-	if gateDrift(mk(40), map[string]driftRecord{driftKey(other): other}, 1.0) {
-		t.Fatal("renamed step should be skipped, not failed")
-	}
-	if gateDrift(mk(0), mk(40), 1.0) {
-		t.Fatal("zero-ratio baseline row should be skipped")
-	}
-}
-
-func TestSnapshotGateEndToEnd(t *testing.T) {
-	// Full-file snapshot: the kernel table rides in BENCH_serve.json next
-	// to the model records, and runSnapshot gates both.
-	dir := t.TempDir()
-	write := func(name string, f benchFile) string {
-		t.Helper()
-		data, err := json.Marshal(f)
-		if err != nil {
-			t.Fatal(err)
+	base := mustLoad(t, committedFixture)
+	calib := func(name string) bool { return strings.Contains(name, "/loadgen.calib_gflops_") }
+	for _, c := range []struct {
+		desc  string
+		fresh *record
+		fail  bool
+	}{
+		{"a host 30% slower, kernels and calibration alike", with(base, func(name string, v float64) float64 {
+			if calib(name) || strings.Contains(name, "/kernel.") {
+				return 0.7 * v
+			}
+			return v
+		}), false},
+		{"bsr 35% slower", set(base, "sharded_http/kernel.bsr.gflops", 0.65*base.Metrics["sharded_http/kernel.bsr.gflops"].Value), false},
+		{"bsr 45% slower", set(base, "sharded_http/kernel.bsr.gflops", 0.55*base.Metrics["sharded_http/kernel.bsr.gflops"].Value), true},
+		{"kernels flat on a host twice as fast", with(base, func(name string, v float64) float64 {
+			if calib(name) {
+				return 2 * v
+			}
+			return v
+		}), true},
+		{"matmul reads 0", set(base, "sharded_http/kernel.matmul.gflops", 0), true},
+		{"an ungated family (structured_http's matmul) 90% slower", set(base, "structured_http/kernel.matmul.gflops",
+			0.1*base.Metrics["structured_http/kernel.matmul.gflops"].Value), false},
+	} {
+		if got := gate(io.Discard, base, c.fresh); got != c.fail {
+			t.Errorf("%s: gate failed=%v, want %v", c.desc, got, c.fail)
 		}
-		path := filepath.Join(dir, name)
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
+	}
+	// Every gated family is checked, not only the first.
+	for _, name := range kernelMetrics {
+		if !gate(io.Discard, base, set(base, name, 0.5*base.Metrics[name].Value)) {
+			t.Errorf("%s at half its rate passed", name)
 		}
-		return path
-	}
-	oldFile := benchFile{
-		Models:  []record{{Model: "bf", Shards: 2, ThroughputRPS: 1000, AllocsPerOp: 2}},
-		Kernels: []kernelRecord{{Kernel: "butterfly", Calls: 100, GFlopsPerSec: 5}},
-		Drift:   []driftRecord{{Model: "bf", Shards: 2, Step: "s0", Ratio: 10}},
-	}
-	oldPath := write("old.json", oldFile)
-
-	good := oldFile
-	goodPath := write("good.json", good)
-	if runSnapshot(oldPath, goodPath, 0.2, 50, 0.2, 1.0, 0.05) {
-		t.Fatal("identical records should pass the snapshot gate")
-	}
-
-	badKernel := oldFile
-	badKernel.Kernels = []kernelRecord{{Kernel: "butterfly", Calls: 100, GFlopsPerSec: 3}}
-	badPath := write("badkernel.json", badKernel)
-	if !runSnapshot(oldPath, badPath, 0.2, 50, 0.2, 1.0, 0.05) {
-		t.Fatal("40% kernel GFLOP/s drop should fail the snapshot gate")
-	}
-
-	badDrift := oldFile
-	badDrift.Drift = []driftRecord{{Model: "bf", Shards: 2, Step: "s0", Ratio: 100}}
-	badDriftPath := write("baddrift.json", badDrift)
-	if !runSnapshot(oldPath, badDriftPath, 0.2, 50, 0.2, 1.0, 0.05) {
-		t.Fatal("10x drift-ratio movement should fail the snapshot gate")
 	}
 }
 
 func TestGatePhases(t *testing.T) {
-	mk := func(bubble, exch float64) map[string]phaseRecord {
-		p := phaseRecord{Model: "bf", Shards: 2, BubbleFraction: bubble, ExchangeShare: exch}
-		return map[string]phaseRecord{phaseKey(p): p}
-	}
-	if gatePhases(mk(0.20, 0.10), mk(0.22, 0.11), 0.05) {
-		t.Fatal("movement within the absolute tolerance should pass")
-	}
-	if !gatePhases(mk(0.20, 0.10), mk(0.30, 0.10), 0.05) {
-		t.Fatal("bubble fraction growing by 10 share points should fail at tol 0.05")
-	}
-	if !gatePhases(mk(0.20, 0.10), mk(0.20, 0.20), 0.05) {
-		t.Fatal("exchange share growing by 10 share points should fail at tol 0.05")
-	}
-	// Shrinking is the goal, never a regression.
-	if gatePhases(mk(0.20, 0.10), mk(0.01, 0.01), 0.05) {
-		t.Fatal("shrinking bubble and exchange should pass")
-	}
-	// A model whose committed record has a phases block must keep one.
-	if !gatePhases(mk(0.20, 0.10), map[string]phaseRecord{}, 0.05) {
-		t.Fatal("a vanished phases block should fail")
-	}
-	// No committed phases block (pre-recorder record) gates nothing.
-	if gatePhases(map[string]phaseRecord{}, mk(0.99, 0.99), 0.05) {
-		t.Fatal("a record without a committed phases baseline should not be gated")
+	base := mustLoad(t, committedFixture)
+	for _, name := range phaseMetrics {
+		o := base.Metrics[name].Value
+		if gate(io.Discard, base, set(base, name, o+0.9*phaseTol)) {
+			t.Errorf("%s growing by %.3f (inside the tolerance) failed", name, 0.9*phaseTol)
+		}
+		if !gate(io.Discard, base, set(base, name, o+1.1*phaseTol)) {
+			t.Errorf("%s growing by %.3f passed", name, 1.1*phaseTol)
+		}
+		if gate(io.Discard, base, set(base, name, 0)) {
+			t.Errorf("%s falling to 0 failed", name)
+		}
 	}
 }
 
-func TestHistorySeriesPivot(t *testing.T) {
-	runs := []historyRecord{
-		{Schema: 1, Models: []record{{Model: "a", Shards: 1, ThroughputRPS: 10}, {Model: "b", Shards: 2, ThroughputRPS: 20}}},
-		{Schema: 1, Models: []record{{Model: "a", Shards: 1, ThroughputRPS: 11}}},
-		{Schema: 1, Models: []record{{Model: "a", Shards: 1, ThroughputRPS: 12}, {Model: "b", Shards: 2, ThroughputRPS: 22}}},
-	}
-	series := historySeries(runs)
-	if got := series["a/s1"]; len(got) != 3 || got[2] != 12 {
-		t.Fatalf("series a/s1 = %v", got)
-	}
-	// b skipped the middle run; its series just has a gap.
-	if got := series["b/s2"]; len(got) != 2 || got[1] != 22 {
-		t.Fatalf("series b/s2 = %v", got)
+func TestGateAllocations(t *testing.T) {
+	base := mustLoad(t, committedFixture)
+	for _, name := range allocMetrics {
+		o := base.Metrics[name].Value
+		grown := o * (1 + 1.1*allocTol)
+		if o == 0 {
+			grown = 1 // one request-path cache miss where the record has none
+		} else if gate(io.Discard, base, set(base, name, o*(1+0.9*allocTol))) {
+			t.Errorf("%s growing by %.0f%% (inside the tolerance) failed", name, 90*allocTol)
+		}
+		if !gate(io.Discard, base, set(base, name, grown)) {
+			t.Errorf("%s growing from %g to %g passed", name, o, grown)
+		}
 	}
 }
 
-// TestSnapshotGateTruncatedRecord pins the failure mode the atomic
-// temp+rename write in cmd/ipuserve exists to prevent: a perf record cut
-// off mid-JSON (a loadgen run killed during a direct write) must fail the
-// snapshot gate loudly on either side, never parse as an empty record
-// that gates nothing.
-func TestSnapshotGateTruncatedRecord(t *testing.T) {
-	dir := t.TempDir()
-	full, err := json.Marshal(benchFile{
-		Models:  []record{{Model: "bf", Shards: 2, ThroughputRPS: 1000, AllocsPerOp: 2}},
-		Kernels: []kernelRecord{{Kernel: "butterfly", Calls: 100, GFlopsPerSec: 5}},
+// TestGatePassesImprovementAndItself: no check fails on an improvement, so
+// a much faster change (every kernel 10× faster, every share and
+// allocation lower) passes, and so does a record against itself.
+func TestGatePassesImprovementAndItself(t *testing.T) {
+	base := mustLoad(t, committedFixture)
+	if gate(io.Discard, base, base) {
+		t.Fatal("the committed record fails against itself")
+	}
+	faster := with(base, func(name string, v float64) float64 {
+		switch {
+		case strings.Contains(name, "/kernel.") && strings.HasSuffix(name, ".gflops"):
+			return 10 * v
+		case strings.HasSuffix(name, "_share") || strings.HasSuffix(name, "_fraction") || strings.Contains(name, "alloc"):
+			return v / 2
+		}
+		return v
 	})
+	var out strings.Builder
+	if gate(&out, base, faster) {
+		t.Fatalf("a 10× faster record with lower shares failed:\n%s", out.String())
+	}
+}
+
+// TestCommittedRecord checks the repository's BENCH_perf.json: it parses,
+// every gated kernel family ran in it, and it passes against itself.
+func TestCommittedRecord(t *testing.T) {
+	r, err := loadRecord(filepath.Join("..", "..", "BENCH_perf.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	goodPath := filepath.Join(dir, "good.json")
-	if err := os.WriteFile(goodPath, full, 0o644); err != nil {
-		t.Fatal(err)
+	for _, name := range kernelMetrics {
+		if r.Metrics[name].Value <= 0 {
+			t.Errorf("%s reads %g, so the gate cannot check it", name, r.Metrics[name].Value)
+		}
 	}
-	truncPath := filepath.Join(dir, "trunc.json")
-	if err := os.WriteFile(truncPath, full[:len(full)/2], 0o644); err != nil {
-		t.Fatal(err)
+	if gate(io.Discard, r, r) {
+		t.Fatal("BENCH_perf.json fails against itself")
 	}
-	if !runSnapshot(truncPath, goodPath, 0.2, 50, 0.2, 1.0, 0.05) {
-		t.Fatal("truncated committed record must fail the snapshot gate")
+}
+
+// FuzzBenchRecord feeds arbitrary bytes to the record parser: it returns
+// an error or a record with finite metrics, the gate never panics on such
+// a record against the committed fixture either way round, and a record
+// always passes against itself.
+func FuzzBenchRecord(f *testing.F) {
+	for _, c := range gateFixtures {
+		data, err := os.ReadFile(fixturePath(c.name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
 	}
-	if !runSnapshot(goodPath, truncPath, 0.2, 50, 0.2, 1.0, 0.05) {
-		t.Fatal("truncated fresh record must fail the snapshot gate")
-	}
+	f.Add([]byte(""))
+	f.Add([]byte("{}\n"))
+	f.Add([]byte(`{"correct":true,"metrics":{"sharded_http/kernel.bsr.gflops":{"value":1e308}}}`))
+	base := mustLoad(f, committedFixture)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, err := parseRecord(data)
+		if err != nil {
+			return
+		}
+		for name, m := range r.Metrics {
+			if math.IsNaN(m.Value) || math.IsInf(m.Value, 0) {
+				t.Fatalf("%s = %v", name, m.Value)
+			}
+		}
+		if gate(io.Discard, r, r) {
+			var out strings.Builder
+			gate(&out, r, r)
+			t.Fatalf("a record fails against itself:\n%s", out.String())
+		}
+		gate(io.Discard, base, r)
+		gate(io.Discard, r, base)
+	})
 }

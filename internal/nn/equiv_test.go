@@ -45,8 +45,9 @@ func methodWidths(m nn.Method) []int {
 }
 
 // equivTrial drives one randomized model through every execution path and
-// pins them all to Infer.
-func equivTrial(t *testing.T, rng *rand.Rand, net *nn.Sequential, n, maxBatch int) {
+// pins them all to Infer. With mustFuse the fused plan must fuse at least
+// one step, as every served family's nn.BuildSHL net does.
+func equivTrial(t *testing.T, rng *rand.Rand, net *nn.Sequential, n, maxBatch int, mustFuse bool) {
 	t.Helper()
 	topo := shard.DefaultTopology(4)
 	fused, err := net.CompilePlan(maxBatch)
@@ -60,6 +61,9 @@ func equivTrial(t *testing.T, rng *rand.Rand, net *nn.Sequential, n, maxBatch in
 	fs, us := fused.Stats(), unfused.Stats()
 	if us.FusedSteps != 0 {
 		t.Fatalf("unfused plan reports %d fused steps", us.FusedSteps)
+	}
+	if mustFuse && fs.FusedSteps == 0 {
+		t.Fatalf("fusion fired on none of %d steps", us.Steps)
 	}
 	if fs.FusedSteps > 0 {
 		if fs.Steps >= us.Steps {
@@ -152,7 +156,7 @@ func TestEquivalenceFuzzAllMethods(t *testing.T) {
 				classes := 2 + rng.Intn(11)
 				maxBatch := 1 + rng.Intn(12)
 				net := nn.BuildSHL(method, n, classes, rand.New(rand.NewSource(rng.Int63())))
-				equivTrial(t, rng, net, n, maxBatch)
+				equivTrial(t, rng, net, n, maxBatch, true)
 			}
 		})
 	}
@@ -170,7 +174,7 @@ func TestEquivalenceFuzzCompressed(t *testing.T) {
 	if len(reports) == 0 {
 		t.Fatal("Compress produced no layer reports")
 	}
-	equivTrial(t, rng, compressed, 64, 8)
+	equivTrial(t, rng, compressed, 64, 8, false)
 }
 
 // TestEquivalenceFuzzPixelflyNoLowRank exercises the BSR fused final stage
@@ -183,7 +187,7 @@ func TestEquivalenceFuzzPixelflyNoLowRank(t *testing.T) {
 	if err != nil {
 		t.Fatalf("BuildSHLPixelfly: %v", err)
 	}
-	equivTrial(t, rng, net, 128, 9)
+	equivTrial(t, rng, net, 128, 9, false)
 }
 
 // FuzzPlanExecute is the plan's independent second check: a randomized

@@ -154,8 +154,9 @@ func batchEvents(pid int, baseUS float64, b BatchRecord, meta *Meta) []chromeEve
 // LintChrome validates a trace-event JSON document: it must parse as
 // the object form with a traceEvents array, and every track's complete
 // events must be monotonic and non-overlapping — the invariant the BSP
-// barrier ordering guarantees on recorded timelines, and the CI gate
-// for -timeline-out output. Returns the number of complete events.
+// barrier ordering guarantees on recorded timelines, which the tests of
+// WriteChrome and of /debug/timeline?format=chrome check with it.
+// Returns the number of complete events.
 func LintChrome(data []byte) (int, error) {
 	var trace struct {
 		TraceEvents []chromeEvent `json:"traceEvents"`

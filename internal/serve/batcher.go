@@ -52,14 +52,20 @@ type execInfo struct {
 
 func (e *execInfo) reset() { e.nsteps = 0 }
 
-// runFunc is the internal batch-inference signature: like the public
-// NewBatcher contract, plus an optional execution report for the
-// per-request traces (implementations may ignore it).
+// runFunc is the batch-inference signature: it must accept a (rows ×
+// dim) matrix and return a (rows × anything) matrix, and may fill in the
+// execution report for the per-request traces. It is called from
+// multiple goroutines concurrently and must be read-only with respect to
+// shared state (Model.runBatch satisfies this). The input matrix is
+// worker-owned and recycled after run returns, so run must not retain
+// it; the returned matrix transfers to the batcher, which hands row views
+// of it to responses, so its rows must be safe to alias until the
+// callers are done with their scores.
 type runFunc func(x *tensor.Matrix, info *execInfo) *tensor.Matrix
 
 type request struct {
 	features []float32
-	enq      time.Time // when Do queued the request
+	enq      time.Time // when do queued the request
 	resp     chan response
 
 	// abandoned arbitrates the race between a caller giving up on an
@@ -108,7 +114,7 @@ type Batcher struct {
 	mets *batcherMetrics // nil when the batcher is not instrumented
 
 	// reqs holds requests waiting for a worker. Its MaxBatch×Workers
-	// buffer lets every worker find a full batch queued; past that, Do
+	// buffer lets every worker find a full batch queued; past that, do
 	// blocks until a worker frees room.
 	reqs    chan *request
 	stopped chan struct{}
@@ -129,24 +135,10 @@ type batcherMetrics struct {
 	batchSize    *obs.Histogram // coalesced requests per batch
 }
 
-// NewBatcher starts a batcher over run, which must accept a (rows × dim)
-// matrix and return a (rows × anything) matrix; it is called from multiple
-// goroutines concurrently and must be read-only with respect to shared
-// state (nn.Sequential.Infer and Model.runBatch satisfy this). The input
-// matrix is worker-owned and recycled after run returns, so run must not
-// retain it; the returned matrix transfers to the batcher, which hands
-// row views of it to responses — run must return a matrix whose rows are
-// safe to alias until the callers are done with their scores.
-func NewBatcher(dim int, cfg BatcherConfig, run func(*tensor.Matrix) *tensor.Matrix) *Batcher {
-	return newBatcher(dim, cfg, nil, func(x *tensor.Matrix, _ *execInfo) *tensor.Matrix {
-		return run(x)
-	})
-}
-
-// newBatcher is the internal constructor: the run function may fill in
-// the per-batch execution report, and mets (optional) wires the flush
-// counters and batch-size histogram. Both are fixed before the worker
-// goroutines start, so they need no synchronization.
+// newBatcher starts a batcher of cfg.Workers goroutines over run; mets
+// (optional) wires the flush counters and batch-size histogram. Both are
+// fixed before the worker goroutines start, so they need no
+// synchronization.
 func newBatcher(dim int, cfg BatcherConfig, mets *batcherMetrics, run runFunc) *Batcher {
 	cfg = cfg.withDefaults()
 	b := &Batcher{
@@ -164,20 +156,11 @@ func newBatcher(dim int, cfg BatcherConfig, mets *batcherMetrics, run runFunc) *
 	return b
 }
 
-// Do submits one feature row and blocks until its batch has executed. It
-// returns the row's scores and the size of the batch it rode in.
-func (b *Batcher) Do(ctx context.Context, features []float32) ([]float32, int, error) {
-	resp, err := b.do(ctx, features)
-	if err != nil {
-		return nil, 0, err
-	}
-	return resp.scores, resp.batch, resp.err
-}
-
-// do is Do returning the full response, timing block included, for
-// callers that feed per-request traces. The returned response is a value
-// copy; the error covers submission/shutdown failures while resp.err
-// covers inference failures.
+// do submits one feature row and blocks until its batch has executed. It
+// returns the full response, timing block included, for callers that
+// feed per-request traces. The returned response is a value copy; the
+// error covers submission/shutdown failures while resp.err covers
+// inference failures.
 func (b *Batcher) do(ctx context.Context, features []float32) (response, error) {
 	r := reqPool.Get().(*request)
 	r.features = features
@@ -243,7 +226,7 @@ func (b *Batcher) deliver(r *request, resp response) {
 }
 
 // Stop shuts the batcher down and waits for the workers to exit. Pending
-// and subsequent Do calls return ErrStopped, unless a worker delivers
+// and subsequent requests return ErrStopped, unless a worker delivers
 // their scores first.
 func (b *Batcher) Stop() {
 	b.stopOne.Do(func() { close(b.stopped) })

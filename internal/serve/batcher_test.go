@@ -9,6 +9,24 @@ import (
 	"repro/internal/tensor"
 )
 
+// NewBatcher starts a batcher over a run function that ignores the
+// execution report.
+func NewBatcher(dim int, cfg BatcherConfig, run func(*tensor.Matrix) *tensor.Matrix) *Batcher {
+	return newBatcher(dim, cfg, nil, func(x *tensor.Matrix, _ *execInfo) *tensor.Matrix {
+		return run(x)
+	})
+}
+
+// Do submits one feature row and blocks until its batch has executed. It
+// returns the row's scores and the size of the batch it rode in.
+func (b *Batcher) Do(ctx context.Context, features []float32) ([]float32, int, error) {
+	resp, err := b.do(ctx, features)
+	if err != nil {
+		return nil, 0, err
+	}
+	return resp.scores, resp.batch, resp.err
+}
+
 // doubler is a trivially-checkable inference function that records the
 // batch sizes it was called with.
 type doubler struct {

@@ -130,8 +130,8 @@ type stepObs struct {
 	// variants[i] names the kernel variant step i runs ("" for steps
 	// with no kernel family); kern[i] is the step's Into-kernel family
 	// and flopsPerRow/bytesPerRow its per-sample work. Together they
-	// feed the per-kernel accounting, the kernel-variant gauge, the drift
-	// report and the loadgen kernel table.
+	// feed the per-kernel accounting, the kernel-variant gauge and the
+	// drift report.
 	variants    []string
 	kern        []obs.Kernel
 	flopsPerRow []int64
@@ -302,25 +302,6 @@ func scaled(v []float64, s float64) []float64 {
 	out := make([]float64, len(v))
 	for i, x := range v {
 		out[i] = x * s
-	}
-	return out
-}
-
-// KernelVariants returns the micro-kernel variant each Into-kernel
-// family of the model's compiled steps dispatched to, keyed by family
-// name. Nil until the first batch has executed (step instruments are
-// built lazily); empty for executors without variant introspection.
-func (m *Model) KernelVariants() map[string]string {
-	so := m.stepObs.Load()
-	if so == nil {
-		return nil
-	}
-	out := map[string]string{}
-	for i, v := range so.variants {
-		if v == "" {
-			continue
-		}
-		out[so.kern[i].String()] = v
 	}
 	return out
 }

@@ -150,7 +150,8 @@ func (r *Registry) Obs() *obs.Registry { return r.obs }
 func (r *Registry) Tracer() *obs.Tracer { return r.tracer }
 
 // KernelStats returns the registry-wide per-kernel accounting sink — the
-// source of the loadgen's per-kernel GFLOP/s table.
+// source of the ipuserve_kernel_* gauges and of perfbench's kernel.*
+// metrics.
 func (r *Registry) KernelStats() *obs.KernelStats { return r.kstats }
 
 // Register builds the spec's network and installs it under spec.Name. A
@@ -299,8 +300,7 @@ func (r *Registry) Get(name string) (*Model, bool) {
 	return m, ok
 }
 
-// Predict routes one request to the named model — the convenience entry
-// point the HTTP layer and load generator use.
+// Predict routes one request to the named model.
 func (r *Registry) Predict(ctx context.Context, name string, features []float32) (Prediction, error) {
 	m, ok := r.Get(name)
 	if !ok {

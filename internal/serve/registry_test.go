@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -239,5 +240,46 @@ func TestConcurrentPredictSharedModel(t *testing.T) {
 	}
 	if st.Latency.Count == 0 || st.Latency.P99 < st.Latency.P50 {
 		t.Fatalf("latency summary inconsistent: %+v", st.Latency)
+	}
+}
+
+// TestPredictAllocs pins the serving path's steady-state allocations: a
+// sequential one-row Model.Predict allocates at most twice per call for
+// every family perfbench serves, unsharded, and for dense and pixelfly
+// on two modelled IPUs, at the paper's width. Compiling a plan or
+// pricing a bucket costs thousands of allocations, and running the same
+// requests through Sequential.Infer 6 to 26.
+func TestPredictAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items at random")
+	}
+	for _, c := range []struct {
+		method nn.Method
+		shards int
+	}{
+		{nn.Butterfly, 1}, {nn.Fastfood, 1}, {nn.Circulant, 1}, {nn.Baseline, 1}, {nn.Pixelfly, 1},
+		{nn.Baseline, 2}, {nn.Pixelfly, 2},
+	} {
+		t.Run(fmt.Sprintf("%v/s%d", c.method, c.shards), func(t *testing.T) {
+			reg := NewRegistry(Options{NumIPUs: c.shards, Shards: c.shards})
+			t.Cleanup(reg.Close)
+			m, err := reg.Register(ModelSpec{Name: "m", Method: c.method, N: 1024, Classes: 10, Seed: 42})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m.Shards() != c.shards {
+				t.Fatalf("model runs on %d IPUs, want %d", m.Shards(), c.shards)
+			}
+			features := benchFeatures(1024)
+			predict := func() {
+				if _, err := m.Predict(context.Background(), features); err != nil {
+					t.Fatal(err)
+				}
+			}
+			predict() // compiles the one-row plan and prices its bucket
+			if avg := testing.AllocsPerRun(200, predict); avg > 2 {
+				t.Fatalf("%.2f allocations per one-row Predict, want at most 2", avg)
+			}
+		})
 	}
 }

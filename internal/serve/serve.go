@@ -18,9 +18,7 @@
 //     modelled IPU latency and memory of the batch it rode in without
 //     recompiling.
 //
-// Server exposes the whole thing over an HTTP JSON API; RunLoad is the
-// built-in load generator cmd/ipuserve uses to compare the serving
-// throughput of dense vs. structured methods head-to-head.
+// Server exposes the whole thing over an HTTP JSON API.
 package serve
 
 import (

@@ -18,8 +18,8 @@ type IPUPhaseShare struct {
 }
 
 // TimelineSummary is one model's aggregated phase-utilization view — the
-// JSON body of /debug/timeline and the source of the loadgen's phase
-// table and the bench snapshot's phases block.
+// JSON body of /debug/timeline and the source of perfbench's shard.*
+// metrics.
 type TimelineSummary struct {
 	Model    string `json:"model"`
 	Strategy string `json:"strategy,omitempty"`

@@ -53,7 +53,8 @@ func scrapeBody(t *testing.T, url string, wantStatus int) string {
 // partitioning) and asserts the acceptance criteria end to end: the
 // summary shows a nonzero bubble fraction, the Chrome export passes its
 // own lint with one track per modelled IPU and visible bubbles, and the
-// phase gauges reach /metrics.
+// phase gauges, the per-IPU compute histogram and the kernel-variant
+// gauge reach /metrics.
 func TestTimelineEndpointPipeline(t *testing.T) {
 	sp := spec("ff", nn.Fastfood)
 	reg := timelineRegistry(t, sp)
@@ -106,6 +107,8 @@ func TestTimelineEndpointPipeline(t *testing.T) {
 		`ipuserve_phase_seconds{ipu="0",model="ff",phase="compute"}`,
 		`ipuserve_phase_seconds{ipu="1",model="ff",phase="bubble"}`,
 		`ipuserve_pipeline_bubble_fraction{model="ff"}`,
+		`ipuserve_shard_compute_seconds_bucket{ipu="1",model="ff",le=`,
+		`ipuserve_kernel_variant{kernel="fwht",model="ff",variant=`,
 	} {
 		if !strings.Contains(metrics, series) {
 			t.Fatalf("/metrics missing %q", series)
