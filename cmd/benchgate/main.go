@@ -12,11 +12,13 @@
 // on a regression:
 //
 //   - kernel rates: each kernel family's GFLOP/s, in the serving workload
-//     where it does the most work and divided by that workload's
-//     calibration kernel, may not fall by more than kernelTol, and a
+//     where it does the most work, may not fall by more than kernelTol
+//     both raw and divided by that workload's calibration kernel, and a
 //     family that ran in the committed record must run in the fresh one;
 //   - phase mix: the sharded models' bubble fraction and exchange share
-//     may not grow by more than phaseTol share points;
+//     may not grow by more than phaseTol share points, and a sharded model
+//     whose phases the committed record measured must still have them
+//     measured;
 //   - allocations: the figures that read the same in every run may not
 //     grow by more than allocTol.
 package main
@@ -35,11 +37,19 @@ import (
 // The tolerances were set from twelve runs of the command above on a
 // 2-vCPU host, against the committed record, one of those runs.
 const (
-	// kernelTol is the largest fall of a calibration-normalised kernel
-	// rate that passes. The other eleven runs read up to 32% under the
-	// record (fwht; bsr 29%), because the calibration kernel does not
-	// track the host's speed closely. Reverting the one-column BSR loop
-	// cut the bsr ratio by 75%.
+	// kernelTol is the largest fall of a kernel rate that passes; a
+	// family fails only when its raw rate and its calibration-normalised
+	// rate both fall by more. Either alone fails unchanged code: the
+	// calibration kernel is timed only at a workload's start and end and
+	// does not track the host (KNOWN_ISSUES.md #9), so in a run that
+	// changed only BSR code structured_http's normalised butterfly, fwht
+	// and fft rates fell 44–48% while their raw rates fell at most 11%,
+	// and raw rates fell up to 46% between two of the twelve runs. No
+	// pair of the twelve fails both. Against the record, the other eleven
+	// fell at most 31% raw and 32% normalised (fwht), and 28 later runs of
+	// the same code at most 37% raw (fwht) and 41% normalised (butterfly).
+	// Reverting the one-column BSR loop cut bsr by 62–71% raw and 61–76%
+	// normalised.
 	kernelTol = 0.4
 	// phaseTol is the largest growth of a bubble fraction or exchange
 	// share, in share points, that passes. The other eleven runs grew by
@@ -62,6 +72,16 @@ var kernelMetrics = []string{
 	"structured_http/kernel.butterfly.gflops",
 	"structured_http/kernel.fwht.gflops",
 	"structured_http/kernel.fft.gflops",
+}
+
+// microBatchMetrics are the sharded models' micro-batch counts, which say
+// whether phaseMetrics were measured at all. perfbench writes 0 for every
+// phase figure of a model whose flight recorder saw no batch, and a model
+// served unsharded records no micro-batches; either would otherwise pass
+// as a phase mix that shrank.
+var microBatchMetrics = []string{
+	"sharded_http/shard.dense.micro_batches",
+	"sharded_http/shard.pixelfly.micro_batches",
 }
 
 // phaseMetrics are the sharded models' phase shares, from the traced run,
@@ -129,7 +149,10 @@ func parseRecord(data []byte) (*record, error) {
 	if !r.Correct || r.Failed != 0 {
 		return nil, fmt.Errorf("the run reported correct=%v with %d of %d requests failed", r.Correct, r.Failed, r.Attempted)
 	}
-	required := append(append(append([]string{}, kernelMetrics...), phaseMetrics...), allocMetrics...)
+	var required []string
+	for _, names := range [][]string{kernelMetrics, microBatchMetrics, phaseMetrics, allocMetrics} {
+		required = append(required, names...)
+	}
 	for _, name := range kernelMetrics {
 		start, end := calibMetrics(name)
 		required = append(required, start, end)
@@ -178,11 +201,16 @@ func gate(w io.Writer, old, fresh *record) bool {
 		case n <= 0:
 			check(true, "%-47s ran in the committed record, reads 0 in the fresh one", name)
 		default:
-			o, n = o/old.calib(name), n/fresh.calib(name)
-			drop := 1 - n/o
-			check(drop > kernelTol, "%-47s %6.3f -> %6.3f of calibration (%+.1f%%, tolerance -%.0f%%)",
-				name, o, n, -100*drop, 100*kernelTol)
+			on, nn := o/old.calib(name), n/fresh.calib(name)
+			raw, norm := 1-n/o, 1-nn/on
+			check(raw > kernelTol && norm > kernelTol,
+				"%-47s %6.3f -> %6.3f GFLOP/s (%+.1f%%), %5.3f -> %5.3f of calibration (%+.1f%%); tolerance -%.0f%% on both",
+				name, o, n, -100*raw, on, nn, -100*norm, 100*kernelTol)
 		}
+	}
+	for _, name := range microBatchMetrics {
+		o, n := old.Metrics[name].Value, fresh.Metrics[name].Value
+		check(o > 0 && n <= 0, "%-47s %g -> %g (0 fails: the model's phases were not measured)", name, o, n)
 	}
 	for _, name := range phaseMetrics {
 		o, n := old.Metrics[name].Value, fresh.Metrics[name].Value
