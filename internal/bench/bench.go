@@ -24,9 +24,6 @@ type Options struct {
 	MaxShards int
 }
 
-// DefaultOptions returns the full-scale configuration.
-func DefaultOptions() Options { return Options{Seed: 42} }
-
 // Result is a rendered experiment.
 type Result struct {
 	ID      string

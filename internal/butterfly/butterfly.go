@@ -22,7 +22,6 @@ import (
 	"math/rand"
 
 	"repro/internal/fft"
-	"repro/internal/sparse"
 	"repro/internal/tensor"
 )
 
@@ -64,16 +63,6 @@ type Factor struct {
 	// Gradients, same shapes as the corresponding parameters.
 	GradA, GradB, GradC, GradD []float32
 	GradTheta                  []float32
-}
-
-// Pair returns the (top, bottom) indices coupled by pair p.
-func (f *Factor) Pair(p int) (int, int) {
-	half := 1 << (f.Stage - 1)
-	block := half << 1
-	blockIdx := p / half
-	k := p % half
-	top := blockIdx*block + k
-	return top, top + half
 }
 
 // NumPairs returns N/2.
@@ -545,21 +534,4 @@ func (b *Butterfly) Dense() *tensor.Matrix {
 	id := tensor.Identity(b.N)
 	out := b.Apply(id)
 	return out.Transpose()
-}
-
-// SparseFactors exports each factor as a CSR matrix (2 nonzeros per row),
-// in application order. The permutation is returned separately.
-func (b *Butterfly) SparseFactors() (factors []*sparse.CSR, perm []int) {
-	for _, f := range b.Factors {
-		coo := sparse.NewCOO(b.N, b.N)
-		for p := 0; p < f.NumPairs(); p++ {
-			top, bot := f.Pair(p)
-			coo.Append(top, top, f.A[p])
-			coo.Append(top, bot, f.B[p])
-			coo.Append(bot, top, f.C[p])
-			coo.Append(bot, bot, f.D[p])
-		}
-		factors = append(factors, coo.ToCSR())
-	}
-	return factors, b.Perm
 }

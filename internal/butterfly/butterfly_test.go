@@ -67,6 +67,16 @@ func TestHadamardButterflyMatchesFWHT(t *testing.T) {
 	}
 }
 
+// Pair returns the (top, bottom) indices coupled by pair p.
+func (f *Factor) Pair(p int) (int, int) {
+	half := 1 << (f.Stage - 1)
+	block := half << 1
+	blockIdx := p / half
+	k := p % half
+	top := blockIdx*block + k
+	return top, top + half
+}
+
 func TestPairEnumeration(t *testing.T) {
 	b := NewIdentity(8, Dense2x2)
 	// stage 1: stride 1 pairs (0,1),(2,3),(4,5),(6,7)
@@ -104,28 +114,46 @@ func TestDenseMatchesApply(t *testing.T) {
 	}
 }
 
+// factorMatrix returns factor f as an explicit N×N matrix, and how many
+// distinct entries its pairs store.
+func factorMatrix(f *Factor) (*tensor.Matrix, int) {
+	m := tensor.New(f.N, f.N)
+	stored := map[[2]int]bool{}
+	for p := 0; p < f.NumPairs(); p++ {
+		top, bot := f.Pair(p)
+		for _, e := range []struct {
+			i, j int
+			v    float32
+		}{{top, top, f.A[p]}, {top, bot, f.B[p]}, {bot, top, f.C[p]}, {bot, bot, f.D[p]}} {
+			m.Set(e.i, e.j, m.At(e.i, e.j)+e.v)
+			stored[[2]int{e.i, e.j}] = true
+		}
+	}
+	return m, len(stored)
+}
+
+// TestSparseFactorsReproduceDense checks Equation 1's structure: the
+// explicit factors, applied after the input permutation, multiply to the
+// butterfly's dense matrix, and each stores two entries per row.
 func TestSparseFactorsReproduceDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	b := New(16, Dense2x2, rng)
-	factors, perm := b.SparseFactors()
 	// Build dense product: T = B_log···B_1·P
 	n := b.N
 	P := tensor.New(n, n)
-	for i, p := range perm {
+	for i, p := range b.Perm {
 		P.Set(i, p, 1)
 	}
 	prod := P
-	for _, f := range factors {
-		prod = tensor.MatMul(f.ToDense(), prod)
+	for s, f := range b.Factors {
+		m, stored := factorMatrix(f)
+		if stored != 2*n {
+			t.Fatalf("stage %d stores %d entries, want %d", s+1, stored, 2*n)
+		}
+		prod = tensor.MatMul(m, prod)
 	}
 	if !tensor.AlmostEqual(prod, b.Dense(), 1e-4) {
 		t.Fatalf("sparse factor product != Dense: %v", tensor.MaxAbsDiff(prod, b.Dense()))
-	}
-	// each factor: 2 nonzeros per row
-	for s, f := range factors {
-		if f.NNZ() != 2*n {
-			t.Fatalf("stage %d NNZ = %d, want %d", s+1, f.NNZ(), 2*n)
-		}
 	}
 }
 

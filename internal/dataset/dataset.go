@@ -208,9 +208,6 @@ func (s *signatures) sample(c int, dst []float32, rng *rand.Rand) {
 	}
 }
 
-// NumFeatures returns the sample dimensionality.
-func (s *Split) NumFeatures() int { return s.Dim }
-
 // Batches returns the index order for one epoch given a batch size,
 // shuffled with rng. The final short batch is included.
 func Batches(n, batchSize int, rng *rand.Rand) [][]int {

@@ -96,19 +96,6 @@ type Approx struct {
 	Butterfly *butterfly.Butterfly
 }
 
-// Reconstruct materializes the approximation as a dense matrix. For
-// KindDense it returns nil (the original is the reconstruction).
-func (a *Approx) Reconstruct() *tensor.Matrix {
-	switch a.Kind {
-	case KindLowRank:
-		return a.LowRank.Reconstruct()
-	case KindButterfly:
-		return a.Butterfly.Dense()
-	default:
-		return nil
-	}
-}
-
 // FactorizeToTolerance returns the smallest-parameter approximation of w
 // whose relative Frobenius error is ≤ eps. Candidates are the butterfly
 // factorization (square power-of-two matrices; fixed 2·N·log₂N budget),

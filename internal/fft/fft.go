@@ -1,15 +1,13 @@
-// Package fft implements a radix-2 complex FFT, circular convolution of
-// real vectors, and the explicit Cooley–Tukey butterfly-factor matrices of
-// the paper's Equation (1). The circulant baseline layer and the
-// FFT-equivalence tests of the butterfly package are built on it.
+// Package fft implements a radix-2 complex FFT and circular convolution
+// of real vectors, the kernels of the circulant baseline layer. Its tests
+// also check the paper's Equation (1): the explicit Cooley–Tukey
+// butterfly factors multiply to the DFT.
 package fft
 
 import (
 	"fmt"
 	"math"
 	"math/cmplx"
-
-	"repro/internal/sparse"
 )
 
 // IsPowerOfTwo reports whether n is a positive power of two.
@@ -86,22 +84,6 @@ func IFFT(x []complex128) []complex128 {
 	return y
 }
 
-// NaiveDFT computes the DFT by direct O(N²) summation; it is the oracle
-// for FFT correctness tests.
-func NaiveDFT(x []complex128) []complex128 {
-	n := len(x)
-	out := make([]complex128, n)
-	for k := 0; k < n; k++ {
-		var s complex128
-		for t := 0; t < n; t++ {
-			angle := -2 * math.Pi * float64(k) * float64(t) / float64(n)
-			s += x[t] * cmplx.Exp(complex(0, angle))
-		}
-		out[k] = s
-	}
-	return out
-}
-
 // CircularConvolve returns the circular convolution of real vectors a and b
 // (equal power-of-two length) computed via FFT: ifft(fft(a)·fft(b)).
 // This is the O(N log N) kernel of the circulant layer.
@@ -156,89 +138,6 @@ func CircularCorrelate(a, b []float32) []float32 {
 	return out
 }
 
-// DFTMatrix returns the dense N×N DFT matrix F with
-// F[k][t] = exp(-2πi·k·t/N).
-func DFTMatrix(n int) [][]complex128 {
-	out := make([][]complex128, n)
-	for k := 0; k < n; k++ {
-		out[k] = make([]complex128, n)
-		for t := 0; t < n; t++ {
-			angle := -2 * math.Pi * float64(k) * float64(t) / float64(n)
-			out[k][t] = cmplx.Exp(complex(0, angle))
-		}
-	}
-	return out
-}
-
-// CooleyTukeyFactor returns the s-th butterfly factor of the radix-2 DIT
-// FFT of size n as an explicit complex sparse matrix (COO of real and
-// imaginary parts). Stage s ∈ [1, log2 n] combines blocks of size 2^s:
-//
-//	F_stage = diag over blocks of [ I  Ω ; I  -Ω ]
-//
-// matching Equation (1) of the paper. The returned matrices hold the real
-// and imaginary parts separately so they can be consumed by the float32
-// sparse kernels.
-func CooleyTukeyFactor(n, s int) (re, im *sparse.COO) {
-	if !IsPowerOfTwo(n) {
-		panic(fmt.Sprintf("fft: size %d not a power of two", n))
-	}
-	stages := Log2(n)
-	if s < 1 || s > stages {
-		panic(fmt.Sprintf("fft: stage %d out of range [1,%d]", s, stages))
-	}
-	size := 1 << s
-	half := size / 2
-	re = sparse.NewCOO(n, n)
-	im = sparse.NewCOO(n, n)
-	for start := 0; start < n; start += size {
-		for k := 0; k < half; k++ {
-			angle := -2 * math.Pi * float64(k) / float64(size)
-			wr := math.Cos(angle)
-			wi := math.Sin(angle)
-			top := start + k
-			bot := start + k + half
-			// out[top] = in[top] + w·in[bot]
-			re.Append(top, top, 1)
-			re.Append(top, bot, float32(wr))
-			im.Append(top, bot, float32(wi))
-			// out[bot] = in[top] - w·in[bot]
-			re.Append(bot, top, 1)
-			re.Append(bot, bot, float32(-wr))
-			im.Append(bot, bot, float32(-wi))
-		}
-	}
-	return re, im
-}
-
-// ApplyFactors runs x through the full Cooley–Tukey pipeline: bit-reversal
-// permutation followed by all log2(n) butterfly factor stages. It must
-// reproduce FFT(x) exactly (up to rounding) and is used to validate that a
-// product of explicit butterfly factors is the DFT — the structural claim
-// behind butterfly factorizations.
-func ApplyFactors(x []complex128) []complex128 {
-	n := len(x)
-	perm := BitReverse(n)
-	cur := make([]complex128, n)
-	for i, p := range perm {
-		cur[i] = x[p]
-	}
-	for s := 1; s <= Log2(n); s++ {
-		re, im := CooleyTukeyFactor(n, s)
-		next := make([]complex128, n)
-		for e := range re.Val {
-			i, j := int(re.RowIdx[e]), int(re.ColIdx[e])
-			next[i] += complex(float64(re.Val[e]), 0) * cur[j]
-		}
-		for e := range im.Val {
-			i, j := int(im.RowIdx[e]), int(im.ColIdx[e])
-			next[i] += complex(0, float64(im.Val[e])) * cur[j]
-		}
-		cur = next
-	}
-	return cur
-}
-
 // Plan precomputes the bit-reversal permutation of one FFT size so the
 // transform can run in place over caller-owned buffers — the
 // allocation-free path the circulant layer's compiled inference plan uses.
@@ -257,10 +156,8 @@ func NewPlan(n int) *Plan {
 	return &Plan{n: n, perm: BitReverse(n)}
 }
 
-// Size returns the transform length the plan was built for.
-func (p *Plan) Size() int { return p.n }
-
-// Transform computes the forward DFT of buf (len == Size) in place.
+// Transform computes the forward DFT of buf (len == the plan size) in
+// place.
 func (p *Plan) Transform(buf []complex128) {
 	n := p.n
 	if len(buf) != n {

@@ -1,6 +1,7 @@
 package fft
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
 	"math/rand"
@@ -26,6 +27,93 @@ func randomComplex(rng *rand.Rand, n int) []complex128 {
 		out[i] = complex(rng.Float64()*2-1, rng.Float64()*2-1)
 	}
 	return out
+}
+
+// NaiveDFT computes the DFT by direct O(N²) summation; it is the oracle
+// for FFT correctness tests.
+func NaiveDFT(x []complex128) []complex128 {
+	n := len(x)
+	out := make([]complex128, n)
+	for k := 0; k < n; k++ {
+		var s complex128
+		for t := 0; t < n; t++ {
+			angle := -2 * math.Pi * float64(k) * float64(t) / float64(n)
+			s += x[t] * cmplx.Exp(complex(0, angle))
+		}
+		out[k] = s
+	}
+	return out
+}
+
+// DFTMatrix returns the dense N×N DFT matrix F with
+// F[k][t] = exp(-2πi·k·t/N).
+func DFTMatrix(n int) [][]complex128 {
+	out := make([][]complex128, n)
+	for k := 0; k < n; k++ {
+		out[k] = make([]complex128, n)
+		for t := 0; t < n; t++ {
+			angle := -2 * math.Pi * float64(k) * float64(t) / float64(n)
+			out[k][t] = cmplx.Exp(complex(0, angle))
+		}
+	}
+	return out
+}
+
+// factorEntry is one stored coefficient of a Cooley–Tukey butterfly
+// factor: the factor maps in[col] into out[row] with weight w.
+type factorEntry struct {
+	row, col int
+	w        complex128
+}
+
+// CooleyTukeyFactor returns the s-th butterfly factor of the radix-2 DIT
+// FFT of size n as its stored entries. Stage s ∈ [1, log2 n] combines
+// blocks of size 2^s:
+//
+//	F_stage = diag over blocks of [ I  Ω ; I  -Ω ]
+//
+// matching Equation (1) of the paper.
+func CooleyTukeyFactor(n, s int) []factorEntry {
+	stages := Log2(n)
+	if s < 1 || s > stages {
+		panic(fmt.Sprintf("fft: stage %d out of range [1,%d]", s, stages))
+	}
+	size := 1 << s
+	half := size / 2
+	var out []factorEntry
+	for start := 0; start < n; start += size {
+		for k := 0; k < half; k++ {
+			w := cmplx.Exp(complex(0, -2*math.Pi*float64(k)/float64(size)))
+			top, bot := start+k, start+k+half
+			out = append(out,
+				// out[top] = in[top] + w·in[bot]
+				factorEntry{top, top, 1}, factorEntry{top, bot, w},
+				// out[bot] = in[top] - w·in[bot]
+				factorEntry{bot, top, 1}, factorEntry{bot, bot, -w})
+		}
+	}
+	return out
+}
+
+// ApplyFactors runs x through the full Cooley–Tukey pipeline: bit-reversal
+// permutation followed by all log2(n) butterfly factor stages. It must
+// reproduce FFT(x) up to rounding, which validates that a product of
+// explicit butterfly factors is the DFT — the structural claim behind
+// butterfly factorizations.
+func ApplyFactors(x []complex128) []complex128 {
+	n := len(x)
+	cur := make([]complex128, n)
+	for i, p := range BitReverse(n) {
+		cur[i] = x[p]
+	}
+	for s := 1; s <= Log2(n); s++ {
+		next := make([]complex128, n)
+		for _, e := range CooleyTukeyFactor(n, s) {
+			next[e.row] += e.w * cur[e.col]
+		}
+		cur = next
+	}
+	return cur
 }
 
 func TestIsPowerOfTwo(t *testing.T) {
@@ -220,21 +308,13 @@ func TestCooleyTukeyFactorSparsity(t *testing.T) {
 	// that gives butterfly its O(N log N) total cost).
 	n := 32
 	for s := 1; s <= Log2(n); s++ {
-		re, im := CooleyTukeyFactor(n, s)
 		counts := make([]int, n)
-		seen := make(map[[2]int32]bool)
-		for e := range re.Val {
-			key := [2]int32{re.RowIdx[e], re.ColIdx[e]}
+		seen := make(map[[2]int]bool)
+		for _, e := range CooleyTukeyFactor(n, s) {
+			key := [2]int{e.row, e.col}
 			if !seen[key] {
 				seen[key] = true
-				counts[re.RowIdx[e]]++
-			}
-		}
-		for e := range im.Val {
-			key := [2]int32{im.RowIdx[e], im.ColIdx[e]}
-			if !seen[key] {
-				seen[key] = true
-				counts[im.RowIdx[e]]++
+				counts[e.row]++
 			}
 		}
 		for i, c := range counts {

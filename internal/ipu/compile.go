@@ -98,7 +98,7 @@ func Compile(g *Graph) (*Compiled, error) {
 	}
 	seen := map[ComputeSetID]bool{}
 	for _, st := range g.Program {
-		if st.Kind == StepExecute && !seen[st.CS] {
+		if !seen[st.CS] {
 			seen[st.CS] = true
 			c.NumComputeSets++
 		}
@@ -137,10 +137,6 @@ func Compile(g *Graph) (*Compiled, error) {
 	// Exchange planning per executed step + exchange code and buffers.
 	maxInBytes := make(map[int]float64) // per-tile peak landing buffer
 	for _, st := range g.Program {
-		if st.Kind != StepExecute {
-			c.exchanges = append(c.exchanges, nil)
-			continue
-		}
 		ex := &stepExchange{
 			inBytes:  map[int]float64{},
 			outBytes: map[int]float64{},

@@ -8,7 +8,6 @@ type StepCost struct {
 	SyncCycles     float64
 	ExchangeCycles float64
 	ComputeCycles  float64
-	HostSeconds    float64
 }
 
 // Cycles returns the on-device cycles of the step.
@@ -18,79 +17,69 @@ func (s StepCost) Cycles() float64 { return s.SyncCycles + s.ExchangeCycles + s.
 type ExecReport struct {
 	Steps         []StepCost
 	TotalCycles   float64
-	HostSeconds   float64
 	DeviceSeconds float64
 }
 
-// Seconds returns end-to-end model time (device + host).
-func (r ExecReport) Seconds() float64 { return r.DeviceSeconds + r.HostSeconds }
+// Seconds returns the model time of the run on the device.
+func (r ExecReport) Seconds() float64 { return r.DeviceSeconds }
 
 // Simulate charges cycles for every program step under the BSP model:
 // each executed compute set costs sync + exchange (bytes/bandwidth on the
 // busiest tile) + compute (busiest tile, vertices shared across hardware
-// threads). Host steps cost bytes/HostBandwidth.
+// threads).
 func Simulate(c *Compiled) ExecReport {
 	cfg := c.Graph.Config
 	rep := ExecReport{}
 	for i, st := range c.Graph.Program {
-		switch st.Kind {
-		case StepHostCopy:
-			sc := StepCost{Label: st.Label, HostSeconds: st.HostBytes / cfg.HostBandwidth}
-			rep.Steps = append(rep.Steps, sc)
-			rep.HostSeconds += sc.HostSeconds
-		case StepExecute:
-			cs := c.Graph.CSs[st.CS]
-			sc := StepCost{Label: st.Label, SyncCycles: cfg.SyncCycles}
-			// Exchange: busiest tile's traffic over its per-tile bandwidth.
-			if ex := c.exchanges[i]; ex != nil && ex.total > 0 {
-				var worst float64
-				for t, b := range ex.inBytes {
-					if tot := b + ex.outBytes[t]; tot > worst {
-						worst = tot
-					}
-				}
-				for t, b := range ex.outBytes {
-					if _, dup := ex.inBytes[t]; !dup && b > worst {
-						worst = b
-					}
-				}
-				sc.ExchangeCycles = cfg.ExchangeSetupCycles + worst/cfg.ExchangeBytesPerTileCycle
-			}
-			// Compute: per tile, vertices share ThreadsPerTile workers.
-			perTile := map[int]*tileWork{}
-			for _, vx := range cs.Vertices {
-				w := perTile[vx.Tile]
-				if w == nil {
-					w = &tileWork{}
-					perTile[vx.Tile] = w
-				}
-				cyc := vx.Flops/cfg.ClassRate(vx.Class) + cfg.VertexOverheadCycles
-				w.sum += cyc
-				w.count++
-				if cyc > w.longest {
-					w.longest = cyc
+		cs := c.Graph.CSs[st.CS]
+		sc := StepCost{Label: st.Label, SyncCycles: cfg.SyncCycles}
+		// Exchange: busiest tile's traffic over its per-tile bandwidth.
+		if ex := c.exchanges[i]; ex.total > 0 {
+			var worst float64
+			for t, b := range ex.inBytes {
+				if tot := b + ex.outBytes[t]; tot > worst {
+					worst = tot
 				}
 			}
-			var worstCompute float64
-			for _, w := range perTile {
-				threads := cfg.ThreadsPerTile
-				if w.count < threads {
-					threads = w.count
-				}
-				t := w.sum / float64(threads)
-				if t < w.longest {
-					t = w.longest
-				}
-				if t > worstCompute {
-					worstCompute = t
+			for t, b := range ex.outBytes {
+				if _, dup := ex.inBytes[t]; !dup && b > worst {
+					worst = b
 				}
 			}
-			sc.ComputeCycles = worstCompute
-			rep.Steps = append(rep.Steps, sc)
-			rep.TotalCycles += sc.Cycles()
-		default:
-			panic(fmt.Sprintf("ipu: unknown step kind %d", st.Kind))
+			sc.ExchangeCycles = cfg.ExchangeSetupCycles + worst/cfg.ExchangeBytesPerTileCycle
 		}
+		// Compute: per tile, vertices share ThreadsPerTile workers.
+		perTile := map[int]*tileWork{}
+		for _, vx := range cs.Vertices {
+			w := perTile[vx.Tile]
+			if w == nil {
+				w = &tileWork{}
+				perTile[vx.Tile] = w
+			}
+			cyc := vx.Flops/cfg.ClassRate(vx.Class) + cfg.VertexOverheadCycles
+			w.sum += cyc
+			w.count++
+			if cyc > w.longest {
+				w.longest = cyc
+			}
+		}
+		var worstCompute float64
+		for _, w := range perTile {
+			threads := cfg.ThreadsPerTile
+			if w.count < threads {
+				threads = w.count
+			}
+			t := w.sum / float64(threads)
+			if t < w.longest {
+				t = w.longest
+			}
+			if t > worstCompute {
+				worstCompute = t
+			}
+		}
+		sc.ComputeCycles = worstCompute
+		rep.Steps = append(rep.Steps, sc)
+		rep.TotalCycles += sc.Cycles()
 	}
 	rep.DeviceSeconds = rep.TotalCycles / cfg.ClockHz
 	return rep

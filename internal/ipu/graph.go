@@ -25,17 +25,11 @@ type Variable struct {
 	Mapping   []Interval // sorted by Start, disjoint, covering [0, Elems)
 }
 
-// Bytes returns the payload footprint.
-func (v *Variable) Bytes() int { return v.Elems * v.ElemBytes }
-
 // VarRegion references elements [Start, End) of a variable.
 type VarRegion struct {
 	Var        VarID
 	Start, End int
 }
-
-// Len returns the element count of the region.
-func (r VarRegion) Len() int { return r.End - r.Start }
 
 // Vertex is a unit of computation mapped to one tile.
 type Vertex struct {
@@ -55,23 +49,11 @@ type ComputeSet struct {
 	Vertices []*Vertex
 }
 
-// StepKind discriminates program steps.
-type StepKind int
-
-const (
-	// StepExecute runs a compute set (sync + exchange + compute).
-	StepExecute StepKind = iota
-	// StepHostCopy moves bytes between host and IPU (PopTorch-style runs).
-	StepHostCopy
-)
-
-// Step is one element of the program sequence.
+// Step is one element of the program sequence: it executes one compute
+// set (sync + exchange + compute).
 type Step struct {
-	Kind StepKind
-	CS   ComputeSetID // for StepExecute
-	// HostBytes is the payload of a StepHostCopy.
-	HostBytes float64
-	Label     string
+	CS    ComputeSetID
+	Label string
 }
 
 // Graph is a Poplar-style dataflow graph plus a program (step sequence).
@@ -164,7 +146,7 @@ func (g *Graph) AddVertex(cs ComputeSetID, codelet string, class ComputeClass, t
 
 // Execute appends a compute-set execution to the program.
 func (g *Graph) Execute(cs ComputeSetID) {
-	g.Program = append(g.Program, Step{Kind: StepExecute, CS: cs, Label: g.CSs[cs].Name})
+	g.Program = append(g.Program, Step{CS: cs, Label: g.CSs[cs].Name})
 }
 
 // NumEdges counts vertex<->variable connections across the whole graph.

@@ -61,32 +61,18 @@ func Run(w *Workload, opts RunOptions) (RunResult, error) {
 	rep := Simulate(compiled)
 	res := RunResult{Workload: w, Compiled: compiled, Report: rep, Seconds: rep.Seconds()}
 	if opts.PopTorch {
-		execSteps := 0
-		for _, st := range w.Graph.Program {
-			if st.Kind == StepExecute {
-				execSteps++
-			}
-		}
 		dispatch := popTorchDispatchSec
 		if opts.DeviceLoop {
 			dispatch = popTorchLoopedDispatchSec
 		}
 		res.Seconds += w.HostBytes/popTorchHostBandwidth +
-			popTorchFixedSec + float64(execSteps)*dispatch
+			popTorchFixedSec + float64(w.ExecSteps())*dispatch
 	}
 	return res, nil
 }
 
 // ExecSteps counts executed compute-set steps in the workload's program.
-func (w *Workload) ExecSteps() int {
-	n := 0
-	for _, st := range w.Graph.Program {
-		if st.Kind == StepExecute {
-			n++
-		}
-	}
-	return n
-}
+func (w *Workload) ExecSteps() int { return len(w.Graph.Program) }
 
 // PopTorchTrainStep composes the model time of one training iteration of a
 // PopTorch model: forward + backward ≈ 3× the forward device time of each

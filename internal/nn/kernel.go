@@ -13,8 +13,8 @@ import (
 // FactorizedDense runs the two low-rank projection matmuls; a
 // StructuredLinear is classified by its transform (butterfly factor
 // sweeps, FWHT, FFT circular convolution, block-sparse-row, or the
-// low-rank baseline). Everything else — standalone activations and the
-// generic Infer-and-copy fallback — lands in KernelOther.
+// low-rank baseline). Everything else — standalone activations — lands
+// in KernelOther.
 func kernelOfLayer(l Layer) obs.Kernel {
 	switch t := l.(type) {
 	case *Dense:
@@ -42,7 +42,7 @@ func kernelOfLayer(l Layer) obs.Kernel {
 }
 
 // flopser is the per-sample work surface compute-bearing layers expose;
-// activations and the generic fallback don't implement it.
+// activations don't implement it.
 type flopser interface {
 	Flops(batch int) float64
 }

@@ -30,8 +30,6 @@ const (
 	// StepFused is a linear step with the following activation folded in:
 	// multiply, bias and nonlinearity write each output element once.
 	StepFused
-	// StepGeneric is the Infer-and-copy fallback for unknown layers.
-	StepGeneric
 )
 
 func (k StepKind) String() string {
@@ -42,8 +40,6 @@ func (k StepKind) String() string {
 		return "activation"
 	case StepFused:
 		return "fused"
-	case StepGeneric:
-		return "generic"
 	default:
 		return fmt.Sprintf("StepKind(%d)", int(k))
 	}
@@ -99,10 +95,10 @@ type planStep struct {
 	sweeps int
 	run    func(dst, x *tensor.Matrix, ws *tensor.Workspace)
 
-	// variant names the kernel shape the step runs ("tiled4x8",
+	// variant names the kernel shape the step runs ("tiled1x8",
 	// "unrolled", "radix8", "blockunroll", …; "reference" for a transform
 	// that declares no variant) and is "" for steps with no kernel family
-	// (activations, generic fallbacks).
+	// (activations).
 	variant string
 	// packedW / packedA hold panel-packed copies of a dense-family step's
 	// weight matrices for the tiled matmul kernel (packedA is the first
@@ -139,11 +135,10 @@ func (s *Sequential) CompilePlan(maxBatch int) (*Plan, error) {
 	return s.CompilePlanOpts(maxBatch, PlanOptions{})
 }
 
-// CompilePlanOpts is CompilePlan with explicit options. Layer kinds with a
-// destination-passing lowering (Dense, StructuredLinear, ReLU,
-// FactorizedDense) become allocation-free steps; anything else is kept
-// correct through a generic step that calls the layer's Infer and copies.
-// Unless opts.NoFuse is set, a peephole pass then rewrites every adjacent
+// CompilePlanOpts is CompilePlan with explicit options. Every layer kind
+// (Dense, StructuredLinear, ReLU, FactorizedDense) lowers to an
+// allocation-free destination-passing step; any other Layer is an error
+// that names it. Unless opts.NoFuse is set, a peephole pass then rewrites every adjacent
 // (linear, activation) step pair into one fused step whose kernel applies
 // multiply, bias and nonlinearity in a single pass over the output arena.
 // Compilation runs two warm-up batches of zeros at maxBatch so every
@@ -217,8 +212,8 @@ func (s *Sequential) CompilePlanOpts(maxBatch int, opts PlanOptions) (*Plan, err
 // fusePlanSteps is the peephole rewriter: a single left-to-right scan that
 // replaces every adjacent (linear, activation) pair with one fused step.
 // Steps that don't match pass through unchanged, so the pass is safe on
-// any lowered sequence (generic fallbacks, trailing linears, standalone
-// activations after them).
+// any lowered sequence (trailing linears, standalone activations after
+// them).
 func fusePlanSteps(steps []planStep) []planStep {
 	out := steps[:0:0]
 	for i := 0; i < len(steps); i++ {
@@ -417,16 +412,6 @@ func (p *Plan) Step(i int) StepInfo {
 // family.
 func (p *Plan) StepVariant(i int) string { return p.steps[i].variant }
 
-// StepVariants returns the variant name of every step, in execution
-// order.
-func (p *Plan) StepVariants() []string {
-	out := make([]string, len(p.steps))
-	for i := range p.steps {
-		out[i] = p.steps[i].variant
-	}
-	return out
-}
-
 // StepLayer returns the source layer step i was lowered from — the hook
 // the shard partitioner splits on. For fused steps this is the linear
 // layer; the folded activation is reported by Step(i).Act.
@@ -536,7 +521,7 @@ func lowerLayer(l Layer, width int) (planStep, int, error) {
 		}
 		pw := tensor.Pack(t.W)
 		return planStep{name: t.Name(), cols: t.Out, kind: StepLinear, sweeps: 1,
-			variant: "tiled4x8", packedW: pw,
+			variant: "tiled1x8", packedW: pw,
 			run: func(dst, x *tensor.Matrix, ws *tensor.Workspace) {
 				tensor.MatMulPackedBiasActParallelInto(dst, x, pw, nil, tensor.ActNone)
 				tensor.AddRowVector(dst, t.Bias)
@@ -568,7 +553,7 @@ func lowerLayer(l Layer, width int) (planStep, int, error) {
 		}
 		pa, pb := tensor.Pack(t.A), tensor.Pack(t.B)
 		return planStep{name: t.Name(), cols: t.Out, kind: StepLinear, sweeps: 1,
-			variant: "tiled4x8", packedW: pb, packedA: pa,
+			variant: "tiled1x8", packedW: pb, packedA: pa,
 			run: func(dst, x *tensor.Matrix, ws *tensor.Workspace) {
 				xa := ws.Take(x.Rows, t.Rank)
 				tensor.MatMulPackedBiasActParallelInto(xa, x, pa, nil, tensor.ActNone)
@@ -576,20 +561,7 @@ func lowerLayer(l Layer, width int) (planStep, int, error) {
 				tensor.AddRowVector(dst, t.Bias)
 			}}, t.Out, nil
 	default:
-		// Generic fallback: correct for any Layer, at the cost of the
-		// layer's own allocations plus one copy. Probe the output width
-		// with a single zero row.
-		probe := l.Infer(tensor.New(1, width))
-		outW := probe.Cols
-		return planStep{name: l.Name(), cols: outW, kind: StepGeneric,
-			run: func(dst, x *tensor.Matrix, ws *tensor.Workspace) {
-				y := l.Infer(x)
-				if y.Rows != dst.Rows || y.Cols != dst.Cols {
-					panic(fmt.Sprintf("nn: plan step %s returned %dx%d, want %dx%d",
-						l.Name(), y.Rows, y.Cols, dst.Rows, dst.Cols))
-				}
-				copy(dst.Data, y.Data)
-			}}, outW, nil
+		return planStep{}, 0, fmt.Errorf("no plan lowering for layer type %T", l)
 	}
 }
 

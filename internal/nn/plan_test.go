@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -175,6 +176,26 @@ func TestPlanErrors(t *testing.T) {
 	got := mustExecute(t, plan, x)
 	if d := tensor.MaxAbsDiff(want, got); d != 0 {
 		t.Errorf("plan output differs by %g after rejected inputs", d)
+	}
+}
+
+// unloweredLayer is a Layer type the plan compiler has no lowering for.
+type unloweredLayer struct{ *ReLU }
+
+func (unloweredLayer) Name() string { return "unlowered" }
+
+// TestCompilePlanRejectsUnknownLayer pins that a plan runs only lowered
+// kernels: a Layer type with no lowering fails the compile with an error
+// that names the layer, rather than compiling a step that calls its
+// Infer.
+func TestCompilePlanRejectsUnknownLayer(t *testing.T) {
+	net := NewSequential(NewDense(16, 8, rand.New(rand.NewSource(1))), unloweredLayer{NewReLU()})
+	_, err := net.CompilePlan(4)
+	if err == nil {
+		t.Fatal("CompilePlan compiled a layer type it has no lowering for")
+	}
+	if !strings.Contains(err.Error(), "unlowered") {
+		t.Errorf("error %q does not name the layer", err)
 	}
 }
 

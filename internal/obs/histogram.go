@@ -17,7 +17,6 @@ import (
 type Histogram struct {
 	bounds  []float64
 	counts  []atomic.Int64 // len(bounds)+1; last is the +Inf bucket
-	n       atomic.Int64
 	sumBits atomic.Uint64
 }
 
@@ -67,7 +66,6 @@ func SizeBuckets(n int) []float64 { return ExpBuckets(1, 2, n) }
 func (h *Histogram) Observe(v float64) {
 	i := sort.SearchFloat64s(h.bounds, v) // first bound >= v; len(bounds) = +Inf
 	h.counts[i].Add(1)
-	h.n.Add(1)
 	for {
 		old := h.sumBits.Load()
 		if h.sumBits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
@@ -75,9 +73,6 @@ func (h *Histogram) Observe(v float64) {
 		}
 	}
 }
-
-// Count returns how many values have been observed.
-func (h *Histogram) Count() int64 { return h.n.Load() }
 
 // Sum returns the sum of observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
@@ -93,77 +88,4 @@ func (h *Histogram) BucketCounts() []int64 {
 		out[i] = h.counts[i].Load()
 	}
 	return out
-}
-
-// Merge adds other's observations into h. The histograms must share the
-// same bucket layout — merging is how per-worker or per-shard histograms
-// roll up into one series without sharing a hot cache line.
-func (h *Histogram) Merge(other *Histogram) error {
-	if len(h.bounds) != len(other.bounds) {
-		return fmt.Errorf("obs: merging histograms with %d vs %d buckets",
-			len(h.bounds), len(other.bounds))
-	}
-	for i, b := range h.bounds {
-		if b != other.bounds[i] {
-			return fmt.Errorf("obs: merging histograms with different bounds at %d: %v vs %v",
-				i, b, other.bounds[i])
-		}
-	}
-	var n int64
-	for i := range other.counts {
-		c := other.counts[i].Load()
-		h.counts[i].Add(c)
-		n += c
-	}
-	h.n.Add(n)
-	sum := other.Sum()
-	for {
-		old := h.sumBits.Load()
-		if h.sumBits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+sum)) {
-			return nil
-		}
-	}
-}
-
-// Quantile estimates the q-quantile (q in [0,1]) from the bucket counts,
-// linearly interpolating inside the bucket the rank falls in. Values in
-// the +Inf bucket report the last finite bound (an under-estimate, as in
-// any bounded-bucket histogram). Returns NaN on an empty histogram.
-func (h *Histogram) Quantile(q float64) float64 {
-	total := h.n.Load()
-	if total == 0 {
-		return math.NaN()
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(total)
-	var cum int64
-	for i := range h.counts {
-		c := h.counts[i].Load()
-		if c == 0 {
-			cum += c
-			continue
-		}
-		if float64(cum+c) >= rank {
-			if i >= len(h.bounds) {
-				return h.bounds[len(h.bounds)-1]
-			}
-			lo := 0.0
-			if i > 0 {
-				lo = h.bounds[i-1]
-			}
-			hi := h.bounds[i]
-			frac := (rank - float64(cum)) / float64(c)
-			if frac < 0 {
-				frac = 0
-			}
-			return lo + frac*(hi-lo)
-		}
-		cum += c
-	}
-	return h.bounds[len(h.bounds)-1]
 }

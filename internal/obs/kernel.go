@@ -23,7 +23,7 @@ const (
 	// KernelLowRank covers the low-rank U/V projection kernels.
 	KernelLowRank
 	// KernelOther is everything the stack cannot attribute to a single
-	// family: standalone activations, generic Infer-and-copy fallbacks.
+	// family: standalone activations.
 	KernelOther
 
 	numKernels

@@ -78,16 +78,6 @@ type Gauge struct{ bits atomic.Uint64 }
 // Set stores v.
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
-// Add adds v to the gauge with a CAS loop (allocation-free).
-func (g *Gauge) Add(v float64) {
-	for {
-		old := g.bits.Load()
-		if g.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
-			return
-		}
-	}
-}
-
 // Value returns the current gauge value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 

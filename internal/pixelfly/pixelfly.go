@@ -179,9 +179,6 @@ func (p *Pixelfly) ParamCount() int {
 	return len(p.W.Blocks) + 2*p.Cfg.N*p.Cfg.LowRank
 }
 
-// NumBlocks returns the number of stored blocks in the support.
-func (p *Pixelfly) NumBlocks() int { return p.W.NumBlocks() }
-
 // Flops returns the forward flop count for a batch: block-sparse matmul
 // plus two low-rank matmuls.
 func (p *Pixelfly) Flops(batch int) float64 {

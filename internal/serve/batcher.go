@@ -21,7 +21,7 @@ type BatcherConfig struct {
 	// the moment they are free, so no request waits for a flush timer.
 	MaxDelay time.Duration
 	// Workers is the number of goroutines executing batches; batches run
-	// concurrently because Infer is read-only. Default GOMAXPROCS.
+	// concurrently, each on a plan of its own. Default GOMAXPROCS.
 	Workers int
 }
 
@@ -53,15 +53,16 @@ type execInfo struct {
 func (e *execInfo) reset() { e.nsteps = 0 }
 
 // runFunc is the batch-inference signature: it must accept a (rows ×
-// dim) matrix and return a (rows × anything) matrix, and may fill in the
-// execution report for the per-request traces. It is called from
-// multiple goroutines concurrently and must be read-only with respect to
-// shared state (Model.runBatch satisfies this). The input matrix is
-// worker-owned and recycled after run returns, so run must not retain
-// it; the returned matrix transfers to the batcher, which hands row views
-// of it to responses, so its rows must be safe to alias until the
-// callers are done with their scores.
-type runFunc func(x *tensor.Matrix, info *execInfo) *tensor.Matrix
+// dim) matrix and return a (rows × anything) matrix or an error, which
+// fails every request of the batch, and may fill in the execution report
+// for the per-request traces. It is called from multiple goroutines
+// concurrently and must be read-only with respect to shared state
+// (Model.runBatch satisfies this). The input matrix is worker-owned and
+// recycled after run returns, so run must not retain it; the returned
+// matrix transfers to the batcher, which hands row views of it to
+// responses, so its rows must be safe to alias until the callers are
+// done with their scores.
+type runFunc func(x *tensor.Matrix, info *execInfo) (*tensor.Matrix, error)
 
 type request struct {
 	features []float32
@@ -351,7 +352,9 @@ func (b *Batcher) safeRun(x *tensor.Matrix, info *execInfo) (y *tensor.Matrix, e
 			err = fmt.Errorf("serve: inference panic: %v", r)
 		}
 	}()
-	y = b.run(x, info)
+	if y, err = b.run(x, info); err != nil {
+		return nil, err
+	}
 	if y.Rows != x.Rows {
 		return nil, fmt.Errorf("serve: inference returned %d rows for a %d-row batch", y.Rows, x.Rows)
 	}

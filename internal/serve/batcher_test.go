@@ -12,8 +12,8 @@ import (
 // NewBatcher starts a batcher over a run function that ignores the
 // execution report.
 func NewBatcher(dim int, cfg BatcherConfig, run func(*tensor.Matrix) *tensor.Matrix) *Batcher {
-	return newBatcher(dim, cfg, nil, func(x *tensor.Matrix, _ *execInfo) *tensor.Matrix {
-		return run(x)
+	return newBatcher(dim, cfg, nil, func(x *tensor.Matrix, _ *execInfo) (*tensor.Matrix, error) {
+		return run(x), nil
 	})
 }
 
@@ -144,12 +144,12 @@ func TestBatcherStop(t *testing.T) {
 func heldRun(d *doubler) (run runFunc, entered, release chan struct{}) {
 	entered, release = make(chan struct{}), make(chan struct{})
 	var once sync.Once
-	run = func(x *tensor.Matrix, _ *execInfo) *tensor.Matrix {
+	run = func(x *tensor.Matrix, _ *execInfo) (*tensor.Matrix, error) {
 		once.Do(func() {
 			close(entered)
 			<-release
 		})
-		return d.run(x)
+		return d.run(x), nil
 	}
 	return run, entered, release
 }

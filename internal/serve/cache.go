@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -47,11 +46,10 @@ type ProgramCost struct {
 	MicroBatches   int `json:"micro_batches,omitempty"`
 	PipelineStages int `json:"pipeline_stages,omitempty"`
 
-	// Fusion block, present when a host network is attached: the compiled
-	// plan's step-fusion verdict — executed vs lowered step count, steps
-	// carrying a folded activation, resident activation-arena bytes, and
-	// the modelled arena traffic of one batch against what the unfused
-	// step list would move.
+	// Fusion block: the compiled plan's step-fusion verdict — executed vs
+	// lowered step count, steps carrying a folded activation, resident
+	// activation-arena bytes, and the modelled arena traffic of one batch
+	// against what the unfused step list would move.
 	PlanSteps           int `json:"plan_steps,omitempty"`
 	PlanStepsUnfused    int `json:"plan_steps_unfused,omitempty"`
 	PlanFusedSteps      int `json:"plan_fused_steps,omitempty"`
@@ -120,10 +118,9 @@ type Program struct {
 	build    workloadBuilder
 	mets     *cacheMetrics // inherited from the cache; nil when uninstrumented
 
-	// net is the host network plans compile from; set the first time the
-	// program is requested with a network attached (cost-only callers pass
-	// none).
-	net atomic.Pointer[nn.Sequential]
+	// net is the host network plans compile from, fixed when the cache
+	// creates the program.
+	net *nn.Sequential
 
 	// idle is the LIFO free list of plans no caller holds. It needs no
 	// cap: GetPlan compiles only when none is idle, so it holds at most
@@ -143,16 +140,6 @@ type Program struct {
 	scOne  shard.Cost
 	scErr  error
 }
-
-// errNoHostNet marks a program that was only ever priced, never given a
-// network to compile host plans from.
-var errNoHostNet = errors.New("serve: program has no host network")
-
-// Batch returns the power-of-two batch bucket the program was compiled for.
-func (p *Program) Batch() int { return p.batch }
-
-// Shards returns how many modelled IPUs the program spans.
-func (p *Program) Shards() int { return p.shards }
 
 // Cost returns the memoized modelled IPU cost; the first caller pays the
 // compile, concurrent callers block on it, and failures (e.g. tile OOM)
@@ -182,7 +169,7 @@ func (p *Program) Cost() (*ProgramCost, error) {
 			if p.costErr != nil {
 				p.cost = nil
 			}
-		} else if pl != nil {
+		} else {
 			// Donate the probe plan to the free list: the first Predict
 			// after a Cost pays no second compile.
 			p.PutPlan(pl)
@@ -194,15 +181,9 @@ func (p *Program) Cost() (*ProgramCost, error) {
 
 // fusionCost annotates the cost with the host plan's fusion silhouette
 // (step counts, arena bytes, modelled activation-arena traffic) and
-// returns the plan it compiled. Cost-only programs — no host network
-// attached — skip the block and return nil; a network that fails to
-// compile is a real error, not a silent cost-only silhouette.
+// returns the plan it compiled.
 func (p *Program) fusionCost(cost *ProgramCost) (*nn.Plan, error) {
-	net := p.net.Load()
-	if net == nil {
-		return nil, nil
-	}
-	pl, err := net.CompilePlan(p.batch)
+	pl, err := p.net.CompilePlan(p.batch)
 	if err != nil {
 		return nil, fmt.Errorf("serve: compiling host plan for fusion cost: %w", err)
 	}
@@ -222,13 +203,8 @@ func (p *Program) fusionCost(cost *ProgramCost) (*nn.Plan, error) {
 func (p *Program) shardEstimate(pl *nn.Plan) (shard.Cost, error) {
 	p.scOnce.Do(func() {
 		if pl == nil {
-			net := p.net.Load()
-			if net == nil {
-				p.scErr = errNoHostNet
-				return
-			}
 			var err error
-			if pl, err = net.CompilePlan(p.batch); err != nil {
+			if pl, err = p.net.CompilePlan(p.batch); err != nil {
 				p.scErr = err
 				return
 			}
@@ -292,11 +268,7 @@ func (p *Program) GetPlan() (Executor, error) {
 		return pl, nil
 	}
 	p.mu.Unlock()
-	net := p.net.Load()
-	if net == nil {
-		return nil, errNoHostNet
-	}
-	pl, err := net.CompilePlan(p.batch)
+	pl, err := p.net.CompilePlan(p.batch)
 	if err != nil || p.shards <= 1 {
 		return pl, err
 	}
@@ -371,11 +343,10 @@ func NewShardedProgramCache(cfg ipu.Config, topo shard.Topology, budgetBytes int
 type workloadBuilder func(cfg ipu.Config, batch int) (*ipu.Workload, error)
 
 // Program returns the compiled artifact for the key, creating it on first
-// use, and counts the lookup in the hit/miss statistics (one count per
-// served request — the semantics the perf trajectory records). net may be
-// nil for cost-only callers; the first non-nil net is attached so later
-// GetPlan calls can compile host plans. The modelled cost is not compiled
-// here — Cost does that lazily, memoized.
+// use with net as the network its host plans compile from, and counts
+// the lookup in the hit/miss statistics (one count per served request —
+// the semantics the perf trajectory records). The modelled cost is not
+// compiled here — Cost does that lazily, memoized.
 func (c *ProgramCache) Program(name string, version, batch, shards int, net *nn.Sequential, build workloadBuilder) (*Program, error) {
 	return c.lookup(name, version, batch, shards, net, build, true)
 }
@@ -401,7 +372,7 @@ func (c *ProgramCache) lookup(name string, version, batch, shards int, net *nn.S
 	c.mu.Lock()
 	p, ok := c.entries[key]
 	if !ok {
-		p = &Program{batch: batch, shards: shards, topo: c.topo, budget: c.budget, cfg: c.cfg, build: build, mets: c.mets}
+		p = &Program{batch: batch, shards: shards, topo: c.topo, budget: c.budget, cfg: c.cfg, build: build, mets: c.mets, net: net}
 		c.entries[key] = p
 	}
 	if count {
@@ -416,9 +387,6 @@ func (c *ProgramCache) lookup(name string, version, batch, shards int, net *nn.S
 		}
 	}
 	c.mu.Unlock()
-	if net != nil {
-		p.net.CompareAndSwap(nil, net)
-	}
 	return p, nil
 }
 
@@ -442,25 +410,6 @@ func (c *ProgramCache) Evict(name string, version int) {
 	for _, p := range dropped {
 		p.close()
 	}
-}
-
-// Cost returns the modelled cost of running spec's structured layer at the
-// given batch size, compiling at most once per (model, version, batch).
-// Concurrent callers of a cold key block on the single compilation.
-func (c *ProgramCache) Cost(spec ModelSpec, version, batch int) (*ProgramCost, error) {
-	return c.costWith(spec.Name, version, batch, func(cfg ipu.Config, b int) (*ipu.Workload, error) {
-		return buildWorkload(cfg, spec, b)
-	})
-}
-
-// costWith is Cost with an explicit workload builder, keyed on the model
-// name and version alone.
-func (c *ProgramCache) costWith(name string, version, batch int, build workloadBuilder) (*ProgramCost, error) {
-	p, err := c.Program(name, version, batch, 1, nil, build)
-	if err != nil {
-		return nil, err
-	}
-	return p.Cost()
 }
 
 // Stats snapshots the hit/miss counters.

@@ -10,11 +10,27 @@ import (
 	"repro/internal/shard"
 )
 
+// costOf prices sp's program at one batch bucket on one IPU: the lookup
+// Model.ModelledCost makes for every request.
+func costOf(c *ProgramCache, sp ModelSpec, version, batch int) (*ProgramCost, error) {
+	net, err := buildNet(sp)
+	if err != nil {
+		return nil, err
+	}
+	p, err := c.Program(sp.Name, version, batch, 1, net, func(cfg ipu.Config, b int) (*ipu.Workload, error) {
+		return buildWorkload(cfg, sp, b)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return p.Cost()
+}
+
 func TestProgramCacheHitMissAccounting(t *testing.T) {
 	c := NewShardedProgramCache(ipu.GC200(), shard.DefaultTopology(1), 0)
 	sp := spec("m", nn.Butterfly)
 
-	cost1, err := c.Cost(sp, 1, 8)
+	cost1, err := costOf(c, sp, 1, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +41,7 @@ func TestProgramCacheHitMissAccounting(t *testing.T) {
 		t.Fatalf("after first Cost: %+v, want 0 hits / 1 miss", s)
 	}
 
-	cost2, err := c.Cost(sp, 1, 8)
+	cost2, err := costOf(c, sp, 1, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,11 +53,11 @@ func TestProgramCacheHitMissAccounting(t *testing.T) {
 	}
 
 	// A different batch size is a different program.
-	if _, err := c.Cost(sp, 1, 16); err != nil {
+	if _, err := costOf(c, sp, 1, 16); err != nil {
 		t.Fatal(err)
 	}
 	// A different model version is a different program.
-	if _, err := c.Cost(sp, 2, 8); err != nil {
+	if _, err := costOf(c, sp, 2, 8); err != nil {
 		t.Fatal(err)
 	}
 	if s := c.Stats(); s.Misses != 3 || s.Entries != 3 {
@@ -60,7 +76,7 @@ func TestProgramCacheConcurrentColdKeyCompilesOnce(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			cost, err := c.Cost(sp, 1, 4)
+			cost, err := costOf(c, sp, 1, 4)
 			if err != nil {
 				t.Errorf("Cost: %v", err)
 				return
@@ -86,7 +102,7 @@ func TestProgramCacheConcurrentColdKeyCompilesOnce(t *testing.T) {
 func TestProgramCacheAllMethodsCompile(t *testing.T) {
 	c := NewShardedProgramCache(ipu.GC200(), shard.DefaultTopology(1), 0)
 	for _, m := range nn.AllMethods {
-		cost, err := c.Cost(spec("m-"+m.String(), m), 1, 8)
+		cost, err := costOf(c, spec("m-"+m.String(), m), 1, 8)
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
@@ -102,33 +118,23 @@ func TestProgramCacheAllMethodsCompile(t *testing.T) {
 
 func TestProgramCacheRejectsBadBatch(t *testing.T) {
 	c := NewShardedProgramCache(ipu.GC200(), shard.DefaultTopology(1), 0)
-	if _, err := c.Cost(spec("m", nn.Baseline), 1, 0); err == nil {
+	if _, err := costOf(c, spec("m", nn.Baseline), 1, 0); err == nil {
 		t.Fatal("batch 0 accepted")
 	}
 }
 
 // TestProgramCostFusionBlock checks the fusion silhouette surfaces on the
-// modelled cost once a host network is attached: executed vs lowered step
-// counts, at least one fused step for an SHL, and reduced modelled arena
-// traffic — and that cost-only programs simply omit the block.
+// modelled cost: executed vs lowered step counts, at least one fused step
+// for an SHL, and reduced modelled arena traffic.
 func TestProgramCostFusionBlock(t *testing.T) {
 	c := NewShardedProgramCache(ipu.GC200(), shard.DefaultTopology(1), 0)
 	sp := spec("m", nn.Butterfly)
-
-	// Cost-only (no host net): fusion fields stay zero.
-	bare, err := c.Cost(sp, 1, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bare.PlanSteps != 0 || bare.TrafficBytes != 0 {
-		t.Fatalf("cost-only program carries fusion block: %+v", bare)
-	}
 
 	net, err := buildNet(sp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := c.Program("m2", 1, 8, 1, net, func(cfg ipu.Config, b int) (*ipu.Workload, error) {
+	p, err := c.Program("m", 1, 8, 1, net, func(cfg ipu.Config, b int) (*ipu.Workload, error) {
 		return buildWorkload(cfg, sp, b)
 	})
 	if err != nil {

@@ -5,10 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -186,6 +188,49 @@ func TestHTTPModelsAndStats(t *testing.T) {
 	}
 	if a.Served != 2 || a.Latency.Count != 2 {
 		t.Fatalf("model a stats: %+v", a)
+	}
+}
+
+// TestHTTPPredictUncompilableModelFails pins the one inference path: a
+// model whose plan cannot compile (a Sequential led by a ReLU, which
+// declares no input width) answers /predict with a 500 and one JSON
+// error object rather than scores from Sequential.Infer, the failure
+// counts in ipuserve_errors_total, and closing the registry leaves no
+// goroutine behind.
+func TestHTTPPredictUncompilableModelFails(t *testing.T) {
+	before := runtime.NumGoroutine()
+	reg := NewRegistry(Options{Batcher: BatcherConfig{MaxBatch: 8, Workers: 2}})
+	sp := spec("relu-led", nn.Baseline)
+	net := nn.NewSequential(nn.NewReLU(), nn.NewDense(sp.N, sp.Classes, rand.New(rand.NewSource(1))))
+	reg.install(sp, net, sp.Method.String(), nil, 0)
+	ts := httptest.NewServer(NewServer(reg))
+
+	resp := postPredict(t, ts.URL, PredictRequest{Model: sp.Name, Features: make([]float32, sp.N)})
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("status = %d, want 500; body %s", resp.StatusCode, body)
+	}
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	var eb errorBody
+	if err := dec.Decode(&eb); err != nil || eb.Error == "" {
+		t.Fatalf("body %q is not a JSON error object (%v)", body, err)
+	}
+	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
+		t.Fatalf("body %q carries data after its JSON error object", body)
+	}
+	if m := scrapeBody(t, ts.URL+"/metrics", http.StatusOK); !strings.Contains(m, `ipuserve_errors_total{model="relu-led"} 1`+"\n") {
+		t.Fatalf("ipuserve_errors_total does not count the failure:\n%s", m)
+	}
+
+	ts.Close()
+	reg.Close()
+	if n := settledGoroutines(before); n > before {
+		t.Fatalf("%d goroutines 2 s after the registry closed, %d before it opened", n, before)
 	}
 }
 

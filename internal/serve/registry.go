@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
 	"runtime/pprof"
 	"sort"
@@ -31,10 +30,8 @@ type Options struct {
 	Batcher BatcherConfig
 
 	// NumIPUs is how many modelled IPUs each model may shard across
-	// (0 or 1 = unsharded serving).
+	// (0 or 1 = unsharded serving), linked by ipu.IPULink().
 	NumIPUs int
-	// Link is the inter-IPU exchange model (zero value = ipu.IPULink()).
-	Link ipu.LinkConfig
 	// PerIPUMemBytes is the per-IPU memory budget the registry fits
 	// models into when auto-picking a shard count (0 = the chip's SRAM).
 	PerIPUMemBytes int
@@ -49,11 +46,9 @@ type Options struct {
 
 	// TimelineSampleEvery samples one executed batch in every N into the
 	// per-model BSP phase flight recorder behind /debug/timeline and the
-	// phase gauges (0 = default 16; negative disables timelines).
+	// phase gauges (0 = default 16; negative disables timelines). Each
+	// recorder retains the last timelineKeep sampled batches.
 	TimelineSampleEvery int
-	// TimelineKeep is how many sampled batch timelines each model's
-	// recorder retains (0 = 8).
-	TimelineKeep int
 
 	// PprofLabels pins a per-model pprof label ("model") on the batcher
 	// worker goroutine around plan execution, so CPU profiles attribute
@@ -72,7 +67,7 @@ const (
 // timelines retained per model.
 const (
 	defaultTimelineSampleEvery = 16
-	defaultTimelineKeep        = 8
+	timelineKeep               = 8
 )
 
 // Registry builds, versions and owns servable models. All methods are safe
@@ -106,10 +101,7 @@ func NewRegistry(opts Options) *Registry {
 	if opts.NumIPUs < 1 {
 		opts.NumIPUs = 1
 	}
-	if opts.Link.LinkBandwidth == 0 {
-		opts.Link = ipu.IPULink()
-	}
-	topo := shard.Topology{NumIPUs: opts.NumIPUs, IPU: opts.IPU, Link: opts.Link}
+	topo := shard.Topology{NumIPUs: opts.NumIPUs, IPU: opts.IPU, Link: ipu.IPULink()}
 	r := &Registry{
 		opts:     opts,
 		topo:     topo,
@@ -202,14 +194,11 @@ func (r *Registry) install(spec ModelSpec, net *nn.Sequential, label string, wb 
 	m.mets = newModelMetrics(r.obs, spec.Name, m.shards)
 	m.mets.factorization.Set(factorErr)
 	if r.opts.TimelineSampleEvery >= 0 {
-		every, keep := r.opts.TimelineSampleEvery, r.opts.TimelineKeep
+		every := r.opts.TimelineSampleEvery
 		if every == 0 {
 			every = defaultTimelineSampleEvery
 		}
-		if keep == 0 {
-			keep = defaultTimelineKeep
-		}
-		m.timeline = timeline.NewRecorder(every, keep)
+		m.timeline = timeline.NewRecorder(every, timelineKeep)
 		r.registerPhaseGauges(m)
 	}
 	// The batcher's instruments must exist before its goroutines start:
@@ -298,15 +287,6 @@ func (r *Registry) Get(name string) (*Model, bool) {
 	m, ok := r.models[name]
 	r.mu.RUnlock()
 	return m, ok
-}
-
-// Predict routes one request to the named model.
-func (r *Registry) Predict(ctx context.Context, name string, features []float32) (Prediction, error) {
-	m, ok := r.Get(name)
-	if !ok {
-		return Prediction{}, fmt.Errorf("serve: unknown model %q", name)
-	}
-	return m.Predict(ctx, features)
 }
 
 // Models returns the registered models sorted by name — the iteration

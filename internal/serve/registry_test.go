@@ -25,6 +25,15 @@ func spec(name string, m nn.Method) ModelSpec {
 	return ModelSpec{Name: name, Method: m, N: 64, Classes: 10, Seed: 42}
 }
 
+// Predict routes one request to the named model.
+func (r *Registry) Predict(ctx context.Context, name string, features []float32) (Prediction, error) {
+	m, ok := r.Get(name)
+	if !ok {
+		return Prediction{}, fmt.Errorf("serve: unknown model %q", name)
+	}
+	return m.Predict(ctx, features)
+}
+
 // TestPredictMatchesDirectInfer checks the whole serving path — registry,
 // batcher, response splitting — returns exactly what a direct forward pass
 // of the same weights would.

@@ -1,22 +1,25 @@
 // Package serve is the inference-serving subsystem: it turns the trainable
 // SHL models of internal/nn into concurrently-callable predictors.
 //
-// Four pieces compose the serving path:
+// Three pieces compose the serving path:
 //
 //   - a Registry that builds and versions servable models from the existing
 //     constructors (nn.BuildSHL, nn.BuildSHLPixelfly) behind the
 //     thread-safe Predictor interface;
-//   - the read-only forward pass (nn.Sequential.Infer) that lets any number
-//     of goroutines share one model's weights;
 //   - a work-conserving micro-batcher (Batcher): a free worker takes every
 //     request already waiting as one tensor.Matrix batch, so requests
 //     coalesce while the workers are busy (a batched butterfly multiply
 //     amortizes the O(N log N) factor sweeps across the whole batch) and
 //     none waits for company while a worker is idle;
-//   - a compiled-program cache (ProgramCache) that memoizes ipu.Compile
-//     results per (model, batch size), so every response can carry the
-//     modelled IPU latency and memory of the batch it rode in without
-//     recompiling.
+//   - a compiled-program cache (ProgramCache) that holds, per (model,
+//     batch bucket, shard count), the host plans batches execute on
+//     (nn.Plan, or shard.ShardedPlan across modelled IPUs) and the
+//     memoized ipu.Compile cost every response carries.
+//
+// Every batch runs on a compiled plan; a batch whose plan cannot be
+// compiled or executed fails. nn.Sequential.Infer is not part of the
+// serving path: it is the oracle tests and perfbench check responses
+// against.
 //
 // Server exposes the whole thing over an HTTP JSON API.
 package serve
@@ -244,9 +247,6 @@ func (m *Model) Info() ModelInfo {
 	}
 }
 
-// Spec returns the spec the model was built from.
-func (m *Model) Spec() ModelSpec { return m.spec }
-
 // Shards returns how many modelled IPUs the model serves on.
 func (m *Model) Shards() int { return m.shards }
 
@@ -354,12 +354,11 @@ func (m *Model) ModelledCost(batch int) (*ProgramCost, error) {
 
 // runBatch is the micro-batcher's inference function: it executes the
 // batch on a compiled plan from the program's free list (allocation-free
-// at steady state except the result copy handed to responses) and falls
-// back to the generic read-only forward pass if the plan path is
-// unavailable. The executor's frame is derived into info and the model's
-// instruments before the plan goes back to the program; the fallback path
-// leaves info empty.
-func (m *Model) runBatch(x *tensor.Matrix, info *execInfo) *tensor.Matrix {
+// at steady state except the result copy handed to responses). The
+// executor's frame is derived into info and the model's instruments
+// before the plan goes back to the program. A program, plan or Execute
+// error fails the batch.
+func (m *Model) runBatch(x *tensor.Matrix, info *execInfo) (*tensor.Matrix, error) {
 	if m.pprofCtx != nil {
 		// Pin the model name on the worker goroutine for CPU-profile
 		// attribution around Plan.Execute; restored before the response
@@ -368,42 +367,45 @@ func (m *Model) runBatch(x *tensor.Matrix, info *execInfo) *tensor.Matrix {
 		defer pprof.SetGoroutineLabels(m.pprofBase)
 	}
 	prog, err := m.cache.programQuiet(m.spec.Name, m.version, nextPow2(x.Rows), m.shards, m.net, m.workload)
-	if err == nil {
-		if pl, perr := prog.GetPlan(); perr == nil {
-			returned := false
-			defer func() {
-				if !returned {
-					// Execute panicked (safeRun reports it): the plan's
-					// barrier or handoff tokens may still be in flight,
-					// so close it instead of handing it out again.
-					closePlan(pl)
-				}
-			}()
-			if m.pprofCtx != nil {
-				if ps, ok := pl.(pprofSink); ok {
-					// Sharded executors refine the model label with a
-					// per-shard ipu=<k> on their goroutines (idempotent
-					// per context, so repeating it every batch is free).
-					ps.SetPprofLabels(m.pprofCtx)
-				}
-			}
-			y, xerr := pl.Execute(x)
-			if xerr == nil {
-				// Copy out before returning the plan: responses alias rows
-				// of the returned matrix, and the plan's buffers are
-				// recycled by the next worker that takes it.
-				out := tensor.New(y.Rows, y.Cols)
-				copy(out.Data, y.Data)
-				m.observeExec(pl, info)
-				returned = true
-				prog.PutPlan(pl)
-				return out
-			}
-			returned = true
-			prog.PutPlan(pl)
+	if err != nil {
+		return nil, err
+	}
+	pl, err := prog.GetPlan()
+	if err != nil {
+		return nil, err
+	}
+	returned := false
+	defer func() {
+		if !returned {
+			// Execute panicked (safeRun reports it): the plan's
+			// barrier or handoff tokens may still be in flight,
+			// so close it instead of handing it out again.
+			closePlan(pl)
+		}
+	}()
+	if m.pprofCtx != nil {
+		if ps, ok := pl.(pprofSink); ok {
+			// Sharded executors refine the model label with a
+			// per-shard ipu=<k> on their goroutines (idempotent
+			// per context, so repeating it every batch is free).
+			ps.SetPprofLabels(m.pprofCtx)
 		}
 	}
-	return m.net.Infer(x)
+	y, err := pl.Execute(x)
+	if err != nil {
+		returned = true
+		prog.PutPlan(pl)
+		return nil, err
+	}
+	// Copy out before returning the plan: responses alias rows of the
+	// returned matrix, and the plan's buffers are recycled by the next
+	// worker that takes it.
+	out := tensor.New(y.Rows, y.Cols)
+	copy(out.Data, y.Data)
+	m.observeExec(pl, info)
+	returned = true
+	prog.PutPlan(pl)
+	return out, nil
 }
 
 // pprofSink is the per-shard pprof label hook sharded executors expose.

@@ -209,8 +209,8 @@ func TestProgramCacheShardedKeysDistinct(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p.Shards() != shards {
-			t.Fatalf("program shards %d, want %d", p.Shards(), shards)
+		if p.shards != shards {
+			t.Fatalf("program shards %d, want %d", p.shards, shards)
 		}
 		pl, err := p.GetPlan()
 		if err != nil {

@@ -174,7 +174,7 @@ func Estimate(pl *nn.Plan, batch, shards int, topo Topology) (Cost, error) {
 // split saves — but pipeline can never split a single layer, so once one
 // weight matrix outgrows the budget (the paper's memory wall), only
 // tensor-parallel still fits and the planner switches. Unsplittable
-// layers (fastfood, circulant, generic fallbacks) force pipeline.
+// layers (fastfood, circulant) force pipeline.
 func EstimateBudget(pl *nn.Plan, batch, shards int, topo Topology, budgetBytes int) (Cost, error) {
 	return estimateBudgetMicro(pl, batch, shards, topo, budgetBytes, 0)
 }

@@ -139,7 +139,7 @@ func TestShardedPlanReportsCost(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sp.Close()
-	c := sp.Cost()
+	c := sp.cost
 	if c.Shards != 4 || c.Batch != testMaxBatch {
 		t.Fatalf("cost header %+v", c)
 	}

@@ -114,7 +114,7 @@ type step struct {
 	// variant names the micro-kernel shape the micro-step's kernels
 	// dispatched to at lowering time — pipeline micro-steps inherit the
 	// plan step's variant, tensor-parallel column windows record their
-	// own ("tiled4x8" for packed dense windows, "reference" for windowed
+	// own ("tiled1x8" for packed dense windows, "reference" for windowed
 	// sweeps that keep the reference kernels, "" for non-kernel steps).
 	variant string
 	run     []func(dst, x *tensor.Matrix, ws *tensor.Workspace)
@@ -422,17 +422,8 @@ func (p *ShardedPlan) MicroBatches() int { return p.micro }
 // Strategy returns the partitioning the planner (or caller) chose.
 func (p *ShardedPlan) Strategy() Strategy { return p.strategy }
 
-// Cost returns the modelled per-IPU memory and exchange cost of one batch.
-func (p *ShardedPlan) Cost() Cost { return p.cost }
-
 // MaxBatch returns the largest row count Execute accepts.
 func (p *ShardedPlan) MaxBatch() int { return p.maxBatch }
-
-// InputWidth returns the feature width the plan expects.
-func (p *ShardedPlan) InputWidth() int { return p.in }
-
-// OutputWidth returns the width of the result matrix.
-func (p *ShardedPlan) OutputWidth() int { return p.out }
 
 // Steps returns the micro-step names in execution order.
 func (p *ShardedPlan) Steps() []string {

@@ -56,7 +56,7 @@ func TestShardedMatchesPlanAllMethods(t *testing.T) {
 							case *butterfly.Butterfly:
 								want = "reference"
 							case *baselines.LowRank:
-								want = "tiled4x8"
+								want = "tiled1x8"
 							}
 						}
 						if got := sp.StepVariant(i); got != want {
@@ -292,8 +292,8 @@ func TestPipelineStageClamp(t *testing.T) {
 		if sp.Shards() != 3 {
 			t.Errorf("micro=%d: Shards() = %d, want 3 (clamped to step count)", micro, sp.Shards())
 		}
-		if sp.Cost().PipelineStages != 3 {
-			t.Errorf("micro=%d: Cost().PipelineStages = %d, want 3", micro, sp.Cost().PipelineStages)
+		if sp.cost.PipelineStages != 3 {
+			t.Errorf("micro=%d: cost.PipelineStages = %d, want 3", micro, sp.cost.PipelineStages)
 		}
 		x := tensor.New(testMaxBatch, testN)
 		x.FillRandom(rand.New(rand.NewSource(6)), 1)

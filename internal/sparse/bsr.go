@@ -1,3 +1,6 @@
+// Package sparse implements block compressed sparse row (BSR) storage,
+// the format of pixelated butterfly's block-aligned weight patterns, with
+// the block-sparse kernels its training and inference run.
 package sparse
 
 import (
@@ -91,24 +94,11 @@ func sortInts(xs []int) {
 // NumBlocks returns the number of stored blocks.
 func (b *BSR) NumBlocks() int { return len(b.ColIdx) }
 
-// NNZ returns the number of stored scalar values (all block entries count).
-func (b *BSR) NNZ() int { return len(b.Blocks) }
-
 // Block returns the storage slice of the n-th stored block (row-major
 // BlockSize×BlockSize view, mutable).
 func (b *BSR) Block(n int) []float32 {
 	sz := b.BlockSize * b.BlockSize
 	return b.Blocks[n*sz : (n+1)*sz]
-}
-
-// BlockAt returns (blockIndex, true) if block (bi, bj) is stored.
-func (b *BSR) BlockAt(bi, bj int) (int, bool) {
-	for p := b.RowPtr[bi]; p < b.RowPtr[bi+1]; p++ {
-		if int(b.ColIdx[p]) == bj {
-			return int(p), true
-		}
-	}
-	return 0, false
 }
 
 // ToDense materializes the matrix.

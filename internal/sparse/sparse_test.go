@@ -3,131 +3,9 @@ package sparse
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/tensor"
 )
-
-func TestFromDenseToDenseRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	m := tensor.New(13, 7)
-	m.FillRandom(rng, 1)
-	// zero out some entries
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			if (i+j)%3 == 0 {
-				m.Set(i, j, 0)
-			}
-		}
-	}
-	csr := FromDense(m, 0)
-	back := csr.ToDense()
-	if !tensor.AlmostEqual(m, back, 0) {
-		t.Fatalf("round trip mismatch: %v", tensor.MaxAbsDiff(m, back))
-	}
-}
-
-func TestCSRMulDenseMatchesDense(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for _, d := range []float64{0.01, 0.1, 0.5, 1.0} {
-		a := RandomCSR(rng, 31, 17, d)
-		b := tensor.New(17, 23)
-		b.FillRandom(rng, 1)
-		want := tensor.MatMul(a.ToDense(), b)
-		got := a.MulDense(b)
-		if !tensor.AlmostEqual(want, got, 1e-4) {
-			t.Fatalf("density %v: SpMM mismatch %v", d, tensor.MaxAbsDiff(want, got))
-		}
-	}
-}
-
-func TestCOOMulDenseMatchesCSR(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	csr := RandomCSR(rng, 20, 20, 0.2)
-	coo := NewCOO(20, 20)
-	for i := 0; i < csr.Rows; i++ {
-		for p := csr.RowPtr[i]; p < csr.RowPtr[i+1]; p++ {
-			coo.Append(i, int(csr.ColIdx[p]), csr.Val[p])
-		}
-	}
-	b := tensor.New(20, 5)
-	b.FillRandom(rng, 1)
-	want := csr.MulDense(b)
-	got := coo.MulDense(b)
-	if !tensor.AlmostEqual(want, got, 1e-5) {
-		t.Fatalf("COO vs CSR SpMM mismatch: %v", tensor.MaxAbsDiff(want, got))
-	}
-}
-
-func TestCOOToCSRSumsDuplicates(t *testing.T) {
-	coo := NewCOO(2, 2)
-	coo.Append(0, 1, 1)
-	coo.Append(0, 1, 2)
-	coo.Append(1, 0, 5)
-	csr := coo.ToCSR()
-	if csr.NNZ() != 2 {
-		t.Fatalf("NNZ = %d, want 2 (duplicates summed)", csr.NNZ())
-	}
-	d := csr.ToDense()
-	if d.At(0, 1) != 3 || d.At(1, 0) != 5 {
-		t.Fatalf("duplicate sum wrong: %v", d.Data)
-	}
-}
-
-func TestCOOAppendBounds(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("out-of-range append did not panic")
-		}
-	}()
-	NewCOO(2, 2).Append(2, 0, 1)
-}
-
-func TestRandomCSRDensity(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	c := RandomCSR(rng, 200, 200, 0.1)
-	d := c.Density()
-	if d < 0.07 || d > 0.13 {
-		t.Fatalf("density %v too far from 0.1", d)
-	}
-}
-
-func TestTransposeMulDense(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	a := RandomCSR(rng, 14, 9, 0.3)
-	b := tensor.New(14, 6)
-	b.FillRandom(rng, 1)
-	want := tensor.MatMul(a.ToDense().Transpose(), b)
-	got := a.TransposeMulDense(b)
-	if !tensor.AlmostEqual(want, got, 1e-4) {
-		t.Fatalf("TransposeMulDense mismatch: %v", tensor.MaxAbsDiff(want, got))
-	}
-}
-
-func TestCSRFlops(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	c := RandomCSR(rng, 10, 10, 0.5)
-	if got := c.Flops(4); got != 8*float64(c.NNZ()) {
-		t.Fatalf("Flops = %v, want %v", got, 8*float64(c.NNZ()))
-	}
-}
-
-// Property: SpMM result equals dense matmul of the materialized matrix.
-func TestSpMMEquivalenceProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		rows := 1 + rng.Intn(16)
-		cols := 1 + rng.Intn(16)
-		k := 1 + rng.Intn(8)
-		a := RandomCSR(rng, rows, cols, 0.3)
-		b := tensor.New(cols, k)
-		b.FillRandom(rng, 1)
-		return tensor.AlmostEqual(tensor.MatMul(a.ToDense(), b), a.MulDense(b), 1e-4)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
 
 func TestBSRBuildAndRoundTrip(t *testing.T) {
 	pattern := [][2]int{{0, 0}, {0, 1}, {1, 1}, {2, 0}}

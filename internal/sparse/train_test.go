@@ -136,6 +136,16 @@ func TestTrainingKernelsMatchOracles(t *testing.T) {
 	}
 }
 
+// BlockAt returns (blockIndex, true) if block (bi, bj) is stored.
+func (b *BSR) BlockAt(bi, bj int) (int, bool) {
+	for p := b.RowPtr[bi]; p < b.RowPtr[bi+1]; p++ {
+		if int(b.ColIdx[p]) == bj {
+			return int(p), true
+		}
+	}
+	return 0, false
+}
+
 // TestColumnIndexListsEveryBlock checks NewBSR's column index against the
 // row index: every stored block once, under its column, by ascending
 // block row.

@@ -1,9 +1,26 @@
 package stats
 
 import (
+	"fmt"
 	"math"
+	"sort"
 	"testing"
 )
+
+// Percentile returns the p-th percentile of xs (p in [0,100]) using linear
+// interpolation between closest ranks, without modifying the input. It
+// panics on an empty slice or a p outside [0,100].
+func Percentile(xs []float64, p float64) float64 {
+	if len(xs) == 0 {
+		panic("stats: Percentile of empty slice")
+	}
+	if p < 0 || p > 100 {
+		panic(fmt.Sprintf("stats: Percentile %v outside [0,100]", p))
+	}
+	cp := append([]float64(nil), xs...)
+	sort.Float64s(cp)
+	return percentileSorted(cp, p)
+}
 
 func TestPercentileKnown(t *testing.T) {
 	xs := []float64{15, 20, 35, 40, 50}

@@ -1,10 +1,10 @@
 // Package stats provides small numeric helpers used by the benchmark
-// harness: means, standard deviations, extrema, speedups and compression
-// ratios. All functions operate on float64 slices and are deterministic.
+// harness: means, standard deviations, sample summaries (extrema and tail
+// percentiles), arg-max and compression ratios. All functions are
+// deterministic.
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -35,64 +35,6 @@ func Std(xs []float64) float64 {
 		ss += d * d
 	}
 	return math.Sqrt(ss / float64(len(xs)))
-}
-
-// Min returns the minimum of xs. It panics on an empty slice.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: Min of empty slice")
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the maximum of xs. It panics on an empty slice.
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: Max of empty slice")
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Median returns the median of xs without modifying the input.
-// It panics on an empty slice.
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: Median of empty slice")
-	}
-	cp := append([]float64(nil), xs...)
-	sort.Float64s(cp)
-	n := len(cp)
-	if n%2 == 1 {
-		return cp[n/2]
-	}
-	return 0.5 * (cp[n/2-1] + cp[n/2])
-}
-
-// Percentile returns the p-th percentile of xs (p in [0,100]) using linear
-// interpolation between closest ranks, without modifying the input. It
-// panics on an empty slice or a p outside [0,100].
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: Percentile of empty slice")
-	}
-	if p < 0 || p > 100 {
-		panic(fmt.Sprintf("stats: Percentile %v outside [0,100]", p))
-	}
-	cp := append([]float64(nil), xs...)
-	sort.Float64s(cp)
-	return percentileSorted(cp, p)
 }
 
 // percentileSorted interpolates the p-th percentile of an already-sorted,
@@ -152,16 +94,6 @@ func ArgMax(xs []float32) int {
 	return best
 }
 
-// Speedup returns baseline/candidate, the conventional "×" factor: values
-// above 1 mean candidate is faster than baseline. It panics when candidate
-// is zero.
-func Speedup(baseline, candidate float64) float64 {
-	if candidate == 0 {
-		panic("stats: Speedup with zero candidate time")
-	}
-	return baseline / candidate
-}
-
 // CompressionRatio returns the fraction of parameters removed relative to
 // the baseline, e.g. 0.985 for the paper's 98.5% butterfly compression.
 func CompressionRatio(baselineParams, compressedParams int) float64 {
@@ -169,36 +101,4 @@ func CompressionRatio(baselineParams, compressedParams int) float64 {
 		panic("stats: CompressionRatio with non-positive baseline")
 	}
 	return 1 - float64(compressedParams)/float64(baselineParams)
-}
-
-// GFlops converts a floating point operation count and a duration in
-// seconds into GFLOP/s.
-func GFlops(flops float64, seconds float64) float64 {
-	if seconds <= 0 {
-		panic("stats: GFlops with non-positive time")
-	}
-	return flops / seconds / 1e9
-}
-
-// FormatSI renders a value with an SI suffix (k, M, G, T) using 3 significant
-// digits, e.g. 62.5e12 -> "62.5T".
-func FormatSI(v float64) string {
-	abs := math.Abs(v)
-	switch {
-	case abs >= 1e12:
-		return trimZeros(v/1e12) + "T"
-	case abs >= 1e9:
-		return trimZeros(v/1e9) + "G"
-	case abs >= 1e6:
-		return trimZeros(v/1e6) + "M"
-	case abs >= 1e3:
-		return trimZeros(v/1e3) + "k"
-	default:
-		return trimZeros(v)
-	}
-}
-
-func trimZeros(v float64) string {
-	s := fmt.Sprintf("%.3g", v)
-	return s
 }

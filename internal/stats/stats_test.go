@@ -1,10 +1,97 @@
 package stats
 
 import (
+	"fmt"
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 )
+
+// Min returns the minimum of xs. It panics on an empty slice.
+func Min(xs []float64) float64 {
+	if len(xs) == 0 {
+		panic("stats: Min of empty slice")
+	}
+	m := xs[0]
+	for _, x := range xs[1:] {
+		if x < m {
+			m = x
+		}
+	}
+	return m
+}
+
+// Max returns the maximum of xs. It panics on an empty slice.
+func Max(xs []float64) float64 {
+	if len(xs) == 0 {
+		panic("stats: Max of empty slice")
+	}
+	m := xs[0]
+	for _, x := range xs[1:] {
+		if x > m {
+			m = x
+		}
+	}
+	return m
+}
+
+// Median returns the median of xs without modifying the input.
+// It panics on an empty slice.
+func Median(xs []float64) float64 {
+	if len(xs) == 0 {
+		panic("stats: Median of empty slice")
+	}
+	cp := append([]float64(nil), xs...)
+	sort.Float64s(cp)
+	n := len(cp)
+	if n%2 == 1 {
+		return cp[n/2]
+	}
+	return 0.5 * (cp[n/2-1] + cp[n/2])
+}
+
+// Speedup returns baseline/candidate, the conventional "×" factor: values
+// above 1 mean candidate is faster than baseline. It panics when candidate
+// is zero.
+func Speedup(baseline, candidate float64) float64 {
+	if candidate == 0 {
+		panic("stats: Speedup with zero candidate time")
+	}
+	return baseline / candidate
+}
+
+// GFlops converts a floating point operation count and a duration in
+// seconds into GFLOP/s.
+func GFlops(flops float64, seconds float64) float64 {
+	if seconds <= 0 {
+		panic("stats: GFlops with non-positive time")
+	}
+	return flops / seconds / 1e9
+}
+
+// FormatSI renders a value with an SI suffix (k, M, G, T) using 3 significant
+// digits, e.g. 62.5e12 -> "62.5T".
+func FormatSI(v float64) string {
+	abs := math.Abs(v)
+	switch {
+	case abs >= 1e12:
+		return trimZeros(v/1e12) + "T"
+	case abs >= 1e9:
+		return trimZeros(v/1e9) + "G"
+	case abs >= 1e6:
+		return trimZeros(v/1e6) + "M"
+	case abs >= 1e3:
+		return trimZeros(v/1e3) + "k"
+	default:
+		return trimZeros(v)
+	}
+}
+
+func trimZeros(v float64) string {
+	s := fmt.Sprintf("%.3g", v)
+	return s
+}
 
 func almostEqual(a, b, tol float64) bool {
 	return math.Abs(a-b) <= tol

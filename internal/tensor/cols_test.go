@@ -1,9 +1,71 @@
 package tensor
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
+
+// MatMulColsInto computes a·b into the column window [dstLo, dstLo+b.Cols)
+// of dst (dst.Rows == a.Rows, dst may be wider than the product). Every
+// element of the window is produced by the same p-ordered accumulation as
+// MatMulInto over a full-width b, so writing a column slice of the weight
+// through this kernel is bit-for-bit equal to slicing the full product —
+// the contract the tensor-parallel sharded plans are built on. Columns
+// outside the window are untouched. dst must not alias a or b.
+func MatMulColsInto(dst *Matrix, dstLo int, a, b *Matrix) {
+	checkMulShapes(a, b)
+	if dst.Rows != a.Rows {
+		panic(fmt.Sprintf("tensor: MatMulColsInto dst rows %d != %d", dst.Rows, a.Rows))
+	}
+	checkColWindow("MatMulColsInto", dst, dstLo, b.Cols)
+	n, k, w := a.Cols, dst.Cols, b.Cols
+	for i := 0; i < a.Rows; i++ {
+		arow := a.Row(i)
+		orow := dst.Data[i*k+dstLo : i*k+dstLo+w]
+		for j := range orow {
+			orow[j] = 0
+		}
+		for p := 0; p < n; p++ {
+			av := arow[p]
+			if av == 0 {
+				continue
+			}
+			brow := b.Data[p*w : (p+1)*w]
+			for j := 0; j < w; j++ {
+				orow[j] += av * brow[j]
+			}
+		}
+	}
+}
+
+// AddRowVectorCols adds v to every row of m at columns [lo, lo+len(v)) in
+// place — the bias add of one shard's column slice.
+func AddRowVectorCols(m *Matrix, lo int, v []float32) {
+	checkColWindow("AddRowVectorCols", m, lo, len(v))
+	for i := 0; i < m.Rows; i++ {
+		row := m.Data[i*m.Cols+lo : i*m.Cols+lo+len(v)]
+		for j := range row {
+			row[j] += v[j]
+		}
+	}
+}
+
+// AddInPlaceCols accumulates src (a.Rows×src.Cols) into the column window
+// [lo, lo+src.Cols) of dst.
+func AddInPlaceCols(dst *Matrix, lo int, src *Matrix) {
+	if dst.Rows != src.Rows {
+		panic(fmt.Sprintf("tensor: AddInPlaceCols rows %d != %d", dst.Rows, src.Rows))
+	}
+	checkColWindow("AddInPlaceCols", dst, lo, src.Cols)
+	for i := 0; i < src.Rows; i++ {
+		row := dst.Data[i*dst.Cols+lo : i*dst.Cols+lo+src.Cols]
+		s := src.Row(i)
+		for j := range row {
+			row[j] += s[j]
+		}
+	}
+}
 
 // TestMatMulColsInto checks that assembling a product from per-slice
 // column-window multiplies is bit-for-bit identical to the full-width

@@ -52,14 +52,8 @@ func (m *Matrix) Clone() *Matrix {
 	return out
 }
 
-// Shape returns (rows, cols).
-func (m *Matrix) Shape() (int, int) { return m.Rows, m.Cols }
-
 // NumElements returns rows*cols.
 func (m *Matrix) NumElements() int { return m.Rows * m.Cols }
-
-// SizeBytes returns the footprint of the payload in bytes (4 per element).
-func (m *Matrix) SizeBytes() int { return 4 * m.NumElements() }
 
 // Zero resets all elements to 0 in place.
 func (m *Matrix) Zero() {
@@ -132,22 +126,6 @@ func Sub(a, b *Matrix) *Matrix {
 		out.Data[i] = a.Data[i] - b.Data[i]
 	}
 	return out
-}
-
-// Scale returns s*m as a new matrix.
-func Scale(m *Matrix, s float32) *Matrix {
-	out := New(m.Rows, m.Cols)
-	for i := range m.Data {
-		out.Data[i] = m.Data[i] * s
-	}
-	return out
-}
-
-// ScaleInPlace multiplies every element of m by s.
-func ScaleInPlace(m *Matrix, s float32) {
-	for i := range m.Data {
-		m.Data[i] *= s
-	}
 }
 
 // AddRowVector adds vector v (len == Cols) to every row of m in place.
@@ -252,53 +230,6 @@ func checkIntoShape(op string, dst *Matrix, rows, cols int) {
 	}
 }
 
-// DefaultBlock is the cache-blocking tile edge used by MatMulBlocked.
-const DefaultBlock = 64
-
-// MatMulBlocked computes a·b with square cache blocking (tile edge bs; pass
-// 0 for DefaultBlock). Mirrors the "IPU blocked" / "GPU shmem" kernels.
-func MatMulBlocked(a, b *Matrix, bs int) *Matrix {
-	out := New(a.Rows, b.Cols)
-	MatMulBlockedInto(out, a, b, bs)
-	return out
-}
-
-// MatMulBlockedInto is MatMulBlocked writing into caller-owned dst
-// (shape a.Rows×b.Cols, overwritten). dst must not alias a or b.
-func MatMulBlockedInto(dst, a, b *Matrix, bs int) {
-	checkMulShapes(a, b)
-	checkIntoShape("MatMulBlockedInto", dst, a.Rows, b.Cols)
-	if bs <= 0 {
-		bs = DefaultBlock
-	}
-	dst.Zero()
-	out := dst
-	m, n, k := a.Rows, a.Cols, b.Cols
-	for ii := 0; ii < m; ii += bs {
-		iMax := min(ii+bs, m)
-		for pp := 0; pp < n; pp += bs {
-			pMax := min(pp+bs, n)
-			for jj := 0; jj < k; jj += bs {
-				jMax := min(jj+bs, k)
-				for i := ii; i < iMax; i++ {
-					arow := a.Row(i)
-					orow := out.Row(i)
-					for p := pp; p < pMax; p++ {
-						av := arow[p]
-						if av == 0 {
-							continue
-						}
-						brow := b.Data[p*k : (p+1)*k]
-						for j := jj; j < jMax; j++ {
-							orow[j] += av * brow[j]
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
 // MatMulParallel computes a·b splitting rows of a across GOMAXPROCS
 // goroutines. Used by the training loop to keep host-side epochs fast.
 func MatMulParallel(a, b *Matrix) *Matrix {
@@ -345,51 +276,6 @@ func checkColWindow(op string, dst *Matrix, lo, w int) {
 	}
 }
 
-// MatMulColsInto computes a·b into the column window [dstLo, dstLo+b.Cols)
-// of dst (dst.Rows == a.Rows, dst may be wider than the product). Every
-// element of the window is produced by the same p-ordered accumulation as
-// MatMulInto over a full-width b, so writing a column slice of the weight
-// through this kernel is bit-for-bit equal to slicing the full product —
-// the contract the tensor-parallel sharded plans are built on. Columns
-// outside the window are untouched. dst must not alias a or b.
-func MatMulColsInto(dst *Matrix, dstLo int, a, b *Matrix) {
-	checkMulShapes(a, b)
-	if dst.Rows != a.Rows {
-		panic(fmt.Sprintf("tensor: MatMulColsInto dst rows %d != %d", dst.Rows, a.Rows))
-	}
-	checkColWindow("MatMulColsInto", dst, dstLo, b.Cols)
-	n, k, w := a.Cols, dst.Cols, b.Cols
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		orow := dst.Data[i*k+dstLo : i*k+dstLo+w]
-		for j := range orow {
-			orow[j] = 0
-		}
-		for p := 0; p < n; p++ {
-			av := arow[p]
-			if av == 0 {
-				continue
-			}
-			brow := b.Data[p*w : (p+1)*w]
-			for j := 0; j < w; j++ {
-				orow[j] += av * brow[j]
-			}
-		}
-	}
-}
-
-// AddRowVectorCols adds v to every row of m at columns [lo, lo+len(v)) in
-// place — the bias add of one shard's column slice.
-func AddRowVectorCols(m *Matrix, lo int, v []float32) {
-	checkColWindow("AddRowVectorCols", m, lo, len(v))
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Cols+lo : i*m.Cols+lo+len(v)]
-		for j := range row {
-			row[j] += v[j]
-		}
-	}
-}
-
 // TransposeIntoCols writes mᵀ into the column window [dstLo, dstLo+m.Rows)
 // of dst (dst.Rows == m.Cols). The sharded pixelfly step uses it to land
 // its slice of a feature-major product back into the batch-major
@@ -407,22 +293,6 @@ func TransposeIntoCols(dst *Matrix, dstLo int, m *Matrix) {
 	}
 }
 
-// AddInPlaceCols accumulates src (a.Rows×src.Cols) into the column window
-// [lo, lo+src.Cols) of dst.
-func AddInPlaceCols(dst *Matrix, lo int, src *Matrix) {
-	if dst.Rows != src.Rows {
-		panic(fmt.Sprintf("tensor: AddInPlaceCols rows %d != %d", dst.Rows, src.Rows))
-	}
-	checkColWindow("AddInPlaceCols", dst, lo, src.Cols)
-	for i := 0; i < src.Rows; i++ {
-		row := dst.Data[i*dst.Cols+lo : i*dst.Cols+lo+src.Cols]
-		s := src.Row(i)
-		for j := range row {
-			row[j] += s[j]
-		}
-	}
-}
-
 // CopyCols copies columns [srcLo, srcLo+w) of src into columns
 // [dstLo, dstLo+w) of dst (same row count).
 func CopyCols(dst *Matrix, dstLo int, src *Matrix, srcLo, w int) {
@@ -434,30 +304,5 @@ func CopyCols(dst *Matrix, dstLo int, src *Matrix, srcLo, w int) {
 	for i := 0; i < src.Rows; i++ {
 		copy(dst.Data[i*dst.Cols+dstLo:i*dst.Cols+dstLo+w],
 			src.Data[i*src.Cols+srcLo:i*src.Cols+srcLo+w])
-	}
-}
-
-// MulVec computes m·x for a column vector x (len == Cols).
-func (m *Matrix) MulVec(x []float32) []float32 {
-	out := make([]float32, m.Rows)
-	m.MulVecInto(out, x)
-	return out
-}
-
-// MulVecInto computes m·x into dst (len == Rows, fully overwritten).
-func (m *Matrix) MulVecInto(dst, x []float32) {
-	if len(x) != m.Cols {
-		panic(fmt.Sprintf("tensor: MulVec length %d != cols %d", len(x), m.Cols))
-	}
-	if len(dst) != m.Rows {
-		panic(fmt.Sprintf("tensor: MulVecInto dst length %d != rows %d", len(dst), m.Rows))
-	}
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		var s float32
-		for j, v := range row {
-			s += v * x[j]
-		}
-		dst[i] = s
 	}
 }

@@ -134,13 +134,6 @@ func TestAddSubScale(t *testing.T) {
 	if got := Sub(b, a); got.Data[0] != 9 {
 		t.Fatalf("Sub wrong: %v", got.Data)
 	}
-	if got := Scale(a, 2); got.Data[1] != 4 {
-		t.Fatalf("Scale wrong: %v", got.Data)
-	}
-	ScaleInPlace(a, -1)
-	if a.Data[0] != -1 {
-		t.Fatalf("ScaleInPlace wrong: %v", a.Data)
-	}
 }
 
 func TestAddRowVectorAndColSums(t *testing.T) {

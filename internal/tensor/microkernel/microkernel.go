@@ -11,22 +11,20 @@
 // results are IEEE-754 identical (modulo the sign of exact zeros, which
 // float comparison treats as equal).
 //
-// The matmul kernel deliberately drops the reference loop's `av == 0`
+// MatMul runs one 1×NR tile per output row and panel. The matmul
+// kernel deliberately drops the reference loop's `av == 0`
 // skip branch: on dense weights the branch is nearly always not taken
 // and costs more than it saves; zeros there are incidental, not
 // structural. The BSR kernels in internal/sparse keep zero-skipping at
 // block granularity, where zeros are structural (absent blocks).
 package microkernel
 
-// Tile shape: output is processed in blocks of MR rows, each row
-// accumulated NR columns at a time against a packed B panel. NR=8 keeps
-// the eight accumulators plus the streaming panel values within the
-// scalar register budget; MR=4 re-uses each L1-resident panel across
-// four A rows before moving on.
-const (
-	MR = 4
-	NR = 8
-)
+// NR is the width of MatMul's tile: one output row, NR columns,
+// accumulated against a packed B panel. Go on amd64 has 15 allocatable
+// XMM registers; this tile still moves one accumulator through the
+// stack on each iteration (four MOVSS), while a two-row tile's body
+// has 83 and measured slower, so every row runs the one-row tile.
+const NR = 8
 
 // PackedLen returns the slice length PackB needs for an n×k matrix:
 // ceil(k/NR) panels of n×NR values (the ragged tail panel is
@@ -85,14 +83,7 @@ func MatMul(dst []float32, dstStride, dstOff int, a []float32, aStride, r0, r1 i
 			w = NR
 		}
 		pan := packed[jp*n*NR : (jp+1)*n*NR]
-		row := r0
-		for ; row+2 <= r1; row += 2 {
-			off0 := row * aStride
-			off1 := off0 + aStride
-			mul2x8(dst[row*dstStride+dstOff+j0:], dst[(row+1)*dstStride+dstOff+j0:],
-				a[off0:off0+n:off0+n], a[off1:off1+n:off1+n], pan, n, w)
-		}
-		for ; row < r1; row++ {
+		for row := r0; row < r1; row++ {
 			off := row * aStride
 			mul1x8(dst[row*dstStride+dstOff+j0:], a[off:off+n:off+n], pan, n, w)
 		}
@@ -134,51 +125,6 @@ func mul1x8(dst, a, pan []float32, n, w int) {
 	}
 	tmp := [NR]float32{c0, c1, c2, c3, c4, c5, c6, c7}
 	copy(dst[:w], tmp[:w])
-}
-
-// mul2x8 is mul1x8 over two A rows at once: each panel value is loaded
-// once and feeds both rows' accumulators. The per-row accumulation chain
-// is unchanged (p ascending from zero), so results stay bit-identical.
-func mul2x8(dst0, dst1, a0, a1, pan []float32, n, w int) {
-	var c0, c1, c2, c3, c4, c5, c6, c7 float32
-	var d0, d1, d2, d3, d4, d5, d6, d7 float32
-	a1 = a1[:len(a0):len(a0)]
-	for p, u := range a0 {
-		v := a1[p]
-		o := p * NR
-		b := pan[o : o+NR : o+NR]
-		b0, b1 := b[0], b[1]
-		c0 += u * b0
-		d0 += v * b0
-		c1 += u * b1
-		d1 += v * b1
-		b2, b3 := b[2], b[3]
-		c2 += u * b2
-		d2 += v * b2
-		c3 += u * b3
-		d3 += v * b3
-		b4, b5 := b[4], b[5]
-		c4 += u * b4
-		d4 += v * b4
-		c5 += u * b5
-		d5 += v * b5
-		b6, b7 := b[6], b[7]
-		c6 += u * b6
-		d6 += v * b6
-		c7 += u * b7
-		d7 += v * b7
-	}
-	if w == NR {
-		e := dst0[:NR:NR]
-		e[0], e[1], e[2], e[3], e[4], e[5], e[6], e[7] = c0, c1, c2, c3, c4, c5, c6, c7
-		f := dst1[:NR:NR]
-		f[0], f[1], f[2], f[3], f[4], f[5], f[6], f[7] = d0, d1, d2, d3, d4, d5, d6, d7
-		return
-	}
-	tmp0 := [NR]float32{c0, c1, c2, c3, c4, c5, c6, c7}
-	copy(dst0[:w], tmp0[:w])
-	tmp1 := [NR]float32{d0, d1, d2, d3, d4, d5, d6, d7}
-	copy(dst1[:w], tmp1[:w])
 }
 
 // epilogueRow applies bias (window-relative) and the reference ReLU

@@ -30,13 +30,6 @@ func Pack(b *Matrix) *PackedB {
 	return pb
 }
 
-// Rows reports the packed matrix's logical row count (the reduction
-// depth of the matmul).
-func (pb *PackedB) Rows() int { return pb.rows }
-
-// Cols reports the packed matrix's logical column count.
-func (pb *PackedB) Cols() int { return pb.cols }
-
 func checkPackedShapes(name string, dst, a *Matrix, pb *PackedB) {
 	if a.Cols != pb.rows {
 		panic(fmt.Sprintf("tensor: %s shape mismatch (%d×%d)·packed(%d×%d)", name, a.Rows, a.Cols, pb.rows, pb.cols))

@@ -15,8 +15,8 @@ func randMatrix(rng *rand.Rand, rows, cols int) *Matrix {
 }
 
 // TestMatMulPackedMatchesReference is the tiled-vs-reference property
-// test: across random shapes — including ragged edges off the 4×8 tile
-// in every dimension — the packed kernels must equal the reference
+// test: across random shapes — including column counts off the 8-wide
+// panel — the packed kernels must equal the reference
 // kernels under float comparison (bit-for-bit up to the sign of exact
 // zeros, the only divergence the dropped av==0 skip can introduce).
 func TestMatMulPackedMatchesReference(t *testing.T) {
