@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -240,4 +241,74 @@ func TestBackwardBeforeForwardPanics(t *testing.T) {
 			tc.tr.Backward(tensor.New(1, 8))
 		}()
 	}
+}
+
+// TestGradientsAllocatedOnFirstUse pins when a baseline holds gradient
+// buffers: none once built or after ZeroGrad, zeroed ones as long as their
+// parameters from Params, and the same gradients, bit for bit, after
+// Forward and Backward whether Params (as nn.NewSGD calls it) or Backward
+// allocated them.
+func TestGradientsAllocatedOnFirstUse(t *testing.T) {
+	const n = 16
+	u := tensor.GaussianMatrix(n, 2, rand.New(rand.NewSource(30)))
+	v := tensor.GaussianMatrix(n, 2, rand.New(rand.NewSource(31)))
+	for _, c := range []struct {
+		name  string
+		build func() transform
+	}{
+		{"lowrank", func() transform { return NewLowRank(n, 2, rand.New(rand.NewSource(32))) }},
+		{"lowrank from factors", func() transform { return NewLowRankFromFactors(u, v) }},
+		{"circulant", func() transform { return NewCirculant(n, rand.New(rand.NewSource(33))) }},
+		{"fastfood", func() transform { return NewFastfood(n, rand.New(rand.NewSource(34))) }},
+	} {
+		tr := c.build()
+		if !gradsAbsent(tr) {
+			t.Fatalf("%s: a new transform holds gradient buffers", c.name)
+		}
+		if a := testing.AllocsPerRun(10, tr.ZeroGrad); a != 0 || !gradsAbsent(tr) {
+			t.Fatalf("%s: ZeroGrad made %v allocations (buffers absent after: %v)", c.name, a, gradsAbsent(tr))
+		}
+		params, grads := tr.Params()
+		for i := range params {
+			if len(grads[i]) != len(params[i]) {
+				t.Fatalf("%s: gradient group %d has %d values for %d parameters", c.name, i, len(grads[i]), len(params[i]))
+			}
+			for _, g := range grads[i] {
+				if g != 0 {
+					t.Fatalf("%s: gradient group %d starts at %v", c.name, i, g)
+				}
+			}
+		}
+		rng := rand.New(rand.NewSource(35))
+		x, dY := tensor.New(3, n), tensor.New(3, n)
+		x.FillRandom(rng, 1)
+		dY.FillRandom(rng, 1)
+		viaBackward := c.build()
+		for _, m := range []transform{tr, viaBackward} {
+			m.Forward(x)
+			m.Backward(dY)
+		}
+		// grads are the slices an optimizer bound before the step.
+		_, got := viaBackward.Params()
+		for i := range grads {
+			for j := range grads[i] {
+				if math.Float32bits(got[i][j]) != math.Float32bits(grads[i][j]) {
+					t.Fatalf("%s: gradient group %d [%d] = %v allocated by Backward, %v by Params", c.name, i, j, got[i][j], grads[i][j])
+				}
+			}
+		}
+	}
+}
+
+// gradsAbsent reports whether a baseline holds no gradient buffers.
+func gradsAbsent(tr transform) bool {
+	switch tr := tr.(type) {
+	case *LowRank:
+		return tr.GradU == nil && tr.GradV == nil
+	case *Circulant:
+		return tr.GradC == nil
+	case *Fastfood:
+		return tr.GradS == nil && tr.GradG == nil && tr.GradB == nil
+	}
+	panic(fmt.Sprintf("gradsAbsent: transform %T", tr))
 }

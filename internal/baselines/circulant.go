@@ -16,7 +16,7 @@ import (
 type Circulant struct {
 	N     int
 	C     []float32 // the defining vector
-	GradC []float32
+	GradC []float32 // nil until Backward or Params
 
 	// plan is the precomputed in-place FFT ApplyInto convolves through;
 	// fc caches fft(C), re-derived by Refresh after optimizer steps (the
@@ -33,8 +33,7 @@ func NewCirculant(n int, rng *rand.Rand) *Circulant {
 	if !fft.IsPowerOfTwo(n) {
 		panic(fmt.Sprintf("baselines: circulant size %d must be a power of two", n))
 	}
-	c := &Circulant{N: n, C: make([]float32, n), GradC: make([]float32, n),
-		plan: fft.NewPlan(n), fc: make([]complex128, n)}
+	c := &Circulant{N: n, C: make([]float32, n), plan: fft.NewPlan(n), fc: make([]complex128, n)}
 	scale := float32(1 / math.Sqrt(float64(n)))
 	for i := range c.C {
 		c.C[i] = (rng.Float32()*2 - 1) * scale
@@ -131,6 +130,7 @@ func (c *Circulant) Backward(dY *tensor.Matrix) *tensor.Matrix {
 	if c.xSaved == nil {
 		panic("baselines: Circulant Backward before Forward")
 	}
+	c.ensureGrads()
 	dX := tensor.New(dY.Rows, dY.Cols)
 	for r := 0; r < dY.Rows; r++ {
 		copy(dX.Row(r), fft.CircularCorrelate(c.C, dY.Row(r)))
@@ -149,8 +149,16 @@ func (c *Circulant) ZeroGrad() {
 	}
 }
 
+// ensureGrads allocates the gradient on first use.
+func (c *Circulant) ensureGrads() {
+	if c.GradC == nil {
+		c.GradC = make([]float32, c.N)
+	}
+}
+
 // Params returns (parameter, gradient) slice pairs.
 func (c *Circulant) Params() (params, grads [][]float32) {
+	c.ensureGrads()
 	return [][]float32{c.C}, [][]float32{c.GradC}
 }
 

@@ -20,7 +20,7 @@ type Fastfood struct {
 	S, G, B []float32 // learnable diagonals
 	Perm    []int     // fixed permutation Π
 
-	GradS, GradG, GradB []float32
+	GradS, GradG, GradB []float32 // nil until Backward or Params
 
 	// forward intermediates (batch×n each): after B, after first Ĥ, after
 	// Π, after G, after second Ĥ
@@ -35,7 +35,6 @@ func NewFastfood(n int, rng *rand.Rand) *Fastfood {
 	}
 	f := &Fastfood{N: n,
 		S: make([]float32, n), G: make([]float32, n), B: make([]float32, n),
-		GradS: make([]float32, n), GradG: make([]float32, n), GradB: make([]float32, n),
 		Perm: rng.Perm(n)}
 	for i := 0; i < n; i++ {
 		// B: random signs; G: Gaussian; S: near-1 scaling.
@@ -201,6 +200,7 @@ func (f *Fastfood) Backward(dY *tensor.Matrix) *tensor.Matrix {
 	if f.xSaved == nil {
 		panic("baselines: Fastfood Backward before Forward")
 	}
+	f.ensureGrads()
 	// y = S ⊙ u5
 	for r := 0; r < dY.Rows; r++ {
 		dyr := dY.Row(r)
@@ -243,8 +243,16 @@ func (f *Fastfood) ZeroGrad() {
 	}
 }
 
+// ensureGrads allocates the gradients on first use.
+func (f *Fastfood) ensureGrads() {
+	if f.GradS == nil {
+		f.GradS, f.GradG, f.GradB = make([]float32, f.N), make([]float32, f.N), make([]float32, f.N)
+	}
+}
+
 // Params returns (parameter, gradient) slice pairs.
 func (f *Fastfood) Params() (params, grads [][]float32) {
+	f.ensureGrads()
 	return [][]float32{f.S, f.G, f.B}, [][]float32{f.GradS, f.GradG, f.GradB}
 }
 

@@ -18,7 +18,7 @@ import (
 type LowRank struct {
 	N, Rank      int
 	U, V         *tensor.Matrix // n×r
-	GradU, GradV *tensor.Matrix
+	GradU, GradV *tensor.Matrix // nil until Backward or Params
 
 	// ut caches Uᵀ (r×n) for the allocation-free inference path; it is
 	// re-derived by Refresh after every optimizer step (the same post-step
@@ -44,9 +44,7 @@ func NewLowRank(n, rank int, rng *rand.Rand) *LowRank {
 	if rank <= 0 || rank > n {
 		panic(fmt.Sprintf("baselines: rank %d out of range (0,%d]", rank, n))
 	}
-	l := &LowRank{N: n, Rank: rank,
-		U: tensor.New(n, rank), V: tensor.New(n, rank),
-		GradU: tensor.New(n, rank), GradV: tensor.New(n, rank)}
+	l := &LowRank{N: n, Rank: rank, U: tensor.New(n, rank), V: tensor.New(n, rank)}
 	// n^(-1/4) per factor so the product U·Vᵀ has dense-equivalent
 	// n^(-1/2) entries; a 1/√n per-factor init would shrink the product
 	// (and its gradients) by another 1/√n and stall training.
@@ -78,9 +76,7 @@ func NewLowRankFromFactors(u, v *tensor.Matrix) *LowRank {
 		panic(fmt.Sprintf("baselines: rank %d out of range (0,%d]", u.Cols, u.Rows))
 	}
 	n, rank := u.Rows, u.Cols
-	l := &LowRank{N: n, Rank: rank,
-		U: u.Clone(), V: v.Clone(),
-		GradU: tensor.New(n, rank), GradV: tensor.New(n, rank)}
+	l := &LowRank{N: n, Rank: rank, U: u.Clone(), V: v.Clone()}
 	l.Refresh()
 	return l
 }
@@ -137,6 +133,7 @@ func (l *LowRank) Backward(dY *tensor.Matrix) *tensor.Matrix {
 	if l.xSaved == nil {
 		panic("baselines: LowRank Backward before Forward")
 	}
+	l.ensureGrads()
 	dyU := tensor.MatMul(dY, l.U)
 	tensor.AddInPlace(l.GradU, tensor.MatMul(dY.Transpose(), l.xvSaved))
 	tensor.AddInPlace(l.GradV, tensor.MatMul(l.xSaved.Transpose(), dyU))
@@ -145,12 +142,23 @@ func (l *LowRank) Backward(dY *tensor.Matrix) *tensor.Matrix {
 
 // ZeroGrad clears gradients.
 func (l *LowRank) ZeroGrad() {
+	if l.GradU == nil {
+		return
+	}
 	l.GradU.Zero()
 	l.GradV.Zero()
 }
 
+// ensureGrads allocates the gradients on first use.
+func (l *LowRank) ensureGrads() {
+	if l.GradU == nil {
+		l.GradU, l.GradV = tensor.New(l.N, l.Rank), tensor.New(l.N, l.Rank)
+	}
+}
+
 // Params returns (parameter, gradient) slice pairs.
 func (l *LowRank) Params() (params, grads [][]float32) {
+	l.ensureGrads()
 	return [][]float32{l.U.Data, l.V.Data}, [][]float32{l.GradU.Data, l.GradV.Data}
 }
 

@@ -60,7 +60,8 @@ type Factor struct {
 	// Rotation parameterization state (nil for Dense2x2).
 	Theta []float32
 
-	// Gradients, same shapes as the corresponding parameters.
+	// Gradients, same shapes as the corresponding parameters; nil until
+	// the butterfly's first Backward or Params.
 	GradA, GradB, GradC, GradD []float32
 	GradTheta                  []float32
 }
@@ -161,16 +162,29 @@ func newEmpty(n int, param Parameterization) *Butterfly {
 		f := &Factor{N: n, Stage: s,
 			A: make([]float32, n/2), B: make([]float32, n/2),
 			C: make([]float32, n/2), D: make([]float32, n/2),
-			GradA: make([]float32, n/2), GradB: make([]float32, n/2),
-			GradC: make([]float32, n/2), GradD: make([]float32, n/2),
 		}
 		if param == Rotation {
 			f.Theta = make([]float32, n/2)
-			f.GradTheta = make([]float32, n/2)
 		}
 		b.Factors[s-1] = f
 	}
 	return b
+}
+
+// ensureGrads allocates every factor's gradients on first use. Backward
+// accumulates the coefficient gradients of a Rotation butterfly too, before
+// folding them into GradTheta.
+func (b *Butterfly) ensureGrads() {
+	for _, f := range b.Factors {
+		if f.GradA != nil {
+			continue
+		}
+		n := f.NumPairs()
+		f.GradA, f.GradB, f.GradC, f.GradD = make([]float32, n), make([]float32, n), make([]float32, n), make([]float32, n)
+		if b.Param == Rotation {
+			f.GradTheta = make([]float32, n)
+		}
+	}
 }
 
 // syncRotation refreshes the dense coefficients from Theta.
@@ -393,6 +407,7 @@ func (b *Butterfly) Backward(dY *tensor.Matrix) *tensor.Matrix {
 	if len(b.stageInputs) != len(b.Factors) {
 		panic("butterfly: Backward called before Forward")
 	}
+	b.ensureGrads()
 	b.stageGrads, b.transposed = b.stageGrads[:0], b.transposed[:0]
 	for _, f := range b.Factors {
 		b.stageGrads = append(b.stageGrads, tensor.New(dY.Rows, dY.Cols))
@@ -502,6 +517,7 @@ func (b *Butterfly) ZeroGrad() {
 // Params returns the flat learnable parameter slices (aliases, not copies)
 // paired with their gradient slices, for consumption by an optimizer.
 func (b *Butterfly) Params() (params, grads [][]float32) {
+	b.ensureGrads()
 	for _, f := range b.Factors {
 		if b.Param == Rotation {
 			params = append(params, f.Theta)

@@ -2,6 +2,7 @@ package butterfly
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -98,6 +99,7 @@ func TestTrainingPathMatchesOracles(t *testing.T) {
 				tag := fmt.Sprintf("procs=%d n=%d %v", procs, n, param)
 				got := New(n, param, rand.New(rand.NewSource(21)))
 				want := New(n, param, rand.New(rand.NewSource(21)))
+				want.Params() // allocates the gradients refBackward writes
 				rng := rand.New(rand.NewSource(22))
 				for call := 0; call < 2; call++ {
 					x := randRows(rng, 50, n)
@@ -135,8 +137,12 @@ func TestGradPairRanges(t *testing.T) {
 	const n = 32
 	for stage := 1; stage <= 5; stage++ {
 		for cut := 0; cut <= n/2; cut++ {
-			want := New(n, Dense2x2, rand.New(rand.NewSource(24))).Factors[stage-1]
-			got := New(n, Dense2x2, rand.New(rand.NewSource(24))).Factors[stage-1]
+			// Params allocates the gradients both kernels write into.
+			wb := New(n, Dense2x2, rand.New(rand.NewSource(24)))
+			gb := New(n, Dense2x2, rand.New(rand.NewSource(24)))
+			wb.Params()
+			gb.Params()
+			want, got := wb.Factors[stage-1], gb.Factors[stage-1]
 			in, dOut := randRows(rng, 3, n), randRows(rng, 3, n)
 			backwardFactorRows(want, in, dOut, tensor.New(3, n))
 			gradFactorPairs(got, in, dOut, 0, cut)
@@ -150,12 +156,67 @@ func TestGradPairRanges(t *testing.T) {
 	}
 }
 
+// TestGradientsAllocatedOnFirstUse pins when a butterfly holds gradient
+// buffers: none once built or after ZeroGrad, zeroed ones as long as their
+// parameters from Params, and the same gradients, bit for bit, after
+// Forward and Backward whether Params (as nn.NewSGD calls it) or Backward
+// allocated them.
+func TestGradientsAllocatedOnFirstUse(t *testing.T) {
+	const n = 16
+	absent := func(b *Butterfly) bool {
+		for _, f := range b.Factors {
+			if f.GradA != nil || f.GradB != nil || f.GradC != nil || f.GradD != nil || f.GradTheta != nil {
+				return false
+			}
+		}
+		return true
+	}
+	for _, param := range []Parameterization{Dense2x2, Rotation} {
+		build := func() *Butterfly { return New(n, param, rand.New(rand.NewSource(26))) }
+		b := build()
+		if !absent(b) {
+			t.Fatalf("%v: a new butterfly holds gradient buffers", param)
+		}
+		if a := testing.AllocsPerRun(10, b.ZeroGrad); a != 0 || !absent(b) {
+			t.Fatalf("%v: ZeroGrad made %v allocations (buffers absent after: %v)", param, a, absent(b))
+		}
+		params, grads := b.Params()
+		for i := range params {
+			if len(grads[i]) != len(params[i]) {
+				t.Fatalf("%v: gradient group %d has %d values for %d parameters", param, i, len(grads[i]), len(params[i]))
+			}
+			for _, g := range grads[i] {
+				if g != 0 {
+					t.Fatalf("%v: gradient group %d starts at %v", param, i, g)
+				}
+			}
+		}
+		rng := rand.New(rand.NewSource(27))
+		x, dY := randRows(rng, 3, n), randRows(rng, 3, n)
+		viaBackward := build()
+		for _, m := range []*Butterfly{b, viaBackward} {
+			m.Forward(x)
+			m.Backward(dY)
+		}
+		// grads are the slices an optimizer bound before the step.
+		_, got := viaBackward.Params()
+		for i := range grads {
+			for j := range grads[i] {
+				if math.Float32bits(got[i][j]) != math.Float32bits(grads[i][j]) {
+					t.Fatalf("%v: gradient group %d [%d] = %v allocated by Backward, %v by Params", param, i, j, got[i][j], grads[i][j])
+				}
+			}
+		}
+	}
+}
+
 // BenchmarkTrainStep times Forward+Backward of the N=1024 rotation
 // butterfly at batch 50 (the training shape) on the split path and on
 // the serial oracles.
 func BenchmarkTrainStep(b *testing.B) {
 	rng := rand.New(rand.NewSource(25))
 	bf := New(1024, Rotation, rng)
+	bf.Params() // allocates the gradients refBackward writes
 	x, dY := randRows(rng, 50, 1024), randRows(rng, 50, 1024)
 	b.Run("ref", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

@@ -93,12 +93,11 @@ func (s *Sequential) Compress(opts CompressOptions) (*Sequential, []LayerReport,
 	return NewSequential(out...), reports, nil
 }
 
-// cloneDense deep-copies a dense layer (fresh gradients) so the
-// compressed model never aliases the source model's trainable state.
+// cloneDense deep-copies a dense layer's weights and bias, without its
+// gradients (the copy allocates its own on first use), so the compressed
+// model never aliases the source model's trainable state.
 func cloneDense(d *Dense) *Dense {
-	return &Dense{In: d.In, Out: d.Out,
-		W: d.W.Clone(), Bias: append([]float32(nil), d.Bias...),
-		GradW: tensor.New(d.In, d.Out), GradB: make([]float32, d.Out)}
+	return &Dense{In: d.In, Out: d.Out, W: d.W.Clone(), Bias: append([]float32(nil), d.Bias...)}
 }
 
 // swapDense builds the replacement layer for a dense layer from its
@@ -133,8 +132,10 @@ type FactorizedDense struct {
 	A             *tensor.Matrix // in×r
 	B             *tensor.Matrix // r×out
 	Bias          []float32
-	GradA, GradB  *tensor.Matrix
-	GradBias      []float32
+
+	// Gradients, nil until Backward or Params.
+	GradA, GradB *tensor.Matrix
+	GradBias     []float32
 
 	xSaved, xaSaved *tensor.Matrix
 }
@@ -142,13 +143,9 @@ type FactorizedDense struct {
 // newFactorizedDense converts the column-operator factors M = P·Q
 // (out×in) into the row-vector form A = Qᵀ, B = Pᵀ, keeping the bias.
 func newFactorizedDense(d *Dense, f *factorize.LowRankFactors) *FactorizedDense {
-	fd := &FactorizedDense{In: d.In, Out: d.Out, Rank: f.Rank(),
+	return &FactorizedDense{In: d.In, Out: d.Out, Rank: f.Rank(),
 		A: f.Q.Transpose(), B: f.P.Transpose(),
 		Bias: append([]float32(nil), d.Bias...)}
-	fd.GradA = tensor.New(fd.In, fd.Rank)
-	fd.GradB = tensor.New(fd.Rank, fd.Out)
-	fd.GradBias = make([]float32, fd.Out)
-	return fd
 }
 
 // Name implements Layer.
@@ -183,6 +180,7 @@ func (f *FactorizedDense) Backward(dY *tensor.Matrix) *tensor.Matrix {
 	if f.xSaved == nil {
 		panic("nn: factorized dense Backward before Forward")
 	}
+	f.ensureGrads()
 	for j, v := range tensor.ColSums(dY) {
 		f.GradBias[j] += v
 	}
@@ -194,16 +192,28 @@ func (f *FactorizedDense) Backward(dY *tensor.Matrix) *tensor.Matrix {
 
 // Params implements Layer.
 func (f *FactorizedDense) Params() (params, grads [][]float32) {
+	f.ensureGrads()
 	return [][]float32{f.A.Data, f.B.Data, f.Bias},
 		[][]float32{f.GradA.Data, f.GradB.Data, f.GradBias}
 }
 
 // ZeroGrad implements Layer.
 func (f *FactorizedDense) ZeroGrad() {
+	if f.GradA == nil {
+		return
+	}
 	f.GradA.Zero()
 	f.GradB.Zero()
 	for i := range f.GradBias {
 		f.GradBias[i] = 0
+	}
+}
+
+// ensureGrads allocates the gradient buffers on first use.
+func (f *FactorizedDense) ensureGrads() {
+	if f.GradA == nil {
+		f.GradA, f.GradB = tensor.New(f.In, f.Rank), tensor.New(f.Rank, f.Out)
+		f.GradBias = make([]float32, f.Out)
 	}
 }
 

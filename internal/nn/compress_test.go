@@ -143,11 +143,8 @@ func TestFactorizedDenseMatchesDenseEquivalent(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	a := tensor.GaussianMatrix(6, 2, rng)
 	b := tensor.GaussianMatrix(2, 4, rng)
-	fd := &FactorizedDense{In: 6, Out: 4, Rank: 2, A: a, B: b,
-		Bias:  []float32{0.1, -0.2, 0.3, 0},
-		GradA: tensor.New(6, 2), GradB: tensor.New(2, 4), GradBias: make([]float32, 4)}
-	d := &Dense{In: 6, Out: 4, W: tensor.MatMul(a, b),
-		Bias: fd.Bias, GradW: tensor.New(6, 4), GradB: make([]float32, 4)}
+	fd := &FactorizedDense{In: 6, Out: 4, Rank: 2, A: a, B: b, Bias: []float32{0.1, -0.2, 0.3, 0}}
+	d := &Dense{In: 6, Out: 4, W: tensor.MatMul(a, b), Bias: fd.Bias}
 	x := tensor.New(5, 6)
 	x.FillRandom(rng, 1)
 	if e := relOutErr(d.Infer(x), fd.Infer(x)); e > 1e-5 {
@@ -162,8 +159,7 @@ func TestFactorizedDenseGradientsNumerically(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	fd := &FactorizedDense{In: 5, Out: 3, Rank: 2,
 		A: tensor.GaussianMatrix(5, 2, rng), B: tensor.GaussianMatrix(2, 3, rng),
-		Bias:  make([]float32, 3),
-		GradA: tensor.New(5, 2), GradB: tensor.New(2, 3), GradBias: make([]float32, 3)}
+		Bias: make([]float32, 3)}
 	x := tensor.New(4, 5)
 	x.FillRandom(rng, 1)
 	labels := []int{0, 1, 2, 1}

@@ -20,6 +20,11 @@ import (
 // accumulates parameter gradients. Infer is the read-only counterpart of
 // Forward: it mutates no layer state, so one layer can serve concurrent
 // goroutines as long as nothing trains it at the same time.
+//
+// A layer allocates its gradient buffers on first use, in Backward or
+// Params, never in its constructor, so a model that is only served holds
+// its weights and inference caches and nothing else. Params returns them
+// zeroed the first time; ZeroGrad leaves absent buffers absent.
 type Layer interface {
 	Name() string
 	Forward(x *tensor.Matrix) *tensor.Matrix
@@ -44,6 +49,8 @@ type refresher interface{ Refresh() }
 // intermediates through the caller's workspace arena instead of
 // allocating and folding the bias add and activation into the stage that
 // writes dst. A nil bias with tensor.ActNone gives the plain product.
+// Like a Layer, a transform allocates its gradient buffers on first use,
+// in Backward or Params.
 type Transform interface {
 	Forward(x *tensor.Matrix) *tensor.Matrix
 	Apply(x *tensor.Matrix) *tensor.Matrix
@@ -61,17 +68,17 @@ type Dense struct {
 	In, Out int
 	W       *tensor.Matrix // in×out
 	Bias    []float32
-	GradW   *tensor.Matrix
-	GradB   []float32
+
+	// Gradients, nil until Backward or Params.
+	GradW *tensor.Matrix
+	GradB []float32
 
 	xSaved *tensor.Matrix
 }
 
 // NewDense creates a dense layer with uniform Kaiming-style init.
 func NewDense(in, out int, rng *rand.Rand) *Dense {
-	d := &Dense{In: in, Out: out,
-		W: tensor.New(in, out), GradW: tensor.New(in, out),
-		Bias: make([]float32, out), GradB: make([]float32, out)}
+	d := &Dense{In: in, Out: out, W: tensor.New(in, out), Bias: make([]float32, out)}
 	scale := float32(1 / math.Sqrt(float64(in)))
 	d.W.FillRandom(rng, scale)
 	return d
@@ -105,6 +112,7 @@ func (d *Dense) Backward(dY *tensor.Matrix) *tensor.Matrix {
 	if d.xSaved == nil {
 		panic("nn: dense Backward before Forward")
 	}
+	d.ensureGrads()
 	tensor.AddInPlace(d.GradW, tensor.MatMulParallel(d.xSaved.Transpose(), dY))
 	for j, v := range tensor.ColSums(dY) {
 		d.GradB[j] += v
@@ -114,14 +122,25 @@ func (d *Dense) Backward(dY *tensor.Matrix) *tensor.Matrix {
 
 // Params implements Layer.
 func (d *Dense) Params() (params, grads [][]float32) {
+	d.ensureGrads()
 	return [][]float32{d.W.Data, d.Bias}, [][]float32{d.GradW.Data, d.GradB}
 }
 
 // ZeroGrad implements Layer.
 func (d *Dense) ZeroGrad() {
+	if d.GradW == nil {
+		return
+	}
 	d.GradW.Zero()
 	for i := range d.GradB {
 		d.GradB[i] = 0
+	}
+}
+
+// ensureGrads allocates the gradient buffers on first use.
+func (d *Dense) ensureGrads() {
+	if d.GradW == nil {
+		d.GradW, d.GradB = tensor.New(d.In, d.Out), make([]float32, d.Out)
 	}
 }
 
@@ -137,13 +156,12 @@ type StructuredLinear struct {
 	N     int
 	T     Transform
 	Bias  []float32
-	GradB []float32
+	GradB []float32 // nil until Backward or Params
 }
 
 // NewStructuredLinear wraps t (an n×n transform).
 func NewStructuredLinear(label string, n int, t Transform) *StructuredLinear {
-	return &StructuredLinear{Label: label, N: n, T: t,
-		Bias: make([]float32, n), GradB: make([]float32, n)}
+	return &StructuredLinear{Label: label, N: n, T: t, Bias: make([]float32, n)}
 }
 
 // Name implements Layer.
@@ -169,6 +187,7 @@ func (s *StructuredLinear) Infer(x *tensor.Matrix) *tensor.Matrix {
 
 // Backward implements Layer.
 func (s *StructuredLinear) Backward(dY *tensor.Matrix) *tensor.Matrix {
+	s.ensureGrads()
 	for j, v := range tensor.ColSums(dY) {
 		s.GradB[j] += v
 	}
@@ -177,6 +196,7 @@ func (s *StructuredLinear) Backward(dY *tensor.Matrix) *tensor.Matrix {
 
 // Params implements Layer.
 func (s *StructuredLinear) Params() (params, grads [][]float32) {
+	s.ensureGrads()
 	p, g := s.T.Params()
 	return append(p, s.Bias), append(g, s.GradB)
 }
@@ -186,6 +206,14 @@ func (s *StructuredLinear) ZeroGrad() {
 	s.T.ZeroGrad()
 	for i := range s.GradB {
 		s.GradB[i] = 0
+	}
+}
+
+// ensureGrads allocates the bias gradient on first use; the transform
+// allocates its own.
+func (s *StructuredLinear) ensureGrads() {
+	if s.GradB == nil {
+		s.GradB = make([]float32, s.N)
 	}
 }
 

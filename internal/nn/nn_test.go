@@ -1,19 +1,19 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
+	"repro/internal/baselines"
 	"repro/internal/dataset"
+	"repro/internal/factorize"
 	"repro/internal/tensor"
 )
 
 func TestDenseForwardKnown(t *testing.T) {
-	d := &Dense{In: 2, Out: 2,
-		W:     tensor.FromSlice(2, 2, []float32{1, 2, 3, 4}),
-		GradW: tensor.New(2, 2),
-		Bias:  []float32{10, 20}, GradB: make([]float32, 2)}
+	d := &Dense{In: 2, Out: 2, W: tensor.FromSlice(2, 2, []float32{1, 2, 3, 4}), Bias: []float32{10, 20}}
 	x := tensor.FromSlice(1, 2, []float32{1, 1})
 	y := d.Forward(x)
 	if y.At(0, 0) != 14 || y.At(0, 1) != 26 {
@@ -332,4 +332,79 @@ func TestEvaluateChunking(t *testing.T) {
 	if acc < 0 || acc > 1 {
 		t.Fatalf("accuracy %v out of range", acc)
 	}
+}
+
+// TestGradientsAllocatedOnFirstUse pins when a layer holds gradient
+// buffers: none once built or after ZeroGrad, zeroed ones as long as their
+// parameters from Params, and the same gradients, bit for bit, after
+// Forward and Backward whether Params (as NewSGD calls it) or Backward
+// allocated them. The wrapped transforms' own buffers are checked in their
+// packages.
+func TestGradientsAllocatedOnFirstUse(t *testing.T) {
+	const in, out = 8, 4
+	src := NewDense(in, out, rand.New(rand.NewSource(40)))
+	lr := factorize.LowRank(src.W.Transpose(), 2, rand.New(rand.NewSource(41)))
+	for _, c := range []struct {
+		name  string
+		build func() Layer
+	}{
+		{"dense", func() Layer { return NewDense(in, out, rand.New(rand.NewSource(42))) }},
+		{"cloned dense", func() Layer { return cloneDense(src) }},
+		{"factorized dense", func() Layer { return newFactorizedDense(src, lr) }},
+		{"structured", func() Layer {
+			return NewStructuredLinear("circulant", in, baselines.NewCirculant(in, rand.New(rand.NewSource(43))))
+		}},
+	} {
+		l := c.build()
+		if !gradsAbsent(l) {
+			t.Fatalf("%s: a new layer holds gradient buffers", c.name)
+		}
+		if a := testing.AllocsPerRun(10, l.ZeroGrad); a != 0 || !gradsAbsent(l) {
+			t.Fatalf("%s: ZeroGrad made %v allocations (buffers absent after: %v)", c.name, a, gradsAbsent(l))
+		}
+		params, grads := l.Params()
+		for i := range params {
+			if len(grads[i]) != len(params[i]) {
+				t.Fatalf("%s: gradient group %d has %d values for %d parameters", c.name, i, len(grads[i]), len(params[i]))
+			}
+			for _, g := range grads[i] {
+				if g != 0 {
+					t.Fatalf("%s: gradient group %d starts at %v", c.name, i, g)
+				}
+			}
+		}
+		rng := rand.New(rand.NewSource(44))
+		x := tensor.New(3, in)
+		x.FillRandom(rng, 1)
+		y := l.Forward(x)
+		dY := tensor.New(y.Rows, y.Cols)
+		dY.FillRandom(rng, 1)
+		l.Backward(dY)
+		viaBackward := c.build()
+		viaBackward.Forward(x)
+		viaBackward.Backward(dY)
+		// grads are the slices an optimizer bound before the step.
+		_, got := viaBackward.Params()
+		for i := range grads {
+			for j := range grads[i] {
+				if math.Float32bits(got[i][j]) != math.Float32bits(grads[i][j]) {
+					t.Fatalf("%s: gradient group %d [%d] = %v allocated by Backward, %v by Params", c.name, i, j, got[i][j], grads[i][j])
+				}
+			}
+		}
+	}
+}
+
+// gradsAbsent reports whether a layer holds none of its own gradient
+// buffers.
+func gradsAbsent(l Layer) bool {
+	switch l := l.(type) {
+	case *Dense:
+		return l.GradW == nil && l.GradB == nil
+	case *FactorizedDense:
+		return l.GradA == nil && l.GradB == nil && l.GradBias == nil
+	case *StructuredLinear:
+		return l.GradB == nil
+	}
+	panic(fmt.Sprintf("gradsAbsent: layer %T", l))
 }

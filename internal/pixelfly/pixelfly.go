@@ -93,7 +93,8 @@ func (c Config) SupportBlocks() [][2]int {
 
 // Pixelfly is a learnable N×N pixelated-butterfly weight: a block-sparse
 // matrix W on the flat-block-butterfly support plus a low-rank term U·Vᵀ.
-// Effective transform of a row vector x: y = W·x + U·(Vᵀ·x).
+// Effective transform of a row vector x: y = W·x + U·(Vᵀ·x). GradW, GradU
+// and GradV are nil until the first Backward or Params.
 type Pixelfly struct {
 	Cfg   Config
 	W     *sparse.BSR
@@ -122,11 +123,7 @@ func New(cfg Config, rng *rand.Rand) (*Pixelfly, error) {
 	if err != nil {
 		return nil, err
 	}
-	gw, err := sparse.NewBSR(cfg.N, cfg.N, cfg.BlockSize, pattern)
-	if err != nil {
-		return nil, err
-	}
-	p := &Pixelfly{Cfg: cfg, W: w, GradW: gw}
+	p := &Pixelfly{Cfg: cfg, W: w}
 	// Fan-in-aware init: each output row sees ~numBlocks·bs²/N nonzero
 	// inputs (not N), so scale by the effective fan-in to keep activation
 	// variance at the dense layer's level.
@@ -141,8 +138,6 @@ func New(cfg Config, rng *rand.Rand) (*Pixelfly, error) {
 	r := cfg.LowRank
 	p.U = tensor.New(cfg.N, r)
 	p.V = tensor.New(cfg.N, r)
-	p.GradU = tensor.New(cfg.N, r)
-	p.GradV = tensor.New(cfg.N, r)
 	if r > 0 {
 		p.U.FillRandom(rng, scale)
 		p.V.FillRandom(rng, scale)
@@ -288,6 +283,7 @@ func (p *Pixelfly) Backward(dY *tensor.Matrix) *tensor.Matrix {
 	if p.xSaved == nil {
 		panic("pixelfly: Backward called before Forward")
 	}
+	p.ensureGrads()
 	x := p.xSaved
 	// dX from the block-sparse term: dX_row = Wᵀ·dY_row.
 	dyt := dY.Transpose()            // N×batch
@@ -309,6 +305,9 @@ func (p *Pixelfly) Backward(dY *tensor.Matrix) *tensor.Matrix {
 
 // ZeroGrad clears accumulated gradients.
 func (p *Pixelfly) ZeroGrad() {
+	if p.GradW == nil {
+		return
+	}
 	for i := range p.GradW.Blocks {
 		p.GradW.Blocks[i] = 0
 	}
@@ -318,6 +317,7 @@ func (p *Pixelfly) ZeroGrad() {
 
 // Params returns flat (parameter, gradient) slice pairs for the optimizer.
 func (p *Pixelfly) Params() (params, grads [][]float32) {
+	p.ensureGrads()
 	params = append(params, p.W.Blocks)
 	grads = append(grads, p.GradW.Blocks)
 	if p.Cfg.LowRank > 0 {
@@ -325,6 +325,22 @@ func (p *Pixelfly) Params() (params, grads [][]float32) {
 		grads = append(grads, p.GradU.Data, p.GradV.Data)
 	}
 	return params, grads
+}
+
+// ensureGrads allocates the gradients on first use. GradW takes W's
+// pattern from the configuration New already validated, so NewBSR cannot
+// fail here.
+func (p *Pixelfly) ensureGrads() {
+	if p.GradW != nil {
+		return
+	}
+	gw, err := sparse.NewBSR(p.Cfg.N, p.Cfg.N, p.Cfg.BlockSize, p.Cfg.SupportBlocks())
+	if err != nil {
+		panic(err)
+	}
+	p.GradW = gw
+	p.GradU = tensor.New(p.Cfg.N, p.Cfg.LowRank)
+	p.GradV = tensor.New(p.Cfg.N, p.Cfg.LowRank)
 }
 
 // Dense materializes the effective N×N matrix W + U·Vᵀ for verification.

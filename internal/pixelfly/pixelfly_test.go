@@ -234,6 +234,54 @@ func TestZeroGrad(t *testing.T) {
 	}
 }
 
+// TestGradientsAllocatedOnFirstUse pins when a pixelfly layer holds
+// gradient buffers: none once built or after ZeroGrad, zeroed ones as long
+// as their parameters from Params, and the same gradients, bit for bit,
+// after Forward and Backward whether Params (as nn.NewSGD calls it) or
+// Backward allocated them.
+func TestGradientsAllocatedOnFirstUse(t *testing.T) {
+	absent := func(p *Pixelfly) bool { return p.GradW == nil && p.GradU == nil && p.GradV == nil }
+	for _, lowRank := range []int{0, 2} {
+		cfg := Config{N: 16, BlockSize: 4, ButterflySize: 4, LowRank: lowRank}
+		p := mustNew(t, cfg, 12)
+		if !absent(p) {
+			t.Fatalf("low rank %d: a new layer holds gradient buffers", lowRank)
+		}
+		if a := testing.AllocsPerRun(10, p.ZeroGrad); a != 0 || !absent(p) {
+			t.Fatalf("low rank %d: ZeroGrad made %v allocations (buffers absent after: %v)", lowRank, a, absent(p))
+		}
+		params, grads := p.Params()
+		for i := range params {
+			if len(grads[i]) != len(params[i]) {
+				t.Fatalf("low rank %d: gradient group %d has %d values for %d parameters", lowRank, i, len(grads[i]), len(params[i]))
+			}
+			for _, g := range grads[i] {
+				if g != 0 {
+					t.Fatalf("low rank %d: gradient group %d starts at %v", lowRank, i, g)
+				}
+			}
+		}
+		rng := rand.New(rand.NewSource(13))
+		x, dY := tensor.New(3, 16), tensor.New(3, 16)
+		x.FillRandom(rng, 1)
+		dY.FillRandom(rng, 1)
+		viaBackward := mustNew(t, cfg, 12)
+		for _, m := range []*Pixelfly{p, viaBackward} {
+			m.Forward(x)
+			m.Backward(dY)
+		}
+		// grads are the slices an optimizer bound before the step.
+		_, got := viaBackward.Params()
+		for i := range grads {
+			for j := range grads[i] {
+				if math.Float32bits(got[i][j]) != math.Float32bits(grads[i][j]) {
+					t.Fatalf("low rank %d: gradient group %d [%d] = %v allocated by Backward, %v by Params", lowRank, i, j, got[i][j], grads[i][j])
+				}
+			}
+		}
+	}
+}
+
 func TestParamCountGrowsWithKnobs(t *testing.T) {
 	// Section 5's qualitative claim: butterfly size and block size move the
 	// parameter count; low-rank adds 2·N·r.

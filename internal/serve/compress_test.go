@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -194,4 +195,108 @@ func TestRegisterCompressedIncompressibleFallsBackToDense(t *testing.T) {
 	if comp.Info().Params > src.Info().Params {
 		t.Fatalf("params grew: %d -> %d", src.Info().Params, comp.Info().Params)
 	}
+}
+
+// TestRegisterCompressedAllocatesGradientsOnFirstUse checks the layers
+// Compress builds, as registered models: the factorised butterfly, and a
+// head that either factorises into a FactorizedDense or is kept as a
+// cloned Dense. Once registered they hold no gradient buffers, ZeroGrad
+// allocates none, Params returns zeroed ones as long as the parameters,
+// and a Forward and Backward give the same gradients, bit for bit, whether
+// Params (as nn.NewSGD calls it) or Backward allocated them.
+func TestRegisterCompressedAllocatesGradientsOnFirstUse(t *testing.T) {
+	reg := NewRegistry(Options{})
+	defer reg.Close()
+	src, err := reg.Register(spec("shl-dense", nn.Baseline))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := src.spec.N
+	rng := rand.New(rand.NewSource(22))
+	bf := butterfly.New(n, butterfly.Dense2x2, rng)
+	bf.Perm = nil
+	plantWeight(src, bf.Dense().Transpose())
+	src.net.Layers[2].(*nn.Dense).W = tensor.MatMul(tensor.GaussianMatrix(n, 2, rng), tensor.GaussianMatrix(2, 10, rng))
+	x := tensor.New(3, n)
+	x.FillRandom(rng, 1)
+	dY := tensor.New(3, 10)
+	dY.FillRandom(rng, 1)
+	for _, c := range []struct {
+		minParams int // above the head's 650 parameters keeps it dense
+		head      string
+	}{{0, "*nn.FactorizedDense"}, {1000, "*nn.Dense"}} {
+		compress := func(name string) *nn.Sequential {
+			m, _, err := reg.RegisterCompressed(name, "shl-dense",
+				nn.CompressOptions{Tolerance: 0.05, Seed: 3, MinParams: c.minParams})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m.Info().Method != "compressed/butterfly" {
+				t.Fatalf("method label %q, want compressed/butterfly", m.Info().Method)
+			}
+			if got := fmt.Sprintf("%T", m.net.Layers[2]); got != c.head {
+				t.Fatalf("head is %s, want %s", got, c.head)
+			}
+			return m.net
+		}
+		net := compress("viaParams")
+		if holdsGradients(net) {
+			t.Fatalf("%s head: a registered model holds gradient buffers", c.head)
+		}
+		if a := testing.AllocsPerRun(10, net.ZeroGrad); a != 0 || holdsGradients(net) {
+			t.Fatalf("%s head: ZeroGrad made %v allocations (buffers held after: %v)", c.head, a, holdsGradients(net))
+		}
+		params, grads := net.Params()
+		for i := range params {
+			if len(grads[i]) != len(params[i]) {
+				t.Fatalf("%s head: gradient group %d has %d values for %d parameters", c.head, i, len(grads[i]), len(params[i]))
+			}
+			for _, g := range grads[i] {
+				if g != 0 {
+					t.Fatalf("%s head: gradient group %d starts at %v", c.head, i, g)
+				}
+			}
+		}
+		viaBackward := compress("viaBackward")
+		for _, m := range []*nn.Sequential{net, viaBackward} {
+			m.Forward(x)
+			m.Backward(dY)
+		}
+		// grads are the slices an optimizer bound before the step.
+		_, got := viaBackward.Params()
+		for i := range grads {
+			for j := range grads[i] {
+				if math.Float32bits(got[i][j]) != math.Float32bits(grads[i][j]) {
+					t.Fatalf("%s head: gradient group %d [%d] = %v allocated by Backward, %v by Params", c.head, i, j, got[i][j], grads[i][j])
+				}
+			}
+		}
+	}
+}
+
+// holdsGradients reports whether any layer of a compressed SHL holds a
+// gradient buffer.
+func holdsGradients(net *nn.Sequential) bool {
+	for _, l := range net.Layers {
+		switch l := l.(type) {
+		case *nn.Dense:
+			if l.GradW != nil || l.GradB != nil {
+				return true
+			}
+		case *nn.FactorizedDense:
+			if l.GradA != nil || l.GradB != nil || l.GradBias != nil {
+				return true
+			}
+		case *nn.StructuredLinear:
+			if l.GradB != nil {
+				return true
+			}
+			for _, f := range l.T.(*butterfly.Butterfly).Factors {
+				if f.GradA != nil || f.GradB != nil || f.GradC != nil || f.GradD != nil || f.GradTheta != nil {
+					return true
+				}
+			}
+		}
+	}
+	return false
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -288,6 +289,50 @@ func TestPredictAllocs(t *testing.T) {
 			predict() // compiles the one-row plan and prices its bucket
 			if avg := testing.AllocsPerRun(200, predict); avg > 2 {
 				t.Fatalf("%.2f allocations per one-row Predict, want at most 2", avg)
+			}
+		})
+	}
+}
+
+// TestServedModelHeap bounds what a served model keeps live. Each of
+// sharded_http's two models, at the paper's width on two modelled IPUs, is
+// registered in its own registry with every batch bucket from 1 to 64
+// priced, as perfbench's set-up does, and may grow the live heap by at most
+// 4 bytes per parameter plus 0.5 MiB. A gradient buffer as large as the
+// weights does not fit.
+func TestServedModelHeap(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items at random, which moves the live heap")
+	}
+	liveHeap := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	for _, method := range []nn.Method{nn.Baseline, nn.Pixelfly} {
+		t.Run(method.String(), func(t *testing.T) {
+			// The first collection moves what earlier tests left pooled
+			// into the pools' victim caches, the second frees it.
+			runtime.GC()
+			before := liveHeap()
+			reg := NewRegistry(Options{NumIPUs: 2, Shards: 2})
+			defer reg.Close()
+			m, err := reg.Register(ModelSpec{Name: "m", Method: method, N: 1024, Classes: 10, Seed: 42})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for b := 1; b <= 64; b *= 2 {
+				if _, err := m.ModelledCost(b); err != nil {
+					t.Fatal(err)
+				}
+			}
+			grown := liveHeap() - before
+			limit := 4*int64(m.Info().Params) + 1<<19
+			t.Logf("live heap grew %.2f MiB for %d parameters (limit %.2f MiB)",
+				float64(grown)/(1<<20), m.Info().Params, float64(limit)/(1<<20))
+			if grown > limit {
+				t.Fatalf("live heap grew %d bytes, want at most %d", grown, limit)
 			}
 		})
 	}
