@@ -56,9 +56,11 @@ const (
 	// at most 0.063 (pixelfly's exchange share).
 	phaseTol = 0.1
 	// allocTol is the largest relative growth of an allocation figure that
-	// passes. The figures moved by at most 1.4% across the runs, but they
-	// include the Go runtime's and net/http's own allocations, and CI
-	// builds with an older Go than the record was made with.
+	// passes. The figures moved by at most 1.4% across the runs, and
+	// sharded_http's KiB per request, gated later, by 2.6% over ten runs
+	// (7.05–7.24), but they include the Go runtime's and net/http's own
+	// allocations, and CI builds with an older Go than the record was made
+	// with.
 	allocTol = 0.2
 )
 
@@ -94,15 +96,17 @@ var phaseMetrics = []string{
 }
 
 // allocMetrics read the same in every run. sharded_http's
-// runtime.alloc_kb_per_req is left out because it is bimodal: in about
-// two runs in three the first two-row dense batch falls inside the
-// measured phase and compiles the bucket-2 sharded plan on the request
-// path, re-packing the 1024×1024 dense weights (~4.2 MiB, ~3.5 KiB a
-// request), so it reads 10.55–11.06 KiB instead of 7.05–7.20.
+// runtime.alloc_kb_per_req used to be bimodal: a bucket-2 sharded plan
+// compiled inside the measured phase re-packed the 1024×1024 dense
+// weights (~4.2 MiB, ~3.5 KiB a request), so it read 10.55–11.06 KiB
+// instead of 7.05–7.20. Plans are now instances of one lowered plan per
+// model version and share its packs, so a request-path compile re-packs
+// nothing, and a return of the high mode fails the gate.
 var allocMetrics = []string{
 	"train_shl/nn.train.butterfly.alloc_mb_per_step",
 	"train_shl/nn.train.pixelfly.alloc_mb_per_step",
 	"structured_http/runtime.alloc_kb_per_req",
+	"sharded_http/runtime.alloc_kb_per_req",
 	"structured_http/serve.cache.load_misses",
 	"sharded_http/serve.cache.load_misses",
 }

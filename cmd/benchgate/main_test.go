@@ -182,6 +182,13 @@ func TestGatePhases(t *testing.T) {
 
 func TestGateAllocations(t *testing.T) {
 	base := mustLoad(t, committedFixture)
+	// alloc_repack.txt is the committed fixture with sharded_http reading
+	// 10.55 KiB per request, the mode in which a request-path compile
+	// re-packed the dense weights.
+	var out strings.Builder
+	if !gate(&out, base, mustLoad(t, "alloc_repack.txt")) || !strings.Contains(out.String(), "FAIL sharded_http/runtime.alloc_kb_per_req") {
+		t.Errorf("a re-packing sharded_http run passed or failed on another figure:\n%s", out.String())
+	}
 	for _, name := range allocMetrics {
 		o := base.Metrics[name].Value
 		grown := o * (1 + 1.1*allocTol)

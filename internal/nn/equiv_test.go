@@ -1,7 +1,8 @@
 // Package nn_test holds the repo-wide equivalence fuzz harness: for
 // randomized widths, batches, operator families and shard counts, every
-// compiled execution path — unfused plan, fused plan, and sharded plan
-// under both partitioning strategies — must be bit-for-bit equal to the
+// compiled execution path — unfused plan, fused plan, the fused plan's
+// instances at other batch caps, and sharded plan under both partitioning
+// strategies — must be bit-for-bit equal to the
 // reference Sequential.Infer. This is the property the plan-fusion
 // optimisation is pinned against (structured-equivalence in the spirit of
 // the rank-one-block identification line of work: an optimisation is only
@@ -42,6 +43,13 @@ func methodWidths(m nn.Method) []int {
 		return []int{64, 128}
 	}
 	return []int{8, 16, 32, 64, 128}
+}
+
+// leadingRows returns a view of m's first rows rows. Every plan kernel is
+// row-wise, so a plan's output for them is the leading rows of its output
+// for m.
+func leadingRows(m *tensor.Matrix, rows int) *tensor.Matrix {
+	return &tensor.Matrix{Rows: rows, Cols: m.Cols, Data: m.Data[:rows*m.Cols]}
 }
 
 // equivTrial drives one randomized model through every execution path and
@@ -91,6 +99,23 @@ func equivTrial(t *testing.T, rng *rand.Rand, net *nn.Sequential, n, maxBatch in
 				t.Fatalf("%s Execute(batch=%d): %v", tag, batch, err)
 			}
 			assertBitEqual(t, tag, refs[i], got)
+		}
+	}
+
+	// Instances of the fused plan share its steps and packs at other batch
+	// caps; each runs the leading rows of every input up to its cap.
+	for _, mb := range []int{1, max(1, maxBatch/2)} {
+		inst, err := fused.Instance(mb)
+		if err != nil {
+			t.Fatalf("Instance(%d): %v", mb, err)
+		}
+		for i, x := range inputs {
+			rows := min(x.Rows, mb)
+			got, err := inst.Execute(leadingRows(x, rows))
+			if err != nil {
+				t.Fatalf("Instance(%d) Execute(batch=%d): %v", mb, rows, err)
+			}
+			assertBitEqual(t, "instance", leadingRows(refs[i], rows), got)
 		}
 	}
 
@@ -192,8 +217,9 @@ func TestEquivalenceFuzzPixelflyNoLowRank(t *testing.T) {
 
 // FuzzPlanExecute is the plan's independent second check: a randomized
 // SHL of any family, compiled fused and unfused and sharded (pipeline,
-// and tensor-parallel where the plan splits, at 2 and 4 shards), must
-// produce exactly Infer's output for arbitrary finite features. Elements
+// and tensor-parallel where the plan splits, at 2 and 4 shards), and the
+// fused plan's instances at MaxBatch 1 and MaxBatch/2, must produce
+// exactly Infer's output for arbitrary finite features. Elements
 // must be equal, or NaN on both sides: finite inputs can overflow to ±Inf
 // inside a layer and then meet an Inf of the other sign, which both paths
 // turn into NaN. The fuzzer drives the family, the width (from
@@ -257,6 +283,18 @@ func FuzzPlanExecute(f *testing.F) {
 				t.Fatalf("%s Execute: %v", tag, err)
 			}
 			assertEqualOrBothNaN(t, tag, want, got)
+		}
+		for _, imb := range []int{1, max(1, mb/2)} {
+			inst, err := fused.Instance(imb)
+			if err != nil {
+				t.Fatalf("Instance(%d): %v", imb, err)
+			}
+			rows := min(x.Rows, imb)
+			got, err := inst.Execute(leadingRows(x, rows))
+			if err != nil {
+				t.Fatalf("Instance(%d) Execute: %v", imb, err)
+			}
+			assertEqualOrBothNaN(t, "instance", leadingRows(want, rows), got)
 		}
 		for _, shards := range []int{2, 4} {
 			strategies := []shard.Strategy{shard.Pipeline}

@@ -56,9 +56,11 @@ func (k StepKind) String() string {
 // A Plan shares the model's weights read-only (training the model while
 // executing its plans is not safe — the same contract as Sequential.Infer)
 // but owns its activation buffers, so a Plan must not be used from two
-// goroutines at once: compile one instance per concurrent caller from the
-// same model. The serving layer keeps idle instances on a free list per
-// compiled program.
+// goroutines at once: make one Instance per concurrent caller. Instances
+// share the lowered steps and packed weights, which never change after
+// lowering, and each owns its arenas, workspace and frame. The serving
+// layer lowers each model version once and keeps idle instances on a
+// free list per compiled program.
 type Plan struct {
 	maxBatch int
 	in, out  int
@@ -102,8 +104,8 @@ type planStep struct {
 	variant string
 	// packedW / packedA hold panel-packed copies of a dense-family step's
 	// weight matrices for the tiled matmul kernel (packedA is the first
-	// factor of a FactorizedDense). Plan-owned, built once at compile
-	// time.
+	// factor of a FactorizedDense). Built once at lowering and shared,
+	// read-only, by every Instance of the plan.
 	packedW, packedA *tensor.PackedB
 
 	// kernel is the Into-kernel family the step executes and flopsPerRow /
@@ -135,19 +137,26 @@ func (s *Sequential) CompilePlan(maxBatch int) (*Plan, error) {
 	return s.CompilePlanOpts(maxBatch, PlanOptions{})
 }
 
-// CompilePlanOpts is CompilePlan with explicit options. Every layer kind
-// (Dense, StructuredLinear, ReLU, FactorizedDense) lowers to an
-// allocation-free destination-passing step; any other Layer is an error
-// that names it. Unless opts.NoFuse is set, a peephole pass then rewrites every adjacent
-// (linear, activation) step pair into one fused step whose kernel applies
-// multiply, bias and nonlinearity in a single pass over the output arena.
-// Compilation runs two warm-up batches of zeros at maxBatch so every
-// buffer reaches its exact high-water size before the plan serves real
-// traffic.
+// CompilePlanOpts is CompilePlan with explicit options. It lowers the
+// network and materialises the lowered plan at maxBatch, exactly as
+// Instance does. Every layer kind (Dense, StructuredLinear, ReLU,
+// FactorizedDense) lowers to an allocation-free destination-passing step;
+// any other Layer is an error that names it. Unless opts.NoFuse is set, a
+// peephole pass then rewrites every adjacent (linear, activation) step
+// pair into one fused step whose kernel applies multiply, bias and
+// nonlinearity in a single pass over the output arena.
 func (s *Sequential) CompilePlanOpts(maxBatch int, opts PlanOptions) (*Plan, error) {
-	if maxBatch <= 0 {
-		return nil, fmt.Errorf("nn: plan maxBatch %d must be positive", maxBatch)
+	lowered, err := s.lowerPlan(opts)
+	if err != nil {
+		return nil, err
 	}
+	return lowered.Instance(maxBatch)
+}
+
+// lowerPlan walks the network once: it lowers every layer to a step,
+// packing dense weights, fuses the steps and prices their traffic. The
+// result has no buffers; Instance materialises it.
+func (s *Sequential) lowerPlan(opts PlanOptions) (*Plan, error) {
 	if len(s.Layers) == 0 {
 		return nil, fmt.Errorf("nn: cannot compile a plan for an empty model")
 	}
@@ -155,7 +164,7 @@ func (s *Sequential) CompilePlanOpts(maxBatch int, opts PlanOptions) (*Plan, err
 	if err != nil {
 		return nil, err
 	}
-	p := &Plan{maxBatch: maxBatch, in: in, ws: tensor.NewWorkspace()}
+	p := &Plan{in: in}
 	width := in
 	for i, l := range s.Layers {
 		st, outW, err := lowerLayer(l, width)
@@ -179,6 +188,21 @@ func (s *Sequential) CompilePlanOpts(maxBatch int, opts PlanOptions) (*Plan, err
 	for i, sh := range stepShapes(p.in, p.steps) {
 		p.steps[i].bytesPerRow = int64(4 * (sh.in + sh.out + 2*sh.sweeps*sh.out))
 	}
+	return p, nil
+}
+
+// Instance materialises a new plan for batches of up to maxBatch rows over
+// p's lowered steps: it shares their kernels and packed weights and
+// allocates its own arenas, workspace and frame. It reads only what
+// lowering fixed, so it may run while another goroutine executes p.
+// Materialising runs two warm-up batches of zeros at maxBatch so every
+// buffer reaches its exact high-water size before the plan serves real
+// traffic.
+func (p *Plan) Instance(maxBatch int) (*Plan, error) {
+	if maxBatch <= 0 {
+		return nil, fmt.Errorf("nn: plan maxBatch %d must be positive", maxBatch)
+	}
+	q := &Plan{maxBatch: maxBatch, in: p.in, out: p.out, steps: p.steps, preFusion: p.preFusion, ws: tensor.NewWorkspace()}
 
 	// The ping-pong arenas alternate ownership of the step outputs, so
 	// each is sized to the widest step that lands in it — fusing steps
@@ -186,27 +210,27 @@ func (s *Sequential) CompilePlanOpts(maxBatch int, opts PlanOptions) (*Plan, err
 	// (e.g. an SHL's second arena drops from hidden width to class
 	// width once multiply+bias+ReLU collapse into one step).
 	wA, wB := 0, 0
-	for i, st := range p.steps {
+	for i, st := range q.steps {
 		if i%2 == 0 {
 			wA = max(wA, st.cols)
 		} else {
 			wB = max(wB, st.cols)
 		}
 	}
-	p.bufA = make([]float32, maxBatch*wA)
-	p.bufB = make([]float32, maxBatch*wB)
-	p.frame = timeline.NewFrame(len(p.steps), 1, 1, nil, false)
+	q.bufA = make([]float32, maxBatch*wA)
+	q.bufB = make([]float32, maxBatch*wB)
+	q.frame = timeline.NewFrame(len(q.steps), 1, 1, nil, false)
 
 	// Two warm-up executions: the first records every buffer's demand, the
 	// second runs after the workspace has grown to it, leaving the arena at
 	// its exact steady-state size.
-	warm := tensor.New(maxBatch, in)
+	warm := tensor.New(maxBatch, q.in)
 	for i := 0; i < 2; i++ {
-		if _, err := p.Execute(warm); err != nil {
+		if _, err := q.Execute(warm); err != nil {
 			return nil, err
 		}
 	}
-	return p, nil
+	return q, nil
 }
 
 // fusePlanSteps is the peephole rewriter: a single left-to-right scan that
@@ -271,6 +295,8 @@ func fusePair(lin, actStep *planStep) (planStep, bool) {
 		act:     actStep.layer,
 		run:     run,
 		variant: lin.variant,
+		packedW: lin.packedW,
+		packedA: lin.packedA,
 		// The fused step keeps the linear step's kernel family and adds
 		// the folded activation's element ops, matching the modelled-cost
 		// accounting in the shard layer's describePlan.
@@ -510,9 +536,9 @@ func inputWidth(l Layer) (int, error) {
 
 // lowerLayer emits the plan step for one layer given its input width,
 // returning the step and the layer's output width. Dense layers pack their
-// weight panels here — once, at compile time — so the tiled matmul
-// streams B in panel order; structured layers run their transform's
-// ApplyInto, and the step records the kernel variant it names.
+// weight panels here — once per lowering, shared by every Instance — so
+// the tiled matmul streams B in panel order; structured layers run their
+// transform's ApplyInto, and the step records the kernel variant it names.
 func lowerLayer(l Layer, width int) (planStep, int, error) {
 	switch t := l.(type) {
 	case *Dense:

@@ -390,6 +390,118 @@ func TestPlanArenaSizingUnderFusion(t *testing.T) {
 	}
 }
 
+// TestPlanInstanceSharesPacks pins the point of Instance: an instance at
+// another batch size runs the base's lowered steps, so every dense and
+// factorised step holds the very PackedB the base packed, and only the
+// buffers are its own.
+func TestPlanInstanceSharesPacks(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	a, b := tensor.New(32, 4), tensor.New(4, 6)
+	a.FillRandom(rng, 1)
+	b.FillRandom(rng, 1)
+	fd := &FactorizedDense{In: 32, Out: 6, Rank: 4, A: a, B: b, Bias: make([]float32, 6)}
+	for _, tc := range []struct {
+		name  string
+		net   *Sequential
+		packs int
+	}{
+		{"dense", BuildSHL(Baseline, 32, 6, rng), 2},
+		{"factorised", NewSequential(fd, NewReLU(), NewDense(6, 3, rng)), 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base, err := tc.net.CompilePlan(8)
+			if err != nil {
+				t.Fatalf("CompilePlan: %v", err)
+			}
+			inst, err := base.Instance(2)
+			if err != nil {
+				t.Fatalf("Instance: %v", err)
+			}
+			if inst.MaxBatch() != 2 || base.MaxBatch() != 8 {
+				t.Fatalf("MaxBatch: instance %d, base %d", inst.MaxBatch(), base.MaxBatch())
+			}
+			packs := 0
+			for i := range base.steps {
+				bs, is := &base.steps[i], &inst.steps[i]
+				if is.packedW != bs.packedW || is.packedA != bs.packedA {
+					t.Errorf("step %d (%s): instance packs %p/%p, base %p/%p", i, bs.name, is.packedW, is.packedA, bs.packedW, bs.packedA)
+				}
+				for _, pk := range []*tensor.PackedB{bs.packedW, bs.packedA} {
+					if pk != nil {
+						packs++
+					}
+				}
+			}
+			if packs != tc.packs {
+				t.Errorf("base holds %d packs, want %d", packs, tc.packs)
+			}
+			if &inst.bufA[0] == &base.bufA[0] || inst.ws == base.ws || inst.frame == base.frame {
+				t.Error("instance shares the base's buffers")
+			}
+		})
+	}
+}
+
+// TestPlanInstanceWhileBaseExecutes builds instances while another
+// goroutine executes the base, the way a serving worker materialises a
+// new batch bucket while the base serves: under -race, Instance must read
+// only what lowering fixed, and both must keep matching Infer.
+func TestPlanInstanceWhileBaseExecutes(t *testing.T) {
+	const n, classes, maxBatch = 64, 10, 8
+	for _, method := range []Method{Baseline, Butterfly, Pixelfly} {
+		t.Run(method.String(), func(t *testing.T) {
+			net := BuildSHL(method, n, classes, rand.New(rand.NewSource(43)))
+			base, err := net.CompilePlan(maxBatch)
+			if err != nil {
+				t.Fatalf("CompilePlan: %v", err)
+			}
+			x := tensor.New(maxBatch, n)
+			x.FillRandom(rand.New(rand.NewSource(44)), 1)
+			want := net.Infer(x)
+			stop := make(chan struct{})
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					got, err := base.Execute(x)
+					if err != nil {
+						t.Errorf("base Execute: %v", err)
+						return
+					}
+					if d := tensor.MaxAbsDiff(want, got); d != 0 {
+						t.Errorf("base output differs from Infer by %g", d)
+						return
+					}
+				}
+			}()
+			for _, mb := range []int{1, 2, 4, 8, 16} {
+				inst, err := base.Instance(mb)
+				if err != nil {
+					t.Errorf("Instance(%d): %v", mb, err)
+					break
+				}
+				rows := min(mb, maxBatch)
+				xr := &tensor.Matrix{Rows: rows, Cols: n, Data: x.Data[:rows*n]}
+				got, err := inst.Execute(xr)
+				if err != nil {
+					t.Errorf("Instance(%d) Execute: %v", mb, err)
+					break
+				}
+				if d := tensor.MaxAbsDiff(&tensor.Matrix{Rows: rows, Cols: classes, Data: want.Data[:rows*classes]}, got); d != 0 {
+					t.Errorf("Instance(%d) output differs from Infer by %g", mb, d)
+				}
+			}
+			close(stop)
+			<-done
+		})
+	}
+}
+
 // benchmarkPlanExecute measures steady-state Execute for one compile mode.
 func benchmarkPlanExecute(b *testing.B, method Method, opts PlanOptions) {
 	const n, classes, maxBatch = 256, 10, 16

@@ -102,8 +102,10 @@ func closePlan(pl Executor) {
 // (nn.Plan, or shard.ShardedPlan when the model is sharded) sized for the
 // same batch bucket, so the micro-batcher's workers run allocation-free at
 // steady state and every response can report device cost without
-// recompiling. The Program is the plans' sole owner: they stay until the
-// cache evicts it, which closes them.
+// recompiling. Its host plans come from the (model, version)'s plan
+// source, so every program of one model version shares one lowering and
+// one copy of the packed weights. The Program is the plans' sole owner:
+// they stay until the cache evicts it, which closes them.
 type Program struct {
 	batch  int
 	shards int
@@ -118,9 +120,9 @@ type Program struct {
 	build    workloadBuilder
 	mets     *cacheMetrics // inherited from the cache; nil when uninstrumented
 
-	// net is the host network plans compile from, fixed when the cache
-	// creates the program.
-	net *nn.Sequential
+	// src lowers the host network once per (model, version); every plan
+	// the program compiles is its base or an Instance of it.
+	src *planSource
 
 	// idle is the LIFO free list of plans no caller holds. It needs no
 	// cap: GetPlan compiles only when none is idle, so it holds at most
@@ -133,8 +135,7 @@ type Program struct {
 
 	// scOnce memoizes the shard planner's verdict (strategy, per-IPU
 	// memory, exchange) and the 1-shard reference estimate, so GetPlan
-	// misses and Cost share one estimate and at most one probe plan
-	// compile per program.
+	// misses and Cost share one estimate per program.
 	scOnce sync.Once
 	sc     shard.Cost
 	scOne  shard.Cost
@@ -181,9 +182,11 @@ func (p *Program) Cost() (*ProgramCost, error) {
 
 // fusionCost annotates the cost with the host plan's fusion silhouette
 // (step counts, arena bytes, modelled activation-arena traffic) and
-// returns the plan it compiled.
+// returns the plan it compiled. A 1-IPU program keeps that plan, so it may
+// become the source's base; a sharded program's probe is dropped once
+// priced, so it never does.
 func (p *Program) fusionCost(cost *ProgramCost) (*nn.Plan, error) {
-	pl, err := p.net.CompilePlan(p.batch)
+	pl, err := p.src.plan(p.batch, p.shards <= 1)
 	if err != nil {
 		return nil, fmt.Errorf("serve: compiling host plan for fusion cost: %w", err)
 	}
@@ -197,18 +200,11 @@ func (p *Program) fusionCost(cost *ProgramCost) (*nn.Plan, error) {
 	return pl, nil
 }
 
-// shardEstimate memoizes the shard planner's verdict for this program.
-// pl may carry a freshly compiled plan to reuse; pass nil to have the
-// memo compile its own probe (only the first caller's plan is consulted).
+// shardEstimate memoizes the shard planner's verdict for this program,
+// priced on the caller's compiled host plan (only the first caller's plan
+// is consulted).
 func (p *Program) shardEstimate(pl *nn.Plan) (shard.Cost, error) {
 	p.scOnce.Do(func() {
-		if pl == nil {
-			var err error
-			if pl, err = p.net.CompilePlan(p.batch); err != nil {
-				p.scErr = err
-				return
-			}
-		}
 		if p.sc, p.scErr = shard.EstimateBudget(pl, p.batch, p.shards, p.topo, p.budget); p.scErr != nil {
 			return
 		}
@@ -219,11 +215,10 @@ func (p *Program) shardEstimate(pl *nn.Plan) (shard.Cost, error) {
 
 // shardCost folds the shard planner's estimate into a single-chip program
 // cost: per-IPU residency, exchange traffic, and the latency of the
-// partitioned run. pl may carry an already compiled host plan to estimate
-// from (nil compiles a probe). The compute portion is scaled by the
-// planner's own sharded-vs-unsharded compute ratio (1 for pipeline;
-// between 1/S and 1 for tensor parallelism, since replicated rank
-// bottlenecks do not divide), keeping the served latency consistent with
+// partitioned run, estimated from the compiled host plan pl. The compute
+// portion is scaled by the planner's own sharded-vs-unsharded compute
+// ratio (1 for pipeline; between 1/S and 1 for tensor parallelism, since
+// replicated rank bottlenecks do not divide), keeping the served latency consistent with
 // the planner's Cost for the same plan.
 func (p *Program) shardCost(cost *ProgramCost, pl *nn.Plan) error {
 	sc, err := p.shardEstimate(pl)
@@ -255,9 +250,9 @@ func (p *Program) shardCost(cost *ProgramCost, pl *nn.Plan) error {
 }
 
 // GetPlan hands out an idle host execution plan — sharded across the
-// program's modelled IPUs when shards > 1 — compiling a fresh instance
-// when none is idle. Callers must return it with PutPlan after copying
-// anything they need out of its buffers.
+// program's modelled IPUs when shards > 1 — materialising a fresh
+// instance from the plan source when none is idle. Callers must return it
+// with PutPlan after copying anything they need out of its buffers.
 func (p *Program) GetPlan() (Executor, error) {
 	p.mu.Lock()
 	if n := len(p.idle); n > 0 {
@@ -268,7 +263,7 @@ func (p *Program) GetPlan() (Executor, error) {
 		return pl, nil
 	}
 	p.mu.Unlock()
-	pl, err := p.net.CompilePlan(p.batch)
+	pl, err := p.src.plan(p.batch, true)
 	if err != nil || p.shards <= 1 {
 		return pl, err
 	}
@@ -308,10 +303,53 @@ func (p *Program) close() {
 	}
 }
 
+// planSource lowers one (model, version)'s network once. The first plan a
+// program keeps becomes the base, and every later host plan, at any batch
+// bucket, sharded or not, is an Instance of it: instances share the base's
+// lowered steps and packed weights and own only their buffers.
+type planSource struct {
+	net *nn.Sequential
+
+	mu   sync.Mutex
+	base *nn.Plan
+}
+
+// plan returns a host plan for batches of up to maxBatch rows. keep says
+// the caller's program keeps the plan. Without a base, a kept plan is
+// compiled under the lock and becomes the base, so workers that miss at
+// once share one lowering; a plan no program keeps (the sharded cost
+// probe) is compiled on its own and dropped with its packs. With a base,
+// the plan is an Instance of it, built outside the lock: Instance reads
+// only what lowering fixed, so it may run while the base executes.
+func (s *planSource) plan(maxBatch int, keep bool) (*nn.Plan, error) {
+	s.mu.Lock()
+	base := s.base
+	if base == nil && keep {
+		pl, err := s.net.CompilePlan(maxBatch)
+		if err == nil {
+			s.base = pl
+		}
+		s.mu.Unlock()
+		return pl, err
+	}
+	s.mu.Unlock()
+	if base == nil {
+		return s.net.CompilePlan(maxBatch)
+	}
+	return base.Instance(maxBatch)
+}
+
+// sourceKey names the plan source of one (model, version).
+type sourceKey struct {
+	model   string
+	version int
+}
+
 // ProgramCache memoizes compiled programs — host plan free list plus
 // modelled IPU cost — per (model, version, batch bucket, shard count), so the
 // serving path compiles each artifact at most once and every request
-// rides prebuilt state.
+// rides prebuilt state. The programs of one (model, version) share one
+// plan source, so the model is lowered and its weights packed once.
 type ProgramCache struct {
 	cfg    ipu.Config
 	topo   shard.Topology
@@ -319,6 +357,7 @@ type ProgramCache struct {
 
 	mu      sync.Mutex
 	entries map[programKey]*Program
+	sources map[sourceKey]*planSource
 
 	hits      atomic.Int64
 	misses    atomic.Int64
@@ -334,7 +373,8 @@ type ProgramCache struct {
 // partitioning strategy against the per-IPU memory budget (0 = full
 // SRAM).
 func NewShardedProgramCache(cfg ipu.Config, topo shard.Topology, budgetBytes int) *ProgramCache {
-	return &ProgramCache{cfg: cfg, topo: topo, budget: budgetBytes, entries: map[programKey]*Program{}}
+	return &ProgramCache{cfg: cfg, topo: topo, budget: budgetBytes,
+		entries: map[programKey]*Program{}, sources: map[sourceKey]*planSource{}}
 }
 
 // workloadBuilder produces the IPU workload whose compiled program prices
@@ -343,10 +383,11 @@ func NewShardedProgramCache(cfg ipu.Config, topo shard.Topology, budgetBytes int
 type workloadBuilder func(cfg ipu.Config, batch int) (*ipu.Workload, error)
 
 // Program returns the compiled artifact for the key, creating it on first
-// use with net as the network its host plans compile from, and counts
-// the lookup in the hit/miss statistics (one count per served request —
-// the semantics the perf trajectory records). The modelled cost is not
-// compiled here — Cost does that lazily, memoized.
+// use (and the (model, version)'s plan source, lowering net, with the
+// first such program), and counts the lookup in the hit/miss statistics
+// (one count per served request — the semantics the perf trajectory
+// records). The modelled cost is not compiled here — Cost does that
+// lazily, memoized.
 func (c *ProgramCache) Program(name string, version, batch, shards int, net *nn.Sequential, build workloadBuilder) (*Program, error) {
 	return c.lookup(name, version, batch, shards, net, build, true)
 }
@@ -372,7 +413,13 @@ func (c *ProgramCache) lookup(name string, version, batch, shards int, net *nn.S
 	c.mu.Lock()
 	p, ok := c.entries[key]
 	if !ok {
-		p = &Program{batch: batch, shards: shards, topo: c.topo, budget: c.budget, cfg: c.cfg, build: build, mets: c.mets, net: net}
+		sk := sourceKey{model: name, version: version}
+		src := c.sources[sk]
+		if src == nil {
+			src = &planSource{net: net}
+			c.sources[sk] = src
+		}
+		p = &Program{batch: batch, shards: shards, topo: c.topo, budget: c.budget, cfg: c.cfg, build: build, mets: c.mets, src: src}
 		c.entries[key] = p
 	}
 	if count {
@@ -390,11 +437,11 @@ func (c *ProgramCache) lookup(name string, version, batch, shards int, net *nn.S
 	return p, nil
 }
 
-// Evict drops every cached program of one (model, version), releasing the
-// pinned network weights of a replaced or removed model and closing the
-// programs' idle plans. Programs still held by in-flight callers stay
-// usable; a plan those callers compile or return afterwards is closed
-// when it comes back. Callers must stop the model's batcher first so no
+// Evict drops every cached program of one (model, version) and its plan
+// source, releasing the pinned network weights and packs of a replaced or
+// removed model and closing the programs' idle plans. Programs still held
+// by in-flight callers stay usable; a plan those callers compile or
+// return afterwards is closed when it comes back. Callers must stop the model's batcher first so no
 // new lookups can resurrect the entries.
 func (c *ProgramCache) Evict(name string, version int) {
 	var dropped []*Program
@@ -406,6 +453,7 @@ func (c *ProgramCache) Evict(name string, version int) {
 			c.evictions.Add(1)
 		}
 	}
+	delete(c.sources, sourceKey{model: name, version: version})
 	c.mu.Unlock()
 	for _, p := range dropped {
 		p.close()

@@ -294,12 +294,17 @@ func TestPredictAllocs(t *testing.T) {
 	}
 }
 
-// TestServedModelHeap bounds what a served model keeps live. Each of
-// sharded_http's two models, at the paper's width on two modelled IPUs, is
+// TestServedModelHeap bounds what a served model keeps live. Each model is
 // registered in its own registry with every batch bucket from 1 to 64
-// priced, as perfbench's set-up does, and may grow the live heap by at most
-// 4 bytes per parameter plus 0.5 MiB. A gradient buffer as large as the
-// weights does not fit.
+// priced, as perfbench's set-up does. Each of sharded_http's two models, at
+// the paper's width on two modelled IPUs, may grow the live heap by at most
+// 4 bytes per parameter plus 0.5 MiB: a gradient buffer as large as the
+// weights does not fit, nor does a dense pack that a sharded cost probe
+// left live. Each of structured_http's three models, on one modelled IPU,
+// keeps the seven bucket plans its pricing compiled, and may grow the live
+// heap by 4 bytes per parameter, plus those plans' arena and workspace
+// bytes, plus 384 KiB: a copy of the 64 KiB head pack in every plan does
+// not fit.
 func TestServedModelHeap(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop items at random, which moves the live heap")
@@ -310,15 +315,18 @@ func TestServedModelHeap(t *testing.T) {
 		runtime.ReadMemStats(&ms)
 		return int64(ms.HeapAlloc)
 	}
-	for _, method := range []nn.Method{nn.Baseline, nn.Pixelfly} {
-		t.Run(method.String(), func(t *testing.T) {
+	for _, tc := range []struct {
+		method nn.Method
+		ipus   int
+	}{{nn.Baseline, 2}, {nn.Pixelfly, 2}, {nn.Butterfly, 1}, {nn.Fastfood, 1}, {nn.Circulant, 1}} {
+		t.Run(tc.method.String(), func(t *testing.T) {
 			// The first collection moves what earlier tests left pooled
 			// into the pools' victim caches, the second frees it.
 			runtime.GC()
 			before := liveHeap()
-			reg := NewRegistry(Options{NumIPUs: 2, Shards: 2})
+			reg := NewRegistry(Options{NumIPUs: tc.ipus, Shards: tc.ipus})
 			defer reg.Close()
-			m, err := reg.Register(ModelSpec{Name: "m", Method: method, N: 1024, Classes: 10, Seed: 42})
+			m, err := reg.Register(ModelSpec{Name: "m", Method: tc.method, N: 1024, Classes: 10, Seed: 42})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -329,6 +337,24 @@ func TestServedModelHeap(t *testing.T) {
 			}
 			grown := liveHeap() - before
 			limit := 4*int64(m.Info().Params) + 1<<19
+			if tc.ipus == 1 {
+				// Each priced bucket's program holds the plan its cost
+				// probe compiled; GetPlan hands that one back.
+				limit = 4*int64(m.Info().Params) + 384<<10
+				for b := 1; b <= 64; b *= 2 {
+					prog, err := m.cache.programQuiet(m.spec.Name, m.version, b, m.shards, m.net, m.workload)
+					if err != nil {
+						t.Fatal(err)
+					}
+					pl, err := prog.GetPlan()
+					if err != nil {
+						t.Fatal(err)
+					}
+					st := pl.(*nn.Plan).Stats()
+					limit += int64(st.ArenaBytes + st.WorkspaceBytes)
+					prog.PutPlan(pl)
+				}
+			}
 			t.Logf("live heap grew %.2f MiB for %d parameters (limit %.2f MiB)",
 				float64(grown)/(1<<20), m.Info().Params, float64(limit)/(1<<20))
 			if grown > limit {

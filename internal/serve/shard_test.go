@@ -234,10 +234,12 @@ func TestProgramCacheShardedKeysDistinct(t *testing.T) {
 }
 
 // TestProgramCacheConcurrentProgramEvict races Program/GetPlan/Execute
-// against Evict across shard counts — run under -race (the satellite
-// coverage for the cache's concurrency contract). Every lookup must either
-// produce a usable program or a clean error; entries must all be gone at
-// the end, and every sharded plan's workers with them.
+// against Evict across shard counts and batch buckets — run under -race
+// (the satellite coverage for the cache's concurrency contract), so plans
+// are materialised from a plan source's base while other workers execute
+// it. Every lookup must either produce a usable program or a clean error;
+// entries and plan sources must all be gone at the end, and every sharded
+// plan's workers with them.
 func TestProgramCacheConcurrentProgramEvict(t *testing.T) {
 	before := runtime.NumGoroutine()
 	topo := shard.Topology{NumIPUs: 4, IPU: ipu.GC200(), Link: ipu.IPULink()}
@@ -260,7 +262,7 @@ func TestProgramCacheConcurrentProgramEvict(t *testing.T) {
 			x.FillRandom(rand.New(rand.NewSource(int64(g))), 1)
 			for i := 0; i < loops; i++ {
 				shards := shardsOf[(g+i)%len(shardsOf)]
-				p, err := c.Program(sp.Name, 1, 4, shards, net, build)
+				p, err := c.Program(sp.Name, 1, 2<<(i%3), shards, net, build)
 				if err != nil {
 					t.Errorf("Program: %v", err)
 					return
@@ -291,6 +293,9 @@ func TestProgramCacheConcurrentProgramEvict(t *testing.T) {
 	c.Evict(sp.Name, 1)
 	if s := c.Stats(); s.Entries != 0 {
 		t.Fatalf("after final evict: %d entries, want 0", s.Entries)
+	}
+	if n := len(c.sources); n != 0 {
+		t.Fatalf("after final evict: %d plan sources, want 0", n)
 	}
 	// Every plan went back to a program that the last Evict closed, or
 	// came back to an already evicted one and was closed on return.
