@@ -34,15 +34,11 @@ func (m *MemoryBreakdown) add(o MemoryBreakdown) {
 	m.ExchangeBuffer += o.ExchangeBuffer
 }
 
-// stepExchange is the planned exchange preceding one executed compute set.
+// stepExchange is the planned exchange preceding one executed compute
+// set, reduced to what Simulate prices.
 type stepExchange struct {
-	// inBytes[t] is the payload tile t receives; msgs[t] the number of
-	// distinct source regions it receives (message count drives exchange
-	// code size).
-	inBytes  map[int]float64
-	outBytes map[int]float64
-	msgs     map[int]int
-	total    float64
+	total float64 // payload bytes landed on all tiles
+	worst float64 // the busiest tile's inbound plus outbound bytes
 }
 
 // Compiled is the result of Compile: placement, exchange plan and memory
@@ -50,8 +46,8 @@ type stepExchange struct {
 type Compiled struct {
 	Graph *Graph
 
-	// Exchange plans indexed by program step (nil for host steps).
-	exchanges []*stepExchange
+	// Exchange plans indexed by program step.
+	exchanges []stepExchange
 
 	// Memory accounting.
 	PerTile   []MemoryBreakdown
@@ -135,55 +131,21 @@ func Compile(g *Graph) (*Compiled, error) {
 	}
 
 	// Exchange planning per executed step + exchange code and buffers.
-	maxInBytes := make(map[int]float64) // per-tile peak landing buffer
-	for _, st := range g.Program {
-		ex := &stepExchange{
-			inBytes:  map[int]float64{},
-			outBytes: map[int]float64{},
-			msgs:     map[int]int{},
-		}
+	pl := newExchangePlanner(cfg.Tiles)
+	c.exchanges = make([]stepExchange, len(g.Program))
+	for i, st := range g.Program {
 		for _, vx := range g.CSs[st.CS].Vertices {
 			for _, r := range vx.Inputs {
-				addRemoteTraffic(g, ex, r, vx.Tile, true)
+				pl.addRemoteTraffic(g, r, vx.Tile, true)
 			}
 			for _, r := range vx.Outputs {
-				addRemoteTraffic(g, ex, r, vx.Tile, false)
+				pl.addRemoteTraffic(g, r, vx.Tile, false)
 			}
 		}
-		for t, b := range ex.inBytes {
-			ex.total += b
-			if b > maxInBytes[t] {
-				maxInBytes[t] = b
-			}
-		}
-		c.exchanges = append(c.exchanges, ex)
-
-		// Exchange code accrues per message endpoint plus a marginal cost
-		// per payload byte — this is the compute-set-correlated overhead
-		// behind Observation 3. The per-byte component is capped at the
-		// stream buffer size: larger transfers reuse one round's code.
-		capBytes := func(b float64) float64 {
-			if cfg.StreamBufferBytes > 0 && b > float64(cfg.StreamBufferBytes) {
-				return float64(cfg.StreamBufferBytes)
-			}
-			return b
-		}
-		for t, n := range ex.msgs {
-			c.PerTile[t].ExchangeCode += n * cfg.ExchangeCodeBytesPerMsg
-		}
-		for t, b := range ex.inBytes {
-			c.PerTile[t].ExchangeCode += int(capBytes(b) * cfg.ExchangeCodePerByte)
-		}
-		for t, b := range ex.outBytes {
-			c.PerTile[t].ExchangeCode += int(capBytes(b) * cfg.ExchangeCodePerByte)
-		}
+		c.exchanges[i] = pl.endStep(cfg, c.PerTile)
 	}
-	for t, b := range maxInBytes {
-		buf := int(b)
-		if cfg.StreamBufferBytes > 0 && buf > cfg.StreamBufferBytes {
-			buf = cfg.StreamBufferBytes // streamed in rounds; see Config.StreamBufferBytes
-		}
-		c.PerTile[t].ExchangeBuffer += buf
+	for t, b := range pl.maxIn {
+		c.PerTile[t].ExchangeBuffer += int(streamed(cfg, b))
 	}
 
 	// Totals, peak, OOM.
@@ -200,10 +162,29 @@ func Compile(g *Graph) (*Compiled, error) {
 	return c, nil
 }
 
+// exchangePlanner accumulates one step's exchange per tile in dense
+// per-tile slices. touched lists the tiles the step has moved bytes to or
+// from, so closing a step visits and clears only those.
+type exchangePlanner struct {
+	in, out []float64 // payload tile t receives and sends this step
+	msgs    []int     // remote regions tile t exchanges this step
+	maxIn   []float64 // tile t's largest inbound payload over all steps
+	touched []int
+}
+
+func newExchangePlanner(tiles int) *exchangePlanner {
+	return &exchangePlanner{
+		in:    make([]float64, tiles),
+		out:   make([]float64, tiles),
+		msgs:  make([]int, tiles),
+		maxIn: make([]float64, tiles),
+	}
+}
+
 // addRemoteTraffic accounts the part of region r that does not live on
 // vertex tile vt. Inputs are gathered before compute; outputs scattered
 // after. One message is counted per remote source/destination interval.
-func addRemoteTraffic(g *Graph, ex *stepExchange, r VarRegion, vt int, input bool) {
+func (p *exchangePlanner) addRemoteTraffic(g *Graph, r VarRegion, vt int, input bool) {
 	vv := g.Vars[r.Var]
 	// Find overlapping mapping intervals via binary search on Start.
 	idx := sort.Search(len(vv.Mapping), func(i int) bool { return vv.Mapping[i].End > r.Start })
@@ -218,17 +199,56 @@ func addRemoteTraffic(g *Graph, ex *stepExchange, r VarRegion, vt int, input boo
 		}
 		bytes := float64((hi - lo) * vv.ElemBytes)
 		if input {
-			ex.inBytes[vt] += bytes
-			ex.outBytes[iv.Tile] += bytes
-			ex.msgs[vt]++
-			ex.msgs[iv.Tile]++
+			p.in[vt] += bytes
+			p.out[iv.Tile] += bytes
 		} else {
-			ex.outBytes[vt] += bytes
-			ex.inBytes[iv.Tile] += bytes
-			ex.msgs[vt]++
-			ex.msgs[iv.Tile]++
+			p.out[vt] += bytes
+			p.in[iv.Tile] += bytes
 		}
+		p.message(vt)
+		p.message(iv.Tile)
 	}
+}
+
+// message counts one message endpoint on tile t.
+func (p *exchangePlanner) message(t int) {
+	if p.msgs[t] == 0 {
+		p.touched = append(p.touched, t)
+	}
+	p.msgs[t]++
+}
+
+// endStep closes the step's exchange: it charges each touched tile's
+// exchange code to perTile, raises its peak landing buffer, clears its
+// counters and returns what Simulate prices.
+//
+// Exchange code accrues per message endpoint plus a marginal cost per
+// payload byte — this is the compute-set-correlated overhead behind
+// Observation 3. The per-byte component is capped at the stream buffer
+// size: larger transfers reuse one round's code.
+func (p *exchangePlanner) endStep(cfg Config, perTile []MemoryBreakdown) stepExchange {
+	var ex stepExchange
+	for _, t := range p.touched {
+		in, out := p.in[t], p.out[t]
+		ex.total += in
+		ex.worst = max(ex.worst, in+out)
+		p.maxIn[t] = max(p.maxIn[t], in)
+		perTile[t].ExchangeCode += p.msgs[t]*cfg.ExchangeCodeBytesPerMsg +
+			int(streamed(cfg, in)*cfg.ExchangeCodePerByte) +
+			int(streamed(cfg, out)*cfg.ExchangeCodePerByte)
+		p.in[t], p.out[t], p.msgs[t] = 0, 0, 0
+	}
+	p.touched = p.touched[:0]
+	return ex
+}
+
+// streamed caps a per-tile payload at the stream buffer: larger inputs
+// are exchanged in rounds through it (see Config.StreamBufferBytes).
+func streamed(cfg Config, b float64) float64 {
+	if cfg.StreamBufferBytes > 0 && b > float64(cfg.StreamBufferBytes) {
+		return float64(cfg.StreamBufferBytes)
+	}
+	return b
 }
 
 // FreeBytes returns the unallocated on-chip memory after compilation.

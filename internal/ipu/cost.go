@@ -27,36 +27,33 @@ func (r ExecReport) Seconds() float64 { return r.DeviceSeconds }
 // each executed compute set costs sync + exchange (bytes/bandwidth on the
 // busiest tile) + compute (busiest tile, vertices shared across hardware
 // threads).
-func Simulate(c *Compiled) ExecReport {
+func Simulate(c *Compiled) ExecReport { return simulate(c, 1) }
+
+// simulate is Simulate with every AMP vertex's flops multiplied by
+// ampScale before they are priced; the graph is not modified.
+func simulate(c *Compiled, ampScale float64) ExecReport {
 	cfg := c.Graph.Config
 	rep := ExecReport{}
+	work := make([]tileWork, cfg.Tiles)
+	var touched []int // tiles with vertices in the current step
 	for i, st := range c.Graph.Program {
 		cs := c.Graph.CSs[st.CS]
 		sc := StepCost{Label: st.Label, SyncCycles: cfg.SyncCycles}
 		// Exchange: busiest tile's traffic over its per-tile bandwidth.
 		if ex := c.exchanges[i]; ex.total > 0 {
-			var worst float64
-			for t, b := range ex.inBytes {
-				if tot := b + ex.outBytes[t]; tot > worst {
-					worst = tot
-				}
-			}
-			for t, b := range ex.outBytes {
-				if _, dup := ex.inBytes[t]; !dup && b > worst {
-					worst = b
-				}
-			}
-			sc.ExchangeCycles = cfg.ExchangeSetupCycles + worst/cfg.ExchangeBytesPerTileCycle
+			sc.ExchangeCycles = cfg.ExchangeSetupCycles + ex.worst/cfg.ExchangeBytesPerTileCycle
 		}
 		// Compute: per tile, vertices share ThreadsPerTile workers.
-		perTile := map[int]*tileWork{}
 		for _, vx := range cs.Vertices {
-			w := perTile[vx.Tile]
-			if w == nil {
-				w = &tileWork{}
-				perTile[vx.Tile] = w
+			w := &work[vx.Tile]
+			if w.count == 0 {
+				touched = append(touched, vx.Tile)
 			}
-			cyc := vx.Flops/cfg.ClassRate(vx.Class) + cfg.VertexOverheadCycles
+			flops := vx.Flops
+			if vx.Class == ClassAMP {
+				flops *= ampScale
+			}
+			cyc := flops/cfg.ClassRate(vx.Class) + cfg.VertexOverheadCycles
 			w.sum += cyc
 			w.count++
 			if cyc > w.longest {
@@ -64,19 +61,18 @@ func Simulate(c *Compiled) ExecReport {
 			}
 		}
 		var worstCompute float64
-		for _, w := range perTile {
-			threads := cfg.ThreadsPerTile
-			if w.count < threads {
-				threads = w.count
+		for _, t := range touched {
+			w := &work[t]
+			busy := w.sum / float64(min(cfg.ThreadsPerTile, w.count))
+			if busy < w.longest {
+				busy = w.longest
 			}
-			t := w.sum / float64(threads)
-			if t < w.longest {
-				t = w.longest
+			if busy > worstCompute {
+				worstCompute = busy
 			}
-			if t > worstCompute {
-				worstCompute = t
-			}
+			*w = tileWork{}
 		}
+		touched = touched[:0]
 		sc.ComputeCycles = worstCompute
 		rep.Steps = append(rep.Steps, sc)
 		rep.TotalCycles += sc.Cycles()

@@ -133,9 +133,11 @@ func (g *Graph) AddVertex(cs ComputeSetID, codelet string, class ComputeClass, t
 	if tile < 0 || tile >= g.Config.Tiles {
 		panic(fmt.Sprintf("ipu: vertex %q on tile %d outside 0..%d", codelet, tile, g.Config.Tiles-1))
 	}
-	for _, r := range append(append([]VarRegion{}, inputs...), outputs...) {
-		if int(r.Var) >= len(g.Vars) || r.Start < 0 || r.End > g.Vars[r.Var].Elems || r.Start > r.End {
-			panic(fmt.Sprintf("ipu: vertex %q has bad region %+v", codelet, r))
+	for _, rs := range [2][]VarRegion{inputs, outputs} {
+		for _, r := range rs {
+			if int(r.Var) >= len(g.Vars) || r.Start < 0 || r.End > g.Vars[r.Var].Elems || r.Start > r.End {
+				panic(fmt.Sprintf("ipu: vertex %q has bad region %+v", codelet, r))
+			}
 		}
 	}
 	g.CSs[cs].Vertices = append(g.CSs[cs].Vertices, &Vertex{

@@ -125,13 +125,16 @@ func TestExchangePlansOnlyRemoteBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex := c.exchanges[0]
-	// Only the half of `a` living on tile 1 crosses the fabric.
-	if got := ex.inBytes[0]; got != 2000 {
-		t.Fatalf("tile 0 receives %v bytes, want 2000", got)
+	// Only the half of `a` living on tile 1 crosses the fabric: tile 0
+	// lands it, tile 1 sends it and lands nothing.
+	if got := c.exchanges[0].total; got != 2000 {
+		t.Fatalf("step moves %v bytes, want 2000", got)
 	}
-	if got := ex.outBytes[1]; got != 2000 {
-		t.Fatalf("tile 1 sends %v bytes, want 2000", got)
+	if got := c.PerTile[0].ExchangeBuffer; got != 2000 {
+		t.Fatalf("tile 0 lands %d bytes, want 2000", got)
+	}
+	if got := c.PerTile[1].ExchangeBuffer; got != 0 {
+		t.Fatalf("tile 1 lands %d bytes, want 0", got)
 	}
 }
 
@@ -287,6 +290,39 @@ func TestPopTorchOverhead(t *testing.T) {
 	}
 	if pt.Seconds < 3*raw.Seconds {
 		t.Fatalf("PopTorch %v should be far slower than poplar %v", pt.Seconds, raw.Seconds)
+	}
+}
+
+// Run prices PopTorch's AMP efficiency without touching the workload, so
+// a second run of the same workload costs the same and every vertex keeps
+// its flops.
+func TestRunLeavesWorkloadUnchanged(t *testing.T) {
+	w := BuildLinear(GC200(), 1024, 64)
+	var flops []float64
+	for _, cs := range w.Graph.CSs {
+		for _, vx := range cs.Vertices {
+			flops = append(flops, vx.Flops)
+		}
+	}
+	first, err := Run(w, RunOptions{PopTorch: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := Run(w, RunOptions{PopTorch: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Seconds != second.Seconds {
+		t.Fatalf("second run took %v s, first %v s", second.Seconds, first.Seconds)
+	}
+	i := 0
+	for _, cs := range w.Graph.CSs {
+		for _, vx := range cs.Vertices {
+			if vx.Flops != flops[i] {
+				t.Fatalf("vertex %d of %s holds %v flops after two runs, built with %v", i, cs.Name, vx.Flops, flops[i])
+			}
+			i++
+		}
 	}
 }
 

@@ -54,11 +54,11 @@ func Run(w *Workload, opts RunOptions) (RunResult, error) {
 	if err != nil {
 		return RunResult{}, fmt.Errorf("compiling %s: %w", w.Name, err)
 	}
+	ampScale := 1.0
 	if opts.PopTorch {
-		scaleAMPVertices(w.Graph, 1/popTorchAMPEfficiency)
-		defer scaleAMPVertices(w.Graph, popTorchAMPEfficiency)
+		ampScale = 1 / popTorchAMPEfficiency
 	}
-	rep := Simulate(compiled)
+	rep := simulate(compiled, ampScale)
 	res := RunResult{Workload: w, Compiled: compiled, Report: rep, Seconds: rep.Seconds()}
 	if opts.PopTorch {
 		dispatch := popTorchDispatchSec
@@ -89,16 +89,4 @@ func PopTorchTrainStep(layers []RunResult, hostBytes float64, auxSteps int) floa
 		steps += 3 * l.Workload.ExecSteps()
 	}
 	return sec + float64(steps)*popTorchDispatchSec
-}
-
-// scaleAMPVertices multiplies the flop cost of AMP vertices, modeling the
-// efficiency gap between framework-generated and hand-planned AMP code.
-func scaleAMPVertices(g *Graph, factor float64) {
-	for _, cs := range g.CSs {
-		for _, v := range cs.Vertices {
-			if v.Class == ClassAMP {
-				v.Flops *= factor
-			}
-		}
-	}
 }

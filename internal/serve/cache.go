@@ -28,7 +28,10 @@ type ProgramCost struct {
 	DeviceBytes   int `json:"device_bytes"`
 	ComputeSets   int `json:"compute_sets"`
 
-	// CompileSeconds is the wall time the cache miss paid; hits pay zero.
+	// CompileSeconds is the wall time the cache miss spent pricing the
+	// program on the IPU model: building the batch's workload graph,
+	// ipu.Compile and ipu.Simulate. It leaves out the host plan's compile
+	// and the shard planner. Hits pay zero.
 	CompileSeconds float64 `json:"compile_s"`
 
 	// Sharding block, present when the program spans several modelled
@@ -487,11 +490,11 @@ func compileCost(cfg ipu.Config, batch int, build workloadBuilder) (cost *Progra
 			err = fmt.Errorf("serve: building workload: %v", r)
 		}
 	}()
+	start := time.Now()
 	w, err := build(cfg, batch)
 	if err != nil {
 		return nil, err
 	}
-	start := time.Now()
 	compiled, err := ipu.Compile(w.Graph)
 	if err != nil {
 		return nil, fmt.Errorf("serve: compiling %s: %w", w.Name, err)

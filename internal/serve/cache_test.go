@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/ipu"
 	"repro/internal/nn"
@@ -113,6 +114,22 @@ func TestProgramCacheAllMethodsCompile(t *testing.T) {
 			t.Fatalf("%v: per-request %v not below batch latency %v",
 				m, cost.PerRequestSeconds, cost.LatencySeconds)
 		}
+	}
+}
+
+// CompileSeconds times the whole of pricing, building the workload graph
+// included.
+func TestCompileSecondsIncludesBuild(t *testing.T) {
+	const pause = 20 * time.Millisecond
+	cost, err := compileCost(ipu.GC200(), 1, func(cfg ipu.Config, b int) (*ipu.Workload, error) {
+		time.Sleep(pause)
+		return ipu.BuildCirculant(cfg, 64, b), nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cost.CompileSeconds < pause.Seconds() {
+		t.Fatalf("CompileSeconds = %v, want at least the builder's %v", cost.CompileSeconds, pause)
 	}
 }
 

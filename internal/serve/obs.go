@@ -57,7 +57,7 @@ func registerHelp(reg *obs.Registry) {
 	reg.Help(metCacheMisses, "Program-cache lookups that paid or waited on a compile.")
 	reg.Help(metCacheEvict, "Cached programs dropped by model replacement or removal.")
 	reg.Help(metCacheEntries, "Compiled programs currently cached.")
-	reg.Help(metCacheCompile, "Wall time of modelled-IPU program compiles (cache misses).")
+	reg.Help(metCacheCompile, "Wall time of pricing a program on the modelled IPU per cache miss: workload build, compile and simulate; the host plan's compile is not included.")
 	reg.Help(metPlanStep, "Measured wall time of one compiled-plan step, per model and step.")
 	reg.Help(metShardCompute, "Measured per-IPU kernel time of one sharded batch, per model and modelled IPU.")
 	reg.Help(metFactorErr, "Max per-layer relative Frobenius error of the factorization the model serves (0 = exact weights).")
