@@ -28,6 +28,7 @@ import (
 	"repro/internal/ipu"
 	"repro/internal/nn"
 	"repro/internal/serve"
+	"repro/internal/tensor/microkernel"
 )
 
 var methodNames = map[string]nn.Method{
@@ -119,6 +120,7 @@ func main() {
 			names[i], info.Info().Method, info.Info().Params, info.Info().Version, info.Info().Shards)
 	}
 
+	fmt.Printf("dense matmul tile: %s\n", microkernel.Variant())
 	fmt.Printf("serving on %s (POST /predict, GET /models, GET /stats, GET /metrics, GET /debug/traces, GET /debug/costmodel, GET /healthz)\n", *addr)
 	handler := http.Handler(serve.NewServer(reg))
 	if *pprofOn {

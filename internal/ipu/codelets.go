@@ -399,15 +399,15 @@ func BuildPixelflyMM(cfg Config, pcfg pixelfly.Config, batch int) *Workload {
 			tile := (i*batchSlices + sl) % cfg.Tiles
 			// X stored feature-major: the batch slice of one feature is a
 			// sub-range of that feature's contiguous column.
-			var ins []VarRegion
+			ins := make([]VarRegion, 0, bs+1)
 			for f := bj * bs; f < (bj+1)*bs; f++ {
 				ins = append(ins, VarRegion{Var: x, Start: f*batch + b0, End: f*batch + b1})
 			}
 			ins = append(ins, VarRegion{Var: wvar, Start: i * bs * bs, End: (i + 1) * bs * bs})
-			var outs []VarRegion
-			for r := 0; r < bs; r++ {
-				outs = append(outs, VarRegion{Var: partial,
-					Start: (i*bs+r)*batch + b0, End: (i*bs+r)*batch + b1})
+			outs := make([]VarRegion, bs)
+			for r := range outs {
+				outs[r] = VarRegion{Var: partial,
+					Start: (i*bs+r)*batch + b0, End: (i*bs+r)*batch + b1}
 			}
 			g.AddVertex(mac, "BSRBlockMAC", ClassSIMD, tile, ins, outs,
 				2*float64(bs*bs)*float64(b1-b0))
@@ -429,17 +429,17 @@ func BuildPixelflyMM(cfg Config, pcfg pixelfly.Config, batch int) *Workload {
 				break
 			}
 			tile := (bi*batchSlices + sl) % cfg.Tiles
-			var ins []VarRegion
+			ins := make([]VarRegion, 0, len(list)*bs)
 			for _, i := range list {
 				for r := 0; r < bs; r++ {
 					ins = append(ins, VarRegion{Var: partial,
 						Start: (i*bs+r)*batch + b0, End: (i*bs+r)*batch + b1})
 				}
 			}
-			var outs []VarRegion
-			for r := 0; r < bs; r++ {
-				outs = append(outs, VarRegion{Var: y,
-					Start: (bi*bs+r)*batch + b0, End: (bi*bs+r)*batch + b1})
+			outs := make([]VarRegion, bs)
+			for r := range outs {
+				outs[r] = VarRegion{Var: y,
+					Start: (bi*bs+r)*batch + b0, End: (bi*bs+r)*batch + b1}
 			}
 			g.AddVertex(reduce, "PartialReduce", ClassSIMD, tile, ins, outs,
 				float64(len(list))*float64(bs)*float64(b1-b0))

@@ -1,8 +1,8 @@
 // Kernel variant tests: CompilePlan stamps each kernel step with the name
-// of the kernel it runs — the transform's MicroVariant, "tiled1x8" for
-// the dense family, "reference" for a transform that declares none. The
-// race test pins the promise that plans compiled from one model can
-// execute concurrently (CI runs it under -race).
+// of the kernel it runs — the transform's MicroVariant,
+// microkernel.Variant for the dense family, "reference" for a transform
+// that declares none. The race test pins the promise that plans compiled
+// from one model can execute concurrently (CI runs it under -race).
 package nn_test
 
 import (
@@ -12,16 +12,17 @@ import (
 
 	"repro/internal/nn"
 	"repro/internal/tensor"
+	"repro/internal/tensor/microkernel"
 )
 
 // expectedVariants maps each operator family to the kernel variant its
 // kernel steps must carry.
 var expectedVariants = map[nn.Method][]string{
-	nn.Baseline:  {"tiled1x8"},
+	nn.Baseline:  {microkernel.Variant()},
 	nn.Butterfly: {"unrolled"},
 	nn.Fastfood:  {"radix8"},
 	nn.Circulant: {"reference"}, // declares no variant
-	nn.LowRank:   {"tiled1x8"},
+	nn.LowRank:   {microkernel.Variant()},
 	nn.Pixelfly:  {"blockunroll", "blocktiled"},
 }
 
@@ -58,9 +59,10 @@ func TestPlanVariantStamping(t *testing.T) {
 					continue // non-kernel step (standalone activation etc.)
 				}
 				// The Dense classifier head is present in every model, so
-				// "tiled1x8" is always legitimate alongside the family's own
-				// variant; "reference" covers transforms that declare none.
-				if !contains(want, v) && v != "reference" && v != "tiled1x8" {
+				// the dense tile's variant is always legitimate alongside
+				// the family's own; "reference" covers transforms that
+				// declare none.
+				if !contains(want, v) && v != "reference" && v != microkernel.Variant() {
 					t.Fatalf("step %d: unexpected variant %q (want one of %v)", i, v, want)
 				}
 				if contains(want, v) {

@@ -8,6 +8,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/timeline"
 	"repro/internal/tensor"
+	"repro/internal/tensor/microkernel"
 )
 
 // ErrPlanBatch is returned by Plan.Execute when the input has zero rows or
@@ -97,10 +98,10 @@ type planStep struct {
 	sweeps int
 	run    func(dst, x *tensor.Matrix, ws *tensor.Workspace)
 
-	// variant names the kernel shape the step runs ("tiled1x8",
-	// "unrolled", "radix8", "blockunroll", …; "reference" for a transform
-	// that declares no variant) and is "" for steps with no kernel family
-	// (activations).
+	// variant names the kernel shape the step runs (microkernel.Variant
+	// for the dense family, "unrolled", "radix8", "blockunroll", …;
+	// "reference" for a transform that declares no variant) and is "" for
+	// steps with no kernel family (activations).
 	variant string
 	// packedW / packedA hold panel-packed copies of a dense-family step's
 	// weight matrices for the tiled matmul kernel (packedA is the first
@@ -547,7 +548,7 @@ func lowerLayer(l Layer, width int) (planStep, int, error) {
 		}
 		pw := tensor.Pack(t.W)
 		return planStep{name: t.Name(), cols: t.Out, kind: StepLinear, sweeps: 1,
-			variant: "tiled1x8", packedW: pw,
+			variant: microkernel.Variant(), packedW: pw,
 			run: func(dst, x *tensor.Matrix, ws *tensor.Workspace) {
 				tensor.MatMulPackedBiasActParallelInto(dst, x, pw, nil, tensor.ActNone)
 				tensor.AddRowVector(dst, t.Bias)
@@ -579,7 +580,7 @@ func lowerLayer(l Layer, width int) (planStep, int, error) {
 		}
 		pa, pb := tensor.Pack(t.A), tensor.Pack(t.B)
 		return planStep{name: t.Name(), cols: t.Out, kind: StepLinear, sweeps: 1,
-			variant: "tiled1x8", packedW: pb, packedA: pa,
+			variant: microkernel.Variant(), packedW: pb, packedA: pa,
 			run: func(dst, x *tensor.Matrix, ws *tensor.Workspace) {
 				xa := ws.Take(x.Rows, t.Rank)
 				tensor.MatMulPackedBiasActParallelInto(xa, x, pa, nil, tensor.ActNone)

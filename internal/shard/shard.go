@@ -114,8 +114,9 @@ type step struct {
 	// variant names the micro-kernel shape the micro-step's kernels
 	// dispatched to at lowering time — pipeline micro-steps inherit the
 	// plan step's variant, tensor-parallel column windows record their
-	// own ("tiled1x8" for packed dense windows, "reference" for windowed
-	// sweeps that keep the reference kernels, "" for non-kernel steps).
+	// own (microkernel.Variant for packed dense windows, "reference" for
+	// windowed sweeps that keep the reference kernels, "" for non-kernel
+	// steps).
 	variant string
 	run     []func(dst, x *tensor.Matrix, ws *tensor.Workspace)
 }

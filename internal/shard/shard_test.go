@@ -9,6 +9,7 @@ import (
 	"repro/internal/butterfly"
 	"repro/internal/nn"
 	"repro/internal/tensor"
+	"repro/internal/tensor/microkernel"
 )
 
 // n is wide enough that pixelfly's 64-wide blocks still split at 4 shards.
@@ -56,7 +57,7 @@ func TestShardedMatchesPlanAllMethods(t *testing.T) {
 							case *butterfly.Butterfly:
 								want = "reference"
 							case *baselines.LowRank:
-								want = "tiled1x8"
+								want = microkernel.Variant()
 							}
 						}
 						if got := sp.StepVariant(i); got != want {

@@ -8,6 +8,7 @@ import (
 	"repro/internal/nn"
 	"repro/internal/pixelfly"
 	"repro/internal/tensor"
+	"repro/internal/tensor/microkernel"
 )
 
 // lowerTensorParallel lowers every step of the plan into per-shard
@@ -161,7 +162,7 @@ func fusedTag(act tensor.Activation) string {
 // chain per element is identical either way).
 func denseSplit(name string, w *tensor.Matrix, bias []float32, outW int, pts []int, act tensor.Activation) step {
 	shards := len(pts) - 1
-	st := step{name: name + fusedTag(act) + "/tp", cols: outW, variant: "tiled1x8", run: make([]func(dst, x *tensor.Matrix, ws *tensor.Workspace), shards)}
+	st := step{name: name + fusedTag(act) + "/tp", cols: outW, variant: microkernel.Variant(), run: make([]func(dst, x *tensor.Matrix, ws *tensor.Workspace), shards)}
 	for k := 0; k < shards; k++ {
 		lo, hi := pts[k], pts[k+1]
 		if lo == hi {
@@ -181,7 +182,7 @@ func denseSplit(name string, w *tensor.Matrix, bias []float32, outW int, pts []i
 // epilogue fused into the window write.
 func factorizedSplit(t *nn.FactorizedDense, pts []int, act tensor.Activation) step {
 	shards := len(pts) - 1
-	st := step{name: t.Name() + fusedTag(act) + "/tp", cols: t.Out, variant: "tiled1x8", run: make([]func(dst, x *tensor.Matrix, ws *tensor.Workspace), shards)}
+	st := step{name: t.Name() + fusedTag(act) + "/tp", cols: t.Out, variant: microkernel.Variant(), run: make([]func(dst, x *tensor.Matrix, ws *tensor.Workspace), shards)}
 	pa := tensor.Pack(t.A)
 	for k := 0; k < shards; k++ {
 		lo, hi := pts[k], pts[k+1]
@@ -230,7 +231,7 @@ func reluSplit(width int, pts []int) step {
 // fused into the window write.
 func lowRankSplit(name string, t *baselines.LowRank, bias []float32, pts []int, act tensor.Activation) step {
 	shards := len(pts) - 1
-	st := step{name: name + fusedTag(act) + "/tp", cols: t.N, variant: "tiled1x8", run: make([]func(dst, x *tensor.Matrix, ws *tensor.Workspace), shards)}
+	st := step{name: name + fusedTag(act) + "/tp", cols: t.N, variant: microkernel.Variant(), run: make([]func(dst, x *tensor.Matrix, ws *tensor.Workspace), shards)}
 	pv := tensor.Pack(t.V)
 	for k := 0; k < shards; k++ {
 		lo, hi := pts[k], pts[k+1]

@@ -1,7 +1,8 @@
-// Package microkernel holds the register-tiled pure-Go inner kernels
-// behind the tensor/butterfly/hadamard/sparse fast paths. Everything here
-// works on raw float32 slices (no Matrix types, no imports) so every
-// operator family can share the same kernels without import cycles.
+// Package microkernel holds the register-tiled inner kernels behind the
+// tensor/butterfly/hadamard/sparse fast paths. Everything here works on
+// raw float32 slices (no Matrix types, no imports of this module) so
+// every operator family can share the same kernels without import
+// cycles.
 //
 // The contract that makes these kernels safe to swap in at plan-compile
 // time is bit-for-bit equivalence with the reference loops: every output
@@ -11,19 +12,27 @@
 // results are IEEE-754 identical (modulo the sign of exact zeros, which
 // float comparison treats as equal).
 //
-// MatMul runs one 1×NR tile per output row and panel. The matmul
-// kernel deliberately drops the reference loop's `av == 0`
-// skip branch: on dense weights the branch is nearly always not taken
-// and costs more than it saves; zeros there are incidental, not
-// structural. The BSR kernels in internal/sparse keep zero-skipping at
-// block granularity, where zeros are structural (absent blocks).
+// MatMul runs on one of two lanes, chosen once at package init: on amd64
+// hosts whose CPU and OS offer AVX2, an assembly lane of four 1×NR tiles
+// per pass (matmul_amd64.s); everywhere else, and under the purego build
+// tag, the pure-Go 1×NR tile mul1x8, which is also the lane's test
+// oracle. Per lane, VMULPS and VADDPS are the IEEE single-precision
+// MULSS and ADDSS, and the Go compiler emits FMA on amd64 only for
+// math.FMA, so both lanes run the same chain per element and agree bit
+// for bit. Variant names the lane. The matmul kernel deliberately drops
+// the reference loop's `av == 0` skip branch: on dense weights the
+// branch is nearly always not taken and costs more than it saves; zeros
+// there are incidental, not structural. The BSR kernels in
+// internal/sparse keep zero-skipping at block granularity, where zeros
+// are structural (absent blocks).
 package microkernel
 
 // NR is the width of MatMul's tile: one output row, NR columns,
-// accumulated against a packed B panel. Go on amd64 has 15 allocatable
-// XMM registers; this tile still moves one accumulator through the
-// stack on each iteration (four MOVSS), while a two-row tile's body
-// has 83 and measured slower, so every row runs the one-row tile.
+// accumulated against a packed B panel; one panel is one YMM register on
+// the AVX2 lane. For the Go tile: Go on amd64 has 15 allocatable XMM
+// registers; mul1x8 still moves one accumulator through the stack on
+// each iteration (four MOVSS), while a two-row tile's body has 83 and
+// measured slower, so every row runs the one-row tile.
 const NR = 8
 
 // PackedLen returns the slice length PackB needs for an n×k matrix:
@@ -68,9 +77,31 @@ func PackB(dst, b []float32, n, k int) {
 //
 // Per output element the accumulation is Σ_p a[p]*b[p][j] with p
 // ascending from a zero accumulator — exactly the reference
-// matMulRows/matMulBiasActRows chain — so results are bit-identical.
-// The output window is fully overwritten; callers need not zero it.
+// matMulRows/matMulBiasActRows chain — so results are bit-identical on
+// either lane. The output window is fully overwritten; callers need not
+// zero it.
 func MatMul(dst []float32, dstStride, dstOff int, a []float32, aStride, r0, r1 int, packed []float32, n, k int, bias []float32, relu bool) {
+	if haveAVX2 {
+		productAVX2(dst, dstStride, dstOff, a, aStride, r0, r1, packed, n, k)
+	} else {
+		productGo(dst, dstStride, dstOff, a, aStride, r0, r1, packed, n, k)
+	}
+	epilogueRows(dst, dstStride, dstOff, r0, r1, k, bias, relu)
+}
+
+// Variant names the tile MatMul runs on this host, for the kernel
+// variant label of every dense-family step: "avx2_1x32" on the AVX2
+// lane (one row by four NR-wide panels), "tiled1x8" on the Go tile.
+func Variant() string {
+	if haveAVX2 {
+		return "avx2_1x32"
+	}
+	return "tiled1x8"
+}
+
+// productGo writes rows [r0,r1) of a·B into the output window through
+// the Go tile; MatMul's operands, without the epilogue.
+func productGo(dst []float32, dstStride, dstOff int, a []float32, aStride, r0, r1 int, packed []float32, n, k int) {
 	np := (k + NR - 1) / NR
 	// Panels outermost: each n×NR panel is streamed from memory once and
 	// stays cache-hot across every row of A, so the weight matrix is read
@@ -86,12 +117,6 @@ func MatMul(dst []float32, dstStride, dstOff int, a []float32, aStride, r0, r1 i
 		for row := r0; row < r1; row++ {
 			off := row * aStride
 			mul1x8(dst[row*dstStride+dstOff+j0:], a[off:off+n:off+n], pan, n, w)
-		}
-	}
-	if bias != nil || relu {
-		for row := r0; row < r1; row++ {
-			off := row*dstStride + dstOff
-			epilogueRow(dst[off:off+k], bias, relu)
 		}
 	}
 }
@@ -125,6 +150,18 @@ func mul1x8(dst, a, pan []float32, n, w int) {
 	}
 	tmp := [NR]float32{c0, c1, c2, c3, c4, c5, c6, c7}
 	copy(dst[:w], tmp[:w])
+}
+
+// epilogueRows runs epilogueRow over rows [r0,r1) of MatMul's output
+// window.
+func epilogueRows(dst []float32, dstStride, dstOff, r0, r1, k int, bias []float32, relu bool) {
+	if bias == nil && !relu {
+		return
+	}
+	for row := r0; row < r1; row++ {
+		off := row*dstStride + dstOff
+		epilogueRow(dst[off:off+k], bias, relu)
+	}
 }
 
 // epilogueRow applies bias (window-relative) and the reference ReLU
