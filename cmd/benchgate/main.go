@@ -20,7 +20,10 @@
 //     whose phases the committed record measured must still have them
 //     measured;
 //   - allocations: the figures that read the same in every run may not
-//     grow by more than allocTol.
+//     grow by more than allocTol;
+//   - training steps: pixelfly's forward and backward step times in
+//     train_shl may not grow by more than trainTol both raw and times the
+//     workload's calibration rate.
 package main
 
 import (
@@ -62,6 +65,16 @@ const (
 	// allocations, and CI builds with an older Go than the record was made
 	// with.
 	allocTol = 0.2
+	// trainTol is the largest growth of a gated training step time that
+	// passes; a step fails only when its raw time and its time times the
+	// calibration rate both grow by more, the rule kernelTol follows. Over
+	// ten later runs of the same code, pixelfly's forward and backward
+	// medians read 2.24–2.45 and 4.23–4.58 ms: raw, no ordered pair grew
+	// by more than 9.6%, but times the calibration rate (1.5–2.4 GFLOP/s)
+	// they grew by up to 45%, and by at most 3% both ways at once. A
+	// build on the Go lanes (the purego tag) read 7.13 and 13.89 ms,
+	// +214% and +222% raw against the record.
+	trainTol = 0.5
 )
 
 // kernelMetrics are the gated kernel rates, each in the workload where its
@@ -111,6 +124,18 @@ var allocMetrics = []string{
 	"sharded_http/serve.cache.load_misses",
 }
 
+// trainMetrics are the training step times a revert of the training
+// kernels moves most: pixelfly's forward and backward medians from
+// train_shl's traced run.
+var trainMetrics = []string{
+	"train_shl/nn.train.pixelfly.forward_ms_p50",
+	"train_shl/nn.train.pixelfly.backward_ms_p50",
+}
+
+// calibratedMetrics are the gated figures checked against their
+// workload's calibration rate.
+var calibratedMetrics = append(append([]string(nil), kernelMetrics...), trainMetrics...)
+
 // record is the JSON object perfbench prints as the last line of a run:
 // {"correct", "attempted", "failed", "metrics": {name: {"value", "unit"}}}.
 type record struct {
@@ -142,7 +167,7 @@ func (r *record) calib(name string) float64 {
 // parseRecord reads the record on the last non-blank line of a perfbench
 // run's standard output. It rejects a run that reported a mismatch or a
 // failed request, a record missing a metric the gate reads, and one whose
-// gated kernel rates have no calibration rate to divide by.
+// gated kernel rates or step times have no calibration rate to scale by.
 func parseRecord(data []byte) (*record, error) {
 	data = bytes.TrimRight(data, " \t\r\n")
 	line := data[bytes.LastIndexByte(data, '\n')+1:]
@@ -154,10 +179,10 @@ func parseRecord(data []byte) (*record, error) {
 		return nil, fmt.Errorf("the run reported correct=%v with %d of %d requests failed", r.Correct, r.Failed, r.Attempted)
 	}
 	var required []string
-	for _, names := range [][]string{kernelMetrics, microBatchMetrics, phaseMetrics, allocMetrics} {
+	for _, names := range [][]string{calibratedMetrics, microBatchMetrics, phaseMetrics, allocMetrics} {
 		required = append(required, names...)
 	}
-	for _, name := range kernelMetrics {
+	for _, name := range calibratedMetrics {
 		start, end := calibMetrics(name)
 		required = append(required, start, end)
 	}
@@ -166,7 +191,7 @@ func parseRecord(data []byte) (*record, error) {
 			return nil, fmt.Errorf("record has no %s (was it a --workload all --trace 1 run?)", name)
 		}
 	}
-	for _, name := range kernelMetrics {
+	for _, name := range calibratedMetrics {
 		if c := r.calib(name); !(c > 0) {
 			return nil, fmt.Errorf("%s: calibration rate %g, want > 0", name, c)
 		}
@@ -224,6 +249,23 @@ func gate(w io.Writer, old, fresh *record) bool {
 		o, n := old.Metrics[name].Value, fresh.Metrics[name].Value
 		check(n-o > allocTol*math.Abs(o), "%-47s %8.3f -> %8.3f %s (tolerance +%.0f%%)",
 			name, o, n, old.Metrics[name].Unit, 100*allocTol)
+	}
+	for _, name := range trainMetrics {
+		o, n := old.Metrics[name].Value, fresh.Metrics[name].Value
+		switch {
+		case o <= 0:
+			fmt.Fprintf(w, "skip %-47s not timed in the committed record\n", name)
+		case n <= 0:
+			check(true, "%-47s timed in the committed record, reads 0 in the fresh one", name)
+		default:
+			// A step's time times the calibration rate is its work in
+			// calibration-kernel flops, which a slower host does not move.
+			on, nn := o*old.calib(name), n*fresh.calib(name)
+			raw, norm := n/o-1, nn/on-1
+			check(raw > trainTol && norm > trainTol,
+				"%-47s %6.2f -> %6.2f ms (%+.1f%%), %6.2f -> %6.2f MFLOP of calibration (%+.1f%%); tolerance +%.0f%% on both",
+				name, o, n, 100*raw, on, nn, 100*norm, 100*trainTol)
+		}
 	}
 	return failed
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"io"
 	"math"
 	"os"
@@ -15,7 +16,9 @@ import (
 const committedFixture = "committed.txt"
 
 // gateFixtures pins what the gate makes of each fresh-run fixture: whether
-// it fails, and a line it must print.
+// it fails, and a line it must print. train_regressed.txt is the committed
+// fixture with the pixelfly step times and train_shl calibration rates of
+// a run built with the purego tag, on the Go lanes.
 var gateFixtures = []struct {
 	name string
 	fail bool
@@ -28,6 +31,7 @@ var gateFixtures = []struct {
 	{"phase_growth.txt", true, "FAIL sharded_http/shard.pixelfly.bubble_fraction"},
 	{"phase_vanished.txt", true, "FAIL sharded_http/shard.pixelfly.micro_batches"},
 	{"alloc_growth.txt", true, "FAIL structured_http/runtime.alloc_kb_per_req"},
+	{"train_regressed.txt", true, "FAIL train_shl/nn.train.pixelfly.backward_ms_p50"},
 	{"incorrect.txt", true, "FAIL fresh record: testdata/incorrect.txt: the run reported correct=false"},
 	{"truncated.txt", true, "FAIL fresh record: testdata/truncated.txt: last line is not a perfbench record"},
 }
@@ -203,9 +207,79 @@ func TestGateAllocations(t *testing.T) {
 	}
 }
 
+func TestGateTraining(t *testing.T) {
+	base := mustLoad(t, committedFixture)
+	// scaled returns a copy of r with every gated step time times k and
+	// train_shl's calibration rates times c.
+	scaled := func(r *record, k, c float64) *record {
+		return with(r, func(name string, v float64) float64 {
+			switch {
+			case strings.HasPrefix(name, "train_shl/loadgen.calib_gflops_"):
+				return c * v
+			case strings.HasPrefix(name, "train_shl/nn.train.pixelfly.") && strings.HasSuffix(name, "_ms_p50"):
+				return k * v
+			}
+			return v
+		})
+	}
+	fwd := "train_shl/nn.train.pixelfly.forward_ms_p50"
+	grown := func(r *record, f float64) *record { return set(r, fwd, f*r.Metrics[fwd].Value) }
+	for _, c := range []struct {
+		desc  string
+		fresh *record
+		fail  bool
+	}{
+		{"a host 30% slower, steps and calibration alike", scaled(base, 1/0.7, 0.7), false},
+		{"a host half as fast, steps and calibration alike", scaled(base, 2, 0.5), false},
+		{"forward inside the tolerance", grown(base, 1+0.9*trainTol), false},
+		{"forward past the tolerance", grown(base, 1+1.1*trainTol), true},
+		{"forward past the tolerance while the calibration reads twice as fast", grown(scaled(base, 1, 2), 1+1.1*trainTol), true},
+		// The calibration kernel can read twice as slow on unchanged code;
+		// a raw time that held does not fail.
+		{"steps flat while the calibration reads half as fast", scaled(base, 1, 0.5), false},
+		{"steps 3× slower while the calibration reads 3× slower too", scaled(base, 3, 1.0/3), false},
+		{"forward reads 0", set(base, fwd, 0), true},
+		{"butterfly's steps (ungated) 3× slower", set(base, "train_shl/nn.train.butterfly.forward_ms_p50", 3), false},
+	} {
+		if got := gate(io.Discard, base, c.fresh); got != c.fail {
+			t.Errorf("%s: gate failed=%v, want %v", c.desc, got, c.fail)
+		}
+	}
+	// Every gated step is checked, not only the first.
+	for _, name := range trainMetrics {
+		if !gate(io.Discard, base, set(base, name, (1+2*trainTol)*base.Metrics[name].Value)) {
+			t.Errorf("%s at %.1f× its time passed", name, 1+2*trainTol)
+		}
+	}
+	// A committed record without a step time skips the check.
+	var out strings.Builder
+	if gate(&out, set(base, fwd, 0), base) || !strings.Contains(out.String(), "skip "+fwd) {
+		t.Errorf("a committed record with no forward time failed or did not skip:\n%s", out.String())
+	}
+	// A record without a gated step time, or without train_shl's
+	// calibration, does not parse.
+	for _, missing := range append([]string{"train_shl/loadgen.calib_gflops_start"}, trainMetrics...) {
+		r := *base
+		r.Metrics = make(map[string]metric)
+		for name, m := range base.Metrics {
+			if name != missing {
+				r.Metrics[name] = m
+			}
+		}
+		line, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := parseRecord(line); err == nil || !strings.Contains(err.Error(), missing) {
+			t.Errorf("a record without %s parsed (err %v)", missing, err)
+		}
+	}
+}
+
 // TestGatePassesImprovementAndItself: no check fails on an improvement, so
-// a much faster change (every kernel 10× faster, every share and
-// allocation lower) passes, and so does a record against itself.
+// a much faster change (every kernel 10× faster, every training step 10×
+// shorter, every share and allocation lower) passes, and so does a record
+// against itself.
 func TestGatePassesImprovementAndItself(t *testing.T) {
 	base := mustLoad(t, committedFixture)
 	if gate(io.Discard, base, base) {
@@ -215,6 +289,8 @@ func TestGatePassesImprovementAndItself(t *testing.T) {
 		switch {
 		case strings.Contains(name, "/kernel.") && strings.HasSuffix(name, ".gflops"):
 			return 10 * v
+		case strings.Contains(name, "/nn.train.") && strings.HasSuffix(name, "_ms_p50"):
+			return v / 10
 		case strings.HasSuffix(name, "_share") || strings.HasSuffix(name, "_fraction") || strings.Contains(name, "alloc"):
 			return v / 2
 		}
@@ -227,13 +303,14 @@ func TestGatePassesImprovementAndItself(t *testing.T) {
 }
 
 // TestCommittedRecord checks the repository's BENCH_perf.json: it parses,
-// every gated kernel family ran in it, and it passes against itself.
+// every gated kernel family ran and every gated training step was timed
+// in it, and it passes against itself.
 func TestCommittedRecord(t *testing.T) {
 	r, err := loadRecord(filepath.Join("..", "..", "BENCH_perf.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range kernelMetrics {
+	for _, name := range calibratedMetrics {
 		if r.Metrics[name].Value <= 0 {
 			t.Errorf("%s reads %g, so the gate cannot check it", name, r.Metrics[name].Value)
 		}

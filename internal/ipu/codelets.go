@@ -415,9 +415,11 @@ func BuildPixelflyMM(cfg Config, pcfg pixelfly.Config, batch int) *Workload {
 	}
 	g.Execute(mac)
 
-	// CS2: reduce partials into block rows of Y, batch-sliced the same way.
+	// CS2: reduce partials into block rows of Y, batch-sliced the same way,
+	// block rows in ascending order so that every build adds the same
+	// vertices in the same order.
 	reduce := g.AddComputeSet("pixelfly.reduce")
-	perRow := map[int][]int{}
+	perRow := make([][]int, n/bs)
 	for i, blk := range support {
 		perRow[blk[0]] = append(perRow[blk[0]], i)
 	}

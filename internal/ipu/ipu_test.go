@@ -2,6 +2,7 @@ package ipu
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -465,4 +466,58 @@ func TestGC2IsSmaller(t *testing.T) {
 	if GC2().PeakFlops() >= GC200().PeakFlops() {
 		t.Fatal("GC2 should have less compute than GC200")
 	}
+}
+
+// TestBuildPixelflyMMDeterministic builds one pixelfly workload several
+// times: every build must add the same compute sets and vertices in the
+// same order, with the same codelet, class, tile, flops and regions.
+func TestBuildPixelflyMMDeterministic(t *testing.T) {
+	pcfg := pixelfly.Config{N: 1024, BlockSize: 64, ButterflySize: 16, LowRank: 32}
+	want := BuildPixelflyMM(GC200(), pcfg, 4).Graph
+	for build := 1; build < 8; build++ {
+		got := BuildPixelflyMM(GC200(), pcfg, 4).Graph
+		if len(got.CSs) != len(want.CSs) {
+			t.Fatalf("build %d: %d compute sets, want %d", build, len(got.CSs), len(want.CSs))
+		}
+		for c, wcs := range want.CSs {
+			gcs := got.CSs[c]
+			if gcs.Name != wcs.Name || len(gcs.Vertices) != len(wcs.Vertices) {
+				t.Fatalf("build %d: compute set %d is %q with %d vertices, want %q with %d",
+					build, c, gcs.Name, len(gcs.Vertices), wcs.Name, len(wcs.Vertices))
+			}
+			for i, wv := range wcs.Vertices {
+				if gv := gcs.Vertices[i]; !sameVertex(gv, wv) {
+					t.Fatalf("build %d: %s vertex %d is %s, want %s", build, wcs.Name, i, describeVertex(gv), describeVertex(wv))
+				}
+			}
+		}
+	}
+}
+
+// describeVertex names a vertex by its codelet, tile and first regions.
+func describeVertex(v *Vertex) string {
+	first := func(rs []VarRegion) string {
+		if len(rs) == 0 {
+			return "none"
+		}
+		return fmt.Sprintf("%+v of %d", rs[0], len(rs))
+	}
+	return fmt.Sprintf("%s on tile %d, inputs %s, outputs %s", v.Codelet, v.Tile, first(v.Inputs), first(v.Outputs))
+}
+
+func sameVertex(a, b *Vertex) bool {
+	return a.Codelet == b.Codelet && a.Class == b.Class && a.Tile == b.Tile && a.Flops == b.Flops &&
+		sameRegions(a.Inputs, b.Inputs) && sameRegions(a.Outputs, b.Outputs)
+}
+
+func sameRegions(a, b []VarRegion) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
 }

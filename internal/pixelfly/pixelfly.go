@@ -184,9 +184,10 @@ func (p *Pixelfly) Flops(batch int) float64 {
 // Forward computes Y (batch×N) from X (batch×N): y_row = W·x_row + U·Vᵀ·x_row.
 // State is retained for Backward. The products run on the training
 // kernels, split across GOMAXPROCS (BSR.MulDenseParallel,
-// tensor.MatMulParallel); each output element is summed by one worker in
-// the serial order, so for finite inputs the result is bit-for-bit
-// Apply's.
+// tensor.MatMulParallel), whose inner loops are microkernel.AccRow, on
+// its AVX2 lane where the host has one; each output element is summed by
+// one worker in the serial order, so for finite inputs the result is
+// bit-for-bit Apply's.
 func (p *Pixelfly) Forward(x *tensor.Matrix) *tensor.Matrix {
 	if x.Cols != p.Cfg.N {
 		panic(fmt.Sprintf("pixelfly: input width %d != N %d", x.Cols, p.Cfg.N))
@@ -224,11 +225,13 @@ func (p *Pixelfly) Apply(x *tensor.Matrix) *tensor.Matrix {
 // product and the low-rank term through the workspace instead of
 // allocating, and runs the block-sparse product through the
 // block-specialized BSR kernels (BSR.MulDenseInto, whose one-column path
-// serves one-row batches); the transposes and the low-rank term keep their
-// reference kernels. At N=1024, one row and 64 rows alike, the
-// block-sparse product takes about three-fifths of the layer's time, the
-// low-rank term's reference row kernel (tensor.MatMulInto) most of the
-// rest, and the transposes a few percent. With a low-rank term the
+// serves one-row batches) and the low-rank term through the row matmul
+// (tensor.MatMulInto); on an AVX2 host both run microkernel.AccRow's
+// assembly lane, except the one-column path, which is Go. At N=1024 and
+// one row, the block-sparse product takes about nine-tenths of the
+// layer's time, and the low-rank term and the transposes a few percent
+// each; at 64 rows, the block-sparse product about half, the transposes
+// a fifth and the low-rank term a seventh. With a low-rank term the
 // residual accumulation already resweeps dst, so the epilogue rides that
 // pass (dst = act((W·x + U·Vᵀ·x) + bias)); without one, the bias and
 // activation fold into the block-sparse product itself, feature-major,
@@ -276,9 +279,11 @@ func (p *Pixelfly) MicroVariant() string {
 }
 
 // Backward propagates dY (batch×N), accumulating gradients, and returns dX.
-// Like Forward it runs on the training kernels split across GOMAXPROCS,
-// each output and gradient element summed by one worker in the serial
-// order.
+// Like Forward it runs on the training kernels split across GOMAXPROCS
+// (BSR.TransposeMulDense, BSR.AccumulateOuter on the saved batch-major
+// X, and tensor.MatMulParallel for the low-rank terms), all of them
+// microkernel.AccRow inside, each output and gradient element summed by
+// one worker in the serial order.
 func (p *Pixelfly) Backward(dY *tensor.Matrix) *tensor.Matrix {
 	if p.xSaved == nil {
 		panic("pixelfly: Backward called before Forward")
@@ -289,15 +294,15 @@ func (p *Pixelfly) Backward(dY *tensor.Matrix) *tensor.Matrix {
 	dyt := dY.Transpose()            // N×batch
 	dx := p.W.TransposeMulDense(dyt) // N×batch
 	dX := dx.Transpose()             // batch×N
-	// dW = dYᵀ·X masked to the support.
-	xt := x.Transpose() // N×batch
-	p.GradW.AccumulateOuter(dyt, xt, 1)
+	// dW = dYᵀ·X masked to the support; AccumulateOuter takes X
+	// batch-major, as Forward saved it.
+	p.GradW.AccumulateOuter(dyt, x, 1)
 	if p.Cfg.LowRank > 0 {
 		// y += (X·V)·Uᵀ, so:
 		// dU = dYᵀ·(X·V); dV = Xᵀ·(dY·U); dX += (dY·U)·Vᵀ
 		dyU := tensor.MatMulParallel(dY, p.U) // batch×r
 		tensor.AddInPlace(p.GradU, tensor.MatMulParallel(dyt, p.xvSaved))
-		tensor.AddInPlace(p.GradV, tensor.MatMulParallel(xt, dyU))
+		tensor.AddInPlace(p.GradV, tensor.MatMulParallel(x.Transpose(), dyU))
 		tensor.AddInPlace(dX, tensor.MatMulParallel(dyU, p.V.Transpose()))
 	}
 	return dX

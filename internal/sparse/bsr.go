@@ -193,13 +193,14 @@ func (b *BSR) TransposeMulDense(x *tensor.Matrix) *tensor.Matrix {
 	return out
 }
 
-// AccumulateOuter adds lr·dY·xᵀ into the stored blocks only — the
-// weight-gradient of a block-sparse layer. dY is (Rows×K), x is (Cols×K).
-// Block rows are split across GOMAXPROCS workers; every stored entry is
-// one dot product over K, summed in ascending order, so the result does
-// not depend on the worker count.
+// AccumulateOuter adds lr·dY·x into the stored blocks only — the
+// weight-gradient of a block-sparse layer. dY is feature-major (Rows×K)
+// and x batch-major (K×Cols), the layout the layer's forward input
+// already has. Block rows are split across GOMAXPROCS workers; every
+// stored entry is one dot product over K, summed in ascending order from
+// zero, so the result does not depend on the worker count.
 func (b *BSR) AccumulateOuter(dY, x *tensor.Matrix, lr float32) {
-	if dY.Rows != b.Rows || x.Rows != b.Cols || dY.Cols != x.Cols {
+	if dY.Rows != b.Rows || x.Cols != b.Cols || dY.Cols != x.Rows {
 		panic("sparse: AccumulateOuter shape mismatch")
 	}
 	tensor.ParallelRows(b.BlockRows, b.macs(dY.Cols), outerJob{b, dY, x, lr}, func(j outerJob, lo, hi int) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/tensor"
+	"repro/internal/tensor/microkernel"
 )
 
 // Micro-kernel BSR×dense products: block-size-specialized kernels with
@@ -16,6 +17,13 @@ import (
 // equal. Accumulation per output element stays c-ascending with
 // sequential adds, so results are otherwise bit-identical to the
 // reference loop in MulDense.
+//
+// Block sizes other than 4 and 8 (the paper's 64 among them), and the
+// training kernels at every block size — the transposed product
+// (accBlockT) and the weight gradient (accumulateOuterRows) — run each
+// block row, block column or gradient row as one microkernel.AccRow, on
+// its AVX2 lane where the host has one; the one-column serving loop
+// (accBlockVec) stays in Go.
 
 // MulDenseInto computes act(b·x + bias) into caller-owned out (shape
 // Rows×x.Cols, overwritten) through the block-specialized kernels: full
@@ -225,38 +233,14 @@ func accBlock8(out, x *tensor.Matrix, blk []float32, row0, col0, k int) {
 	}
 }
 
-// accBlockTiled handles other block sizes: columns in tiles of four so
-// each output element still receives sequential adds in c order, with a
-// scalar tail for bs % 4.
+// accBlockTiled handles other block sizes: each block row is one
+// microkernel.AccRow over the block's bs input rows, so each output
+// element receives its adds in ascending c order, as sequential float32
+// adds. Zeros inside a stored block are not skipped.
 func accBlockTiled(out, x *tensor.Matrix, blk []float32, row0, col0, bs, k int) {
+	xs := x.Data[col0*k:]
 	for r := 0; r < bs; r++ {
-		orow := out.Row(row0 + r)
-		c := 0
-		for ; c+4 <= bs; c += 4 {
-			v := blk[r*bs+c : r*bs+c+4 : r*bs+c+4]
-			v0, v1, v2, v3 := v[0], v[1], v[2], v[3]
-			x0 := x.Data[(col0+c)*k : (col0+c)*k+k]
-			x1 := x.Data[(col0+c+1)*k : (col0+c+1)*k+k][:len(x0)]
-			x2 := x.Data[(col0+c+2)*k : (col0+c+2)*k+k][:len(x0)]
-			x3 := x.Data[(col0+c+3)*k : (col0+c+3)*k+k][:len(x0)]
-			op := orow[:len(x0)]
-			for j, xv := range x0 {
-				s := op[j]
-				s += v0 * xv
-				s += v1 * x1[j]
-				s += v2 * x2[j]
-				s += v3 * x3[j]
-				op[j] = s
-			}
-		}
-		for ; c < bs; c++ {
-			v := blk[r*bs+c]
-			xrow := x.Data[(col0+c)*k : (col0+c)*k+k]
-			op := orow[:len(xrow)]
-			for j, xv := range xrow {
-				op[j] += v * xv
-			}
-		}
+		microkernel.AccRow(out.Row(row0+r), blk[r*bs:], 1, xs, k, bs, k, false)
 	}
 }
 
@@ -273,51 +257,29 @@ func (b *BSR) transposeMulCols(out, x *tensor.Matrix, bc0, bc1 int) {
 	}
 }
 
-// accBlockT accumulates blkᵀ·x[row0 : row0+bs] into out[col0 : col0+bs]
-// with the block's rows in tiles of four: one pass over an output row
-// takes four x rows, and every output element still receives its adds in
-// ascending r order, as sequential float32 adds.
+// accBlockT accumulates blkᵀ·x[row0 : row0+bs] into out[col0 : col0+bs]:
+// each block column c is one microkernel.AccRow with a = that column
+// (stride bs), so output row col0+c receives its adds in ascending r
+// order, as sequential float32 adds.
 func accBlockT(out, x *tensor.Matrix, blk []float32, col0, row0, bs, k int) {
-	r := 0
-	for ; r+4 <= bs; r += 4 {
-		x0 := x.Data[(row0+r)*k : (row0+r)*k+k]
-		x1 := x.Data[(row0+r+1)*k : (row0+r+1)*k+k][:len(x0)]
-		x2 := x.Data[(row0+r+2)*k : (row0+r+2)*k+k][:len(x0)]
-		x3 := x.Data[(row0+r+3)*k : (row0+r+3)*k+k][:len(x0)]
-		b0 := blk[r*bs : r*bs+bs]
-		b1 := blk[(r+1)*bs : (r+1)*bs+bs][:len(b0)]
-		b2 := blk[(r+2)*bs : (r+2)*bs+bs][:len(b0)]
-		b3 := blk[(r+3)*bs : (r+3)*bs+bs][:len(b0)]
-		for c, v0 := range b0 {
-			v1, v2, v3 := b1[c], b2[c], b3[c]
-			orow := out.Row(col0 + c)[:len(x0)]
-			for j, xv := range x0 {
-				s := orow[j]
-				s += v0 * xv
-				s += v1 * x1[j]
-				s += v2 * x2[j]
-				s += v3 * x3[j]
-				orow[j] = s
-			}
-		}
-	}
-	for ; r < bs; r++ {
-		xr := x.Data[(row0+r)*k : (row0+r)*k+k]
-		for c, v := range blk[r*bs : r*bs+bs] {
-			orow := out.Row(col0 + c)[:len(xr)]
-			for j, xv := range xr {
-				orow[j] += v * xv
-			}
-		}
+	xs := x.Data[row0*k:]
+	for c := 0; c < bs; c++ {
+		microkernel.AccRow(out.Row(col0+c), blk[c:], bs, xs, k, bs, k, false)
 	}
 }
 
-// accumulateOuterRows adds lr·dY·xᵀ into the stored blocks of the block
-// rows [br0, br1). Each dY row is loaded once per four block columns:
-// four dot products run side by side, each summing over K in ascending
-// order as a sequential float32 chain.
+// outerChunk is how many of a block row's gradient entries
+// accumulateOuterRows sums at once, in a stack buffer.
+const outerChunk = 64
+
+// accumulateOuterRows adds lr·dY·x into the stored blocks of the block
+// rows [br0, br1), x batch-major (K×Cols). The bs entries of one block
+// row are one microkernel.AccRow over the K samples, from zero: entry c
+// sums dY[r][j]·x[j][col0+c] for j ascending as a sequential float32
+// chain, and then the block entry adds lr times that sum.
 func (b *BSR) accumulateOuterRows(dY, x *tensor.Matrix, lr float32, br0, br1 int) {
 	bs, k := b.BlockSize, dY.Cols
+	var buf [outerChunk]float32
 	for bi := br0; bi < br1; bi++ {
 		for p := b.RowPtr[bi]; p < b.RowPtr[bi+1]; p++ {
 			col0 := int(b.ColIdx[p]) * bs
@@ -325,32 +287,14 @@ func (b *BSR) accumulateOuterRows(dY, x *tensor.Matrix, lr float32, br0, br1 int
 			for r := 0; r < bs; r++ {
 				dy := dY.Data[(bi*bs+r)*k : (bi*bs+r)*k+k]
 				g := blk[r*bs : r*bs+bs]
-				c := 0
-				for ; c+4 <= bs; c += 4 {
-					x0 := x.Data[(col0+c)*k : (col0+c)*k+k][:len(dy)]
-					x1 := x.Data[(col0+c+1)*k : (col0+c+1)*k+k][:len(dy)]
-					x2 := x.Data[(col0+c+2)*k : (col0+c+2)*k+k][:len(dy)]
-					x3 := x.Data[(col0+c+3)*k : (col0+c+3)*k+k][:len(dy)]
-					var s0, s1, s2, s3 float32
-					for j, d := range dy {
-						s0 += d * x0[j]
-						s1 += d * x1[j]
-						s2 += d * x2[j]
-						s3 += d * x3[j]
+				for c0 := 0; c0 < bs; c0 += outerChunk {
+					s := buf[:min(outerChunk, bs-c0)]
+					clear(s)
+					microkernel.AccRow(s, dy, 1, x.Data[col0+c0:], x.Cols, k, len(s), false)
+					gc := g[c0 : c0+len(s)]
+					for c, v := range s {
+						gc[c] += lr * v
 					}
-					gc := g[c : c+4 : c+4]
-					gc[0] += lr * s0
-					gc[1] += lr * s1
-					gc[2] += lr * s2
-					gc[3] += lr * s3
-				}
-				for ; c < bs; c++ {
-					xr := x.Data[(col0+c)*k : (col0+c)*k+k][:len(dy)]
-					var s float32
-					for j, d := range dy {
-						s += d * xr[j]
-					}
-					g[c] += lr * s
 				}
 			}
 		}

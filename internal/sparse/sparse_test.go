@@ -80,11 +80,11 @@ func TestBSRAccumulateOuterMatchesDense(t *testing.T) {
 	}
 	dY := tensor.New(8, 5)
 	dY.FillRandom(rng, 1)
-	x := tensor.New(8, 5)
+	x := tensor.New(5, 8) // batch-major
 	x.FillRandom(rng, 1)
 	b.AccumulateOuter(dY, x, 1)
 	// Dense gradient masked to the stored blocks.
-	full := tensor.MatMul(dY, x.Transpose())
+	full := tensor.MatMul(dY, x)
 	dense := b.ToDense()
 	for bi := 0; bi < 2; bi++ {
 		for bj := 0; bj < 2; bj++ {

@@ -37,7 +37,9 @@ func refTransposeMulDense(b *BSR, x *tensor.Matrix) *tensor.Matrix {
 }
 
 // refAccumulateOuter is the one-dot-product-at-a-time loop — the oracle
-// for the tiled, row-split AccumulateOuter.
+// for the row-split AccumulateOuter. It takes x feature-major (Cols×K),
+// the transpose of what AccumulateOuter takes, so every entry's dot
+// product reads two contiguous rows.
 func refAccumulateOuter(b *BSR, dY, x *tensor.Matrix, lr float32) {
 	bs, k := b.BlockSize, dY.Cols
 	for bi := 0; bi < b.BlockRows; bi++ {
@@ -94,14 +96,15 @@ func randDense(rng *rand.Rand, rows, cols int) *tensor.Matrix {
 
 // TestTrainingKernelsMatchOracles compares the three training kernels with
 // their plain-loop oracles by ==, at GOMAXPROCS 1 and 4, across block
-// sizes covering the 4/8 unrolls, the tiled path and its tail (6), and
-// the paper's 64.
+// sizes covering the 4/8 unrolls, the row-accumulate path at 6 and the
+// paper's 64, and 72, whose gradient rows AccumulateOuter sums in two
+// chunks.
 func TestTrainingKernelsMatchOracles(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	fanned := 0
 	for _, procs := range []int{1, 4} {
 		prev := runtime.GOMAXPROCS(procs)
-		for _, bs := range []int{4, 8, 64, 6} {
+		for _, bs := range []int{4, 8, 64, 6, 72} {
 			for _, k := range []int{1, 3, 50} {
 				b := holeyBSR(t, rng, 18, 14, bs)
 				if procs > 1 && b.macs(k) >= 1<<16 {
@@ -120,7 +123,7 @@ func TestTrainingKernelsMatchOracles(t *testing.T) {
 				for _, lr := range []float32{1, 0.37} {
 					dY := randDense(rng, b.Rows, k)
 					refAccumulateOuter(want, dY, x, lr)
-					got.AccumulateOuter(dY, x, lr)
+					got.AccumulateOuter(dY, x.Transpose(), lr)
 				}
 				for i := range want.Blocks {
 					if want.Blocks[i] != got.Blocks[i] {
@@ -199,6 +202,7 @@ func BenchmarkBSRTrainKernels(b *testing.B) {
 		m.Blocks[i] = rng.Float32()*2 - 1
 	}
 	x := randDense(rng, 1024, 50)
+	xb := x.Transpose() // batch-major, as AccumulateOuter takes it
 	dY := randDense(rng, 1024, 50)
 	flops := int64(m.Flops(50))
 	for _, bc := range []struct {
@@ -210,7 +214,7 @@ func BenchmarkBSRTrainKernels(b *testing.B) {
 		{"TransposeMulDense/ref", func() { refTransposeMulDense(m, dY) }},
 		{"TransposeMulDense/new", func() { m.TransposeMulDense(dY) }},
 		{"AccumulateOuter/ref", func() { refAccumulateOuter(m, dY, x, 1e-9) }},
-		{"AccumulateOuter/new", func() { m.AccumulateOuter(dY, x, 1e-9) }},
+		{"AccumulateOuter/new", func() { m.AccumulateOuter(dY, xb, 1e-9) }},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.SetBytes(flops)

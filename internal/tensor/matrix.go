@@ -11,6 +11,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+
+	"repro/internal/tensor/microkernel"
 )
 
 // Matrix is a dense row-major float32 matrix.
@@ -206,8 +208,10 @@ func checkMulShapes(a, b *Matrix) {
 // (m×n)·(n×k) multiply under the usual 2·m·n·k convention.
 func MatMulFlops(m, n, k int) float64 { return 2 * float64(m) * float64(n) * float64(k) }
 
-// MatMul computes a·b with the straightforward triple loop (ikj order for
-// cache-friendly row access). This is the reference implementation.
+// MatMul computes a·b in ikj order: each output row adds the rows of b
+// scaled by that row of a, p ascending, passing over zero entries of a
+// (matMulRows). That chain is the reference every dense kernel is held
+// to.
 func MatMul(a, b *Matrix) *Matrix {
 	out := New(a.Rows, b.Cols)
 	MatMulInto(out, a, b)
@@ -251,21 +255,15 @@ func MatMulParallelInto(dst, a, b *Matrix) {
 	})
 }
 
+// matMulRows accumulates rows [lo, hi) of a·b into out: each output
+// row is one microkernel.AccRow over the rows of b, p ascending, with
+// the terms where a[i][p] is ±0 skipped. The skip is this loop's
+// reference semantic: it keeps the sign of an exact zero, and it passes
+// over a ReLU's zeros in the dense head's products.
 func matMulRows(a, b, out *Matrix, lo, hi int) {
 	n, k := a.Cols, b.Cols
 	for i := lo; i < hi; i++ {
-		arow := a.Row(i)
-		orow := out.Row(i)
-		for p := 0; p < n; p++ {
-			av := arow[p]
-			if av == 0 {
-				continue
-			}
-			brow := b.Data[p*k : (p+1)*k]
-			for j := 0; j < k; j++ {
-				orow[j] += av * brow[j]
-			}
-		}
+		microkernel.AccRow(out.Row(i), a.Row(i), 1, b.Data, k, n, k, true)
 	}
 }
 

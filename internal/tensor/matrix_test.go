@@ -1,7 +1,10 @@
 package tensor
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -91,6 +94,80 @@ func TestBlockedMatchesNaive(t *testing.T) {
 			if !AlmostEqual(want, got, 1e-4) {
 				t.Fatalf("blocked(bs=%d) mismatch for shape %v: %v", bs, shape, MaxAbsDiff(want, got))
 			}
+		}
+	}
+}
+
+// scalarMatMul is the scalar loop matMulRows ran before it called
+// microkernel.AccRow: per output row, p ascending, every nonzero a[i][p]
+// adds one pass of av·b[p][j] into the zeroed row.
+func scalarMatMul(a, b *Matrix) *Matrix {
+	out := New(a.Rows, b.Cols)
+	for i := 0; i < a.Rows; i++ {
+		for p := 0; p < a.Cols; p++ {
+			av := a.At(i, p)
+			if av == 0 {
+				continue
+			}
+			for j := 0; j < b.Cols; j++ {
+				out.Data[i*b.Cols+j] += av * b.At(p, j)
+			}
+		}
+	}
+	return out
+}
+
+// TestMatMulKernelsMatchScalarLoop pins MatMulInto, MatMulParallelInto and
+// MatMulBiasActInto to the scalar loop bit for bit, the sign of zero
+// included, at GOMAXPROCS 1 and 2, on operands where a quarter of a is a
+// ReLU's +0 or a −0, and some rows of a are all zero (their output must
+// stay +0 even where b holds −0, Inf or NaN).
+func TestMatMulKernelsMatchScalarLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	negZero := float32(math.Copysign(0, -1))
+	for _, procs := range []int{1, 2} {
+		prev := runtime.GOMAXPROCS(procs)
+		for _, sh := range [][3]int{{50, 1024, 32}, {50, 32, 1024}, {7, 45, 50}, {3, 9, 1}, {64, 130, 100}} {
+			m, n, k := sh[0], sh[1], sh[2]
+			a, b := randomMatrix(rng, m, n), randomMatrix(rng, n, k)
+			for i := range a.Data {
+				switch rng.Intn(8) {
+				case 0:
+					a.Data[i] = 0
+				case 1:
+					a.Data[i] = negZero
+				}
+			}
+			for p := range a.Row(m - 1) {
+				a.Data[(m-1)*n+p] = 0
+			}
+			b.Data[0], b.Data[len(b.Data)-1] = float32(math.Inf(1)), float32(math.NaN())
+			b.Data[len(b.Data)/2] = negZero
+			want := scalarMatMul(a, b)
+			tag := fmt.Sprintf("procs=%d %v", procs, sh)
+			got := New(m, k)
+			MatMulInto(got, a, b)
+			assertSameBits(t, tag+" MatMulInto", want, got)
+			MatMulParallelInto(got, a, b)
+			assertSameBits(t, tag+" MatMulParallelInto", want, got)
+			MatMulBiasActInto(got, a, b, nil, ActNone)
+			assertSameBits(t, tag+" MatMulBiasActInto", want, got)
+		}
+		runtime.GOMAXPROCS(prev)
+	}
+}
+
+// assertSameBits fails unless got holds want's bits, any NaN matching
+// any NaN.
+func assertSameBits(t *testing.T, tag string, want, got *Matrix) {
+	t.Helper()
+	for i, w := range want.Data {
+		g := got.Data[i]
+		if w != w && g != g {
+			continue
+		}
+		if math.Float32bits(w) != math.Float32bits(g) {
+			t.Fatalf("%s: element %d = %v (%#x), want %v (%#x)", tag, i, g, math.Float32bits(g), w, math.Float32bits(w))
 		}
 	}
 }

@@ -5,7 +5,8 @@ package microkernel
 import "unsafe"
 
 // haveAVX2 reports whether the CPU has AVX2 and the OS saves YMM state.
-// It is read once, at package init, and picks MatMul's lane.
+// It is read once, at package init, and picks MatMul's and AccRow's
+// lanes.
 var haveAVX2 = cpuHasAVX2()
 
 // cpuHasAVX2 reads CPUID for AVX and AVX2, and XCR0 (XGETBV) for the OS

@@ -12,19 +12,32 @@
 // results are IEEE-754 identical (modulo the sign of exact zeros, which
 // float comparison treats as equal).
 //
-// MatMul runs on one of two lanes, chosen once at package init: on amd64
-// hosts whose CPU and OS offer AVX2, an assembly lane of four 1×NR tiles
-// per pass (matmul_amd64.s); everywhere else, and under the purego build
-// tag, the pure-Go 1×NR tile mul1x8, which is also the lane's test
-// oracle. Per lane, VMULPS and VADDPS are the IEEE single-precision
-// MULSS and ADDSS, and the Go compiler emits FMA on amd64 only for
-// math.FMA, so both lanes run the same chain per element and agree bit
-// for bit. Variant names the lane. The matmul kernel deliberately drops
-// the reference loop's `av == 0` skip branch: on dense weights the
-// branch is nearly always not taken and costs more than it saves; zeros
-// there are incidental, not structural. The BSR kernels in
-// internal/sparse keep zero-skipping at block granularity, where zeros
-// are structural (absent blocks).
+// Two kernels run on one of two lanes each, chosen once at package init:
+// on amd64 hosts whose CPU and OS offer AVX2, Go assembly; everywhere
+// else, and under the purego build tag, pure Go, which is also the
+// assembly's test oracle. Per lane, VMULPS and VADDPS are the IEEE
+// single-precision MULSS and ADDSS, and the Go compiler emits FMA on
+// amd64 only for math.FMA, so both lanes run the same chain per element
+// and agree bit for bit.
+//
+//   - MatMul, the packed dense product of the inference plans: four 1×NR
+//     tiles per pass on the AVX2 lane (matmul_amd64.s), the 1×NR tile
+//     mul1x8 in Go. Variant names the lane. It deliberately drops the
+//     reference loop's `av == 0` skip branch: on dense weights the
+//     branch is nearly always not taken and costs more than it saves;
+//     zeros there are incidental, not structural.
+//   - AccRow, the strided row accumulate dst[j] += Σ_p a[p]·b[p][j] of
+//     everything that is not packed: tensor's row-major products
+//     (MatMulInto, MatMulParallel, MatMulBiasActInto; the training
+//     products, the low-rank terms) and the BSR block kernels of
+//     internal/sparse (block rows, block columns, weight-gradient
+//     entries). 32 columns stay in YMM registers across every term on
+//     the AVX2 lane (accrow_amd64.s); the Go lane adds four terms per
+//     pass over dst. tensor's products skip zero terms of a, as their
+//     reference loop always has: the skip keeps the sign of an exact
+//     zero and passes over a ReLU's zeros. The BSR kernels do not: their
+//     zeros are structural at block granularity (absent blocks), and a
+//     stored block is dense by construction.
 package microkernel
 
 // NR is the width of MatMul's tile: one output row, NR columns,
@@ -87,6 +100,94 @@ func MatMul(dst []float32, dstStride, dstOff int, a []float32, aStride, r0, r1 i
 		productGo(dst, dstStride, dstOff, a, aStride, r0, r1, packed, n, k)
 	}
 	epilogueRows(dst, dstStride, dstOff, r0, r1, k, bias, relu)
+}
+
+// AccRow adds n strided terms into dst[:k]:
+//
+//	dst[j] += Σ_p a[p·aStride] · b[p·bStride + j]   for j < k,
+//
+// with p ascending, each term one float32 multiply and one float32 add
+// onto the running dst[j]. With skipZero, the terms whose a[p·aStride]
+// is ±0 are left out (NaN is kept). Strides may not be negative; rows of
+// b may overlap (bStride < k). Every element runs the chain of the plain
+// loop `for p { if skipZero && av == 0 { continue }; for j { dst[j] +=
+// av*b[p][j] } }`, so both lanes match it, and each other, bit for bit.
+func AccRow(dst, a []float32, aStride int, b []float32, bStride, n, k int, skipZero bool) {
+	if n <= 0 || k <= 0 {
+		return
+	}
+	if aStride < 0 || bStride < 0 {
+		panic("microkernel: AccRow with a negative stride")
+	}
+	// Indexing bounds-checks, against each slice's length, the last
+	// element each operand is read at, so the assembly reads and writes
+	// only memory the operands own. (Reslicing would check only the
+	// capacity.)
+	_, _, _ = dst[k-1], a[(n-1)*aStride], b[(n-1)*bStride+k-1]
+	if haveAVX2 {
+		accRowAVX2(&dst[0], &a[0], aStride, &b[0], bStride, n, k, skipZero)
+		return
+	}
+	accRowGo(dst, a, aStride, b, bStride, n, k, skipZero)
+}
+
+// accRowGo is AccRow's Go lane, for operands AccRow has checked. It adds
+// four kept terms to each dst[j] in one pass (acc4), so dst is loaded and
+// stored once per four terms, and the one to three terms left at the end
+// one pass each. Without the skip the terms are consecutive, and their
+// operands are indexed directly; with it, they are gathered first.
+func accRowGo(dst, a []float32, aStride int, b []float32, bStride, n, k int, skipZero bool) {
+	d := dst[:k]
+	if !skipZero {
+		p := 0
+		for ; p+4 <= n; p += 4 {
+			o := p * bStride
+			acc4(d, a[p*aStride], a[(p+1)*aStride], a[(p+2)*aStride], a[(p+3)*aStride],
+				b[o:o+k], b[o+bStride:o+bStride+k], b[o+2*bStride:o+2*bStride+k], b[o+3*bStride:o+3*bStride+k])
+		}
+		for ; p < n; p++ {
+			acc1(d, a[p*aStride], b[p*bStride:p*bStride+k])
+		}
+		return
+	}
+	var v [4]float32
+	var o [4]int
+	m := 0
+	for p := 0; p < n; p++ {
+		if av := a[p*aStride]; av != 0 {
+			v[m&3], o[m&3] = av, p*bStride
+			if m++; m == 4 {
+				acc4(d, v[0], v[1], v[2], v[3], b[o[0]:o[0]+k], b[o[1]:o[1]+k], b[o[2]:o[2]+k], b[o[3]:o[3]+k])
+				m = 0
+			}
+		}
+	}
+	for i := range m {
+		acc1(d, v[i], b[o[i]:o[i]+k])
+	}
+}
+
+// acc4 adds v0·x0[j], v1·x1[j], v2·x2[j] and v3·x3[j] to dst[j], in
+// that order, as sequential float32 adds.
+func acc4(dst []float32, v0, v1, v2, v3 float32, x0, x1, x2, x3 []float32) {
+	d := dst[:len(x0)]
+	x1, x2, x3 = x1[:len(x0)], x2[:len(x0)], x3[:len(x0)]
+	for j, xv := range x0 {
+		s := d[j]
+		s += v0 * xv
+		s += v1 * x1[j]
+		s += v2 * x2[j]
+		s += v3 * x3[j]
+		d[j] = s
+	}
+}
+
+// acc1 adds v·x[j] to dst[j].
+func acc1(dst []float32, v float32, x []float32) {
+	d := dst[:len(x)]
+	for j, xv := range x {
+		d[j] += v * xv
+	}
 }
 
 // Variant names the tile MatMul runs on this host, for the kernel

@@ -7,11 +7,12 @@ import (
 	"testing"
 )
 
-// lane is one implementation of MatMul's product: the Go tile or the
-// AVX2 lane.
+// lane is one implementation of MatMul's product and of AccRow: the Go
+// tile and Go row accumulate, or the AVX2 lane.
 type lane struct {
 	name    string
 	product func(dst []float32, dstStride, dstOff int, a []float32, aStride, r0, r1 int, packed []float32, n, k int)
+	accRow  func(dst, a []float32, aStride int, b []float32, bStride, n, k int, skipZero bool)
 }
 
 // matMul is MatMul with the product forced onto l.
@@ -21,9 +22,16 @@ func (l lane) matMul(dst []float32, dstStride, dstOff int, a []float32, aStride,
 }
 
 var (
-	goLane   = lane{"go", productGo}
-	avx2Lane = lane{"avx2", productAVX2}
+	goLane   = lane{"go", productGo, accRowGo}
+	avx2Lane = lane{"avx2", productAVX2, accRowAVX2Slices}
 )
+
+// accRowAVX2Slices runs AccRow's AVX2 lane on checked slice operands.
+func accRowAVX2Slices(dst, a []float32, aStride int, b []float32, bStride, n, k int, skipZero bool) {
+	if n > 0 && k > 0 {
+		accRowAVX2(&dst[0], &a[0], aStride, &b[0], bStride, n, k, skipZero)
+	}
+}
 
 // skipWithoutAVX2 skips t, saying why, where this build or host has no
 // AVX2 lane; the Go tile's half of each test still runs.
@@ -335,6 +343,188 @@ func FuzzMatMulLanes(f *testing.F) {
 			case inWindow && math.Float32bits(w) != math.Float32bits(g):
 				t.Fatalf("n=%d k=%d bias=%v relu=%v: out(%d,%d) = %v (%#x) on avx2, %v (%#x) on the Go tile",
 					n, k, bias != nil, relu, row, col, g, math.Float32bits(g), w, math.Float32bits(w))
+			}
+		}
+	})
+}
+
+// refAccRow is AccRow's reference loop: one term per pass over dst, p
+// ascending, skipping a zero a[p] when asked.
+func refAccRow(dst, a []float32, aStride int, b []float32, bStride, n, k int, skipZero bool) {
+	for p := 0; p < n; p++ {
+		av := a[p*aStride]
+		if skipZero && av == 0 {
+			continue
+		}
+		for j := 0; j < k; j++ {
+			dst[j] += av * b[p*bStride+j]
+		}
+	}
+}
+
+// sameBits reports whether got and want hold the same bits, any NaN
+// matching any NaN.
+func sameBits(got, want float32) bool {
+	if want != want {
+		return got != got
+	}
+	return math.Float32bits(got) == math.Float32bits(want)
+}
+
+// TestAccRowMatchesReference runs both lanes and AccRow itself over
+// shapes that cover every split of k into 32-column blocks, 8-lane
+// chunks and a masked last group, strided a and overlapping b rows, with
+// zeros of both signs in a and dst and infinities and NaN in b, and
+// demands the reference loop's bits, the sign of zero included.
+func TestAccRowMatchesReference(t *testing.T) {
+	t.Logf("AccRow lane on this host: avx2=%v", haveAVX2)
+	lanes := []lane{goLane, avx2Lane, {name: "AccRow", accRow: AccRow}}
+	rng := rand.New(rand.NewSource(6))
+	negZero := float32(math.Copysign(0, -1))
+	for _, l := range lanes {
+		if l.name == "avx2" && !haveAVX2 {
+			t.Logf("no AVX2 lane in this build: skipping its half")
+			continue
+		}
+		for _, sh := range [][4]int{ // n, k, aStride, bStride
+			{1, 1, 1, 1}, {3, 7, 1, 7}, {5, 8, 2, 8}, {6, 9, 1, 12}, {9, 31, 3, 31},
+			{4, 32, 1, 32}, {7, 33, 1, 40}, {64, 50, 64, 50}, {50, 64, 1, 1024},
+			{32, 100, 1, 100}, {13, 96, 0, 96}, {11, 20, 1, 5}, {0, 10, 1, 10}, {10, 0, 1, 0},
+		} {
+			n, k, as, bs := sh[0], sh[1], sh[2], sh[3]
+			a := randSlice(rng, max(1, (n-1)*as+1))
+			for i := range a {
+				switch rng.Intn(4) {
+				case 0:
+					a[i] = 0
+				case 1:
+					a[i] = negZero
+				}
+			}
+			b := randSlice(rng, max(1, (n-1)*bs+k))
+			if n > 0 && k > 0 {
+				// The last term is a zero against ±Inf and NaN at both
+				// ends of its row: skipped, it leaves those columns
+				// finite; kept, it makes them NaN.
+				a[(n-1)*as] = negZero
+				last := b[(n-1)*bs : (n-1)*bs+k]
+				last[0], last[k-1] = float32(math.Inf(1)), float32(math.NaN())
+				if k > 1 {
+					last[k-2] = float32(math.Inf(-1))
+				}
+			}
+			dst := randSlice(rng, k)
+			for j := 0; j < k; j += 3 {
+				dst[j] = negZero
+			}
+			for _, skip := range []bool{false, true} {
+				want := append([]float32(nil), dst...)
+				refAccRow(want, a, as, b, bs, n, k, skip)
+				got := append([]float32(nil), dst...)
+				l.accRow(got, a, as, b, bs, n, k, skip)
+				for j := range want {
+					if !sameBits(got[j], want[j]) {
+						t.Fatalf("%s n=%d k=%d aStride=%d bStride=%d skip=%v: dst[%d] = %v (%#x), want %v (%#x)",
+							l.name, n, k, as, bs, skip, j, got[j], math.Float32bits(got[j]), want[j], math.Float32bits(want[j]))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestAccRowChecksOperands: AccRow does nothing for n or k of 0, and
+// panics, before either lane runs, on a negative stride or an operand
+// too short for the terms it names.
+func TestAccRowChecksOperands(t *testing.T) {
+	AccRow(nil, nil, 1, nil, 1, 0, 5, false)
+	AccRow(nil, nil, 1, nil, 1, 5, 0, false)
+	dst, a, b := make([]float32, 8), make([]float32, 4), make([]float32, 32)
+	for name, run := range map[string]func(){
+		"negative aStride": func() { AccRow(dst, a, -1, b, 8, 4, 8, false) },
+		"negative bStride": func() { AccRow(dst, a, 1, b, -8, 4, 8, false) },
+		"short dst":        func() { AccRow(dst[:7], a, 1, b, 8, 4, 8, false) },
+		"short a":          func() { AccRow(dst, a, 2, b, 8, 4, 8, false) },
+		"short b":          func() { AccRow(dst, a, 1, b, 9, 4, 8, false) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: AccRow did not panic", name)
+				}
+			}()
+			run()
+		}()
+	}
+}
+
+// FuzzAccRowLanes checks AccRow's AVX2 lane against its Go lane, and the
+// Go lane against the reference loop, over n in 0–130 and k in 0–100
+// (every split into 32-column blocks, 8-lane chunks and a masked last
+// group), a strides 0–5, b strides of k and more, the zero skip on and
+// off, and operands and dst cells with ±0, subnormals, ±Inf and NaN
+// (zeros in a made common, so the skip has terms to pass over). A NaN
+// must be NaN on every side; every other cell must match bit for bit,
+// and the guard cells around dst[:k] must keep their bits.
+func FuzzAccRowLanes(f *testing.F) {
+	f.Add(int64(1), uint8(64), uint8(50), uint8(64), uint8(0), uint8(0))
+	f.Add(int64(2), uint8(50), uint8(64), uint8(1), uint8(200), uint8(1))
+	f.Add(int64(3), uint8(32), uint8(100), uint8(1), uint8(0), uint8(3))
+	f.Add(int64(4), uint8(130), uint8(33), uint8(2), uint8(7), uint8(2))
+	f.Add(int64(5), uint8(0), uint8(9), uint8(0), uint8(1), uint8(1))
+	f.Add(int64(6), uint8(7), uint8(0), uint8(3), uint8(2), uint8(0))
+	f.Add(int64(7), uint8(5), uint8(8), uint8(5), uint8(9), uint8(3))
+	f.Fuzz(func(t *testing.T, seed int64, nRaw, kRaw, strideRaw, padRaw, mode uint8) {
+		skipWithoutAVX2(t)
+		rng := rand.New(rand.NewSource(seed))
+		n := int(nRaw) % 131
+		k := int(kRaw) % 101
+		aStride := int(strideRaw) % 6
+		bStride := k + int(padRaw)%40
+		skip := mode&1 != 0
+		zeros := mode&2 != 0
+		lo := 1 + int(padRaw>>4)%4 // guard cells left of dst[:k]
+		hi := 1 + int(strideRaw>>4)%4
+
+		a := make([]float32, max(1, (n-1)*aStride+1))
+		for i := range a {
+			a[i] = fuzzValue(rng)
+			if zeros && rng.Intn(3) == 0 {
+				a[i] = float32(math.Copysign(0, float64(rng.Intn(2)*2-1)))
+			}
+		}
+		b := make([]float32, max(1, (n-1)*bStride+k))
+		for i := range b {
+			b[i] = fuzzValue(rng)
+		}
+		dst0 := make([]float32, lo+k+hi)
+		for i := range dst0 {
+			dst0[i] = guard
+		}
+		for j := 0; j < k; j++ {
+			dst0[lo+j] = fuzzValue(rng)
+		}
+
+		run := func(acc func(dst, a []float32, aStride int, b []float32, bStride, n, k int, skipZero bool)) []float32 {
+			buf := append([]float32(nil), dst0...)
+			acc(buf[lo:lo+k], a, aStride, b, bStride, n, k, skip)
+			return buf
+		}
+		ref, want, got := run(refAccRow), run(goLane.accRow), run(avx2Lane.accRow)
+		for i := range want {
+			if i < lo || i >= lo+k {
+				if math.Float32bits(want[i]) != math.Float32bits(guard) || math.Float32bits(got[i]) != math.Float32bits(guard) {
+					t.Fatalf("n=%d k=%d: guard cell %d written: go %#x, avx2 %#x", n, k, i, math.Float32bits(want[i]), math.Float32bits(got[i]))
+				}
+				continue
+			}
+			if !sameBits(want[i], ref[i]) {
+				t.Fatalf("n=%d k=%d aStride=%d bStride=%d skip=%v: dst[%d] = %v (%#x) on the Go lane, %v (%#x) by the reference loop",
+					n, k, aStride, bStride, skip, i-lo, want[i], math.Float32bits(want[i]), ref[i], math.Float32bits(ref[i]))
+			}
+			if !sameBits(got[i], want[i]) {
+				t.Fatalf("n=%d k=%d aStride=%d bStride=%d skip=%v: dst[%d] = %v (%#x) on avx2, %v (%#x) on the Go lane",
+					n, k, aStride, bStride, skip, i-lo, got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
 			}
 		}
 	})
