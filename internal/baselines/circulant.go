@@ -124,6 +124,12 @@ func (c *Circulant) ApplyInto(dst, x *tensor.Matrix, ws *tensor.Workspace, bias 
 	}
 }
 
+// Scratch is ApplyInto's workspace demand: one N-point complex row, reused
+// for every input row.
+func (c *Circulant) Scratch(rows int) tensor.Scratch {
+	return tensor.Scratch{Complex: c.N}
+}
+
 // Backward: with y = C·x (C circulant), dX = Cᵀ·dY is circular correlation
 // with c, and dc[m] = Σ_rows corr(x_row, dy_row)[m].
 func (c *Circulant) Backward(dY *tensor.Matrix) *tensor.Matrix {

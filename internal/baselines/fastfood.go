@@ -194,6 +194,12 @@ func (f *Fastfood) ApplyInto(dst, x *tensor.Matrix, ws *tensor.Workspace, bias [
 	}
 }
 
+// Scratch is ApplyInto's workspace demand at rows rows: the two rows×N
+// buffers the pipeline runs through.
+func (f *Fastfood) Scratch(rows int) tensor.Scratch {
+	return tensor.Scratch{Floats: 2 * rows * f.N, Headers: 2}
+}
+
 // Backward accumulates diagonal gradients and returns dX. Ĥ is symmetric,
 // so its transpose is itself; the permutation transposes to its inverse.
 func (f *Fastfood) Backward(dY *tensor.Matrix) *tensor.Matrix {

@@ -16,7 +16,7 @@ func TestFastfoodApplyIntoMicroMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	for _, n := range []int{4, 8, 64, 1024} {
 		f := NewFastfood(n, rand.New(rand.NewSource(52)))
-		ws := tensor.NewWorkspace()
+		ws := tensor.NewWorkspace(tensor.Scratch{})
 		for _, rows := range []int{1, 4} {
 			x := tensor.New(rows, n)
 			for i := range x.Data {
@@ -54,6 +54,31 @@ func assertFastfoodSame(t *testing.T, op string, want, got *tensor.Matrix) {
 	for i := range want.Data {
 		if want.Data[i] != got.Data[i] {
 			t.Fatalf("%s: data[%d] = %v, want %v", op, i, got.Data[i], want.Data[i])
+		}
+	}
+}
+
+// TestScratchDeclaresApplyInto pins each baseline's declared workspace
+// demand: a workspace that starts empty grows, over one ApplyInto and the
+// Reset after it, to exactly what Scratch declares.
+func TestScratchDeclaresApplyInto(t *testing.T) {
+	const n = 64
+	for name, tr := range map[string]interface {
+		ApplyInto(dst, x *tensor.Matrix, ws *tensor.Workspace, bias []float32, act tensor.Activation)
+		Scratch(rows int) tensor.Scratch
+	}{
+		"fastfood":  NewFastfood(n, rand.New(rand.NewSource(55))),
+		"circulant": NewCirculant(n, rand.New(rand.NewSource(56))),
+		"lowrank":   NewLowRank(n, 4, rand.New(rand.NewSource(57))),
+	} {
+		for _, rows := range []int{1, 5} {
+			ws := tensor.NewWorkspace(tensor.Scratch{})
+			ws.Reset()
+			tr.ApplyInto(tensor.New(rows, n), tensor.New(rows, n), ws, nil, tensor.ActNone)
+			ws.Reset()
+			if got, want := ws.Capacity(), tr.Scratch(rows); got != want {
+				t.Errorf("%s at %d rows: ApplyInto took %+v, Scratch declares %+v", name, rows, got, want)
+			}
 		}
 	}
 }

@@ -128,6 +128,12 @@ func (l *LowRank) ApplyInto(dst, x *tensor.Matrix, ws *tensor.Workspace, bias []
 	tensor.MatMulBiasActInto(dst, xv, l.ut, bias, act)
 }
 
+// Scratch is ApplyInto's workspace demand at rows rows: the rows×rank
+// product X·V.
+func (l *LowRank) Scratch(rows int) tensor.Scratch {
+	return tensor.Scratch{Floats: rows * l.Rank, Headers: 1}
+}
+
 // Backward accumulates dU, dV and returns dX.
 func (l *LowRank) Backward(dY *tensor.Matrix) *tensor.Matrix {
 	if l.xSaved == nil {

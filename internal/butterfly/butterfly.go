@@ -340,6 +340,15 @@ func (b *Butterfly) ApplyInto(dst, x *tensor.Matrix, ws *tensor.Workspace, bias 
 	applyFactorRowsEpilogueMicro(b.Factors[len(b.Factors)-1], cur, other, bias, act)
 }
 
+// Scratch is ApplyInto's workspace demand at rows rows: the one rows×N
+// buffer the stage sweeps ping-pong through (none without factors).
+func (b *Butterfly) Scratch(rows int) tensor.Scratch {
+	if len(b.Factors) == 0 {
+		return tensor.Scratch{}
+	}
+	return tensor.Scratch{Floats: rows * b.N, Headers: 1}
+}
+
 // applyFactorRows is one stage sweep in its reference form: Apply's path,
 // and the oracle the unrolled sweeps are tested against.
 func applyFactorRows(f *Factor, in, out *tensor.Matrix) {

@@ -370,7 +370,7 @@ func BenchmarkButterflyApplyInto(b *testing.B) {
 	x := tensor.New(32, 1024)
 	x.FillRandom(rng, 1)
 	dst := tensor.New(32, 1024)
-	ws := tensor.NewWorkspace()
+	ws := tensor.NewWorkspace(tensor.Scratch{})
 	bf.ApplyInto(dst, x, ws, nil, tensor.ActNone)
 	ws.Reset()
 	b.ReportAllocs()

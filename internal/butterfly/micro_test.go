@@ -44,7 +44,7 @@ func TestApplyIntoMicroMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for _, n := range []int{1, 2, 4, 8, 16, 64, 128} {
 		b := New(n, Dense2x2, rng)
-		ws := tensor.NewWorkspace()
+		ws := tensor.NewWorkspace(tensor.Scratch{})
 		for rows := 1; rows <= 4; rows += 3 {
 			x := tensor.New(rows, n)
 			for i := range x.Data {
@@ -108,5 +108,24 @@ func BenchmarkApplyFactorRows(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestScratchDeclaresApplyInto pins the declared workspace demand: a
+// workspace that starts empty grows, over one ApplyInto and the Reset
+// after it, to exactly what Scratch declares, the factorless butterfly
+// included.
+func TestScratchDeclaresApplyInto(t *testing.T) {
+	for _, n := range []int{1, 2, 64} {
+		b := New(n, Dense2x2, rand.New(rand.NewSource(13)))
+		for _, rows := range []int{1, 5} {
+			ws := tensor.NewWorkspace(tensor.Scratch{})
+			ws.Reset()
+			b.ApplyInto(tensor.New(rows, n), tensor.New(rows, n), ws, nil, tensor.ActNone)
+			ws.Reset()
+			if got, want := ws.Capacity(), b.Scratch(rows); got != want {
+				t.Errorf("n=%d at %d rows: ApplyInto took %+v, Scratch declares %+v", n, rows, got, want)
+			}
+		}
 	}
 }

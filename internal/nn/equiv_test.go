@@ -66,7 +66,7 @@ func equivTrial(t *testing.T, rng *rand.Rand, net *nn.Sequential, n, maxBatch in
 	if err != nil {
 		t.Fatalf("CompilePlanOpts(NoFuse): %v", err)
 	}
-	fs, us := fused.Stats(), unfused.Stats()
+	fs, us := fused.Stats(maxBatch), unfused.Stats(maxBatch)
 	if us.FusedSteps != 0 {
 		t.Fatalf("unfused plan reports %d fused steps", us.FusedSteps)
 	}
@@ -125,11 +125,11 @@ func equivTrial(t *testing.T, rng *rand.Rand, net *nn.Sequential, n, maxBatch in
 	}{{"fused", fused}, {"unfused", unfused}} {
 		for _, shards := range []int{1, 2, 4} {
 			strategies := []shard.Strategy{shard.Pipeline}
-			if shards > 1 && shard.Splittable(src.pl, shards) == nil {
+			if shards > 1 && shard.Splittable(src.pl.Lowering, shards) == nil {
 				strategies = append(strategies, shard.TensorParallel)
 			}
 			for _, strat := range strategies {
-				sp, err := shard.CompileMicro(src.pl, topo, shards, strat, 1)
+				sp, err := shard.CompileMicro(src.pl.Lowering, src.pl.MaxBatch(), topo, shards, strat, 1)
 				if err != nil {
 					t.Fatalf("CompileMicro(%s, %d, %v): %v", src.tag, shards, strat, err)
 				}
@@ -150,7 +150,7 @@ func equivTrial(t *testing.T, rng *rand.Rand, net *nn.Sequential, n, maxBatch in
 	// kernels, so no float32 expression changes with the width.
 	for _, shards := range []int{2, 4} {
 		for _, micro := range []int{1, 2, 4} {
-			sp, err := shard.CompileMicro(fused, topo, shards, shard.Pipeline, micro)
+			sp, err := shard.CompileMicro(fused.Lowering, fused.MaxBatch(), topo, shards, shard.Pipeline, micro)
 			if err != nil {
 				t.Fatalf("CompileMicro(%d, %d): %v", shards, micro, err)
 			}
@@ -298,11 +298,11 @@ func FuzzPlanExecute(f *testing.F) {
 		}
 		for _, shards := range []int{2, 4} {
 			strategies := []shard.Strategy{shard.Pipeline}
-			if shard.Splittable(fused, shards) == nil {
+			if shard.Splittable(fused.Lowering, shards) == nil {
 				strategies = append(strategies, shard.TensorParallel)
 			}
 			for _, strat := range strategies {
-				sp, err := shard.CompileMicro(fused, topo, shards, strat, 1)
+				sp, err := shard.CompileMicro(fused.Lowering, fused.MaxBatch(), topo, shards, strat, 1)
 				if err != nil {
 					t.Fatalf("CompileMicro(%d, %v): %v", shards, strat, err)
 				}

@@ -49,12 +49,15 @@ type refresher interface{ Refresh() }
 // intermediates through the caller's workspace arena instead of
 // allocating and folding the bias add and activation into the stage that
 // writes dst. A nil bias with tensor.ActNone gives the plain product.
+// Scratch declares what one ApplyInto at rows rows takes from the
+// workspace, so a plan sizes its workspace without running the kernel.
 // Like a Layer, a transform allocates its gradient buffers on first use,
 // in Backward or Params.
 type Transform interface {
 	Forward(x *tensor.Matrix) *tensor.Matrix
 	Apply(x *tensor.Matrix) *tensor.Matrix
 	ApplyInto(dst, x *tensor.Matrix, ws *tensor.Workspace, bias []float32, act tensor.Activation)
+	Scratch(rows int) tensor.Scratch
 	Backward(dY *tensor.Matrix) *tensor.Matrix
 	ZeroGrad()
 	Params() (params, grads [][]float32)

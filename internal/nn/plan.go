@@ -46,31 +46,47 @@ func (k StepKind) String() string {
 	}
 }
 
-// Plan is a compiled inference program: the result of walking a Sequential
-// once, lowering every layer to a destination-passing step with pre-sized
-// buffers, and fusing adjacent multiply + bias + activation steps into
-// single passes. Execute ping-pongs activations between two plan-owned
-// arenas and stages per-layer scratch through one workspace, so at steady
-// state a batch runs with zero heap allocations — the host-side analogue
-// of a compiled Poplar program with static tensor liveness.
+// Lowering is a model's lowered inference program: the network walked
+// once into a step list, each step carrying its output width, kind, the
+// activation fusion folded into it, its kernel family, per-row flops and
+// arena traffic, and the workspace demand its kernel declares. It fixes
+// everything a plan's size and price depend on, for any row count,
+// without packing a weight or running a kernel, so the IPU pricing and
+// the shard planner read it directly. Pack binds the steps' kernels over
+// packed weights, and Instance materialises plans over the packed
+// lowering. A Lowering never changes once Lower or Pack returns it, so
+// any number of goroutines may read it at once.
+type Lowering struct {
+	in, out int
+	steps   []planStep
+
+	// preFusion is the step silhouette before the fusion pass ran (equal
+	// to the final silhouette when lowered with NoFuse), kept so Stats
+	// can report the fusion win without lowering twice.
+	preFusion []stepShape
+
+	// packed is set on the copy Pack returns, whose steps carry kernels.
+	packed bool
+}
+
+// Plan is a compiled inference program: an instance of a packed Lowering
+// with pre-sized buffers for batches of up to MaxBatch rows. Execute
+// ping-pongs activations between two plan-owned arenas and stages
+// per-layer scratch through one workspace, so a batch runs with zero heap
+// allocations, the first one included — the host-side analogue of a
+// compiled Poplar program with static tensor liveness.
 //
 // A Plan shares the model's weights read-only (training the model while
 // executing its plans is not safe — the same contract as Sequential.Infer)
 // but owns its activation buffers, so a Plan must not be used from two
 // goroutines at once: make one Instance per concurrent caller. Instances
-// share the lowered steps and packed weights, which never change after
-// lowering, and each owns its arenas, workspace and frame. The serving
-// layer lowers each model version once and keeps idle instances on a
-// free list per compiled program.
+// share the lowering, whose steps and packed weights never change, and
+// each owns its arenas, workspace and frame. The serving layer lowers
+// each model version once, packs it when it first needs a plan, and keeps
+// idle instances on a free list per compiled program.
 type Plan struct {
+	*Lowering
 	maxBatch int
-	in, out  int
-	steps    []planStep
-
-	// preFusion is the step silhouette before the fusion pass ran (equal
-	// to the final silhouette when compiled with NoFuse), kept so Stats
-	// can report the fusion win without compiling a second plan.
-	preFusion []stepShape
 
 	// frame is the measurement of the most recent Execute: one cell per
 	// step on one IPU, laid back to back. Plan-owned and overwritten
@@ -82,10 +98,10 @@ type Plan struct {
 	actA, actB tensor.Matrix
 }
 
-// planStep is one lowered step: its output width, a kernel that writes the
-// step's inference result for input x into dst, the source layer it was
-// lowered from (the hook the shard partitioner splits on), and — for fused
-// steps — the activation layer that was folded in.
+// planStep is one lowered step: its output width, the source layer it was
+// lowered from (the hook the shard partitioner splits on), for fused
+// steps the activation layer that was folded in, and — once packed — a
+// kernel that writes the step's inference result for input x into dst.
 type planStep struct {
 	name  string
 	cols  int
@@ -96,7 +112,10 @@ type planStep struct {
 	// beyond the producing write (the unfused bias add is one); it feeds
 	// the modelled-traffic accounting.
 	sweeps int
-	run    func(dst, x *tensor.Matrix, ws *tensor.Workspace)
+	// scratch declares what the kernel takes from the workspace at a
+	// given row count; nil for kernels that take nothing.
+	scratch func(rows int) tensor.Scratch
+	run     func(dst, x *tensor.Matrix, ws *tensor.Workspace)
 
 	// variant names the kernel shape the step runs (microkernel.Variant
 	// for the dense family, "unrolled", "radix8", "blockunroll", …;
@@ -105,8 +124,8 @@ type planStep struct {
 	variant string
 	// packedW / packedA hold panel-packed copies of a dense-family step's
 	// weight matrices for the tiled matmul kernel (packedA is the first
-	// factor of a FactorizedDense). Built once at lowering and shared,
-	// read-only, by every Instance of the plan.
+	// factor of a FactorizedDense). Built once by Pack and shared,
+	// read-only, by every Instance of the packed lowering.
 	packedW, packedA *tensor.PackedB
 
 	// kernel is the Into-kernel family the step executes and flopsPerRow /
@@ -132,32 +151,31 @@ type PlanOptions struct {
 	NoFuse bool
 }
 
-// CompilePlan walks the network once, emits the execution plan for batches
-// of up to maxBatch rows, and runs the fusion pass (see CompilePlanOpts).
+// CompilePlan lowers the network, packs it and materialises a plan for
+// batches of up to maxBatch rows (see CompilePlanOpts).
 func (s *Sequential) CompilePlan(maxBatch int) (*Plan, error) {
 	return s.CompilePlanOpts(maxBatch, PlanOptions{})
 }
 
-// CompilePlanOpts is CompilePlan with explicit options. It lowers the
-// network and materialises the lowered plan at maxBatch, exactly as
-// Instance does. Every layer kind (Dense, StructuredLinear, ReLU,
-// FactorizedDense) lowers to an allocation-free destination-passing step;
-// any other Layer is an error that names it. Unless opts.NoFuse is set, a
-// peephole pass then rewrites every adjacent (linear, activation) step
-// pair into one fused step whose kernel applies multiply, bias and
-// nonlinearity in a single pass over the output arena.
+// CompilePlanOpts is CompilePlan with explicit options: Lower, then Pack,
+// then Instance at maxBatch — the same three stages the serving layer
+// runs apart.
 func (s *Sequential) CompilePlanOpts(maxBatch int, opts PlanOptions) (*Plan, error) {
-	lowered, err := s.lowerPlan(opts)
+	low, err := s.Lower(opts)
 	if err != nil {
 		return nil, err
 	}
-	return lowered.Instance(maxBatch)
+	return low.Pack().Instance(maxBatch)
 }
 
-// lowerPlan walks the network once: it lowers every layer to a step,
-// packing dense weights, fuses the steps and prices their traffic. The
-// result has no buffers; Instance materialises it.
-func (s *Sequential) lowerPlan(opts PlanOptions) (*Plan, error) {
+// Lower walks the network once into its Lowering. Every layer kind
+// (Dense, StructuredLinear, ReLU, FactorizedDense) lowers to a
+// destination-passing step; any other Layer is an error that names it.
+// Unless opts.NoFuse is set, a peephole pass then rewrites every adjacent
+// (linear, activation) step pair into one fused step whose kernel applies
+// multiply, bias and nonlinearity in a single pass over the output arena.
+// Lowering packs no weight and runs no kernel.
+func (s *Sequential) Lower(opts PlanOptions) (*Lowering, error) {
 	if len(s.Layers) == 0 {
 		return nil, fmt.Errorf("nn: cannot compile a plan for an empty model")
 	}
@@ -165,73 +183,112 @@ func (s *Sequential) lowerPlan(opts PlanOptions) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Plan{in: in}
+	l := &Lowering{in: in}
 	width := in
-	for i, l := range s.Layers {
-		st, outW, err := lowerLayer(l, width)
+	for i, layer := range s.Layers {
+		st, outW, err := lowerLayer(layer, width)
 		if err != nil {
-			return nil, fmt.Errorf("nn: plan layer %d (%s): %w", i, l.Name(), err)
+			return nil, fmt.Errorf("nn: plan layer %d (%s): %w", i, layer.Name(), err)
 		}
-		st.layer = l
-		st.kernel = kernelOfLayer(l)
-		st.flopsPerRow = layerFlopsPerRow(l)
-		p.steps = append(p.steps, st)
+		st.layer = layer
+		st.kernel = kernelOfLayer(layer)
+		st.flopsPerRow = layerFlopsPerRow(layer)
+		l.steps = append(l.steps, st)
 		width = outW
 	}
-	p.out = width
-	p.preFusion = stepShapes(p.in, p.steps)
+	l.out = width
+	l.preFusion = stepShapes(l.in, l.steps)
 	if !opts.NoFuse {
-		p.steps = fusePlanSteps(p.steps)
+		l.steps = fusePlanSteps(l.steps)
 	}
 	// The per-row arena traffic of each surviving step comes from the
 	// post-fusion silhouette — the same model trafficBytes prices, divided
 	// down to one row.
-	for i, sh := range stepShapes(p.in, p.steps) {
-		p.steps[i].bytesPerRow = int64(4 * (sh.in + sh.out + 2*sh.sweeps*sh.out))
+	for i, sh := range stepShapes(l.in, l.steps) {
+		l.steps[i].bytesPerRow = int64(4 * (sh.in + sh.out + 2*sh.sweeps*sh.out))
 	}
-	return p, nil
+	return l, nil
 }
 
-// Instance materialises a new plan for batches of up to maxBatch rows over
-// p's lowered steps: it shares their kernels and packed weights and
-// allocates its own arenas, workspace and frame. It reads only what
-// lowering fixed, so it may run while another goroutine executes p.
-// Materialising runs two warm-up batches of zeros at maxBatch so every
-// buffer reaches its exact high-water size before the plan serves real
-// traffic.
-func (p *Plan) Instance(maxBatch int) (*Plan, error) {
+// Pack returns a copy of the lowering whose steps carry their kernels:
+// the dense and factorised weights are packed into panels here, once, and
+// every Instance of the copy shares them read-only. The receiver is left
+// as it was, so pricing may go on reading it while Pack runs.
+func (l *Lowering) Pack() *Lowering {
+	q := *l
+	q.steps = make([]planStep, len(l.steps))
+	for i := range l.steps {
+		q.steps[i] = l.steps[i]
+		q.steps[i].bind()
+	}
+	q.packed = true
+	return &q
+}
+
+// Packed reports whether the lowering's steps carry kernels (Pack built
+// it), which Instance and a pipeline-sharded plan need.
+func (l *Lowering) Packed() bool { return l.packed }
+
+// Instance materialises a plan for batches of up to maxBatch rows over the
+// packed lowering: it shares the steps' kernels and packed weights and
+// allocates its own arenas, workspace and frame, each sized from what the
+// lowering declares — an arena to the widest step that lands in it, the
+// workspace to the largest step's declared scratch — so it runs no
+// kernel, and its first Execute allocates nothing. It reads only what
+// lowering fixed, so it may run while another goroutine executes a plan
+// of the same lowering.
+func (l *Lowering) Instance(maxBatch int) (*Plan, error) {
 	if maxBatch <= 0 {
 		return nil, fmt.Errorf("nn: plan maxBatch %d must be positive", maxBatch)
 	}
-	q := &Plan{maxBatch: maxBatch, in: p.in, out: p.out, steps: p.steps, preFusion: p.preFusion, ws: tensor.NewWorkspace()}
+	if !l.packed {
+		return nil, errors.New("nn: Instance needs a packed lowering (Lowering.Pack)")
+	}
+	wA, wB := l.arenaWidths()
+	return &Plan{
+		Lowering: l,
+		maxBatch: maxBatch,
+		frame:    timeline.NewFrame(len(l.steps), 1, 1, nil, false),
+		ws:       tensor.NewWorkspace(l.scratch(maxBatch)),
+		bufA:     make([]float32, maxBatch*wA),
+		bufB:     make([]float32, maxBatch*wB),
+	}, nil
+}
 
-	// The ping-pong arenas alternate ownership of the step outputs, so
-	// each is sized to the widest step that lands in it — fusing steps
-	// out of the list shifts the parity and typically shrinks one arena
-	// (e.g. an SHL's second arena drops from hidden width to class
-	// width once multiply+bias+ReLU collapse into one step).
-	wA, wB := 0, 0
-	for i, st := range q.steps {
+// arenaWidths returns the widths of the two ping-pong arenas. They
+// alternate ownership of the step outputs, so each is sized to the widest
+// step that lands in it — fusing steps out of the list shifts the parity
+// and typically shrinks one arena (e.g. an SHL's second arena drops from
+// hidden width to class width once multiply+bias+ReLU collapse into one
+// step).
+func (l *Lowering) arenaWidths() (wA, wB int) {
+	for i, st := range l.steps {
 		if i%2 == 0 {
 			wA = max(wA, st.cols)
 		} else {
 			wB = max(wB, st.cols)
 		}
 	}
-	q.bufA = make([]float32, maxBatch*wA)
-	q.bufB = make([]float32, maxBatch*wB)
-	q.frame = timeline.NewFrame(len(q.steps), 1, 1, nil, false)
+	return wA, wB
+}
 
-	// Two warm-up executions: the first records every buffer's demand, the
-	// second runs after the workspace has grown to it, leaving the arena at
-	// its exact steady-state size.
-	warm := tensor.New(maxBatch, q.in)
-	for i := 0; i < 2; i++ {
-		if _, err := q.Execute(warm); err != nil {
-			return nil, err
-		}
+// StepScratch returns the workspace demand step i's kernel declares at
+// rows rows.
+func (l *Lowering) StepScratch(i, rows int) tensor.Scratch {
+	if f := l.steps[i].scratch; f != nil {
+		return f(rows)
 	}
-	return q, nil
+	return tensor.Scratch{}
+}
+
+// scratch is the workspace demand of a plan at rows rows: every step
+// resets the workspace, so it is the largest step's.
+func (l *Lowering) scratch(rows int) tensor.Scratch {
+	var d tensor.Scratch
+	for i := range l.steps {
+		d = d.Max(l.StepScratch(i, rows))
+	}
+	return d
 }
 
 // fusePlanSteps is the peephole rewriter: a single left-to-right scan that
@@ -266,38 +323,14 @@ func fusePair(lin, actStep *planStep) (planStep, bool) {
 	if _, ok := actStep.layer.(*ReLU); !ok {
 		return planStep{}, false
 	}
-	const act = tensor.ActReLU
-	var run func(dst, x *tensor.Matrix, ws *tensor.Workspace)
-	switch t := lin.layer.(type) {
-	case *Dense:
-		pw := lin.packedW
-		run = func(dst, x *tensor.Matrix, ws *tensor.Workspace) {
-			tensor.MatMulPackedBiasActParallelInto(dst, x, pw, t.Bias, act)
-		}
-	case *FactorizedDense:
-		pa, pb := lin.packedA, lin.packedW
-		run = func(dst, x *tensor.Matrix, ws *tensor.Workspace) {
-			xa := ws.Take(x.Rows, t.Rank)
-			tensor.MatMulPackedBiasActParallelInto(xa, x, pa, nil, tensor.ActNone)
-			tensor.MatMulPackedBiasActParallelInto(dst, xa, pb, t.Bias, act)
-		}
-	case *StructuredLinear:
-		run = func(dst, x *tensor.Matrix, ws *tensor.Workspace) {
-			t.T.ApplyInto(dst, x, ws, t.Bias, act)
-		}
-	default:
-		return planStep{}, false
-	}
 	return planStep{
 		name:    lin.name + "+" + actStep.name,
 		cols:    lin.cols,
 		kind:    StepFused,
 		layer:   lin.layer,
 		act:     actStep.layer,
-		run:     run,
+		scratch: lin.scratch,
 		variant: lin.variant,
-		packedW: lin.packedW,
-		packedA: lin.packedA,
 		// The fused step keeps the linear step's kernel family and adds
 		// the folded activation's element ops, matching the modelled-cost
 		// accounting in the shard layer's describePlan.
@@ -331,10 +364,11 @@ func trafficBytes(batch int, shapes []stepShape) int {
 	return total
 }
 
-// PlanStats reports a plan's compiled silhouette: what the fusion pass
-// merged and what one max-batch execution costs in modelled arena traffic
-// and resident buffers.
+// PlanStats reports a lowering's silhouette at a row count: what the
+// fusion pass merged and what one full execution costs in modelled arena
+// traffic and resident buffers.
 type PlanStats struct {
+	// MaxBatch is the row count the figures are for.
 	MaxBatch int
 	// Steps is the executed step count; StepsBeforeFusion the lowered
 	// count before the peephole pass (equal when compiled with NoFuse).
@@ -343,7 +377,8 @@ type PlanStats struct {
 	// FusedSteps counts steps carrying a folded activation.
 	FusedSteps int
 	// ArenaBytes is the ping-pong activation arenas' total backing size;
-	// WorkspaceBytes the scratch arena's steady-state backing.
+	// WorkspaceBytes the scratch arena's backing, from the steps'
+	// declared demand.
 	ArenaBytes     int
 	WorkspaceBytes int
 	// TrafficBytes is the modelled activation-arena traffic of one
@@ -353,47 +388,50 @@ type PlanStats struct {
 	TrafficBytesBeforeFusion int
 }
 
-// Stats reports the plan's fusion and memory silhouette at MaxBatch.
-func (p *Plan) Stats() PlanStats {
+// Stats reports the lowering's fusion and memory silhouette at rows rows:
+// the arenas and workspace an instance for that many rows holds, and what
+// one full batch moves.
+func (l *Lowering) Stats(rows int) PlanStats {
 	fused := 0
-	for i := range p.steps {
-		if p.steps[i].kind == StepFused {
+	for i := range l.steps {
+		if l.steps[i].kind == StepFused {
 			fused++
 		}
 	}
+	wA, wB := l.arenaWidths()
 	return PlanStats{
-		MaxBatch:                 p.maxBatch,
-		Steps:                    len(p.steps),
-		StepsBeforeFusion:        len(p.preFusion),
+		MaxBatch:                 rows,
+		Steps:                    len(l.steps),
+		StepsBeforeFusion:        len(l.preFusion),
 		FusedSteps:               fused,
-		ArenaBytes:               4 * (len(p.bufA) + len(p.bufB)),
-		WorkspaceBytes:           p.ws.FootprintBytes(),
-		TrafficBytes:             trafficBytes(p.maxBatch, stepShapes(p.in, p.steps)),
-		TrafficBytesBeforeFusion: trafficBytes(p.maxBatch, p.preFusion),
+		ArenaBytes:               4 * rows * (wA + wB),
+		WorkspaceBytes:           l.scratch(rows).Bytes(),
+		TrafficBytes:             trafficBytes(rows, stepShapes(l.in, l.steps)),
+		TrafficBytesBeforeFusion: trafficBytes(rows, l.preFusion),
 	}
 }
 
 // MaxBatch returns the largest row count Execute accepts.
 func (p *Plan) MaxBatch() int { return p.maxBatch }
 
-// InputWidth returns the feature width the plan expects.
-func (p *Plan) InputWidth() int { return p.in }
+// InputWidth returns the feature width the lowered network expects.
+func (l *Lowering) InputWidth() int { return l.in }
 
 // OutputWidth returns the width of the result matrix.
-func (p *Plan) OutputWidth() int { return p.out }
+func (l *Lowering) OutputWidth() int { return l.out }
 
 // Steps returns the lowered step names, in execution order. Fused steps
 // carry both source names joined by '+' (e.g. "butterfly(1024)+relu").
-func (p *Plan) Steps() []string {
-	names := make([]string, len(p.steps))
-	for i, st := range p.steps {
+func (l *Lowering) Steps() []string {
+	names := make([]string, len(l.steps))
+	for i, st := range l.steps {
 		names[i] = st.name
 	}
 	return names
 }
 
-// NumSteps returns how many lowered steps the plan executes.
-func (p *Plan) NumSteps() int { return len(p.steps) }
+// NumSteps returns how many lowered steps a plan executes.
+func (l *Lowering) NumSteps() int { return len(l.steps) }
 
 // StepInfo describes one lowered step — the introspection surface
 // debuggers and the shard partitioner read, which must stay coherent when
@@ -429,34 +467,35 @@ func (si StepInfo) Activation() tensor.Activation {
 }
 
 // Step returns the introspection record of step i.
-func (p *Plan) Step(i int) StepInfo {
-	st := &p.steps[i]
+func (l *Lowering) Step(i int) StepInfo {
+	st := &l.steps[i]
 	return StepInfo{Index: i, Name: st.name, Cols: st.cols, Kind: st.kind, Layer: st.layer, Act: st.act, Variant: st.variant}
 }
 
 // StepVariant returns the kernel variant name of step i — "reference"
 // for a transform that declares no variant, "" for steps with no kernel
 // family.
-func (p *Plan) StepVariant(i int) string { return p.steps[i].variant }
+func (l *Lowering) StepVariant(i int) string { return l.steps[i].variant }
 
 // StepLayer returns the source layer step i was lowered from — the hook
 // the shard partitioner splits on. For fused steps this is the linear
 // layer; the folded activation is reported by Step(i).Act.
-func (p *Plan) StepLayer(i int) Layer { return p.steps[i].layer }
+func (l *Lowering) StepLayer(i int) Layer { return l.steps[i].layer }
 
 // StepCols returns the output width of step i.
-func (p *Plan) StepCols(i int) int { return p.steps[i].cols }
+func (l *Lowering) StepCols(i int) int { return l.steps[i].cols }
 
-// StepRunner returns the lowered kernel of step i: it writes the step's
-// output for input x into dst (x.Rows × StepCols(i)), staging scratch
-// through the caller-owned workspace. For fused steps the kernel is the
-// whole fused pass (multiply + bias + activation). The kernel captures
-// only the layer's weights — not the plan or its arenas — so holding it
-// does not pin the plan, and kernels of one plan may run concurrently with
-// distinct workspaces. This is the execution hook pipeline-sharded plans
-// are built on.
-func (p *Plan) StepRunner(i int) func(dst, x *tensor.Matrix, ws *tensor.Workspace) {
-	return p.steps[i].run
+// StepRunner returns the kernel of step i of a packed lowering (nil
+// before Pack): it writes the step's output for input x into dst
+// (x.Rows × StepCols(i)), staging scratch through the caller-owned
+// workspace, which must hold StepScratch(i, x.Rows). For fused steps the
+// kernel is the whole fused pass (multiply + bias + activation). The
+// kernel captures only the layer's weights and packs — not a plan or its
+// arenas — so kernels of one lowering may run concurrently with distinct
+// workspaces. This is the execution hook pipeline-sharded plans are built
+// on.
+func (l *Lowering) StepRunner(i int) func(dst, x *tensor.Matrix, ws *tensor.Workspace) {
+	return l.steps[i].run
 }
 
 // Execute runs the plan over x (rows in [1, MaxBatch], cols ==
@@ -510,15 +549,15 @@ func (p *Plan) Frame() *timeline.Frame { return p.frame }
 // StepKernel returns the Into-kernel family step i executes — the
 // attribution key of the per-kernel accounting (fused steps report their
 // linear source's family).
-func (p *Plan) StepKernel(i int) obs.Kernel { return p.steps[i].kernel }
+func (l *Lowering) StepKernel(i int) obs.Kernel { return l.steps[i].kernel }
 
 // StepFlopsPerRow returns the modelled per-sample flop count of step i
 // (fused steps include the folded activation's element ops).
-func (p *Plan) StepFlopsPerRow(i int) int64 { return p.steps[i].flopsPerRow }
+func (l *Lowering) StepFlopsPerRow(i int) int64 { return l.steps[i].flopsPerRow }
 
 // StepArenaBytesPerRow returns the modelled per-sample activation-arena
 // traffic of step i, from the same silhouette trafficBytes prices.
-func (p *Plan) StepArenaBytesPerRow(i int) int64 { return p.steps[i].bytesPerRow }
+func (l *Lowering) StepArenaBytesPerRow(i int) int64 { return l.steps[i].bytesPerRow }
 
 // inputWidth infers the feature width a layer consumes; layers without a
 // declared width (e.g. a leading ReLU) cannot head a plan.
@@ -536,59 +575,90 @@ func inputWidth(l Layer) (int, error) {
 }
 
 // lowerLayer emits the plan step for one layer given its input width,
-// returning the step and the layer's output width. Dense layers pack their
-// weight panels here — once per lowering, shared by every Instance — so
-// the tiled matmul streams B in panel order; structured layers run their
-// transform's ApplyInto, and the step records the kernel variant it names.
+// returning the step and the layer's output width. It fixes the step's
+// shape and declares its kernel's scratch; the kernel itself is bound,
+// and dense weights packed, by Pack. Structured layers record the kernel
+// variant their transform names.
 func lowerLayer(l Layer, width int) (planStep, int, error) {
 	switch t := l.(type) {
 	case *Dense:
 		if t.In != width {
 			return planStep{}, 0, fmt.Errorf("input width %d != %d", width, t.In)
 		}
-		pw := tensor.Pack(t.W)
 		return planStep{name: t.Name(), cols: t.Out, kind: StepLinear, sweeps: 1,
-			variant: microkernel.Variant(), packedW: pw,
-			run: func(dst, x *tensor.Matrix, ws *tensor.Workspace) {
-				tensor.MatMulPackedBiasActParallelInto(dst, x, pw, nil, tensor.ActNone)
-				tensor.AddRowVector(dst, t.Bias)
-			}}, t.Out, nil
+			variant: microkernel.Variant()}, t.Out, nil
 	case *StructuredLinear:
 		if t.N != width {
 			return planStep{}, 0, fmt.Errorf("input width %d != %d", width, t.N)
 		}
 		return planStep{name: t.Name(), cols: t.N, kind: StepLinear, sweeps: 1,
-			variant: transformVariant(t.T),
-			run: func(dst, x *tensor.Matrix, ws *tensor.Workspace) {
-				t.T.ApplyInto(dst, x, ws, nil, tensor.ActNone)
-				tensor.AddRowVector(dst, t.Bias)
-			}}, t.N, nil
+			variant: transformVariant(t.T), scratch: t.T.Scratch}, t.N, nil
 	case *ReLU:
-		return planStep{name: t.Name(), cols: width, kind: StepActivation,
-			run: func(dst, x *tensor.Matrix, ws *tensor.Workspace) {
-				for i, v := range x.Data {
-					if v > 0 {
-						dst.Data[i] = v
-					} else {
-						dst.Data[i] = 0
-					}
-				}
-			}}, width, nil
+		return planStep{name: t.Name(), cols: width, kind: StepActivation}, width, nil
 	case *FactorizedDense:
 		if t.In != width {
 			return planStep{}, 0, fmt.Errorf("input width %d != %d", width, t.In)
 		}
-		pa, pb := tensor.Pack(t.A), tensor.Pack(t.B)
+		// bind's kernel stages x·A, rows×rank, in the workspace.
+		scratch := func(rows int) tensor.Scratch { return tensor.Scratch{Floats: rows * t.Rank, Headers: 1} }
 		return planStep{name: t.Name(), cols: t.Out, kind: StepLinear, sweeps: 1,
-			variant: microkernel.Variant(), packedW: pb, packedA: pa,
-			run: func(dst, x *tensor.Matrix, ws *tensor.Workspace) {
-				xa := ws.Take(x.Rows, t.Rank)
-				tensor.MatMulPackedBiasActParallelInto(xa, x, pa, nil, tensor.ActNone)
-				tensor.MatMulPackedBiasActParallelInto(dst, xa, pb, nil, tensor.ActNone)
-				tensor.AddRowVector(dst, t.Bias)
-			}}, t.Out, nil
+			variant: microkernel.Variant(), scratch: scratch}, t.Out, nil
 	default:
 		return planStep{}, 0, fmt.Errorf("no plan lowering for layer type %T", l)
+	}
+}
+
+// bind builds the step's kernel. Dense and factorised layers pack their
+// weight panels here, so the tiled matmul streams B in panel order;
+// structured layers run their transform's ApplyInto. A fused step folds
+// the bias and activation into the kernel's final pass; an unfused linear
+// step adds the bias in a sweep of its own.
+func (st *planStep) bind() {
+	var bias []float32
+	var apply func(dst, x *tensor.Matrix, ws *tensor.Workspace, bias []float32, act tensor.Activation)
+	switch t := st.layer.(type) {
+	case *Dense:
+		pw := tensor.Pack(t.W)
+		st.packedW, bias = pw, t.Bias
+		apply = func(dst, x *tensor.Matrix, ws *tensor.Workspace, bias []float32, act tensor.Activation) {
+			tensor.MatMulPackedBiasActParallelInto(dst, x, pw, bias, act)
+		}
+	case *FactorizedDense:
+		pa, pb := tensor.Pack(t.A), tensor.Pack(t.B)
+		st.packedA, st.packedW, bias = pa, pb, t.Bias
+		apply = func(dst, x *tensor.Matrix, ws *tensor.Workspace, bias []float32, act tensor.Activation) {
+			xa := ws.Take(x.Rows, t.Rank)
+			tensor.MatMulPackedBiasActParallelInto(xa, x, pa, nil, tensor.ActNone)
+			tensor.MatMulPackedBiasActParallelInto(dst, xa, pb, bias, act)
+		}
+	case *StructuredLinear:
+		bias, apply = t.Bias, t.T.ApplyInto
+	case *ReLU:
+		st.run = reluInto
+		return
+	default:
+		panic(fmt.Sprintf("nn: no kernel for lowered layer type %T", st.layer))
+	}
+	if st.kind == StepFused {
+		st.run = func(dst, x *tensor.Matrix, ws *tensor.Workspace) {
+			apply(dst, x, ws, bias, tensor.ActReLU)
+		}
+		return
+	}
+	st.run = func(dst, x *tensor.Matrix, ws *tensor.Workspace) {
+		apply(dst, x, ws, nil, tensor.ActNone)
+		tensor.AddRowVector(dst, bias)
+	}
+}
+
+// reluInto is the standalone ReLU step's kernel.
+func reluInto(dst, x *tensor.Matrix, ws *tensor.Workspace) {
+	for i, v := range x.Data {
+		if v > 0 {
+			dst.Data[i] = v
+		} else {
+			dst.Data[i] = 0
+		}
 	}
 }
 

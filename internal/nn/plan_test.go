@@ -320,8 +320,8 @@ func TestPlanStepIntrospection(t *testing.T) {
 // TestPlanArenaSizingUnderFusion asserts the exact arena byte counts of
 // fused and unfused plans: fusing the SHL's multiply+bias+ReLU into one
 // step moves the classifier head to the second ping-pong arena, shrinking
-// it from hidden width to class width, while the workspace's grow-at-Reset
-// sizing stays at the transform's exact scratch demand under fusion.
+// it from hidden width to class width, while the workspace holds the
+// transform's exact declared scratch demand under fusion.
 func TestPlanArenaSizingUnderFusion(t *testing.T) {
 	const n, classes, maxBatch = 64, 10, 8
 	net := BuildSHL(Butterfly, n, classes, rand.New(rand.NewSource(19)))
@@ -333,7 +333,7 @@ func TestPlanArenaSizingUnderFusion(t *testing.T) {
 	if err != nil {
 		t.Fatalf("CompilePlanOpts: %v", err)
 	}
-	fs, us := fused.Stats(), unfused.Stats()
+	fs, us := fused.Stats(maxBatch), unfused.Stats(maxBatch)
 
 	// Unfused: steps land [butterfly:A, relu:B, dense:A] — both arenas
 	// hold the 64-wide hidden activation. 4 bytes × 8 rows × (64 + 64).
@@ -350,8 +350,7 @@ func TestPlanArenaSizingUnderFusion(t *testing.T) {
 	}
 
 	// The butterfly's ApplyInto (fused or not) stages one N-wide scratch
-	// matrix through the workspace; grow-at-Reset must settle at exactly
-	// that demand after compilation's two warm-ups.
+	// matrix through the workspace, and declares exactly that demand.
 	if want := 4 * maxBatch * n; fs.WorkspaceBytes != want || us.WorkspaceBytes != want {
 		t.Errorf("WorkspaceBytes fused=%d unfused=%d, want %d", fs.WorkspaceBytes, us.WorkspaceBytes, want)
 	}
@@ -377,15 +376,19 @@ func TestPlanArenaSizingUnderFusion(t *testing.T) {
 		t.Errorf("fusion saved too little traffic: %d -> %d", us.TrafficBytes, fs.TrafficBytes)
 	}
 
-	// Executing at every batch size must not grow any arena afterwards —
-	// the grow-at-Reset high-water mark was reached during compilation.
-	rng := rand.New(rand.NewSource(20))
-	for batch := 1; batch <= maxBatch; batch++ {
-		x := tensor.New(batch, n)
-		x.FillRandom(rng, 1)
-		mustExecute(t, fused, x)
-		if got := fused.Stats(); got != fs {
-			t.Fatalf("batch %d: plan stats drifted after Execute: %+v != %+v", batch, got, fs)
+	// The instance holds what the lowering declares, and executing at
+	// every batch size grows neither arena nor workspace.
+	for batch := 0; batch <= maxBatch; batch++ {
+		if batch > 0 {
+			x := tensor.New(batch, n)
+			x.FillRandom(rand.New(rand.NewSource(int64(20+batch))), 1)
+			mustExecute(t, fused, x)
+		}
+		if got := 4 * (len(fused.bufA) + len(fused.bufB)); got != fs.ArenaBytes {
+			t.Fatalf("after batch %d: arenas hold %d bytes, lowering declares %d", batch, got, fs.ArenaBytes)
+		}
+		if got := fused.ws.Capacity().Bytes(); got != fs.WorkspaceBytes {
+			t.Fatalf("after batch %d: workspace holds %d bytes, lowering declares %d", batch, got, fs.WorkspaceBytes)
 		}
 	}
 }

@@ -144,32 +144,32 @@ func (r *Registry) Help(family, text string) {
 // Counter returns the counter registered under (family, labels), creating
 // it on first use.
 func (r *Registry) Counter(family string, labels ...L) *Counter {
-	m := r.intern(family, labels, kindCounter)
-	if m.c == nil {
-		m.c = &Counter{}
-	}
-	return m.c
+	return r.intern(family, labels, kindCounter, func(m *metric) {
+		if m.c == nil {
+			m.c = &Counter{}
+		}
+	}).c
 }
 
 // Gauge returns the gauge registered under (family, labels), creating it
 // on first use.
 func (r *Registry) Gauge(family string, labels ...L) *Gauge {
-	m := r.intern(family, labels, kindGauge)
-	if m.g == nil {
-		m.g = &Gauge{}
-	}
-	return m.g
+	return r.intern(family, labels, kindGauge, func(m *metric) {
+		if m.g == nil {
+			m.g = &Gauge{}
+		}
+	}).g
 }
 
 // Histogram returns the histogram registered under (family, labels),
 // creating it with the given bucket upper bounds on first use (an
 // existing series keeps its original bounds).
 func (r *Registry) Histogram(family string, bounds []float64, labels ...L) *Histogram {
-	m := r.intern(family, labels, kindHistogram)
-	if m.h == nil {
-		m.h = NewHistogram(bounds)
-	}
-	return m.h
+	return r.intern(family, labels, kindHistogram, func(m *metric) {
+		if m.h == nil {
+			m.h = NewHistogram(bounds)
+		}
+	}).h
 }
 
 // CounterFunc registers a counter whose value is read from fn at scrape
@@ -177,15 +177,13 @@ func (r *Registry) Histogram(family string, bounds []float64, labels ...L) *Hist
 // double bookkeeping. Re-registering replaces the function (a replaced
 // model installs a fresh closure over its new state).
 func (r *Registry) CounterFunc(family string, fn func() int64, labels ...L) {
-	m := r.intern(family, labels, kindCounterFunc)
-	m.cf = fn
+	r.intern(family, labels, kindCounterFunc, func(m *metric) { m.cf = fn })
 }
 
 // GaugeFunc registers a gauge whose value is read from fn at scrape time.
 // Re-registering replaces the function.
 func (r *Registry) GaugeFunc(family string, fn func() float64, labels ...L) {
-	m := r.intern(family, labels, kindGaugeFunc)
-	m.gf = fn
+	r.intern(family, labels, kindGaugeFunc, func(m *metric) { m.gf = fn })
 }
 
 // DropLabeled removes every series carrying the given label pair — how
@@ -205,19 +203,22 @@ func (r *Registry) DropLabeled(key, value string) {
 }
 
 // intern returns the registry entry for (family, labels), creating it if
-// absent. An existing entry of a different kind is replaced — last
-// registration wins, so a redeploy that changes an instrument's kind
-// doesn't export a stale series.
-func (r *Registry) intern(family string, labels []L, kind metricKind) *metric {
+// absent, and sets its instrument with set under the registry lock, so
+// an entry is never seen without one and two callers that create the
+// same series at once share it. An existing entry of a different kind is
+// replaced — last registration wins, so a redeploy that changes an
+// instrument's kind doesn't export a stale series.
+func (r *Registry) intern(family string, labels []L, kind metricKind, set func(*metric)) *metric {
 	ls := sortedLabels(labels)
 	key := seriesKey(family, ls)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if m, ok := r.metrics[key]; ok && m.kind == kind {
-		return m
+	m, ok := r.metrics[key]
+	if !ok || m.kind != kind {
+		m = &metric{family: family, labels: ls, kind: kind}
+		r.metrics[key] = m
 	}
-	m := &metric{family: family, labels: ls, kind: kind}
-	r.metrics[key] = m
+	set(m)
 	return m
 }
 

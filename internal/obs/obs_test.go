@@ -50,6 +50,51 @@ func TestRegistryIdempotentCreation(t *testing.T) {
 	}
 }
 
+// TestRegistryConcurrentCreation creates the same series from several
+// goroutines at once while another scrapes and re-registers a Func, the
+// way two serving workers build a model's step instruments on their first
+// batches: every caller must get the one instrument, a scrape must never
+// see an entry without one, and under -race no access may go unordered.
+func TestRegistryConcurrentCreation(t *testing.T) {
+	r := NewRegistry()
+	const callers = 8
+	hs := make([]*Histogram, callers)
+	cs := make([]*Counter, callers)
+	gs := make([]*Gauge, callers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			l := L{Key: "model", Value: "m"}
+			hs[i] = r.Histogram("h", LatencyBuckets(), l)
+			cs[i] = r.Counter("c", l)
+			gs[i] = r.Gauge("g", l)
+			r.GaugeFunc("gf", func() float64 { return float64(i) }, l)
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		<-start
+		for i := 0; i < 20; i++ {
+			var b strings.Builder
+			if err := r.WritePrometheus(&b); err != nil {
+				t.Error(err)
+			}
+		}
+	}()
+	close(start)
+	wg.Wait()
+	for i := 1; i < callers; i++ {
+		if hs[i] != hs[0] || cs[i] != cs[0] || gs[i] != gs[0] {
+			t.Fatalf("caller %d got another instrument for the same series", i)
+		}
+	}
+}
+
 func TestWritePrometheus(t *testing.T) {
 	r := NewRegistry()
 	r.Help("reqs_total", "requests served")

@@ -14,10 +14,12 @@ import (
 // plus _sum and _count. Func instruments are evaluated outside the
 // registry lock, so they may take serving-side locks of their own.
 func (r *Registry) WritePrometheus(w io.Writer) error {
+	// Copy each entry under the lock: a re-registration may swap its
+	// function while the scrape evaluates the copy.
 	r.mu.Lock()
-	ms := make([]*metric, 0, len(r.metrics))
+	ms := make([]metric, 0, len(r.metrics))
 	for _, m := range r.metrics {
-		ms = append(ms, m)
+		ms = append(ms, *m)
 	}
 	help := make(map[string]string, len(r.help))
 	for k, v := range r.help {
@@ -34,7 +36,8 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 
 	var b strings.Builder
 	prevFamily := ""
-	for _, m := range ms {
+	for i := range ms {
+		m := &ms[i]
 		if m.family != prevFamily {
 			if h, ok := help[m.family]; ok {
 				fmt.Fprintf(&b, "# HELP %s %s\n", m.family, escapeHelp(h))

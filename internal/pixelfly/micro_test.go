@@ -26,7 +26,7 @@ func TestApplyIntoMicroMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatalf("New(%+v): %v", cfg, err)
 		}
-		ws := tensor.NewWorkspace()
+		ws := tensor.NewWorkspace(tensor.Scratch{})
 		for _, rows := range []int{1, 5} {
 			x := tensor.New(rows, cfg.N)
 			for i := range x.Data {
@@ -70,6 +70,31 @@ func assertSameMat(t *testing.T, op string, want, got *tensor.Matrix) {
 	for i := range want.Data {
 		if want.Data[i] != got.Data[i] {
 			t.Fatalf("%s: data[%d] = %v, want %v", op, i, got.Data[i], want.Data[i])
+		}
+	}
+}
+
+// TestScratchDeclaresApplyInto pins the declared workspace demand: a
+// workspace that starts empty grows, over one ApplyInto and the Reset
+// after it, to exactly what Scratch declares, with and without the
+// low-rank term.
+func TestScratchDeclaresApplyInto(t *testing.T) {
+	for _, cfg := range []Config{
+		{N: 64, BlockSize: 8, ButterflySize: 8, LowRank: 0},
+		{N: 64, BlockSize: 8, ButterflySize: 8, LowRank: 4},
+	} {
+		p, err := New(cfg, rand.New(rand.NewSource(43)))
+		if err != nil {
+			t.Fatalf("New(%+v): %v", cfg, err)
+		}
+		for _, rows := range []int{1, 5} {
+			ws := tensor.NewWorkspace(tensor.Scratch{})
+			ws.Reset()
+			p.ApplyInto(tensor.New(rows, cfg.N), tensor.New(rows, cfg.N), ws, nil, tensor.ActNone)
+			ws.Reset()
+			if got, want := ws.Capacity(), p.Scratch(rows); got != want {
+				t.Errorf("%+v at %d rows: ApplyInto took %+v, Scratch declares %+v", cfg, rows, got, want)
+			}
 		}
 	}
 }

@@ -267,6 +267,17 @@ func (p *Pixelfly) ApplyInto(dst, x *tensor.Matrix, ws *tensor.Workspace, bias [
 	tensor.AddInPlaceBiasAct(dst, lr, bias, act)
 }
 
+// Scratch is ApplyInto's workspace demand at rows rows: the feature-major
+// input and block-sparse product (N×rows each), plus, with a low-rank
+// term, X·V (rows×r) and its back-projection (rows×N).
+func (p *Pixelfly) Scratch(rows int) tensor.Scratch {
+	n, r := p.Cfg.N, p.Cfg.LowRank
+	if r == 0 {
+		return tensor.Scratch{Floats: 2 * n * rows, Headers: 2}
+	}
+	return tensor.Scratch{Floats: 2*n*rows + rows*r + rows*n, Headers: 4}
+}
+
 // MicroVariant names the block kernel ApplyInto runs, which the plan
 // compiler stamps into step metadata.
 func (p *Pixelfly) MicroVariant() string {

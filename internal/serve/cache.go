@@ -30,8 +30,8 @@ type ProgramCost struct {
 
 	// CompileSeconds is the wall time the cache miss spent pricing the
 	// program on the IPU model: building the batch's workload graph,
-	// ipu.Compile and ipu.Simulate. It leaves out the host plan's compile
-	// and the shard planner. Hits pay zero.
+	// ipu.Compile and ipu.Simulate. It leaves out the host lowering and
+	// the shard planner. Hits pay zero.
 	CompileSeconds float64 `json:"compile_s"`
 
 	// Sharding block, present when the program spans several modelled
@@ -49,10 +49,11 @@ type ProgramCost struct {
 	MicroBatches   int `json:"micro_batches,omitempty"`
 	PipelineStages int `json:"pipeline_stages,omitempty"`
 
-	// Fusion block: the compiled plan's step-fusion verdict — executed vs
-	// lowered step count, steps carrying a folded activation, resident
-	// activation-arena bytes, and the modelled arena traffic of one batch
-	// against what the unfused step list would move.
+	// Fusion block: the lowering's step-fusion verdict — executed vs
+	// lowered step count, steps carrying a folded activation, the
+	// activation-arena bytes a plan for the bucket holds, and the modelled
+	// arena traffic of one batch against what the unfused step list would
+	// move.
 	PlanSteps           int `json:"plan_steps,omitempty"`
 	PlanStepsUnfused    int `json:"plan_steps_unfused,omitempty"`
 	PlanFusedSteps      int `json:"plan_fused_steps,omitempty"`
@@ -103,12 +104,13 @@ func closePlan(pl Executor) {
 // (model, version, pow2-batch, shards) key. It bundles the modelled IPU
 // cost of the batch program with a free list of host execution plans
 // (nn.Plan, or shard.ShardedPlan when the model is sharded) sized for the
-// same batch bucket, so the micro-batcher's workers run allocation-free at
-// steady state and every response can report device cost without
-// recompiling. Its host plans come from the (model, version)'s plan
-// source, so every program of one model version shares one lowering and
-// one copy of the packed weights. The Program is the plans' sole owner:
-// they stay until the cache evicts it, which closes them.
+// same batch bucket, so the micro-batcher's workers run allocation-free
+// and every response can report device cost without recompiling. Cost
+// reads the (model, version)'s lowering and builds no plan; GetPlan is
+// the one place a plan is built, over the plan source's packed lowering,
+// so every program of one model version shares one lowering and one copy
+// of the packed weights. The Program is the plans' sole owner: they stay
+// until the cache evicts it, which closes them.
 type Program struct {
 	batch  int
 	shards int
@@ -123,15 +125,16 @@ type Program struct {
 	build    workloadBuilder
 	mets     *cacheMetrics // inherited from the cache; nil when uninstrumented
 
-	// src lowers the host network once per (model, version); every plan
-	// the program compiles is its base or an Instance of it.
+	// src lowers the host network once per (model, version) and packs it
+	// when the first plan is built; every plan the program builds runs
+	// its lowering.
 	src *planSource
 
 	// idle is the LIFO free list of plans no caller holds. It needs no
-	// cap: GetPlan compiles only when none is idle, so it holds at most
-	// the plans that were out at one moment (the model's batcher workers
-	// and a readiness probe) plus the one Cost donates. closed is set by
-	// eviction; plans returned afterwards are closed.
+	// cap: GetPlan builds only when none is idle, so it holds at most the
+	// plans that were out at one moment (the model's batcher workers and
+	// a readiness probe). closed is set by eviction; plans returned
+	// afterwards are closed.
 	mu     sync.Mutex
 	idle   []Executor
 	closed bool
@@ -147,84 +150,74 @@ type Program struct {
 
 // Cost returns the memoized modelled IPU cost; the first caller pays the
 // compile, concurrent callers block on it, and failures (e.g. tile OOM)
-// are cached because the retry would fail identically. For sharded
-// programs the single-chip compile is augmented with the shard planner's
-// per-IPU memory and IPU-Link exchange verdict.
+// are cached because the retry would fail identically. The fusion block
+// and, for sharded programs, the shard planner's per-IPU memory and
+// IPU-Link exchange verdict are read from the model's lowering.
 func (p *Program) Cost() (*ProgramCost, error) {
 	p.costOnce.Do(func() {
-		p.cost, p.costErr = compileCost(p.cfg, p.batch, p.build)
-		if p.costErr != nil {
-			p.costDone.Store(true)
-			return
-		}
-		if p.mets != nil {
-			p.mets.compile.Observe(p.cost.CompileSeconds)
-		}
-		pl, err := p.fusionCost(p.cost)
-		if err != nil {
-			p.cost, p.costErr = nil, err
-			p.costDone.Store(true)
-			return
-		}
-		if p.shards > 1 {
-			// The fusion probe's plan seeds the shard estimate, so a
-			// sharded cost query compiles the host plan exactly once.
-			p.costErr = p.shardCost(p.cost, pl)
-			if p.costErr != nil {
-				p.cost = nil
-			}
-		} else {
-			// Donate the probe plan to the free list: the first Predict
-			// after a Cost pays no second compile.
-			p.PutPlan(pl)
-		}
+		p.cost, p.costErr = p.price()
 		p.costDone.Store(true)
 	})
 	return p.cost, p.costErr
 }
 
-// fusionCost annotates the cost with the host plan's fusion silhouette
-// (step counts, arena bytes, modelled activation-arena traffic) and
-// returns the plan it compiled. A 1-IPU program keeps that plan, so it may
-// become the source's base; a sharded program's probe is dropped once
-// priced, so it never does.
-func (p *Program) fusionCost(cost *ProgramCost) (*nn.Plan, error) {
-	pl, err := p.src.plan(p.batch, p.shards <= 1)
+// price compiles the program on the IPU model and annotates the cost
+// with the lowering's fusion silhouette (step counts, arena bytes,
+// modelled activation-arena traffic) and, for a sharded program, the
+// shard planner's verdict.
+func (p *Program) price() (*ProgramCost, error) {
+	cost, err := compileCost(p.cfg, p.batch, p.build)
 	if err != nil {
-		return nil, fmt.Errorf("serve: compiling host plan for fusion cost: %w", err)
+		return nil, err
 	}
-	st := pl.Stats()
+	if p.mets != nil {
+		p.mets.compile.Observe(cost.CompileSeconds)
+	}
+	low, err := p.src.lowering()
+	if err != nil {
+		return nil, fmt.Errorf("serve: lowering host plan for fusion cost: %w", err)
+	}
+	st := low.Stats(p.batch)
 	cost.PlanSteps = st.Steps
 	cost.PlanStepsUnfused = st.StepsBeforeFusion
 	cost.PlanFusedSteps = st.FusedSteps
 	cost.PlanArenaBytes = st.ArenaBytes
 	cost.TrafficBytes = st.TrafficBytes
 	cost.TrafficBytesUnfused = st.TrafficBytesBeforeFusion
-	return pl, nil
+	if p.shards > 1 {
+		if err := p.shardCost(cost); err != nil {
+			return nil, err
+		}
+	}
+	return cost, nil
 }
 
 // shardEstimate memoizes the shard planner's verdict for this program,
-// priced on the caller's compiled host plan (only the first caller's plan
-// is consulted).
-func (p *Program) shardEstimate(pl *nn.Plan) (shard.Cost, error) {
+// priced on the model's lowering.
+func (p *Program) shardEstimate() (shard.Cost, error) {
 	p.scOnce.Do(func() {
-		if p.sc, p.scErr = shard.EstimateBudget(pl, p.batch, p.shards, p.topo, p.budget); p.scErr != nil {
+		low, err := p.src.lowering()
+		if err != nil {
+			p.scErr = err
 			return
 		}
-		p.scOne, p.scErr = shard.EstimateBudget(pl, p.batch, 1, p.topo, p.budget)
+		if p.sc, p.scErr = shard.EstimateBudget(low, p.batch, p.shards, p.topo, p.budget); p.scErr != nil {
+			return
+		}
+		p.scOne, p.scErr = shard.EstimateBudget(low, p.batch, 1, p.topo, p.budget)
 	})
 	return p.sc, p.scErr
 }
 
 // shardCost folds the shard planner's estimate into a single-chip program
 // cost: per-IPU residency, exchange traffic, and the latency of the
-// partitioned run, estimated from the compiled host plan pl. The compute
-// portion is scaled by the planner's own sharded-vs-unsharded compute
-// ratio (1 for pipeline; between 1/S and 1 for tensor parallelism, since
-// replicated rank bottlenecks do not divide), keeping the served latency consistent with
-// the planner's Cost for the same plan.
-func (p *Program) shardCost(cost *ProgramCost, pl *nn.Plan) error {
-	sc, err := p.shardEstimate(pl)
+// partitioned run. The compute portion is scaled by the planner's own
+// sharded-vs-unsharded compute ratio (1 for pipeline; between 1/S and 1
+// for tensor parallelism, since replicated rank bottlenecks do not
+// divide), keeping the served latency consistent with the planner's Cost
+// for the same lowering.
+func (p *Program) shardCost(cost *ProgramCost) error {
+	sc, err := p.shardEstimate()
 	if err != nil {
 		return err
 	}
@@ -253,9 +246,10 @@ func (p *Program) shardCost(cost *ProgramCost, pl *nn.Plan) error {
 }
 
 // GetPlan hands out an idle host execution plan — sharded across the
-// program's modelled IPUs when shards > 1 — materialising a fresh
-// instance from the plan source when none is idle. Callers must return it
-// with PutPlan after copying anything they need out of its buffers.
+// program's modelled IPUs when shards > 1 — building a fresh one when
+// none is idle, and times each build into the plan-build histogram.
+// Callers must return it with PutPlan after copying anything they need
+// out of its buffers.
 func (p *Program) GetPlan() (Executor, error) {
 	p.mu.Lock()
 	if n := len(p.idle); n > 0 {
@@ -266,15 +260,40 @@ func (p *Program) GetPlan() (Executor, error) {
 		return pl, nil
 	}
 	p.mu.Unlock()
-	pl, err := p.src.plan(p.batch, true)
-	if err != nil || p.shards <= 1 {
-		return pl, err
+	start := time.Now()
+	pl, err := p.newPlan()
+	if err == nil && p.mets != nil {
+		p.mets.planBuild.Observe(time.Since(start).Seconds())
 	}
-	sc, err := p.shardEstimate(pl)
+	return pl, err
+}
+
+// newPlan builds one host plan for the program's bucket: an instance of
+// the packed lowering on one IPU, or a sharded plan under the planner's
+// strategy. A tensor-parallel plan packs its own weight windows, so it
+// is compiled from the unpacked lowering and never makes the source pack
+// the whole model.
+func (p *Program) newPlan() (Executor, error) {
+	if p.shards <= 1 {
+		low, err := p.src.packed()
+		if err != nil {
+			return nil, err
+		}
+		return low.Instance(p.batch)
+	}
+	sc, err := p.shardEstimate()
 	if err != nil {
 		return nil, err
 	}
-	return shard.CompileMicro(pl, p.topo, p.shards, sc.Strategy, sc.MicroBatches)
+	lower := p.src.lowering
+	if sc.Strategy == shard.Pipeline {
+		lower = p.src.packed
+	}
+	low, err := lower()
+	if err != nil {
+		return nil, err
+	}
+	return shard.CompileMicro(low, p.batch, p.topo, p.shards, sc.Strategy, sc.MicroBatches)
 }
 
 // PutPlan returns a plan obtained from GetPlan to the free list, or
@@ -306,40 +325,49 @@ func (p *Program) close() {
 	}
 }
 
-// planSource lowers one (model, version)'s network once. The first plan a
-// program keeps becomes the base, and every later host plan, at any batch
-// bucket, sharded or not, is an Instance of it: instances share the base's
-// lowered steps and packed weights and own only their buffers.
+// planSource holds one (model, version)'s lowering: the network is
+// lowered once, when the first program is priced or builds a plan, and
+// packed once, when the first plan that runs the packs is built. Both
+// happen under the source's lock, so programs that miss at once share
+// one lowering and one set of packs; every host plan, at any batch
+// bucket, sharded or not, runs them.
 type planSource struct {
 	net *nn.Sequential
 
-	mu   sync.Mutex
-	base *nn.Plan
+	mu     sync.Mutex
+	low    *nn.Lowering // unpacked: what pricing and the planner read
+	lowErr error
+	exe    *nn.Lowering // low packed: what plans run
 }
 
-// plan returns a host plan for batches of up to maxBatch rows. keep says
-// the caller's program keeps the plan. Without a base, a kept plan is
-// compiled under the lock and becomes the base, so workers that miss at
-// once share one lowering; a plan no program keeps (the sharded cost
-// probe) is compiled on its own and dropped with its packs. With a base,
-// the plan is an Instance of it, built outside the lock: Instance reads
-// only what lowering fixed, so it may run while the base executes.
-func (s *planSource) plan(maxBatch int, keep bool) (*nn.Plan, error) {
+// lowering returns the model's lowering, lowering the network on first
+// use. A failure is kept, since lowering the same network fails again.
+func (s *planSource) lowering() (*nn.Lowering, error) {
 	s.mu.Lock()
-	base := s.base
-	if base == nil && keep {
-		pl, err := s.net.CompilePlan(maxBatch)
-		if err == nil {
-			s.base = pl
+	defer s.mu.Unlock()
+	return s.lowerLocked()
+}
+
+func (s *planSource) lowerLocked() (*nn.Lowering, error) {
+	if s.low == nil && s.lowErr == nil {
+		s.low, s.lowErr = s.net.Lower(nn.PlanOptions{})
+	}
+	return s.low, s.lowErr
+}
+
+// packed returns the packed lowering plans run, packing the model's
+// weights on first use.
+func (s *planSource) packed() (*nn.Lowering, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.exe == nil {
+		low, err := s.lowerLocked()
+		if err != nil {
+			return nil, err
 		}
-		s.mu.Unlock()
-		return pl, err
+		s.exe = low.Pack()
 	}
-	s.mu.Unlock()
-	if base == nil {
-		return s.net.CompilePlan(maxBatch)
-	}
-	return base.Instance(maxBatch)
+	return s.exe, nil
 }
 
 // sourceKey names the plan source of one (model, version).

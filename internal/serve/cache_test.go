@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
@@ -9,16 +10,17 @@ import (
 	"repro/internal/ipu"
 	"repro/internal/nn"
 	"repro/internal/shard"
+	"repro/internal/tensor"
 )
 
-// costOf prices sp's program at one batch bucket on one IPU: the lookup
-// Model.ModelledCost makes for every request.
-func costOf(c *ProgramCache, sp ModelSpec, version, batch int) (*ProgramCost, error) {
+// costOf prices sp's program at one batch bucket on shards modelled IPUs:
+// the lookup Model.ModelledCost makes for every request.
+func costOf(c *ProgramCache, sp ModelSpec, version, batch, shards int) (*ProgramCost, error) {
 	net, err := buildNet(sp)
 	if err != nil {
 		return nil, err
 	}
-	p, err := c.Program(sp.Name, version, batch, 1, net, func(cfg ipu.Config, b int) (*ipu.Workload, error) {
+	p, err := c.Program(sp.Name, version, batch, shards, net, func(cfg ipu.Config, b int) (*ipu.Workload, error) {
 		return buildWorkload(cfg, sp, b)
 	})
 	if err != nil {
@@ -31,7 +33,7 @@ func TestProgramCacheHitMissAccounting(t *testing.T) {
 	c := NewShardedProgramCache(ipu.GC200(), shard.DefaultTopology(1), 0)
 	sp := spec("m", nn.Butterfly)
 
-	cost1, err := costOf(c, sp, 1, 8)
+	cost1, err := costOf(c, sp, 1, 8, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +44,7 @@ func TestProgramCacheHitMissAccounting(t *testing.T) {
 		t.Fatalf("after first Cost: %+v, want 0 hits / 1 miss", s)
 	}
 
-	cost2, err := costOf(c, sp, 1, 8)
+	cost2, err := costOf(c, sp, 1, 8, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,11 +56,11 @@ func TestProgramCacheHitMissAccounting(t *testing.T) {
 	}
 
 	// A different batch size is a different program.
-	if _, err := costOf(c, sp, 1, 16); err != nil {
+	if _, err := costOf(c, sp, 1, 16, 1); err != nil {
 		t.Fatal(err)
 	}
 	// A different model version is a different program.
-	if _, err := costOf(c, sp, 2, 8); err != nil {
+	if _, err := costOf(c, sp, 2, 8, 1); err != nil {
 		t.Fatal(err)
 	}
 	if s := c.Stats(); s.Misses != 3 || s.Entries != 3 {
@@ -77,7 +79,7 @@ func TestProgramCacheConcurrentColdKeyCompilesOnce(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			cost, err := costOf(c, sp, 1, 4)
+			cost, err := costOf(c, sp, 1, 4, 1)
 			if err != nil {
 				t.Errorf("Cost: %v", err)
 				return
@@ -103,7 +105,7 @@ func TestProgramCacheConcurrentColdKeyCompilesOnce(t *testing.T) {
 func TestProgramCacheAllMethodsCompile(t *testing.T) {
 	c := NewShardedProgramCache(ipu.GC200(), shard.DefaultTopology(1), 0)
 	for _, m := range nn.AllMethods {
-		cost, err := costOf(c, spec("m-"+m.String(), m), 1, 8)
+		cost, err := costOf(c, spec("m-"+m.String(), m), 1, 8, 1)
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
@@ -135,7 +137,7 @@ func TestCompileSecondsIncludesBuild(t *testing.T) {
 
 func TestProgramCacheRejectsBadBatch(t *testing.T) {
 	c := NewShardedProgramCache(ipu.GC200(), shard.DefaultTopology(1), 0)
-	if _, err := costOf(c, spec("m", nn.Baseline), 1, 0); err == nil {
+	if _, err := costOf(c, spec("m", nn.Baseline), 1, 0, 1); err == nil {
 		t.Fatal("batch 0 accepted")
 	}
 }
@@ -174,16 +176,264 @@ func TestProgramCostFusionBlock(t *testing.T) {
 		t.Fatalf("PlanArenaBytes = %d, want > 0", cost.PlanArenaBytes)
 	}
 
-	// The plan compiled for the fusion block is donated to the pool: the
-	// first GetPlan must not compile again but still execute correctly.
+	// Pricing builds no plan: the first GetPlan builds one, and it must
+	// match Infer bit for bit.
+	if n := len(p.idle); n != 0 {
+		t.Fatalf("pricing left %d plans on the free list, want none", n)
+	}
 	pl, err := p.GetPlan()
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer p.PutPlan(pl)
 	if pl.MaxBatch() != 8 {
-		t.Fatalf("pooled plan MaxBatch = %d, want 8", pl.MaxBatch())
+		t.Fatalf("built plan MaxBatch = %d, want 8", pl.MaxBatch())
 	}
-	p.PutPlan(pl)
+	x := tensor.New(8, sp.N)
+	x.FillRandom(rand.New(rand.NewSource(7)), 1)
+	want := net.Infer(x)
+	got, err := pl.Execute(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := tensor.MaxAbsDiff(want, got); d != 0 {
+		t.Fatalf("first built plan differs from Infer by %g, want bit for bit", d)
+	}
+}
+
+// planPricedCost is the oracle of Program.Cost, kept as the cache priced
+// programs before pricing read the lowering alone: the fusion block and
+// the shard planner's verdict read off a plan compiled, packed and warmed
+// up for the bucket.
+func planPricedCost(t *testing.T, sp ModelSpec, batch, shards int, topo shard.Topology) ProgramCost {
+	t.Helper()
+	net, err := buildNet(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cost, err := compileCost(ipu.GC200(), batch, func(cfg ipu.Config, b int) (*ipu.Workload, error) {
+		return buildWorkload(cfg, sp, b)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, err := net.CompilePlan(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm := tensor.New(batch, sp.N)
+	for i := 0; i < 2; i++ {
+		if _, err := pl.Execute(warm); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := pl.Stats(batch)
+	cost.PlanSteps = st.Steps
+	cost.PlanStepsUnfused = st.StepsBeforeFusion
+	cost.PlanFusedSteps = st.FusedSteps
+	cost.PlanArenaBytes = 4 * batch * (sp.N + sp.Classes) // the fused SHL's two arenas
+	cost.TrafficBytes = st.TrafficBytes
+	cost.TrafficBytesUnfused = st.TrafficBytesBeforeFusion
+	if shards > 1 {
+		sc, err := shard.EstimateBudget(pl.Lowering, batch, shards, topo, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		one, err := shard.EstimateBudget(pl.Lowering, batch, 1, topo, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cost.Shards = shards
+		cost.Strategy = sc.StrategyName()
+		cost.PerIPUBytes = sc.PerIPUBytes
+		cost.ExchangeBytes = sc.ExchangeBytesPerBatch
+		cost.ExchangeSeconds = sc.ExchangeSecondsPerBatch
+		cost.MicroBatches = sc.MicroBatches
+		cost.PipelineStages = sc.PipelineStages
+		if one.ComputeSecondsPerBatch > 0 {
+			cost.LatencySeconds *= sc.ComputeSecondsPerBatch / one.ComputeSecondsPerBatch
+		}
+		cost.LatencySeconds += sc.ExchangeSecondsPerBatch
+		if sc.MicroBatches > 1 {
+			if barrier := sc.ComputeSecondsPerBatch + sc.ExchangeSecondsPerBatch; barrier > 0 {
+				cost.LatencySeconds *= sc.LatencySecondsPerBatch / barrier
+			}
+		}
+		cost.PerRequestSeconds = cost.LatencySeconds / float64(batch)
+	}
+	cost.CompileSeconds = 0
+	return *cost
+}
+
+// TestProgramCostMatchesPlanOracle pins pricing from the lowering alone
+// to the plan-priced oracle: every field of every family's ProgramCost
+// but CompileSeconds, on 1, 2 and 4 modelled IPUs at buckets 1-64, and
+// the pricing builds no plan.
+func TestProgramCostMatchesPlanOracle(t *testing.T) {
+	topo := shard.DefaultTopology(4)
+	for _, m := range nn.AllMethods {
+		sp := ModelSpec{Name: m.String(), Method: m, N: 256, Classes: 10, Seed: 42}
+		for _, shards := range []int{1, 2, 4} {
+			c := NewShardedProgramCache(ipu.GC200(), topo, 0)
+			for b := 1; b <= 64; b *= 2 {
+				got, err := costOf(c, sp, 1, b, shards)
+				if err != nil {
+					t.Fatalf("%v on %d IPUs at %d: %v", m, shards, b, err)
+				}
+				g := *got
+				g.CompileSeconds = 0
+				if want := planPricedCost(t, sp, b, shards, topo); g != want {
+					t.Errorf("%v on %d IPUs at %d:\n got  %+v\n want %+v", m, shards, b, g, want)
+				}
+			}
+			src := c.sources[sourceKey{model: sp.Name, version: 1}]
+			if src.exe != nil {
+				t.Errorf("%v on %d IPUs: pricing packed the model", m, shards)
+			}
+			for _, p := range c.entries {
+				if len(p.idle) != 0 {
+					t.Errorf("%v on %d IPUs: pricing left a plan on a free list", m, shards)
+				}
+			}
+		}
+	}
+}
+
+// TestPlanBuildSecondsCountsBuilds pins the plan-build histogram: GetPlan
+// observes it once for every plan it builds and never for a plan it hands
+// back from the free list.
+func TestPlanBuildSecondsCountsBuilds(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		reg := NewRegistry(Options{NumIPUs: shards, Shards: shards})
+		m, err := reg.Register(spec("m", nn.Pixelfly))
+		if err != nil {
+			t.Fatal(err)
+		}
+		builds := func() int64 {
+			var n int64
+			for _, c := range reg.cache.mets.planBuild.BucketCounts() {
+				n += c
+			}
+			return n
+		}
+		if _, err := m.ModelledCost(4); err != nil {
+			t.Fatal(err)
+		}
+		if n := builds(); n != 0 {
+			t.Fatalf("%d IPUs: pricing observed %d plan builds, want 0", shards, n)
+		}
+		prog, err := reg.cache.programQuiet(m.spec.Name, m.version, 4, m.shards, m.net, m.workload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var held []Executor
+		for want := int64(1); want <= 3; want++ {
+			pl, err := prog.GetPlan() // none idle: builds
+			if err != nil {
+				t.Fatal(err)
+			}
+			held = append(held, pl)
+			if n := builds(); n != want {
+				t.Fatalf("%d IPUs: %d plan builds observed after %d builds", shards, n, want)
+			}
+		}
+		for _, pl := range held {
+			prog.PutPlan(pl)
+		}
+		for i := 0; i < 3; i++ {
+			pl, err := prog.GetPlan() // idle: reused
+			if err != nil {
+				t.Fatal(err)
+			}
+			prog.PutPlan(pl)
+		}
+		if n := builds(); n != 3 {
+			t.Fatalf("%d IPUs: reusing idle plans moved the build count to %d, want 3", shards, n)
+		}
+		reg.Close()
+	}
+}
+
+// TestConcurrentFirstPlansShareLowering races the first GetPlan of
+// several buckets of a fresh model, on one modelled IPU and on two: every
+// plan built must run the one packed lowering the plan source made, and
+// with it the one set of packs (packs live in the packed lowering, and
+// nn's TestPlanInstanceSharesPacks pins that every instance runs them).
+// CI repeats it under the race detector.
+func TestConcurrentFirstPlansShareLowering(t *testing.T) {
+	c := NewShardedProgramCache(ipu.GC200(), shard.DefaultTopology(2), 0)
+	defer c.Evict("m", 1)
+	sp := spec("m", nn.Baseline)
+	net, err := buildNet(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := func(cfg ipu.Config, b int) (*ipu.Workload, error) { return buildWorkload(cfg, sp, b) }
+	type got struct {
+		prog *Program
+		pl   Executor
+	}
+	var progs []*Program
+	for _, shards := range []int{1, 2} {
+		for b := 1; b <= 8; b *= 2 {
+			p, err := c.Program(sp.Name, 1, b, shards, net, build)
+			if err != nil {
+				t.Fatal(err)
+			}
+			progs = append(progs, p, p)
+		}
+	}
+	start := make(chan struct{})
+	out := make([]got, len(progs))
+	var wg sync.WaitGroup
+	for i, p := range progs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			pl, err := p.GetPlan()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			out[i] = got{p, pl}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	src := c.sources[sourceKey{model: sp.Name, version: 1}]
+	if src.exe == nil {
+		t.Fatal("no packed lowering after the first plans")
+	}
+	x := tensor.New(1, sp.N)
+	x.FillRandom(rand.New(rand.NewSource(9)), 1)
+	want := net.Infer(x)
+	for _, g := range out {
+		if g.pl == nil {
+			continue
+		}
+		var low *nn.Lowering
+		switch pl := g.pl.(type) {
+		case *nn.Plan:
+			low = pl.Lowering
+		case *shard.ShardedPlan:
+			if pl.Strategy() != shard.Pipeline {
+				t.Fatalf("the planner put the test model on %v; the test needs a pipeline", pl.Strategy())
+			}
+			low = pl.Lowering()
+		}
+		if low != src.exe {
+			t.Errorf("a plan at bucket %d on %d IPUs runs lowering %p, the source packed %p", g.prog.batch, g.prog.shards, low, src.exe)
+		}
+		y, err := g.pl.Execute(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := tensor.MaxAbsDiff(want, y); d != 0 {
+			t.Errorf("a plan at bucket %d on %d IPUs differs from Infer by %g", g.prog.batch, g.prog.shards, d)
+		}
+		g.prog.PutPlan(g.pl)
+	}
 }
 
 // TestProgramPlansSurviveGC pins the free list's ownership: an idle plan

@@ -50,7 +50,7 @@ func TestObserveExecKeepsDefinitions(t *testing.T) {
 			}
 			var ex steppedExecutor = pl
 			if c.ipus > 1 {
-				sp, err := shard.CompileMicro(pl, m.topo, c.ipus, c.strat, c.micro)
+				sp, err := shard.CompileMicro(pl.Lowering, pl.MaxBatch(), m.topo, c.ipus, c.strat, c.micro)
 				if err != nil {
 					t.Fatal(err)
 				}

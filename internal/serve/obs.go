@@ -28,6 +28,7 @@ const (
 	metCacheEvict     = "ipuserve_cache_evictions_total"
 	metCacheEntries   = "ipuserve_cache_entries"
 	metCacheCompile   = "ipuserve_cache_compile_seconds"
+	metPlanBuild      = "ipuserve_plan_build_seconds"
 	metPlanStep       = "ipuserve_plan_step_seconds"
 	metShardCompute   = "ipuserve_shard_compute_seconds"
 	metFactorErr      = "ipuserve_model_factorization_error"
@@ -58,6 +59,7 @@ func registerHelp(reg *obs.Registry) {
 	reg.Help(metCacheEvict, "Cached programs dropped by model replacement or removal.")
 	reg.Help(metCacheEntries, "Compiled programs currently cached.")
 	reg.Help(metCacheCompile, "Wall time of pricing a program on the modelled IPU per cache miss: workload build, compile and simulate; the host plan's compile is not included.")
+	reg.Help(metPlanBuild, "Wall time of building one host plan on the request path when a program has no idle plan, the packing of the model's weights included when it is the model version's first.")
 	reg.Help(metPlanStep, "Measured wall time of one compiled-plan step, per model and step.")
 	reg.Help(metShardCompute, "Measured per-IPU kernel time of one sharded batch, per model and modelled IPU.")
 	reg.Help(metFactorErr, "Max per-layer relative Frobenius error of the factorization the model serves (0 = exact weights).")
@@ -163,7 +165,7 @@ type driftAcc struct {
 func modelledPerRow(se steppedExecutor, topo shard.Topology) []float64 {
 	switch ex := se.(type) {
 	case *nn.Plan:
-		return shard.PlanStepSeconds(ex, 1, topo)
+		return shard.PlanStepSeconds(ex.Lowering, 1, topo)
 	case *shard.ShardedPlan:
 		ms := ex.ModelledStepSeconds()
 		out := make([]float64, len(ms))
@@ -284,7 +286,7 @@ func (m *Model) installTimelineMeta(se steppedExecutor, so *stepObs) {
 	}
 	switch ex := se.(type) {
 	case *nn.Plan:
-		meta.ComputeSecPerRow = shard.PlanStepSeconds(ex, 1, m.topo)
+		meta.ComputeSecPerRow = shard.PlanStepSeconds(ex.Lowering, 1, m.topo)
 	case *shard.ShardedPlan:
 		meta.Strategy = ex.Strategy().String()
 		meta.Shards = ex.Shards()
@@ -425,16 +427,18 @@ func (m *Model) traceSpans(tr *obs.Trace, resp *response) {
 	}
 }
 
-// cacheMetrics is the program cache's instrument set; the compile-latency
-// histogram is observed by Program.Cost after each compile.
+// cacheMetrics is the program cache's instrument set: the compile-latency
+// histogram is observed by Program.Cost after each compile, the
+// plan-build histogram by Program.GetPlan after each plan it builds.
 type cacheMetrics struct {
-	compile *obs.Histogram
+	compile   *obs.Histogram
+	planBuild *obs.Histogram
 }
 
 // instrument exposes the cache's counters on the registry. The hit/miss/
 // eviction totals read the cache's existing atomics at scrape time, so
 // the lookup path pays no double bookkeeping. Must be called before the
-// first Program is created so every entry carries the compile histogram.
+// first Program is created so every entry carries the histograms.
 func (c *ProgramCache) instrument(reg *obs.Registry) {
 	reg.CounterFunc(metCacheHits, c.hits.Load)
 	reg.CounterFunc(metCacheMisses, c.misses.Load)
@@ -445,5 +449,8 @@ func (c *ProgramCache) instrument(reg *obs.Registry) {
 		c.mu.Unlock()
 		return float64(n)
 	})
-	c.mets = &cacheMetrics{compile: reg.Histogram(metCacheCompile, obs.LatencyBuckets())}
+	c.mets = &cacheMetrics{
+		compile:   reg.Histogram(metCacheCompile, obs.LatencyBuckets()),
+		planBuild: reg.Histogram(metPlanBuild, obs.LatencyBuckets()),
+	}
 }

@@ -115,7 +115,7 @@ func TestMetricsAndTracesUnderLoad(t *testing.T) {
 
 // TestTraceStepSpansMatchPlan pins the acceptance criterion that a
 // sampled trace's per-step spans line up with the compiled plan's step
-// count (Plan.Stats().Steps, reported as ProgramCost.PlanSteps).
+// count (Lowering.Stats(rows).Steps, reported as ProgramCost.PlanSteps).
 func TestTraceStepSpansMatchPlan(t *testing.T) {
 	spec := ModelSpec{Name: "bf", Method: nn.Butterfly, N: 256, Classes: 10, Seed: 1}
 	reg := obsTestRegistry(t, Options{TraceSampleEvery: 1, TraceKeep: 8}, spec)

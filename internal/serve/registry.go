@@ -255,10 +255,11 @@ func (r *Registry) registerPhaseGauges(m *Model) {
 
 // pickShards decides how many modelled IPUs a model serves on: the fixed
 // Options.Shards when set, otherwise the smallest power-of-two count whose
-// per-IPU footprint (priced by the shard planner at the batcher's largest
-// batch bucket) fits the per-IPU memory budget. When nothing fits, the
-// full topology is used anyway — the registry still serves, oversubscribed
-// in the model, and ProgramCost reports the overflow.
+// per-IPU footprint (priced by the shard planner on the network's
+// lowering, at the batcher's largest batch bucket) fits the per-IPU memory
+// budget. Pricing packs no weight and builds no plan. When nothing fits,
+// the full topology is used anyway — the registry still serves,
+// oversubscribed in the model, and ProgramCost reports the overflow.
 func (r *Registry) pickShards(net *nn.Sequential) int {
 	if r.opts.Shards > 0 {
 		// Shard counts must be powers of two (slices and butterfly stages
@@ -270,11 +271,11 @@ func (r *Registry) pickShards(net *nn.Sequential) int {
 		return 1
 	}
 	batch := nextPow2(r.opts.Batcher.withDefaults().MaxBatch)
-	pl, err := net.CompilePlan(batch)
+	low, err := net.Lower(nn.PlanOptions{})
 	if err != nil {
 		return 1
 	}
-	cost, _, err := shard.FitShards(pl, batch, r.topo, r.opts.PerIPUMemBytes)
+	cost, _, err := shard.FitShards(low, batch, r.topo, r.opts.PerIPUMemBytes)
 	if err != nil {
 		return 1
 	}

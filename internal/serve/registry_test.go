@@ -296,15 +296,16 @@ func TestPredictAllocs(t *testing.T) {
 
 // TestServedModelHeap bounds what a served model keeps live. Each model is
 // registered in its own registry with every batch bucket from 1 to 64
-// priced, as perfbench's set-up does. Each of sharded_http's two models, at
-// the paper's width on two modelled IPUs, may grow the live heap by at most
-// 4 bytes per parameter plus 0.5 MiB: a gradient buffer as large as the
-// weights does not fit, nor does a dense pack that a sharded cost probe
-// left live. Each of structured_http's three models, on one modelled IPU,
-// keeps the seven bucket plans its pricing compiled, and may grow the live
-// heap by 4 bytes per parameter, plus those plans' arena and workspace
-// bytes, plus 384 KiB: a copy of the 64 KiB head pack in every plan does
-// not fit.
+// priced, as perfbench's set-up does. Set-up builds no plan, so each
+// family at the paper's width, on two modelled IPUs (sharded_http's dense
+// and pixelfly) or one (structured_http's butterfly, fastfood and
+// circulant), may grow the live heap by at most 4 bytes per parameter
+// plus 0.5 MiB: a gradient buffer as large as the weights does not fit,
+// nor does a plan or a dense pack. The one-IPU families are read again
+// after one batch at every bucket, which builds one plan per bucket and
+// keeps it: then the bound is 4 bytes per parameter, plus those plans'
+// arena and workspace bytes, plus 384 KiB, so a copy of the 64 KiB head
+// pack in every plan does not fit.
 func TestServedModelHeap(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop items at random, which moves the live heap")
@@ -335,31 +336,38 @@ func TestServedModelHeap(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			grown := liveHeap() - before
-			limit := 4*int64(m.Info().Params) + 1<<19
-			if tc.ipus == 1 {
-				// Each priced bucket's program holds the plan its cost
-				// probe compiled; GetPlan hands that one back.
-				limit = 4*int64(m.Info().Params) + 384<<10
-				for b := 1; b <= 64; b *= 2 {
-					prog, err := m.cache.programQuiet(m.spec.Name, m.version, b, m.shards, m.net, m.workload)
-					if err != nil {
-						t.Fatal(err)
-					}
-					pl, err := prog.GetPlan()
-					if err != nil {
-						t.Fatal(err)
-					}
-					st := pl.(*nn.Plan).Stats()
-					limit += int64(st.ArenaBytes + st.WorkspaceBytes)
-					prog.PutPlan(pl)
+			weights := 4 * int64(m.Info().Params)
+			check := func(when string, limit int64) {
+				t.Helper()
+				grown := liveHeap() - before
+				t.Logf("%s: live heap grew %.2f MiB for %d parameters (limit %.2f MiB)",
+					when, float64(grown)/(1<<20), m.Info().Params, float64(limit)/(1<<20))
+				if grown > limit {
+					t.Fatalf("%s: live heap grew %d bytes, want at most %d", when, grown, limit)
 				}
 			}
-			t.Logf("live heap grew %.2f MiB for %d parameters (limit %.2f MiB)",
-				float64(grown)/(1<<20), m.Info().Params, float64(limit)/(1<<20))
-			if grown > limit {
-				t.Fatalf("live heap grew %d bytes, want at most %d", grown, limit)
+			check("after set-up", weights+1<<19)
+			if tc.ipus > 1 {
+				return
 			}
+			limit := weights + 384<<10
+			for b := 1; b <= 64; b *= 2 {
+				if _, err := m.runBatch(tensor.New(b, 1024), &execInfo{}); err != nil {
+					t.Fatal(err)
+				}
+				prog, err := m.cache.programQuiet(m.spec.Name, m.version, b, m.shards, m.net, m.workload)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pl, err := prog.GetPlan() // the idle plan the batch built
+				if err != nil {
+					t.Fatal(err)
+				}
+				st := pl.(*nn.Plan).Stats(b)
+				limit += int64(st.ArenaBytes + st.WorkspaceBytes)
+				prog.PutPlan(pl)
+			}
+			check("after one batch per bucket", limit)
 		})
 	}
 }

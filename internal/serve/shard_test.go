@@ -100,7 +100,7 @@ func TestRegistryAutoShardSelection(t *testing.T) {
 		t.Fatal(err)
 	}
 	topo := shard.Topology{NumIPUs: 4, IPU: ipu.GC200(), Link: ipu.IPULink()}
-	c1, err := shard.Estimate(pl, 8, 1, topo)
+	c1, err := shard.Estimate(pl.Lowering, 8, 1, topo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestRegistryAutoShardSelection(t *testing.T) {
 	// Budget below the single-chip footprint: the registry must shard,
 	// picking exactly what the planner calls the smallest fitting count.
 	budget := c1.PerIPUBytes - 1
-	want, fits, err := shard.FitShards(pl, 8, topo, budget)
+	want, fits, err := shard.FitShards(pl.Lowering, 8, topo, budget)
 	if err != nil || !fits {
 		t.Fatalf("FitShards: fits=%v err=%v", fits, err)
 	}
@@ -165,6 +165,33 @@ func TestRegistryAutoShardSelection(t *testing.T) {
 	}
 	if cost.ExchangeBytes <= 0 && cost.Strategy == "tensor-parallel" {
 		t.Fatal("tensor-parallel cost reports no exchange traffic")
+	}
+
+	// Picking the count prices the lowering and builds no plan: registering
+	// a 1024-wide dense model with the count picked allocates no more than
+	// registering it with the count fixed, where a plan would add the
+	// 4 MiB pack of its dense weight.
+	wide := ModelSpec{Name: "wide", Method: nn.Baseline, N: 1024, Classes: 10, Seed: 42}
+	registerAllocs := func(shards int) uint64 {
+		reg := NewRegistry(Options{Batcher: BatcherConfig{MaxBatch: 8, Workers: 2}, NumIPUs: 4, Shards: shards})
+		defer reg.Close()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		m, err := reg.Register(wide)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Shards() != 1 {
+			t.Fatalf("the wide model runs on %d IPUs, want 1", m.Shards())
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	fixed, picked := registerAllocs(1), registerAllocs(0)
+	t.Logf("registering allocated %.2f MiB with the shard count fixed, %.2f MiB with it picked",
+		float64(fixed)/(1<<20), float64(picked)/(1<<20))
+	if picked > fixed+1<<20 {
+		t.Fatalf("picking the shard count allocated %d bytes more than fixing it: a plan was built", picked-fixed)
 	}
 }
 

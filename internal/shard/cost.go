@@ -121,14 +121,14 @@ func describeStep(l nn.Layer, outW, batch int) stepDesc {
 	return d
 }
 
-// describePlan walks the plan once. A fused step is priced as its linear
+// describePlan walks the lowering once. A fused step is priced as its linear
 // layer plus the folded activation's elementwise pass — the activation's
 // work doesn't disappear under fusion, but its arena resweep, barrier and
 // per-step all-gather do (one desc instead of two is exactly that saving).
-func describePlan(pl *nn.Plan, batch int) (descs []stepDesc, maxW int) {
-	maxW = pl.InputWidth()
-	for i := 0; i < pl.NumSteps(); i++ {
-		info := pl.Step(i)
+func describePlan(low *nn.Lowering, batch int) (descs []stepDesc, maxW int) {
+	maxW = low.InputWidth()
+	for i := 0; i < low.NumSteps(); i++ {
+		info := low.Step(i)
 		outW := info.Cols
 		if outW > maxW {
 			maxW = outW
@@ -142,12 +142,12 @@ func describePlan(pl *nn.Plan, batch int) (descs []stepDesc, maxW int) {
 	return descs, maxW
 }
 
-// Splittable reports whether every layer of the plan admits a
-// tensor-parallel split at the given shard count, and if not, why.
-func Splittable(pl *nn.Plan, shards int) error {
-	for i := 0; i < pl.NumSteps(); i++ {
-		if err := canSplit(pl.StepLayer(i), pl.StepCols(i), shards); err != nil {
-			return fmt.Errorf("shard: step %d (%s): %w", i, pl.Steps()[i], err)
+// Splittable reports whether every lowered step admits a tensor-parallel
+// split at the given shard count, and if not, why.
+func Splittable(low *nn.Lowering, shards int) error {
+	for i := 0; i < low.NumSteps(); i++ {
+		if err := canSplit(low.StepLayer(i), low.StepCols(i), shards); err != nil {
+			return fmt.Errorf("shard: step %d (%s): %w", i, low.Steps()[i], err)
 		}
 	}
 	return nil
@@ -160,13 +160,13 @@ func Splittable(pl *nn.Plan, shards int) error {
 // win: at S=2, M=4 already cuts the bubble from 0.5 to 0.2.
 const maxAutoMicro = 4
 
-// Estimate prices the plan at the given batch and shard count with the
-// per-IPU budget defaulting to the full chip SRAM.
-func Estimate(pl *nn.Plan, batch, shards int, topo Topology) (Cost, error) {
-	return EstimateBudget(pl, batch, shards, topo, 0)
+// Estimate prices the lowered model at the given batch and shard count
+// with the per-IPU budget defaulting to the full chip SRAM.
+func Estimate(low *nn.Lowering, batch, shards int, topo Topology) (Cost, error) {
+	return EstimateBudget(low, batch, shards, topo, 0)
 }
 
-// EstimateBudget prices the plan and picks the strategy
+// EstimateBudget prices the lowered model and picks the strategy
 // fitting-then-fastest: among the candidates whose per-IPU footprint fits
 // budgetBytes (0 = the chip's SRAM), the lower modelled latency wins; if
 // neither fits, the more memory-frugal one does. Pipeline usually wins on
@@ -175,8 +175,8 @@ func Estimate(pl *nn.Plan, batch, shards int, topo Topology) (Cost, error) {
 // weight matrix outgrows the budget (the paper's memory wall), only
 // tensor-parallel still fits and the planner switches. Unsplittable
 // layers (fastfood, circulant) force pipeline.
-func EstimateBudget(pl *nn.Plan, batch, shards int, topo Topology, budgetBytes int) (Cost, error) {
-	return estimateBudgetMicro(pl, batch, shards, topo, budgetBytes, 0)
+func EstimateBudget(low *nn.Lowering, batch, shards int, topo Topology, budgetBytes int) (Cost, error) {
+	return estimateBudgetMicro(low, batch, shards, topo, budgetBytes, 0)
 }
 
 // estimateBudgetMicro is EstimateBudget with the pipeline wavefront
@@ -184,7 +184,7 @@ func EstimateBudget(pl *nn.Plan, batch, shards int, topo Topology, budgetBytes i
 // modelled latency (up to maxAutoMicro), micro 1 prices the stages in
 // series, micro > 1 forces that width. Tensor-parallel pricing
 // ignores micro — it has no pipeline bubble to amortize.
-func estimateBudgetMicro(pl *nn.Plan, batch, shards int, topo Topology, budgetBytes, micro int) (Cost, error) {
+func estimateBudgetMicro(low *nn.Lowering, batch, shards int, topo Topology, budgetBytes, micro int) (Cost, error) {
 	topo = topo.withDefaults()
 	if budgetBytes <= 0 {
 		budgetBytes = topo.IPU.TotalMemBytes()
@@ -195,14 +195,14 @@ func estimateBudgetMicro(pl *nn.Plan, batch, shards int, topo Topology, budgetBy
 	if shards > topo.NumIPUs {
 		return Cost{}, fmt.Errorf("shard: %d shards exceed topology of %d IPUs", shards, topo.NumIPUs)
 	}
-	pipe, err := estimateMicro(pl, batch, shards, topo, Pipeline, micro)
+	pipe, err := estimateMicro(low, batch, shards, topo, Pipeline, micro)
 	if err != nil {
 		return Cost{}, err
 	}
-	if shards == 1 || Splittable(pl, shards) != nil {
+	if shards == 1 || Splittable(low, shards) != nil {
 		return pipe, nil
 	}
-	tp, err := estimateWith(pl, batch, shards, topo, TensorParallel)
+	tp, err := estimateWith(low, batch, shards, topo, TensorParallel)
 	if err != nil {
 		return Cost{}, err
 	}
@@ -227,15 +227,15 @@ func estimateBudgetMicro(pl *nn.Plan, batch, shards int, topo Topology, budgetBy
 
 // estimateWith prices one specific strategy at the classic barrier-loop
 // schedule (one micro-batch).
-func estimateWith(pl *nn.Plan, batch, shards int, topo Topology, strategy Strategy) (Cost, error) {
-	return estimateMicro(pl, batch, shards, topo, strategy, 1)
+func estimateWith(low *nn.Lowering, batch, shards int, topo Topology, strategy Strategy) (Cost, error) {
+	return estimateMicro(low, batch, shards, topo, strategy, 1)
 }
 
 // estimateMicro prices one specific strategy at a pipeline wavefront
 // width (micro 0 = planner-chosen, see estimateBudgetMicro).
-func estimateMicro(pl *nn.Plan, batch, shards int, topo Topology, strategy Strategy, micro int) (Cost, error) {
+func estimateMicro(low *nn.Lowering, batch, shards int, topo Topology, strategy Strategy, micro int) (Cost, error) {
 	topo = topo.withDefaults()
-	descs, maxW := describePlan(pl, batch)
+	descs, maxW := describePlan(low, batch)
 	c := Cost{Shards: shards, Strategy: strategy, Batch: batch}
 
 	// Both strategies keep the full-width ping-pong arenas resident (the
@@ -248,7 +248,7 @@ func estimateMicro(pl *nn.Plan, batch, shards int, topo Topology, strategy Strat
 	switch strategy {
 	case TensorParallel:
 		if shards > 1 {
-			if err := Splittable(pl, shards); err != nil {
+			if err := Splittable(low, shards); err != nil {
 				return Cost{}, err
 			}
 		}
@@ -273,13 +273,13 @@ func estimateMicro(pl *nn.Plan, batch, shards int, topo Topology, strategy Strat
 		}
 	case Pipeline:
 		// Effective stages: pipelineOwners never assigns a stage past the
-		// plan's step count, so shards beyond it would own nothing — the
+		// lowering's step count, so shards beyond it would own nothing — the
 		// executor clamps to the same count and the pricing must agree.
 		stages := shards
-		if n := pl.NumSteps(); stages > n {
+		if n := low.NumSteps(); stages > n {
 			stages = n
 		}
-		owners := pipelineOwners(pl, stages)
+		owners := pipelineOwners(low, stages)
 		stageBytes := make([]int, stages)
 		stageComp := make([]float64, stages)
 		var boundaryBytes []int
@@ -406,14 +406,14 @@ func classRate(topo Topology, cl ipu.ComputeClass) float64 {
 	return float64(topo.IPU.Tiles) * topo.IPU.ClassRate(cl) * topo.IPU.ClockHz
 }
 
-// PlanStepSeconds returns the modelled single-IPU duration of each step of
-// one batch of the unsharded plan (index-aligned with pl.Steps) — the same
+// PlanStepSeconds returns the modelled single-IPU duration of each lowered
+// step of one unsharded batch (index-aligned with low.Steps) — the same
 // per-class compute pricing estimateWith charges, without exchange. This
 // is the analytic baseline the serving layer's cost-model drift detector
 // lines the plan's measured step times (Frame().StepNanos) up against.
-func PlanStepSeconds(pl *nn.Plan, batch int, topo Topology) []float64 {
+func PlanStepSeconds(low *nn.Lowering, batch int, topo Topology) []float64 {
 	topo = topo.withDefaults()
-	descs, _ := describePlan(pl, batch)
+	descs, _ := describePlan(low, batch)
 	out := make([]float64, len(descs))
 	for i, d := range descs {
 		out[i] = d.flops / classRate(topo, d.class)
@@ -429,9 +429,9 @@ func PlanStepSeconds(pl *nn.Plan, batch int, topo Topology) []float64 {
 // step's last micro-step — the barrier where the host actually waits
 // for it. The timeline recorder consumes the split; ModelledStepSeconds
 // exposes the sum.
-func modelledMicroPhases(pl *nn.Plan, steps []step, batch, shards int, topo Topology, strategy Strategy) (computeSec, exchangeSec []float64) {
+func modelledMicroPhases(low *nn.Lowering, steps []step, batch, shards int, topo Topology, strategy Strategy) (computeSec, exchangeSec []float64) {
 	topo = topo.withDefaults()
-	descs, _ := describePlan(pl, batch)
+	descs, _ := describePlan(low, batch)
 	n := len(descs)
 	compute := make([]float64, n)
 	exchange := make([]float64, n)
@@ -451,7 +451,7 @@ func modelledMicroPhases(pl *nn.Plan, steps []step, batch, shards int, topo Topo
 		}
 		fallthrough
 	case Pipeline:
-		owners := pipelineOwners(pl, shards)
+		owners := pipelineOwners(low, shards)
 		for i, d := range descs {
 			compute[i] = d.flops / classRate(topo, d.class)
 			if i+1 < len(owners) && owners[i+1] != owners[i] {
@@ -545,14 +545,14 @@ func EstimateSpecBytes(layers []SpecLayer, batch, shards int, topo Topology) int
 // even the full topology does not fit, it returns the largest available
 // count and fits == false — callers may still serve, oversubscribed, or
 // refuse.
-func FitShards(pl *nn.Plan, batch int, topo Topology, budgetBytes int) (cost Cost, fits bool, err error) {
+func FitShards(low *nn.Lowering, batch int, topo Topology, budgetBytes int) (cost Cost, fits bool, err error) {
 	topo = topo.withDefaults()
 	if budgetBytes <= 0 {
 		budgetBytes = topo.IPU.TotalMemBytes()
 	}
 	best := Cost{}
 	for s := 1; s <= topo.NumIPUs; s <<= 1 {
-		c, err := EstimateBudget(pl, batch, s, topo, budgetBytes)
+		c, err := EstimateBudget(low, batch, s, topo, budgetBytes)
 		if err != nil {
 			return Cost{}, false, err
 		}

@@ -10,11 +10,11 @@ func TestEstimateSplitsWeightMemory(t *testing.T) {
 	topo := DefaultTopology(4)
 	for _, method := range []nn.Method{nn.Baseline, nn.Butterfly, nn.Pixelfly} {
 		_, pl := buildPlan(t, method, 5)
-		c1, err := Estimate(pl, testMaxBatch, 1, topo)
+		c1, err := Estimate(pl.Lowering, testMaxBatch, 1, topo)
 		if err != nil {
 			t.Fatal(err)
 		}
-		c4, err := estimateWith(pl, testMaxBatch, 4, topo, TensorParallel)
+		c4, err := estimateWith(pl.Lowering, testMaxBatch, 4, topo, TensorParallel)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -43,7 +43,7 @@ func TestPlannerStrategyChoice(t *testing.T) {
 	topo := DefaultTopology(4)
 	for _, method := range []nn.Method{nn.Fastfood, nn.Circulant} {
 		_, pl := buildPlan(t, method, 6)
-		c, err := Estimate(pl, testMaxBatch, 4, topo)
+		c, err := Estimate(pl.Lowering, testMaxBatch, 4, topo)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -52,11 +52,11 @@ func TestPlannerStrategyChoice(t *testing.T) {
 		}
 	}
 	_, pl := buildPlan(t, nn.Baseline, 6)
-	tp, err := estimateWith(pl, testMaxBatch, 4, topo, TensorParallel)
+	tp, err := estimateWith(pl.Lowering, testMaxBatch, 4, topo, TensorParallel)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pipe, err := estimateWith(pl, testMaxBatch, 4, topo, Pipeline)
+	pipe, err := estimateWith(pl.Lowering, testMaxBatch, 4, topo, Pipeline)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestPlannerStrategyChoice(t *testing.T) {
 	}
 	// Everything fits the default (full-SRAM) budget: latency decides, and
 	// at this narrow width the all-gathers outweigh the compute saved.
-	c, err := Estimate(pl, testMaxBatch, 4, topo)
+	c, err := Estimate(pl.Lowering, testMaxBatch, 4, topo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestPlannerStrategyChoice(t *testing.T) {
 	}
 	// Budget between the two footprints: pipeline cannot split the dense
 	// layer, so tensor-parallel is the only strategy that fits.
-	c, err = EstimateBudget(pl, testMaxBatch, 4, topo, tp.PerIPUBytes)
+	c, err = EstimateBudget(pl.Lowering, testMaxBatch, 4, topo, tp.PerIPUBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestPlannerStrategyChoice(t *testing.T) {
 		t.Errorf("memory wall: planner chose %v, want tensor-parallel", c.Strategy)
 	}
 	// Budget below both: the frugal strategy (tensor-parallel) wins.
-	c, err = EstimateBudget(pl, testMaxBatch, 4, topo, 1)
+	c, err = EstimateBudget(pl.Lowering, testMaxBatch, 4, topo, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,17 +95,17 @@ func TestPlannerStrategyChoice(t *testing.T) {
 func TestFitShardsPicksSmallest(t *testing.T) {
 	topo := DefaultTopology(4)
 	_, pl := buildPlan(t, nn.Baseline, 8)
-	one, err := Estimate(pl, testMaxBatch, 1, topo)
+	one, err := Estimate(pl.Lowering, testMaxBatch, 1, topo)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Generous budget: one shard suffices.
-	c, fits, err := FitShards(pl, testMaxBatch, topo, one.PerIPUBytes+1)
+	c, fits, err := FitShards(pl.Lowering, testMaxBatch, topo, one.PerIPUBytes+1)
 	if err != nil || !fits || c.Shards != 1 {
 		t.Fatalf("generous budget: shards=%d fits=%v err=%v, want 1/true/nil", c.Shards, fits, err)
 	}
 	// Budget below the single-chip footprint: must shard up, smallest first.
-	c, fits, err = FitShards(pl, testMaxBatch, topo, one.PerIPUBytes-1)
+	c, fits, err = FitShards(pl.Lowering, testMaxBatch, topo, one.PerIPUBytes-1)
 	if err != nil || !fits {
 		t.Fatalf("tight budget: fits=%v err=%v", fits, err)
 	}
@@ -116,7 +116,7 @@ func TestFitShardsPicksSmallest(t *testing.T) {
 		t.Fatalf("sharded footprint %d not below unsharded %d", c.PerIPUBytes, one.PerIPUBytes)
 	}
 	// Impossible budget: report the largest count and fits == false.
-	c, fits, err = FitShards(pl, testMaxBatch, topo, 1)
+	c, fits, err = FitShards(pl.Lowering, testMaxBatch, topo, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestFitShardsPicksSmallest(t *testing.T) {
 		t.Fatalf("impossible budget: shards=%d fits=%v, want 4/false", c.Shards, fits)
 	}
 	// Zero budget defaults to the full per-IPU SRAM.
-	c, fits, err = FitShards(pl, testMaxBatch, topo, 0)
+	c, fits, err = FitShards(pl.Lowering, testMaxBatch, topo, 0)
 	if err != nil || !fits || c.Shards != 1 {
 		t.Fatalf("default budget: shards=%d fits=%v err=%v", c.Shards, fits, err)
 	}
@@ -134,12 +134,15 @@ func TestFitShardsPicksSmallest(t *testing.T) {
 func TestShardedPlanReportsCost(t *testing.T) {
 	_, pl := buildPlan(t, nn.Butterfly, 4)
 	topo := DefaultTopology(4)
-	sp, err := Compile(pl, topo, 4)
+	sp, err := Compile(pl.Lowering, pl.MaxBatch(), topo, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sp.Close()
-	c := sp.cost
+	c, err := Estimate(pl.Lowering, pl.MaxBatch(), 4, topo)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if c.Shards != 4 || c.Batch != testMaxBatch {
 		t.Fatalf("cost header %+v", c)
 	}
@@ -208,11 +211,11 @@ func TestMicroPickEngagesWavefront(t *testing.T) {
 	topo := DefaultTopology(2)
 	_, pl := buildPlan(t, nn.Butterfly, 3)
 	for _, batch := range []int{4, testMaxBatch} {
-		auto, err := estimateBudgetMicro(pl, batch, 2, topo, 0, 0)
+		auto, err := estimateBudgetMicro(pl.Lowering, batch, 2, topo, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		barrier, err := estimateBudgetMicro(pl, batch, 2, topo, 0, 1)
+		barrier, err := estimateBudgetMicro(pl.Lowering, batch, 2, topo, 0, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -234,7 +237,7 @@ func TestMicroPickEngagesWavefront(t *testing.T) {
 		}
 	}
 	// A forced width wider than the batch must clamp to the batch.
-	forced, err := estimateBudgetMicro(pl, 2, 2, topo, 0, 64)
+	forced, err := estimateBudgetMicro(pl.Lowering, 2, 2, topo, 0, 64)
 	if err != nil {
 		t.Fatal(err)
 	}

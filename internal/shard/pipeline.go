@@ -1,50 +1,55 @@
 package shard
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/nn"
 	"repro/internal/tensor"
 )
 
-// lowerPipeline assigns contiguous plan-step ranges to consecutive IPUs,
-// balanced by parameter bytes (the quantity that overflows tile SRAM).
-// Every plan step becomes one micro-step whose kernel runs only on the
-// owning shard, through the unsharded plan's own lowered kernel
-// (nn.Plan.StepRunner) — which is what makes pipeline partitioning
-// trivially bit-for-bit: each step executes unchanged, only its placement
-// moves. The runners capture layer weights, not the source plan, so its
-// arenas do not stay resident behind the sharded plan's own. Activations
-// crossing a stage boundary ride one IPU-Link transfer in the cost model;
-// on the host the wavefront hands them over through a per-boundary arena.
-func lowerPipeline(pl *nn.Plan, shards int) ([]step, error) {
-	owners := pipelineOwners(pl, shards)
-	steps := make([]step, pl.NumSteps())
-	names := pl.Steps()
+// lowerPipeline assigns contiguous step ranges of a packed lowering to
+// consecutive IPUs, balanced by parameter bytes (the quantity that
+// overflows tile SRAM). Every lowered step becomes one micro-step whose
+// kernel runs only on the owning shard, through the lowering's own packed
+// kernel (nn.Lowering.StepRunner) and with its declared scratch — which
+// is what makes pipeline partitioning trivially bit-for-bit: each step
+// executes unchanged, only its placement moves. Activations crossing a
+// stage boundary ride one IPU-Link transfer in the cost model; on the
+// host the wavefront hands them over through a per-boundary arena.
+func lowerPipeline(low *nn.Lowering, shards int) ([]step, error) {
+	if !low.Packed() {
+		return nil, errors.New("shard: a pipeline runs the lowering's kernels, so it needs a packed lowering")
+	}
+	owners := pipelineOwners(low, shards)
+	steps := make([]step, low.NumSteps())
+	names := low.Steps()
 	for i := range steps {
 		st := step{
 			name:    fmt.Sprintf("%s@ipu%d", names[i], owners[i]),
-			cols:    pl.StepCols(i),
+			cols:    low.StepCols(i),
 			src:     i,
-			variant: pl.StepVariant(i),
+			variant: low.StepVariant(i),
 			run:     make([]func(dst, x *tensor.Matrix, ws *tensor.Workspace), shards),
+			scratch: make([]func(rows int) tensor.Scratch, shards),
 		}
-		st.run[owners[i]] = pl.StepRunner(i)
+		st.run[owners[i]] = low.StepRunner(i)
+		st.scratch[owners[i]] = func(rows int) tensor.Scratch { return low.StepScratch(i, rows) }
 		steps[i] = st
 	}
 	return steps, nil
 }
 
-// pipelineOwners maps each plan step to its pipeline stage: a greedy
+// pipelineOwners maps each lowered step to its pipeline stage: a greedy
 // in-order packing that closes a stage once it holds its fair share of the
 // model's parameter bytes, while leaving enough steps for the remaining
 // stages. Stages are contiguous and monotone, as a pipeline requires.
-func pipelineOwners(pl *nn.Plan, shards int) []int {
-	n := pl.NumSteps()
+func pipelineOwners(low *nn.Lowering, shards int) []int {
+	n := low.NumSteps()
 	bytes := make([]int, n)
 	total := 0
 	for i := 0; i < n; i++ {
-		bytes[i] = layerParamBytes(pl.StepLayer(i))
+		bytes[i] = layerParamBytes(low.StepLayer(i))
 		total += bytes[i]
 	}
 	owners := make([]int, n)

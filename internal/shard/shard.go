@@ -119,6 +119,18 @@ type step struct {
 	// steps).
 	variant string
 	run     []func(dst, x *tensor.Matrix, ws *tensor.Workspace)
+	// scratch[k] declares what shard k's kernel takes from its workspace
+	// at a given row count; a nil slice or entry declares nothing.
+	scratch []func(rows int) tensor.Scratch
+}
+
+// demand is shard k's declared workspace demand for the micro-step at
+// rows rows.
+func (st *step) demand(k, rows int) tensor.Scratch {
+	if k < len(st.scratch) && st.scratch[k] != nil {
+		return st.scratch[k](rows)
+	}
+	return tensor.Scratch{}
 }
 
 // ShardedPlan is a compiled multi-IPU inference program. Like nn.Plan it
@@ -128,11 +140,14 @@ type step struct {
 // ShardedPlan must be closed.
 type ShardedPlan struct {
 	strategy Strategy
-	cost     Cost
 	shards   int
 	maxBatch int
 	in, out  int
 	steps    []step
+
+	// low is the lowering the plan was compiled from; each micro-step's
+	// kernel family is its source step's.
+	low *nn.Lowering
 
 	// Barrier-loop arenas (tensor-parallel plans only): the shared
 	// full-width activation ping-pong every shard writes its slice into.
@@ -149,15 +164,13 @@ type ShardedPlan struct {
 	frame     *timeline.Frame
 	execStart time.Time
 
-	// Per-kernel accounting figures: kern/flopsPerRow/bytesPerRow carry
-	// each micro-step's kernel family and per-sample work (the plan
-	// step's figures divided over its micro-steps). modelSec is the
-	// modelled per-micro-step seconds of one MaxBatch execution (compute
-	// under the chosen strategy, with the source step's exchange charged
-	// to its last micro-step) — the analytic counterpart the drift
-	// detector lines measured step times up against.
-	kern        []obs.Kernel
-	variants    []string
+	// Per-kernel accounting figures: flopsPerRow/bytesPerRow carry each
+	// micro-step's per-sample work (the lowered step's figures divided
+	// over its micro-steps). modelSec is the modelled per-micro-step
+	// seconds of one MaxBatch execution (compute under the chosen
+	// strategy, with the source step's exchange charged to its last
+	// micro-step) — the analytic counterpart the drift detector lines
+	// measured step times up against.
 	flopsPerRow []int64
 	bytesPerRow []int64
 	modelSec    []float64
@@ -214,29 +227,33 @@ type ShardedPlan struct {
 	wfSrc      []tensor.Matrix // per stage: reusable kernel src header
 }
 
-// Compile partitions a compiled plan across shards IPUs of the topology,
-// letting the cost planner choose the strategy: tensor-parallel when every
-// layer is splittable and its modelled latency (compute/S plus all-gather
-// and butterfly exchange rounds) beats pipeline's, pipeline otherwise.
-// Pipeline plans also inherit the planner's wavefront width (the
-// micro-batch count minimizing modelled latency). shards must be a power
-// of two within the topology.
-func Compile(pl *nn.Plan, topo Topology, shards int) (*ShardedPlan, error) {
-	cost, err := Estimate(pl, pl.MaxBatch(), shards, topo)
+// Compile partitions a lowering across shards IPUs of the topology for
+// batches of up to maxBatch rows, letting the cost planner choose the
+// strategy: tensor-parallel when every layer is splittable and its
+// modelled latency (compute/S plus all-gather and butterfly exchange
+// rounds) beats pipeline's, pipeline otherwise. Pipeline plans also
+// inherit the planner's wavefront width (the micro-batch count minimizing
+// modelled latency). shards must be a power of two within the topology.
+func Compile(low *nn.Lowering, maxBatch int, topo Topology, shards int) (*ShardedPlan, error) {
+	cost, err := Estimate(low, maxBatch, shards, topo)
 	if err != nil {
 		return nil, err
 	}
-	return CompileMicro(pl, topo, shards, cost.Strategy, cost.MicroBatches)
+	return CompileMicro(low, maxBatch, topo, shards, cost.Strategy, cost.MicroBatches)
 }
 
 // CompileMicro is Compile with the partitioning strategy and the pipeline
 // wavefront width forced: micro 0 lets the cost model pick, micro ≥ 1
-// streams each batch as that many micro-batches (clamped to the plan's
-// MaxBatch). Pipeline plans always run the wavefront; tensor-parallel
-// plans run the barrier loop and ignore micro. Execute stays bit-for-bit
-// identical to nn.Plan.Execute at every width — micro-batches are
-// contiguous row slices and every kernel is row-wise.
-func CompileMicro(pl *nn.Plan, topo Topology, shards int, strategy Strategy, micro int) (*ShardedPlan, error) {
+// streams each batch as that many micro-batches (clamped to maxBatch).
+// Pipeline plans always run the wavefront, over the kernels of a packed
+// lowering; tensor-parallel plans run the barrier loop, pack their own
+// weight windows and ignore micro. Every buffer, the per-shard workspaces
+// included, is sized from what the lowering and the split kernels
+// declare, so compiling runs no kernel and the first Execute allocates
+// nothing. Execute stays bit-for-bit identical to nn.Plan.Execute at
+// every width — micro-batches are contiguous row slices and every kernel
+// is row-wise.
+func CompileMicro(low *nn.Lowering, maxBatch int, topo Topology, shards int, strategy Strategy, micro int) (*ShardedPlan, error) {
 	topo = topo.withDefaults()
 	if shards < 1 || shards&(shards-1) != 0 {
 		return nil, fmt.Errorf("shard: shard count %d must be a positive power of two", shards)
@@ -245,13 +262,13 @@ func CompileMicro(pl *nn.Plan, topo Topology, shards int, strategy Strategy, mic
 		return nil, fmt.Errorf("shard: %d shards exceed topology of %d IPUs", shards, topo.NumIPUs)
 	}
 	// Effective executor width: a pipeline stage must own at least one
-	// step, so shard counts past the plan's step count clamp — trailing
-	// IPUs would otherwise idle every step, skewing the per-IPU phase
-	// accounting and the bubble gauge (the cost model clamps identically
-	// and surfaces the depth as Cost.PipelineStages).
+	// step, so shard counts past the lowering's step count clamp —
+	// trailing IPUs would otherwise idle every step, skewing the per-IPU
+	// phase accounting and the bubble gauge (the cost model clamps
+	// identically and surfaces the depth as Cost.PipelineStages).
 	eff := shards
 	if strategy == Pipeline {
-		if n := pl.NumSteps(); eff > n {
+		if n := low.NumSteps(); eff > n {
 			eff = n
 		}
 	}
@@ -259,34 +276,38 @@ func CompileMicro(pl *nn.Plan, topo Topology, shards int, strategy Strategy, mic
 	var err error
 	switch strategy {
 	case TensorParallel:
-		steps, err = lowerTensorParallel(pl, shards)
+		steps, err = lowerTensorParallel(low, shards)
 	case Pipeline:
-		steps, err = lowerPipeline(pl, eff)
+		steps, err = lowerPipeline(low, eff)
 	default:
 		return nil, fmt.Errorf("shard: unknown strategy %v", strategy)
 	}
 	if err != nil {
 		return nil, err
 	}
-	cost, err := estimateMicro(pl, pl.MaxBatch(), shards, topo, strategy, micro)
+	cost, err := estimateMicro(low, maxBatch, shards, topo, strategy, micro)
 	if err != nil {
 		return nil, err
 	}
 
 	p := &ShardedPlan{
 		strategy: strategy,
-		cost:     cost,
 		shards:   eff,
-		maxBatch: pl.MaxBatch(),
-		in:       pl.InputWidth(),
-		out:      pl.OutputWidth(),
+		maxBatch: maxBatch,
+		in:       low.InputWidth(),
+		out:      low.OutputWidth(),
 		steps:    steps,
+		low:      low,
 		micro:    cost.MicroBatches,
 		done:     make(chan struct{}, eff),
 		quit:     make(chan struct{}),
 	}
+	// The rows a kernel runs at: the whole batch under the barrier loop,
+	// the largest micro-batch under the wavefront.
+	rows := maxBatch
 	if strategy == Pipeline {
 		p.buildWavefront()
+		rows = (maxBatch + p.micro - 1) / p.micro
 	} else {
 		maxW := 0
 		for _, st := range steps {
@@ -299,28 +320,24 @@ func CompileMicro(pl *nn.Plan, topo Topology, shards int, strategy Strategy, mic
 		p.frame = timeline.NewFrame(len(steps), eff, 1, nil, true)
 	}
 
-	// Annotate each micro-step with its share of the source plan step's
-	// kernel accounting figures and modelled cost: a source step lowered
-	// into M micro-steps (a butterfly's per-stage sweeps) spreads its
-	// per-row flops/bytes and modelled compute evenly over the M, so the
-	// totals match the plan's own accounting exactly.
-	counts := make([]int, pl.NumSteps())
+	// Annotate each micro-step with its share of the source step's
+	// per-row accounting figures: a source step lowered into M
+	// micro-steps (a butterfly's per-stage sweeps) spreads its per-row
+	// flops/bytes and modelled compute evenly over the M, so the totals
+	// match the lowering's own accounting exactly.
+	counts := make([]int, low.NumSteps())
 	for i := range steps {
 		counts[steps[i].src]++
 	}
-	p.kern = make([]obs.Kernel, len(steps))
-	p.variants = make([]string, len(steps))
 	p.flopsPerRow = make([]int64, len(steps))
 	p.bytesPerRow = make([]int64, len(steps))
 	for i := range steps {
 		src := steps[i].src
 		n := int64(counts[src])
-		p.kern[i] = pl.StepKernel(src)
-		p.variants[i] = steps[i].variant
-		p.flopsPerRow[i] = pl.StepFlopsPerRow(src) / n
-		p.bytesPerRow[i] = pl.StepArenaBytesPerRow(src) / n
+		p.flopsPerRow[i] = low.StepFlopsPerRow(src) / n
+		p.bytesPerRow[i] = low.StepArenaBytesPerRow(src) / n
 	}
-	p.modelCompSec, p.modelExchSec = modelledMicroPhases(pl, steps, pl.MaxBatch(), eff, topo, strategy)
+	p.modelCompSec, p.modelExchSec = modelledMicroPhases(low, steps, maxBatch, eff, topo, strategy)
 	p.modelSec = make([]float64, len(steps))
 	for i := range p.modelSec {
 		p.modelSec[i] = p.modelCompSec[i] + p.modelExchSec[i]
@@ -328,22 +345,18 @@ func CompileMicro(pl *nn.Plan, topo Topology, shards int, strategy Strategy, mic
 	p.workerCtx = make([]context.Context, eff)
 	p.ws = make([]*tensor.Workspace, eff)
 	for k := range p.ws {
-		p.ws[k] = tensor.NewWorkspace()
+		// Every micro-step resets the shard's workspace, so it holds the
+		// largest demand among the shard's kernels.
+		var d tensor.Scratch
+		for i := range steps {
+			d = d.Max(steps[i].demand(k, rows))
+		}
+		p.ws[k] = tensor.NewWorkspace(d)
 	}
 	for k := 1; k < eff; k++ {
 		c := make(chan struct{}, 1)
 		p.start = append(p.start, c)
 		go p.workerLoop(k, c)
-	}
-	// Two warm-up executions, as in nn.CompilePlan: the first records
-	// every per-shard workspace's demand, the second runs with the arenas
-	// at their exact steady-state size.
-	warm := tensor.New(p.maxBatch, p.in)
-	for i := 0; i < 2; i++ {
-		if _, err := p.Execute(warm); err != nil {
-			p.Close()
-			return nil, err
-		}
 	}
 	return p, nil
 }
@@ -420,6 +433,10 @@ func (p *ShardedPlan) Shards() int { return p.shards }
 // batches at (0 for tensor-parallel plans, which run the barrier loop).
 func (p *ShardedPlan) MicroBatches() int { return p.micro }
 
+// Lowering returns the lowering the plan was compiled from: for a
+// pipeline plan, the packed lowering whose kernels and packs it runs.
+func (p *ShardedPlan) Lowering() *nn.Lowering { return p.low }
+
 // Strategy returns the partitioning the planner (or caller) chose.
 func (p *ShardedPlan) Strategy() Strategy { return p.strategy }
 
@@ -438,10 +455,10 @@ func (p *ShardedPlan) Steps() []string {
 // StepKernel returns the Into-kernel family micro-step i executes — the
 // attribution key of the per-kernel accounting, inherited from the
 // source plan step.
-func (p *ShardedPlan) StepKernel(i int) obs.Kernel { return p.kern[i] }
+func (p *ShardedPlan) StepKernel(i int) obs.Kernel { return p.low.StepKernel(p.steps[i].src) }
 
 // StepVariant returns the micro-kernel variant name of micro-step i.
-func (p *ShardedPlan) StepVariant(i int) string { return p.variants[i] }
+func (p *ShardedPlan) StepVariant(i int) string { return p.steps[i].variant }
 
 // StepFlopsPerRow returns the modelled per-sample flop count of
 // micro-step i: its source plan step's figure divided over the

@@ -38,11 +38,11 @@ func TestShardedMatchesPlanAllMethods(t *testing.T) {
 			rng := rand.New(rand.NewSource(99))
 			for _, shards := range []int{1, 2, 4} {
 				strategies := []Strategy{Pipeline}
-				if Splittable(pl, shards) == nil {
+				if Splittable(pl.Lowering, shards) == nil {
 					strategies = append(strategies, TensorParallel)
 				}
 				for _, strat := range strategies {
-					sp, err := CompileMicro(pl, topo, shards, strat, 1)
+					sp, err := CompileMicro(pl.Lowering, pl.MaxBatch(), topo, shards, strat, 1)
 					if err != nil {
 						t.Fatalf("CompileMicro(%d, %v): %v", shards, strat, err)
 					}
@@ -101,7 +101,7 @@ func TestShardedMatchesPlanCompressed(t *testing.T) {
 	}
 	topo := DefaultTopology(4)
 	for _, shards := range []int{2, 4} {
-		sp, err := Compile(pl, topo, shards)
+		sp, err := Compile(pl.Lowering, pl.MaxBatch(), topo, shards)
 		if err != nil {
 			t.Fatalf("Compile(%d): %v", shards, err)
 		}
@@ -124,7 +124,7 @@ func TestShardedMatchesPlanCompressed(t *testing.T) {
 // or shards.
 func TestShardedRepeatedExecuteIsStable(t *testing.T) {
 	_, pl := buildPlan(t, nn.Butterfly, 21)
-	sp, err := CompileMicro(pl, DefaultTopology(4), 4, TensorParallel, 1)
+	sp, err := CompileMicro(pl.Lowering, pl.MaxBatch(), DefaultTopology(4), 4, TensorParallel, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,16 +149,16 @@ func TestShardedRepeatedExecuteIsStable(t *testing.T) {
 func TestShardedErrors(t *testing.T) {
 	_, pl := buildPlan(t, nn.Butterfly, 1)
 	topo := DefaultTopology(4)
-	if _, err := Compile(pl, topo, 3); err == nil {
+	if _, err := Compile(pl.Lowering, pl.MaxBatch(), topo, 3); err == nil {
 		t.Error("non-power-of-two shard count should fail")
 	}
-	if _, err := Compile(pl, topo, 8); err == nil {
+	if _, err := Compile(pl.Lowering, pl.MaxBatch(), topo, 8); err == nil {
 		t.Error("shards beyond the topology should fail")
 	}
-	if _, err := Compile(pl, topo, 0); err == nil {
+	if _, err := Compile(pl.Lowering, pl.MaxBatch(), topo, 0); err == nil {
 		t.Error("zero shards should fail")
 	}
-	sp, err := Compile(pl, topo, 2)
+	sp, err := Compile(pl.Lowering, pl.MaxBatch(), topo, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestShardedErrors(t *testing.T) {
 	}
 	// Fastfood cannot tensor-parallel split; forcing it must fail cleanly.
 	_, fp := buildPlan(t, nn.Fastfood, 2)
-	if _, err := CompileMicro(fp, topo, 2, TensorParallel, 1); err == nil {
+	if _, err := CompileMicro(fp.Lowering, fp.MaxBatch(), topo, 2, TensorParallel, 1); err == nil {
 		t.Error("forcing tensor-parallel on fastfood should fail")
 	}
 }
@@ -185,7 +185,7 @@ func TestShardedZeroAllocSteadyState(t *testing.T) {
 		t.Run(method.String(), func(t *testing.T) {
 			_, pl := buildPlan(t, method, 17)
 			for _, shards := range []int{2, 4} {
-				sp, err := CompileMicro(pl, DefaultTopology(4), shards, TensorParallel, 1)
+				sp, err := CompileMicro(pl.Lowering, pl.MaxBatch(), DefaultTopology(4), shards, TensorParallel, 1)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -217,7 +217,7 @@ func TestWavefrontMatchesPlan(t *testing.T) {
 			rng := rand.New(rand.NewSource(133))
 			for _, shards := range []int{2, 4} {
 				for _, micro := range []int{1, 2, 4} {
-					sp, err := CompileMicro(pl, DefaultTopology(shards), shards, Pipeline, micro)
+					sp, err := CompileMicro(pl.Lowering, pl.MaxBatch(), DefaultTopology(shards), shards, Pipeline, micro)
 					if err != nil {
 						t.Fatalf("CompileMicro(%d, %d): %v", shards, micro, err)
 					}
@@ -249,7 +249,7 @@ func TestWavefrontMatchesPlan(t *testing.T) {
 // the stage-local token handoffs and micro-batch headers all reused.
 func TestWavefrontZeroAlloc(t *testing.T) {
 	_, pl := buildPlan(t, nn.Butterfly, 17)
-	sp, err := CompileMicro(pl, DefaultTopology(2), 2, Pipeline, 4)
+	sp, err := CompileMicro(pl.Lowering, pl.MaxBatch(), DefaultTopology(2), 2, Pipeline, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func TestPipelineStageClamp(t *testing.T) {
 	if pl.NumSteps() != 3 {
 		t.Fatalf("unfused SHL plan has %d steps, test wants 3", pl.NumSteps())
 	}
-	cost, err := Estimate(pl, testMaxBatch, 8, DefaultTopology(8))
+	cost, err := Estimate(pl.Lowering, testMaxBatch, 8, DefaultTopology(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,15 +286,12 @@ func TestPipelineStageClamp(t *testing.T) {
 		t.Errorf("cost.PipelineStages = %d, want 3", cost.PipelineStages)
 	}
 	for _, micro := range []int{1, 4} {
-		sp, err := CompileMicro(pl, DefaultTopology(8), 8, Pipeline, micro)
+		sp, err := CompileMicro(pl.Lowering, pl.MaxBatch(), DefaultTopology(8), 8, Pipeline, micro)
 		if err != nil {
 			t.Fatalf("CompileMicro(8, %d): %v", micro, err)
 		}
 		if sp.Shards() != 3 {
 			t.Errorf("micro=%d: Shards() = %d, want 3 (clamped to step count)", micro, sp.Shards())
-		}
-		if sp.cost.PipelineStages != 3 {
-			t.Errorf("micro=%d: cost.PipelineStages = %d, want 3", micro, sp.cost.PipelineStages)
 		}
 		x := tensor.New(testMaxBatch, testN)
 		x.FillRandom(rand.New(rand.NewSource(6)), 1)
@@ -314,7 +311,7 @@ func TestPipelineStageClamp(t *testing.T) {
 func TestPipelineOwnersContiguous(t *testing.T) {
 	_, pl := buildPlan(t, nn.Baseline, 9)
 	for _, shards := range []int{1, 2, 4} {
-		owners := pipelineOwners(pl, shards)
+		owners := pipelineOwners(pl.Lowering, shards)
 		if len(owners) != pl.NumSteps() {
 			t.Fatalf("shards=%d: %d owners for %d steps", shards, len(owners), pl.NumSteps())
 		}
@@ -335,7 +332,7 @@ func BenchmarkPipelinedExecute(b *testing.B) {
 	for _, micro := range []int{1, 4} {
 		b.Run("micro="+string(rune('0'+micro)), func(b *testing.B) {
 			_, pl := buildPlan(b, nn.Butterfly, 40)
-			sp, err := CompileMicro(pl, DefaultTopology(2), 2, Pipeline, micro)
+			sp, err := CompileMicro(pl.Lowering, pl.MaxBatch(), DefaultTopology(2), 2, Pipeline, micro)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -363,7 +360,7 @@ func BenchmarkShardedPredict(b *testing.B) {
 		for _, shards := range []int{1, 2, 4} {
 			b.Run(method.String()+"/shards="+string(rune('0'+shards)), func(b *testing.B) {
 				_, pl := buildPlan(b, method, 40)
-				sp, err := Compile(pl, DefaultTopology(4), shards)
+				sp, err := Compile(pl.Lowering, pl.MaxBatch(), DefaultTopology(4), shards)
 				if err != nil {
 					b.Fatal(err)
 				}

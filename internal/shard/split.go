@@ -11,22 +11,23 @@ import (
 	"repro/internal/tensor/microkernel"
 )
 
-// lowerTensorParallel lowers every step of the plan into per-shard
-// column-slice kernels. It fails (sending the planner to pipeline) as soon
-// as one layer is not splittable. Fused steps survive the split because
-// their folded bias and activation are column-local: each shard's final
-// micro-step applies the epilogue inside its own column window, and only
-// the (unchanged) exchange stages stay barriers.
-func lowerTensorParallel(pl *nn.Plan, shards int) ([]step, error) {
+// lowerTensorParallel lowers every step of the lowering into per-shard
+// column-slice kernels, which pack their own weight windows, so the
+// lowering need not be packed. It fails (sending the planner to pipeline)
+// as soon as one layer is not splittable. Fused steps survive the split
+// because their folded bias and activation are column-local: each shard's
+// final micro-step applies the epilogue inside its own column window, and
+// only the (unchanged) exchange stages stay barriers.
+func lowerTensorParallel(low *nn.Lowering, shards int) ([]step, error) {
 	if shards == 1 {
 		// A 1-shard split is the identity placement; reuse the pipeline
 		// lowering, which runs every step unchanged on IPU 0.
-		return lowerPipeline(pl, 1)
+		return lowerPipeline(low, 1)
 	}
 	var steps []step
-	inW := pl.InputWidth()
-	for i := 0; i < pl.NumSteps(); i++ {
-		info := pl.Step(i)
+	inW := low.InputWidth()
+	for i := 0; i < low.NumSteps(); i++ {
+		info := low.Step(i)
 		l := info.Layer
 		outW := info.Cols
 		if err := canSplit(l, outW, shards); err != nil {
@@ -100,7 +101,8 @@ func canSplit(l nn.Layer, outW, shards int) error {
 // pixelfly split runs the block-specialized BSR kernel over its block
 // rows; the windowed butterfly sweeps keep their own kernel (a shard's
 // window in a global stage holds only the top or only the bottom halves
-// of its pairs, and the unrolled pair kernels write both). canSplit must
+// of its pairs, and the unrolled pair kernels write both). Each kernel
+// that stages intermediates declares its scratch beside it. canSplit must
 // have accepted the layer first.
 func splitStep(l nn.Layer, act tensor.Activation, inW, outW, shards int) []step {
 	pts := splitPoints(outW, shards)
@@ -182,7 +184,8 @@ func denseSplit(name string, w *tensor.Matrix, bias []float32, outW int, pts []i
 // epilogue fused into the window write.
 func factorizedSplit(t *nn.FactorizedDense, pts []int, act tensor.Activation) step {
 	shards := len(pts) - 1
-	st := step{name: t.Name() + fusedTag(act) + "/tp", cols: t.Out, variant: microkernel.Variant(), run: make([]func(dst, x *tensor.Matrix, ws *tensor.Workspace), shards)}
+	st := step{name: t.Name() + fusedTag(act) + "/tp", cols: t.Out, variant: microkernel.Variant(),
+		run: make([]func(dst, x *tensor.Matrix, ws *tensor.Workspace), shards), scratch: make([]func(rows int) tensor.Scratch, shards)}
 	pa := tensor.Pack(t.A)
 	for k := 0; k < shards; k++ {
 		lo, hi := pts[k], pts[k+1]
@@ -191,6 +194,7 @@ func factorizedSplit(t *nn.FactorizedDense, pts []int, act tensor.Activation) st
 		}
 		pbk := tensor.Pack(sliceCols(t.B, lo, hi))
 		biask := append([]float32(nil), t.Bias[lo:hi]...)
+		st.scratch[k] = rankScratch(t.Rank)
 		st.run[k] = func(dst, x *tensor.Matrix, ws *tensor.Workspace) {
 			xa := ws.Take(x.Rows, t.Rank)
 			tensor.MatMulPackedColsBiasActInto(xa, 0, x, pa, nil, tensor.ActNone)
@@ -198,6 +202,12 @@ func factorizedSplit(t *nn.FactorizedDense, pts []int, act tensor.Activation) st
 		}
 	}
 	return st
+}
+
+// rankScratch declares the scratch of the low-rank window kernels: the
+// replicated rank bottleneck (x·A or x·V), rows×rank.
+func rankScratch(rank int) func(rows int) tensor.Scratch {
+	return func(rows int) tensor.Scratch { return tensor.Scratch{Floats: rows * rank, Headers: 1} }
 }
 
 // reluSplit: elementwise, each shard clamps its own slice.
@@ -231,7 +241,8 @@ func reluSplit(width int, pts []int) step {
 // fused into the window write.
 func lowRankSplit(name string, t *baselines.LowRank, bias []float32, pts []int, act tensor.Activation) step {
 	shards := len(pts) - 1
-	st := step{name: name + fusedTag(act) + "/tp", cols: t.N, variant: microkernel.Variant(), run: make([]func(dst, x *tensor.Matrix, ws *tensor.Workspace), shards)}
+	st := step{name: name + fusedTag(act) + "/tp", cols: t.N, variant: microkernel.Variant(),
+		run: make([]func(dst, x *tensor.Matrix, ws *tensor.Workspace), shards), scratch: make([]func(rows int) tensor.Scratch, shards)}
 	pv := tensor.Pack(t.V)
 	for k := 0; k < shards; k++ {
 		lo, hi := pts[k], pts[k+1]
@@ -240,6 +251,7 @@ func lowRankSplit(name string, t *baselines.LowRank, bias []float32, pts []int, 
 		}
 		putk := tensor.Pack(sliceRowsT(t.U, lo, hi))
 		bk := append([]float32(nil), bias[lo:hi]...)
+		st.scratch[k] = rankScratch(t.Rank)
 		st.run[k] = func(dst, x *tensor.Matrix, ws *tensor.Workspace) {
 			xv := ws.Take(x.Rows, t.Rank)
 			tensor.MatMulPackedColsBiasActInto(xv, 0, x, pv, nil, tensor.ActNone)
@@ -258,7 +270,8 @@ func lowRankSplit(name string, t *baselines.LowRank, bias []float32, pts []int, 
 func pixelflySplit(name string, t *pixelfly.Pixelfly, bias []float32, pts []int, act tensor.Activation) step {
 	shards := len(pts) - 1
 	n, bs := t.Cfg.N, t.Cfg.BlockSize
-	st := step{name: name + fusedTag(act) + "/tp", cols: n, variant: t.MicroVariant(), run: make([]func(dst, x *tensor.Matrix, ws *tensor.Workspace), shards)}
+	st := step{name: name + fusedTag(act) + "/tp", cols: n, variant: t.MicroVariant(),
+		run: make([]func(dst, x *tensor.Matrix, ws *tensor.Workspace), shards), scratch: make([]func(rows int) tensor.Scratch, shards)}
 	for k := 0; k < shards; k++ {
 		lo, hi := pts[k], pts[k+1]
 		if lo == hi {
@@ -270,6 +283,15 @@ func pixelflySplit(name string, t *pixelfly.Pixelfly, bias []float32, pts []int,
 			utk = sliceRowsT(t.U, lo, hi)
 		}
 		bk := append([]float32(nil), bias[lo:hi]...)
+		// The kernel stages the feature-major input (N×rows) and its
+		// window of the product ((hi-lo)×rows); with a low-rank term also
+		// x·V (rows×r) and its window of the back-projection.
+		st.scratch[k] = func(rows int) tensor.Scratch {
+			if utk == nil {
+				return tensor.Scratch{Floats: (n + hi - lo) * rows, Headers: 2}
+			}
+			return tensor.Scratch{Floats: (n+hi-lo)*rows + rows*t.Cfg.LowRank + rows*(hi-lo), Headers: 4}
+		}
 		st.run[k] = func(dst, x *tensor.Matrix, ws *tensor.Workspace) {
 			xt := ws.Take(n, x.Rows)
 			tensor.TransposeInto(xt, x)

@@ -53,7 +53,7 @@ func checkTiles(t *testing.T, b timeline.BatchRecord) {
 func TestTimelineReconcilesWithMeasuredClocks(t *testing.T) {
 	_, pl := buildPlan(t, nn.Butterfly, 31)
 	for _, strat := range []Strategy{TensorParallel, Pipeline} {
-		sp, err := CompileMicro(pl, DefaultTopology(4), 2, strat, 1)
+		sp, err := CompileMicro(pl.Lowering, pl.MaxBatch(), DefaultTopology(4), 2, strat, 1)
 		if err != nil {
 			t.Fatalf("CompileMicro(%v): %v", strat, err)
 		}
@@ -89,7 +89,7 @@ func TestTimelineReconcilesWithMeasuredClocks(t *testing.T) {
 func TestTimelineBubblesOnlyUnderPipeline(t *testing.T) {
 	_, pl := buildPlan(t, nn.Baseline, 13)
 
-	tp, err := CompileMicro(pl, DefaultTopology(4), 2, TensorParallel, 1)
+	tp, err := CompileMicro(pl.Lowering, pl.MaxBatch(), DefaultTopology(4), 2, TensorParallel, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestTimelineBubblesOnlyUnderPipeline(t *testing.T) {
 	}
 	tp.Close()
 
-	pp, err := CompileMicro(pl, DefaultTopology(4), 2, Pipeline, 1)
+	pp, err := CompileMicro(pl.Lowering, pl.MaxBatch(), DefaultTopology(4), 2, Pipeline, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestTimelineBubblesOnlyUnderPipeline(t *testing.T) {
 // drain.
 func TestWavefrontTimeline(t *testing.T) {
 	_, pl := buildPlan(t, nn.Butterfly, 31)
-	sp, err := CompileMicro(pl, DefaultTopology(2), 2, Pipeline, 4)
+	sp, err := CompileMicro(pl.Lowering, pl.MaxBatch(), DefaultTopology(2), 2, Pipeline, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestWavefrontTimeline(t *testing.T) {
 func TestShardedTimelineAllocFree(t *testing.T) {
 	_, pl := buildPlan(t, nn.Butterfly, 17)
 	for _, strat := range []Strategy{TensorParallel, Pipeline} {
-		sp, err := CompileMicro(pl, DefaultTopology(4), 2, strat, 1)
+		sp, err := CompileMicro(pl.Lowering, pl.MaxBatch(), DefaultTopology(4), 2, strat, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,14 +1,34 @@
 package tensor
 
+// Scratch is the workspace demand of one cycle: float32 and complex128
+// elements, and the Take calls that each need a Matrix header. Every
+// kernel that stages intermediates through a Workspace declares its
+// demand beside its code, as a function of the rows it runs at.
+type Scratch struct {
+	Floats, Complex, Headers int
+}
+
+// Max returns the field-wise maximum of s and o: the backing a workspace
+// needs to run both cycles, one after the other, without allocating.
+func (s Scratch) Max(o Scratch) Scratch {
+	return Scratch{Floats: max(s.Floats, o.Floats), Complex: max(s.Complex, o.Complex), Headers: max(s.Headers, o.Headers)}
+}
+
+// Bytes is the backing size of the demand's elements — what one idle
+// plan instance holds onto between executions.
+func (s Scratch) Bytes() int { return 4*s.Floats + 16*s.Complex }
+
 // Workspace is a caller-owned scratch arena for the destination-passing
 // ("Into") kernels. A cycle of use is: Reset, then any number of Take /
 // TakeVec / TakeComplex calls whose results are valid until the next Reset.
 //
-// The arena sizes itself to the high-water mark of a cycle: requests that
-// overflow the current backing array fall back to a one-off allocation, and
-// the next Reset grows the backing array to the full cycle demand. After
-// one warm-up cycle at the largest shapes, every subsequent cycle is
-// allocation-free — the property the compiled inference plans rely on.
+// Compiled plans size each workspace to the largest cycle their kernels
+// declare (NewWorkspace(demand)), so no cycle they run allocates. A
+// request that overflows the backing falls back to a one-off allocation,
+// and the next Reset grows the backing array to the full cycle demand,
+// so a workspace made with no demand reaches its high-water mark after
+// one cycle at the largest shapes — the behaviour the tests use as the
+// oracle of the declarations.
 //
 // A Workspace is not safe for concurrent use; pool one per worker.
 type Workspace struct {
@@ -27,8 +47,15 @@ type Workspace struct {
 	hoff int
 }
 
-// NewWorkspace returns an empty workspace; the arena grows on demand.
-func NewWorkspace() *Workspace { return &Workspace{} }
+// NewWorkspace returns a workspace whose backing holds exactly the given
+// demand; the zero Scratch gives an empty arena that grows on demand.
+func NewWorkspace(demand Scratch) *Workspace {
+	return &Workspace{
+		buf:  make([]float32, demand.Floats),
+		cbuf: make([]complex128, demand.Complex),
+		hdrs: make([]Matrix, demand.Headers),
+	}
+}
 
 // Reset recycles the arena: all previously taken buffers are invalidated,
 // and the backing arrays grow to the previous cycle's total demand so the
@@ -84,8 +111,8 @@ func (w *Workspace) TakeComplex(n int) []complex128 {
 	return s
 }
 
-// FootprintBytes reports the arena's current backing size — what one
-// idle plan instance holds onto between executions.
-func (w *Workspace) FootprintBytes() int {
-	return 4*len(w.buf) + 16*len(w.cbuf)
+// Capacity reports the arena's backing as a demand: the float32 and
+// complex128 elements it holds and the headers it recycles.
+func (w *Workspace) Capacity() Scratch {
+	return Scratch{Floats: len(w.buf), Complex: len(w.cbuf), Headers: len(w.hdrs)}
 }

@@ -166,7 +166,7 @@ func TestIntoKernelShapeChecks(t *testing.T) {
 // warm-up cycle plus a Reset, and identical subsequent cycles allocate
 // nothing.
 func TestWorkspaceSteadyStateAllocationFree(t *testing.T) {
-	ws := NewWorkspace()
+	ws := NewWorkspace(Scratch{})
 	cycle := func() {
 		ws.Reset()
 		m := ws.Take(8, 16)
@@ -186,7 +186,7 @@ func TestWorkspaceSteadyStateAllocationFree(t *testing.T) {
 // TestWorkspaceOverflowStaysCorrect checks that buffers handed out before
 // and after an arena overflow never alias each other within a cycle.
 func TestWorkspaceOverflowStaysCorrect(t *testing.T) {
-	ws := NewWorkspace()
+	ws := NewWorkspace(Scratch{})
 	ws.Reset()
 	var ms []*Matrix
 	for i := 0; i < 6; i++ {
@@ -202,5 +202,32 @@ func TestWorkspaceOverflowStaysCorrect(t *testing.T) {
 				t.Fatalf("buffer %d was clobbered: found %v", i, v)
 			}
 		}
+	}
+}
+
+// TestWorkspaceSizedToDemandRunsFirstCycleAllocationFree pins
+// NewWorkspace(demand): its backing is exactly the demand, and the first
+// cycle within it allocates nothing.
+func TestWorkspaceSizedToDemandRunsFirstCycleAllocationFree(t *testing.T) {
+	demand := Scratch{Floats: 8*16 + 32, Complex: 64, Headers: 1}
+	// AllocsPerRun makes one call more than it averages over; each call
+	// runs the first cycle of a fresh workspace.
+	const runs = 20
+	fresh := make([]*Workspace, runs+1)
+	for i := range fresh {
+		if fresh[i] = NewWorkspace(demand); fresh[i].Capacity() != demand {
+			t.Fatalf("backing %+v, want %+v", fresh[i].Capacity(), demand)
+		}
+	}
+	next := 0
+	if avg := testing.AllocsPerRun(runs, func() {
+		ws := fresh[next]
+		next++
+		ws.Reset()
+		ws.Take(8, 16)
+		ws.TakeVec(32)
+		ws.TakeComplex(64)
+	}); avg != 0 {
+		t.Errorf("a first cycle within the demand allocated %.1f objects, want 0", avg)
 	}
 }
