@@ -23,7 +23,10 @@
 //     grow by more than allocTol;
 //   - training steps: pixelfly's forward and backward step times in
 //     train_shl may not grow by more than trainTol both raw and times the
-//     workload's calibration rate.
+//     workload's calibration rate;
+//   - IPU pricing: the time sharded_http's traced run spends in
+//     ipu.Compile and ipu.Simulate may not grow by more than compileTol
+//     both raw and times the workload's calibration rate.
 package main
 
 import (
@@ -34,6 +37,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"strings"
 )
 
@@ -75,6 +79,17 @@ const (
 	// build on the Go lanes (the purego tag) read 7.13 and 13.89 ms,
 	// +214% and +222% raw against the record.
 	trainTol = 0.5
+	// compileTol is the largest growth of sharded_http's traced
+	// ipu.compile_s (ipu.Compile and ipu.Simulate of dense and pixelfly
+	// at every batch bucket, 1-64) that passes, by trainTol's rule. Ten
+	// runs of the same code read 0.026-0.042 s; between any two of them
+	// the time grew by at most 60% raw and 97% times the calibration
+	// rate, but by at most 56% both ways at once. Against the committed
+	// record, one of the ten at 0.031 s, the other nine grew by at most
+	// 34% both ways. Four runs with the exchange planner's range updates
+	// reverted read 0.080-0.089 s, at least +158% both ways against the
+	// record.
+	compileTol = 0.6
 )
 
 // kernelMetrics are the gated kernel rates, each in the workload where its
@@ -132,9 +147,18 @@ var trainMetrics = []string{
 	"train_shl/nn.train.pixelfly.backward_ms_p50",
 }
 
+// compileMetrics are the IPU pricing times a revert of the exchange
+// planner's range updates moves most. structured_http's ipu.compile_s is
+// left out: its ten runs read 0.032-0.048 s and the reverted planner's
+// 0.067-0.084 s: the fastest revert took only 1.4 times the slowest run
+// of the same code, so no tolerance above that spread would catch it.
+var compileMetrics = []string{
+	"sharded_http/ipu.compile_s",
+}
+
 // calibratedMetrics are the gated figures checked against their
 // workload's calibration rate.
-var calibratedMetrics = append(append([]string(nil), kernelMetrics...), trainMetrics...)
+var calibratedMetrics = slices.Concat(kernelMetrics, trainMetrics, compileMetrics)
 
 // record is the JSON object perfbench prints as the last line of a run:
 // {"correct", "attempted", "failed", "metrics": {name: {"value", "unit"}}}.
@@ -250,7 +274,9 @@ func gate(w io.Writer, old, fresh *record) bool {
 		check(n-o > allocTol*math.Abs(o), "%-47s %8.3f -> %8.3f %s (tolerance +%.0f%%)",
 			name, o, n, old.Metrics[name].Unit, 100*allocTol)
 	}
-	for _, name := range trainMetrics {
+	// A time times the calibration rate is its work in calibration-kernel
+	// flops, which a slower host does not move.
+	checkTime := func(name string, tol float64) {
 		o, n := old.Metrics[name].Value, fresh.Metrics[name].Value
 		switch {
 		case o <= 0:
@@ -258,14 +284,18 @@ func gate(w io.Writer, old, fresh *record) bool {
 		case n <= 0:
 			check(true, "%-47s timed in the committed record, reads 0 in the fresh one", name)
 		default:
-			// A step's time times the calibration rate is its work in
-			// calibration-kernel flops, which a slower host does not move.
 			on, nn := o*old.calib(name), n*fresh.calib(name)
 			raw, norm := n/o-1, nn/on-1
-			check(raw > trainTol && norm > trainTol,
-				"%-47s %6.2f -> %6.2f ms (%+.1f%%), %6.2f -> %6.2f MFLOP of calibration (%+.1f%%); tolerance +%.0f%% on both",
-				name, o, n, 100*raw, on, nn, 100*norm, 100*trainTol)
+			check(raw > tol && norm > tol,
+				"%-47s %6.3f -> %6.3f %s (%+.1f%%), times calibration %6.3f -> %6.3f (%+.1f%%); tolerance +%.0f%% on both",
+				name, o, n, old.Metrics[name].Unit, 100*raw, on, nn, 100*norm, 100*tol)
 		}
+	}
+	for _, name := range trainMetrics {
+		checkTime(name, trainTol)
+	}
+	for _, name := range compileMetrics {
+		checkTime(name, compileTol)
 	}
 	return failed
 }

@@ -18,7 +18,10 @@ const committedFixture = "committed.txt"
 // gateFixtures pins what the gate makes of each fresh-run fixture: whether
 // it fails, and a line it must print. train_regressed.txt is the committed
 // fixture with the pixelfly step times and train_shl calibration rates of
-// a run built with the purego tag, on the Go lanes.
+// a run built with the purego tag, on the Go lanes. compile_regressed.txt
+// is the committed fixture with sharded_http's ipu.compile_s and
+// calibration rates of a run with the exchange planner's range updates
+// reverted.
 var gateFixtures = []struct {
 	name string
 	fail bool
@@ -32,6 +35,7 @@ var gateFixtures = []struct {
 	{"phase_vanished.txt", true, "FAIL sharded_http/shard.pixelfly.micro_batches"},
 	{"alloc_growth.txt", true, "FAIL structured_http/runtime.alloc_kb_per_req"},
 	{"train_regressed.txt", true, "FAIL train_shl/nn.train.pixelfly.backward_ms_p50"},
+	{"compile_regressed.txt", true, "FAIL sharded_http/ipu.compile_s"},
 	{"incorrect.txt", true, "FAIL fresh record: testdata/incorrect.txt: the run reported correct=false"},
 	{"truncated.txt", true, "FAIL fresh record: testdata/truncated.txt: last line is not a perfbench record"},
 }
@@ -276,10 +280,64 @@ func TestGateTraining(t *testing.T) {
 	}
 }
 
+func TestGateCompile(t *testing.T) {
+	base := mustLoad(t, committedFixture)
+	compile := "sharded_http/ipu.compile_s"
+	// scaled returns a copy of r with the compile time times k and
+	// sharded_http's calibration rates times c.
+	scaled := func(r *record, k, c float64) *record {
+		return with(r, func(name string, v float64) float64 {
+			switch {
+			case strings.HasPrefix(name, "sharded_http/loadgen.calib_gflops_"):
+				return c * v
+			case name == compile:
+				return k * v
+			}
+			return v
+		})
+	}
+	for _, c := range []struct {
+		desc  string
+		fresh *record
+		fail  bool
+	}{
+		{"a host 30% slower, pricing and calibration alike", scaled(base, 1/0.7, 0.7), false},
+		{"inside the tolerance", scaled(base, 1+0.9*compileTol, 1), false},
+		{"past the tolerance", scaled(base, 1+1.1*compileTol, 1), true},
+		{"past the tolerance while the calibration reads twice as fast", scaled(base, 1+1.1*compileTol, 2), true},
+		{"3× slower while the calibration reads 3× slower too", scaled(base, 3, 1.0/3), false},
+		{"reads 0", set(base, compile, 0), true},
+	} {
+		if got := gate(io.Discard, base, c.fresh); got != c.fail {
+			t.Errorf("%s: gate failed=%v, want %v", c.desc, got, c.fail)
+		}
+	}
+	// A committed record without the time skips the check, and a record
+	// without it does not parse.
+	var out strings.Builder
+	if gate(&out, set(base, compile, 0), base) || !strings.Contains(out.String(), "skip "+compile) {
+		t.Errorf("a committed record with no compile time failed or did not skip:\n%s", out.String())
+	}
+	r := *base
+	r.Metrics = make(map[string]metric)
+	for name, m := range base.Metrics {
+		if name != compile {
+			r.Metrics[name] = m
+		}
+	}
+	line, err := json.Marshal(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := parseRecord(line); err == nil || !strings.Contains(err.Error(), compile) {
+		t.Errorf("a record without %s parsed (err %v)", compile, err)
+	}
+}
+
 // TestGatePassesImprovementAndItself: no check fails on an improvement, so
-// a much faster change (every kernel 10× faster, every training step 10×
-// shorter, every share and allocation lower) passes, and so does a record
-// against itself.
+// a much faster change (every kernel 10× faster, every training step and
+// IPU compile 10× shorter, every share and allocation lower) passes, and so
+// does a record against itself.
 func TestGatePassesImprovementAndItself(t *testing.T) {
 	base := mustLoad(t, committedFixture)
 	if gate(io.Discard, base, base) {
@@ -289,7 +347,8 @@ func TestGatePassesImprovementAndItself(t *testing.T) {
 		switch {
 		case strings.Contains(name, "/kernel.") && strings.HasSuffix(name, ".gflops"):
 			return 10 * v
-		case strings.Contains(name, "/nn.train.") && strings.HasSuffix(name, "_ms_p50"):
+		case strings.Contains(name, "/nn.train.") && strings.HasSuffix(name, "_ms_p50"),
+			strings.HasSuffix(name, "/ipu.compile_s"):
 			return v / 10
 		case strings.HasSuffix(name, "_share") || strings.HasSuffix(name, "_fraction") || strings.Contains(name, "alloc"):
 			return v / 2

@@ -171,6 +171,7 @@ func BuildDenseMatMul(cfg Config, m, k, n int, variant MatMulVariant) *Workload 
 							VarRegion{Var: tmpB, Start: c0 * kc, End: c1 * kc})
 					} else {
 						// A rows r0..r1, K slice [k0,k1): one region per row.
+						ins = make([]VarRegion, 0, (r1-r0)+(c1-c0))
 						for r := r0; r < r1; r++ {
 							ins = append(ins, VarRegion{Var: a, Start: r*k + k0, End: r*k + k1})
 						}
@@ -179,7 +180,7 @@ func BuildDenseMatMul(cfg Config, m, k, n int, variant MatMulVariant) *Workload 
 							ins = append(ins, VarRegion{Var: b, Start: cc*k + k0, End: cc*k + k1})
 						}
 					}
-					var outs []VarRegion
+					outs := make([]VarRegion, 0, r1-r0)
 					for r := r0; r < r1; r++ {
 						outs = append(outs, VarRegion{Var: c, Start: r*n + c0, End: r*n + c1})
 					}
@@ -309,7 +310,8 @@ func BuildButterflyMM(cfg Config, n, batch int) *Workload {
 			if p0 >= p1 {
 				break
 			}
-			var ins, outs []VarRegion
+			ins := make([]VarRegion, 0, 2*(p1-p0)+1) // both halves of every pair, then the coefficients
+			outs := make([]VarRegion, 0, 2*(p1-p0))
 			for p := p0; p < p1; p++ {
 				blockIdx := p / half
 				kk := p % half

@@ -103,21 +103,24 @@ func (g *Graph) SetTileMapping(id VarID, mapping []Interval) error {
 }
 
 // LinearMapping spreads elems contiguously across tiles with equal-sized
-// grains (the Poplar default mapping).
+// grains (the Poplar default mapping): interval t lives on tile t and
+// holds linearGrainSize elements, the last one what is left.
 func LinearMapping(cfg Config, elems int) []Interval {
-	if elems == 0 {
+	grain := linearGrainSize(cfg, elems)
+	if grain == 0 {
 		return nil
 	}
-	grain := (elems + cfg.Tiles - 1) / cfg.Tiles
-	var out []Interval
+	out := make([]Interval, 0, ceilDiv(elems, grain))
 	for t, start := 0, 0; start < elems; t, start = t+1, start+grain {
-		end := start + grain
-		if end > elems {
-			end = elems
-		}
-		out = append(out, Interval{Tile: t, Start: start, End: end})
+		out = append(out, Interval{Tile: t, Start: start, End: min(start+grain, elems)})
 	}
 	return out
+}
+
+// linearGrainSize is the number of elements LinearMapping puts on each
+// tile: elems over the tiles, rounded up; 0 for no elements.
+func linearGrainSize(cfg Config, elems int) int {
+	return ceilDiv(elems, cfg.Tiles)
 }
 
 // AddComputeSet creates a named compute set.

@@ -3,6 +3,7 @@ package ipu
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -520,4 +521,65 @@ func sameRegions(a, b []VarRegion) bool {
 		}
 	}
 	return true
+}
+
+// TestCompileRepricesReplacedMapping compiles one graph twice, which must
+// give equal results, and then replaces a mapping the first Compile
+// defaulted to linear: once through SetTileMapping and once by assigning
+// Variable.Mapping. Compile reads whether a mapping is linear from the
+// mapping itself, so the next Compile must price the new mapping, exactly
+// as the map oracle does.
+func TestCompileRepricesReplacedMapping(t *testing.T) {
+	cfg := GC200()
+	build := func() *Graph { return BuildLinear(cfg, 256, 4).Graph }
+	g := build()
+	first, err := Compile(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := Compile(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(first, again) {
+		t.Fatal("compiling one graph twice gave different results")
+	}
+
+	// The activation A (variable 0, 1,024 elements on 1,024 tiles) moves
+	// whole onto tile 7.
+	pinned := func(v *Variable) []Interval { return []Interval{{Tile: 7, Start: 0, End: v.Elems}} }
+	for _, c := range []struct {
+		name    string
+		replace func(g *Graph)
+	}{
+		{"SetTileMapping", func(g *Graph) {
+			if err := g.SetTileMapping(0, pinned(g.Vars[0])); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"assignment", func(g *Graph) { g.Vars[0].Mapping = pinned(g.Vars[0]) }},
+	} {
+		// Both graphs checkAgainstMap builds are compiled once under the
+		// default mapping before it is replaced.
+		checkAgainstMap(t, c.name, func() *Graph {
+			g := build()
+			if _, err := Compile(g); err != nil {
+				t.Fatal(err)
+			}
+			c.replace(g)
+			return g
+		})
+		g := build()
+		if _, err := Compile(g); err != nil {
+			t.Fatal(err)
+		}
+		c.replace(g)
+		moved, err := Compile(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if moved.PerTile[7] == first.PerTile[7] || reflect.DeepEqual(Simulate(moved), Simulate(first)) {
+			t.Fatalf("%s: the replaced mapping priced as the linear one", c.name)
+		}
+	}
 }

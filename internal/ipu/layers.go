@@ -155,7 +155,8 @@ func BuildFastfood(cfg Config, n, batch int) *Workload {
 			if p0 >= p1 {
 				break
 			}
-			var ins, outs []VarRegion
+			ins := make([]VarRegion, 0, 2*(p1-p0))
+			outs := make([]VarRegion, 0, 2*(p1-p0))
 			for p := p0; p < p1; p++ {
 				blockIdx := p / half
 				kk := p % half

@@ -1,6 +1,7 @@
 package ipu
 
 import (
+	"fmt"
 	"reflect"
 	"sort"
 	"testing"
@@ -280,36 +281,42 @@ func checkAgainstMap(t *testing.T, name string, build func() *Graph) {
 }
 
 // Every builder, at every served batch bucket, compiles and prices exactly
-// as the map oracle does.
+// as the map oracle does, at three widths on both IPU generations. The
+// shapes cover variables with fewer elements than tiles (N=64 at batch 1),
+// last intervals shorter than the grain, and vertex tiles inside the run
+// of tiles a region covers.
 func TestCompileMatchesMapOracle(t *testing.T) {
-	cfg := GC200()
-	const n = 1024
-	pcfg := pixelfly.Config{N: n, BlockSize: 64, ButterflySize: 16, LowRank: 32}
-	builders := []struct {
-		name  string
-		build func(batch int) *Workload
-	}{
-		{"linear", func(b int) *Workload { return BuildLinear(cfg, n, b) }},
-		{"butterfly", func(b int) *Workload { return BuildButterflyMM(cfg, n, b) }},
-		{"fastfood", func(b int) *Workload { return BuildFastfood(cfg, n, b) }},
-		{"circulant", func(b int) *Workload { return BuildCirculant(cfg, n, b) }},
-		{"lowrank", func(b int) *Workload { return BuildLowRank(cfg, n, 1, b) }},
-		{"pixelfly", func(b int) *Workload { return BuildPixelflyMM(cfg, pcfg, b) }},
-		{"naive", func(b int) *Workload { return BuildDenseMatMul(cfg, b, n, n, MMNaive) }},
-		{"blocked", func(b int) *Workload { return BuildDenseMatMul(cfg, b, n, n, MMBlocked) }},
-		{"poplin", func(b int) *Workload { return BuildDenseMatMul(cfg, b, n, n, MMPoplin) }},
-		// Density in percent: 1 is Table 2's sparsest case.
-		{"sparse", func(b int) *Workload { return BuildSparseMM(cfg, n, float64(b)/100) }},
-	}
-	for _, bl := range builders {
-		for b := 1; b <= 64; b *= 2 {
-			checkAgainstMap(t, bl.name, func() *Graph { return bl.build(b).Graph })
+	for _, cfg := range []Config{GC200(), GC2()} {
+		for _, n := range []int{64, 256, 1024} {
+			pcfg := pixelfly.Config{N: n, BlockSize: 64, ButterflySize: 16, LowRank: 32}
+			builders := []struct {
+				name  string
+				build func(batch int) *Workload
+			}{
+				{"linear", func(b int) *Workload { return BuildLinear(cfg, n, b) }},
+				{"butterfly", func(b int) *Workload { return BuildButterflyMM(cfg, n, b) }},
+				{"fastfood", func(b int) *Workload { return BuildFastfood(cfg, n, b) }},
+				{"circulant", func(b int) *Workload { return BuildCirculant(cfg, n, b) }},
+				{"lowrank", func(b int) *Workload { return BuildLowRank(cfg, n, 1, b) }},
+				{"pixelfly", func(b int) *Workload { return BuildPixelflyMM(cfg, pcfg, b) }},
+				{"naive", func(b int) *Workload { return BuildDenseMatMul(cfg, b, n, n, MMNaive) }},
+				{"blocked", func(b int) *Workload { return BuildDenseMatMul(cfg, b, n, n, MMBlocked) }},
+				{"poplin", func(b int) *Workload { return BuildDenseMatMul(cfg, b, n, n, MMPoplin) }},
+				// Density in percent: 1 is Table 2's sparsest case.
+				{"sparse", func(b int) *Workload { return BuildSparseMM(cfg, n, float64(b)/100) }},
+			}
+			for _, bl := range builders {
+				for b := 1; b <= 64; b *= 2 {
+					name := fmt.Sprintf("%s/%s/n%d/b%d", cfg.Name, bl.name, n, b)
+					checkAgainstMap(t, name, func() *Graph { return bl.build(b).Graph })
+				}
+			}
 		}
+		// A tile memory too small for the layer takes the OOM path.
+		small := cfg
+		small.TileMemBytes = 64 * 1024
+		checkAgainstMap(t, cfg.Name+"/linear-oom", func() *Graph { return BuildLinear(small, 1024, 64).Graph })
 	}
-	// A tile memory too small for the layer takes the OOM path.
-	small := cfg
-	small.TileMemBytes = 64 * 1024
-	checkAgainstMap(t, "linear-oom", func() *Graph { return BuildLinear(small, n, 64).Graph })
 }
 
 // fuzzBytes hands out small choices from the fuzzer's input, and zeros once

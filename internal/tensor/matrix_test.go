@@ -83,21 +83,6 @@ func TestMatMulShapePanic(t *testing.T) {
 	MatMul(New(2, 3), New(2, 3))
 }
 
-func TestBlockedMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for _, shape := range [][3]int{{17, 31, 13}, {64, 64, 64}, {1, 5, 9}, {70, 3, 70}} {
-		a := randomMatrix(rng, shape[0], shape[1])
-		b := randomMatrix(rng, shape[1], shape[2])
-		want := MatMul(a, b)
-		for _, bs := range []int{0, 8, 16, 100} {
-			got := MatMulBlocked(a, b, bs)
-			if !AlmostEqual(want, got, 1e-4) {
-				t.Fatalf("blocked(bs=%d) mismatch for shape %v: %v", bs, shape, MaxAbsDiff(want, got))
-			}
-		}
-	}
-}
-
 // scalarMatMul is the scalar loop matMulRows ran before it called
 // microkernel.AccRow: per output row, p ascending, every nonzero a[i][p]
 // adds one pass of av·b[p][j] into the zeroed row.
@@ -228,14 +213,6 @@ func TestAddRowVectorAndColSums(t *testing.T) {
 	}
 }
 
-func TestMulVec(t *testing.T) {
-	m := FromSlice(2, 3, []float32{1, 2, 3, 4, 5, 6})
-	got := m.MulVec([]float32{1, 1, 1})
-	if got[0] != 6 || got[1] != 15 {
-		t.Fatalf("MulVec = %v, want [6 15]", got)
-	}
-}
-
 func TestMatMulFlops(t *testing.T) {
 	if got := MatMulFlops(2, 3, 4); got != 48 {
 		t.Fatalf("MatMulFlops = %v, want 48", got)
@@ -298,17 +275,6 @@ func BenchmarkMatMulNaive256(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		MatMul(x, y)
-	}
-}
-
-func BenchmarkMatMulBlocked256(b *testing.B) {
-	rng := rand.New(rand.NewSource(8))
-	x := randomMatrix(rng, 256, 256)
-	y := randomMatrix(rng, 256, 256)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MatMulBlocked(x, y, 0)
 	}
 }
 

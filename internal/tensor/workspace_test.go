@@ -1,82 +1,9 @@
 package tensor
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 )
-
-// DefaultBlock is the cache-blocking tile edge used by MatMulBlocked.
-const DefaultBlock = 64
-
-// MatMulBlocked computes a·b with square cache blocking (tile edge bs; pass
-// 0 for DefaultBlock). Mirrors the "IPU blocked" / "GPU shmem" kernels.
-func MatMulBlocked(a, b *Matrix, bs int) *Matrix {
-	out := New(a.Rows, b.Cols)
-	MatMulBlockedInto(out, a, b, bs)
-	return out
-}
-
-// MatMulBlockedInto is MatMulBlocked writing into caller-owned dst
-// (shape a.Rows×b.Cols, overwritten). dst must not alias a or b.
-func MatMulBlockedInto(dst, a, b *Matrix, bs int) {
-	checkMulShapes(a, b)
-	checkIntoShape("MatMulBlockedInto", dst, a.Rows, b.Cols)
-	if bs <= 0 {
-		bs = DefaultBlock
-	}
-	dst.Zero()
-	out := dst
-	m, n, k := a.Rows, a.Cols, b.Cols
-	for ii := 0; ii < m; ii += bs {
-		iMax := min(ii+bs, m)
-		for pp := 0; pp < n; pp += bs {
-			pMax := min(pp+bs, n)
-			for jj := 0; jj < k; jj += bs {
-				jMax := min(jj+bs, k)
-				for i := ii; i < iMax; i++ {
-					arow := a.Row(i)
-					orow := out.Row(i)
-					for p := pp; p < pMax; p++ {
-						av := arow[p]
-						if av == 0 {
-							continue
-						}
-						brow := b.Data[p*k : (p+1)*k]
-						for j := jj; j < jMax; j++ {
-							orow[j] += av * brow[j]
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// MulVec computes m·x for a column vector x (len == Cols).
-func (m *Matrix) MulVec(x []float32) []float32 {
-	out := make([]float32, m.Rows)
-	m.MulVecInto(out, x)
-	return out
-}
-
-// MulVecInto computes m·x into dst (len == Rows, fully overwritten).
-func (m *Matrix) MulVecInto(dst, x []float32) {
-	if len(x) != m.Cols {
-		panic(fmt.Sprintf("tensor: MulVec length %d != cols %d", len(x), m.Cols))
-	}
-	if len(dst) != m.Rows {
-		panic(fmt.Sprintf("tensor: MulVecInto dst length %d != rows %d", len(dst), m.Rows))
-	}
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		var s float32
-		for j, v := range row {
-			s += v * x[j]
-		}
-		dst[i] = s
-	}
-}
 
 // TestIntoKernelsMatchAllocatingKernels checks every destination-passing
 // kernel against its allocating wrapper, bit-for-bit.
@@ -103,10 +30,6 @@ func TestIntoKernelsMatchAllocatingKernels(t *testing.T) {
 	MatMulInto(mm, a, b)
 	check("MatMulInto over stale dst", MatMul(a, b), mm)
 
-	mb := New(7, 5)
-	MatMulBlockedInto(mb, a, b, 4)
-	check("MatMulBlockedInto", MatMulBlocked(a, b, 4), mb)
-
 	mp := New(7, 5)
 	MatMulParallelInto(mp, a, b)
 	check("MatMulParallelInto", MatMulParallel(a, b), mp)
@@ -124,19 +47,6 @@ func TestIntoKernelsMatchAllocatingKernels(t *testing.T) {
 	ref := a.Clone()
 	AddRowVector(ref, v)
 	check("AddRowVectorInto", ref, av)
-
-	x := make([]float32, a.Cols)
-	for i := range x {
-		x[i] = rng.Float32()
-	}
-	dst := make([]float32, a.Rows)
-	a.MulVecInto(dst, x)
-	want := a.MulVec(x)
-	for i := range want {
-		if dst[i] != want[i] {
-			t.Errorf("MulVecInto[%d] = %v, want %v", i, dst[i], want[i])
-		}
-	}
 }
 
 func TestIntoKernelShapeChecks(t *testing.T) {
@@ -145,11 +55,9 @@ func TestIntoKernelShapeChecks(t *testing.T) {
 	bad := New(3, 3)
 	for label, f := range map[string]func(){
 		"MatMulInto":         func() { MatMulInto(bad, a, b) },
-		"MatMulBlockedInto":  func() { MatMulBlockedInto(bad, a, b, 0) },
 		"MatMulParallelInto": func() { MatMulParallelInto(bad, a, b) },
 		"TransposeInto":      func() { TransposeInto(bad, a) },
 		"AddRowVectorInto":   func() { AddRowVectorInto(bad, a, make([]float32, 4)) },
-		"MulVecInto":         func() { a.MulVecInto(make([]float32, 2), make([]float32, 4)) },
 	} {
 		func() {
 			defer func() {
