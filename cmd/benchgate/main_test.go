@@ -21,7 +21,9 @@ const committedFixture = "committed.txt"
 // a run built with the purego tag, on the Go lanes. compile_regressed.txt
 // is the committed fixture with sharded_http's ipu.compile_s and
 // calibration rates of a run with the exchange planner's range updates
-// reverted.
+// reverted. butterfly_train_regressed.txt is the committed fixture with
+// butterfly's training forward step time and train_shl's calibration
+// rates of a run with AccRow's and ReLU's branches put back.
 var gateFixtures = []struct {
 	name string
 	fail bool
@@ -36,6 +38,7 @@ var gateFixtures = []struct {
 	{"alloc_growth.txt", true, "FAIL structured_http/runtime.alloc_kb_per_req"},
 	{"train_regressed.txt", true, "FAIL train_shl/nn.train.pixelfly.backward_ms_p50"},
 	{"compile_regressed.txt", true, "FAIL sharded_http/ipu.compile_s"},
+	{"butterfly_train_regressed.txt", true, "FAIL train_shl/nn.train.butterfly.forward_ms_p50"},
 	{"incorrect.txt", true, "FAIL fresh record: testdata/incorrect.txt: the run reported correct=false"},
 	{"truncated.txt", true, "FAIL fresh record: testdata/truncated.txt: last line is not a perfbench record"},
 }
@@ -243,7 +246,6 @@ func TestGateTraining(t *testing.T) {
 		{"steps flat while the calibration reads half as fast", scaled(base, 1, 0.5), false},
 		{"steps 3× slower while the calibration reads 3× slower too", scaled(base, 3, 1.0/3), false},
 		{"forward reads 0", set(base, fwd, 0), true},
-		{"butterfly's steps (ungated) 3× slower", set(base, "train_shl/nn.train.butterfly.forward_ms_p50", 3), false},
 	} {
 		if got := gate(io.Discard, base, c.fresh); got != c.fail {
 			t.Errorf("%s: gate failed=%v, want %v", c.desc, got, c.fail)
@@ -280,17 +282,25 @@ func TestGateTraining(t *testing.T) {
 	}
 }
 
-func TestGateCompile(t *testing.T) {
+func TestGateCompile(t *testing.T) { testTimeGate(t, "sharded_http/ipu.compile_s", compileTol) }
+
+func TestGateButterflyTraining(t *testing.T) {
+	testTimeGate(t, "train_shl/nn.train.butterfly.forward_ms_p50", butterflyTrainTol)
+}
+
+// testTimeGate holds the gate on one time figure, checked at tolerance
+// tol both raw and times its workload's calibration rate.
+func testTimeGate(t *testing.T, name string, tol float64) {
 	base := mustLoad(t, committedFixture)
-	compile := "sharded_http/ipu.compile_s"
-	// scaled returns a copy of r with the compile time times k and
-	// sharded_http's calibration rates times c.
+	calib := name[:strings.IndexByte(name, '/')] + "/loadgen.calib_gflops_"
+	// scaled returns a copy of r with the time times k and its workload's
+	// calibration rates times c.
 	scaled := func(r *record, k, c float64) *record {
-		return with(r, func(name string, v float64) float64 {
+		return with(r, func(n string, v float64) float64 {
 			switch {
-			case strings.HasPrefix(name, "sharded_http/loadgen.calib_gflops_"):
+			case strings.HasPrefix(n, calib):
 				return c * v
-			case name == compile:
+			case n == name:
 				return k * v
 			}
 			return v
@@ -301,36 +311,36 @@ func TestGateCompile(t *testing.T) {
 		fresh *record
 		fail  bool
 	}{
-		{"a host 30% slower, pricing and calibration alike", scaled(base, 1/0.7, 0.7), false},
-		{"inside the tolerance", scaled(base, 1+0.9*compileTol, 1), false},
-		{"past the tolerance", scaled(base, 1+1.1*compileTol, 1), true},
-		{"past the tolerance while the calibration reads twice as fast", scaled(base, 1+1.1*compileTol, 2), true},
+		{"a host 30% slower, the time and calibration alike", scaled(base, 1/0.7, 0.7), false},
+		{"inside the tolerance", scaled(base, 1+0.9*tol, 1), false},
+		{"past the tolerance", scaled(base, 1+1.1*tol, 1), true},
+		{"past the tolerance while the calibration reads twice as fast", scaled(base, 1+1.1*tol, 2), true},
 		{"3× slower while the calibration reads 3× slower too", scaled(base, 3, 1.0/3), false},
-		{"reads 0", set(base, compile, 0), true},
+		{"reads 0", set(base, name, 0), true},
 	} {
 		if got := gate(io.Discard, base, c.fresh); got != c.fail {
-			t.Errorf("%s: gate failed=%v, want %v", c.desc, got, c.fail)
+			t.Errorf("%s %s: gate failed=%v, want %v", name, c.desc, got, c.fail)
 		}
 	}
 	// A committed record without the time skips the check, and a record
 	// without it does not parse.
 	var out strings.Builder
-	if gate(&out, set(base, compile, 0), base) || !strings.Contains(out.String(), "skip "+compile) {
-		t.Errorf("a committed record with no compile time failed or did not skip:\n%s", out.String())
+	if gate(&out, set(base, name, 0), base) || !strings.Contains(out.String(), "skip "+name) {
+		t.Errorf("a committed record with no %s failed or did not skip:\n%s", name, out.String())
 	}
 	r := *base
 	r.Metrics = make(map[string]metric)
-	for name, m := range base.Metrics {
-		if name != compile {
-			r.Metrics[name] = m
+	for n, m := range base.Metrics {
+		if n != name {
+			r.Metrics[n] = m
 		}
 	}
 	line, err := json.Marshal(r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := parseRecord(line); err == nil || !strings.Contains(err.Error(), compile) {
-		t.Errorf("a record without %s parsed (err %v)", compile, err)
+	if _, err := parseRecord(line); err == nil || !strings.Contains(err.Error(), name) {
+		t.Errorf("a record without %s parsed (err %v)", name, err)
 	}
 }
 

@@ -190,8 +190,8 @@ func (b *Butterfly) ensureGrads() {
 // syncRotation refreshes the dense coefficients from Theta.
 func (f *Factor) syncRotation() {
 	for p := range f.Theta {
-		c := float32(math.Cos(float64(f.Theta[p])))
-		s := float32(math.Sin(float64(f.Theta[p])))
+		sin, cos := math.Sincos(float64(f.Theta[p]))
+		c, s := float32(cos), float32(sin)
 		f.A[p], f.B[p], f.C[p], f.D[p] = c, s, -s, c
 	}
 }
@@ -501,8 +501,7 @@ func gradFactorPairs(f *Factor, in, dOut *tensor.Matrix, p0, p1 int) {
 // dL/dθ = dA·(−sin) + dB·(cos) + dC·(−cos) + dD·(−sin).
 func foldRotationGrads(f *Factor, p0, p1 int) {
 	for p := p0; p < p1; p++ {
-		c := float64(math.Cos(float64(f.Theta[p])))
-		s := float64(math.Sin(float64(f.Theta[p])))
+		s, c := math.Sincos(float64(f.Theta[p]))
 		g := -s*float64(f.GradA[p]) + c*float64(f.GradB[p]) - c*float64(f.GradC[p]) - s*float64(f.GradD[p])
 		f.GradTheta[p] += float32(g)
 		f.GradA[p], f.GradB[p], f.GradC[p], f.GradD[p] = 0, 0, 0, 0

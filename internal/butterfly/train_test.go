@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/tensor"
@@ -230,4 +231,59 @@ func BenchmarkTrainStep(b *testing.B) {
 			bf.Backward(dY)
 		}
 	})
+}
+
+// TestRotationSincosMatchesSinCos: syncRotation and foldRotationGrads take
+// sine and cosine from one math.Sincos call, which Go does not promise to
+// round like math.Sin and math.Cos. Over every 997th float32 in ±[0, 4]
+// (π/2 and π included), random thetas in [−8, 8] and a few edge values,
+// the coefficients must carry the bits of float32(math.Cos) and
+// float32(math.Sin), and the angle gradients the bits of the two-call
+// form, so trained rotation butterflies stay bit for bit.
+func TestRotationSincosMatchesSinCos(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	thetas := []float32{0, float32(math.Copysign(0, -1)), math.SmallestNonzeroFloat32, 1e-30,
+		float32(math.Pi / 2), float32(math.Pi), float32(-math.Pi), float32(2 * math.Pi)}
+	for bits := uint32(0); bits <= math.Float32bits(4); bits += 997 {
+		v := math.Float32frombits(bits)
+		thetas = append(thetas, v, -v)
+	}
+	for range 200_000 {
+		thetas = append(thetas, rng.Float32()*16-8)
+	}
+	const chunk = 4096
+	f := &Factor{N: 2 * chunk, Stage: 1}
+	f.A, f.B, f.C, f.D = make([]float32, chunk), make([]float32, chunk), make([]float32, chunk), make([]float32, chunk)
+	f.GradA, f.GradB, f.GradC, f.GradD = make([]float32, chunk), make([]float32, chunk), make([]float32, chunk), make([]float32, chunk)
+	f.GradTheta = make([]float32, chunk)
+	grads := [4][]float32{f.GradA, f.GradB, f.GradC, f.GradD}
+	for lo := 0; lo < len(thetas); lo += chunk {
+		f.Theta = thetas[lo:min(lo+chunk, len(thetas))]
+		m := len(f.Theta)
+		for _, g := range grads {
+			for p := range m {
+				g[p] = rng.Float32()*2 - 1
+			}
+		}
+		gA, gB, gC, gD := slices.Clone(f.GradA[:m]), slices.Clone(f.GradB[:m]), slices.Clone(f.GradC[:m]), slices.Clone(f.GradD[:m])
+		clear(f.GradTheta)
+		f.syncRotation()
+		foldRotationGrads(f, 0, m)
+		for p, th := range f.Theta {
+			c, s := math.Cos(float64(th)), math.Sin(float64(th))
+			want := [4]float32{float32(c), float32(s), -float32(s), float32(c)}
+			got := [4]float32{f.A[p], f.B[p], f.C[p], f.D[p]}
+			for i := range want {
+				if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+					t.Fatalf("theta %v (%#x): coefficient %c = %v (%#x), want %v (%#x)",
+						th, math.Float32bits(th), "ABCD"[i], got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
+				}
+			}
+			g := float32(-s*float64(gA[p]) + c*float64(gB[p]) - c*float64(gC[p]) - s*float64(gD[p]))
+			if math.Float32bits(f.GradTheta[p]) != math.Float32bits(g) {
+				t.Fatalf("theta %v (%#x): angle gradient %v (%#x), want %v (%#x)",
+					th, math.Float32bits(th), f.GradTheta[p], math.Float32bits(f.GradTheta[p]), g, math.Float32bits(g))
+			}
+		}
+	}
 }

@@ -248,43 +248,56 @@ func (r *ReLU) ParamCount() int { return 0 }
 
 // Forward implements Layer.
 func (r *ReLU) Forward(x *tensor.Matrix) *tensor.Matrix {
-	out := tensor.New(x.Rows, x.Cols)
 	if cap(r.mask) < len(x.Data) {
 		r.mask = make([]bool, len(x.Data))
 	}
 	r.mask = r.mask[:len(x.Data)]
-	for i, v := range x.Data {
-		if v > 0 {
-			out.Data[i] = v
-			r.mask[i] = true
-		} else {
-			r.mask[i] = false
-		}
-	}
-	return out
+	return relu(x, r.mask)
 }
 
 // Infer implements Layer: Forward without recording the activation mask.
-func (r *ReLU) Infer(x *tensor.Matrix) *tensor.Matrix {
+func (r *ReLU) Infer(x *tensor.Matrix) *tensor.Matrix { return relu(x, nil) }
+
+// relu returns x with every element that is not > 0 replaced by +0, and
+// records in mask, when it is not nil, which elements it kept. It selects
+// on the float's bits instead of branching on its random sign: v > 0
+// holds exactly when bits−1 < 0x7f800000 as uint32 (positive subnormals
+// through +Inf; the wrap takes +0 to the top), so −0 and NaN give +0 as
+// they do under `if v > 0`.
+func relu(x *tensor.Matrix, mask []bool) *tensor.Matrix {
 	out := tensor.New(x.Rows, x.Cols)
+	y := out.Data[:len(x.Data)]
 	for i, v := range x.Data {
-		if v > 0 {
-			out.Data[i] = v
+		bits := math.Float32bits(v)
+		keep := bits-1 < 0x7f800000
+		y[i] = math.Float32frombits(bits & keepMask(keep))
+		if mask != nil {
+			mask[i] = keep
 		}
 	}
 	return out
 }
 
-// Backward implements Layer.
+// keepMask is all ones when keep is set and 0 otherwise; the compiler
+// turns the conditional into a SETcc, so callers select without a branch.
+func keepMask(keep bool) uint32 {
+	var m uint32
+	if keep {
+		m = 1
+	}
+	return -m
+}
+
+// Backward implements Layer: dY where Forward kept its input, +0
+// elsewhere.
 func (r *ReLU) Backward(dY *tensor.Matrix) *tensor.Matrix {
 	if len(r.mask) != len(dY.Data) {
 		panic("nn: relu Backward shape mismatch (Forward not called?)")
 	}
 	out := tensor.New(dY.Rows, dY.Cols)
+	y, mask := out.Data[:len(dY.Data)], r.mask[:len(dY.Data)]
 	for i, v := range dY.Data {
-		if r.mask[i] {
-			out.Data[i] = v
-		}
+		y[i] = math.Float32frombits(math.Float32bits(v) & keepMask(mask[i]))
 	}
 	return out
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/baselines"
@@ -71,24 +72,73 @@ func TestDenseGradientsNumerically(t *testing.T) {
 	}
 }
 
+// refReLU is ReLU's reference loop, the oracle for its branch-free
+// select: y keeps x[i] and mask is set where x[i] > 0, and dx keeps dy[i]
+// where mask is set; every other element is +0.
+func refReLU(x, dy []float32) (y, dx []float32, mask []bool) {
+	y, dx, mask = make([]float32, len(x)), make([]float32, len(x)), make([]bool, len(x))
+	for i, v := range x {
+		if v > 0 {
+			y[i], mask[i] = v, true
+		}
+	}
+	for i, v := range dy {
+		if mask[i] {
+			dx[i] = v
+		}
+	}
+	return y, dx, mask
+}
+
+// TestReLU holds Forward, Infer, Backward and the recorded mask to
+// refReLU bit for bit, on the IEEE edge cases (±0, subnormals of both
+// signs, ±Inf, NaN of both signs, the largest finite values) and on
+// random values, with gradients that carry the same edge cases.
 func TestReLU(t *testing.T) {
+	negZero := float32(math.Copysign(0, -1))
+	nan := float32(math.NaN())
+	edges := []float32{
+		-1, 2, 0, 3, negZero,
+		math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32,
+		math.Float32frombits(0x007fffff), math.Float32frombits(0x807fffff), // largest subnormals
+		float32(math.Inf(1)), float32(math.Inf(-1)),
+		nan, -nan, math.Float32frombits(0x7f800001), math.Float32frombits(0xffc00001),
+		math.MaxFloat32, -math.MaxFloat32, math.Float32frombits(0x00800000), math.Float32frombits(0x80800000),
+	}
+	rng := rand.New(rand.NewSource(4))
+	x := tensor.New(4, 32)
+	dy := tensor.New(4, 32)
+	for i := range x.Data {
+		x.Data[i] = rng.Float32()*2 - 1
+		dy.Data[i] = rng.Float32()*2 - 1
+		if i < len(edges) {
+			x.Data[i] = edges[i]
+			dy.Data[len(x.Data)-1-i] = edges[i] // the edge cases as gradients, under random masks
+		}
+	}
+	for i := range edges {
+		dy.Data[i] = edges[len(edges)-1-i] // and under the edge cases' own masks
+	}
+	wantY, wantDX, wantMask := refReLU(x.Data, dy.Data)
+	same := func(what string, got, want []float32) {
+		t.Helper()
+		for i := range want {
+			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+				t.Fatalf("relu %s[%d] (x = %v, dy = %v) = %v (%#x), want %v (%#x)", what, i, x.Data[i], dy.Data[i],
+					got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
+			}
+		}
+	}
 	r := NewReLU()
-	x := tensor.FromSlice(1, 4, []float32{-1, 2, 0, 3})
-	y := r.Forward(x)
-	want := []float32{0, 2, 0, 3}
-	for i := range want {
-		if y.Data[i] != want[i] {
-			t.Fatalf("relu forward = %v", y.Data)
-		}
+	same("Infer", r.Infer(x).Data, wantY)
+	if r.mask != nil {
+		t.Fatal("relu Infer recorded a mask")
 	}
-	dy := tensor.FromSlice(1, 4, []float32{5, 5, 5, 5})
-	dx := r.Backward(dy)
-	wantG := []float32{0, 5, 0, 5}
-	for i := range wantG {
-		if dx.Data[i] != wantG[i] {
-			t.Fatalf("relu backward = %v", dx.Data)
-		}
+	same("Forward", r.Forward(x).Data, wantY)
+	if !slices.Equal(r.mask, wantMask) {
+		t.Fatalf("relu mask = %v, want %v", r.mask, wantMask)
 	}
+	same("Backward", r.Backward(dy).Data, wantDX)
 }
 
 func TestSoftmaxCrossEntropyKnown(t *testing.T) {

@@ -278,6 +278,37 @@ func BenchmarkMatMulNaive256(b *testing.B) {
 	}
 }
 
+// BenchmarkTrainProducts times MatMulParallelInto at the shapes of one
+// 50-sample training step of the paper's SHL (N = 1024, 10 classes). The
+// dense head's forward and weight gradient take a ReLU output as a, so
+// about half of their terms are zero and skipped; pixelfly's low-rank
+// products (rank 32) take a with no zeros, so there the skip only costs.
+func BenchmarkTrainProducts(b *testing.B) {
+	rng := rand.New(rand.NewSource(11))
+	hidden := randMatrix(rng, 50, 1024)
+	for i, v := range hidden.Data {
+		if !(v > 0) {
+			hidden.Data[i] = 0
+		}
+	}
+	for _, c := range []struct {
+		name string
+		a, b *Matrix
+	}{
+		{"head_forward/relu_50x1024x10", hidden, randMatrix(rng, 1024, 10)},
+		{"head_weight_grad/relu_1024x50x10", hidden.Transpose(), randMatrix(rng, 50, 10)},
+		{"lowrank/dense_50x1024x32", randMatrix(rng, 50, 1024), randMatrix(rng, 1024, 32)},
+		{"lowrank/dense_50x32x1024", randMatrix(rng, 50, 32), randMatrix(rng, 32, 1024)},
+	} {
+		dst := New(c.a.Rows, c.b.Cols)
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				MatMulParallelInto(dst, c.a, c.b)
+			}
+		})
+	}
+}
+
 func BenchmarkMatMulParallel256(b *testing.B) {
 	rng := rand.New(rand.NewSource(9))
 	x := randomMatrix(rng, 256, 256)

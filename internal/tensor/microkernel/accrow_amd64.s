@@ -19,7 +19,16 @@ GLOBL maskTable<>(SB), RODATA|NOPTR, $64
 // Y0–Y3 hold up to 32 columns of dst for a whole pass over the n terms:
 // each term broadcasts a[p] into Y4 and adds its product with row p of
 // b to every accumulator, one VMULPS then one VADDPS. With skipZero, a
-// term whose a[p] has no bits but the sign (±0) is passed over.
+// term whose a[p] is ±0 adds −0 in place of its products, with no
+// branch: VCMPPS NEQ_UQ against +0 (Y12) leaves Y10 all zeros exactly
+// for ±0 (NaN compares unequal and is kept), Y13 = Y11 ANDN Y10 is −0
+// there and +0 otherwise, and each product becomes (product AND Y10) OR
+// Y13. In round-to-nearest x + (−0) = x for every float32 x, −0 and NaN
+// included, so each accumulator keeps the bits that passing the term
+// over leaves it, and a skipped row's ±Inf or NaN never reaches it. (+0
+// would turn a −0 accumulator into +0; multiplying through would turn
+// 0·Inf into NaN.) The AND/OR pair measured cheaper than VBLENDVPS in
+// BenchmarkTrainProducts (internal/tensor).
 TEXT ·accRowAVX2(SB), NOSPLIT, $0-57
 	MOVQ    dst+0(FP), DI
 	MOVQ    a+8(FP), SI
@@ -33,6 +42,9 @@ TEXT ·accRowAVX2(SB), NOSPLIT, $0-57
 	MOVBQZX skipZero+56(FP), R12
 	TESTQ   R10, R10
 	JEQ     done
+	VXORPS   Y12, Y12, Y12
+	VPCMPEQD Y11, Y11, Y11
+	VPSLLD   $31, Y11, Y11           // −0 in every lane
 
 block32:
 	CMPQ    R11, $32
@@ -46,24 +58,29 @@ block32:
 	MOVQ    R10, CX
 
 loop32:
-	TESTQ R12, R12
-	JEQ   term32
-	MOVL  (AX), R13
-	SHLL  $1, R13                    // zero exactly when a[p] is ±0
-	JEQ   next32
-
-term32:
 	VBROADCASTSS (AX), Y4
 	VMULPS       (BX), Y4, Y5
-	VADDPS       Y5, Y0, Y0
 	VMULPS       32(BX), Y4, Y6
-	VADDPS       Y6, Y1, Y1
 	VMULPS       64(BX), Y4, Y7
-	VADDPS       Y7, Y2, Y2
 	VMULPS       96(BX), Y4, Y8
-	VADDPS       Y8, Y3, Y3
+	TESTQ        R12, R12
+	JEQ          add32
+	VCMPPS       $4, Y12, Y4, Y10    // NEQ_UQ: all ones unless a[p] is ±0
+	VANDNPS      Y11, Y10, Y13
+	VANDPS       Y10, Y5, Y5
+	VORPS        Y13, Y5, Y5
+	VANDPS       Y10, Y6, Y6
+	VORPS        Y13, Y6, Y6
+	VANDPS       Y10, Y7, Y7
+	VORPS        Y13, Y7, Y7
+	VANDPS       Y10, Y8, Y8
+	VORPS        Y13, Y8, Y8
 
-next32:
+add32:
+	VADDPS  Y5, Y0, Y0
+	VADDPS  Y6, Y1, Y1
+	VADDPS  Y7, Y2, Y2
+	VADDPS  Y8, Y3, Y3
 	ADDQ    R8, AX
 	ADDQ    R9, BX
 	DECQ    CX
@@ -111,32 +128,45 @@ loadLast:
 	MOVQ       R10, CX
 
 loopRest:
-	TESTQ R12, R12
-	JEQ   termRest
-	MOVL  (AX), R13
-	SHLL  $1, R13
-	JEQ   nextRest
-
-termRest:
 	VBROADCASTSS (AX), Y4
+	VMASKMOVPS   (BX)(R11*1), Y9, Y8 // masked-off lanes load +0 and are never stored
+	VMULPS       Y8, Y4, Y8
 	CMPQ         R11, $32
-	JLT          termLast
+	JLT          maskRest
 	VMULPS       (BX), Y4, Y5
-	VADDPS       Y5, Y0, Y0
 	CMPQ         R11, $64
-	JLT          termLast
+	JLT          maskRest
 	VMULPS       32(BX), Y4, Y6
-	VADDPS       Y6, Y1, Y1
 	CMPQ         R11, $96
-	JLT          termLast
+	JLT          maskRest
 	VMULPS       64(BX), Y4, Y7
-	VADDPS       Y7, Y2, Y2
 
-termLast:
-	// Masked-off lanes load +0 and are never stored.
-	VMASKMOVPS (BX)(R11*1), Y9, Y8
-	VMULPS     Y8, Y4, Y8
-	VADDPS     Y8, Y3, Y3
+maskRest:
+	// Products of chunks that are not present are masked but never added.
+	TESTQ     R12, R12
+	JEQ       addRest
+	VCMPPS    $4, Y12, Y4, Y10       // NEQ_UQ
+	VANDNPS   Y11, Y10, Y13
+	VANDPS    Y10, Y5, Y5
+	VORPS     Y13, Y5, Y5
+	VANDPS    Y10, Y6, Y6
+	VORPS     Y13, Y6, Y6
+	VANDPS    Y10, Y7, Y7
+	VORPS     Y13, Y7, Y7
+	VANDPS    Y10, Y8, Y8
+	VORPS     Y13, Y8, Y8
+
+addRest:
+	VADDPS Y8, Y3, Y3
+	CMPQ   R11, $32
+	JLT    nextRest
+	VADDPS Y5, Y0, Y0
+	CMPQ   R11, $64
+	JLT    nextRest
+	VADDPS Y6, Y1, Y1
+	CMPQ   R11, $96
+	JLT    nextRest
+	VADDPS Y7, Y2, Y2
 
 nextRest:
 	ADDQ R8, AX

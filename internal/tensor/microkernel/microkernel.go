@@ -34,10 +34,13 @@
 //     entries). 32 columns stay in YMM registers across every term on
 //     the AVX2 lane (accrow_amd64.s); the Go lane adds four terms per
 //     pass over dst. tensor's products skip zero terms of a, as their
-//     reference loop always has: the skip keeps the sign of an exact
-//     zero and passes over a ReLU's zeros. The BSR kernels do not: their
-//     zeros are structural at block granularity (absent blocks), and a
-//     stored block is dense by construction.
+//     reference loop always has, so the sign of an exact zero is kept.
+//     On the AVX2 lane the skip costs no branch: a skipped term adds −0
+//     in place of its products, which leaves every float32 accumulator's
+//     bits as they were, so the random zero pattern of a ReLU output
+//     mispredicts nothing. The BSR kernels do not skip: their zeros are
+//     structural at block granularity (absent blocks), and a stored
+//     block is dense by construction.
 package microkernel
 
 // NR is the width of MatMul's tile: one output row, NR columns,
@@ -112,6 +115,12 @@ func MatMul(dst []float32, dstStride, dstOff int, a []float32, aStride, r0, r1 i
 // b may overlap (bStride < k). Every element runs the chain of the plain
 // loop `for p { if skipZero && av == 0 { continue }; for j { dst[j] +=
 // av*b[p][j] } }`, so both lanes match it, and each other, bit for bit.
+// The AVX2 lane leaves a term out without a branch, by adding −0 in
+// place of its products: in round-to-nearest x + (−0) = x for every
+// float32 x, −0 and NaN included, and the ±Inf or NaN a skipped row of b
+// may hold never enters the sum. Its cost is the same for every term, so
+// a skip pays where a has zeros (a ReLU output) and costs two vector
+// operations per eight columns where it has none.
 func AccRow(dst, a []float32, aStride int, b []float32, bStride, n, k int, skipZero bool) {
 	if n <= 0 || k <= 0 {
 		return
