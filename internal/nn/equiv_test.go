@@ -204,7 +204,8 @@ func TestEquivalenceFuzzCompressed(t *testing.T) {
 
 // TestEquivalenceFuzzPixelflyNoLowRank exercises the BSR fused final stage
 // (pixelfly without a low-rank term routes the epilogue through
-// BSR.MulDenseInto) and its sharded transpose-epilogue counterpart.
+// BSR.MulInto) and its sharded counterpart, which runs it on each shard's
+// block rows.
 func TestEquivalenceFuzzPixelflyNoLowRank(t *testing.T) {
 	rng := rand.New(rand.NewSource(88))
 	cfg := pixelfly.Config{N: 128, BlockSize: 16, ButterflySize: 16, LowRank: 0}
@@ -246,9 +247,9 @@ func FuzzPlanExecute(f *testing.F) {
 		f.Add(uint8(i), uint8(i), uint8(3+i), uint8(4), uint8(2+i), int64(100+i), seedFeats(int64(i)))
 	}
 	// One-row pixelfly batches, the shape the server runs, so the BSR
-	// one-column kernel sees the edge features: width 64 at MaxBatch 1,
-	// and width 128 at MaxBatch 5, whose 2-shard tensor-parallel split
-	// runs it through MulDenseRowsInto.
+	// kernel sees the edge features in a one-row batch: width 64 at
+	// MaxBatch 1, and width 128 at MaxBatch 5, whose 2-shard
+	// tensor-parallel split runs it over each shard's block rows.
 	pix := uint8(slices.Index(nn.AllMethods, nn.Pixelfly))
 	f.Add(pix, uint8(0), uint8(3), uint8(0), uint8(0), int64(200), seedFeats(200))
 	f.Add(pix, uint8(1), uint8(9), uint8(4), uint8(5), int64(201), seedFeats(201))

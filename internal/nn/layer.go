@@ -13,6 +13,7 @@ import (
 	"math/rand"
 
 	"repro/internal/tensor"
+	"repro/internal/tensor/microkernel"
 )
 
 // Layer is a differentiable module. Forward retains whatever state
@@ -258,34 +259,19 @@ func (r *ReLU) Forward(x *tensor.Matrix) *tensor.Matrix {
 // Infer implements Layer: Forward without recording the activation mask.
 func (r *ReLU) Infer(x *tensor.Matrix) *tensor.Matrix { return relu(x, nil) }
 
-// relu returns x with every element that is not > 0 replaced by +0, and
-// records in mask, when it is not nil, which elements it kept. It selects
-// on the float's bits instead of branching on its random sign: v > 0
-// holds exactly when bits−1 < 0x7f800000 as uint32 (positive subnormals
-// through +Inf; the wrap takes +0 to the top), so −0 and NaN give +0 as
-// they do under `if v > 0`.
+// relu returns microkernel.ReLU of x, and records in mask, when it is
+// not nil, which elements it kept: a kept element is > 0, and every
+// other one is +0, so its bits say which it was.
 func relu(x *tensor.Matrix, mask []bool) *tensor.Matrix {
 	out := tensor.New(x.Rows, x.Cols)
 	y := out.Data[:len(x.Data)]
 	for i, v := range x.Data {
-		bits := math.Float32bits(v)
-		keep := bits-1 < 0x7f800000
-		y[i] = math.Float32frombits(bits & keepMask(keep))
+		y[i] = microkernel.ReLU(v)
 		if mask != nil {
-			mask[i] = keep
+			mask[i] = math.Float32bits(y[i]) != 0
 		}
 	}
 	return out
-}
-
-// keepMask is all ones when keep is set and 0 otherwise; the compiler
-// turns the conditional into a SETcc, so callers select without a branch.
-func keepMask(keep bool) uint32 {
-	var m uint32
-	if keep {
-		m = 1
-	}
-	return -m
 }
 
 // Backward implements Layer: dY where Forward kept its input, +0
@@ -297,7 +283,7 @@ func (r *ReLU) Backward(dY *tensor.Matrix) *tensor.Matrix {
 	out := tensor.New(dY.Rows, dY.Cols)
 	y, mask := out.Data[:len(dY.Data)], r.mask[:len(dY.Data)]
 	for i, v := range dY.Data {
-		y[i] = math.Float32frombits(math.Float32bits(v) & keepMask(mask[i]))
+		y[i] = microkernel.Keep(v, mask[i])
 	}
 	return out
 }

@@ -23,7 +23,7 @@ var expectedVariants = map[nn.Method][]string{
 	nn.Fastfood:  {"radix8"},
 	nn.Circulant: {"reference"}, // declares no variant
 	nn.LowRank:   {microkernel.Variant()},
-	nn.Pixelfly:  {"blockunroll", "blocktiled"},
+	nn.Pixelfly:  {"blocktiled"},
 }
 
 func contains(xs []string, s string) bool {

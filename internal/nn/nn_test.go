@@ -10,7 +10,9 @@ import (
 	"repro/internal/baselines"
 	"repro/internal/dataset"
 	"repro/internal/factorize"
+	"repro/internal/sparse"
 	"repro/internal/tensor"
+	"repro/internal/tensor/microkernel"
 )
 
 func TestDenseForwardKnown(t *testing.T) {
@@ -93,7 +95,10 @@ func refReLU(x, dy []float32) (y, dx []float32, mask []bool) {
 // TestReLU holds Forward, Infer, Backward and the recorded mask to
 // refReLU bit for bit, on the IEEE edge cases (±0, subnormals of both
 // signs, ±Inf, NaN of both signs, the largest finite values) and on
-// random values, with gradients that carry the same edge cases.
+// random values, with gradients that carry the same edge cases. On the
+// same values it holds microkernel.ReLU, the one ReLU every kernel runs,
+// and every fused epilogue that runs it, with and without a zero bias,
+// to refReLU's outputs.
 func TestReLU(t *testing.T) {
 	negZero := float32(math.Copysign(0, -1))
 	nan := float32(math.NaN())
@@ -139,6 +144,76 @@ func TestReLU(t *testing.T) {
 		t.Fatalf("relu mask = %v, want %v", r.mask, wantMask)
 	}
 	same("Backward", r.Backward(dy).Data, wantDX)
+
+	// Each kernel below sees x as its pre-activation: a product adds each
+	// value once onto +0 (times 1), and a zero bias adds +0, which changes
+	// only −0, to +0, and ReLU maps both to +0.
+	rows, cols := x.Rows, x.Cols
+	zeroBias := make([]float32, cols)
+	one := tensor.FromSlice(1, 1, []float32{1})
+	diag := make([][2]int, cols)
+	for i := range diag {
+		diag[i] = [2]int{i, i}
+	}
+	eye, err := sparse.NewBSR(cols, cols, 1, diag)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range eye.Blocks {
+		eye.Blocks[i] = 1
+	}
+	for _, bias := range [][]float32{nil, zeroBias} {
+		for _, k := range []struct {
+			name string
+			run  func(dst *tensor.Matrix)
+		}{
+			{"microkernel.ReLU", func(dst *tensor.Matrix) {
+				for i, v := range x.Data {
+					dst.Data[i] = microkernel.ReLU(v)
+				}
+			}},
+			{"tensor.ActReLU.Apply", func(dst *tensor.Matrix) {
+				for i, v := range x.Data {
+					dst.Data[i] = tensor.ActReLU.Apply(v)
+				}
+			}},
+			{"microkernel.EpilogueRow", func(dst *tensor.Matrix) {
+				copy(dst.Data, x.Data)
+				for i := 0; i < rows; i++ {
+					microkernel.EpilogueRow(dst.Row(i), bias, true)
+				}
+			}},
+			{"reluInto", func(dst *tensor.Matrix) { reluInto(dst, x, nil) }},
+			{"tensor.ApplyBiasActInto", func(dst *tensor.Matrix) { tensor.ApplyBiasActInto(dst, x, bias, tensor.ActReLU) }},
+			{"tensor.AddInPlaceBiasAct", func(dst *tensor.Matrix) {
+				copy(dst.Data, x.Data)
+				tensor.AddInPlaceBiasAct(dst, tensor.New(rows, cols), bias, tensor.ActReLU)
+			}},
+			{"tensor.AddInPlaceColsBiasAct", func(dst *tensor.Matrix) {
+				copy(dst.Data, x.Data)
+				tensor.AddInPlaceColsBiasAct(dst, 0, tensor.New(rows, cols), bias, tensor.ActReLU)
+			}},
+			{"tensor.MatMulBiasActInto", func(dst *tensor.Matrix) {
+				for i := 0; i < rows; i++ {
+					d := tensor.New(1, cols)
+					tensor.MatMulBiasActInto(d, one, tensor.FromSlice(1, cols, x.Row(i)), bias, tensor.ActReLU)
+					copy(dst.Row(i), d.Data)
+				}
+			}},
+			{"tensor.MatMulPackedColsBiasActInto", func(dst *tensor.Matrix) {
+				for i := 0; i < rows; i++ {
+					d := tensor.New(1, cols)
+					tensor.MatMulPackedColsBiasActInto(d, 0, one, tensor.Pack(tensor.FromSlice(1, cols, x.Row(i))), bias, tensor.ActReLU)
+					copy(dst.Row(i), d.Data)
+				}
+			}},
+			{"sparse.BSR.MulInto", func(dst *tensor.Matrix) { eye.MulInto(dst, 0, x, 0, eye.BlockRows, bias, tensor.ActReLU) }},
+		} {
+			got := tensor.New(rows, cols)
+			k.run(got)
+			same(fmt.Sprintf("%s (bias %v)", k.name, bias != nil), got.Data, wantY)
+		}
+	}
 }
 
 func TestSoftmaxCrossEntropyKnown(t *testing.T) {

@@ -118,7 +118,7 @@ type planStep struct {
 	run     func(dst, x *tensor.Matrix, ws *tensor.Workspace)
 
 	// variant names the kernel shape the step runs (microkernel.Variant
-	// for the dense family, "unrolled", "radix8", "blockunroll", …;
+	// for the dense family, "unrolled", "radix8", "blocktiled", …;
 	// "reference" for a transform that declares no variant) and is "" for
 	// steps with no kernel family (activations).
 	variant string
@@ -654,11 +654,7 @@ func (st *planStep) bind() {
 // reluInto is the standalone ReLU step's kernel.
 func reluInto(dst, x *tensor.Matrix, ws *tensor.Workspace) {
 	for i, v := range x.Data {
-		if v > 0 {
-			dst.Data[i] = v
-		} else {
-			dst.Data[i] = 0
-		}
+		dst.Data[i] = microkernel.ReLU(v)
 	}
 }
 

@@ -98,7 +98,7 @@ func (c Config) SupportBlocks() [][2]int {
 type Pixelfly struct {
 	Cfg   Config
 	W     *sparse.BSR
-	GradW *sparse.BSR // same pattern, holds dL/dW
+	GradW *sparse.BSR // same pattern and layout, holds dL/dW
 	U, V  *tensor.Matrix
 	GradU *tensor.Matrix
 	GradV *tensor.Matrix
@@ -106,6 +106,11 @@ type Pixelfly struct {
 	// ut caches Uᵀ (r×N) for the allocation-free inference path;
 	// re-derived by Refresh after every optimizer step.
 	ut *tensor.Matrix
+	// wRows holds W's blocks in row-major order (sparse.TransposeBlocks),
+	// the layout the input gradient reads. Only training holds it: the
+	// first Backward allocates it and every Backward re-derives it from
+	// W, so a served layer keeps one copy of its blocks.
+	wRows []float32
 
 	// saved forward state
 	xSaved  *tensor.Matrix
@@ -132,9 +137,7 @@ func New(cfg Config, rng *rand.Rand) (*Pixelfly, error) {
 		fanIn = 1
 	}
 	scale := float32(1.0 / sqrtf(fanIn))
-	for i := range w.Blocks {
-		w.Blocks[i] = (rng.Float32()*2 - 1) * scale
-	}
+	w.FillRowMajor(func() float32 { return (rng.Float32()*2 - 1) * scale })
 	r := cfg.LowRank
 	p.U = tensor.New(cfg.N, r)
 	p.V = tensor.New(cfg.N, r)
@@ -182,20 +185,21 @@ func (p *Pixelfly) Flops(batch int) float64 {
 }
 
 // Forward computes Y (batch×N) from X (batch×N): y_row = W·x_row + U·Vᵀ·x_row.
-// State is retained for Backward. The products run on the training
-// kernels, split across GOMAXPROCS (BSR.MulDenseParallel,
-// tensor.MatMulParallel), whose inner loops are microkernel.AccRow, on
-// its AVX2 lane where the host has one; each output element is summed by
-// one worker in the serial order, so for finite inputs the result is
-// bit-for-bit Apply's.
+// State is retained for Backward. The block-sparse product is
+// BSR.MulInto with the block rows split across GOMAXPROCS
+// (tensor.ParallelRows), and the low-rank term tensor.MatMulParallel;
+// both are microkernel.AccRow inside, on its AVX2 lane where the host has
+// one. Each output element is summed by one worker in the serial order,
+// so for finite inputs the result is bit-for-bit Apply's.
 func (p *Pixelfly) Forward(x *tensor.Matrix) *tensor.Matrix {
 	if x.Cols != p.Cfg.N {
 		panic(fmt.Sprintf("pixelfly: input width %d != N %d", x.Cols, p.Cfg.N))
 	}
 	p.xSaved = x
-	xt := x.Transpose()           // N×batch
-	y := p.W.MulDenseParallel(xt) // N×batch
-	out := y.Transpose()          // batch×N
+	out := tensor.New(x.Rows, p.Cfg.N)
+	tensor.ParallelRows(p.W.BlockRows, len(p.W.Blocks)*x.Rows, forwardJob{p.W, out, x}, func(j forwardJob, lo, hi int) {
+		j.w.MulInto(j.out, lo*j.w.BlockSize, j.x, lo, hi, nil, tensor.ActNone)
+	})
 	if p.Cfg.LowRank > 0 {
 		xv := tensor.MatMulParallel(x, p.V) // batch×r
 		p.xvSaved = xv
@@ -203,6 +207,12 @@ func (p *Pixelfly) Forward(x *tensor.Matrix) *tensor.Matrix {
 		tensor.AddInPlace(out, lr)
 	}
 	return out
+}
+
+// forwardJob carries Forward's block-sparse product to its workers.
+type forwardJob struct {
+	w      *sparse.BSR
+	out, x *tensor.Matrix
 }
 
 // Apply is Forward without retaining state. It writes no receiver fields,
@@ -221,23 +231,16 @@ func (p *Pixelfly) Apply(x *tensor.Matrix) *tensor.Matrix {
 
 // ApplyInto is Apply writing into caller-owned dst (shape x.Rows×N, fully
 // overwritten), with the bias add and activation fused into the layer's
-// last output-writing stage. It stages the transposes, the block-sparse
-// product and the low-rank term through the workspace instead of
-// allocating, and runs the block-sparse product through the
-// block-specialized BSR kernels (BSR.MulDenseInto, whose one-column path
-// serves one-row batches) and the low-rank term through the row matmul
-// (tensor.MatMulInto); on an AVX2 host both run microkernel.AccRow's
-// assembly lane, except the one-column path, which is Go. At N=1024 and
-// one row, the block-sparse product takes about nine-tenths of the
-// layer's time, and the low-rank term and the transposes a few percent
-// each; at 64 rows, the block-sparse product about half, the transposes
-// a fifth and the low-rank term a seventh. With a low-rank term the
-// residual accumulation already resweeps dst, so the epilogue rides that
-// pass (dst = act((W·x + U·Vᵀ·x) + bias)); without one, the bias and
-// activation fold into the block-sparse product itself, feature-major,
-// and the transpose back to batch-major moves finished values. Every float32 operation matches Apply's chain, so the result is
-// bit-for-bit act(Apply(x) + bias). bias may be nil; a nil bias with
-// ActNone is the plain product. dst must not alias x.
+// last output-writing stage. The block-sparse product (BSR.MulInto) runs
+// batch-major straight into dst, and the low-rank term stages X·V and its
+// back-projection through the workspace (tensor.MatMulInto); on an AVX2
+// host both run microkernel.AccRow's assembly lane. With a low-rank term
+// the residual accumulation already resweeps dst, so the epilogue rides
+// that pass (dst = act((W·x + U·Vᵀ·x) + bias)); without one, the bias and
+// activation finish each block row of the product as it completes. Every
+// float32 operation matches Apply's chain, so the result is bit-for-bit
+// act(Apply(x) + bias). bias may be nil; a nil bias with ActNone is the
+// plain product. dst must not alias x.
 func (p *Pixelfly) ApplyInto(dst, x *tensor.Matrix, ws *tensor.Workspace, bias []float32, act tensor.Activation) {
 	n := p.Cfg.N
 	if x.Cols != n {
@@ -249,17 +252,12 @@ func (p *Pixelfly) ApplyInto(dst, x *tensor.Matrix, ws *tensor.Workspace, bias [
 	if bias != nil && len(bias) != n {
 		panic(fmt.Sprintf("pixelfly: ApplyInto bias length %d != N %d", len(bias), n))
 	}
-	xt := ws.Take(n, x.Rows)
-	tensor.TransposeInto(xt, x)
-	yt := ws.Take(n, x.Rows)
 	r := p.Cfg.LowRank
 	if r == 0 {
-		p.W.MulDenseInto(yt, xt, bias, act)
-		tensor.TransposeInto(dst, yt)
+		p.W.MulInto(dst, 0, x, 0, p.W.BlockRows, bias, act)
 		return
 	}
-	p.W.MulDenseInto(yt, xt, nil, tensor.ActNone)
-	tensor.TransposeInto(dst, yt)
+	p.W.MulInto(dst, 0, x, 0, p.W.BlockRows, nil, tensor.ActNone)
 	xv := ws.Take(x.Rows, r)
 	tensor.MatMulInto(xv, x, p.V)
 	lr := ws.Take(x.Rows, n)
@@ -267,52 +265,50 @@ func (p *Pixelfly) ApplyInto(dst, x *tensor.Matrix, ws *tensor.Workspace, bias [
 	tensor.AddInPlaceBiasAct(dst, lr, bias, act)
 }
 
-// Scratch is ApplyInto's workspace demand at rows rows: the feature-major
-// input and block-sparse product (N×rows each), plus, with a low-rank
-// term, X·V (rows×r) and its back-projection (rows×N).
+// Scratch is ApplyInto's workspace demand at rows rows: none without a
+// low-rank term, and with one X·V (rows×r) and its back-projection
+// (rows×N).
 func (p *Pixelfly) Scratch(rows int) tensor.Scratch {
-	n, r := p.Cfg.N, p.Cfg.LowRank
-	if r == 0 {
-		return tensor.Scratch{Floats: 2 * n * rows, Headers: 2}
+	if p.Cfg.LowRank == 0 {
+		return tensor.Scratch{}
 	}
-	return tensor.Scratch{Floats: 2*n*rows + rows*r + rows*n, Headers: 4}
+	return tensor.Scratch{Floats: rows*p.Cfg.LowRank + rows*p.Cfg.N, Headers: 2}
 }
 
-// MicroVariant names the block kernel ApplyInto runs, which the plan
-// compiler stamps into step metadata.
-func (p *Pixelfly) MicroVariant() string {
-	switch p.Cfg.BlockSize {
-	case 4, 8:
-		return "blockunroll"
-	default:
-		return "blocktiled"
-	}
-}
+// MicroVariant names the kernel ApplyInto runs, which the plan compiler
+// stamps into step metadata: every block size runs BSR.MulInto, whose
+// stored blocks tile the output into microkernel.AccRow calls.
+func (p *Pixelfly) MicroVariant() string { return "blocktiled" }
 
 // Backward propagates dY (batch×N), accumulating gradients, and returns dX.
 // Like Forward it runs on the training kernels split across GOMAXPROCS
-// (BSR.TransposeMulDense, BSR.AccumulateOuter on the saved batch-major
-// X, and tensor.MatMulParallel for the low-rank terms), all of them
-// microkernel.AccRow inside, each output and gradient element summed by
-// one worker in the serial order.
+// (BSR.InputGradInto over the row-major copy of W's blocks,
+// BSR.AccumulateOuter on the saved X, and tensor.MatMulParallel for the
+// low-rank terms), all of them microkernel.AccRow inside, each output and
+// gradient element summed by one worker in the serial order. The
+// block-sparse products take dY and X batch-major as they come.
 func (p *Pixelfly) Backward(dY *tensor.Matrix) *tensor.Matrix {
 	if p.xSaved == nil {
 		panic("pixelfly: Backward called before Forward")
 	}
 	p.ensureGrads()
 	x := p.xSaved
-	// dX from the block-sparse term: dX_row = Wᵀ·dY_row.
-	dyt := dY.Transpose()            // N×batch
-	dx := p.W.TransposeMulDense(dyt) // N×batch
-	dX := dx.Transpose()             // batch×N
-	// dW = dYᵀ·X masked to the support; AccumulateOuter takes X
-	// batch-major, as Forward saved it.
-	p.GradW.AccumulateOuter(dyt, x, 1)
+	// dX from the block-sparse term: dX_row = Wᵀ·dY_row, over W's blocks
+	// re-derived in row-major order, since an optimizer step may have
+	// moved them since the last Backward.
+	if p.wRows == nil {
+		p.wRows = make([]float32, len(p.W.Blocks))
+	}
+	p.W.TransposeBlocks(p.wRows)
+	dX := tensor.New(dY.Rows, p.Cfg.N)
+	p.W.InputGradInto(dX, dY, p.wRows)
+	// dW = dYᵀ·X masked to the support.
+	p.GradW.AccumulateOuter(dY, x, 1)
 	if p.Cfg.LowRank > 0 {
 		// y += (X·V)·Uᵀ, so:
 		// dU = dYᵀ·(X·V); dV = Xᵀ·(dY·U); dX += (dY·U)·Vᵀ
 		dyU := tensor.MatMulParallel(dY, p.U) // batch×r
-		tensor.AddInPlace(p.GradU, tensor.MatMulParallel(dyt, p.xvSaved))
+		tensor.AddInPlace(p.GradU, tensor.MatMulParallel(dY.Transpose(), p.xvSaved))
 		tensor.AddInPlace(p.GradV, tensor.MatMulParallel(x.Transpose(), dyU))
 		tensor.AddInPlace(dX, tensor.MatMulParallel(dyU, p.V.Transpose()))
 	}

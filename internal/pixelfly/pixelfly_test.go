@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/sparse"
 	"repro/internal/tensor"
 )
 
@@ -357,24 +358,94 @@ func TestForwardMatchesApplyBitForBit(t *testing.T) {
 	}
 }
 
-// BenchmarkTrainStep times Forward+Backward of the paper pixelfly layer
-// (N 1024, block size 64, butterfly size 16, low rank 32) at batch 50,
-// the training shape.
-func BenchmarkTrainStep(b *testing.B) {
-	cfg := Config{N: 1024, BlockSize: 64, ButterflySize: 16, LowRank: 32}
-	p, err := New(cfg, rand.New(rand.NewSource(16)))
-	if err != nil {
-		b.Fatal(err)
+// refInputGrad is the plain bᵀ·dY loop of sparse's refTransposeMulDense
+// oracle, on batch-major dY: every element of dX sums its terms over the
+// stored blocks in RowPtr order, then by ascending row within the block,
+// skipping zero entries.
+func refInputGrad(w *sparse.BSR, dY *tensor.Matrix) *tensor.Matrix {
+	out := tensor.New(dY.Rows, w.Cols)
+	bs := w.BlockSize
+	for bi := 0; bi < w.BlockRows; bi++ {
+		for p := w.RowPtr[bi]; p < w.RowPtr[bi+1]; p++ {
+			col0 := int(w.ColIdx[p]) * bs
+			blk := w.Block(int(p))
+			for r := 0; r < bs; r++ {
+				for c := 0; c < bs; c++ {
+					v := blk[c*bs+r]
+					if v == 0 {
+						continue
+					}
+					for s := 0; s < dY.Rows; s++ {
+						out.Data[s*w.Cols+col0+c] += v * dY.At(s, bi*bs+r)
+					}
+				}
+			}
+		}
 	}
-	rng := rand.New(rand.NewSource(17))
-	x := tensor.New(50, 1024)
+	return out
+}
+
+// TestTrainingCopyLifecycle pins the row-major copy of W's blocks that
+// the input gradient reads: New, Refresh and ApplyInto (at one row and
+// at 64) leave the layer without one, so a served layer holds its blocks
+// once, and every Backward reads the current W: after an SGD step moves
+// W, the next Backward's dX must equal the plain loop on the moved W bit
+// for bit, which a copy left from the first Backward fails.
+func TestTrainingCopyLifecycle(t *testing.T) {
+	cfg := Config{N: 128, BlockSize: 16, ButterflySize: 8}
+	p := mustNew(t, cfg, 21)
+	p.Refresh()
+	rng := rand.New(rand.NewSource(22))
+	ws := tensor.NewWorkspace(tensor.Scratch{})
+	for _, rows := range []int{1, 64} {
+		x := tensor.New(rows, cfg.N)
+		x.FillRandom(rng, 1)
+		ws.Reset()
+		p.ApplyInto(tensor.New(rows, cfg.N), x, ws, nil, tensor.ActReLU)
+	}
+	if p.wRows != nil {
+		t.Fatal("New, Refresh and ApplyInto left a row-major copy of the blocks")
+	}
+	x, dY := tensor.New(50, cfg.N), tensor.New(50, cfg.N)
 	x.FillRandom(rng, 1)
-	dY := tensor.New(50, 1024)
 	dY.FillRandom(rng, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for step := 0; step < 2; step++ {
 		p.Forward(x)
-		p.Backward(dY)
+		assertSameMat(t, fmt.Sprintf("step %d dX", step), refInputGrad(p.W, dY), p.Backward(dY))
+		params, grads := p.Params()
+		for i := range params {
+			for j := range params[i] {
+				params[i][j] -= 0.5 * grads[i][j]
+			}
+		}
+		p.ZeroGrad()
+		p.Refresh()
+	}
+}
+
+// BenchmarkTrainStep times Forward+Backward of the paper pixelfly layer
+// (N 1024, butterfly size 16, low rank 32) at batch 50, the training
+// shape, at the paper's block size 64 and at 8 and 4, which store the
+// same number of values in 64 and 4,096 times as many blocks.
+func BenchmarkTrainStep(b *testing.B) {
+	for _, bs := range []int{64, 8, 4} {
+		b.Run(fmt.Sprintf("bs%d", bs), func(b *testing.B) {
+			cfg := Config{N: 1024, BlockSize: bs, ButterflySize: 16, LowRank: 32}
+			p, err := New(cfg, rand.New(rand.NewSource(16)))
+			if err != nil {
+				b.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(17))
+			x := tensor.New(50, 1024)
+			x.FillRandom(rng, 1)
+			dY := tensor.New(50, 1024)
+			dY.FillRandom(rng, 1)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p.Forward(x)
+				p.Backward(dY)
+			}
+		})
 	}
 }

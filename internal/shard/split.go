@@ -224,11 +224,7 @@ func reluSplit(width int, pts []int) step {
 				src := x.Row(r)[lo:hi]
 				out := dst.Row(r)[lo:hi]
 				for i, v := range src {
-					if v > 0 {
-						out[i] = v
-					} else {
-						out[i] = 0
-					}
+					out[i] = microkernel.ReLU(v)
 				}
 			}
 		}
@@ -263,10 +259,11 @@ func lowRankSplit(name string, t *baselines.LowRank, bias []float32, pts []int, 
 
 // pixelflySplit: shard k owns the block rows covering its output slice of
 // the BSR weight (1/S of the blocks, up to support skew) plus its slice of
-// the low-rank U factor; V and the input transpose are replicated. The
-// fused bias and activation ride whichever kernel writes the window last —
-// the low-rank residual accumulation when the layer has one, the transpose
-// back to batch-major otherwise.
+// the low-rank U factor; V is replicated. The block-sparse product writes
+// the shard's columns of dst directly. The fused bias and activation ride
+// whichever kernel writes the window last: the low-rank residual
+// accumulation when the layer has one, the block-sparse product
+// otherwise.
 func pixelflySplit(name string, t *pixelfly.Pixelfly, bias []float32, pts []int, act tensor.Activation) step {
 	shards := len(pts) - 1
 	n, bs := t.Cfg.N, t.Cfg.BlockSize
@@ -278,30 +275,21 @@ func pixelflySplit(name string, t *pixelfly.Pixelfly, bias []float32, pts []int,
 			continue
 		}
 		br0, br1 := lo/bs, hi/bs
-		var utk *tensor.Matrix
-		if t.Cfg.LowRank > 0 {
-			utk = sliceRowsT(t.U, lo, hi)
-		}
 		bk := append([]float32(nil), bias[lo:hi]...)
-		// The kernel stages the feature-major input (N×rows) and its
-		// window of the product ((hi-lo)×rows); with a low-rank term also
-		// x·V (rows×r) and its window of the back-projection.
-		st.scratch[k] = func(rows int) tensor.Scratch {
-			if utk == nil {
-				return tensor.Scratch{Floats: (n + hi - lo) * rows, Headers: 2}
+		if t.Cfg.LowRank == 0 {
+			st.run[k] = func(dst, x *tensor.Matrix, ws *tensor.Workspace) {
+				t.W.MulInto(dst, lo, x, br0, br1, bk, act)
 			}
-			return tensor.Scratch{Floats: (n+hi-lo)*rows + rows*t.Cfg.LowRank + rows*(hi-lo), Headers: 4}
+			continue
+		}
+		utk := sliceRowsT(t.U, lo, hi)
+		// With a low-rank term the kernel stages x·V (rows×r) and its
+		// window of the back-projection.
+		st.scratch[k] = func(rows int) tensor.Scratch {
+			return tensor.Scratch{Floats: rows*t.Cfg.LowRank + rows*(hi-lo), Headers: 2}
 		}
 		st.run[k] = func(dst, x *tensor.Matrix, ws *tensor.Workspace) {
-			xt := ws.Take(n, x.Rows)
-			tensor.TransposeInto(xt, x)
-			ytk := ws.Take(hi-lo, x.Rows)
-			t.W.MulDenseRowsInto(ytk, xt, br0, br1)
-			if utk == nil {
-				tensor.TransposeIntoColsBiasAct(dst, lo, ytk, bk, act)
-				return
-			}
-			tensor.TransposeIntoCols(dst, lo, ytk)
+			t.W.MulInto(dst, lo, x, br0, br1, nil, tensor.ActNone)
 			xv := ws.Take(x.Rows, t.Cfg.LowRank)
 			tensor.MatMulInto(xv, x, t.V)
 			lrk := ws.Take(x.Rows, hi-lo)

@@ -16,17 +16,17 @@ import (
 type BSR struct {
 	Rows, Cols int // logical element dimensions
 	BlockSize  int
-	BlockRows  int       // Rows / BlockSize
-	BlockCols  int       // Cols / BlockSize
-	RowPtr     []int32   // length BlockRows+1, indexes into ColIdx/Blocks
-	ColIdx     []int32   // block-column index per stored block
-	Blocks     []float32 // len(ColIdx) * BlockSize * BlockSize, row-major per block
-
-	// Column index of the same pattern, for the transposed product:
-	// colPtr (length BlockCols+1) indexes colRow/colBlk, which list each
-	// block column's stored blocks by ascending block row — their block
-	// row and their index into Blocks.
-	colPtr, colRow, colBlk []int32
+	BlockRows  int     // Rows / BlockSize
+	BlockCols  int     // Cols / BlockSize
+	RowPtr     []int32 // length BlockRows+1, indexes into ColIdx/Blocks
+	ColIdx     []int32 // block-column index per stored block
+	// Blocks holds the stored blocks in RowPtr order, len(ColIdx) ·
+	// BlockSize² values, each block transposed: entry (r, c) of the block
+	// at block row R and block column C, the matrix element
+	// (R·BlockSize+r, C·BlockSize+c), sits at c·BlockSize+r. Column c of
+	// a block is then one contiguous run, the layout in which the
+	// batch-major product MulInto reads it.
+	Blocks []float32
 }
 
 // NewBSR builds a BSR matrix from an explicit block pattern. pattern lists
@@ -63,23 +63,6 @@ func NewBSR(rows, cols, blockSize int, pattern [][2]int) (*BSR, error) {
 		out.RowPtr[i+1] = int32(len(out.ColIdx))
 	}
 	out.Blocks = make([]float32, len(out.ColIdx)*blockSize*blockSize)
-	out.colPtr = make([]int32, bc+1)
-	for _, j := range out.ColIdx {
-		out.colPtr[j+1]++
-	}
-	for j := 0; j < bc; j++ {
-		out.colPtr[j+1] += out.colPtr[j]
-	}
-	out.colRow = make([]int32, len(out.ColIdx))
-	out.colBlk = make([]int32, len(out.ColIdx))
-	next := append([]int32(nil), out.colPtr[:bc]...)
-	for i := 0; i < br; i++ {
-		for p := out.RowPtr[i]; p < out.RowPtr[i+1]; p++ {
-			j := out.ColIdx[p]
-			out.colRow[next[j]], out.colBlk[next[j]] = int32(i), p
-			next[j]++
-		}
-	}
 	return out, nil
 }
 
@@ -94,11 +77,25 @@ func sortInts(xs []int) {
 // NumBlocks returns the number of stored blocks.
 func (b *BSR) NumBlocks() int { return len(b.ColIdx) }
 
-// Block returns the storage slice of the n-th stored block (row-major
-// BlockSize×BlockSize view, mutable).
+// Block returns the storage slice of the n-th stored block (mutable), in
+// the transposed layout of Blocks: entry (r, c) at c·BlockSize+r.
 func (b *BSR) Block(n int) []float32 {
 	sz := b.BlockSize * b.BlockSize
 	return b.Blocks[n*sz : (n+1)*sz]
+}
+
+// FillRowMajor sets every stored entry to next(), block by block in
+// RowPtr order and row by row within a block, whatever the storage
+// layout, so a generator gives each logical entry the same value.
+func (b *BSR) FillRowMajor(next func() float32) {
+	bs := b.BlockSize
+	for o := 0; o < len(b.Blocks); o += bs * bs {
+		for r := 0; r < bs; r++ {
+			for c := 0; c < bs; c++ {
+				b.Blocks[o+c*bs+r] = next()
+			}
+		}
+	}
 }
 
 // ToDense materializes the matrix.
@@ -111,9 +108,8 @@ func (b *BSR) ToDense() *tensor.Matrix {
 			blk := b.Block(int(p))
 			for r := 0; r < bs; r++ {
 				dst := out.Row(bi*bs + r)[bj*bs : bj*bs+bs]
-				src := blk[r*bs : (r+1)*bs]
-				for c := range src {
-					dst[c] += src[c]
+				for c := range dst {
+					dst[c] += blk[c*bs+r]
 				}
 			}
 		}
@@ -121,11 +117,12 @@ func (b *BSR) ToDense() *tensor.Matrix {
 	return out
 }
 
-// MulDense computes b·x with x dense: (Rows×Cols)·(Cols×K). This is the
-// block-sparse matmul that pixelfly's GPU implementation maps onto tensor
-// cores; here it is the reference semantics for both machine models, the
-// path of pixelfly's Apply, and the oracle the block-specialized kernels
-// (MulDenseInto, MulDenseRowsInto, MulDenseParallel) are tested against.
+// MulDense computes b·x with x dense and feature-major: (Rows×Cols)·
+// (Cols×K). This is the block-sparse matmul that pixelfly's GPU
+// implementation maps onto tensor cores; here it is the reference
+// semantics for both machine models, the path of pixelfly's Apply, and
+// the oracle the batch-major kernels (MulInto, InputGradInto) are tested
+// against.
 func (b *BSR) MulDense(x *tensor.Matrix) *tensor.Matrix {
 	if b.Cols != x.Rows {
 		panic(fmt.Sprintf("sparse: BSR MulDense shape mismatch %dx%d x %dx%d", b.Rows, b.Cols, x.Rows, x.Cols))
@@ -139,7 +136,7 @@ func (b *BSR) MulDense(x *tensor.Matrix) *tensor.Matrix {
 			for r := 0; r < bs; r++ {
 				orow := out.Row(bi*bs + r)
 				for c := 0; c < bs; c++ {
-					v := blk[r*bs+c]
+					v := blk[c*bs+r]
 					if v == 0 {
 						continue
 					}
@@ -154,76 +151,35 @@ func (b *BSR) MulDense(x *tensor.Matrix) *tensor.Matrix {
 	return out
 }
 
-// MulDenseRowsInto computes the block-row window [br0, br1) of b·x into
-// out (shape (br1-br0)·BlockSize × x.Cols, overwritten) through the
-// block-specialized kernels. The window's rows accumulate the same blocks
-// in the same order as MulDenseInto, so the result is bit-for-bit the
-// corresponding row slice of the full product — the kernel one
-// tensor-parallel shard of a pixelfly layer executes. out must not alias
-// x.
-func (b *BSR) MulDenseRowsInto(out, x *tensor.Matrix, br0, br1 int) {
-	if b.Cols != x.Rows {
-		panic(fmt.Sprintf("sparse: BSR MulDenseRows shape mismatch %dx%d x %dx%d", b.Rows, b.Cols, x.Rows, x.Cols))
+// TransposeBlocks writes every stored block, transposed, into dst
+// (len(Blocks) values, overwritten): the blocks in row-major order, entry
+// (r, c) at r·BlockSize+c, the layout InputGradInto reads. It reads four
+// stored rows at a time, so each write is a run of four values.
+func (b *BSR) TransposeBlocks(dst []float32) {
+	if len(dst) != len(b.Blocks) {
+		panic(fmt.Sprintf("sparse: TransposeBlocks dst length %d != %d", len(dst), len(b.Blocks)))
 	}
-	if br0 < 0 || br1 < br0 || br1 > b.BlockRows {
-		panic(fmt.Sprintf("sparse: BSR block-row window [%d,%d) outside %d block rows", br0, br1, b.BlockRows))
+	bs := b.BlockSize
+	sz := bs * bs
+	for o := 0; o < len(dst); o += sz {
+		src, out := b.Blocks[o:o+sz], dst[o:o+sz]
+		i := 0
+		for ; i+4 <= bs; i += 4 {
+			r0 := src[i*bs : i*bs+bs]
+			r1 := src[(i+1)*bs : (i+1)*bs+bs][:len(r0)]
+			r2 := src[(i+2)*bs : (i+2)*bs+bs][:len(r0)]
+			r3 := src[(i+3)*bs : (i+3)*bs+bs][:len(r0)]
+			for j := range r0 {
+				d := out[j*bs+i : j*bs+i+4 : j*bs+i+4]
+				d[0], d[1], d[2], d[3] = r0[j], r1[j], r2[j], r3[j]
+			}
+		}
+		for ; i < bs; i++ {
+			for j, v := range src[i*bs : i*bs+bs] {
+				out[j*bs+i] = v
+			}
+		}
 	}
-	bs, k := b.BlockSize, x.Cols
-	if out.Rows != (br1-br0)*bs || out.Cols != k {
-		panic(fmt.Sprintf("sparse: BSR MulDenseRowsInto dst %dx%d, want %dx%d", out.Rows, out.Cols, (br1-br0)*bs, k))
-	}
-	out.Zero()
-	b.mulDenseMicro(out, x, nil, tensor.ActNone, br0, br1, br0*bs)
-}
-
-// TransposeMulDense computes bᵀ·x: (Cols×Rows)·(Rows×K); used in backward
-// passes of block-sparse layers. Output block columns are split across
-// GOMAXPROCS workers (tensor.ParallelRows). Each output element sums its
-// contributions by ascending block row, then ascending row within the
-// block — the order of the plain row-major loop — so the result does not
-// depend on the worker count.
-func (b *BSR) TransposeMulDense(x *tensor.Matrix) *tensor.Matrix {
-	if b.Rows != x.Rows {
-		panic(fmt.Sprintf("sparse: BSR TransposeMulDense shape mismatch %dx%d^T x %dx%d", b.Rows, b.Cols, x.Rows, x.Cols))
-	}
-	out := tensor.New(b.Cols, x.Cols)
-	tensor.ParallelRows(b.BlockCols, b.macs(x.Cols), bsrJob{b, out, x}, func(j bsrJob, lo, hi int) {
-		j.b.transposeMulCols(j.out, j.x, lo, hi)
-	})
-	return out
-}
-
-// AccumulateOuter adds lr·dY·x into the stored blocks only — the
-// weight-gradient of a block-sparse layer. dY is feature-major (Rows×K)
-// and x batch-major (K×Cols), the layout the layer's forward input
-// already has. Block rows are split across GOMAXPROCS workers; every
-// stored entry is one dot product over K, summed in ascending order from
-// zero, so the result does not depend on the worker count.
-func (b *BSR) AccumulateOuter(dY, x *tensor.Matrix, lr float32) {
-	if dY.Rows != b.Rows || x.Cols != b.Cols || dY.Cols != x.Rows {
-		panic("sparse: AccumulateOuter shape mismatch")
-	}
-	tensor.ParallelRows(b.BlockRows, b.macs(dY.Cols), outerJob{b, dY, x, lr}, func(j outerJob, lo, hi int) {
-		j.b.accumulateOuterRows(j.dY, j.x, j.lr, lo, hi)
-	})
-}
-
-// macs is the multiply-add count of one product of b with a width-k
-// dense operand: the work measure tensor.ParallelRows compares against
-// its serial cutoff.
-func (b *BSR) macs(k int) int { return len(b.Blocks) * k }
-
-// bsrJob carries a product's operands to its workers.
-type bsrJob struct {
-	b      *BSR
-	out, x *tensor.Matrix
-}
-
-// outerJob carries AccumulateOuter's operands to its workers.
-type outerJob struct {
-	b     *BSR
-	dY, x *tensor.Matrix
-	lr    float32
 }
 
 // Flops returns the useful flops of MulDense with a width-k RHS:

@@ -7,296 +7,181 @@ import (
 	"repro/internal/tensor/microkernel"
 )
 
-// Micro-kernel BSR×dense products: block-size-specialized kernels with
-// the per-scalar `v == 0` skip dropped. Structural sparsity lives at
-// block granularity — absent blocks are never visited via RowPtr/ColIdx,
-// which is the skip worth keeping — while stored blocks are dense by
-// construction (rank-one butterfly blocks), so the per-scalar branch is
-// almost never taken and only costs. Dropping it can only change the
-// sign of exact-zero contributions, which float comparison treats as
-// equal. Accumulation per output element stays c-ascending with
-// sequential adds, so results are otherwise bit-identical to the
-// reference loop in MulDense.
+// The three products of a block-sparse layer y = x·Wᵀ, batch-major like
+// the rest of the stack (one sample per row of x, y, dY and dX), each a
+// loop of microkernel.AccRow calls over the stored blocks in RowPtr
+// order:
 //
-// Block sizes other than 4 and 8 (the paper's 64 among them), and the
-// training kernels at every block size — the transposed product
-// (accBlockT) and the weight gradient (accumulateOuterRows) — run each
-// block row, block column or gradient row as one microkernel.AccRow, on
-// its AVX2 lane where the host has one; the one-column serving loop
-// (accBlockVec) stays in Go.
+//   - MulInto, the forward product: y[s, R:R+bs] += x[s, C:C+bs]·blkᵀ,
+//     over the block stored transposed;
+//   - InputGradInto, the input gradient: dX[s, C:C+bs] += dY[s, R:R+bs]·blk,
+//     over a row-major copy of the blocks (TransposeBlocks);
+//   - AccumulateOuter, the weight gradient: entry (r, c) of a block adds
+//     lr·Σ_s dY[s, R+r]·x[s, C+c].
+//
+// Structural sparsity lives at block granularity: absent blocks are
+// never visited. A stored block is dense by construction, so the kernels
+// keep no per-scalar zero skip. Every element is summed from +0 in
+// MulDense's order (blocks in RowPtr order, then c or r ascending, as
+// sequential float32 adds), and a sum from +0 is never −0, so leaving
+// the skip out changes no bit for finite inputs. The one difference: a
+// stored exact zero times ±Inf or NaN gives NaN here, where MulDense
+// skips the zero.
 
-// MulDenseInto computes act(b·x + bias) into caller-owned out (shape
-// Rows×x.Cols, overwritten) through the block-specialized kernels: full
-// unroll at bs=4 and bs=8, a 4-column tiling otherwise, and row dot
-// products over each block when x has one column. It is the
-// allocation-free kernel the compiled pixelfly inference path executes
-// through. bias is indexed by the logical row of out (feature-major, like
-// the product) and may be nil; a nil bias with ActNone is the plain
-// product. As soon as a block row's accumulation completes, its rows get
-// the bias and activation while they are still cache-hot, with the same
-// float32 chain as separate sweeps. out must not alias x.
-func (b *BSR) MulDenseInto(out, x *tensor.Matrix, bias []float32, act tensor.Activation) {
-	if b.Cols != x.Rows {
-		panic(fmt.Sprintf("sparse: BSR MulDense shape mismatch %dx%d x %dx%d", b.Rows, b.Cols, x.Rows, x.Cols))
+// MulInto writes act(x·Wᵀ + bias) for the block rows [br0, br1) of W
+// (the receiver) into the column window [lo, lo+(br1-br0)·BlockSize) of
+// dst, with x batch-major (rows×Cols) and dst rows×anything. Columns
+// outside the window are untouched. bias is window-relative and may be
+// nil; a nil bias with ActNone is the plain product. Each window row of
+// a block row is finished with the bias and activation as soon as its
+// sums are complete, with the chain of a separate sweep. It is the one
+// forward kernel: pixelfly's ApplyInto runs it over every block row,
+// its training Forward splits the block rows across GOMAXPROCS, and a
+// tensor-parallel shard runs its own block rows into its output columns.
+// dst must not alias x.
+func (b *BSR) MulInto(dst *tensor.Matrix, lo int, x *tensor.Matrix, br0, br1 int, bias []float32, act tensor.Activation) {
+	if b.Cols != x.Cols {
+		panic(fmt.Sprintf("sparse: BSR MulInto shape mismatch %dx%d · (%dx%d)ᵀ", x.Rows, x.Cols, b.Rows, b.Cols))
 	}
-	if out.Rows != b.Rows || out.Cols != x.Cols {
-		panic(fmt.Sprintf("sparse: BSR MulDenseInto dst %dx%d, want %dx%d", out.Rows, out.Cols, b.Rows, x.Cols))
+	if br0 < 0 || br1 < br0 || br1 > b.BlockRows {
+		panic(fmt.Sprintf("sparse: BSR block-row window [%d,%d) outside %d block rows", br0, br1, b.BlockRows))
 	}
-	if bias != nil && len(bias) != b.Rows {
-		panic(fmt.Sprintf("sparse: BSR MulDenseInto bias length %d != rows %d", len(bias), b.Rows))
+	bs := b.BlockSize
+	w := (br1 - br0) * bs
+	if dst.Rows != x.Rows || lo < 0 || lo+w > dst.Cols {
+		panic(fmt.Sprintf("sparse: BSR MulInto window [%d,%d) does not fit %dx%d dst for %d rows", lo, lo+w, dst.Rows, dst.Cols, x.Rows))
 	}
-	out.Zero()
-	b.mulDenseMicro(out, x, bias, act, 0, b.BlockRows, 0)
-}
-
-// MulDenseParallel is MulDense through the block-specialized kernels,
-// with block rows split across GOMAXPROCS workers (tensor.ParallelRows):
-// the training forward product. Each output row belongs to one block row,
-// so it is bit-for-bit MulDenseInto at any worker count.
-func (b *BSR) MulDenseParallel(x *tensor.Matrix) *tensor.Matrix {
-	if b.Cols != x.Rows {
-		panic(fmt.Sprintf("sparse: BSR MulDense shape mismatch %dx%d x %dx%d", b.Rows, b.Cols, x.Rows, x.Cols))
+	if bias != nil && len(bias) != w {
+		panic(fmt.Sprintf("sparse: BSR MulInto bias length %d != window width %d", len(bias), w))
 	}
-	out := tensor.New(b.Rows, x.Cols)
-	tensor.ParallelRows(b.BlockRows, b.macs(x.Cols), bsrJob{b, out, x}, func(j bsrJob, lo, hi int) {
-		j.b.mulDenseMicro(j.out, j.x, nil, tensor.ActNone, lo, hi, 0)
-	})
-	return out
-}
-
-// MicroVariant names the block-specialized kernel this matrix multiplies
-// through.
-func (b *BSR) MicroVariant() string {
-	switch b.BlockSize {
-	case 4:
-		return "unroll4"
-	case 8:
-		return "unroll8"
-	default:
-		return "blocktiled"
-	}
-}
-
-// mulDenseMicro accumulates the block rows [br0, br1) of b·x into out,
-// which the caller has zeroed, writing logical row i to out row i-off.
-// Unless bias is nil and act is ActNone, each block row is finished with
-// the epilogue (bias indexed by logical row) as soon as it completes.
-// A one-column x (a one-row serving batch, feature-major) takes
-// mulVecMicro instead: the batch-tiled inner loops below would run a
-// single iteration.
-func (b *BSR) mulDenseMicro(out, x *tensor.Matrix, bias []float32, act tensor.Activation, br0, br1, off int) {
-	if x.Cols == 1 {
-		b.mulVecMicro(out.Data, x.Data, bias, act, br0, br1, off)
+	if x.Rows == 0 {
 		return
 	}
-	bs, k := b.BlockSize, x.Cols
-	epi := bias != nil || act != tensor.ActNone
+	relu := act == tensor.ActReLU
 	for bi := br0; bi < br1; bi++ {
-		row0 := bi*bs - off
+		c0 := lo + (bi-br0)*bs
+		for s := 0; s < x.Rows; s++ {
+			clear(dst.Data[s*dst.Cols+c0 : s*dst.Cols+c0+bs])
+		}
 		for p := b.RowPtr[bi]; p < b.RowPtr[bi+1]; p++ {
-			bj := int(b.ColIdx[p])
 			blk := b.Block(int(p))
-			switch bs {
-			case 4:
-				accBlock4(out, x, blk, row0, bj*4, k)
-			case 8:
-				accBlock8(out, x, blk, row0, bj*8, k)
-			default:
-				accBlockTiled(out, x, blk, row0, bj*bs, bs, k)
+			xs := x.Data[int(b.ColIdx[p])*bs:]
+			for s := 0; s < x.Rows; s++ {
+				microkernel.AccRow(dst.Data[s*dst.Cols+c0:], xs[s*x.Cols:], 1, blk, bs, bs, bs, false)
 			}
 		}
-		if epi {
-			for r := 0; r < bs; r++ {
-				row := out.Row(row0 + r)
-				if bias != nil {
-					bv := bias[bi*bs+r]
-					for j, v := range row {
-						row[j] = act.Apply(v + bv)
-					}
-				} else {
-					for j, v := range row {
-						row[j] = act.Apply(v)
-					}
-				}
+		if bias != nil || relu {
+			var bb []float32
+			if bias != nil {
+				bb = bias[c0-lo : c0-lo+bs]
+			}
+			for s := 0; s < x.Rows; s++ {
+				microkernel.EpilogueRow(dst.Data[s*dst.Cols+c0:s*dst.Cols+c0+bs], bb, relu)
 			}
 		}
 	}
 }
 
-// mulVecMicro is mulDenseMicro for a one-column x: out and x are the
-// product's and the input's single columns. Each stored block runs as row
-// dot products (accBlockVec), and the epilogue finishes each block row's
-// elements with the same float32 chain as the batch-tiled epilogue.
-func (b *BSR) mulVecMicro(out, x, bias []float32, act tensor.Activation, br0, br1, off int) {
+// InputGradInto computes dY·W into dX (rows×Cols, overwritten), the
+// input gradient of y = x·Wᵀ, with dY batch-major (rows×Rows). rowMajor
+// holds the receiver's blocks in row-major order, as TransposeBlocks
+// writes them. Samples are split across GOMAXPROCS workers
+// (tensor.ParallelRows); each worker walks the blocks in RowPtr order
+// over its samples, so every element sums its terms by ascending block
+// row, then ascending row within the block, at any worker count. dX must
+// not alias dY.
+func (b *BSR) InputGradInto(dX, dY *tensor.Matrix, rowMajor []float32) {
+	if dY.Cols != b.Rows || dX.Rows != dY.Rows || dX.Cols != b.Cols || len(rowMajor) != len(b.Blocks) {
+		panic(fmt.Sprintf("sparse: BSR InputGradInto shape mismatch: dY %dx%d, dX %dx%d, %d row-major values for %dx%d with %d",
+			dY.Rows, dY.Cols, dX.Rows, dX.Cols, len(rowMajor), b.Rows, b.Cols, len(b.Blocks)))
+	}
+	tensor.ParallelRows(dY.Rows, b.macs(dY.Rows), gradJob{b, dX, dY, rowMajor}, func(j gradJob, lo, hi int) {
+		j.b.inputGradRows(j.dX, j.dY, j.rowMajor, lo, hi)
+	})
+}
+
+// gradJob carries InputGradInto's operands to its workers.
+type gradJob struct {
+	b        *BSR
+	dX, dY   *tensor.Matrix
+	rowMajor []float32
+}
+
+// inputGradRows computes the samples [s0, s1) of InputGradInto.
+func (b *BSR) inputGradRows(dX, dY *tensor.Matrix, rowMajor []float32, s0, s1 int) {
+	if s0 == s1 {
+		return
+	}
 	bs := b.BlockSize
-	epi := bias != nil || act != tensor.ActNone
-	for bi := br0; bi < br1; bi++ {
-		o := out[bi*bs-off : bi*bs-off+bs]
-		for p := b.RowPtr[bi]; p < b.RowPtr[bi+1]; p++ {
-			bj := int(b.ColIdx[p])
-			accBlockVec(o, x[bj*bs:bj*bs+bs], b.Block(int(p)))
-		}
-		if epi {
-			for r, v := range o {
-				if bias != nil {
-					v += bias[bi*bs+r]
-				}
-				o[r] = act.Apply(v)
-			}
-		}
-	}
-}
-
-// accBlockVec accumulates one stored block times the input segment xs
-// into o, four block rows at a time with a scalar tail for bs % 4. Each
-// row's sum is its own accumulator: it starts from the running output and
-// adds blk[r][c]·xs[c] for c ascending as sequential float32 adds — the
-// chain accBlock4, accBlock8 and accBlockTiled give every element.
-func accBlockVec(o, xs, blk []float32) {
-	bs := len(xs)
-	r := 0
-	for ; r+4 <= bs; r += 4 {
-		b0 := blk[r*bs : r*bs+bs][:len(xs)]
-		b1 := blk[(r+1)*bs : (r+1)*bs+bs][:len(xs)]
-		b2 := blk[(r+2)*bs : (r+2)*bs+bs][:len(xs)]
-		b3 := blk[(r+3)*bs : (r+3)*bs+bs][:len(xs)]
-		s := o[r : r+4 : r+4]
-		s0, s1, s2, s3 := s[0], s[1], s[2], s[3]
-		for c, xv := range xs {
-			s0 += b0[c] * xv
-			s1 += b1[c] * xv
-			s2 += b2[c] * xv
-			s3 += b3[c] * xv
-		}
-		s[0], s[1], s[2], s[3] = s0, s1, s2, s3
-	}
-	for ; r < bs; r++ {
-		br := blk[r*bs : r*bs+bs][:len(xs)]
-		s := o[r]
-		for c, xv := range xs {
-			s += br[c] * xv
-		}
-		o[r] = s
-	}
-}
-
-// accBlock4 accumulates one stored 4×4 block: the four RHS rows are
-// hoisted once per block and every output element gets its four
-// contributions as sequential adds in c order.
-func accBlock4(out, x *tensor.Matrix, blk []float32, row0, col0, k int) {
-	x0 := x.Data[col0*k : col0*k+k]
-	x1 := x.Data[(col0+1)*k : (col0+1)*k+k][:len(x0)]
-	x2 := x.Data[(col0+2)*k : (col0+2)*k+k][:len(x0)]
-	x3 := x.Data[(col0+3)*k : (col0+3)*k+k][:len(x0)]
-	for r := 0; r < 4; r++ {
-		v := blk[r*4 : r*4+4 : r*4+4]
-		v0, v1, v2, v3 := v[0], v[1], v[2], v[3]
-		orow := out.Row(row0 + r)[:len(x0)]
-		for j, xv := range x0 {
-			s := orow[j]
-			s += v0 * xv
-			s += v1 * x1[j]
-			s += v2 * x2[j]
-			s += v3 * x3[j]
-			orow[j] = s
-		}
-	}
-}
-
-// accBlock8 is accBlock4 for 8×8 blocks.
-func accBlock8(out, x *tensor.Matrix, blk []float32, row0, col0, k int) {
-	x0 := x.Data[col0*k : col0*k+k]
-	x1 := x.Data[(col0+1)*k : (col0+1)*k+k][:len(x0)]
-	x2 := x.Data[(col0+2)*k : (col0+2)*k+k][:len(x0)]
-	x3 := x.Data[(col0+3)*k : (col0+3)*k+k][:len(x0)]
-	x4 := x.Data[(col0+4)*k : (col0+4)*k+k][:len(x0)]
-	x5 := x.Data[(col0+5)*k : (col0+5)*k+k][:len(x0)]
-	x6 := x.Data[(col0+6)*k : (col0+6)*k+k][:len(x0)]
-	x7 := x.Data[(col0+7)*k : (col0+7)*k+k][:len(x0)]
-	for r := 0; r < 8; r++ {
-		v := blk[r*8 : r*8+8 : r*8+8]
-		v0, v1, v2, v3 := v[0], v[1], v[2], v[3]
-		v4, v5, v6, v7 := v[4], v[5], v[6], v[7]
-		orow := out.Row(row0 + r)[:len(x0)]
-		for j, xv := range x0 {
-			s := orow[j]
-			s += v0 * xv
-			s += v1 * x1[j]
-			s += v2 * x2[j]
-			s += v3 * x3[j]
-			s += v4 * x4[j]
-			s += v5 * x5[j]
-			s += v6 * x6[j]
-			s += v7 * x7[j]
-			orow[j] = s
-		}
-	}
-}
-
-// accBlockTiled handles other block sizes: each block row is one
-// microkernel.AccRow over the block's bs input rows, so each output
-// element receives its adds in ascending c order, as sequential float32
-// adds. Zeros inside a stored block are not skipped.
-func accBlockTiled(out, x *tensor.Matrix, blk []float32, row0, col0, bs, k int) {
-	xs := x.Data[col0*k:]
-	for r := 0; r < bs; r++ {
-		microkernel.AccRow(out.Row(row0+r), blk[r*bs:], 1, xs, k, bs, k, false)
-	}
-}
-
-// transposeMulCols accumulates the block columns [bc0, bc1) of bᵀ·x into
-// out, which the caller has zeroed: block row bi of x (its rows
-// bi·bs … bi·bs+bs-1) scaled by the block's transpose, for each stored
-// block of the column in ascending block-row order.
-func (b *BSR) transposeMulCols(out, x *tensor.Matrix, bc0, bc1 int) {
-	bs, k := b.BlockSize, x.Cols
-	for bj := bc0; bj < bc1; bj++ {
-		for q := b.colPtr[bj]; q < b.colPtr[bj+1]; q++ {
-			accBlockT(out, x, b.Block(int(b.colBlk[q])), bj*bs, int(b.colRow[q])*bs, bs, k)
-		}
-	}
-}
-
-// accBlockT accumulates blkᵀ·x[row0 : row0+bs] into out[col0 : col0+bs]:
-// each block column c is one microkernel.AccRow with a = that column
-// (stride bs), so output row col0+c receives its adds in ascending r
-// order, as sequential float32 adds.
-func accBlockT(out, x *tensor.Matrix, blk []float32, col0, row0, bs, k int) {
-	xs := x.Data[row0*k:]
-	for c := 0; c < bs; c++ {
-		microkernel.AccRow(out.Row(col0+c), blk[c:], bs, xs, k, bs, k, false)
-	}
-}
-
-// outerChunk is how many of a block row's gradient entries
-// accumulateOuterRows sums at once, in a stack buffer.
-const outerChunk = 64
-
-// accumulateOuterRows adds lr·dY·x into the stored blocks of the block
-// rows [br0, br1), x batch-major (K×Cols). The bs entries of one block
-// row are one microkernel.AccRow over the K samples, from zero: entry c
-// sums dY[r][j]·x[j][col0+c] for j ascending as a sequential float32
-// chain, and then the block entry adds lr times that sum.
-func (b *BSR) accumulateOuterRows(dY, x *tensor.Matrix, lr float32, br0, br1 int) {
-	bs, k := b.BlockSize, dY.Cols
-	var buf [outerChunk]float32
-	for bi := br0; bi < br1; bi++ {
-		for p := b.RowPtr[bi]; p < b.RowPtr[bi+1]; p++ {
+	sz := bs * bs
+	clear(dX.Data[s0*dX.Cols : s1*dX.Cols])
+	for bi := 0; bi < b.BlockRows; bi++ {
+		dy := dY.Data[bi*bs:]
+		for p := int(b.RowPtr[bi]); p < int(b.RowPtr[bi+1]); p++ {
+			blk := rowMajor[p*sz : p*sz+sz]
 			col0 := int(b.ColIdx[p]) * bs
-			blk := b.Block(int(p))
-			for r := 0; r < bs; r++ {
-				dy := dY.Data[(bi*bs+r)*k : (bi*bs+r)*k+k]
-				g := blk[r*bs : r*bs+bs]
-				for c0 := 0; c0 < bs; c0 += outerChunk {
-					s := buf[:min(outerChunk, bs-c0)]
-					clear(s)
-					microkernel.AccRow(s, dy, 1, x.Data[col0+c0:], x.Cols, k, len(s), false)
-					gc := g[c0 : c0+len(s)]
-					for c, v := range s {
-						gc[c] += lr * v
-					}
-				}
+			for s := s0; s < s1; s++ {
+				microkernel.AccRow(dX.Data[s*dX.Cols+col0:], dy[s*dY.Cols:], 1, blk, bs, bs, bs, false)
 			}
 		}
 	}
 }
+
+// AccumulateOuter adds lr·dYᵀ·x into the stored blocks only, the weight
+// gradient of y = x·Wᵀ, with dY (rows×Rows) and x (rows×Cols) both
+// batch-major. Block rows are split across GOMAXPROCS workers; every
+// stored entry is one dot product over the samples, summed in ascending
+// order from zero, then added times lr, so the result does not depend
+// on the worker count.
+func (b *BSR) AccumulateOuter(dY, x *tensor.Matrix, lr float32) {
+	if dY.Cols != b.Rows || x.Cols != b.Cols || dY.Rows != x.Rows {
+		panic("sparse: AccumulateOuter shape mismatch")
+	}
+	if x.Rows == 0 {
+		// No samples: each entry adds lr times an empty sum, as a dot
+		// product from zero would.
+		for i := range b.Blocks {
+			b.Blocks[i] += lr * 0
+		}
+		return
+	}
+	tensor.ParallelRows(b.BlockRows, b.macs(dY.Rows), outerJob{b, dY, x, lr}, func(j outerJob, lo, hi int) {
+		j.b.accumulateOuterRows(j.dY, j.x, j.lr, lo, hi)
+	})
+}
+
+// outerJob carries AccumulateOuter's operands to its workers.
+type outerJob struct {
+	b     *BSR
+	dY, x *tensor.Matrix
+	lr    float32
+}
+
+// accumulateOuterRows adds lr·dYᵀ·x into the stored blocks of the block
+// rows [br0, br1). A block's sums run in buf, in the blocks' transposed
+// layout: column c is one microkernel.AccRow over the samples from zero,
+// a = x's column C+c and b = dY's columns R…, both strided by their
+// widths, and then each entry adds lr times its sum.
+func (b *BSR) accumulateOuterRows(dY, x *tensor.Matrix, lr float32, br0, br1 int) {
+	bs := b.BlockSize
+	buf := make([]float32, bs*bs)
+	for bi := br0; bi < br1; bi++ {
+		dy := dY.Data[bi*bs:]
+		for p := b.RowPtr[bi]; p < b.RowPtr[bi+1]; p++ {
+			clear(buf)
+			xs := x.Data[int(b.ColIdx[p])*bs:]
+			for c := 0; c < bs; c++ {
+				microkernel.AccRow(buf[c*bs:], xs[c:], x.Cols, dy, dY.Cols, x.Rows, bs, false)
+			}
+			blk := b.Block(int(p))
+			for i, v := range buf {
+				blk[i] += lr * v
+			}
+		}
+	}
+}
+
+// macs is the multiply-add count of one product of b with rows samples:
+// the work measure tensor.ParallelRows compares against its serial
+// cutoff.
+func (b *BSR) macs(rows int) int { return len(b.Blocks) * rows }

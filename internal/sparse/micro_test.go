@@ -43,58 +43,32 @@ func randomBSR(t testing.TB, rng *rand.Rand, rows, cols, bs int, density float64
 }
 
 // TestMulDenseMicroMatchesReference demands float equality between the
-// block-specialized kernel MulDenseInto and the reference loop in
-// MulDense followed by a separate bias and activation sweep, across block
-// sizes covering the bs=4/8 unrolls, the tiled path, and its scalar tail,
-// and column counts covering the one-column path (k=1, whose four-row
-// groups leave a tail at bs=6) and the batch-tiled loops, with and without
-// bias, under both activations. bs=64 is the served pixelfly block.
+// batch-major forward kernel MulInto and the reference loop in MulDense
+// (on the transposed input) followed by a separate bias and activation
+// sweep, across block sizes from 1 to the served 64, and sample counts
+// covering a one-row batch and AccRow's column splits, with and without
+// bias, under both activations. The blocks hold exact zeros, which
+// MulDense skips and MulInto multiplies.
 func TestMulDenseMicroMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for _, bs := range []int{1, 2, 3, 4, 5, 6, 8, 16, 64} {
 		for _, k := range []int{1, 3, 17} {
 			rows, cols := 6*bs, 5*bs
 			b := randomBSR(t, rng, rows, cols, bs, 0.4)
-			x := tensor.New(cols, k)
-			for i := range x.Data {
-				x.Data[i] = rng.Float32()*2 - 1
-			}
+			x := randDense(rng, k, cols)
 			bias := make([]float32, rows)
 			for i := range bias {
 				bias[i] = rng.Float32()*2 - 1
 			}
-			got := tensor.New(rows, k)
+			got := tensor.New(k, rows)
 			for _, bv := range [][]float32{nil, bias} {
 				for _, act := range []tensor.Activation{tensor.ActNone, tensor.ActReLU} {
-					want := b.MulDense(x)
-					for i := 0; i < want.Rows; i++ {
-						row := want.Row(i)
-						for j, v := range row {
-							if bv != nil {
-								v += bv[i]
-							}
-							row[j] = act.Apply(v)
-						}
-					}
-					b.MulDenseInto(got, x, bv, act)
+					want := b.MulDense(x.Transpose()).Transpose()
+					tensor.ApplyBiasActInto(want, want, bv, act)
+					b.MulInto(got, 0, x, 0, b.BlockRows, bv, act)
 					assertSameMat(t, fmt.Sprintf("bs=%d k=%d bias=%t/%v", bs, k, bv != nil, act), want, got)
 				}
 			}
-		}
-	}
-}
-
-func TestMicroVariantNames(t *testing.T) {
-	for _, tc := range []struct {
-		bs   int
-		want string
-	}{{4, "unroll4"}, {8, "unroll8"}, {3, "blocktiled"}, {16, "blocktiled"}} {
-		b, err := NewBSR(tc.bs*2, tc.bs*2, tc.bs, [][2]int{{0, 0}, {1, 1}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := b.MicroVariant(); got != tc.want {
-			t.Errorf("bs=%d: MicroVariant() = %q, want %q", tc.bs, got, tc.want)
 		}
 	}
 }
@@ -109,21 +83,19 @@ func assertSameMat(t *testing.T, op string, want, got *tensor.Matrix) {
 }
 
 // BenchmarkBSRMulDense compares the reference product (MulDense, the
-// oracle, which allocates its output) against the block-specialized
-// kernel at serving-realistic shapes: pixelated butterfly weights at
-// width 1024, including the transposed batch-1 case (k=1) that dominates
-// serving and the served pixelfly block size (bs=64).
+// oracle, which allocates its output and takes the input feature-major)
+// against the batch-major kernel MulInto at serving-realistic shapes:
+// pixelated butterfly weights at width 1024, one sample (the batch
+// serving mostly runs) and 16, at the served block size 64 and smaller.
 func BenchmarkBSRMulDense(b *testing.B) {
 	rng := rand.New(rand.NewSource(32))
 	for _, bs := range []int{4, 8, 16, 64} {
 		for _, k := range []int{1, 16} {
 			n := 1024
 			m := randomBSR(b, rng, n, n, bs, 0.1)
-			x := tensor.New(n, k)
-			for i := range x.Data {
-				x.Data[i] = rng.Float32()*2 - 1
-			}
-			out := tensor.New(n, k)
+			x := randDense(rng, n, k)
+			xb := x.Transpose()
+			out := tensor.New(k, n)
 			flops := int64(2*bs*bs*k) * int64(m.NumBlocks())
 			b.Run(fmt.Sprintf("ref/bs%dk%d", bs, k), func(b *testing.B) {
 				b.SetBytes(flops)
@@ -134,7 +106,7 @@ func BenchmarkBSRMulDense(b *testing.B) {
 			b.Run(fmt.Sprintf("micro/bs%dk%d", bs, k), func(b *testing.B) {
 				b.SetBytes(flops)
 				for i := 0; i < b.N; i++ {
-					m.MulDenseInto(out, x, nil, tensor.ActNone)
+					m.MulInto(out, 0, xb, 0, m.BlockRows, nil, tensor.ActNone)
 				}
 			})
 		}

@@ -64,10 +64,20 @@ func TestBSRMulDenseMatchesDense(t *testing.T) {
 	if !tensor.AlmostEqual(want, got, 1e-4) {
 		t.Fatalf("BSR MulDense mismatch: %v", tensor.MaxAbsDiff(want, got))
 	}
-	wantT := tensor.MatMul(b.ToDense().Transpose(), tensor.FromSlice(16, 7, x.Data))
-	gotT := b.TransposeMulDense(x)
-	if !tensor.AlmostEqual(wantT, gotT, 1e-4) {
-		t.Fatalf("BSR TransposeMulDense mismatch: %v", tensor.MaxAbsDiff(wantT, gotT))
+	// The batch-major kernels: y = x·Wᵀ and dX = dY·W, one sample per
+	// row.
+	xb := x.Transpose()
+	gotB := tensor.New(7, 16)
+	b.MulInto(gotB, 0, xb, 0, b.BlockRows, nil, tensor.ActNone)
+	if wantB := tensor.MatMul(xb, b.ToDense().Transpose()); !tensor.AlmostEqual(wantB, gotB, 1e-4) {
+		t.Fatalf("BSR MulInto mismatch: %v", tensor.MaxAbsDiff(wantB, gotB))
+	}
+	rowMajor := make([]float32, len(b.Blocks))
+	b.TransposeBlocks(rowMajor)
+	gotT := tensor.New(7, 16)
+	b.InputGradInto(gotT, xb, rowMajor)
+	if wantT := tensor.MatMul(xb, b.ToDense()); !tensor.AlmostEqual(wantT, gotT, 1e-4) {
+		t.Fatalf("BSR InputGradInto mismatch: %v", tensor.MaxAbsDiff(wantT, gotT))
 	}
 }
 
@@ -82,7 +92,7 @@ func TestBSRAccumulateOuterMatchesDense(t *testing.T) {
 	dY.FillRandom(rng, 1)
 	x := tensor.New(5, 8) // batch-major
 	x.FillRandom(rng, 1)
-	b.AccumulateOuter(dY, x, 1)
+	b.AccumulateOuter(dY.Transpose(), x, 1)
 	// Dense gradient masked to the stored blocks.
 	full := tensor.MatMul(dY, x)
 	dense := b.ToDense()
@@ -115,6 +125,10 @@ func TestBSRFlops(t *testing.T) {
 	}
 }
 
+// TestBSRMulDenseRowsIntoMatchesFull checks MulInto over block-row
+// windows, the kernel a tensor-parallel shard runs, against the full
+// product bit for bit, at five samples and at one, and that it leaves
+// the columns outside its window alone.
 func TestBSRMulDenseRowsIntoMatchesFull(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	pattern := [][2]int{{0, 0}, {0, 2}, {1, 1}, {2, 0}, {2, 3}, {3, 3}}
@@ -125,21 +139,29 @@ func TestBSRMulDenseRowsIntoMatchesFull(t *testing.T) {
 	for i := range b.Blocks {
 		b.Blocks[i] = rng.Float32()*2 - 1
 	}
-	// k = 5 takes the batch-tiled kernel, k = 1 the one-column one.
+	const guard = 3
 	for _, k := range []int{5, 1} {
-		x := tensor.New(16, k)
+		x := tensor.New(k, 16)
 		x.FillRandom(rng, 1)
-		full := b.MulDense(x)
+		full := b.MulDense(x.Transpose()).Transpose()
 
 		for _, window := range [][2]int{{0, 4}, {0, 2}, {2, 4}, {1, 3}} {
 			br0, br1 := window[0], window[1]
-			out := tensor.New((br1-br0)*b.BlockSize, x.Cols)
-			b.MulDenseRowsInto(out, x, br0, br1)
-			for r := 0; r < out.Rows; r++ {
+			w := (br1 - br0) * b.BlockSize
+			out := tensor.New(k, w+2*guard)
+			for i := range out.Data {
+				out.Data[i] = -7
+			}
+			b.MulInto(out, guard, x, br0, br1, nil, tensor.ActNone)
+			for r := 0; r < k; r++ {
 				for c := 0; c < out.Cols; c++ {
-					if out.At(r, c) != full.At(br0*b.BlockSize+r, c) {
+					want := float32(-7)
+					if c >= guard && c < guard+w {
+						want = full.At(r, br0*b.BlockSize+c-guard)
+					}
+					if out.At(r, c) != want {
 						t.Fatalf("k=%d window [%d,%d): (%d,%d) = %v, want %v (not bit-for-bit)",
-							k, br0, br1, r, c, out.At(r, c), full.At(br0*b.BlockSize+r, c))
+							k, br0, br1, r, c, out.At(r, c), want)
 					}
 				}
 			}
@@ -152,10 +174,14 @@ func TestBSRMulDenseRowsIntoPanics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := tensor.New(8, 2)
+	x := tensor.New(2, 8)
 	for name, fn := range map[string]func(){
-		"bad window":   func() { b.MulDenseRowsInto(tensor.New(4, 2), x, 1, 3) },
-		"bad dst rows": func() { b.MulDenseRowsInto(tensor.New(8, 2), x, 0, 1) },
+		"bad window":      func() { b.MulInto(tensor.New(2, 4), 0, x, 1, 3, nil, tensor.ActNone) },
+		"bad dst cols":    func() { b.MulInto(tensor.New(2, 8), 1, x, 0, 2, nil, tensor.ActNone) },
+		"bad dst rows":    func() { b.MulInto(tensor.New(3, 8), 0, x, 0, 2, nil, tensor.ActNone) },
+		"bad bias":        func() { b.MulInto(tensor.New(2, 8), 0, x, 0, 1, make([]float32, 8), tensor.ActNone) },
+		"bad x width":     func() { b.MulInto(tensor.New(2, 8), 0, tensor.New(2, 4), 0, 2, nil, tensor.ActNone) },
+		"short row-major": func() { b.InputGradInto(tensor.New(2, 8), tensor.New(2, 8), make([]float32, 4)) },
 	} {
 		func() {
 			defer func() {
@@ -169,9 +195,9 @@ func TestBSRMulDenseRowsIntoPanics(t *testing.T) {
 }
 
 // TestBSRMulDenseBiasActMatchesUnfused pins the fused block-sparse
-// epilogue of MulDenseInto (pixelfly's fused final stage without a
-// low-rank term) to the unfused MulDense + bias broadcast + activation
-// chain, bit-for-bit.
+// epilogue of MulInto (pixelfly's fused final stage without a low-rank
+// term) to the unfused MulDense + bias broadcast + activation chain,
+// bit-for-bit.
 func TestBSRMulDenseBiasActMatchesUnfused(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	pattern := [][2]int{{0, 0}, {0, 2}, {1, 1}, {2, 3}, {3, 0}, {3, 3}}
@@ -182,26 +208,27 @@ func TestBSRMulDenseBiasActMatchesUnfused(t *testing.T) {
 	for i := range b.Blocks {
 		b.Blocks[i] = rng.Float32()*2 - 1
 	}
-	x := tensor.New(16, 5)
+	x := tensor.New(5, 16)
 	x.FillRandom(rng, 1)
 	bias := make([]float32, 16)
 	for i := range bias {
 		bias[i] = rng.Float32()*2 - 1
 	}
 
-	want := b.MulDense(x)
+	ref := b.MulDense(x.Transpose()).Transpose()
+	want := ref.Clone()
 	for i := 0; i < want.Rows; i++ {
 		row := want.Row(i)
 		for j, v := range row {
-			v += bias[i]
+			v += bias[j]
 			if !(v > 0) {
 				v = 0
 			}
 			row[j] = v
 		}
 	}
-	got := tensor.New(16, 5)
-	b.MulDenseInto(got, x, bias, tensor.ActReLU)
+	got := tensor.New(5, 16)
+	b.MulInto(got, 0, x, 0, b.BlockRows, bias, tensor.ActReLU)
 	for i := range want.Data {
 		if want.Data[i] != got.Data[i] {
 			t.Fatalf("element %d differs: %g vs %g", i, want.Data[i], got.Data[i])
@@ -209,12 +236,53 @@ func TestBSRMulDenseBiasActMatchesUnfused(t *testing.T) {
 	}
 
 	// nil bias, no activation degenerates to MulDense exactly.
-	plain := tensor.New(16, 5)
-	b.MulDenseInto(plain, x, nil, tensor.ActNone)
-	ref := b.MulDense(x)
+	plain := tensor.New(5, 16)
+	b.MulInto(plain, 0, x, 0, b.BlockRows, nil, tensor.ActNone)
 	for i := range ref.Data {
 		if ref.Data[i] != plain.Data[i] {
 			t.Fatalf("nil-epilogue element %d differs", i)
+		}
+	}
+}
+
+// TestFillRowMajor checks that FillRowMajor hands out values in logical
+// row-major order within each block, blocks in RowPtr order.
+func TestFillRowMajor(t *testing.T) {
+	b, err := NewBSR(6, 9, 3, [][2]int{{1, 2}, {0, 1}, {1, 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := float32(0)
+	b.FillRowMajor(func() float32 { next++; return next })
+	d := b.ToDense()
+	for n, blk := range [][2]int{{0, 1}, {1, 0}, {1, 2}} { // RowPtr order
+		for r := 0; r < 3; r++ {
+			for c := 0; c < 3; c++ {
+				if got, want := d.At(blk[0]*3+r, blk[1]*3+c), float32(9*n+3*r+c+1); got != want {
+					t.Fatalf("block %v entry (%d,%d) = %v, want %v", blk, r, c, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestTransposeBlocks checks the row-major copy against Block's
+// transposed layout, at block sizes on and off the copy's tile edge.
+func TestTransposeBlocks(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	for _, bs := range []int{1, 3, 8, 13, 64} {
+		b := holeyBSR(t, rng, 3, 4, bs)
+		rowMajor := make([]float32, len(b.Blocks))
+		b.TransposeBlocks(rowMajor)
+		for n := 0; n < b.NumBlocks(); n++ {
+			blk, rm := b.Block(n), rowMajor[n*bs*bs:(n+1)*bs*bs]
+			for r := 0; r < bs; r++ {
+				for c := 0; c < bs; c++ {
+					if rm[r*bs+c] != blk[c*bs+r] {
+						t.Fatalf("bs=%d block %d entry (%d,%d): %v, want %v", bs, n, r, c, rm[r*bs+c], blk[c*bs+r])
+					}
+				}
+			}
 		}
 	}
 }

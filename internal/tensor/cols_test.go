@@ -129,28 +129,6 @@ func TestAddRowVectorCols(t *testing.T) {
 	}
 }
 
-func TestTransposeIntoCols(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	const n, batch = 12, 5
-	src := New(n, batch) // feature-major, like a BSR product
-	src.FillRandom(rng, 1)
-	want := src.Transpose() // batch×n
-
-	got := New(batch, n)
-	// Transpose row windows [0,5) and [5,12) of src into column windows.
-	top := New(5, batch)
-	copy(top.Data, src.Data[:5*batch])
-	bot := New(n-5, batch)
-	copy(bot.Data, src.Data[5*batch:])
-	TransposeIntoCols(got, 0, top)
-	TransposeIntoCols(got, 5, bot)
-	for i := range got.Data {
-		if got.Data[i] != want.Data[i] {
-			t.Fatalf("element %d = %v, want %v", i, got.Data[i], want.Data[i])
-		}
-	}
-}
-
 func TestAddInPlaceColsAndCopyCols(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	const rows, cols = 3, 8

@@ -1,6 +1,10 @@
 package tensor
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/tensor/microkernel"
+)
 
 // Activation identifies the elementwise nonlinearity an epilogue-aware
 // kernel applies as it writes each output element. The fusion contract of
@@ -28,35 +32,15 @@ func (a Activation) String() string {
 	}
 }
 
-// Apply returns act(v) — the single definition of each activation's
-// float32 semantics (ReLU clamps non-positives, including NaN, to zero,
-// matching nn.ReLU's inference comparison). Every fused kernel, in this
-// package and in the operator packages, finishes its elements through
-// this method so the fused-vs-unfused bit-for-bit contract has exactly
-// one implementation to agree with.
+// Apply returns act(v): the activation's float32 semantics, ReLU being
+// microkernel.ReLU (non-positives, including NaN, clamp to +0), the one
+// ReLU every fused kernel and nn.ReLU run, so the fused-vs-unfused
+// bit-for-bit contract has exactly one implementation to agree with.
 func (a Activation) Apply(v float32) float32 {
-	if a == ActReLU && !(v > 0) {
-		return 0
+	if a == ActReLU {
+		return microkernel.ReLU(v)
 	}
 	return v
-}
-
-// epilogueRow applies the fused tail of a linear layer to one finished
-// output row (or row window): add the bias, then the activation. bias may
-// be nil and is indexed relative to the row slice.
-func epilogueRow(row, bias []float32, act Activation) {
-	if bias != nil {
-		for j, v := range row {
-			row[j] = act.Apply(v + bias[j])
-		}
-		return
-	}
-	if act == ActNone {
-		return
-	}
-	for j, v := range row {
-		row[j] = act.Apply(v)
-	}
 }
 
 // ApplyBiasActInto writes act(x + bias) into dst in one sweep: the generic
@@ -73,7 +57,7 @@ func ApplyBiasActInto(dst, x *Matrix, bias []float32, act Activation) {
 		if dst != x {
 			copy(row, src)
 		}
-		epilogueRow(row, bias, act)
+		microkernel.EpilogueRow(row, bias, act == ActReLU)
 	}
 }
 
@@ -96,7 +80,7 @@ func MatMulBiasActInto(dst, a, b *Matrix, bias []float32, act Activation) {
 	dst.Zero()
 	for i := 0; i < a.Rows; i++ {
 		matMulRows(a, b, dst, i, i+1)
-		epilogueRow(dst.Row(i), bias, act)
+		microkernel.EpilogueRow(dst.Row(i), bias, act == ActReLU)
 	}
 }
 
@@ -113,7 +97,7 @@ func AddInPlaceBiasAct(dst, src *Matrix, bias []float32, act Activation) {
 		for j := range row {
 			row[j] += s[j]
 		}
-		epilogueRow(row, bias, act)
+		microkernel.EpilogueRow(row, bias, act == ActReLU)
 	}
 }
 
@@ -131,28 +115,6 @@ func AddInPlaceColsBiasAct(dst *Matrix, lo int, src *Matrix, bias []float32, act
 		for j := range row {
 			row[j] += s[j]
 		}
-		epilogueRow(row, bias, act)
-	}
-}
-
-// TransposeIntoColsBiasAct writes act(mᵀ + bias) into the column window
-// [dstLo, dstLo+m.Rows) of dst — the fused tail of a sharded pixelfly step
-// without a low-rank term. bias is indexed by m's row (the dst column
-// offset within the window) and may be nil. dst must not alias m.
-func TransposeIntoColsBiasAct(dst *Matrix, dstLo int, m *Matrix, bias []float32, act Activation) {
-	if dst.Rows != m.Cols {
-		panic(fmt.Sprintf("tensor: TransposeIntoColsBiasAct dst rows %d != src cols %d", dst.Rows, m.Cols))
-	}
-	checkColWindow("TransposeIntoColsBiasAct", dst, dstLo, m.Rows)
-	checkBiasLen("TransposeIntoColsBiasAct", bias, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		base := i * m.Cols
-		for j := 0; j < m.Cols; j++ {
-			v := m.Data[base+j]
-			if bias != nil {
-				v += bias[i]
-			}
-			dst.Data[j*dst.Cols+dstLo+i] = act.Apply(v)
-		}
+		microkernel.EpilogueRow(row, bias, act == ActReLU)
 	}
 }

@@ -179,27 +179,3 @@ func TestAddInPlaceBiasAct(t *testing.T) {
 	AddInPlaceColsBiasAct(gotW, lo, src, bias, ActReLU)
 	assertBitIdentical(t, "window", wantW, gotW)
 }
-
-// TestTransposeIntoColsBiasAct pins the fused transpose-back epilogue
-// (sharded pixelfly without a low-rank term) to the unfused chain.
-func TestTransposeIntoColsBiasAct(t *testing.T) {
-	rng := rand.New(rand.NewSource(16))
-	const feats, batch, full, lo = 6, 4, 10, 2
-	m := randomMatrix(rng, feats, batch) // feature-major product slice
-	bias := randomBias(rng, feats)
-
-	want := New(batch, full)
-	TransposeIntoCols(want, lo, m)
-	AddRowVectorCols(want, lo, bias)
-	for i := 0; i < batch; i++ {
-		row := want.Row(i)[lo : lo+feats]
-		for j, v := range row {
-			if !(v > 0) {
-				row[j] = 0
-			}
-		}
-	}
-	got := New(batch, full)
-	TransposeIntoColsBiasAct(got, lo, m, bias, ActReLU)
-	assertBitIdentical(t, "window", want, got)
-}

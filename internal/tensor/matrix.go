@@ -274,23 +274,6 @@ func checkColWindow(op string, dst *Matrix, lo, w int) {
 	}
 }
 
-// TransposeIntoCols writes mᵀ into the column window [dstLo, dstLo+m.Rows)
-// of dst (dst.Rows == m.Cols). The sharded pixelfly step uses it to land
-// its slice of a feature-major product back into the batch-major
-// activation arena. dst must not alias m.
-func TransposeIntoCols(dst *Matrix, dstLo int, m *Matrix) {
-	if dst.Rows != m.Cols {
-		panic(fmt.Sprintf("tensor: TransposeIntoCols dst rows %d != src cols %d", dst.Rows, m.Cols))
-	}
-	checkColWindow("TransposeIntoCols", dst, dstLo, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		base := i * m.Cols
-		for j := 0; j < m.Cols; j++ {
-			dst.Data[j*dst.Cols+dstLo+i] = m.Data[base+j]
-		}
-	}
-}
-
 // CopyCols copies columns [srcLo, srcLo+w) of src into columns
 // [dstLo, dstLo+w) of dst (same row count).
 func CopyCols(dst *Matrix, dstLo int, src *Matrix, srcLo, w int) {

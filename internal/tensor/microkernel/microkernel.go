@@ -29,11 +29,11 @@
 //   - AccRow, the strided row accumulate dst[j] += Σ_p a[p]·b[p][j] of
 //     everything that is not packed: tensor's row-major products
 //     (MatMulInto, MatMulParallel, MatMulBiasActInto; the training
-//     products, the low-rank terms) and the BSR block kernels of
-//     internal/sparse (block rows, block columns, weight-gradient
-//     entries). 32 columns stay in YMM registers across every term on
-//     the AVX2 lane (accrow_amd64.s); the Go lane adds four terms per
-//     pass over dst. tensor's products skip zero terms of a, as their
+//     products, the low-rank terms) and the BSR products of
+//     internal/sparse (one call per stored block and sample, or per
+//     block column for the weight gradient). 32 columns stay in YMM
+//     registers across every term on the AVX2 lane (accrow_amd64.s); the
+//     Go lane adds four terms per pass over dst. tensor's products skip zero terms of a, as their
 //     reference loop always has, so the sign of an exact zero is kept.
 //     On the AVX2 lane the skip costs no branch: a skipped term adds −0
 //     in place of its products, which leaves every float32 accumulator's
@@ -42,6 +42,8 @@
 //     structural at block granularity (absent blocks), and a stored
 //     block is dense by construction.
 package microkernel
+
+import "math"
 
 // NR is the width of MatMul's tile: one output row, NR columns,
 // accumulated against a packed B panel; one panel is one YMM register on
@@ -88,8 +90,8 @@ func PackB(dst, b []float32, n, k int) {
 // n×k matrix packed by PackB. Row i of a starts at a[i*aStride] and is n
 // long; row i of the output occupies dst[i*dstStride+dstOff :
 // i*dstStride+dstOff+k] (dstOff supports column-window outputs). bias,
-// when non-nil, is window-relative (length k). relu applies the
-// reference ReLU semantic (!(v > 0) → 0) after the bias add.
+// when non-nil, is window-relative (length k). relu applies ReLU after
+// the bias add.
 //
 // Per output element the accumulation is Σ_p a[p]*b[p][j] with p
 // ascending from a zero accumulator — exactly the reference
@@ -262,7 +264,7 @@ func mul1x8(dst, a, pan []float32, n, w int) {
 	copy(dst[:w], tmp[:w])
 }
 
-// epilogueRows runs epilogueRow over rows [r0,r1) of MatMul's output
+// epilogueRows runs EpilogueRow over rows [r0,r1) of MatMul's output
 // window.
 func epilogueRows(dst []float32, dstStride, dstOff, r0, r1, k int, bias []float32, relu bool) {
 	if bias == nil && !relu {
@@ -270,32 +272,54 @@ func epilogueRows(dst []float32, dstStride, dstOff, r0, r1, k int, bias []float3
 	}
 	for row := r0; row < r1; row++ {
 		off := row*dstStride + dstOff
-		epilogueRow(dst[off:off+k], bias, relu)
+		EpilogueRow(dst[off:off+k], bias, relu)
 	}
 }
 
-// epilogueRow applies bias (window-relative) and the reference ReLU
-// semantic in place, matching tensor's epilogueRow bit-for-bit.
-func epilogueRow(row, bias []float32, relu bool) {
+// EpilogueRow finishes one output row (or row window) of a linear layer
+// in place: row[j] + bias[j] (bias window-relative; nil adds nothing),
+// then ReLU when relu is set. It is the fused tail of every kernel that
+// finishes its own rows.
+func EpilogueRow(row, bias []float32, relu bool) {
 	if bias != nil {
 		bias = bias[:len(row):len(row)]
-		for j := range row {
-			v := row[j] + bias[j]
-			if relu && !(v > 0) {
-				v = 0
+		if relu {
+			for j, v := range row {
+				row[j] = ReLU(v + bias[j])
 			}
-			row[j] = v
+			return
+		}
+		for j, v := range row {
+			row[j] = v + bias[j]
 		}
 		return
 	}
-	if !relu {
-		return
-	}
-	for j := range row {
-		if !(row[j] > 0) {
-			row[j] = 0
+	if relu {
+		for j, v := range row {
+			row[j] = ReLU(v)
 		}
 	}
+}
+
+// ReLU returns v where v > 0 and +0 elsewhere: −0, the negatives and NaN
+// of either sign give +0. It is the one ReLU of every kernel and layer.
+// It selects on the float's bits instead of branching on v's sign, which
+// a ReLU's inputs flip at random: v > 0 holds exactly when bits−1 <
+// 0x7f800000 as uint32 (positive subnormals through +Inf; the wrap takes
+// +0 to the top).
+func ReLU(v float32) float32 {
+	return Keep(v, math.Float32bits(v)-1 < 0x7f800000)
+}
+
+// Keep returns v when keep is set and +0 otherwise, without a branch: the
+// compiler turns the conditional into a SETcc, and the select is an AND
+// with the mask that makes.
+func Keep(v float32, keep bool) float32 {
+	var m uint32
+	if keep {
+		m = 1
+	}
+	return math.Float32frombits(math.Float32bits(v) & -m)
 }
 
 // fwhtChunk is the pass-blocking size for large transforms: 2048
