@@ -82,3 +82,50 @@ func TestScratchDeclaresApplyInto(t *testing.T) {
 		}
 	}
 }
+
+// TestLowRankApplyColsIntoAssemblesApplyInto pins the tensor-parallel
+// window form of the low-rank transform: windows at any column bounds,
+// each through a workspace of its own, assemble ApplyInto bit for bit,
+// leave every column outside them alone, and take exactly the
+// ColsScratch they declare.
+func TestLowRankApplyColsIntoAssemblesApplyInto(t *testing.T) {
+	const n, rows = 40, 3
+	rng := rand.New(rand.NewSource(58))
+	l := NewLowRank(n, 5, rng)
+	x := tensor.New(rows, n)
+	x.FillRandom(rng, 1)
+	bias := make([]float32, n)
+	for i := range bias {
+		bias[i] = rng.Float32()*2 - 1
+	}
+	want := tensor.New(rows, n)
+	l.ApplyInto(want, x, tensor.NewWorkspace(l.Scratch(rows)), bias, tensor.ActReLU)
+	for _, pts := range [][]int{{0, n}, {0, 13, 27, n}, {0, 1, 1, n - 1, n}} {
+		got := tensor.New(rows, n)
+		for i := range got.Data {
+			got.Data[i] = 99
+		}
+		for k := 0; k+1 < len(pts); k++ {
+			lo, hi := pts[k], pts[k+1]
+			ws := tensor.NewWorkspace(tensor.Scratch{})
+			ws.Reset()
+			l.ApplyColsInto(got, x, ws, lo, hi, bias[lo:hi], tensor.ActReLU)
+			ws.Reset()
+			if got, want := ws.Capacity(), l.ColsScratch(rows, hi-lo); got != want {
+				t.Errorf("window [%d,%d): took %+v, ColsScratch declares %+v", lo, hi, got, want)
+			}
+			for r := 0; r < rows; r++ {
+				for j, v := range got.Row(r)[hi:] {
+					if v != 99 {
+						t.Fatalf("window [%d,%d) wrote column %d", lo, hi, hi+j)
+					}
+				}
+			}
+		}
+		for i := range want.Data {
+			if want.Data[i] != got.Data[i] {
+				t.Fatalf("windows %v: data[%d] = %v, want %v", pts, i, got.Data[i], want.Data[i])
+			}
+		}
+	}
+}

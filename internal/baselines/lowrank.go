@@ -110,13 +110,23 @@ func (l *LowRank) Apply(x *tensor.Matrix) *tensor.Matrix {
 }
 
 // ApplyInto is Apply writing into caller-owned dst (shape x.Rows×N, fully
-// overwritten), staging X·V through the workspace, with the bias add and
-// activation folded into the wide back-projection through Uᵀ — the final
-// matmul finishes each output row and applies the epilogue before the row
-// leaves cache. Same kernels as Apply: bit-for-bit act(Apply(x) + bias).
-// bias may be nil; a nil bias with ActNone is the plain product. dst must
-// not alias x.
+// overwritten), with the bias add and activation folded into the wide
+// back-projection through Uᵀ: it is ApplyColsInto's window [0, N). Same
+// kernels as Apply: bit-for-bit act(Apply(x) + bias). bias may be nil; a
+// nil bias with ActNone is the plain product. dst must not alias x.
 func (l *LowRank) ApplyInto(dst, x *tensor.Matrix, ws *tensor.Workspace, bias []float32, act tensor.Activation) {
+	l.ApplyColsInto(dst, x, ws, 0, l.N, bias, act)
+}
+
+// ApplyColsInto writes columns [lo, hi) of act(Apply(x) + bias) into the
+// same columns of dst (shape x.Rows×N; the other columns are untouched),
+// the window one tensor-parallel shard computes: it stages X·V (rows×r)
+// through the workspace and back-projects it through the window of the
+// cached Uᵀ, read in place through its row stride, with the bias
+// (window-relative, may be nil) and activation folded into each finished
+// row. Every element runs Apply's chain, so windows assembled across
+// shards are bit for bit the full product. dst must not alias x.
+func (l *LowRank) ApplyColsInto(dst, x *tensor.Matrix, ws *tensor.Workspace, lo, hi int, bias []float32, act tensor.Activation) {
 	if x.Cols != l.N {
 		panic(fmt.Sprintf("baselines: LowRank input width %d != %d", x.Cols, l.N))
 	}
@@ -125,14 +135,21 @@ func (l *LowRank) ApplyInto(dst, x *tensor.Matrix, ws *tensor.Workspace, bias []
 	}
 	xv := ws.Take(x.Rows, l.Rank)
 	tensor.MatMulInto(xv, x, l.V)
-	tensor.MatMulBiasActInto(dst, xv, l.ut, bias, act)
+	tensor.MatMulColsBiasActInto(dst, lo, xv, l.ut, lo, hi, bias, act)
 }
 
-// Scratch is ApplyInto's workspace demand at rows rows: the rows×rank
-// product X·V.
-func (l *LowRank) Scratch(rows int) tensor.Scratch {
+// Scratch is ApplyInto's workspace demand at rows rows: its window's.
+func (l *LowRank) Scratch(rows int) tensor.Scratch { return l.ColsScratch(rows, l.N) }
+
+// ColsScratch is ApplyColsInto's workspace demand for a window of cols
+// columns at rows rows: the rows×rank product X·V, whatever the window.
+func (l *LowRank) ColsScratch(rows, cols int) tensor.Scratch {
 	return tensor.Scratch{Floats: rows * l.Rank, Headers: 1}
 }
+
+// ColsAlign is the multiple ApplyColsInto's window bounds fall on: any
+// column.
+func (l *LowRank) ColsAlign() int { return 1 }
 
 // Backward accumulates dU, dV and returns dX.
 func (l *LowRank) Backward(dY *tensor.Matrix) *tensor.Matrix {

@@ -402,6 +402,55 @@ func applyFactorRowsEpilogue(f *Factor, in, out *tensor.Matrix, bias []float32, 
 	}
 }
 
+// PermuteColsInto writes columns [lo, hi) of x's rows reordered by Perm
+// into the same columns of dst, dst[r][i] = x[r][Perm[i]] (a copy of the
+// window for a nil Perm): the first pass of a tensor-parallel shard's
+// window of the butterfly, ApplyInto's permutation on the window's
+// columns. dst must not alias x.
+func (b *Butterfly) PermuteColsInto(dst, x *tensor.Matrix, lo, hi int) {
+	for r := 0; r < x.Rows; r++ {
+		src, out := x.Row(r), dst.Row(r)
+		if b.Perm == nil {
+			copy(out[lo:hi], src[lo:hi])
+			continue
+		}
+		for i, p := range b.Perm[lo:hi] {
+			out[lo+i] = src[p]
+		}
+	}
+}
+
+// ApplyColsInto writes output columns [lo, hi) of one application of the
+// factor into the same columns of dst, reading whichever columns of x the
+// window's pairs need: each lies in the aligned 2^Stage-column block
+// around its output, possibly outside the window, which a tensor-parallel
+// shard reads from the columns another shard wrote the pass before. Each
+// element is produced by the expression applyFactorRows uses, so a sweep
+// assembled from windows is bit for bit the full sweep. The epilogue —
+// bias (window-relative, nil for none) then activation — is applied as
+// each element is produced, as applyFactorRowsEpilogue does.
+func (f *Factor) ApplyColsInto(dst, x *tensor.Matrix, lo, hi int, bias []float32, act tensor.Activation) {
+	h := 1 << (f.Stage - 1)
+	for r := 0; r < x.Rows; r++ {
+		src, out := x.Row(r), dst.Row(r)
+		for i := lo; i < hi; i++ {
+			var v float32
+			if i&h == 0 {
+				p := (i>>uint(f.Stage))*h + i&(h-1)
+				v = f.A[p]*src[i] + f.B[p]*src[i+h]
+			} else {
+				top := i - h
+				p := (top>>uint(f.Stage))*h + top&(h-1)
+				v = f.C[p]*src[top] + f.D[p]*src[i]
+			}
+			if bias != nil {
+				v += bias[i-lo]
+			}
+			out[i] = act.Apply(v)
+		}
+	}
+}
+
 // Backward propagates dY (batch × N) through the butterfly, accumulating
 // parameter gradients (into GradA..GradD / GradTheta) and returning dX.
 // Forward must have been called first. It runs in two fan-outs over

@@ -129,3 +129,51 @@ func TestScratchDeclaresApplyInto(t *testing.T) {
 		}
 	}
 }
+
+// TestColsPassesMatchApplyInto assembles the tensor-parallel window form
+// — PermuteColsInto, then every factor's ApplyColsInto, each pass written
+// window by window with the bias and activation on the last — and pins
+// it to ApplyInto bit for bit at 1, 2, 4 and 8 equal windows, so the top
+// stages read the partner columns other windows wrote, with the
+// bit-reversal permutation and without one.
+func TestColsPassesMatchApplyInto(t *testing.T) {
+	const n, rows = 64, 3
+	rng := rand.New(rand.NewSource(61))
+	for _, b := range []*Butterfly{New(n, Dense2x2, rng), New(n, Rotation, rng), NewHadamard(n)} {
+		x := tensor.New(rows, n)
+		x.FillRandom(rng, 1)
+		bias := make([]float32, n)
+		for i := range bias {
+			bias[i] = rng.Float32()*2 - 1
+		}
+		ws := tensor.NewWorkspace(b.Scratch(rows))
+		for _, act := range []tensor.Activation{tensor.ActNone, tensor.ActReLU} {
+			want := tensor.New(rows, n)
+			ws.Reset()
+			b.ApplyInto(want, x, ws, bias, act)
+			for _, shards := range []int{1, 2, 4, 8} {
+				w := n / shards
+				cur, next := tensor.New(rows, n), tensor.New(rows, n)
+				for k := 0; k < shards; k++ {
+					b.PermuteColsInto(cur, x, k*w, (k+1)*w)
+				}
+				for s, f := range b.Factors {
+					for k := 0; k < shards; k++ {
+						lo, hi := k*w, (k+1)*w
+						if s == len(b.Factors)-1 {
+							f.ApplyColsInto(next, cur, lo, hi, bias[lo:hi], act)
+						} else {
+							f.ApplyColsInto(next, cur, lo, hi, nil, tensor.ActNone)
+						}
+					}
+					cur, next = next, cur
+				}
+				for i := range want.Data {
+					if want.Data[i] != cur.Data[i] {
+						t.Fatalf("perm=%t %v shards=%d: data[%d] = %v, want %v", b.Perm != nil, act, shards, i, cur.Data[i], want.Data[i])
+					}
+				}
+			}
+		}
+	}
+}

@@ -217,16 +217,19 @@ func TestEquivalenceFuzzPixelflyNoLowRank(t *testing.T) {
 }
 
 // FuzzPlanExecute is the plan's independent second check: a randomized
-// SHL of any family, compiled fused and unfused and sharded (pipeline,
+// SHL of any family, or the compressed dense SHL (nn.Compress, as
+// TestEquivalenceFuzzCompressed builds it, whose head is a
+// FactorizedDense), compiled fused and unfused and sharded (pipeline,
 // and tensor-parallel where the plan splits, at 2 and 4 shards), and the
 // fused plan's instances at MaxBatch 1 and MaxBatch/2, must produce
 // exactly Infer's output for arbitrary finite features. Elements
 // must be equal, or NaN on both sides: finite inputs can overflow to ±Inf
 // inside a layer and then meet an Inf of the other sign, which both paths
-// turn into NaN. The fuzzer drives the family, the width (from
-// methodWidths), the class count, MaxBatch, the batch rows, the weight
-// seed and the feature bits; NaN and ±Inf features are mapped to finite
-// values, as JSON can carry only finite features.
+// turn into NaN. The fuzzer drives the family (the compressed net is
+// family len(nn.AllMethods)), the width (from methodWidths), the class
+// count, MaxBatch, the batch rows, the weight seed and the feature bits;
+// NaN and ±Inf features are mapped to finite values, as JSON can carry
+// only finite features.
 func FuzzPlanExecute(f *testing.F) {
 	// Edge values every seed starts with: signed zeros, the largest
 	// finite magnitudes and subnormals.
@@ -253,9 +256,18 @@ func FuzzPlanExecute(f *testing.F) {
 	pix := uint8(slices.Index(nn.AllMethods, nn.Pixelfly))
 	f.Add(pix, uint8(0), uint8(3), uint8(0), uint8(0), int64(200), seedFeats(200))
 	f.Add(pix, uint8(1), uint8(9), uint8(4), uint8(5), int64(201), seedFeats(201))
+	// The compressed net at width 64 and MaxBatch 5: its 10-class
+	// FactorizedDense head splits into panel windows at 2 shards, and
+	// leaves shards idle at 4.
+	f.Add(uint8(len(nn.AllMethods)), uint8(3), uint8(8), uint8(4), uint8(4), int64(300), seedFeats(300))
 	topo := shard.DefaultTopology(4)
 	f.Fuzz(func(t *testing.T, family, width, classes, maxBatch, rows uint8, seed int64, feats []byte) {
-		method := nn.AllMethods[int(family)%len(nn.AllMethods)]
+		fam := int(family) % (len(nn.AllMethods) + 1)
+		compressed := fam == len(nn.AllMethods)
+		method := nn.Baseline
+		if !compressed {
+			method = nn.AllMethods[fam]
+		}
 		widths := methodWidths(method)
 		n := widths[int(width)%len(widths)]
 		nc := 2 + int(classes)%11
@@ -268,6 +280,12 @@ func FuzzPlanExecute(f *testing.F) {
 			}
 		}
 		net := nn.BuildSHL(method, n, nc, rand.New(rand.NewSource(seed)))
+		if compressed {
+			var err error
+			if net, _, err = net.Compress(nn.CompressOptions{Tolerance: 0.7, Seed: 9}); err != nil {
+				t.Fatalf("Compress: %v", err)
+			}
+		}
 		want := net.Infer(x)
 
 		fused, err := net.CompilePlan(mb)

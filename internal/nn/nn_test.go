@@ -184,26 +184,26 @@ func TestReLU(t *testing.T) {
 				}
 			}},
 			{"reluInto", func(dst *tensor.Matrix) { reluInto(dst, x, nil) }},
-			{"tensor.ApplyBiasActInto", func(dst *tensor.Matrix) { tensor.ApplyBiasActInto(dst, x, bias, tensor.ActReLU) }},
-			{"tensor.AddInPlaceBiasAct", func(dst *tensor.Matrix) {
-				copy(dst.Data, x.Data)
-				tensor.AddInPlaceBiasAct(dst, tensor.New(rows, cols), bias, tensor.ActReLU)
+			{"reluCols", func(dst *tensor.Matrix) {
+				reluCols(dst, x, nil, 0, cols/2)
+				reluCols(dst, x, nil, cols/2, cols)
 			}},
+			{"tensor.ApplyBiasActInto", func(dst *tensor.Matrix) { tensor.ApplyBiasActInto(dst, x, bias, tensor.ActReLU) }},
 			{"tensor.AddInPlaceColsBiasAct", func(dst *tensor.Matrix) {
 				copy(dst.Data, x.Data)
 				tensor.AddInPlaceColsBiasAct(dst, 0, tensor.New(rows, cols), bias, tensor.ActReLU)
 			}},
-			{"tensor.MatMulBiasActInto", func(dst *tensor.Matrix) {
+			{"tensor.MatMulColsBiasActInto", func(dst *tensor.Matrix) {
 				for i := 0; i < rows; i++ {
 					d := tensor.New(1, cols)
-					tensor.MatMulBiasActInto(d, one, tensor.FromSlice(1, cols, x.Row(i)), bias, tensor.ActReLU)
+					tensor.MatMulColsBiasActInto(d, 0, one, tensor.FromSlice(1, cols, x.Row(i)), 0, cols, bias, tensor.ActReLU)
 					copy(dst.Row(i), d.Data)
 				}
 			}},
 			{"tensor.MatMulPackedColsBiasActInto", func(dst *tensor.Matrix) {
 				for i := 0; i < rows; i++ {
 					d := tensor.New(1, cols)
-					tensor.MatMulPackedColsBiasActInto(d, 0, one, tensor.Pack(tensor.FromSlice(1, cols, x.Row(i))), bias, tensor.ActReLU)
+					tensor.MatMulPackedColsBiasActInto(d, one, tensor.Pack(tensor.FromSlice(1, cols, x.Row(i))), 0, cols, bias, tensor.ActReLU)
 					copy(dst.Row(i), d.Data)
 				}
 			}},

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/butterfly"
 	"repro/internal/obs"
 	"repro/internal/obs/timeline"
 	"repro/internal/tensor"
@@ -127,6 +128,11 @@ type planStep struct {
 	// factor of a FactorizedDense). Built once by Pack and shared,
 	// read-only, by every Instance of the packed lowering.
 	packedW, packedA *tensor.PackedB
+	// win is the step's column-window form: lowerLayer declares its
+	// alignment and scratch, and Pack binds its passes beside run, over
+	// the same weights and packs. Align 0 means the step does not split
+	// by columns.
+	win Window
 
 	// kernel is the Into-kernel family the step executes and flopsPerRow /
 	// bytesPerRow its per-sample work and arena traffic — the static half
@@ -141,6 +147,41 @@ type planStep struct {
 // stepShape is the traffic-relevant silhouette of one step: input width
 // read, output width written, and extra arena sweeps.
 type stepShape struct{ in, out, sweeps int }
+
+// Window is the column-window form of a step's kernel: what one
+// tensor-parallel shard runs to write its window [lo, hi) of the step's
+// output, over the step's own weights and packs, so a split copies none
+// of them.
+type Window struct {
+	// Align is the multiple every window bound but the step's last column
+	// falls on: microkernel.NR for the packed matmul's panels, the block
+	// size for pixelfly, 1 otherwise; 0 for a step with no window form.
+	Align int
+	// Scratch declares what a pass takes from the workspace for a window
+	// of cols columns at rows rows; nil declares nothing.
+	Scratch func(rows, cols int) tensor.Scratch
+	// Passes run in order with a barrier between each, every shard on its
+	// own window, and the step's bias and folded activation ride the
+	// last. Nil before Pack.
+	Passes []WindowPass
+}
+
+// WindowPass is one barrier-delimited pass of a Window.
+type WindowPass struct {
+	// Tag suffixes the pass's micro-step name: "" for a step's one pass.
+	Tag string
+	// Span is the width of the aligned column blocks inside which the
+	// pass reads the previous pass's output; 0 for a first pass, which
+	// reads the whole step input. A window narrower than Span reads
+	// columns another shard wrote: on a pod, an IPU-Link exchange.
+	Span int
+	// Variant names the kernel shape the pass runs.
+	Variant string
+	// Run writes columns [lo, hi) of the pass's output into the same
+	// columns of dst (x.Rows × the step's width), reading x: the step
+	// input for the first pass, the previous pass's output after it.
+	Run func(dst, x *tensor.Matrix, ws *tensor.Workspace, lo, hi int)
+}
 
 // PlanOptions tune plan compilation.
 type PlanOptions struct {
@@ -212,8 +253,9 @@ func (s *Sequential) Lower(opts PlanOptions) (*Lowering, error) {
 
 // Pack returns a copy of the lowering whose steps carry their kernels:
 // the dense and factorised weights are packed into panels here, once, and
-// every Instance of the copy shares them read-only. The receiver is left
-// as it was, so pricing may go on reading it while Pack runs.
+// every Instance of the copy, every pipeline stage and every
+// tensor-parallel shard's window shares them read-only. The receiver is
+// left as it was, so pricing may go on reading it while Pack runs.
 func (l *Lowering) Pack() *Lowering {
 	q := *l
 	q.steps = make([]planStep, len(l.steps))
@@ -226,7 +268,7 @@ func (l *Lowering) Pack() *Lowering {
 }
 
 // Packed reports whether the lowering's steps carry kernels (Pack built
-// it), which Instance and a pipeline-sharded plan need.
+// it), which Instance and every sharded plan need.
 func (l *Lowering) Packed() bool { return l.packed }
 
 // Instance materialises a plan for batches of up to maxBatch rows over the
@@ -331,6 +373,7 @@ func fusePair(lin, actStep *planStep) (planStep, bool) {
 		act:     actStep.layer,
 		scratch: lin.scratch,
 		variant: lin.variant,
+		win:     lin.win,
 		// The fused step keeps the linear step's kernel family and adds
 		// the folded activation's element ops, matching the modelled-cost
 		// accounting in the shard layer's describePlan.
@@ -456,16 +499,6 @@ type StepInfo struct {
 // Fused reports whether the step carries a folded activation.
 func (si StepInfo) Fused() bool { return si.Kind == StepFused }
 
-// Activation returns the folded activation as the tensor-kernel enum the
-// sharded lowerings thread into their column-window epilogues (ActNone for
-// unfused steps).
-func (si StepInfo) Activation() tensor.Activation {
-	if _, ok := si.Act.(*ReLU); ok {
-		return tensor.ActReLU
-	}
-	return tensor.ActNone
-}
-
 // Step returns the introspection record of step i.
 func (l *Lowering) Step(i int) StepInfo {
 	st := &l.steps[i]
@@ -485,18 +518,24 @@ func (l *Lowering) StepLayer(i int) Layer { return l.steps[i].layer }
 // StepCols returns the output width of step i.
 func (l *Lowering) StepCols(i int) int { return l.steps[i].cols }
 
-// StepRunner returns the kernel of step i of a packed lowering (nil
-// before Pack): it writes the step's output for input x into dst
-// (x.Rows × StepCols(i)), staging scratch through the caller-owned
-// workspace, which must hold StepScratch(i, x.Rows). For fused steps the
-// kernel is the whole fused pass (multiply + bias + activation). The
-// kernel captures only the layer's weights and packs — not a plan or its
-// arenas — so kernels of one lowering may run concurrently with distinct
-// workspaces. This is the execution hook pipeline-sharded plans are built
-// on.
+// StepRunner returns the full-width kernel of step i of a packed
+// lowering (nil before Pack): it writes the step's output for input x
+// into dst (x.Rows × StepCols(i)), staging scratch through the
+// caller-owned workspace, which must hold StepScratch(i, x.Rows). For
+// fused steps the kernel is the whole fused pass (multiply + bias +
+// activation). The kernel captures only the layer's weights and packs —
+// not a plan or its arenas — so kernels of one lowering may run
+// concurrently with distinct workspaces. Pipeline-sharded plans run it on
+// a step's owning stage; tensor-parallel plans run StepWindow's passes
+// instead.
 func (l *Lowering) StepRunner(i int) func(dst, x *tensor.Matrix, ws *tensor.Workspace) {
 	return l.steps[i].run
 }
+
+// StepWindow returns the column-window form of step i, bound over the
+// same weights and packs as StepRunner: its Align is 0 when the step
+// does not split by columns, and its Passes are nil before Pack.
+func (l *Lowering) StepWindow(i int) Window { return l.steps[i].win }
 
 // Execute runs the plan over x (rows in [1, MaxBatch], cols ==
 // InputWidth) and returns the output matrix; inputs outside that contract
@@ -576,9 +615,10 @@ func inputWidth(l Layer) (int, error) {
 
 // lowerLayer emits the plan step for one layer given its input width,
 // returning the step and the layer's output width. It fixes the step's
-// shape and declares its kernel's scratch; the kernel itself is bound,
-// and dense weights packed, by Pack. Structured layers record the kernel
-// variant their transform names.
+// shape and declares its kernel's scratch, and for a column-separable
+// step its window's alignment and scratch; the kernels themselves are
+// bound, and dense weights packed, by Pack. Structured layers record the
+// kernel variant their transform names.
 func lowerLayer(l Layer, width int) (planStep, int, error) {
 	switch t := l.(type) {
 	case *Dense:
@@ -586,42 +626,72 @@ func lowerLayer(l Layer, width int) (planStep, int, error) {
 			return planStep{}, 0, fmt.Errorf("input width %d != %d", width, t.In)
 		}
 		return planStep{name: t.Name(), cols: t.Out, kind: StepLinear, sweeps: 1,
-			variant: microkernel.Variant()}, t.Out, nil
+			variant: microkernel.Variant(), win: Window{Align: microkernel.NR}}, t.Out, nil
 	case *StructuredLinear:
 		if t.N != width {
 			return planStep{}, 0, fmt.Errorf("input width %d != %d", width, t.N)
 		}
-		return planStep{name: t.Name(), cols: t.N, kind: StepLinear, sweeps: 1,
-			variant: transformVariant(t.T), scratch: t.T.Scratch}, t.N, nil
+		st := planStep{name: t.Name(), cols: t.N, kind: StepLinear, sweeps: 1,
+			variant: transformVariant(t.T), scratch: t.T.Scratch}
+		switch tr := t.T.(type) {
+		case colsTransform:
+			st.win = Window{Align: tr.ColsAlign(), Scratch: tr.ColsScratch}
+		case *butterfly.Butterfly:
+			// The window's permutation and stage sweeps stage nothing.
+			st.win = Window{Align: 1}
+		}
+		return st, t.N, nil
 	case *ReLU:
-		return planStep{name: t.Name(), cols: width, kind: StepActivation}, width, nil
+		return planStep{name: t.Name(), cols: width, kind: StepActivation, win: Window{Align: 1}}, width, nil
 	case *FactorizedDense:
 		if t.In != width {
 			return planStep{}, 0, fmt.Errorf("input width %d != %d", width, t.In)
 		}
-		// bind's kernel stages x·A, rows×rank, in the workspace.
+		// Both kernels stage x·A, rows×rank, in the workspace; a window
+		// stages the whole of it too.
 		scratch := func(rows int) tensor.Scratch { return tensor.Scratch{Floats: rows * t.Rank, Headers: 1} }
 		return planStep{name: t.Name(), cols: t.Out, kind: StepLinear, sweeps: 1,
-			variant: microkernel.Variant(), scratch: scratch}, t.Out, nil
+			variant: microkernel.Variant(), scratch: scratch,
+			win: Window{Align: microkernel.NR, Scratch: func(rows, cols int) tensor.Scratch { return scratch(rows) }}}, t.Out, nil
 	default:
 		return planStep{}, 0, fmt.Errorf("no plan lowering for layer type %T", l)
 	}
 }
 
-// bind builds the step's kernel. Dense and factorised layers pack their
-// weight panels here, so the tiled matmul streams B in panel order;
-// structured layers run their transform's ApplyInto. A fused step folds
-// the bias and activation into the kernel's final pass; an unfused linear
-// step adds the bias in a sweep of its own.
+// colsTransform is a transform whose ApplyInto is column separable
+// (pixelfly, low-rank): ApplyColsInto writes columns [lo, hi) of
+// act(Apply(x) + bias) into the same columns of dst, bias
+// window-relative, and ApplyInto is its window [0, N). ColsScratch
+// declares its workspace demand for a window of cols columns, and
+// ColsAlign the multiple its window bounds fall on.
+type colsTransform interface {
+	ApplyColsInto(dst, x *tensor.Matrix, ws *tensor.Workspace, lo, hi int, bias []float32, act tensor.Activation)
+	ColsScratch(rows, cols int) tensor.Scratch
+	ColsAlign() int
+}
+
+// bind builds the step's kernel and, for a column-separable step, its
+// window's passes over the same weights. Dense and factorised layers pack
+// their weight panels here, so the tiled matmul streams B in panel order,
+// and their windows read whole panels of those packs in place;
+// structured layers run their transform's ApplyInto, and its
+// ApplyColsInto or, for a butterfly, the permutation and stage sweeps on
+// the window. A fused step folds the bias and activation into the
+// kernel's final pass; an unfused linear step adds the bias in a sweep of
+// its own, and its window folds it in, which is the same float32 add.
 func (st *planStep) bind() {
 	var bias []float32
 	var apply func(dst, x *tensor.Matrix, ws *tensor.Workspace, bias []float32, act tensor.Activation)
+	var window func(dst, x *tensor.Matrix, ws *tensor.Workspace, lo, hi int, bias []float32, act tensor.Activation)
 	switch t := st.layer.(type) {
 	case *Dense:
 		pw := tensor.Pack(t.W)
 		st.packedW, bias = pw, t.Bias
 		apply = func(dst, x *tensor.Matrix, ws *tensor.Workspace, bias []float32, act tensor.Activation) {
 			tensor.MatMulPackedBiasActParallelInto(dst, x, pw, bias, act)
+		}
+		window = func(dst, x *tensor.Matrix, ws *tensor.Workspace, lo, hi int, bias []float32, act tensor.Activation) {
+			tensor.MatMulPackedColsBiasActInto(dst, x, pw, lo, hi, bias, act)
 		}
 	case *FactorizedDense:
 		pa, pb := tensor.Pack(t.A), tensor.Pack(t.B)
@@ -631,17 +701,37 @@ func (st *planStep) bind() {
 			tensor.MatMulPackedBiasActParallelInto(xa, x, pa, nil, tensor.ActNone)
 			tensor.MatMulPackedBiasActParallelInto(dst, xa, pb, bias, act)
 		}
+		// The rank bottleneck x·A is replicated on every shard: it is
+		// tiny, r ≪ Out.
+		window = func(dst, x *tensor.Matrix, ws *tensor.Workspace, lo, hi int, bias []float32, act tensor.Activation) {
+			xa := ws.Take(x.Rows, t.Rank)
+			tensor.MatMulPackedColsBiasActInto(xa, x, pa, 0, t.Rank, nil, tensor.ActNone)
+			tensor.MatMulPackedColsBiasActInto(dst, xa, pb, lo, hi, bias, act)
+		}
 	case *StructuredLinear:
 		bias, apply = t.Bias, t.T.ApplyInto
+		switch tr := t.T.(type) {
+		case colsTransform:
+			window = tr.ApplyColsInto
+		case *butterfly.Butterfly:
+			st.win.Passes = butterflyPasses(tr, bias, st.activation())
+		}
 	case *ReLU:
 		st.run = reluInto
+		st.win.Passes = []WindowPass{{Run: reluCols}}
 		return
 	default:
 		panic(fmt.Sprintf("nn: no kernel for lowered layer type %T", st.layer))
 	}
+	act := st.activation()
+	if window != nil {
+		st.win.Passes = []WindowPass{{Variant: st.variant, Run: func(dst, x *tensor.Matrix, ws *tensor.Workspace, lo, hi int) {
+			window(dst, x, ws, lo, hi, bias[lo:hi], act)
+		}}}
+	}
 	if st.kind == StepFused {
 		st.run = func(dst, x *tensor.Matrix, ws *tensor.Workspace) {
-			apply(dst, x, ws, bias, tensor.ActReLU)
+			apply(dst, x, ws, bias, act)
 		}
 		return
 	}
@@ -651,10 +741,56 @@ func (st *planStep) bind() {
 	}
 }
 
+// activation is the activation a step's kernel applies: the folded ReLU
+// of a fused step, none otherwise.
+func (st *planStep) activation() tensor.Activation {
+	if st.kind == StepFused {
+		return tensor.ActReLU
+	}
+	return tensor.ActNone
+}
+
+// butterflyPasses is the window form of a butterfly layer: the input
+// permutation, then one pass per factor stage. A stage whose pairing
+// block is wider than a shard's window reads the partner columns another
+// shard wrote the pass before — on a pod, one pairwise IPU-Link exchange
+// per stage, on the host the shared arena plus the barrier. The bias and
+// activation ride the last stage: both are column-local. The stage
+// sweeps are the element-wise window kernel, not ApplyInto's unrolled
+// pair kernels, which write both halves of every pair.
+func butterflyPasses(b *butterfly.Butterfly, bias []float32, act tensor.Activation) []WindowPass {
+	passes := []WindowPass{{Tag: ":perm", Variant: transformVariant(b), Run: func(dst, x *tensor.Matrix, ws *tensor.Workspace, lo, hi int) {
+		b.PermuteColsInto(dst, x, lo, hi)
+	}}}
+	for i, f := range b.Factors {
+		run := func(dst, x *tensor.Matrix, ws *tensor.Workspace, lo, hi int) {
+			f.ApplyColsInto(dst, x, lo, hi, nil, tensor.ActNone)
+		}
+		if i == len(b.Factors)-1 {
+			run = func(dst, x *tensor.Matrix, ws *tensor.Workspace, lo, hi int) {
+				f.ApplyColsInto(dst, x, lo, hi, bias[lo:hi], act)
+			}
+		}
+		passes = append(passes, WindowPass{Tag: fmt.Sprintf(":stage%d", f.Stage), Span: 1 << f.Stage, Variant: "reference", Run: run})
+	}
+	return passes
+}
+
 // reluInto is the standalone ReLU step's kernel.
 func reluInto(dst, x *tensor.Matrix, ws *tensor.Workspace) {
 	for i, v := range x.Data {
 		dst.Data[i] = microkernel.ReLU(v)
+	}
+}
+
+// reluCols is the standalone ReLU step's window kernel: it clamps columns
+// [lo, hi).
+func reluCols(dst, x *tensor.Matrix, ws *tensor.Workspace, lo, hi int) {
+	for r := 0; r < x.Rows; r++ {
+		out := dst.Row(r)[lo:hi]
+		for i, v := range x.Row(r)[lo:hi] {
+			out[i] = microkernel.ReLU(v)
+		}
 	}
 }
 

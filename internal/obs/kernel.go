@@ -8,7 +8,7 @@ package obs
 type Kernel uint8
 
 const (
-	// KernelMatMul covers the dense MatMulInto / MatMulBiasActInto
+	// KernelMatMul covers the dense MatMulInto / packed matmul
 	// kernels (Dense layers, FactorizedDense factor products).
 	KernelMatMul Kernel = iota
 	// KernelButterfly covers the butterfly factor sweeps

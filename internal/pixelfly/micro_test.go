@@ -96,3 +96,56 @@ func TestScratchDeclaresApplyInto(t *testing.T) {
 		}
 	}
 }
+
+// TestApplyColsIntoAssemblesApplyInto pins the tensor-parallel window
+// form: block-aligned windows, each written through a workspace of its
+// own, assemble ApplyInto bit for bit, leave every column outside them
+// alone, and each take exactly the ColsScratch they declare, with and
+// without the low-rank term.
+func TestApplyColsIntoAssemblesApplyInto(t *testing.T) {
+	const rows = 3
+	rng := rand.New(rand.NewSource(44))
+	for _, cfg := range []Config{
+		{N: 64, BlockSize: 8, ButterflySize: 8, LowRank: 0},
+		{N: 64, BlockSize: 8, ButterflySize: 8, LowRank: 4},
+		{N: 128, BlockSize: 16, ButterflySize: 4, LowRank: 8},
+	} {
+		p, err := New(cfg, rand.New(rand.NewSource(45)))
+		if err != nil {
+			t.Fatalf("New(%+v): %v", cfg, err)
+		}
+		x := tensor.New(rows, cfg.N)
+		x.FillRandom(rng, 1)
+		bias := make([]float32, cfg.N)
+		for i := range bias {
+			bias[i] = rng.Float32()*2 - 1
+		}
+		want := tensor.New(rows, cfg.N)
+		p.ApplyInto(want, x, tensor.NewWorkspace(p.Scratch(rows)), bias, tensor.ActReLU)
+		bs := cfg.BlockSize
+		for _, pts := range [][]int{{0, cfg.N}, {0, bs, cfg.N}, {0, cfg.N / 2, cfg.N}, {0, 3 * bs, 3 * bs, cfg.N}} {
+			got := tensor.New(rows, cfg.N)
+			for i := range got.Data {
+				got.Data[i] = 99
+			}
+			for k := 0; k+1 < len(pts); k++ {
+				lo, hi := pts[k], pts[k+1]
+				ws := tensor.NewWorkspace(tensor.Scratch{})
+				ws.Reset()
+				p.ApplyColsInto(got, x, ws, lo, hi, bias[lo:hi], tensor.ActReLU)
+				ws.Reset()
+				if got, want := ws.Capacity(), p.ColsScratch(rows, hi-lo); got != want {
+					t.Errorf("%+v window [%d,%d): took %+v, ColsScratch declares %+v", cfg, lo, hi, got, want)
+				}
+				for r := 0; r < rows; r++ {
+					for j, v := range got.Row(r)[hi:] {
+						if v != 99 {
+							t.Fatalf("%+v window [%d,%d) wrote column %d", cfg, lo, hi, hi+j)
+						}
+					}
+				}
+			}
+			assertSameMat(t, fmt.Sprintf("%+v windows %v", cfg, pts), want, got)
+		}
+	}
+}

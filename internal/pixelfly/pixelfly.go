@@ -231,49 +231,70 @@ func (p *Pixelfly) Apply(x *tensor.Matrix) *tensor.Matrix {
 
 // ApplyInto is Apply writing into caller-owned dst (shape x.Rows×N, fully
 // overwritten), with the bias add and activation fused into the layer's
-// last output-writing stage. The block-sparse product (BSR.MulInto) runs
-// batch-major straight into dst, and the low-rank term stages X·V and its
-// back-projection through the workspace (tensor.MatMulInto); on an AVX2
-// host both run microkernel.AccRow's assembly lane. With a low-rank term
-// the residual accumulation already resweeps dst, so the epilogue rides
-// that pass (dst = act((W·x + U·Vᵀ·x) + bias)); without one, the bias and
-// activation finish each block row of the product as it completes. Every
-// float32 operation matches Apply's chain, so the result is bit-for-bit
-// act(Apply(x) + bias). bias may be nil; a nil bias with ActNone is the
-// plain product. dst must not alias x.
+// last output-writing stage: it is ApplyColsInto's window [0, N). bias may
+// be nil; a nil bias with ActNone is the plain product. dst must not
+// alias x.
 func (p *Pixelfly) ApplyInto(dst, x *tensor.Matrix, ws *tensor.Workspace, bias []float32, act tensor.Activation) {
-	n := p.Cfg.N
+	p.ApplyColsInto(dst, x, ws, 0, p.Cfg.N, bias, act)
+}
+
+// ApplyColsInto writes columns [lo, hi) of act(Apply(x) + bias) into the
+// same columns of dst (shape x.Rows×N; the other columns are untouched),
+// the window one tensor-parallel shard computes; lo and hi fall on block
+// boundaries. The block-sparse product (BSR.MulInto) runs batch-major
+// over the window's block rows straight into dst, and the low-rank term
+// stages X·V and the window's back-projection through the workspace,
+// reading the cached Uᵀ's window in place through its row stride; on an
+// AVX2 host both run microkernel.AccRow's assembly lane. With a low-rank
+// term the residual accumulation already resweeps the window, so the
+// epilogue rides that pass (act((W·x + U·Vᵀ·x) + bias)); without one, the
+// bias and activation finish each block row of the product as it
+// completes. Every float32 operation matches Apply's chain, so the result
+// is bit-for-bit act(Apply(x) + bias) on the window. bias is
+// window-relative and may be nil. dst must not alias x.
+func (p *Pixelfly) ApplyColsInto(dst, x *tensor.Matrix, ws *tensor.Workspace, lo, hi int, bias []float32, act tensor.Activation) {
+	n, bs := p.Cfg.N, p.Cfg.BlockSize
 	if x.Cols != n {
 		panic(fmt.Sprintf("pixelfly: input width %d != N %d", x.Cols, n))
 	}
 	if dst.Rows != x.Rows || dst.Cols != n {
 		panic(fmt.Sprintf("pixelfly: ApplyInto dst %dx%d, want %dx%d", dst.Rows, dst.Cols, x.Rows, n))
 	}
-	if bias != nil && len(bias) != n {
-		panic(fmt.Sprintf("pixelfly: ApplyInto bias length %d != N %d", len(bias), n))
+	if lo < 0 || lo > hi || hi > n || lo%bs != 0 || hi%bs != 0 {
+		panic(fmt.Sprintf("pixelfly: window [%d,%d) is not a run of whole %d-wide blocks of %d columns", lo, hi, bs, n))
+	}
+	if bias != nil && len(bias) != hi-lo {
+		panic(fmt.Sprintf("pixelfly: ApplyInto bias length %d != window width %d", len(bias), hi-lo))
 	}
 	r := p.Cfg.LowRank
 	if r == 0 {
-		p.W.MulInto(dst, 0, x, 0, p.W.BlockRows, bias, act)
+		p.W.MulInto(dst, lo, x, lo/bs, hi/bs, bias, act)
 		return
 	}
-	p.W.MulInto(dst, 0, x, 0, p.W.BlockRows, nil, tensor.ActNone)
+	p.W.MulInto(dst, lo, x, lo/bs, hi/bs, nil, tensor.ActNone)
 	xv := ws.Take(x.Rows, r)
 	tensor.MatMulInto(xv, x, p.V)
-	lr := ws.Take(x.Rows, n)
-	tensor.MatMulInto(lr, xv, p.ut)
-	tensor.AddInPlaceBiasAct(dst, lr, bias, act)
+	lr := ws.Take(x.Rows, hi-lo)
+	tensor.MatMulColsBiasActInto(lr, 0, xv, p.ut, lo, hi, nil, tensor.ActNone)
+	tensor.AddInPlaceColsBiasAct(dst, lo, lr, bias, act)
 }
 
-// Scratch is ApplyInto's workspace demand at rows rows: none without a
-// low-rank term, and with one X·V (rows×r) and its back-projection
-// (rows×N).
-func (p *Pixelfly) Scratch(rows int) tensor.Scratch {
+// Scratch is ApplyInto's workspace demand at rows rows: its window's.
+func (p *Pixelfly) Scratch(rows int) tensor.Scratch { return p.ColsScratch(rows, p.Cfg.N) }
+
+// ColsScratch is ApplyColsInto's workspace demand for a window of cols
+// columns at rows rows: none without a low-rank term, and with one X·V
+// (rows×r) and the window's back-projection (rows×cols).
+func (p *Pixelfly) ColsScratch(rows, cols int) tensor.Scratch {
 	if p.Cfg.LowRank == 0 {
 		return tensor.Scratch{}
 	}
-	return tensor.Scratch{Floats: rows*p.Cfg.LowRank + rows*p.Cfg.N, Headers: 2}
+	return tensor.Scratch{Floats: rows*p.Cfg.LowRank + rows*cols, Headers: 2}
 }
+
+// ColsAlign is the multiple ApplyColsInto's window bounds fall on: the
+// block size.
+func (p *Pixelfly) ColsAlign() int { return p.Cfg.BlockSize }
 
 // MicroVariant names the kernel ApplyInto runs, which the plan compiler
 // stamps into step metadata: every block size runs BSR.MulInto, whose

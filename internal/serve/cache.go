@@ -268,28 +268,19 @@ func (p *Program) GetPlan() (Executor, error) {
 	return pl, err
 }
 
-// newPlan builds one host plan for the program's bucket: an instance of
-// the packed lowering on one IPU, or a sharded plan under the planner's
-// strategy. A tensor-parallel plan packs its own weight windows, so it
-// is compiled from the unpacked lowering and never makes the source pack
-// the whole model.
+// newPlan builds one host plan for the program's bucket over the plan
+// source's packed lowering: an instance of it on one IPU, or a sharded
+// plan under the planner's strategy, whose pipeline stages and
+// tensor-parallel windows run the lowering's own kernels and packs.
 func (p *Program) newPlan() (Executor, error) {
-	if p.shards <= 1 {
-		low, err := p.src.packed()
-		if err != nil {
-			return nil, err
-		}
-		return low.Instance(p.batch)
-	}
-	sc, err := p.shardEstimate()
+	low, err := p.src.packed()
 	if err != nil {
 		return nil, err
 	}
-	lower := p.src.lowering
-	if sc.Strategy == shard.Pipeline {
-		lower = p.src.packed
+	if p.shards <= 1 {
+		return low.Instance(p.batch)
 	}
-	low, err := lower()
+	sc, err := p.shardEstimate()
 	if err != nil {
 		return nil, err
 	}
@@ -327,10 +318,10 @@ func (p *Program) close() {
 
 // planSource holds one (model, version)'s lowering: the network is
 // lowered once, when the first program is priced or builds a plan, and
-// packed once, when the first plan that runs the packs is built. Both
-// happen under the source's lock, so programs that miss at once share
-// one lowering and one set of packs; every host plan, at any batch
-// bucket, sharded or not, runs them.
+// packed once, when the first plan is built. Both happen under the
+// source's lock, so programs that miss at once share one lowering and
+// one set of packs; every host plan, at any batch bucket, on one IPU or
+// sharded under either strategy, runs them.
 type planSource struct {
 	net *nn.Sequential
 

@@ -356,12 +356,17 @@ func TestPlanBuildSecondsCountsBuilds(t *testing.T) {
 
 // TestConcurrentFirstPlansShareLowering races the first GetPlan of
 // several buckets of a fresh model, on one modelled IPU and on two: every
-// plan built must run the one packed lowering the plan source made, and
-// with it the one set of packs (packs live in the packed lowering, and
-// nn's TestPlanInstanceSharesPacks pins that every instance runs them).
-// CI repeats it under the race detector.
+// plan built, pipeline and tensor-parallel alike, must run the one packed
+// lowering the plan source made, and with it the one set of packs (packs
+// live in the packed lowering, nn's TestPlanInstanceSharesPacks pins that
+// every instance runs them, and shard's TestTensorParallelSharesPacks
+// that a tensor-parallel plan copies none). The per-IPU budget puts the
+// model on a pipeline at buckets 1 and 2, and on tensor parallelism from
+// 4 up, where a pipeline stage no longer fits. CI repeats it under the
+// race detector.
 func TestConcurrentFirstPlansShareLowering(t *testing.T) {
-	c := NewShardedProgramCache(ipu.GC200(), shard.DefaultTopology(2), 0)
+	const budget = 22_000 // bytes per modelled IPU
+	c := NewShardedProgramCache(ipu.GC200(), shard.DefaultTopology(2), budget)
 	defer c.Evict("m", 1)
 	sp := spec("m", nn.Baseline)
 	net, err := buildNet(sp)
@@ -408,6 +413,7 @@ func TestConcurrentFirstPlansShareLowering(t *testing.T) {
 	x := tensor.New(1, sp.N)
 	x.FillRandom(rand.New(rand.NewSource(9)), 1)
 	want := net.Infer(x)
+	strategies := map[shard.Strategy]bool{}
 	for _, g := range out {
 		if g.pl == nil {
 			continue
@@ -417,9 +423,7 @@ func TestConcurrentFirstPlansShareLowering(t *testing.T) {
 		case *nn.Plan:
 			low = pl.Lowering
 		case *shard.ShardedPlan:
-			if pl.Strategy() != shard.Pipeline {
-				t.Fatalf("the planner put the test model on %v; the test needs a pipeline", pl.Strategy())
-			}
+			strategies[pl.Strategy()] = true
 			low = pl.Lowering()
 		}
 		if low != src.exe {
@@ -433,6 +437,9 @@ func TestConcurrentFirstPlansShareLowering(t *testing.T) {
 			t.Errorf("a plan at bucket %d on %d IPUs differs from Infer by %g", g.prog.batch, g.prog.shards, d)
 		}
 		g.prog.PutPlan(g.pl)
+	}
+	if !strategies[shard.Pipeline] || !strategies[shard.TensorParallel] {
+		t.Errorf("the sharded plans ran %v; the budget should give both strategies", strategies)
 	}
 }
 

@@ -142,6 +142,57 @@ func describePlan(low *nn.Lowering, batch int) (descs []stepDesc, maxW int) {
 	return descs, maxW
 }
 
+// canSplit reports whether a layer admits a tensor-parallel column split
+// at the given shard count. The checks here are the single source of truth
+// the cost planner and the split consult, so the estimate can never
+// disagree with the lowering.
+func canSplit(l nn.Layer, outW, shards int) error {
+	if shards == 1 {
+		return nil // a 1-shard "split" is the identity lowering
+	}
+	switch t := l.(type) {
+	case *nn.Dense:
+		if t.Out < shards {
+			return fmt.Errorf("dense output width %d < %d shards", t.Out, shards)
+		}
+		return nil
+	case *nn.ReLU:
+		return nil
+	case *nn.FactorizedDense:
+		if t.Out < shards {
+			return fmt.Errorf("factorized output width %d < %d shards", t.Out, shards)
+		}
+		return nil
+	case *nn.StructuredLinear:
+		switch tr := t.T.(type) {
+		case *butterfly.Butterfly:
+			if tr.N%shards != 0 {
+				return fmt.Errorf("butterfly width %d not divisible by %d shards", tr.N, shards)
+			}
+			return nil
+		case *baselines.LowRank:
+			if tr.N < shards {
+				return fmt.Errorf("low-rank width %d < %d shards", tr.N, shards)
+			}
+			return nil
+		case *pixelfly.Pixelfly:
+			if tr.Cfg.N%(shards*tr.Cfg.BlockSize) != 0 {
+				return fmt.Errorf("pixelfly slice width %d not block-aligned (block %d)",
+					tr.Cfg.N/shards, tr.Cfg.BlockSize)
+			}
+			return nil
+		default:
+			// Fastfood and circulant mix every input feature into every
+			// output (Hadamard sweeps / FFT), so a column slice of the
+			// output still needs the full O(N log N) pass — no memory or
+			// compute is saved by splitting them.
+			return fmt.Errorf("transform %T is not column-splittable", t.T)
+		}
+	default:
+		return fmt.Errorf("layer %T is not column-splittable", l)
+	}
+}
+
 // Splittable reports whether every lowered step admits a tensor-parallel
 // split at the given shard count, and if not, why.
 func Splittable(low *nn.Lowering, shards int) error {

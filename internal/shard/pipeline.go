@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/nn"
@@ -17,10 +16,7 @@ import (
 // executes unchanged, only its placement moves. Activations crossing a
 // stage boundary ride one IPU-Link transfer in the cost model; on the
 // host the wavefront hands them over through a per-boundary arena.
-func lowerPipeline(low *nn.Lowering, shards int) ([]step, error) {
-	if !low.Packed() {
-		return nil, errors.New("shard: a pipeline runs the lowering's kernels, so it needs a packed lowering")
-	}
+func lowerPipeline(low *nn.Lowering, shards int) []step {
 	owners := pipelineOwners(low, shards)
 	steps := make([]step, low.NumSteps())
 	names := low.Steps()
@@ -37,7 +33,7 @@ func lowerPipeline(low *nn.Lowering, shards int) ([]step, error) {
 		st.scratch[owners[i]] = func(rows int) tensor.Scratch { return low.StepScratch(i, rows) }
 		steps[i] = st
 	}
-	return steps, nil
+	return steps
 }
 
 // pipelineOwners maps each lowered step to its pipeline stage: a greedy

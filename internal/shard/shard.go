@@ -7,13 +7,15 @@
 // cost-based planner over the ipu.LinkConfig exchange model:
 //
 //   - Tensor parallel: every wide layer is split into per-shard column
-//     slices — each IPU holds 1/S of the weights and produces 1/S of the
+//     windows — each IPU holds 1/S of the weights and produces 1/S of the
 //     layer's output, followed by an all-gather so the next layer sees the
-//     full activation. Butterfly chains split specially: the first
-//     log2(N/S) factor stages are block-local to a shard's slice, and only
-//     the top log2(S) "global" stages need a pairwise exchange round each —
-//     the property (Liu et al., arXiv:2002.03400) that makes structured
-//     layers cheap to shard.
+//     full activation. On the host every shard runs its window of the
+//     lowering's own kernels over the one copy of the packed weights.
+//     Butterfly chains split specially: the first log2(N/S) factor stages
+//     are block-local to a shard's slice, and only the top log2(S)
+//     "global" stages need a pairwise exchange round each — the property
+//     (Liu et al., arXiv:2002.03400) that makes structured layers cheap
+//     to shard.
 //   - Pipeline: contiguous step ranges are assigned to consecutive IPUs
 //     and activations stream across one link per boundary. This is the
 //     fallback when a layer is not splittable (fastfood and circulant mix
@@ -32,6 +34,7 @@ package shard
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime/pprof"
 	"strconv"
@@ -49,8 +52,8 @@ import (
 type Strategy int
 
 const (
-	// TensorParallel splits every layer into per-shard column slices with
-	// an all-gather between layers.
+	// TensorParallel splits every layer into per-shard column windows
+	// with an all-gather between layers.
 	TensorParallel Strategy = iota
 	// Pipeline assigns contiguous step ranges to consecutive IPUs.
 	Pipeline
@@ -100,10 +103,11 @@ func (t Topology) withDefaults() Topology {
 // step is one barrier-delimited micro-step of the sharded program: per
 // shard, a kernel writing that shard's slice of the step output into the
 // shared full-width activation arena. A nil kernel means the shard is idle
-// this step (pipeline stages it does not own, exchange-only steps). Layer
-// lowering may emit several micro-steps per source layer — a butterfly
-// emits one per factor stage, since the global stages must see the other
-// shards' writes from the previous stage.
+// this step (a pipeline stage it does not own, a tensor-parallel window
+// that rounds to nothing). Layer lowering may emit several micro-steps per
+// source layer — a butterfly emits one per pass of its window kernel,
+// since the global stages must see the other shards' writes from the
+// previous stage.
 type step struct {
 	name string
 	cols int
@@ -112,11 +116,9 @@ type step struct {
 	// flop model and modelled cost (several micro-steps may share one src).
 	src int
 	// variant names the micro-kernel shape the micro-step's kernels
-	// dispatched to at lowering time — pipeline micro-steps inherit the
-	// plan step's variant, tensor-parallel column windows record their
-	// own (microkernel.Variant for packed dense windows, "reference" for
-	// windowed sweeps that keep the reference kernels, "" for non-kernel
-	// steps).
+	// dispatched to at lowering time: the plan step's, but "reference"
+	// for a butterfly window's stage sweeps, which keep the element-wise
+	// window kernel ("" for non-kernel steps).
 	variant string
 	run     []func(dst, x *tensor.Matrix, ws *tensor.Workspace)
 	// scratch[k] declares what shard k's kernel takes from its workspace
@@ -245,15 +247,20 @@ func Compile(low *nn.Lowering, maxBatch int, topo Topology, shards int) (*Sharde
 // CompileMicro is Compile with the partitioning strategy and the pipeline
 // wavefront width forced: micro 0 lets the cost model pick, micro ≥ 1
 // streams each batch as that many micro-batches (clamped to maxBatch).
-// Pipeline plans always run the wavefront, over the kernels of a packed
-// lowering; tensor-parallel plans run the barrier loop, pack their own
-// weight windows and ignore micro. Every buffer, the per-shard workspaces
-// included, is sized from what the lowering and the split kernels
-// declare, so compiling runs no kernel and the first Execute allocates
-// nothing. Execute stays bit-for-bit identical to nn.Plan.Execute at
-// every width — micro-batches are contiguous row slices and every kernel
-// is row-wise.
+// Both strategies run the kernels of a packed lowering and pack nothing:
+// pipeline plans run each step's full-width kernel on its stage, through
+// the wavefront; tensor-parallel plans run each shard's window of the
+// steps' window kernels, over the same packs, through the barrier loop,
+// and ignore micro. So every plan of a lowering holds one copy of its
+// weights between them. Every buffer, the per-shard workspaces included,
+// is sized from what the lowering declares, so compiling runs no kernel
+// and the first Execute allocates nothing. Execute stays bit-for-bit
+// identical to nn.Plan.Execute at every width — micro-batches are
+// contiguous row slices and every kernel is row-wise.
 func CompileMicro(low *nn.Lowering, maxBatch int, topo Topology, shards int, strategy Strategy, micro int) (*ShardedPlan, error) {
+	if !low.Packed() {
+		return nil, errors.New("shard: a sharded plan runs the lowering's kernels, so it needs a packed lowering (nn.Lowering.Pack)")
+	}
 	topo = topo.withDefaults()
 	if shards < 1 || shards&(shards-1) != 0 {
 		return nil, fmt.Errorf("shard: shard count %d must be a positive power of two", shards)
@@ -273,17 +280,16 @@ func CompileMicro(low *nn.Lowering, maxBatch int, topo Topology, shards int, str
 		}
 	}
 	var steps []step
-	var err error
 	switch strategy {
 	case TensorParallel:
-		steps, err = lowerTensorParallel(low, shards)
+		var err error
+		if steps, err = lowerTensorParallel(low, shards); err != nil {
+			return nil, err
+		}
 	case Pipeline:
-		steps, err = lowerPipeline(low, eff)
+		steps = lowerPipeline(low, eff)
 	default:
 		return nil, fmt.Errorf("shard: unknown strategy %v", strategy)
-	}
-	if err != nil {
-		return nil, err
 	}
 	cost, err := estimateMicro(low, maxBatch, shards, topo, strategy, micro)
 	if err != nil {
@@ -433,8 +439,8 @@ func (p *ShardedPlan) Shards() int { return p.shards }
 // batches at (0 for tensor-parallel plans, which run the barrier loop).
 func (p *ShardedPlan) MicroBatches() int { return p.micro }
 
-// Lowering returns the lowering the plan was compiled from: for a
-// pipeline plan, the packed lowering whose kernels and packs it runs.
+// Lowering returns the packed lowering the plan was compiled from, whose
+// kernels and packs it runs.
 func (p *ShardedPlan) Lowering() *nn.Lowering { return p.low }
 
 // Strategy returns the partitioning the planner (or caller) chose.
@@ -677,13 +683,19 @@ func (p *ShardedPlan) Close() {
 
 // runShard runs shard k's kernel of one barrier-loop micro-step and
 // writes its cell — a slot only this shard writes, ordered before the
-// orchestrator returns by the done token.
+// orchestrator returns by the done token. A shard with no kernel (its
+// window rounded to nothing) writes a zero-length cell at its wake, so
+// its track still tiles the batch wall.
 func (p *ShardedPlan) runShard(k int, st *step) {
-	w := p.ws[k]
-	w.Reset()
 	t0 := time.Now()
-	st.run[k](p.curDst, p.curX, w)
-	*p.frame.Cell(p.stepIdx, 0, k) = timeline.Cell{Start: t0.Sub(p.execStart).Nanoseconds(), Dur: time.Since(t0).Nanoseconds()}
+	var d int64
+	if run := st.run[k]; run != nil {
+		w := p.ws[k]
+		w.Reset()
+		run(p.curDst, p.curX, w)
+		d = time.Since(t0).Nanoseconds()
+	}
+	*p.frame.Cell(p.stepIdx, 0, k) = timeline.Cell{Start: t0.Sub(p.execStart).Nanoseconds(), Dur: d}
 }
 
 func (p *ShardedPlan) workerLoop(k int, start <-chan struct{}) {
@@ -709,14 +721,4 @@ func (p *ShardedPlan) workerLoop(k int, start <-chan struct{}) {
 			p.done <- struct{}{}
 		}
 	}
-}
-
-// splitPoints returns the S+1 column boundaries slicing width columns into
-// S near-equal contiguous shares: shard k owns [pts[k], pts[k+1]).
-func splitPoints(width, shards int) []int {
-	pts := make([]int, shards+1)
-	for k := 0; k <= shards; k++ {
-		pts[k] = k * width / shards
-	}
-	return pts
 }

@@ -3,13 +3,12 @@ package shard
 import (
 	"errors"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 
-	"repro/internal/baselines"
-	"repro/internal/butterfly"
 	"repro/internal/nn"
 	"repro/internal/tensor"
-	"repro/internal/tensor/microkernel"
 )
 
 // n is wide enough that pixelfly's 64-wide blocks still split at 4 shards.
@@ -47,18 +46,13 @@ func TestShardedMatchesPlanAllMethods(t *testing.T) {
 						t.Fatalf("CompileMicro(%d, %v): %v", shards, strat, err)
 					}
 					// Every micro-step reports the kernel variant of its
-					// source plan step, except the tensor-parallel windows
-					// of a butterfly (its own pair kernel) and of a
-					// low-rank transform (the packed window matmul).
+					// source plan step, except the stage sweeps of a
+					// tensor-parallel butterfly, which run the
+					// element-wise window kernel.
 					for i, st := range sp.steps {
 						want := pl.StepVariant(st.src)
-						if sl, ok := pl.StepLayer(st.src).(*nn.StructuredLinear); ok && strat == TensorParallel && shards > 1 {
-							switch sl.T.(type) {
-							case *butterfly.Butterfly:
-								want = "reference"
-							case *baselines.LowRank:
-								want = microkernel.Variant()
-							}
+						if strings.Contains(st.name, "/tp:stage") {
+							want = "reference"
 						}
 						if got := sp.StepVariant(i); got != want {
 							t.Fatalf("shards=%d %v step %d (%s): variant %q, want %q", shards, strat, i, st.name, got, want)
@@ -116,6 +110,68 @@ func TestShardedMatchesPlanCompressed(t *testing.T) {
 			t.Fatalf("shards=%d: compressed sharded output differs by %g", shards, d)
 		}
 		sp.Close()
+	}
+}
+
+// TestTensorParallelSharesPacks pins that a tensor-parallel plan runs
+// windows of the packed lowering's own kernels and holds no copy of the
+// weights: compiled from one packed lowering of the dense and of the
+// compressed (FactorizedDense) SHL at 2 and 4 shards, it allocates less
+// than the model's parameter bytes, its Lowering is that lowering, and
+// neither strategy compiles from an unpacked lowering.
+func TestTensorParallelSharesPacks(t *testing.T) {
+	const n, rows = 256, 16
+	dense := nn.BuildSHL(nn.Baseline, n, testClasses, rand.New(rand.NewSource(61)))
+	compressed, _, err := dense.Compress(nn.CompressOptions{Tolerance: 0.7, Seed: 5})
+	if err != nil {
+		t.Fatalf("Compress: %v", err)
+	}
+	topo := DefaultTopology(4)
+	for name, net := range map[string]*nn.Sequential{"dense": dense, "compressed": compressed} {
+		low, err := net.Lower(nn.PlanOptions{})
+		if err != nil {
+			t.Fatalf("%s: Lower: %v", name, err)
+		}
+		for _, strat := range []Strategy{Pipeline, TensorParallel} {
+			if sp, err := CompileMicro(low, rows, topo, 2, strat, 1); err == nil {
+				sp.Close()
+				t.Errorf("%s: %v compiled from an unpacked lowering", name, strat)
+			}
+		}
+		packed := low.Pack()
+		paramBytes := 0
+		for _, l := range net.Layers {
+			paramBytes += 4 * l.ParamCount()
+		}
+		for _, shards := range []int{2, 4} {
+			if err := Splittable(packed, shards); err != nil {
+				t.Fatalf("%s at %d shards: %v", name, shards, err)
+			}
+			// The least of three compiles, so that a background
+			// allocation of the runtime cannot fail the test.
+			allocated := ^uint64(0)
+			for try := 0; try < 3; try++ {
+				var sp *ShardedPlan
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				sp, err = CompileMicro(packed, rows, topo, shards, TensorParallel, 1)
+				runtime.ReadMemStats(&after)
+				if err != nil {
+					t.Fatalf("%s at %d shards: CompileMicro: %v", name, shards, err)
+				}
+				if sp.Lowering() != packed {
+					t.Errorf("%s at %d shards: the plan runs lowering %p, compiled from %p", name, shards, sp.Lowering(), packed)
+				}
+				sp.Close()
+				allocated = min(allocated, after.TotalAlloc-before.TotalAlloc)
+			}
+			if allocated >= uint64(paramBytes) {
+				t.Errorf("%s at %d shards: compiling allocated %d bytes, not less than the %d parameter bytes",
+					name, shards, allocated, paramBytes)
+			}
+			t.Logf("%s at %d shards: compile allocated %.1f KiB against %.1f KiB of parameters",
+				name, shards, float64(allocated)/1024, float64(paramBytes)/1024)
+		}
 	}
 }
 

@@ -49,20 +49,26 @@ func checkTiles(t *testing.T, b timeline.BatchRecord) {
 // TestTimelineReconcilesWithMeasuredClocks asserts the derived timeline
 // agrees with the frame it came from: per-IPU compute event sums equal
 // the frame's per-IPU compute exactly (both read the same clock reads),
-// and each IPU's events tile the measured batch wall.
+// and each IPU's events tile the measured batch wall. At 4 shards the
+// 10-class head's panel-aligned windows leave shards 0 and 2 idle on the
+// head's step, which must still tile.
 func TestTimelineReconcilesWithMeasuredClocks(t *testing.T) {
 	_, pl := buildPlan(t, nn.Butterfly, 31)
-	for _, strat := range []Strategy{TensorParallel, Pipeline} {
-		sp, err := CompileMicro(pl.Lowering, pl.MaxBatch(), DefaultTopology(4), 2, strat, 1)
+	for _, c := range []struct {
+		strat  Strategy
+		shards int
+	}{{TensorParallel, 2}, {Pipeline, 2}, {TensorParallel, 4}} {
+		strat := c.strat
+		sp, err := CompileMicro(pl.Lowering, pl.MaxBatch(), DefaultTopology(4), c.shards, strat, 1)
 		if err != nil {
-			t.Fatalf("CompileMicro(%v): %v", strat, err)
+			t.Fatalf("CompileMicro(%v, %d): %v", strat, c.shards, err)
 		}
 		rec := timeline.NewRecorder(1, 2)
 		b := executeSampled(t, sp, rec)
 
-		if b.Tracks != 2 || b.Steps != len(sp.Steps()) || b.WallNanos != sp.Frame().Wall {
-			t.Fatalf("%v: batch is %d tracks × %d steps over %dns, want 2 × %d over %dns",
-				strat, b.Tracks, b.Steps, b.WallNanos, len(sp.Steps()), sp.Frame().Wall)
+		if b.Tracks != c.shards || b.Steps != len(sp.Steps()) || b.WallNanos != sp.Frame().Wall {
+			t.Fatalf("%v: batch is %d tracks × %d steps over %dns, want %d × %d over %dns",
+				strat, b.Tracks, b.Steps, b.WallNanos, c.shards, len(sp.Steps()), sp.Frame().Wall)
 		}
 		checkTiles(t, b)
 		computeByIPU := make([]int64, b.Tracks)
@@ -82,10 +88,11 @@ func TestTimelineReconcilesWithMeasuredClocks(t *testing.T) {
 }
 
 // TestTimelineBubblesOnlyUnderPipeline asserts the acceptance contract
-// for the bubble phase: tensor-parallel lowering gives every shard a
-// kernel on every micro-step, so its timeline has no bubbles; a pipeline
-// stage idles before its first input and after its last output, so a
-// two-stage timeline shows exactly one fill and one drain bubble.
+// for the bubble phase: under the tensor-parallel barrier loop every
+// shard wakes on every micro-step, and one whose window rounds to nothing
+// waits out the step at the barrier, so its timeline has no bubbles; a
+// pipeline stage idles before its first input and after its last output,
+// so a two-stage timeline shows exactly one fill and one drain bubble.
 func TestTimelineBubblesOnlyUnderPipeline(t *testing.T) {
 	_, pl := buildPlan(t, nn.Baseline, 13)
 

@@ -129,7 +129,7 @@ func TestAddRowVectorCols(t *testing.T) {
 	}
 }
 
-func TestAddInPlaceColsAndCopyCols(t *testing.T) {
+func TestAddInPlaceCols(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	const rows, cols = 3, 8
 	m := New(rows, cols)
@@ -148,16 +148,6 @@ func TestAddInPlaceColsAndCopyCols(t *testing.T) {
 	for i := range got.Data {
 		if got.Data[i] != want.Data[i] {
 			t.Fatalf("AddInPlaceCols element %d = %v, want %v", i, got.Data[i], want.Data[i])
-		}
-	}
-
-	dst := New(rows, cols)
-	CopyCols(dst, 1, m, 4, 3)
-	for i := 0; i < rows; i++ {
-		for j := 0; j < 3; j++ {
-			if dst.At(i, 1+j) != m.At(i, 4+j) {
-				t.Fatalf("CopyCols (%d,%d) = %v, want %v", i, j, dst.At(i, 1+j), m.At(i, 4+j))
-			}
 		}
 	}
 }

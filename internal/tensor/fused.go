@@ -67,42 +67,39 @@ func checkBiasLen(op string, bias []float32, cols int) {
 	}
 }
 
-// MatMulBiasActInto computes act(a·b + bias) into dst (shape a.Rows×b.Cols,
-// overwritten) in a single pass over the output: the accumulation order is
-// exactly MatMulInto's, with the bias add and activation folded into the
-// moment each row completes, so the result is bit-for-bit equal to
-// MatMulInto + AddRowVector + a separate activation sweep. bias may be nil.
-// dst must not alias a or b.
-func MatMulBiasActInto(dst, a, b *Matrix, bias []float32, act Activation) {
+// MatMulColsBiasActInto computes act(a·b + bias) over b's column window
+// [lo, hi) into the column window [dstLo, dstLo+hi-lo) of dst, in a
+// single pass over the output: each row is one microkernel.AccRow over
+// a's terms, p ascending, reading the window of b's rows in place
+// through b's row stride and skipping the zero terms of a, with the bias
+// add and activation folded into the moment the row completes. So every
+// element runs MatMulInto's chain, and the window is bit for bit that of
+// MatMulInto + AddRowVector + a separate activation sweep. With [0,
+// b.Cols) into a dst as wide as b it is the full fused product. bias is
+// window-relative and may be nil; columns of dst outside the window are
+// untouched. dst must not alias a or b.
+func MatMulColsBiasActInto(dst *Matrix, dstLo int, a, b *Matrix, lo, hi int, bias []float32, act Activation) {
 	checkMulShapes(a, b)
-	checkIntoShape("MatMulBiasActInto", dst, a.Rows, b.Cols)
-	checkBiasLen("MatMulBiasActInto", bias, b.Cols)
-	dst.Zero()
-	for i := 0; i < a.Rows; i++ {
-		matMulRows(a, b, dst, i, i+1)
-		microkernel.EpilogueRow(dst.Row(i), bias, act == ActReLU)
+	if dst.Rows != a.Rows {
+		panic(fmt.Sprintf("tensor: MatMulColsBiasActInto dst rows %d != %d", dst.Rows, a.Rows))
 	}
-}
-
-// AddInPlaceBiasAct folds a residual accumulation into the epilogue:
-// dst = act((dst + src) + bias) in one sweep, matching the unfused
-// AddInPlace + AddRowVector + activation chain element-for-element. bias
-// may be nil.
-func AddInPlaceBiasAct(dst, src *Matrix, bias []float32, act Activation) {
-	checkSameShape("AddInPlaceBiasAct", dst, src)
-	checkBiasLen("AddInPlaceBiasAct", bias, dst.Cols)
-	for i := 0; i < dst.Rows; i++ {
-		row := dst.Row(i)
-		s := src.Row(i)
-		for j := range row {
-			row[j] += s[j]
-		}
+	checkColWindow("MatMulColsBiasActInto b", b, lo, hi-lo)
+	checkColWindow("MatMulColsBiasActInto dst", dst, dstLo, hi-lo)
+	checkBiasLen("MatMulColsBiasActInto", bias, hi-lo)
+	w := hi - lo
+	for i := 0; i < a.Rows; i++ {
+		row := dst.Data[i*dst.Cols+dstLo : i*dst.Cols+dstLo+w]
+		clear(row)
+		microkernel.AccRow(row, a.Row(i), 1, b.Data[lo:], b.Cols, a.Cols, w, true)
 		microkernel.EpilogueRow(row, bias, act == ActReLU)
 	}
 }
 
-// AddInPlaceColsBiasAct is AddInPlaceBiasAct on the column window
-// [lo, lo+src.Cols) of dst; bias is window-relative and may be nil.
+// AddInPlaceColsBiasAct folds a residual accumulation into the epilogue
+// on the column window [lo, lo+src.Cols) of dst: dst = act((dst + src) +
+// bias) in one sweep, matching the unfused AddInPlace + AddRowVector +
+// activation chain element for element. bias is window-relative and may
+// be nil; with lo 0 and src as wide as dst it is the full-width form.
 func AddInPlaceColsBiasAct(dst *Matrix, lo int, src *Matrix, bias []float32, act Activation) {
 	if dst.Rows != src.Rows {
 		panic(fmt.Sprintf("tensor: AddInPlaceColsBiasAct rows %d != %d", dst.Rows, src.Rows))

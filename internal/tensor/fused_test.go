@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -38,9 +39,9 @@ func assertBitIdentical(t *testing.T, tag string, a, b *Matrix) {
 }
 
 // TestMatMulBiasActIntoMatchesUnfused pins the fused matmul epilogues —
-// the serial reference kernel and the packed row-parallel one — to the
-// unfused three-sweep chain, for both activations, across sizes
-// straddling the parallel threshold.
+// the serial reference kernel (MatMulColsBiasActInto over every column)
+// and the packed row-parallel one — to the unfused three-sweep chain,
+// for both activations, across sizes straddling the parallel threshold.
 func TestMatMulBiasActIntoMatchesUnfused(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, dims := range [][3]int{{1, 4, 4}, {3, 16, 10}, {8, 64, 64}, {48, 48, 48}} {
@@ -56,7 +57,7 @@ func TestMatMulBiasActIntoMatchesUnfused(t *testing.T) {
 				reluSweep(want)
 			}
 			got := New(r, k)
-			MatMulBiasActInto(got, a, b, bias, act)
+			MatMulColsBiasActInto(got, 0, a, b, 0, k, bias, act)
 			assertBitIdentical(t, "serial", want, got)
 			gotPar := New(r, k)
 			MatMulPackedBiasActParallelInto(gotPar, a, Pack(b), bias, act)
@@ -85,7 +86,7 @@ func TestMatMulBiasActNilBias(t *testing.T) {
 	want := MatMul(a, b)
 	reluSweep(want)
 	got := New(5, 6)
-	MatMulBiasActInto(got, a, b, nil, ActReLU)
+	MatMulColsBiasActInto(got, 0, a, b, 0, 6, nil, ActReLU)
 	assertBitIdentical(t, "nil-bias", want, got)
 }
 
@@ -107,47 +108,77 @@ func TestApplyBiasActInto(t *testing.T) {
 	assertBitIdentical(t, "aliased", want, aliased)
 }
 
-// TestMatMulColsBiasActInto pins the packed fused column-window kernel —
-// the tensor-parallel shard path — to the unfused reference window chain,
-// and checks columns outside the window stay untouched.
+// TestMatMulColsBiasActInto pins both fused column-window kernels — the
+// packed one on a run of whole panels of the full pack, and the AccRow
+// one on any window of b, into the same columns or into a window-wide
+// dst — to the unfused reference window chain, and checks columns
+// outside the window stay untouched.
 func TestMatMulColsBiasActInto(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
-	const rows, n, full, lo, w = 6, 12, 20, 5, 8
+	const rows, n, full = 6, 12, 20
 	a := randomMatrix(rng, rows, n)
-	b := randomMatrix(rng, n, w)
-	bias := randomBias(rng, w)
+	b := randomMatrix(rng, n, full)
+	pb := Pack(b)
+	for _, win := range [][2]int{{0, full}, {0, 8}, {8, 16}, {16, full}, {8, full}} {
+		lo, hi := win[0], win[1]
+		w := hi - lo
+		bias := randomBias(rng, w)
+		bw := New(n, w)
+		for p := 0; p < n; p++ {
+			copy(bw.Row(p), b.Row(p)[lo:hi])
+		}
+		sentinel := randomMatrix(rng, rows, full)
+		want := sentinel.Clone()
+		MatMulColsInto(want, lo, a, bw)
+		AddRowVectorCols(want, lo, bias)
+		for i := 0; i < rows; i++ {
+			row := want.Row(i)[lo:hi]
+			for j, v := range row {
+				if !(v > 0) {
+					row[j] = 0
+				}
+			}
+		}
+		tag := fmt.Sprintf("window [%d,%d)", lo, hi)
 
-	want := New(rows, full)
-	want.FillRandom(rng, 1)
-	sentinel := want.Clone()
-	MatMulColsInto(want, lo, a, b)
-	AddRowVectorCols(want, lo, bias)
-	for i := 0; i < rows; i++ {
-		row := want.Row(i)[lo : lo+w]
-		for j, v := range row {
-			if !(v > 0) {
-				row[j] = 0
+		got := sentinel.Clone()
+		MatMulPackedColsBiasActInto(got, a, pb, lo, hi, bias, ActReLU)
+		assertBitIdentical(t, "packed "+tag, want, got)
+
+		got = sentinel.Clone()
+		MatMulColsBiasActInto(got, lo, a, b, lo, hi, bias, ActReLU)
+		assertBitIdentical(t, "row "+tag, want, got)
+
+		narrow := New(rows, w)
+		MatMulColsBiasActInto(narrow, 0, a, b, lo, hi, bias, ActReLU)
+		for i := 0; i < rows; i++ {
+			for j := 0; j < w; j++ {
+				if narrow.At(i, j) != want.At(i, lo+j) {
+					t.Fatalf("row %s into a window-wide dst: (%d,%d) = %v, want %v", tag, i, j, narrow.At(i, j), want.At(i, lo+j))
+				}
 			}
 		}
 	}
-
-	got := sentinel.Clone()
-	MatMulPackedColsBiasActInto(got, lo, a, Pack(b), bias, ActReLU)
-	assertBitIdentical(t, "window", want, got)
-	for i := 0; i < rows; i++ {
-		for j := 0; j < full; j++ {
-			if j >= lo && j < lo+w {
-				continue
-			}
-			if got.At(i, j) != sentinel.At(i, j) {
-				t.Fatalf("column %d outside window modified", j)
-			}
-		}
+	for name, fn := range map[string]func(){
+		"packed window off a panel boundary": func() { MatMulPackedColsBiasActInto(New(rows, full), a, pb, 4, 16, nil, ActNone) },
+		"packed window ending mid-panel":     func() { MatMulPackedColsBiasActInto(New(rows, full), a, pb, 8, 12, nil, ActNone) },
+		"row window past b":                  func() { MatMulColsBiasActInto(New(rows, full), 0, a, b, 8, full+1, nil, ActNone) },
+		"row window past dst":                func() { MatMulColsBiasActInto(New(rows, 4), 0, a, b, 0, 8, nil, ActNone) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s: expected panic", name)
+				}
+			}()
+			fn()
+		}()
 	}
 }
 
 // TestAddInPlaceBiasAct pins the fused residual epilogue (pixelfly's
-// low-rank tail) and its column-window form to the unfused chain.
+// low-rank tail), at full width and on a column window, to the unfused
+// chain.
 func TestAddInPlaceBiasAct(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	const rows, full, lo, w = 5, 14, 3, 6
@@ -160,7 +191,7 @@ func TestAddInPlaceBiasAct(t *testing.T) {
 	AddRowVector(want, bias)
 	reluSweep(want)
 	got := base.Clone()
-	AddInPlaceBiasAct(got, src, bias, ActReLU)
+	AddInPlaceColsBiasAct(got, 0, src, bias, ActReLU)
 	assertBitIdentical(t, "full", want, got)
 
 	wide := randomMatrix(rng, rows, full)

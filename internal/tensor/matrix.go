@@ -273,17 +273,3 @@ func checkColWindow(op string, dst *Matrix, lo, w int) {
 		panic(fmt.Sprintf("tensor: %s column window [%d,%d) outside %d cols", op, lo, lo+w, dst.Cols))
 	}
 }
-
-// CopyCols copies columns [srcLo, srcLo+w) of src into columns
-// [dstLo, dstLo+w) of dst (same row count).
-func CopyCols(dst *Matrix, dstLo int, src *Matrix, srcLo, w int) {
-	if dst.Rows != src.Rows {
-		panic(fmt.Sprintf("tensor: CopyCols rows %d != %d", dst.Rows, src.Rows))
-	}
-	checkColWindow("CopyCols dst", dst, dstLo, w)
-	checkColWindow("CopyCols src", src, srcLo, w)
-	for i := 0; i < src.Rows; i++ {
-		copy(dst.Data[i*dst.Cols+dstLo:i*dst.Cols+dstLo+w],
-			src.Data[i*src.Cols+srcLo:i*src.Cols+srcLo+w])
-	}
-}

@@ -103,7 +103,7 @@ func scalarMatMul(a, b *Matrix) *Matrix {
 }
 
 // TestMatMulKernelsMatchScalarLoop pins MatMulInto, MatMulParallelInto and
-// MatMulBiasActInto to the scalar loop bit for bit, the sign of zero
+// MatMulColsBiasActInto to the scalar loop bit for bit, the sign of zero
 // included, at GOMAXPROCS 1 and 2, on operands where a quarter of a is a
 // ReLU's +0 or a −0, and some rows of a are all zero (their output must
 // stay +0 even where b holds −0, Inf or NaN).
@@ -135,8 +135,16 @@ func TestMatMulKernelsMatchScalarLoop(t *testing.T) {
 			assertSameBits(t, tag+" MatMulInto", want, got)
 			MatMulParallelInto(got, a, b)
 			assertSameBits(t, tag+" MatMulParallelInto", want, got)
-			MatMulBiasActInto(got, a, b, nil, ActNone)
-			assertSameBits(t, tag+" MatMulBiasActInto", want, got)
+			MatMulColsBiasActInto(got, 0, a, b, 0, k, nil, ActNone)
+			assertSameBits(t, tag+" MatMulColsBiasActInto", want, got)
+			// A window reads b's rows in place through its stride.
+			lo := k / 3
+			win := New(m, k-lo)
+			MatMulColsBiasActInto(win, 0, a, b, lo, k, nil, ActNone)
+			for i := 0; i < m; i++ {
+				copy(got.Row(i)[lo:], win.Row(i))
+			}
+			assertSameBits(t, tag+" MatMulColsBiasActInto window", want, got)
 		}
 		runtime.GOMAXPROCS(prev)
 	}

@@ -28,7 +28,7 @@
 //     zeros there are incidental, not structural.
 //   - AccRow, the strided row accumulate dst[j] += Σ_p a[p]·b[p][j] of
 //     everything that is not packed: tensor's row-major products
-//     (MatMulInto, MatMulParallel, MatMulBiasActInto; the training
+//     (MatMulInto, MatMulParallel, MatMulColsBiasActInto; the training
 //     products, the low-rank terms) and the BSR products of
 //     internal/sparse (one call per stored block and sample, or per
 //     block column for the weight gradient). 32 columns stay in YMM

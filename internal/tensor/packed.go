@@ -63,20 +63,25 @@ type packedJob struct {
 }
 
 // MatMulPackedColsBiasActInto is the serial column-window form of
-// MatMulPackedBiasActParallelInto: it computes act(a·B + bias) into the
-// column window [dstLo, dstLo+B.Cols) of dst, the kernel one
-// tensor-parallel shard runs on its slice of a weight. bias is
+// MatMulPackedBiasActParallelInto: it computes columns [lo, hi) of
+// act(a·B + bias) into the same columns of dst (as wide as B), reading
+// only the NR-wide panels of B that cover the window, in place. It is
+// the kernel one tensor-parallel shard runs on its window of a packed
+// weight, so lo must fall on a panel boundary (a multiple of
+// microkernel.NR) and hi on one too, or on B's last column. Panels are
+// independent and every element keeps MatMul's chain, so windows
+// assembled across shards are bit for bit the full product. bias is
 // window-relative and may be nil; columns outside the window are
-// untouched. With dstLo 0 and a dst as wide as B it is the serial full
-// product.
-func MatMulPackedColsBiasActInto(dst *Matrix, dstLo int, a *Matrix, pb *PackedB, bias []float32, act Activation) {
+// untouched. With [0, B.Cols) it is the serial full product.
+func MatMulPackedColsBiasActInto(dst, a *Matrix, pb *PackedB, lo, hi int, bias []float32, act Activation) {
 	if a.Cols != pb.rows {
 		panic(fmt.Sprintf("tensor: MatMulPackedColsBiasActInto shape mismatch (%d×%d)·packed(%d×%d)", a.Rows, a.Cols, pb.rows, pb.cols))
 	}
-	if dst.Rows != a.Rows || dstLo < 0 || dstLo+pb.cols > dst.Cols {
-		panic(fmt.Sprintf("tensor: MatMulPackedColsBiasActInto window [%d,%d) does not fit %d×%d dst",
-			dstLo, dstLo+pb.cols, dst.Rows, dst.Cols))
+	checkIntoShape("MatMulPackedColsBiasActInto", dst, a.Rows, pb.cols)
+	if lo < 0 || lo > hi || hi > pb.cols || lo%microkernel.NR != 0 || (hi%microkernel.NR != 0 && hi != pb.cols) {
+		panic(fmt.Sprintf("tensor: MatMulPackedColsBiasActInto window [%d,%d) is not a run of whole panels of %d columns", lo, hi, pb.cols))
 	}
-	checkBiasLen("MatMulPackedColsBiasActInto", bias, pb.cols)
-	microkernel.MatMul(dst.Data, dst.Cols, dstLo, a.Data, a.Cols, 0, a.Rows, pb.data, pb.rows, pb.cols, bias, act == ActReLU)
+	checkBiasLen("MatMulPackedColsBiasActInto", bias, hi-lo)
+	pl := pb.rows * microkernel.NR // float32s per panel
+	microkernel.MatMul(dst.Data, dst.Cols, lo, a.Data, a.Cols, 0, a.Rows, pb.data[lo/microkernel.NR*pl:], pb.rows, hi-lo, bias, act == ActReLU)
 }

@@ -45,7 +45,7 @@ func TestMatMulPackedMatchesReference(t *testing.T) {
 		got := New(m, k)
 
 		MatMulInto(want, a, b)
-		MatMulPackedColsBiasActInto(got, 0, a, pb, nil, ActNone)
+		MatMulPackedColsBiasActInto(got, a, pb, 0, k, nil, ActNone)
 		assertEqualMat(t, "MatMulPackedColsBiasActInto/plain", sh, want, got)
 
 		MatMulParallelInto(want, a, b)
@@ -53,8 +53,8 @@ func TestMatMulPackedMatchesReference(t *testing.T) {
 		assertEqualMat(t, "MatMulPackedBiasActParallelInto/plain", sh, want, got)
 
 		for _, act := range []Activation{ActNone, ActReLU} {
-			MatMulBiasActInto(want, a, b, bias, act)
-			MatMulPackedColsBiasActInto(got, 0, a, pb, bias, act)
+			MatMulColsBiasActInto(want, 0, a, b, 0, k, bias, act)
+			MatMulPackedColsBiasActInto(got, a, pb, 0, k, bias, act)
 			assertEqualMat(t, fmt.Sprintf("MatMulPackedColsBiasActInto/%v", act), sh, want, got)
 
 			MatMulPackedBiasActParallelInto(got, a, pb, bias, act)
@@ -64,31 +64,26 @@ func TestMatMulPackedMatchesReference(t *testing.T) {
 }
 
 // TestMatMulPackedColsMatchesReference checks the sharded column-window
-// form against the reference MatMulBiasActInto product copied into the
-// window, windows at ragged offsets.
+// form, on runs of whole panels of one pack, against the reference
+// MatMulColsBiasActInto product of the same window, the ragged tail
+// panel included.
 func TestMatMulPackedColsMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	m, n, full := 6, 37, 40
+	m, n, full := 6, 37, 43
 	a := randMatrix(rng, m, n)
 	w := randMatrix(rng, n, full)
-	for _, win := range [][2]int{{0, 40}, {0, 13}, {13, 27}, {27, 40}, {5, 6}} {
+	pb := Pack(w)
+	for _, win := range [][2]int{{0, 43}, {0, 16}, {16, 24}, {24, 43}, {40, 43}, {8, 8}} {
 		lo, hi := win[0], win[1]
 		k := hi - lo
-		wk := New(n, k)
-		for p := 0; p < n; p++ {
-			copy(wk.Row(p), w.Row(p)[lo:hi])
-		}
-		pb := Pack(wk)
 		bias := make([]float32, k)
 		for i := range bias {
 			bias[i] = rng.Float32()*2 - 1
 		}
 		want := randMatrix(rng, m, full)
 		got := want.Clone()
-		ref := New(m, k)
-		MatMulBiasActInto(ref, a, wk, bias, ActReLU)
-		CopyCols(want, lo, ref, 0, k)
-		MatMulPackedColsBiasActInto(got, lo, a, pb, bias, ActReLU)
+		MatMulColsBiasActInto(want, lo, a, w, lo, hi, bias, ActReLU)
+		MatMulPackedColsBiasActInto(got, a, pb, lo, hi, bias, ActReLU)
 		for i := range want.Data {
 			if want.Data[i] != got.Data[i] {
 				t.Fatalf("window [%d,%d): data[%d] = %v, want %v", lo, hi, i, got.Data[i], want.Data[i])
@@ -128,7 +123,7 @@ func BenchmarkMatMulInto(b *testing.B) {
 		b.Run(fmt.Sprintf("tiled/b%dxn%d", batch, width), func(b *testing.B) {
 			b.SetBytes(flops)
 			for i := 0; i < b.N; i++ {
-				MatMulPackedColsBiasActInto(dst, 0, a, pb, nil, ActNone)
+				MatMulPackedColsBiasActInto(dst, a, pb, 0, width, nil, ActNone)
 			}
 		})
 	}

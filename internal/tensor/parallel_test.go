@@ -82,7 +82,7 @@ func TestParallelMatMulsBitIdentical(t *testing.T) {
 			MatMulParallelInto(got, a, b)
 			assertEqualMat(t, fmt.Sprintf("procs=%d MatMulParallelInto", procs), sh, want, got)
 			pb := Pack(b)
-			MatMulPackedColsBiasActInto(want, 0, a, pb, bias, ActReLU)
+			MatMulPackedColsBiasActInto(want, a, pb, 0, k, bias, ActReLU)
 			MatMulPackedBiasActParallelInto(got, a, pb, bias, ActReLU)
 			assertEqualMat(t, fmt.Sprintf("procs=%d MatMulPackedBiasActParallelInto", procs), sh, want, got)
 		}

@@ -35,7 +35,7 @@ var unreachedAllowed = map[string]string{
 	"internal/serve.Registry.Remove":             "model churn: the serve tests pin that removal stops workers and drops series, and a churn fuzz target will drive it",
 	"internal/shard.Compile":                     "planner entry point without a memory budget, through which the shard tests compile plans",
 	"internal/shard.Estimate":                    "planner entry point without a memory budget, through which the shard and serve tests price plans",
-	"internal/shard.ShardedPlan.Lowering":        "the lowering a sharded plan runs: the serve tests check that every plan of a model version runs one packed lowering",
+	"internal/shard.ShardedPlan.Lowering":        "the packed lowering a sharded plan runs: the shard and serve tests check that every plan of a model version, tensor-parallel ones included, runs its one set of packs",
 	"internal/tensor.Add":                        "helper the tensor, butterfly and pixelfly tests build expected results with",
 	"internal/tensor.AlmostEqual":                "comparison the tests of six packages use",
 	"internal/tensor.Workspace.Capacity":         "a workspace's backing as a demand: the transform, nn and shard tests check every declared demand against it",
