@@ -78,7 +78,7 @@ func main() {
 		ipus     = flag.Int("ipus", 1, "modelled IPUs available per model (IPU-Link pod size)")
 		shards   = flag.Int("shards", 0, "shard count per model: 0 auto-picks the smallest that fits -ipu-mem")
 		ipuMemMB = flag.Int("ipu-mem", 0, "per-IPU memory budget in MB for the auto shard pick (0 = full chip SRAM)")
-		pprofOn  = flag.Bool("pprof", false, "mount net/http/pprof on the serving mux and pin per-model pprof labels around plan execution")
+		pprofOn  = flag.Bool("pprof", false, "mount net/http/pprof on the serving mux (batches always run under per-model pprof labels)")
 	)
 	flag.Parse()
 
@@ -104,7 +104,6 @@ func main() {
 		NumIPUs:        *ipus,
 		PerIPUMemBytes: *ipuMemMB << 20,
 		Shards:         *shards,
-		PprofLabels:    *pprofOn,
 	})
 	defer reg.Close()
 

@@ -151,6 +151,12 @@ func (l *LowRank) ColsScratch(rows, cols int) tensor.Scratch {
 // column.
 func (l *LowRank) ColsAlign() int { return 1 }
 
+// ColsShared is what every window of ApplyColsInto repeats whatever its
+// columns: V's bytes and the per-row flops of X·V.
+func (l *LowRank) ColsShared() (bytes int, flopsPerRow int64) {
+	return 4 * l.N * l.Rank, int64(2 * l.N * l.Rank)
+}
+
 // Backward accumulates dU, dV and returns dX.
 func (l *LowRank) Backward(dY *tensor.Matrix) *tensor.Matrix {
 	if l.xSaved == nil {

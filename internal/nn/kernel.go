@@ -40,19 +40,3 @@ func kernelOfLayer(l Layer) obs.Kernel {
 		return obs.KernelOther
 	}
 }
-
-// flopser is the per-sample work surface compute-bearing layers expose;
-// activations don't implement it.
-type flopser interface {
-	Flops(batch int) float64
-}
-
-// layerFlopsPerRow returns the layer's per-sample flop count (all the
-// repo's Flops formulas are batch-linear, so batch=1 is the per-row
-// figure), or 0 for layers without a flop model.
-func layerFlopsPerRow(l Layer) int64 {
-	if f, ok := l.(flopser); ok {
-		return int64(f.Flops(1))
-	}
-	return 0
-}

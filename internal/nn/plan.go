@@ -3,6 +3,7 @@ package nn
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/butterfly"
@@ -128,10 +129,13 @@ type planStep struct {
 	// factor of a FactorizedDense). Built once by Pack and shared,
 	// read-only, by every Instance of the packed lowering.
 	packedW, packedA *tensor.PackedB
+	// bytes is what the step keeps resident: its parameters, plus tables
+	// such as a butterfly's permutation.
+	bytes int
 	// win is the step's column-window form: lowerLayer declares its
-	// alignment and scratch, and Pack binds its passes beside run, over
-	// the same weights and packs. Align 0 means the step does not split
-	// by columns.
+	// alignment, scratch, shared share and passes, and Pack binds the
+	// passes' kernels beside run, over the same weights and packs. A step
+	// with no passes does not split by columns.
 	win Window
 
 	// kernel is the Into-kernel family the step executes and flopsPerRow /
@@ -151,18 +155,29 @@ type stepShape struct{ in, out, sweeps int }
 // Window is the column-window form of a step's kernel: what one
 // tensor-parallel shard runs to write its window [lo, hi) of the step's
 // output, over the step's own weights and packs, so a split copies none
-// of them.
+// of them. It also says what a window costs, so the shard planner prices
+// the windows a split runs from the lowering alone: a window of c of the
+// step's cols columns holds SharedBytes plus c/cols of the rest of the
+// step's resident bytes, and computes SharedFlopsPerRow plus c/cols of
+// the rest of its flops.
 type Window struct {
 	// Align is the multiple every window bound but the step's last column
 	// falls on: microkernel.NR for the packed matmul's panels, the block
-	// size for pixelfly, 1 otherwise; 0 for a step with no window form.
+	// size for pixelfly, 1 otherwise.
 	Align int
 	// Scratch declares what a pass takes from the workspace for a window
 	// of cols columns at rows rows; nil declares nothing.
 	Scratch func(rows, cols int) tensor.Scratch
+	// SharedBytes and SharedFlopsPerRow are what every window holds and
+	// computes per row whatever its columns: a factorised layer's A and
+	// x·A, a low-rank or pixelfly transform's V and x·V, a butterfly's
+	// permutation table.
+	SharedBytes       int
+	SharedFlopsPerRow int64
 	// Passes run in order with a barrier between each, every shard on its
 	// own window, and the step's bias and folded activation ride the
-	// last. Nil before Pack.
+	// last. Lowering declares their shapes; their kernels are nil before
+	// Pack. A step with no passes has no window form.
 	Passes []WindowPass
 }
 
@@ -179,9 +194,13 @@ type WindowPass struct {
 	Variant string
 	// Run writes columns [lo, hi) of the pass's output into the same
 	// columns of dst (x.Rows × the step's width), reading x: the step
-	// input for the first pass, the previous pass's output after it.
-	Run func(dst, x *tensor.Matrix, ws *tensor.Workspace, lo, hi int)
+	// input for the first pass, the previous pass's output after it. Nil
+	// before Pack.
+	Run windowRun
 }
+
+// windowRun is a window pass's kernel.
+type windowRun = func(dst, x *tensor.Matrix, ws *tensor.Workspace, lo, hi int)
 
 // PlanOptions tune plan compilation.
 type PlanOptions struct {
@@ -233,7 +252,6 @@ func (s *Sequential) Lower(opts PlanOptions) (*Lowering, error) {
 		}
 		st.layer = layer
 		st.kernel = kernelOfLayer(layer)
-		st.flopsPerRow = layerFlopsPerRow(layer)
 		l.steps = append(l.steps, st)
 		width = outW
 	}
@@ -254,8 +272,10 @@ func (s *Sequential) Lower(opts PlanOptions) (*Lowering, error) {
 // Pack returns a copy of the lowering whose steps carry their kernels:
 // the dense and factorised weights are packed into panels here, once, and
 // every Instance of the copy, every pipeline stage and every
-// tensor-parallel shard's window shares them read-only. The receiver is
-// left as it was, so pricing may go on reading it while Pack runs.
+// tensor-parallel shard's window shares them read-only. It only binds
+// kernels: each step's window passes are bound on a copy of the declared
+// list, so the receiver is left as it was, and pricing may go on reading
+// it while Pack runs.
 func (l *Lowering) Pack() *Lowering {
 	q := *l
 	q.steps = make([]planStep, len(l.steps))
@@ -373,12 +393,12 @@ func fusePair(lin, actStep *planStep) (planStep, bool) {
 		act:     actStep.layer,
 		scratch: lin.scratch,
 		variant: lin.variant,
+		bytes:   lin.bytes,
 		win:     lin.win,
 		// The fused step keeps the linear step's kernel family and adds
-		// the folded activation's element ops, matching the modelled-cost
-		// accounting in the shard layer's describePlan.
+		// the folded activation's element ops.
 		kernel:      lin.kernel,
-		flopsPerRow: lin.flopsPerRow + int64(lin.cols),
+		flopsPerRow: lin.flopsPerRow + actStep.flopsPerRow,
 	}, true
 }
 
@@ -494,26 +514,21 @@ type StepInfo struct {
 	// transform that declares no variant, "" for steps with no kernel
 	// family).
 	Variant string
+	// Bytes is what the step keeps resident: its parameters, plus tables
+	// such as a butterfly's permutation.
+	Bytes int
 }
-
-// Fused reports whether the step carries a folded activation.
-func (si StepInfo) Fused() bool { return si.Kind == StepFused }
 
 // Step returns the introspection record of step i.
 func (l *Lowering) Step(i int) StepInfo {
 	st := &l.steps[i]
-	return StepInfo{Index: i, Name: st.name, Cols: st.cols, Kind: st.kind, Layer: st.layer, Act: st.act, Variant: st.variant}
+	return StepInfo{Index: i, Name: st.name, Cols: st.cols, Kind: st.kind, Layer: st.layer, Act: st.act, Variant: st.variant, Bytes: st.bytes}
 }
 
 // StepVariant returns the kernel variant name of step i — "reference"
 // for a transform that declares no variant, "" for steps with no kernel
 // family.
 func (l *Lowering) StepVariant(i int) string { return l.steps[i].variant }
-
-// StepLayer returns the source layer step i was lowered from — the hook
-// the shard partitioner splits on. For fused steps this is the linear
-// layer; the folded activation is reported by Step(i).Act.
-func (l *Lowering) StepLayer(i int) Layer { return l.steps[i].layer }
 
 // StepCols returns the output width of step i.
 func (l *Lowering) StepCols(i int) int { return l.steps[i].cols }
@@ -533,8 +548,9 @@ func (l *Lowering) StepRunner(i int) func(dst, x *tensor.Matrix, ws *tensor.Work
 }
 
 // StepWindow returns the column-window form of step i, bound over the
-// same weights and packs as StepRunner: its Align is 0 when the step
-// does not split by columns, and its Passes are nil before Pack.
+// same weights and packs as StepRunner: it has no passes when the step
+// does not split by columns, and its passes' kernels are nil before
+// Pack.
 func (l *Lowering) StepWindow(i int) Window { return l.steps[i].win }
 
 // Execute runs the plan over x (rows in [1, MaxBatch], cols ==
@@ -615,10 +631,11 @@ func inputWidth(l Layer) (int, error) {
 
 // lowerLayer emits the plan step for one layer given its input width,
 // returning the step and the layer's output width. It fixes the step's
-// shape and declares its kernel's scratch, and for a column-separable
-// step its window's alignment and scratch; the kernels themselves are
-// bound, and dense weights packed, by Pack. Structured layers record the
-// kernel variant their transform names.
+// shape, resident bytes and per-row flops and declares its kernel's
+// scratch, and for a column-separable step its window: alignment,
+// scratch, the share every window repeats, and the shape of each pass.
+// The kernels themselves are bound, and dense weights packed, by Pack.
+// Structured layers record the kernel variant their transform names.
 func lowerLayer(l Layer, width int) (planStep, int, error) {
 	switch t := l.(type) {
 	case *Dense:
@@ -626,33 +643,48 @@ func lowerLayer(l Layer, width int) (planStep, int, error) {
 			return planStep{}, 0, fmt.Errorf("input width %d != %d", width, t.In)
 		}
 		return planStep{name: t.Name(), cols: t.Out, kind: StepLinear, sweeps: 1,
-			variant: microkernel.Variant(), win: Window{Align: microkernel.NR}}, t.Out, nil
+			bytes: 4 * t.ParamCount(), flopsPerRow: int64(t.Flops(1)), variant: microkernel.Variant(),
+			win: Window{Align: microkernel.NR, Passes: []WindowPass{{Variant: microkernel.Variant()}}}}, t.Out, nil
 	case *StructuredLinear:
 		if t.N != width {
 			return planStep{}, 0, fmt.Errorf("input width %d != %d", width, t.N)
 		}
 		st := planStep{name: t.Name(), cols: t.N, kind: StepLinear, sweeps: 1,
+			bytes: 4 * t.ParamCount(), flopsPerRow: int64(t.Flops(1)),
 			variant: transformVariant(t.T), scratch: t.T.Scratch}
 		switch tr := t.T.(type) {
 		case colsTransform:
-			st.win = Window{Align: tr.ColsAlign(), Scratch: tr.ColsScratch}
+			bytes, flops := tr.ColsShared()
+			st.win = Window{Align: tr.ColsAlign(), Scratch: tr.ColsScratch,
+				SharedBytes: bytes, SharedFlopsPerRow: flops, Passes: []WindowPass{{Variant: st.variant}}}
 		case *butterfly.Butterfly:
-			// The window's permutation and stage sweeps stage nothing.
-			st.win = Window{Align: 1}
+			// The window's permutation and stage sweeps stage nothing, and
+			// every window holds the permutation table.
+			table := 8 * len(tr.Perm)
+			st.bytes += table
+			st.win = Window{Align: 1, SharedBytes: table, Passes: butterflyPasses(tr)}
 		}
+		// Fastfood and circulant declare no window: every output column
+		// mixes every input feature through a whole Hadamard or FFT pass,
+		// so a window would save neither memory nor compute.
 		return st, t.N, nil
 	case *ReLU:
-		return planStep{name: t.Name(), cols: width, kind: StepActivation, win: Window{Align: 1}}, width, nil
+		// One element op per column, in one pass with no kernel family.
+		return planStep{name: t.Name(), cols: width, kind: StepActivation, flopsPerRow: int64(width),
+			win: Window{Align: 1, Passes: []WindowPass{{}}}}, width, nil
 	case *FactorizedDense:
 		if t.In != width {
 			return planStep{}, 0, fmt.Errorf("input width %d != %d", width, t.In)
 		}
-		// Both kernels stage x·A, rows×rank, in the workspace; a window
-		// stages the whole of it too.
+		// Both kernels stage x·A, rows×rank, in the workspace; every window
+		// holds A and computes and stages the whole of x·A.
 		scratch := func(rows int) tensor.Scratch { return tensor.Scratch{Floats: rows * t.Rank, Headers: 1} }
 		return planStep{name: t.Name(), cols: t.Out, kind: StepLinear, sweeps: 1,
+			bytes: 4 * t.ParamCount(), flopsPerRow: int64(t.Flops(1)),
 			variant: microkernel.Variant(), scratch: scratch,
-			win: Window{Align: microkernel.NR, Scratch: func(rows, cols int) tensor.Scratch { return scratch(rows) }}}, t.Out, nil
+			win: Window{Align: microkernel.NR, Scratch: func(rows, cols int) tensor.Scratch { return scratch(rows) },
+				SharedBytes: 4 * t.In * t.Rank, SharedFlopsPerRow: int64(2 * t.In * t.Rank),
+				Passes: []WindowPass{{Variant: microkernel.Variant()}}}}, t.Out, nil
 	default:
 		return planStep{}, 0, fmt.Errorf("no plan lowering for layer type %T", l)
 	}
@@ -662,19 +694,21 @@ func lowerLayer(l Layer, width int) (planStep, int, error) {
 // (pixelfly, low-rank): ApplyColsInto writes columns [lo, hi) of
 // act(Apply(x) + bias) into the same columns of dst, bias
 // window-relative, and ApplyInto is its window [0, N). ColsScratch
-// declares its workspace demand for a window of cols columns, and
-// ColsAlign the multiple its window bounds fall on.
+// declares its workspace demand for a window of cols columns, ColsAlign
+// the multiple its window bounds fall on, and ColsShared the parameter
+// bytes and per-row flops every window repeats whatever its columns.
 type colsTransform interface {
 	ApplyColsInto(dst, x *tensor.Matrix, ws *tensor.Workspace, lo, hi int, bias []float32, act tensor.Activation)
 	ColsScratch(rows, cols int) tensor.Scratch
 	ColsAlign() int
+	ColsShared() (bytes int, flopsPerRow int64)
 }
 
 // bind builds the step's kernel and, for a column-separable step, its
-// window's passes over the same weights. Dense and factorised layers pack
-// their weight panels here, so the tiled matmul streams B in panel order,
-// and their windows read whole panels of those packs in place;
-// structured layers run their transform's ApplyInto, and its
+// window passes' kernels over the same weights. Dense and factorised
+// layers pack their weight panels here, so the tiled matmul streams B in
+// panel order, and their windows read whole panels of those packs in
+// place; structured layers run their transform's ApplyInto, and its
 // ApplyColsInto or, for a butterfly, the permutation and stage sweeps on
 // the window. A fused step folds the bias and activation into the
 // kernel's final pass; an unfused linear step adds the bias in a sweep of
@@ -683,6 +717,7 @@ func (st *planStep) bind() {
 	var bias []float32
 	var apply func(dst, x *tensor.Matrix, ws *tensor.Workspace, bias []float32, act tensor.Activation)
 	var window func(dst, x *tensor.Matrix, ws *tensor.Workspace, lo, hi int, bias []float32, act tensor.Activation)
+	act := st.activation()
 	switch t := st.layer.(type) {
 	case *Dense:
 		pw := tensor.Pack(t.W)
@@ -714,20 +749,19 @@ func (st *planStep) bind() {
 		case colsTransform:
 			window = tr.ApplyColsInto
 		case *butterfly.Butterfly:
-			st.win.Passes = butterflyPasses(tr, bias, st.activation())
+			st.win.Passes = bindPasses(st.win.Passes, butterflyRuns(tr, bias, act)...)
 		}
 	case *ReLU:
 		st.run = reluInto
-		st.win.Passes = []WindowPass{{Run: reluCols}}
+		st.win.Passes = bindPasses(st.win.Passes, reluCols)
 		return
 	default:
 		panic(fmt.Sprintf("nn: no kernel for lowered layer type %T", st.layer))
 	}
-	act := st.activation()
 	if window != nil {
-		st.win.Passes = []WindowPass{{Variant: st.variant, Run: func(dst, x *tensor.Matrix, ws *tensor.Workspace, lo, hi int) {
+		st.win.Passes = bindPasses(st.win.Passes, func(dst, x *tensor.Matrix, ws *tensor.Workspace, lo, hi int) {
 			window(dst, x, ws, lo, hi, bias[lo:hi], act)
-		}}}
+		})
 	}
 	if st.kind == StepFused {
 		st.run = func(dst, x *tensor.Matrix, ws *tensor.Workspace) {
@@ -739,6 +773,16 @@ func (st *planStep) bind() {
 		apply(dst, x, ws, nil, tensor.ActNone)
 		tensor.AddRowVector(dst, bias)
 	}
+}
+
+// bindPasses returns a copy of the declared passes with runs bound as
+// their kernels, in order; the declared list is left as it was.
+func bindPasses(declared []WindowPass, runs ...windowRun) []WindowPass {
+	passes := slices.Clone(declared)
+	for p := range passes {
+		passes[p].Run = runs[p]
+	}
+	return passes
 }
 
 // activation is the activation a step's kernel applies: the folded ReLU
@@ -754,14 +798,24 @@ func (st *planStep) activation() tensor.Activation {
 // permutation, then one pass per factor stage. A stage whose pairing
 // block is wider than a shard's window reads the partner columns another
 // shard wrote the pass before — on a pod, one pairwise IPU-Link exchange
-// per stage, on the host the shared arena plus the barrier. The bias and
-// activation ride the last stage: both are column-local. The stage
-// sweeps are the element-wise window kernel, not ApplyInto's unrolled
-// pair kernels, which write both halves of every pair.
-func butterflyPasses(b *butterfly.Butterfly, bias []float32, act tensor.Activation) []WindowPass {
-	passes := []WindowPass{{Tag: ":perm", Variant: transformVariant(b), Run: func(dst, x *tensor.Matrix, ws *tensor.Workspace, lo, hi int) {
+// per stage, on the host the shared arena plus the barrier.
+func butterflyPasses(b *butterfly.Butterfly) []WindowPass {
+	passes := []WindowPass{{Tag: ":perm", Variant: transformVariant(b)}}
+	for _, f := range b.Factors {
+		passes = append(passes, WindowPass{Tag: fmt.Sprintf(":stage%d", f.Stage), Span: 1 << f.Stage, Variant: "reference"})
+	}
+	return passes
+}
+
+// butterflyRuns are the kernels of butterflyPasses: the permutation, then
+// the stage sweeps, which are the element-wise window kernel, not
+// ApplyInto's unrolled pair kernels, which write both halves of every
+// pair. The bias and activation ride the last stage: both are
+// column-local.
+func butterflyRuns(b *butterfly.Butterfly, bias []float32, act tensor.Activation) []windowRun {
+	runs := []windowRun{func(dst, x *tensor.Matrix, ws *tensor.Workspace, lo, hi int) {
 		b.PermuteColsInto(dst, x, lo, hi)
-	}}}
+	}}
 	for i, f := range b.Factors {
 		run := func(dst, x *tensor.Matrix, ws *tensor.Workspace, lo, hi int) {
 			f.ApplyColsInto(dst, x, lo, hi, nil, tensor.ActNone)
@@ -771,9 +825,9 @@ func butterflyPasses(b *butterfly.Butterfly, bias []float32, act tensor.Activati
 				f.ApplyColsInto(dst, x, lo, hi, bias[lo:hi], act)
 			}
 		}
-		passes = append(passes, WindowPass{Tag: fmt.Sprintf(":stage%d", f.Stage), Span: 1 << f.Stage, Variant: "reference", Run: run})
+		runs = append(runs, run)
 	}
-	return passes
+	return runs
 }
 
 // reluInto is the standalone ReLU step's kernel.

@@ -263,8 +263,8 @@ func TestPlanStepIntrospection(t *testing.T) {
 	}
 	for i, want := range []StepKind{StepLinear, StepActivation, StepLinear} {
 		si := unfused.Step(i)
-		if si.Kind != want || si.Fused() || si.Act != nil {
-			t.Fatalf("unfused step %d: kind=%v fused=%v act=%v, want %v/false/nil", i, si.Kind, si.Fused(), si.Act, want)
+		if si.Kind != want || si.Act != nil {
+			t.Fatalf("unfused step %d: kind=%v act=%v, want %v/nil", i, si.Kind, si.Act, want)
 		}
 	}
 
@@ -272,7 +272,7 @@ func TestPlanStepIntrospection(t *testing.T) {
 		t.Fatalf("fused steps = %d, want 2", fused.NumSteps())
 	}
 	s0 := fused.Step(0)
-	if s0.Kind != StepFused || !s0.Fused() {
+	if s0.Kind != StepFused {
 		t.Fatalf("step 0 kind = %v, want StepFused", s0.Kind)
 	}
 	if _, ok := s0.Layer.(*StructuredLinear); !ok {
@@ -282,7 +282,7 @@ func TestPlanStepIntrospection(t *testing.T) {
 		t.Fatalf("step 0 act = %T, want *ReLU", s0.Act)
 	}
 	s1 := fused.Step(1)
-	if s1.Kind != StepLinear || s1.Fused() || s1.Act != nil {
+	if s1.Kind != StepLinear || s1.Act != nil {
 		t.Fatalf("step 1 = %+v, want plain linear", s1)
 	}
 
@@ -439,6 +439,55 @@ func TestPlanInstanceSharesPacks(t *testing.T) {
 				t.Error("instance shares the base's buffers")
 			}
 		})
+	}
+}
+
+// TestLoweringDeclaresWindows pins what the shard planner reads: lowering
+// declares every step's resident bytes (the model's parameters plus the
+// butterfly's permutation table) and every window pass's shape, and Pack
+// binds the passes' kernels on a copy, so the unpacked lowering keeps its
+// unbound passes. Fastfood and circulant declare no window.
+func TestLoweringDeclaresWindows(t *testing.T) {
+	const n = 64
+	for _, method := range AllMethods {
+		net := BuildSHL(method, n, 10, rand.New(rand.NewSource(43)))
+		low, err := net.Lower(PlanOptions{})
+		if err != nil {
+			t.Fatalf("%v: Lower: %v", method, err)
+		}
+		packed := low.Pack()
+		bytes, want := 0, 4*net.ParamCount()
+		if method == Butterfly {
+			want += 8 * n
+		}
+		for i := 0; i < low.NumSteps(); i++ {
+			bytes += low.Step(i).Bytes
+			decl, bound := low.StepWindow(i), packed.StepWindow(i)
+			if (method == Fastfood || method == Circulant) && i == 0 {
+				if len(decl.Passes) != 0 {
+					t.Errorf("%v step %d declares %d window passes, want none", method, i, len(decl.Passes))
+				}
+				continue
+			}
+			if len(decl.Passes) == 0 || len(bound.Passes) != len(decl.Passes) {
+				t.Fatalf("%v step %d: %d declared passes, %d bound", method, i, len(decl.Passes), len(bound.Passes))
+			}
+			if decl.SharedBytes > low.Step(i).Bytes {
+				t.Errorf("%v step %d: every window holds %d bytes of the step's %d", method, i, decl.SharedBytes, low.Step(i).Bytes)
+			}
+			for p, d := range decl.Passes {
+				b := bound.Passes[p]
+				if d.Run != nil || b.Run == nil {
+					t.Errorf("%v step %d pass %d: declared kernel bound %v, packed kernel bound %v", method, i, p, d.Run != nil, b.Run != nil)
+				}
+				if d.Tag != b.Tag || d.Span != b.Span || d.Variant != b.Variant {
+					t.Errorf("%v step %d pass %d: declared %q/%d/%q, packed %q/%d/%q", method, i, p, d.Tag, d.Span, d.Variant, b.Tag, b.Span, b.Variant)
+				}
+			}
+		}
+		if bytes != want {
+			t.Errorf("%v: steps hold %d bytes, want %d", method, bytes, want)
+		}
 	}
 }
 

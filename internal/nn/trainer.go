@@ -14,8 +14,6 @@ type TrainConfig struct {
 	LR        float32
 	Momentum  float32
 	Seed      int64
-	// EvalEvery controls validation cadence in epochs (0 = every epoch).
-	EvalEvery int
 }
 
 // PaperTrainConfig returns Table 3 settings with the given epoch budget.
@@ -28,21 +26,18 @@ func PaperTrainConfig(epochs int) TrainConfig {
 // TrainResult summarizes a training run.
 type TrainResult struct {
 	TrainLoss    []float64 // per epoch
-	ValAccuracy  []float64 // per evaluation
+	ValAccuracy  []float64 // per epoch
 	TestAccuracy float64
 	Steps        int // total optimizer steps
 	Samples      int // total samples processed
 }
 
-// Train runs minibatch SGD on the split and reports accuracies.
+// Train runs minibatch SGD on the split, validating after every epoch,
+// and reports accuracies.
 func Train(model *Sequential, ds *dataset.Split, cfg TrainConfig) TrainResult {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	opt := NewSGD(model, cfg.LR, cfg.Momentum)
 	res := TrainResult{}
-	evalEvery := cfg.EvalEvery
-	if evalEvery <= 0 {
-		evalEvery = 1
-	}
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		var epochLoss float64
 		batches := dataset.Batches(ds.XTrain.Rows, cfg.BatchSize, rng)
@@ -58,9 +53,7 @@ func Train(model *Sequential, ds *dataset.Split, cfg TrainConfig) TrainResult {
 			res.Samples += len(idx)
 		}
 		res.TrainLoss = append(res.TrainLoss, epochLoss/float64(ds.XTrain.Rows))
-		if (epoch+1)%evalEvery == 0 {
-			res.ValAccuracy = append(res.ValAccuracy, Evaluate(model, ds.XVal, ds.YVal))
-		}
+		res.ValAccuracy = append(res.ValAccuracy, Evaluate(model, ds.XVal, ds.YVal))
 	}
 	res.TestAccuracy = Evaluate(model, ds.XTest, ds.YTest)
 	return res

@@ -296,6 +296,12 @@ func (p *Pixelfly) ColsScratch(rows, cols int) tensor.Scratch {
 // block size.
 func (p *Pixelfly) ColsAlign() int { return p.Cfg.BlockSize }
 
+// ColsShared is what every window of ApplyColsInto repeats whatever its
+// columns: V's bytes and the per-row flops of X·V.
+func (p *Pixelfly) ColsShared() (bytes int, flopsPerRow int64) {
+	return 4 * p.Cfg.N * p.Cfg.LowRank, int64(2 * p.Cfg.N * p.Cfg.LowRank)
+}
+
 // MicroVariant names the kernel ApplyInto runs, which the plan compiler
 // stamps into step metadata: every block size runs BSR.MulInto, whose
 // stored blocks tile the output into microkernel.AccRow calls.

@@ -213,9 +213,10 @@ func (p *Program) shardEstimate() (shard.Cost, error) {
 // cost: per-IPU residency, exchange traffic, and the latency of the
 // partitioned run. The compute portion is scaled by the planner's own
 // sharded-vs-unsharded compute ratio (1 for pipeline; between 1/S and 1
-// for tensor parallelism, since replicated rank bottlenecks do not
-// divide), keeping the served latency consistent with the planner's Cost
-// for the same lowering.
+// for tensor parallelism, which runs as long as each step's widest
+// window, and whose replicated rank bottlenecks do not divide), keeping
+// the served latency consistent with the planner's Cost for the same
+// lowering.
 func (p *Program) shardCost(cost *ProgramCost) error {
 	sc, err := p.shardEstimate()
 	if err != nil {

@@ -49,12 +49,6 @@ type Options struct {
 	// phase gauges (0 = default 16; negative disables timelines). Each
 	// recorder retains the last timelineKeep sampled batches.
 	TimelineSampleEvery int
-
-	// PprofLabels pins a per-model pprof label ("model") on the batcher
-	// worker goroutine around plan execution, so CPU profiles attribute
-	// kernel time to the model that ran it. Off by default — label
-	// swapping is cheap but not free.
-	PprofLabels bool
 }
 
 // Default trace sampling: one request in 64, last 64 traces retained.
@@ -185,10 +179,8 @@ func (r *Registry) install(spec ModelSpec, net *nn.Sequential, label string, wb 
 		tracer:      r.tracer,
 		kstats:      r.kstats,
 		lat:         newLatencyRing(latencyWindow),
-	}
-	if r.opts.PprofLabels {
-		m.pprofBase = context.Background()
-		m.pprofCtx = pprof.WithLabels(m.pprofBase, pprof.Labels("model", spec.Name))
+		pprofCtx:    pprof.WithLabels(context.Background(), pprof.Labels("model", spec.Name)),
+		pprofBase:   context.Background(),
 	}
 	m.shards = r.pickShards(net)
 	m.mets = newModelMetrics(r.obs, spec.Name, m.shards)

@@ -213,9 +213,9 @@ type Model struct {
 	timeline *timeline.Recorder
 
 	// pprofCtx is the precomputed pprof-labeled context ("model" label)
-	// runBatch pins on the worker goroutine around plan execution, and
-	// pprofBase the unlabeled context it restores; both nil unless
-	// Options.PprofLabels is set, keeping the default hot path untouched.
+	// runBatch pins on the worker goroutine around plan execution, so CPU
+	// profiles attribute kernel time to the model that ran it, and
+	// pprofBase the unlabeled context it restores.
 	pprofCtx  context.Context
 	pprofBase context.Context
 
@@ -359,13 +359,11 @@ func (m *Model) ModelledCost(batch int) (*ProgramCost, error) {
 // before the plan goes back to the program. A program, plan or Execute
 // error fails the batch.
 func (m *Model) runBatch(x *tensor.Matrix, info *execInfo) (*tensor.Matrix, error) {
-	if m.pprofCtx != nil {
-		// Pin the model name on the worker goroutine for CPU-profile
-		// attribution around Plan.Execute; restored before the response
-		// fan-out so unrelated work is not mislabeled.
-		pprof.SetGoroutineLabels(m.pprofCtx)
-		defer pprof.SetGoroutineLabels(m.pprofBase)
-	}
+	// Pin the model name on the worker goroutine for CPU-profile
+	// attribution around Plan.Execute; restored before the response
+	// fan-out so unrelated work is not mislabeled.
+	pprof.SetGoroutineLabels(m.pprofCtx)
+	defer pprof.SetGoroutineLabels(m.pprofBase)
 	prog, err := m.cache.programQuiet(m.spec.Name, m.version, nextPow2(x.Rows), m.shards, m.net, m.workload)
 	if err != nil {
 		return nil, err
@@ -383,13 +381,11 @@ func (m *Model) runBatch(x *tensor.Matrix, info *execInfo) (*tensor.Matrix, erro
 			closePlan(pl)
 		}
 	}()
-	if m.pprofCtx != nil {
-		if ps, ok := pl.(pprofSink); ok {
-			// Sharded executors refine the model label with a
-			// per-shard ipu=<k> on their goroutines (idempotent
-			// per context, so repeating it every batch is free).
-			ps.SetPprofLabels(m.pprofCtx)
-		}
+	if ps, ok := pl.(pprofSink); ok {
+		// Sharded executors refine the model label with a per-shard
+		// ipu=<k> on their goroutines (idempotent per context, so
+		// repeating it every batch is free).
+		ps.SetPprofLabels(m.pprofCtx)
 	}
 	y, err := pl.Execute(x)
 	if err != nil {

@@ -100,7 +100,7 @@ func TestRegistryAutoShardSelection(t *testing.T) {
 		t.Fatal(err)
 	}
 	topo := shard.Topology{NumIPUs: 4, IPU: ipu.GC200(), Link: ipu.IPULink()}
-	c1, err := shard.Estimate(pl.Lowering, 8, 1, topo)
+	c1, err := shard.EstimateBudget(pl.Lowering, 8, 1, topo, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

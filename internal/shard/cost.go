@@ -2,13 +2,10 @@ package shard
 
 import (
 	"fmt"
+	"slices"
 
-	"repro/internal/baselines"
-	"repro/internal/butterfly"
-	"repro/internal/fft"
 	"repro/internal/ipu"
 	"repro/internal/nn"
-	"repro/internal/pixelfly"
 )
 
 // memOverhead scales raw data bytes to modelled resident bytes, standing
@@ -53,155 +50,120 @@ type Cost struct {
 // StrategyName is the JSON-friendly strategy label.
 func (c Cost) StrategyName() string { return c.Strategy.String() }
 
-// stepDesc is the cost-relevant description of one plan step.
-type stepDesc struct {
-	outW        int
-	weightBytes int     // parameter bytes that split 1/S under tensor parallelism
-	replBytes   int     // bytes every shard holds regardless of count
-	flops       float64 // total forward flops of the layer
-	replFlops   float64 // flops every shard repeats (rank bottlenecks x·A, x·V)
-	class       ipu.ComputeClass
-	globalFn    func(shards int) int // butterfly: exchange rounds inside the layer
-	splitErr    func(shards int) error
-}
-
-// describeStep prices one layer for the planner. Splittability defers to
-// canSplit so the estimate can never disagree with the lowering.
-func describeStep(l nn.Layer, outW, batch int) stepDesc {
-	d := stepDesc{
-		outW:     outW,
-		splitErr: func(shards int) error { return canSplit(l, outW, shards) },
+// Splittable reports whether the lowering splits tensor-parallel at the
+// given shard count, and if not, why: every step must have a window form
+// (nn.Window) and at least one column per shard. A shard whose window
+// rounds to nothing idles for the step, and the pricing counts it so.
+func Splittable(low *nn.Lowering, shards int) error {
+	if shards == 1 {
+		return nil // a 1-shard split is the identity lowering
 	}
-	switch t := l.(type) {
-	case *nn.Dense:
-		d.weightBytes = 4 * t.ParamCount()
-		d.flops = t.Flops(batch)
-		d.class = ipu.ClassAMP
-	case *nn.ReLU:
-		d.flops = float64(batch * outW)
-		d.class = ipu.ClassSIMD
-	case *nn.FactorizedDense:
-		d.weightBytes = 4 * (t.Rank*t.Out + t.Out)
-		d.replBytes = 4 * t.Rank * t.In // A is replicated
-		d.flops = t.Flops(batch)
-		d.replFlops = 2 * float64(batch) * float64(t.In) * float64(t.Rank) // x·A on every shard
-		d.class = ipu.ClassAMP
-	case *nn.StructuredLinear:
-		d.flops = t.Flops(batch)
-		d.class = ipu.ClassSIMD
-		switch tr := t.T.(type) {
-		case *butterfly.Butterfly:
-			d.weightBytes = 4 * (tr.ParamCount() + t.N)
-			if tr.Perm != nil {
-				d.replBytes = 8 * tr.N // the permutation table rides along
-			}
-			d.globalFn = func(shards int) int {
-				if shards <= 1 {
-					return 0
-				}
-				return fft.Log2(shards) // stages with stride ≥ N/S
-			}
-		case *baselines.LowRank:
-			d.weightBytes = 4 * (tr.N*tr.Rank + t.N)                            // U slice + bias
-			d.replBytes = 4 * tr.N * tr.Rank                                    // V is replicated
-			d.replFlops = 2 * float64(batch) * float64(tr.N) * float64(tr.Rank) // x·V on every shard
-		case *pixelfly.Pixelfly:
-			d.weightBytes = 4 * (tr.ParamCount() - tr.Cfg.N*tr.Cfg.LowRank + t.N)
-			d.replBytes = 4 * tr.Cfg.N * tr.Cfg.LowRank                                    // V is replicated
-			d.replFlops = 2 * float64(batch) * float64(tr.Cfg.N) * float64(tr.Cfg.LowRank) // x·V
-		default:
-			// Unsplittable structured layer (fastfood, circulant): all of
-			// it lives wherever its pipeline stage lands.
-			d.weightBytes = 4 * t.ParamCount()
-		}
-	default:
-		d.weightBytes = 4 * l.ParamCount()
-		d.class = ipu.ClassScalar
-	}
-	return d
-}
-
-// describePlan walks the lowering once. A fused step is priced as its linear
-// layer plus the folded activation's elementwise pass — the activation's
-// work doesn't disappear under fusion, but its arena resweep, barrier and
-// per-step all-gather do (one desc instead of two is exactly that saving).
-func describePlan(low *nn.Lowering, batch int) (descs []stepDesc, maxW int) {
-	maxW = low.InputWidth()
 	for i := 0; i < low.NumSteps(); i++ {
 		info := low.Step(i)
-		outW := info.Cols
-		if outW > maxW {
-			maxW = outW
-		}
-		d := describeStep(info.Layer, outW, batch)
-		if info.Fused() {
-			d.flops += float64(batch * outW)
-		}
-		descs = append(descs, d)
-	}
-	return descs, maxW
-}
-
-// canSplit reports whether a layer admits a tensor-parallel column split
-// at the given shard count. The checks here are the single source of truth
-// the cost planner and the split consult, so the estimate can never
-// disagree with the lowering.
-func canSplit(l nn.Layer, outW, shards int) error {
-	if shards == 1 {
-		return nil // a 1-shard "split" is the identity lowering
-	}
-	switch t := l.(type) {
-	case *nn.Dense:
-		if t.Out < shards {
-			return fmt.Errorf("dense output width %d < %d shards", t.Out, shards)
-		}
-		return nil
-	case *nn.ReLU:
-		return nil
-	case *nn.FactorizedDense:
-		if t.Out < shards {
-			return fmt.Errorf("factorized output width %d < %d shards", t.Out, shards)
-		}
-		return nil
-	case *nn.StructuredLinear:
-		switch tr := t.T.(type) {
-		case *butterfly.Butterfly:
-			if tr.N%shards != 0 {
-				return fmt.Errorf("butterfly width %d not divisible by %d shards", tr.N, shards)
-			}
-			return nil
-		case *baselines.LowRank:
-			if tr.N < shards {
-				return fmt.Errorf("low-rank width %d < %d shards", tr.N, shards)
-			}
-			return nil
-		case *pixelfly.Pixelfly:
-			if tr.Cfg.N%(shards*tr.Cfg.BlockSize) != 0 {
-				return fmt.Errorf("pixelfly slice width %d not block-aligned (block %d)",
-					tr.Cfg.N/shards, tr.Cfg.BlockSize)
-			}
-			return nil
-		default:
-			// Fastfood and circulant mix every input feature into every
-			// output (Hadamard sweeps / FFT), so a column slice of the
-			// output still needs the full O(N log N) pass — no memory or
-			// compute is saved by splitting them.
-			return fmt.Errorf("transform %T is not column-splittable", t.T)
-		}
-	default:
-		return fmt.Errorf("layer %T is not column-splittable", l)
-	}
-}
-
-// Splittable reports whether every lowered step admits a tensor-parallel
-// split at the given shard count, and if not, why.
-func Splittable(low *nn.Lowering, shards int) error {
-	for i := 0; i < low.NumSteps(); i++ {
-		if err := canSplit(low.StepLayer(i), low.StepCols(i), shards); err != nil {
-			return fmt.Errorf("shard: step %d (%s): %w", i, low.Steps()[i], err)
+		switch {
+		case len(low.StepWindow(i).Passes) == 0:
+			return fmt.Errorf("shard: step %d (%s): no column-window form", i, info.Name)
+		case info.Cols < shards:
+			return fmt.Errorf("shard: step %d (%s): width %d < %d shards", i, info.Name, info.Cols, shards)
 		}
 	}
 	return nil
+}
+
+// stepPrice is one lowered step's modelled price under a strategy: the
+// seconds of its slowest shard's compute, and the IPU-Link bytes and
+// seconds of what follows it — the all-gather of its windows plus one
+// pairwise round per exchanging pass under tensor parallelism, the hop to
+// the next stage under pipeline when the step ends its stage (at one
+// micro-batch).
+type stepPrice struct {
+	stage     int // owning pipeline stage; 0 under tensor parallelism
+	compute   float64
+	exBytes   int
+	exSeconds float64
+}
+
+// priceSteps is the one per-step price estimateMicro, modelledMicroPhases
+// and PlanStepSeconds read, and it reads only what the lowering declares;
+// it also returns the weight bytes each IPU holds. Under tensor
+// parallelism on more than one shard, shard k runs window
+// [pts[k], pts[k+1]) of every step, the splitPoints splitStep runs: a
+// window of c of a step's cols columns holds its Window's shared bytes
+// plus c/cols of the rest of the step's resident bytes, an empty window
+// holds nothing, the step computes as long as its widest window, and its
+// all-gather moves that window. Otherwise each step runs whole on its
+// pipeline stage.
+func priceSteps(low *nn.Lowering, batch, shards int, topo Topology, strategy Strategy) ([]stepPrice, []int) {
+	n := low.NumSteps()
+	prices := make([]stepPrice, n)
+	ipuBytes := make([]int, shards)
+	tp := strategy == TensorParallel && shards > 1
+	var owners []int
+	if !tp {
+		owners = pipelineOwners(stepBytes(low), shards)
+	}
+	for i := range prices {
+		info := low.Step(i)
+		flops := float64(batch) * float64(low.StepFlopsPerRow(i))
+		rate := classRate(topo, stepClass(info.Layer))
+		p := &prices[i]
+		if !tp {
+			p.stage = owners[i]
+			ipuBytes[p.stage] += info.Bytes
+			p.compute = flops / rate
+			if i+1 < n && owners[i+1] != p.stage {
+				// Activations cross one IPU-Link at the stage boundary.
+				p.exBytes = 4 * batch * info.Cols
+				p.exSeconds = topo.Link.PointToPointSeconds(p.exBytes)
+			}
+			continue
+		}
+		win := low.StepWindow(i)
+		pts := splitPoints(info.Cols, shards, win.Align)
+		widest := 0
+		for k := 0; k < shards; k++ {
+			if c := pts[k+1] - pts[k]; c > 0 {
+				ipuBytes[k] += (info.Bytes-win.SharedBytes)*c/info.Cols + win.SharedBytes
+				widest = max(widest, c)
+			}
+		}
+		shared := float64(batch) * float64(win.SharedFlopsPerRow)
+		p.compute = ((flops-shared)*float64(widest)/float64(info.Cols) + shared) / rate
+		rounds := 0
+		for _, pass := range win.Passes {
+			if exchanges(pass, info.Cols, shards) {
+				rounds++
+			}
+		}
+		slice := 4 * batch * widest
+		p.exBytes = topo.Link.AllGatherBytes(shards, slice) + rounds*slice
+		p.exSeconds = topo.Link.AllGatherSeconds(shards, slice) + float64(rounds)*topo.Link.PairwiseExchangeSeconds(slice)
+	}
+	return prices, ipuBytes
+}
+
+// stepBytes lists each lowered step's resident bytes, the quantity that
+// overflows tile SRAM.
+func stepBytes(low *nn.Lowering) []int {
+	bytes := make([]int, low.NumSteps())
+	for i := range bytes {
+		bytes[i] = low.Step(i).Bytes
+	}
+	return bytes
+}
+
+// stepClass is the IPU compute class a step's layer kind runs on: the
+// dense family on the AMP units, structured transforms and activations
+// on the SIMD lanes.
+func stepClass(l nn.Layer) ipu.ComputeClass {
+	switch l.(type) {
+	case *nn.Dense, *nn.FactorizedDense:
+		return ipu.ClassAMP
+	case *nn.StructuredLinear, *nn.ReLU:
+		return ipu.ClassSIMD
+	default:
+		return ipu.ClassScalar
+	}
 }
 
 // maxAutoMicro caps the planner-chosen wavefront width. The bubble
@@ -210,12 +172,6 @@ func Splittable(low *nn.Lowering, shards int) error {
 // micro-batch per boundary, so small widths capture nearly all of the
 // win: at S=2, M=4 already cuts the bubble from 0.5 to 0.2.
 const maxAutoMicro = 4
-
-// Estimate prices the lowered model at the given batch and shard count
-// with the per-IPU budget defaulting to the full chip SRAM.
-func Estimate(low *nn.Lowering, batch, shards int, topo Topology) (Cost, error) {
-	return EstimateBudget(low, batch, shards, topo, 0)
-}
 
 // EstimateBudget prices the lowered model and picks the strategy
 // fitting-then-fastest: among the candidates whose per-IPU footprint fits
@@ -283,70 +239,47 @@ func estimateWith(low *nn.Lowering, batch, shards int, topo Topology, strategy S
 }
 
 // estimateMicro prices one specific strategy at a pipeline wavefront
-// width (micro 0 = planner-chosen, see estimateBudgetMicro).
+// width (micro 0 = planner-chosen, see estimateBudgetMicro), summing
+// priceSteps step by step.
 func estimateMicro(low *nn.Lowering, batch, shards int, topo Topology, strategy Strategy, micro int) (Cost, error) {
 	topo = topo.withDefaults()
-	descs, maxW := describePlan(low, batch)
 	c := Cost{Shards: shards, Strategy: strategy, Batch: batch}
 
 	// Both strategies keep the full-width ping-pong arenas resident (the
 	// gathered activations under TP, the streamed batch under pipeline)
 	// plus one arena's worth of per-step scratch.
+	maxW := low.InputWidth()
+	for i := 0; i < low.NumSteps(); i++ {
+		maxW = max(maxW, low.StepCols(i))
+	}
 	c.PerIPUActivationBytes = 3 * 4 * batch * maxW
-
-	rate := func(cl ipu.ComputeClass) float64 { return classRate(topo, cl) }
 
 	switch strategy {
 	case TensorParallel:
-		if shards > 1 {
-			if err := Splittable(low, shards); err != nil {
-				return Cost{}, err
-			}
+		if err := Splittable(low, shards); err != nil {
+			return Cost{}, err
 		}
-		for _, d := range descs {
-			c.PerIPUWeightBytes += d.weightBytes/shards + d.replBytes
-			// The sliced work divides across shards; rank-bottleneck
-			// products (x·A, x·V) are replicated and do not.
-			split := (d.flops-d.replFlops)/float64(shards) + d.replFlops
-			c.ComputeSecondsPerBatch += split / rate(d.class)
-			if shards > 1 {
-				// All-gather of the layer's output slices.
-				slice := 4 * batch * d.outW / shards
-				c.ExchangeBytesPerBatch += topo.Link.AllGatherBytes(shards, slice)
-				c.ExchangeSecondsPerBatch += topo.Link.AllGatherSeconds(shards, slice)
-				if d.globalFn != nil {
-					// Butterfly global stages: one pairwise swap each.
-					rounds := d.globalFn(shards)
-					c.ExchangeBytesPerBatch += rounds * slice
-					c.ExchangeSecondsPerBatch += float64(rounds) * topo.Link.PairwiseExchangeSeconds(slice)
-				}
-			}
+		prices, ipuBytes := priceSteps(low, batch, shards, topo, strategy)
+		c.PerIPUWeightBytes = slices.Max(ipuBytes)
+		for _, p := range prices {
+			c.ComputeSecondsPerBatch += p.compute
+			c.ExchangeBytesPerBatch += p.exBytes
+			c.ExchangeSecondsPerBatch += p.exSeconds
 		}
 	case Pipeline:
 		// Effective stages: pipelineOwners never assigns a stage past the
 		// lowering's step count, so shards beyond it would own nothing — the
 		// executor clamps to the same count and the pricing must agree.
-		stages := shards
-		if n := low.NumSteps(); stages > n {
-			stages = n
-		}
-		owners := pipelineOwners(low, stages)
-		stageBytes := make([]int, stages)
+		stages := min(shards, low.NumSteps())
+		prices, ipuBytes := priceSteps(low, batch, stages, topo, strategy)
+		c.PerIPUWeightBytes = slices.Max(ipuBytes)
 		stageComp := make([]float64, stages)
 		var boundaryBytes []int
-		for i, d := range descs {
-			stageBytes[owners[i]] += d.weightBytes + d.replBytes
-			sec := d.flops / rate(d.class)
-			c.ComputeSecondsPerBatch += sec
-			stageComp[owners[i]] += sec
-			if i+1 < len(owners) && owners[i+1] != owners[i] {
-				// Activations cross one IPU-Link at the stage boundary.
-				boundaryBytes = append(boundaryBytes, 4*batch*d.outW)
-			}
-		}
-		for _, b := range stageBytes {
-			if b > c.PerIPUWeightBytes {
-				c.PerIPUWeightBytes = b
+		for _, p := range prices {
+			c.ComputeSecondsPerBatch += p.compute
+			stageComp[p.stage] += p.compute
+			if p.exBytes > 0 {
+				boundaryBytes = append(boundaryBytes, p.exBytes)
 			}
 		}
 		c.PipelineStages = stages
@@ -458,60 +391,31 @@ func classRate(topo Topology, cl ipu.ComputeClass) float64 {
 }
 
 // PlanStepSeconds returns the modelled single-IPU duration of each lowered
-// step of one unsharded batch (index-aligned with low.Steps) — the same
-// per-class compute pricing estimateWith charges, without exchange. This
-// is the analytic baseline the serving layer's cost-model drift detector
-// lines the plan's measured step times (Frame().StepNanos) up against.
+// step of one unsharded batch (index-aligned with low.Steps): priceSteps'
+// compute on one shard, without exchange. This is the analytic baseline
+// the serving layer's cost-model drift detector lines the plan's measured
+// step times (Frame().StepNanos) up against.
 func PlanStepSeconds(low *nn.Lowering, batch int, topo Topology) []float64 {
-	topo = topo.withDefaults()
-	descs, _ := describePlan(low, batch)
-	out := make([]float64, len(descs))
-	for i, d := range descs {
-		out[i] = d.flops / classRate(topo, d.class)
+	prices, _ := priceSteps(low, batch, 1, topo.withDefaults(), Pipeline)
+	out := make([]float64, len(prices))
+	for i, p := range prices {
+		out[i] = p.compute
 	}
 	return out
 }
 
 // modelledMicroPhases prices each lowered micro-step, split by BSP
-// phase: the source plan step's modelled compute under the strategy
-// (split across shards for tensor parallel, whole for pipeline) spread
-// evenly over its micro-steps, and the step's exchange time (all-gather
-// / butterfly pairwise rounds / pipeline boundary hop) charged to the
-// step's last micro-step — the barrier where the host actually waits
-// for it. The timeline recorder consumes the split; ModelledStepSeconds
-// exposes the sum.
+// phase, from priceSteps under the strategy: the source plan step's
+// compute (its slowest window's under tensor parallelism, whole under
+// pipeline) spread evenly over its micro-steps, and the step's exchange
+// time (all-gather and butterfly pairwise rounds, or the pipeline
+// boundary hop) charged to the step's last micro-step — the barrier
+// where the host actually waits for it. The timeline recorder consumes
+// the split; ModelledStepSeconds exposes the sum.
 func modelledMicroPhases(low *nn.Lowering, steps []step, batch, shards int, topo Topology, strategy Strategy) (computeSec, exchangeSec []float64) {
-	topo = topo.withDefaults()
-	descs, _ := describePlan(low, batch)
-	n := len(descs)
-	compute := make([]float64, n)
-	exchange := make([]float64, n)
-	switch strategy {
-	case TensorParallel:
-		if shards > 1 {
-			for i, d := range descs {
-				split := (d.flops-d.replFlops)/float64(shards) + d.replFlops
-				compute[i] = split / classRate(topo, d.class)
-				slice := 4 * batch * d.outW / shards
-				exchange[i] = topo.Link.AllGatherSeconds(shards, slice)
-				if d.globalFn != nil {
-					exchange[i] += float64(d.globalFn(shards)) * topo.Link.PairwiseExchangeSeconds(slice)
-				}
-			}
-			break
-		}
-		fallthrough
-	case Pipeline:
-		owners := pipelineOwners(low, shards)
-		for i, d := range descs {
-			compute[i] = d.flops / classRate(topo, d.class)
-			if i+1 < len(owners) && owners[i+1] != owners[i] {
-				exchange[i] = topo.Link.PointToPointSeconds(4 * batch * d.outW)
-			}
-		}
-	}
-	counts := make([]int, n)
-	last := make([]int, n)
+	prices, _ := priceSteps(low, batch, shards, topo.withDefaults(), strategy)
+	counts := make([]int, len(prices))
+	last := make([]int, len(prices))
 	for mi := range steps {
 		s := steps[mi].src
 		counts[s]++
@@ -521,9 +425,9 @@ func modelledMicroPhases(low *nn.Lowering, steps []step, batch, shards int, topo
 	exchangeSec = make([]float64, len(steps))
 	for mi := range steps {
 		s := steps[mi].src
-		computeSec[mi] = compute[s] / float64(counts[s])
+		computeSec[mi] = prices[s].compute / float64(counts[s])
 		if mi == last[s] {
-			exchangeSec[mi] = exchange[s]
+			exchangeSec[mi] = prices[s].exSeconds
 		}
 	}
 	return computeSec, exchangeSec
@@ -568,24 +472,16 @@ func EstimateSpecBytes(layers []SpecLayer, batch, shards int, topo Topology) int
 			weights += l.WeightBytes/shards + l.ReplicatedBytes
 		}
 	} else {
-		// Greedy contiguous stage packing, as pipelineOwners does.
-		total := 0
-		for _, l := range layers {
-			total += l.WeightBytes + l.ReplicatedBytes
+		// Contiguous stages, packed as the executor packs a lowering's.
+		bytes := make([]int, len(layers))
+		for i, l := range layers {
+			bytes[i] = l.WeightBytes + l.ReplicatedBytes
 		}
-		fair := (total + shards - 1) / shards
-		stage, stagesUsed := 0, 1
-		for _, l := range layers {
-			b := l.WeightBytes + l.ReplicatedBytes
-			if stage > 0 && stage+b > fair && stagesUsed < shards {
-				stage = 0
-				stagesUsed++
-			}
-			stage += b
-			if stage > weights {
-				weights = stage
-			}
+		stages := make([]int, shards)
+		for i, o := range pipelineOwners(bytes, shards) {
+			stages[o] += bytes[i]
 		}
+		weights = slices.Max(stages)
 	}
 	acts := 3 * 4 * batch * maxW
 	return int(memOverhead * float64(weights+acts))

@@ -1,10 +1,24 @@
 package shard
 
 import (
+	"go/parser"
+	"go/token"
+	"math"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
+	"repro/internal/butterfly"
+	"repro/internal/ipu"
 	"repro/internal/nn"
 )
+
+// Estimate prices the lowered model at the given batch and shard count
+// with the per-IPU budget defaulting to the full chip SRAM.
+func Estimate(low *nn.Lowering, batch, shards int, topo Topology) (Cost, error) {
+	return EstimateBudget(low, batch, shards, topo, 0)
+}
 
 func TestEstimateSplitsWeightMemory(t *testing.T) {
 	topo := DefaultTopology(4)
@@ -29,6 +43,84 @@ func TestEstimateSplitsWeightMemory(t *testing.T) {
 		if c4.ExchangeBytesPerBatch <= 0 || c4.ExchangeSecondsPerBatch <= 0 {
 			t.Errorf("%v: 4-shard tensor parallel must pay exchange, got %d bytes",
 				method, c4.ExchangeBytesPerBatch)
+		}
+	}
+}
+
+// TestPlannerPricesExecutedWindows pins the tensor-parallel prices to
+// the windows the shards run. At N = 256 the hidden layer splits evenly,
+// and the 10-class head runs as panel-aligned windows: [0, 8) [8, 10) on
+// 2 shards, [0, 0) [0, 8) [8, 8) [8, 10) on 4. So the busiest shard holds
+// its share of the hidden layer and 8 of the head's 10 columns, and the
+// head step computes as long as its 8-column window.
+func TestPlannerPricesExecutedWindows(t *testing.T) {
+	const headCols = 8 // the head's widest window, [0, 8)
+	topo := DefaultTopology(4)
+	for _, method := range []nn.Method{nn.Baseline, nn.Butterfly} {
+		net, pl := buildPlan(t, method, 31)
+		head := net.Layers[2].(*nn.Dense)
+		for _, shards := range []int{2, 4} {
+			// A window of c columns holds c columns of W and of the bias;
+			// a butterfly's holds c/N of every stage's angles, c bias
+			// entries and the whole permutation table.
+			c := testN / shards
+			var want int
+			switch l := net.Layers[0].(type) {
+			case *nn.Dense:
+				want = 4 * (l.In*c + c)
+			case *nn.StructuredLinear:
+				bf := l.T.(*butterfly.Butterfly)
+				want = 4*(bf.ParamCount()*c/testN+c) + 8*len(bf.Perm)
+			}
+			want += 4 * (head.In*headCols + headCols)
+			cost, err := estimateWith(pl.Lowering, testMaxBatch, shards, topo, TensorParallel)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cost.PerIPUWeightBytes != want {
+				t.Errorf("%v at %d shards: per-IPU weight bytes %d, the busiest shard's windows hold %d",
+					method, shards, cost.PerIPUWeightBytes, want)
+			}
+			sp, err := CompileMicro(pl.Lowering, testMaxBatch, topo, shards, TensorParallel, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			compute, _ := sp.ModelledPhaseSeconds()
+			got := compute[len(compute)-1]
+			sp.Close()
+			wantSec := 2 * float64(testMaxBatch*head.In*headCols) / classRate(topo, ipu.ClassAMP)
+			if math.Abs(got-wantSec) > 1e-9*wantSec {
+				t.Errorf("%v at %d shards: the head step is modelled at %.4g s, its %d-column window at %.4g s",
+					method, shards, got, headCols, wantSec)
+			}
+		}
+	}
+}
+
+// TestPlannerReadsNoOperator pins the layering: the planner prices, and
+// the split runs, what the lowering declares, so no non-test file of the
+// package imports an operator package.
+func TestPlannerReadsNoOperator(t *testing.T) {
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, parser.ImportsOnly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, imp := range f.Imports {
+			path, _ := strconv.Unquote(imp.Path.Value)
+			switch path {
+			case "repro/internal/baselines", "repro/internal/butterfly", "repro/internal/fft",
+				"repro/internal/hadamard", "repro/internal/pixelfly", "repro/internal/sparse":
+				t.Errorf("%s imports %s", name, path)
+			}
 		}
 	}
 }
@@ -198,6 +290,13 @@ func TestEstimateSpecBytes(t *testing.T) {
 	}
 	if EstimateSpecBytes(dense, batch, 0, topo) != one {
 		t.Fatal("shard count 0 should clamp to 1")
+	}
+	// Stages pack as the executor packs a lowering's: the first closes once
+	// it reaches its fair share (30), so [10, 25, 25] packs as [35, 25].
+	small := []SpecLayer{{OutW: 1, WeightBytes: 10}, {OutW: 1, WeightBytes: 25}, {OutW: 1, WeightBytes: 25}}
+	heaviest, acts := 35, 3*4 // one row of one column in three arenas
+	if got, want := EstimateSpecBytes(small, 1, 2, topo), int(memOverhead*float64(heaviest+acts)); got != want {
+		t.Fatalf("[10, 25, 25] on 2 stages: %d bytes, want %d (heaviest stage 35)", got, want)
 	}
 }
 

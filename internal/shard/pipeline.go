@@ -8,16 +8,16 @@ import (
 )
 
 // lowerPipeline assigns contiguous step ranges of a packed lowering to
-// consecutive IPUs, balanced by parameter bytes (the quantity that
-// overflows tile SRAM). Every lowered step becomes one micro-step whose
-// kernel runs only on the owning shard, through the lowering's own packed
-// kernel (nn.Lowering.StepRunner) and with its declared scratch — which
-// is what makes pipeline partitioning trivially bit-for-bit: each step
-// executes unchanged, only its placement moves. Activations crossing a
-// stage boundary ride one IPU-Link transfer in the cost model; on the
+// consecutive IPUs, balanced by the steps' resident bytes (the quantity
+// that overflows tile SRAM). Every lowered step becomes one micro-step
+// whose kernel runs only on the owning shard, through the lowering's own
+// packed kernel (nn.Lowering.StepRunner) and with its declared scratch —
+// which is what makes pipeline partitioning trivially bit-for-bit: each
+// step executes unchanged, only its placement moves. Activations crossing
+// a stage boundary ride one IPU-Link transfer in the cost model; on the
 // host the wavefront hands them over through a per-boundary arena.
 func lowerPipeline(low *nn.Lowering, shards int) []step {
-	owners := pipelineOwners(low, shards)
+	owners := pipelineOwners(stepBytes(low), shards)
 	steps := make([]step, low.NumSteps())
 	names := low.Steps()
 	for i := range steps {
@@ -36,17 +36,15 @@ func lowerPipeline(low *nn.Lowering, shards int) []step {
 	return steps
 }
 
-// pipelineOwners maps each lowered step to its pipeline stage: a greedy
-// in-order packing that closes a stage once it holds its fair share of the
-// model's parameter bytes, while leaving enough steps for the remaining
+// pipelineOwners maps each step, given its bytes, to its pipeline stage:
+// a greedy in-order packing that closes a stage once it holds its fair
+// share of the bytes, while leaving enough steps for the remaining
 // stages. Stages are contiguous and monotone, as a pipeline requires.
-func pipelineOwners(low *nn.Lowering, shards int) []int {
-	n := low.NumSteps()
-	bytes := make([]int, n)
+func pipelineOwners(bytes []int, shards int) []int {
+	n := len(bytes)
 	total := 0
-	for i := 0; i < n; i++ {
-		bytes[i] = layerParamBytes(low.StepLayer(i))
-		total += bytes[i]
+	for _, b := range bytes {
+		total += b
 	}
 	owners := make([]int, n)
 	stage, acc := 0, 0
@@ -69,6 +67,3 @@ func pipelineOwners(low *nn.Lowering, shards int) []int {
 	}
 	return owners
 }
-
-// layerParamBytes returns the FP32 parameter footprint of one layer.
-func layerParamBytes(l nn.Layer) int { return 4 * l.ParamCount() }

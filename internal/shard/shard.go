@@ -6,16 +6,18 @@
 // Two partitioning strategies are implemented, chosen per plan by a
 // cost-based planner over the ipu.LinkConfig exchange model:
 //
-//   - Tensor parallel: every wide layer is split into per-shard column
-//     windows — each IPU holds 1/S of the weights and produces 1/S of the
-//     layer's output, followed by an all-gather so the next layer sees the
-//     full activation. On the host every shard runs its window of the
+//   - Tensor parallel: every layer is split into per-shard column
+//     windows, rounded to the alignment the lowering declares (nn.Window)
+//     — each IPU holds its window's columns of the weights, plus what
+//     every window repeats, and produces its window of the layer's
+//     output, followed by an all-gather so the next layer sees the full
+//     activation. On the host every shard runs its window of the
 //     lowering's own kernels over the one copy of the packed weights.
 //     Butterfly chains split specially: the first log2(N/S) factor stages
 //     are block-local to a shard's slice, and only the top log2(S)
-//     "global" stages need a pairwise exchange round each — the property
-//     (Liu et al., arXiv:2002.03400) that makes structured layers cheap
-//     to shard.
+//     "global" stages, the passes wider than a shard's window, need a
+//     pairwise exchange round each — the property (Liu et al.,
+//     arXiv:2002.03400) that makes structured layers cheap to shard.
 //   - Pipeline: contiguous step ranges are assigned to consecutive IPUs
 //     and activations stream across one link per boundary. This is the
 //     fallback when a layer is not splittable (fastfood and circulant mix
@@ -29,7 +31,9 @@
 // expression as the unsharded plan, so ShardedPlan.Execute is bit-for-bit
 // equal to nn.Plan.Execute at any shard count — while the per-IPU memory
 // and the exchange traffic of a real multi-chip run are priced
-// analytically by the Cost model.
+// analytically by the Cost model, from what the lowering declares, on
+// the windows the shards run. Neither the planner nor the split reads an
+// operator's fields.
 package shard
 
 import (
@@ -229,24 +233,12 @@ type ShardedPlan struct {
 	wfSrc      []tensor.Matrix // per stage: reusable kernel src header
 }
 
-// Compile partitions a lowering across shards IPUs of the topology for
-// batches of up to maxBatch rows, letting the cost planner choose the
-// strategy: tensor-parallel when every layer is splittable and its
-// modelled latency (compute/S plus all-gather and butterfly exchange
-// rounds) beats pipeline's, pipeline otherwise. Pipeline plans also
-// inherit the planner's wavefront width (the micro-batch count minimizing
-// modelled latency). shards must be a power of two within the topology.
-func Compile(low *nn.Lowering, maxBatch int, topo Topology, shards int) (*ShardedPlan, error) {
-	cost, err := Estimate(low, maxBatch, shards, topo)
-	if err != nil {
-		return nil, err
-	}
-	return CompileMicro(low, maxBatch, topo, shards, cost.Strategy, cost.MicroBatches)
-}
-
-// CompileMicro is Compile with the partitioning strategy and the pipeline
-// wavefront width forced: micro 0 lets the cost model pick, micro ≥ 1
+// CompileMicro partitions a packed lowering across shards IPUs of the
+// topology for batches of up to maxBatch rows, under the strategy the
+// caller (the serving layer, from the planner's Cost) names, at a
+// pipeline wavefront width: micro 0 lets the cost model pick, micro ≥ 1
 // streams each batch as that many micro-batches (clamped to maxBatch).
+// shards must be a power of two within the topology.
 // Both strategies run the kernels of a packed lowering and pack nothing:
 // pipeline plans run each step's full-width kernel on its stage, through
 // the wavefront; tensor-parallel plans run each shard's window of the

@@ -11,8 +11,20 @@ import (
 	"repro/internal/tensor"
 )
 
-// n is wide enough that pixelfly's 64-wide blocks still split at 4 shards.
+// At n = 256 every shard of 4 gets one of pixelfly's 64-wide block rows.
 const testN, testClasses, testMaxBatch = 256, 10, 16
+
+// Compile partitions a packed lowering across shards IPUs of the
+// topology for batches of up to maxBatch rows under the planner's
+// strategy and wavefront width at the full chip budget: the serving
+// layer's path through EstimateBudget and CompileMicro.
+func Compile(low *nn.Lowering, maxBatch int, topo Topology, shards int) (*ShardedPlan, error) {
+	cost, err := Estimate(low, maxBatch, shards, topo)
+	if err != nil {
+		return nil, err
+	}
+	return CompileMicro(low, maxBatch, topo, shards, cost.Strategy, cost.MicroBatches)
+}
 
 func buildPlan(t testing.TB, method nn.Method, seed int64) (*nn.Sequential, *nn.Plan) {
 	t.Helper()
@@ -78,6 +90,64 @@ func TestShardedMatchesPlanAllMethods(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestTensorParallelIdleShardsMatchPlan splits a pixelfly SHL with
+// fewer block rows than shards: at N = 64 the layer is one 64-wide block
+// row, so on 2 and 4 shards one shard runs the whole pixelfly step and
+// the others idle, as some do on the 10-class head. The plan still
+// matches nn.Plan.Execute bit for bit, and the planner prices the busy
+// shard holding the whole layer.
+func TestTensorParallelIdleShardsMatchPlan(t *testing.T) {
+	const n = 64
+	net := nn.BuildSHL(nn.Pixelfly, n, testClasses, rand.New(rand.NewSource(71)))
+	pl, err := net.CompilePlan(testMaxBatch)
+	if err != nil {
+		t.Fatalf("CompilePlan: %v", err)
+	}
+	topo := DefaultTopology(4)
+	rng := rand.New(rand.NewSource(72))
+	for _, shards := range []int{2, 4} {
+		if err := Splittable(pl.Lowering, shards); err != nil {
+			t.Fatalf("%d shards: %v", shards, err)
+		}
+		cost, err := estimateWith(pl.Lowering, testMaxBatch, shards, topo, TensorParallel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cost.PerIPUWeightBytes < pl.Step(0).Bytes {
+			t.Errorf("%d shards: per-IPU weight bytes %d below the pixelfly step's %d", shards, cost.PerIPUWeightBytes, pl.Step(0).Bytes)
+		}
+		sp, err := CompileMicro(pl.Lowering, pl.MaxBatch(), topo, shards, TensorParallel, 1)
+		if err != nil {
+			t.Fatalf("CompileMicro(%d): %v", shards, err)
+		}
+		busy := 0
+		for _, run := range sp.steps[0].run {
+			if run != nil {
+				busy++
+			}
+		}
+		if busy != 1 {
+			t.Errorf("%d shards: %d shards run the pixelfly step, want 1", shards, busy)
+		}
+		for _, batch := range []int{1, 3, testMaxBatch} {
+			x := tensor.New(batch, n)
+			x.FillRandom(rng, 1)
+			want, err := pl.Execute(x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := sp.Execute(x)
+			if err != nil {
+				t.Fatalf("shards=%d batch=%d: %v", shards, batch, err)
+			}
+			if d := tensor.MaxAbsDiff(want, got); d != 0 {
+				t.Fatalf("shards=%d batch=%d: differs from plan by %g (want bit-for-bit)", shards, batch, d)
+			}
+		}
+		sp.Close()
 	}
 }
 
@@ -367,7 +437,7 @@ func TestPipelineStageClamp(t *testing.T) {
 func TestPipelineOwnersContiguous(t *testing.T) {
 	_, pl := buildPlan(t, nn.Baseline, 9)
 	for _, shards := range []int{1, 2, 4} {
-		owners := pipelineOwners(pl.Lowering, shards)
+		owners := pipelineOwners(stepBytes(pl.Lowering), shards)
 		if len(owners) != pl.NumSteps() {
 			t.Fatalf("shards=%d: %d owners for %d steps", shards, len(owners), pl.NumSteps())
 		}

@@ -1,9 +1,6 @@
 package shard
 
 import (
-	"errors"
-	"fmt"
-
 	"repro/internal/nn"
 	"repro/internal/tensor"
 )
@@ -12,24 +9,22 @@ import (
 // per-shard windows of the step's own window kernel
 // (nn.Lowering.StepWindow), which runs over the lowering's weights and
 // packs, so the split copies none of them. It fails (sending the planner
-// to pipeline) as soon as one layer is not splittable. Fused steps
-// survive the split because their folded bias and activation are
-// column-local: each shard's last pass applies the epilogue inside its
-// own column window, and only the butterfly's exchange stages stay
-// barriers.
+// to pipeline) when the lowering is not Splittable. Fused steps survive
+// the split because their folded bias and activation are column-local:
+// each shard's last pass applies the epilogue inside its own column
+// window, and only the butterfly's exchange stages stay barriers.
 func lowerTensorParallel(low *nn.Lowering, shards int) ([]step, error) {
 	if shards == 1 {
 		// A 1-shard split is the identity placement; reuse the pipeline
 		// lowering, which runs every step unchanged on IPU 0.
 		return lowerPipeline(low, 1), nil
 	}
+	if err := Splittable(low, shards); err != nil {
+		return nil, err
+	}
 	var steps []step
 	for i := 0; i < low.NumSteps(); i++ {
-		ss, err := splitStep(low, i, shards)
-		if err != nil {
-			return nil, fmt.Errorf("shard: step %d (%s): %w", i, low.Step(i).Name, err)
-		}
-		steps = append(steps, ss...)
+		steps = append(steps, splitStep(low, i, shards)...)
 	}
 	return steps, nil
 }
@@ -38,23 +33,17 @@ func lowerTensorParallel(low *nn.Lowering, shards int) ([]step, error) {
 // pass of the step's window kernel: each gives shard k its window
 // [pts[k], pts[k+1]) of the step's columns, with the scratch the window
 // declares for it. The split points are rounded to the window's
-// alignment, so a shard whose window rounds to nothing idles. canSplit
-// holds the planner's verdict.
-func splitStep(low *nn.Lowering, i, shards int) ([]step, error) {
+// alignment, so a shard whose window rounds to nothing idles. These are
+// the windows priceSteps prices.
+func splitStep(low *nn.Lowering, i, shards int) []step {
 	info := low.Step(i)
-	if err := canSplit(info.Layer, info.Cols, shards); err != nil {
-		return nil, err
-	}
 	win := low.StepWindow(i)
-	if len(win.Passes) == 0 {
-		return nil, errors.New("the lowering binds no window kernel for it")
-	}
 	pts := splitPoints(info.Cols, shards, win.Align)
 	steps := make([]step, len(win.Passes))
 	for p, pass := range win.Passes {
 		st := step{name: info.Name + "/tp" + pass.Tag, cols: info.Cols, src: i, variant: pass.Variant,
 			run: make([]func(dst, x *tensor.Matrix, ws *tensor.Workspace), shards), scratch: make([]func(rows int) tensor.Scratch, shards)}
-		if pass.Span > info.Cols/shards {
+		if exchanges(pass, info.Cols, shards) {
 			st.name += "+exchange"
 		}
 		for k := 0; k < shards; k++ {
@@ -69,8 +58,12 @@ func splitStep(low *nn.Lowering, i, shards int) ([]step, error) {
 		}
 		steps[p] = st
 	}
-	return steps, nil
+	return steps
 }
+
+// exchanges reports whether a window pass of a cols-wide step reads past
+// a shard's window: on a pod, one pairwise IPU-Link exchange round.
+func exchanges(pass nn.WindowPass, cols, shards int) bool { return pass.Span > cols/shards }
 
 // splitPoints returns the S+1 column boundaries slicing width columns into
 // S near-equal contiguous shares, each inner boundary rounded to the

@@ -33,8 +33,6 @@ var unreachedAllowed = map[string]string{
 	"internal/serve.compressedWorkload":          "helper of Registry.RegisterCompressed",
 	"internal/serve.maxFactorizationError":       "helper of Registry.RegisterCompressed",
 	"internal/serve.Registry.Remove":             "model churn: the serve tests pin that removal stops workers and drops series, and a churn fuzz target will drive it",
-	"internal/shard.Compile":                     "planner entry point without a memory budget, through which the shard tests compile plans",
-	"internal/shard.Estimate":                    "planner entry point without a memory budget, through which the shard and serve tests price plans",
 	"internal/shard.ShardedPlan.Lowering":        "the packed lowering a sharded plan runs: the shard and serve tests check that every plan of a model version, tensor-parallel ones included, runs its one set of packs",
 	"internal/tensor.Add":                        "helper the tensor, butterfly and pixelfly tests build expected results with",
 	"internal/tensor.AlmostEqual":                "comparison the tests of six packages use",
