@@ -1,6 +1,7 @@
 // Command ipuserve serves SHL models for inference over an HTTP JSON API,
-// with dynamic micro-batching and a compiled-program cache that annotates
-// every response with the modelled IPU latency and memory of its batch.
+// with dynamic micro-batching and a compiled program per model and batch
+// bucket that annotates every response with the modelled IPU latency and
+// memory of its batch.
 //
 // Serve:
 //
@@ -74,7 +75,7 @@ func main() {
 		seed     = flag.Int64("seed", 42, "weight-init seed")
 		maxBatch = flag.Int("maxbatch", 64, "micro-batcher: max coalesced batch size")
 		workers  = flag.Int("workers", 0, "micro-batcher: worker goroutines (0 = GOMAXPROCS)")
-		device   = flag.String("device", "gc200", "device model for the program cache: gc200 or gc2")
+		device   = flag.String("device", "gc200", "device model the programs are priced on: gc200 or gc2")
 		ipus     = flag.Int("ipus", 1, "modelled IPUs available per model (IPU-Link pod size)")
 		shards   = flag.Int("shards", 0, "shard count per model: 0 auto-picks the smallest that fits -ipu-mem")
 		ipuMemMB = flag.Int("ipu-mem", 0, "per-IPU memory budget in MB for the auto shard pick (0 = full chip SRAM)")

@@ -8,10 +8,10 @@ import (
 
 var sinkReport ExecReport
 
-// BenchmarkCompile prices one served model the way the program cache does
-// at set-up: for each batch bucket 1, 2, 4, …, 64 it builds the structured
-// layer's workload at N=1024 and runs Compile and Simulate. Run with
-// -benchmem; one op is all seven buckets.
+// BenchmarkCompile prices one served model the way its programs are
+// priced at set-up: for each batch bucket 1, 2, 4, …, 64 it builds the
+// structured layer's workload at N=1024 and runs Compile and Simulate.
+// Run with -benchmem; one op is all seven buckets.
 func BenchmarkCompile(b *testing.B) {
 	cfg := GC200()
 	const n = 1024

@@ -5,7 +5,7 @@
 // with a bounded ring of recent traces.
 //
 // The design constraints come from the serving pipeline it instruments
-// (batcher → program cache → compiled plan → sharded execution):
+// (batcher → bucket program → compiled plan → sharded execution):
 //
 //   - recording a metric at steady state must not allocate and must not
 //     take a lock — counters stripe across cache lines, gauges are one

@@ -62,20 +62,16 @@ type ProgramCost struct {
 	TrafficBytesUnfused int `json:"traffic_bytes_unfused,omitempty"`
 }
 
-// CacheStats exposes the hit/miss counters of the program cache.
+// CacheStats exposes the program counters: ModelledCost lookups that
+// found their bucket already priced (hits) or paid or waited on its
+// pricing (misses), and the priced programs of the registered models
+// (entries) and of models since replaced or removed (evictions).
 type CacheStats struct {
 	Hits      int64   `json:"hits"`
 	Misses    int64   `json:"misses"`
 	Evictions int64   `json:"evictions"`
 	Entries   int     `json:"entries"`
 	HitRate   float64 `json:"hit_rate"`
-}
-
-type programKey struct {
-	model   string
-	version int
-	batch   int
-	shards  int
 }
 
 // Executor is the host-side compiled program the batch path runs:
@@ -100,41 +96,31 @@ func closePlan(pl Executor) {
 	}
 }
 
-// Program is the cache's unit of work: everything compiled once per
-// (model, version, pow2-batch, shards) key. It bundles the modelled IPU
-// cost of the batch program with a free list of host execution plans
-// (nn.Plan, or shard.ShardedPlan when the model is sharded) sized for the
-// same batch bucket, so the micro-batcher's workers run allocation-free
-// and every response can report device cost without recompiling. Cost
-// reads the (model, version)'s lowering and builds no plan; GetPlan is
-// the one place a plan is built, over the plan source's packed lowering,
-// so every program of one model version shares one lowering and one copy
-// of the packed weights. The Program is the plans' sole owner: they stay
-// until the cache evicts it, which closes them.
+// Program is one model version's compiled artifact for one power-of-two
+// batch bucket: the modelled IPU cost of the batch program and a free
+// list of host execution plans (nn.Plan, or shard.ShardedPlan when the
+// model is sharded) sized for the bucket, so the micro-batcher's workers
+// run allocation-free and every response can report device cost without
+// recompiling. The model creates one per bucket when it is installed.
+// Cost reads the model's lowering and builds no plan; GetPlan is the one
+// place a plan is built, over the model's packed lowering, so every plan
+// of a model version runs one lowering and one copy of the packed
+// weights. The Program is the plans' sole owner: they stay until the
+// model stops, which closes them.
 type Program struct {
-	batch  int
-	shards int
-	topo   shard.Topology
-	budget int
+	m     *Model
+	batch int
 
 	costOnce sync.Once
 	costDone atomic.Bool
 	cost     *ProgramCost
 	costErr  error
-	cfg      ipu.Config
-	build    workloadBuilder
-	mets     *cacheMetrics // inherited from the cache; nil when uninstrumented
-
-	// src lowers the host network once per (model, version) and packs it
-	// when the first plan is built; every plan the program builds runs
-	// its lowering.
-	src *planSource
 
 	// idle is the LIFO free list of plans no caller holds. It needs no
 	// cap: GetPlan builds only when none is idle, so it holds at most the
 	// plans that were out at one moment (the model's batcher workers and
-	// a readiness probe). closed is set by eviction; plans returned
-	// afterwards are closed.
+	// a readiness probe). closed is set when the model stops; plans
+	// returned afterwards are closed.
 	mu     sync.Mutex
 	idle   []Executor
 	closed bool
@@ -166,25 +152,19 @@ func (p *Program) Cost() (*ProgramCost, error) {
 // modelled activation-arena traffic) and, for a sharded program, the
 // shard planner's verdict.
 func (p *Program) price() (*ProgramCost, error) {
-	cost, err := compileCost(p.cfg, p.batch, p.build)
+	cost, err := compileCost(p.m.topo.IPU, p.batch, p.m.workload)
 	if err != nil {
 		return nil, err
 	}
-	if p.mets != nil {
-		p.mets.compile.Observe(cost.CompileSeconds)
-	}
-	low, err := p.src.lowering()
-	if err != nil {
-		return nil, fmt.Errorf("serve: lowering host plan for fusion cost: %w", err)
-	}
-	st := low.Stats(p.batch)
+	p.m.cache.compile.Observe(cost.CompileSeconds)
+	st := p.m.low.Stats(p.batch)
 	cost.PlanSteps = st.Steps
 	cost.PlanStepsUnfused = st.StepsBeforeFusion
 	cost.PlanFusedSteps = st.FusedSteps
 	cost.PlanArenaBytes = st.ArenaBytes
 	cost.TrafficBytes = st.TrafficBytes
 	cost.TrafficBytesUnfused = st.TrafficBytesBeforeFusion
-	if p.shards > 1 {
+	if p.m.shards > 1 {
 		if err := p.shardCost(cost); err != nil {
 			return nil, err
 		}
@@ -196,15 +176,11 @@ func (p *Program) price() (*ProgramCost, error) {
 // priced on the model's lowering.
 func (p *Program) shardEstimate() (shard.Cost, error) {
 	p.scOnce.Do(func() {
-		low, err := p.src.lowering()
-		if err != nil {
-			p.scErr = err
+		m := p.m
+		if p.sc, p.scErr = shard.EstimateBudget(m.low, p.batch, m.shards, m.topo, m.budget); p.scErr != nil {
 			return
 		}
-		if p.sc, p.scErr = shard.EstimateBudget(low, p.batch, p.shards, p.topo, p.budget); p.scErr != nil {
-			return
-		}
-		p.scOne, p.scErr = shard.EstimateBudget(low, p.batch, 1, p.topo, p.budget)
+		p.scOne, p.scErr = shard.EstimateBudget(m.low, p.batch, 1, m.topo, m.budget)
 	})
 	return p.sc, p.scErr
 }
@@ -223,7 +199,7 @@ func (p *Program) shardCost(cost *ProgramCost) error {
 		return err
 	}
 	one := p.scOne
-	cost.Shards = p.shards
+	cost.Shards = p.m.shards
 	cost.Strategy = sc.StrategyName()
 	cost.PerIPUBytes = sc.PerIPUBytes
 	cost.ExchangeBytes = sc.ExchangeBytesPerBatch
@@ -263,33 +239,37 @@ func (p *Program) GetPlan() (Executor, error) {
 	p.mu.Unlock()
 	start := time.Now()
 	pl, err := p.newPlan()
-	if err == nil && p.mets != nil {
-		p.mets.planBuild.Observe(time.Since(start).Seconds())
+	if err == nil {
+		p.m.cache.planBuild.Observe(time.Since(start).Seconds())
 	}
 	return pl, err
 }
 
-// newPlan builds one host plan for the program's bucket over the plan
-// source's packed lowering: an instance of it on one IPU, or a sharded
-// plan under the planner's strategy, whose pipeline stages and
-// tensor-parallel windows run the lowering's own kernels and packs.
+// newPlan builds one host plan for the program's bucket over the model's
+// packed lowering: an instance of it on one IPU, or a sharded plan under
+// the planner's strategy, whose pipeline stages and tensor-parallel
+// windows run the lowering's own kernels and packs. A sharded plan's
+// goroutines carry the model's pprof label and an ipu=<k> label each.
 func (p *Program) newPlan() (Executor, error) {
-	low, err := p.src.packed()
-	if err != nil {
-		return nil, err
-	}
-	if p.shards <= 1 {
+	m := p.m
+	low := m.packed()
+	if m.shards <= 1 {
 		return low.Instance(p.batch)
 	}
 	sc, err := p.shardEstimate()
 	if err != nil {
 		return nil, err
 	}
-	return shard.CompileMicro(low, p.batch, p.topo, p.shards, sc.Strategy, sc.MicroBatches)
+	sp, err := shard.CompileMicro(low, p.batch, m.topo, m.shards, sc.Strategy, sc.MicroBatches)
+	if err != nil {
+		return nil, err
+	}
+	sp.SetPprofLabels(m.pprofCtx)
+	return sp, nil
 }
 
 // PutPlan returns a plan obtained from GetPlan to the free list, or
-// closes it when the program has been evicted.
+// closes it when the model has stopped.
 func (p *Program) PutPlan(pl Executor) {
 	if pl == nil {
 		return
@@ -317,188 +297,10 @@ func (p *Program) close() {
 	}
 }
 
-// planSource holds one (model, version)'s lowering: the network is
-// lowered once, when the first program is priced or builds a plan, and
-// packed once, when the first plan is built. Both happen under the
-// source's lock, so programs that miss at once share one lowering and
-// one set of packs; every host plan, at any batch bucket, on one IPU or
-// sharded under either strategy, runs them.
-type planSource struct {
-	net *nn.Sequential
-
-	mu     sync.Mutex
-	low    *nn.Lowering // unpacked: what pricing and the planner read
-	lowErr error
-	exe    *nn.Lowering // low packed: what plans run
-}
-
-// lowering returns the model's lowering, lowering the network on first
-// use. A failure is kept, since lowering the same network fails again.
-func (s *planSource) lowering() (*nn.Lowering, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lowerLocked()
-}
-
-func (s *planSource) lowerLocked() (*nn.Lowering, error) {
-	if s.low == nil && s.lowErr == nil {
-		s.low, s.lowErr = s.net.Lower(nn.PlanOptions{})
-	}
-	return s.low, s.lowErr
-}
-
-// packed returns the packed lowering plans run, packing the model's
-// weights on first use.
-func (s *planSource) packed() (*nn.Lowering, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.exe == nil {
-		low, err := s.lowerLocked()
-		if err != nil {
-			return nil, err
-		}
-		s.exe = low.Pack()
-	}
-	return s.exe, nil
-}
-
-// sourceKey names the plan source of one (model, version).
-type sourceKey struct {
-	model   string
-	version int
-}
-
-// ProgramCache memoizes compiled programs — host plan free list plus
-// modelled IPU cost — per (model, version, batch bucket, shard count), so the
-// serving path compiles each artifact at most once and every request
-// rides prebuilt state. The programs of one (model, version) share one
-// plan source, so the model is lowered and its weights packed once.
-type ProgramCache struct {
-	cfg    ipu.Config
-	topo   shard.Topology
-	budget int
-
-	mu      sync.Mutex
-	entries map[programKey]*Program
-	sources map[sourceKey]*planSource
-
-	hits      atomic.Int64
-	misses    atomic.Int64
-	evictions atomic.Int64
-
-	// mets is the cache's instrument set, installed once (before any
-	// Program exists) by the owning registry; nil when uninstrumented.
-	mets *cacheMetrics
-}
-
-// NewShardedProgramCache creates a cache that can also compile programs
-// partitioned across the topology's modelled IPUs, auto-picking the
-// partitioning strategy against the per-IPU memory budget (0 = full
-// SRAM).
-func NewShardedProgramCache(cfg ipu.Config, topo shard.Topology, budgetBytes int) *ProgramCache {
-	return &ProgramCache{cfg: cfg, topo: topo, budget: budgetBytes,
-		entries: map[programKey]*Program{}, sources: map[sourceKey]*planSource{}}
-}
-
 // workloadBuilder produces the IPU workload whose compiled program prices
 // a model at one batch size. The registry installs a layout-aware builder
 // for compressed models; spec-built models go through buildWorkload.
 type workloadBuilder func(cfg ipu.Config, batch int) (*ipu.Workload, error)
-
-// Program returns the compiled artifact for the key, creating it on first
-// use (and the (model, version)'s plan source, lowering net, with the
-// first such program), and counts the lookup in the hit/miss statistics
-// (one count per served request — the semantics the perf trajectory
-// records). The modelled cost is not compiled here — Cost does that
-// lazily, memoized.
-func (c *ProgramCache) Program(name string, version, batch, shards int, net *nn.Sequential, build workloadBuilder) (*Program, error) {
-	return c.lookup(name, version, batch, shards, net, build, true)
-}
-
-// programQuiet is Program without touching the hit/miss counters — the
-// per-batch execution path uses it so batching behaviour doesn't skew the
-// per-request cache statistics.
-func (c *ProgramCache) programQuiet(name string, version, batch, shards int, net *nn.Sequential, build workloadBuilder) (*Program, error) {
-	return c.lookup(name, version, batch, shards, net, build, false)
-}
-
-func (c *ProgramCache) lookup(name string, version, batch, shards int, net *nn.Sequential, build workloadBuilder, count bool) (*Program, error) {
-	if batch <= 0 {
-		return nil, fmt.Errorf("serve: cache batch %d must be positive", batch)
-	}
-	if shards < 1 {
-		shards = 1
-	}
-	if shards > 1 && shards > c.topo.NumIPUs {
-		return nil, fmt.Errorf("serve: %d shards exceed the cache topology of %d IPUs", shards, c.topo.NumIPUs)
-	}
-	key := programKey{model: name, version: version, batch: batch, shards: shards}
-	c.mu.Lock()
-	p, ok := c.entries[key]
-	if !ok {
-		sk := sourceKey{model: name, version: version}
-		src := c.sources[sk]
-		if src == nil {
-			src = &planSource{net: net}
-			c.sources[sk] = src
-		}
-		p = &Program{batch: batch, shards: shards, topo: c.topo, budget: c.budget, cfg: c.cfg, build: build, mets: c.mets, src: src}
-		c.entries[key] = p
-	}
-	if count {
-		// A hit means the request rode an already-compiled program; a
-		// lookup before the cost compile finished (including one that
-		// finds an entry the uncounted batch path just created) still
-		// pays or waits on the compile, so it counts as a miss.
-		if ok && p.costDone.Load() {
-			c.hits.Add(1)
-		} else {
-			c.misses.Add(1)
-		}
-	}
-	c.mu.Unlock()
-	return p, nil
-}
-
-// Evict drops every cached program of one (model, version) and its plan
-// source, releasing the pinned network weights and packs of a replaced or
-// removed model and closing the programs' idle plans. Programs still held
-// by in-flight callers stay usable; a plan those callers compile or
-// return afterwards is closed when it comes back. Callers must stop the model's batcher first so no
-// new lookups can resurrect the entries.
-func (c *ProgramCache) Evict(name string, version int) {
-	var dropped []*Program
-	c.mu.Lock()
-	for k, p := range c.entries {
-		if k.model == name && k.version == version {
-			delete(c.entries, k)
-			dropped = append(dropped, p)
-			c.evictions.Add(1)
-		}
-	}
-	delete(c.sources, sourceKey{model: name, version: version})
-	c.mu.Unlock()
-	for _, p := range dropped {
-		p.close()
-	}
-}
-
-// Stats snapshots the hit/miss counters.
-func (c *ProgramCache) Stats() CacheStats {
-	c.mu.Lock()
-	entries := len(c.entries)
-	c.mu.Unlock()
-	s := CacheStats{
-		Hits:      c.hits.Load(),
-		Misses:    c.misses.Load(),
-		Evictions: c.evictions.Load(),
-		Entries:   entries,
-	}
-	if total := s.Hits + s.Misses; total > 0 {
-		s.HitRate = float64(s.Hits) / float64(total)
-	}
-	return s
-}
 
 // compileCost builds the structured-layer workload for the batch, compiles
 // it, and prices it with the BSP cost model. The workload covers the N×N

@@ -13,64 +13,73 @@ import (
 	"repro/internal/tensor"
 )
 
-// costOf prices sp's program at one batch bucket on shards modelled IPUs:
-// the lookup Model.ModelledCost makes for every request.
-func costOf(c *ProgramCache, sp ModelSpec, version, batch, shards int) (*ProgramCost, error) {
-	net, err := buildNet(sp)
+// registered registers sp in a fresh registry of ipus modelled IPUs that
+// serves it on all of them, batching up to maxBatch rows; the registry
+// closes when the test ends.
+func registered(t *testing.T, sp ModelSpec, ipus, maxBatch int) (*Registry, *Model) {
+	t.Helper()
+	reg := NewRegistry(Options{Batcher: BatcherConfig{MaxBatch: maxBatch, Workers: 2}, NumIPUs: ipus, Shards: ipus})
+	t.Cleanup(reg.Close)
+	m, err := reg.Register(sp)
 	if err != nil {
-		return nil, err
+		t.Fatal(err)
 	}
-	p, err := c.Program(sp.Name, version, batch, shards, net, func(cfg ipu.Config, b int) (*ipu.Workload, error) {
-		return buildWorkload(cfg, sp, b)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return p.Cost()
+	return reg, m
 }
 
 func TestProgramCacheHitMissAccounting(t *testing.T) {
-	c := NewShardedProgramCache(ipu.GC200(), shard.DefaultTopology(1), 0)
 	sp := spec("m", nn.Butterfly)
+	reg, m := registered(t, sp, 1, 16)
 
-	cost1, err := costOf(c, sp, 1, 8, 1)
+	cost1, err := m.ModelledCost(8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cost1.Batch != 8 || cost1.LatencySeconds <= 0 {
 		t.Fatalf("degenerate cost %+v", cost1)
 	}
-	if s := c.Stats(); s.Hits != 0 || s.Misses != 1 {
-		t.Fatalf("after first Cost: %+v, want 0 hits / 1 miss", s)
+	if s := reg.CacheStats(); s.Hits != 0 || s.Misses != 1 || s.Entries != 1 {
+		t.Fatalf("after first Cost: %+v, want 0 hits / 1 miss / 1 entry", s)
 	}
 
-	cost2, err := costOf(c, sp, 1, 8, 1)
+	// A batch of 5 rounds up to the same bucket.
+	cost2, err := m.ModelledCost(5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cost2 != cost1 {
-		t.Fatal("second Cost did not return the cached entry")
+		t.Fatal("a second batch of the bucket did not return the priced program's cost")
 	}
-	if s := c.Stats(); s.Hits != 1 || s.Misses != 1 || s.HitRate != 0.5 {
+	if s := reg.CacheStats(); s.Hits != 1 || s.Misses != 1 || s.HitRate != 0.5 {
 		t.Fatalf("after second Cost: %+v, want 1 hit / 1 miss", s)
 	}
 
-	// A different batch size is a different program.
-	if _, err := costOf(c, sp, 1, 16, 1); err != nil {
+	// A different bucket is a different program.
+	if _, err := m.ModelledCost(16); err != nil {
 		t.Fatal(err)
 	}
-	// A different model version is a different program.
-	if _, err := costOf(c, sp, 2, 8, 1); err != nil {
+	if s := reg.CacheStats(); s.Misses != 2 || s.Entries != 2 {
+		t.Fatalf("after a second bucket: %+v, want 2 misses / 2 entries", s)
+	}
+	// A new model version is a different program, and replacing the old
+	// one evicts its two priced programs.
+	m2, err := reg.Register(sp)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if s := c.Stats(); s.Misses != 3 || s.Entries != 3 {
-		t.Fatalf("after distinct keys: %+v, want 3 misses / 3 entries", s)
+	if s := reg.CacheStats(); s.Evictions != 2 || s.Entries != 0 {
+		t.Fatalf("after the replace: %+v, want 2 evictions / 0 entries", s)
+	}
+	if _, err := m2.ModelledCost(8); err != nil {
+		t.Fatal(err)
+	}
+	if s := reg.CacheStats(); s.Misses != 3 || s.Entries != 1 {
+		t.Fatalf("after pricing the new version: %+v, want 3 misses / 1 entry", s)
 	}
 }
 
 func TestProgramCacheConcurrentColdKeyCompilesOnce(t *testing.T) {
-	c := NewShardedProgramCache(ipu.GC200(), shard.DefaultTopology(1), 0)
-	sp := spec("m", nn.Pixelfly)
+	reg, m := registered(t, spec("m", nn.Pixelfly), 1, 8)
 
 	const callers = 12
 	var wg sync.WaitGroup
@@ -79,7 +88,7 @@ func TestProgramCacheConcurrentColdKeyCompilesOnce(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			cost, err := costOf(c, sp, 1, 4, 1)
+			cost, err := m.ModelledCost(4)
 			if err != nil {
 				t.Errorf("Cost: %v", err)
 				return
@@ -93,7 +102,7 @@ func TestProgramCacheConcurrentColdKeyCompilesOnce(t *testing.T) {
 			t.Fatal("concurrent callers saw different compiled programs")
 		}
 	}
-	s := c.Stats()
+	s := reg.CacheStats()
 	if s.Entries != 1 {
 		t.Fatalf("entries = %d, want 1", s.Entries)
 	}
@@ -103,18 +112,22 @@ func TestProgramCacheConcurrentColdKeyCompilesOnce(t *testing.T) {
 }
 
 func TestProgramCacheAllMethodsCompile(t *testing.T) {
-	c := NewShardedProgramCache(ipu.GC200(), shard.DefaultTopology(1), 0)
-	for _, m := range nn.AllMethods {
-		cost, err := costOf(c, spec("m-"+m.String(), m), 1, 8, 1)
+	reg := testRegistry(t)
+	for _, meth := range nn.AllMethods {
+		m, err := reg.Register(spec("m-"+meth.String(), meth))
 		if err != nil {
-			t.Fatalf("%v: %v", m, err)
+			t.Fatalf("%v: %v", meth, err)
+		}
+		cost, err := m.ModelledCost(8)
+		if err != nil {
+			t.Fatalf("%v: %v", meth, err)
 		}
 		if cost.LatencySeconds <= 0 || cost.PeakTileBytes <= 0 || cost.DeviceBytes <= 0 {
-			t.Fatalf("%v: degenerate cost %+v", m, cost)
+			t.Fatalf("%v: degenerate cost %+v", meth, cost)
 		}
 		if cost.PerRequestSeconds >= cost.LatencySeconds {
 			t.Fatalf("%v: per-request %v not below batch latency %v",
-				m, cost.PerRequestSeconds, cost.LatencySeconds)
+				meth, cost.PerRequestSeconds, cost.LatencySeconds)
 		}
 	}
 }
@@ -135,10 +148,21 @@ func TestCompileSecondsIncludesBuild(t *testing.T) {
 	}
 }
 
+// TestProgramCacheRejectsBadBatch: a model holds programs for batches of
+// 1 up to its largest bucket, the first power of two at or above
+// MaxBatch, and prices nothing outside them.
 func TestProgramCacheRejectsBadBatch(t *testing.T) {
-	c := NewShardedProgramCache(ipu.GC200(), shard.DefaultTopology(1), 0)
-	if _, err := costOf(c, spec("m", nn.Baseline), 1, 0, 1); err == nil {
-		t.Fatal("batch 0 accepted")
+	reg, m := registered(t, spec("m", nn.Baseline), 1, 6)
+	for _, b := range []int{0, -1, 9, 64} {
+		if _, err := m.ModelledCost(b); err == nil {
+			t.Errorf("batch %d accepted by a model whose largest bucket is 8", b)
+		}
+	}
+	if _, err := m.ModelledCost(8); err != nil {
+		t.Fatalf("the largest bucket: %v", err)
+	}
+	if s := reg.CacheStats(); s.Hits+s.Misses != 1 {
+		t.Fatalf("%+v: only the lookup of bucket 8 counts", s)
 	}
 }
 
@@ -146,16 +170,9 @@ func TestProgramCacheRejectsBadBatch(t *testing.T) {
 // modelled cost: executed vs lowered step counts, at least one fused step
 // for an SHL, and reduced modelled arena traffic.
 func TestProgramCostFusionBlock(t *testing.T) {
-	c := NewShardedProgramCache(ipu.GC200(), shard.DefaultTopology(1), 0)
 	sp := spec("m", nn.Butterfly)
-
-	net, err := buildNet(sp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := c.Program("m", 1, 8, 1, net, func(cfg ipu.Config, b int) (*ipu.Workload, error) {
-		return buildWorkload(cfg, sp, b)
-	})
+	_, m := registered(t, sp, 1, 8)
+	p, err := m.program(8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +208,7 @@ func TestProgramCostFusionBlock(t *testing.T) {
 	}
 	x := tensor.New(8, sp.N)
 	x.FillRandom(rand.New(rand.NewSource(7)), 1)
-	want := net.Infer(x)
+	want := m.net.Infer(x)
 	got, err := pl.Execute(x)
 	if err != nil {
 		t.Fatal(err)
@@ -271,30 +288,34 @@ func planPricedCost(t *testing.T, sp ModelSpec, batch, shards int, topo shard.To
 // the pricing builds no plan.
 func TestProgramCostMatchesPlanOracle(t *testing.T) {
 	topo := shard.DefaultTopology(4)
-	for _, m := range nn.AllMethods {
-		sp := ModelSpec{Name: m.String(), Method: m, N: 256, Classes: 10, Seed: 42}
+	for _, meth := range nn.AllMethods {
+		sp := ModelSpec{Name: meth.String(), Method: meth, N: 256, Classes: 10, Seed: 42}
 		for _, shards := range []int{1, 2, 4} {
-			c := NewShardedProgramCache(ipu.GC200(), topo, 0)
+			reg := NewRegistry(Options{Batcher: BatcherConfig{MaxBatch: 64, Workers: 1}, NumIPUs: topo.NumIPUs, Shards: shards})
+			m, err := reg.Register(sp)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for b := 1; b <= 64; b *= 2 {
-				got, err := costOf(c, sp, 1, b, shards)
+				got, err := m.ModelledCost(b)
 				if err != nil {
-					t.Fatalf("%v on %d IPUs at %d: %v", m, shards, b, err)
+					t.Fatalf("%v on %d IPUs at %d: %v", meth, shards, b, err)
 				}
 				g := *got
 				g.CompileSeconds = 0
 				if want := planPricedCost(t, sp, b, shards, topo); g != want {
-					t.Errorf("%v on %d IPUs at %d:\n got  %+v\n want %+v", m, shards, b, g, want)
+					t.Errorf("%v on %d IPUs at %d:\n got  %+v\n want %+v", meth, shards, b, g, want)
 				}
 			}
-			src := c.sources[sourceKey{model: sp.Name, version: 1}]
-			if src.exe != nil {
-				t.Errorf("%v on %d IPUs: pricing packed the model", m, shards)
+			if m.exe != nil {
+				t.Errorf("%v on %d IPUs: pricing packed the model", meth, shards)
 			}
-			for _, p := range c.entries {
+			for _, p := range m.progs {
 				if len(p.idle) != 0 {
-					t.Errorf("%v on %d IPUs: pricing left a plan on a free list", m, shards)
+					t.Errorf("%v on %d IPUs: pricing left a plan on a free list", meth, shards)
 				}
 			}
+			reg.Close()
 		}
 	}
 }
@@ -311,7 +332,7 @@ func TestPlanBuildSecondsCountsBuilds(t *testing.T) {
 		}
 		builds := func() int64 {
 			var n int64
-			for _, c := range reg.cache.mets.planBuild.BucketCounts() {
+			for _, c := range reg.cache.planBuild.BucketCounts() {
 				n += c
 			}
 			return n
@@ -322,7 +343,7 @@ func TestPlanBuildSecondsCountsBuilds(t *testing.T) {
 		if n := builds(); n != 0 {
 			t.Fatalf("%d IPUs: pricing observed %d plan builds, want 0", shards, n)
 		}
-		prog, err := reg.cache.programQuiet(m.spec.Name, m.version, 4, m.shards, m.net, m.workload)
+		prog, err := m.program(4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -355,66 +376,64 @@ func TestPlanBuildSecondsCountsBuilds(t *testing.T) {
 }
 
 // TestConcurrentFirstPlansShareLowering races the first GetPlan of
-// several buckets of a fresh model, on one modelled IPU and on two: every
-// plan built, pipeline and tensor-parallel alike, must run the one packed
-// lowering the plan source made, and with it the one set of packs (packs
-// live in the packed lowering, nn's TestPlanInstanceSharesPacks pins that
-// every instance runs them, and shard's TestTensorParallelSharesPacks
-// that a tensor-parallel plan copies none). The per-IPU budget puts the
-// model on a pipeline at buckets 1 and 2, and on tensor parallelism from
-// 4 up, where a pipeline stage no longer fits. CI repeats it under the
-// race detector.
+// several buckets of two fresh models, one on one modelled IPU and one on
+// two: every plan built, pipeline and tensor-parallel alike, must run the
+// one packed lowering its model made, and with it the one set of packs
+// (packs live in the packed lowering, nn's TestPlanInstanceSharesPacks
+// pins that every instance runs them, and shard's
+// TestTensorParallelSharesPacks that a tensor-parallel plan copies none).
+// The per-IPU budget puts the 2-IPU model on a pipeline at buckets 1 and
+// 2, and on tensor parallelism from 4 up, where a pipeline stage no
+// longer fits. CI repeats it under the race detector.
 func TestConcurrentFirstPlansShareLowering(t *testing.T) {
 	const budget = 22_000 // bytes per modelled IPU
-	c := NewShardedProgramCache(ipu.GC200(), shard.DefaultTopology(2), budget)
-	defer c.Evict("m", 1)
 	sp := spec("m", nn.Baseline)
-	net, err := buildNet(sp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	build := func(cfg ipu.Config, b int) (*ipu.Workload, error) { return buildWorkload(cfg, sp, b) }
 	type got struct {
+		m    *Model
 		prog *Program
 		pl   Executor
 	}
-	var progs []*Program
-	for _, shards := range []int{1, 2} {
-		for b := 1; b <= 8; b *= 2 {
-			p, err := c.Program(sp.Name, 1, b, shards, net, build)
-			if err != nil {
-				t.Fatal(err)
-			}
-			progs = append(progs, p, p)
+	var models []*Model
+	var progs []got
+	for _, ipus := range []int{1, 2} {
+		reg := NewRegistry(Options{Batcher: BatcherConfig{MaxBatch: 8, Workers: 1}, NumIPUs: ipus, Shards: ipus, PerIPUMemBytes: budget})
+		t.Cleanup(reg.Close)
+		m, err := reg.Register(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		models = append(models, m)
+		for _, p := range m.progs {
+			progs = append(progs, got{m, p, nil}, got{m, p, nil})
 		}
 	}
 	start := make(chan struct{})
-	out := make([]got, len(progs))
 	var wg sync.WaitGroup
-	for i, p := range progs {
+	for i := range progs {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			<-start
-			pl, err := p.GetPlan()
+			pl, err := progs[i].prog.GetPlan()
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			out[i] = got{p, pl}
+			progs[i].pl = pl
 		}()
 	}
 	close(start)
 	wg.Wait()
-	src := c.sources[sourceKey{model: sp.Name, version: 1}]
-	if src.exe == nil {
-		t.Fatal("no packed lowering after the first plans")
+	for _, m := range models {
+		if m.exe == nil {
+			t.Fatalf("no packed lowering on %d IPUs after the first plans", m.shards)
+		}
 	}
 	x := tensor.New(1, sp.N)
 	x.FillRandom(rand.New(rand.NewSource(9)), 1)
-	want := net.Infer(x)
+	want := models[0].net.Infer(x)
 	strategies := map[shard.Strategy]bool{}
-	for _, g := range out {
+	for _, g := range progs {
 		if g.pl == nil {
 			continue
 		}
@@ -426,15 +445,15 @@ func TestConcurrentFirstPlansShareLowering(t *testing.T) {
 			strategies[pl.Strategy()] = true
 			low = pl.Lowering()
 		}
-		if low != src.exe {
-			t.Errorf("a plan at bucket %d on %d IPUs runs lowering %p, the source packed %p", g.prog.batch, g.prog.shards, low, src.exe)
+		if low != g.m.exe {
+			t.Errorf("a plan at bucket %d on %d IPUs runs lowering %p, the model packed %p", g.prog.batch, g.m.shards, low, g.m.exe)
 		}
 		y, err := g.pl.Execute(x)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if d := tensor.MaxAbsDiff(want, y); d != 0 {
-			t.Errorf("a plan at bucket %d on %d IPUs differs from Infer by %g", g.prog.batch, g.prog.shards, d)
+			t.Errorf("a plan at bucket %d on %d IPUs differs from Infer by %g", g.prog.batch, g.m.shards, d)
 		}
 		g.prog.PutPlan(g.pl)
 	}
@@ -447,22 +466,18 @@ func TestConcurrentFirstPlansShareLowering(t *testing.T) {
 // stays with its program across garbage collections, so the next GetPlan
 // hands the same executor back instead of compiling another.
 func TestProgramPlansSurviveGC(t *testing.T) {
-	c := NewShardedProgramCache(ipu.GC200(), shard.DefaultTopology(2), 0)
-	sp := spec("m", nn.Butterfly)
-	defer c.Evict(sp.Name, 1)
-	net, err := buildNet(sp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	build := func(cfg ipu.Config, b int) (*ipu.Workload, error) { return buildWorkload(cfg, sp, b) }
 	for _, shards := range []int{1, 2} {
-		p, err := c.Program(sp.Name, 1, 4, shards, net, build)
+		_, m := registered(t, spec("m", nn.Butterfly), shards, 8)
+		p, err := m.program(4)
 		if err != nil {
 			t.Fatal(err)
 		}
 		pl, err := p.GetPlan()
 		if err != nil {
 			t.Fatal(err)
+		}
+		if pl.MaxBatch() != 4 {
+			t.Fatalf("%d shards: the bucket-4 plan takes %d rows", shards, pl.MaxBatch())
 		}
 		p.PutPlan(pl)
 		runtime.GC()

@@ -16,7 +16,7 @@ import (
 // butterfly/low-rank variant of it at a chosen error tolerance (e.g.
 // "shl-dense" → "shl-bf-eps0.05"). The compressed model shares its
 // uncompressed layers with the source, which is safe because serving only
-// uses the read-only inference path. The program cache prices the
+// uses the read-only inference path. The model's programs price the
 // compressed model by its actual post-compression layout, so responses
 // report the (lower) modelled IPU memory of the structured operator.
 // The per-layer compression decisions are returned alongside the model.
@@ -41,7 +41,11 @@ func (r *Registry) RegisterCompressed(newName, srcName string, opts nn.CompressO
 		// label and spec-derived workload pricing.
 		label = src.methodLabel
 	}
-	return r.install(spec, net, label, wb, maxFactorizationError(reports)), reports, nil
+	m, err := r.install(spec, net, label, wb, maxFactorizationError(reports))
+	if err != nil {
+		return nil, nil, err
+	}
+	return m, reports, nil
 }
 
 // maxFactorizationError reduces the per-layer compression reports to the

@@ -155,7 +155,7 @@ func TestHTTPModelsAndStats(t *testing.T) {
 		t.Fatalf("bad /models response: %+v", infos)
 	}
 
-	// Two same-size predictions: second must hit the program cache.
+	// Two same-size predictions: the second finds its bucket priced.
 	features := make([]float32, 64)
 	for i := 0; i < 2; i++ {
 		r := postPredict(t, ts.URL, PredictRequest{Model: "a", Features: features})
@@ -175,7 +175,7 @@ func TestHTTPModelsAndStats(t *testing.T) {
 	}
 	resp.Body.Close()
 	if st.Cache.Hits < 1 {
-		t.Fatalf("program cache hits = %d, want >= 1 after repeated same-size load", st.Cache.Hits)
+		t.Fatalf("cost lookup hits = %d, want >= 1 after repeated same-size load", st.Cache.Hits)
 	}
 	if len(st.Models) != 2 {
 		t.Fatalf("stats for %d models, want 2", len(st.Models))
@@ -192,20 +192,33 @@ func TestHTTPModelsAndStats(t *testing.T) {
 }
 
 // TestHTTPPredictUncompilableModelFails pins the one inference path: a
-// model whose plan cannot compile (a Sequential led by a ReLU, which
-// declares no input width) answers /predict with a 500 and one JSON
-// error object rather than scores from Sequential.Infer, the failure
-// counts in ipuserve_errors_total, and closing the registry leaves no
-// goroutine behind.
+// network whose plan cannot compile (a Sequential led by a ReLU, which
+// declares no input width) is refused at install with its lowering
+// error, so /predict does not know its name; and a model whose plan fails
+// (its Execute panics, as a kernel bug would) answers /predict with a 500
+// and one JSON error object rather than scores from Sequential.Infer, the
+// failure counts in ipuserve_errors_total, and closing the registry
+// leaves no goroutine behind.
 func TestHTTPPredictUncompilableModelFails(t *testing.T) {
 	before := runtime.NumGoroutine()
 	reg := NewRegistry(Options{Batcher: BatcherConfig{MaxBatch: 8, Workers: 2}})
 	sp := spec("relu-led", nn.Baseline)
 	net := nn.NewSequential(nn.NewReLU(), nn.NewDense(sp.N, sp.Classes, rand.New(rand.NewSource(1))))
-	reg.install(sp, net, sp.Method.String(), nil, 0)
+	if _, err := reg.install(sp, net, sp.Method.String(), nil, 0); err == nil || !strings.Contains(err.Error(), "lowering") {
+		t.Fatalf("installing a network that does not lower: err = %v, want its lowering error", err)
+	}
 	ts := httptest.NewServer(NewServer(reg))
-
 	resp := postPredict(t, ts.URL, PredictRequest{Model: sp.Name, Features: make([]float32, sp.N)})
+	assertJSONError(t, resp, http.StatusNotFound)
+	resp.Body.Close()
+
+	sp = spec("failing", nn.Baseline)
+	m, err := reg.Register(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.progs[0].PutPlan(&panicPlan{})
+	resp = postPredict(t, ts.URL, PredictRequest{Model: sp.Name, Features: make([]float32, sp.N)})
 	body, err := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if err != nil {
@@ -223,7 +236,7 @@ func TestHTTPPredictUncompilableModelFails(t *testing.T) {
 	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
 		t.Fatalf("body %q carries data after its JSON error object", body)
 	}
-	if m := scrapeBody(t, ts.URL+"/metrics", http.StatusOK); !strings.Contains(m, `ipuserve_errors_total{model="relu-led"} 1`+"\n") {
+	if m := scrapeBody(t, ts.URL+"/metrics", http.StatusOK); !strings.Contains(m, `ipuserve_errors_total{model="failing"} 1`+"\n") {
 		t.Fatalf("ipuserve_errors_total does not count the failure:\n%s", m)
 	}
 

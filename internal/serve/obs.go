@@ -54,10 +54,10 @@ func registerHelp(reg *obs.Registry) {
 	reg.Help(metBatchSize, "Requests coalesced per micro-batch, per model.")
 	reg.Help(metQueueDepth, "Requests waiting for a batcher worker, per model.")
 	reg.Help(metFlush, "Micro-batches by reason (full = MaxBatch reached, drained = the worker emptied the queue first).")
-	reg.Help(metCacheHits, "Program-cache lookups that rode an already-compiled program.")
-	reg.Help(metCacheMisses, "Program-cache lookups that paid or waited on a compile.")
-	reg.Help(metCacheEvict, "Cached programs dropped by model replacement or removal.")
-	reg.Help(metCacheEntries, "Compiled programs currently cached.")
+	reg.Help(metCacheHits, "Modelled-cost lookups whose batch bucket was already priced.")
+	reg.Help(metCacheMisses, "Modelled-cost lookups that paid or waited on pricing their batch bucket.")
+	reg.Help(metCacheEvict, "Priced programs dropped by model replacement or removal.")
+	reg.Help(metCacheEntries, "Priced programs of the registered models.")
 	reg.Help(metCacheCompile, "Wall time of pricing a program on the modelled IPU per cache miss: workload build, compile and simulate; the host plan's compile is not included.")
 	reg.Help(metPlanBuild, "Wall time of building one host plan on the request path when a program has no idle plan, the packing of the model's weights included when it is the model version's first.")
 	reg.Help(metPlanStep, "Measured wall time of one compiled-plan step, per model and step.")
@@ -427,30 +427,27 @@ func (m *Model) traceSpans(tr *obs.Trace, resp *response) {
 	}
 }
 
-// cacheMetrics is the program cache's instrument set: the compile-latency
-// histogram is observed by Program.Cost after each compile, the
-// plan-build histogram by Program.GetPlan after each plan it builds.
+// cacheMetrics is the registry-wide program instrument set every
+// model's programs share: the ModelledCost hit/miss counters, the count
+// of priced programs dropped with their models, the pricing-latency
+// histogram Program.Cost observes after each pricing and the plan-build
+// histogram Program.GetPlan observes after each plan it builds.
 type cacheMetrics struct {
-	compile   *obs.Histogram
-	planBuild *obs.Histogram
+	hits, misses, evictions atomic.Int64
+	compile                 *obs.Histogram
+	planBuild               *obs.Histogram
 }
 
-// instrument exposes the cache's counters on the registry. The hit/miss/
-// eviction totals read the cache's existing atomics at scrape time, so
-// the lookup path pays no double bookkeeping. Must be called before the
-// first Program is created so every entry carries the histograms.
-func (c *ProgramCache) instrument(reg *obs.Registry) {
-	reg.CounterFunc(metCacheHits, c.hits.Load)
-	reg.CounterFunc(metCacheMisses, c.misses.Load)
-	reg.CounterFunc(metCacheEvict, c.evictions.Load)
-	reg.GaugeFunc(metCacheEntries, func() float64 {
-		c.mu.Lock()
-		n := len(c.entries)
-		c.mu.Unlock()
-		return float64(n)
-	})
-	c.mets = &cacheMetrics{
+// newCacheMetrics exposes the program counters on the registry. The
+// hit/miss/eviction totals read the atomics at scrape time, so the
+// request path pays no double bookkeeping.
+func newCacheMetrics(reg *obs.Registry) *cacheMetrics {
+	c := &cacheMetrics{
 		compile:   reg.Histogram(metCacheCompile, obs.LatencyBuckets()),
 		planBuild: reg.Histogram(metPlanBuild, obs.LatencyBuckets()),
 	}
+	reg.CounterFunc(metCacheHits, c.hits.Load)
+	reg.CounterFunc(metCacheMisses, c.misses.Load)
+	reg.CounterFunc(metCacheEvict, c.evictions.Load)
+	return c
 }

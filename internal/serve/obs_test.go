@@ -10,9 +10,11 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime/pprof"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/nn"
 	"repro/internal/obs"
@@ -429,3 +431,82 @@ var (
 	_ steppedExecutor = (*nn.Plan)(nil)
 	_ steppedExecutor = (*shard.ShardedPlan)(nil)
 )
+
+// goroutineLabels returns the pprof label set of every goroutine whose
+// stack runs fn, read from the goroutine profile (debug=1 prints each
+// stack's labels; "" for a goroutine without any).
+func goroutineLabels(t *testing.T, fn string) []string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := pprof.Lookup("goroutine").WriteTo(&buf, 1); err != nil {
+		t.Fatal(err)
+	}
+	_, recs, _ := strings.Cut(buf.String(), "\n") // past the header line
+	var out []string
+	for _, rec := range strings.Split(recs, "\n\n") {
+		if !strings.Contains(rec, fn) {
+			continue
+		}
+		var n int
+		if _, err := fmt.Sscanf(rec, "%d @", &n); err != nil {
+			continue
+		}
+		labels := ""
+		if _, rest, ok := strings.Cut(rec, "\n# labels: "); ok {
+			labels, _, _ = strings.Cut(rest, "\n")
+		}
+		for ; n > 0; n-- {
+			out = append(out, labels)
+		}
+	}
+	return out
+}
+
+// TestPprofLabels pins the pprof labels CPU profiles split serving by:
+// each batcher worker wears its model's label from the start, parked ones
+// included, and once a batch has run on two modelled IPUs the shard
+// worker of the plan it built wears ipu=1 beside the model's label.
+func TestPprofLabels(t *testing.T) {
+	const name = "labelled"
+	reg := NewRegistry(Options{Batcher: BatcherConfig{MaxBatch: 8, Workers: 2}, NumIPUs: 2, Shards: 2})
+	t.Cleanup(reg.Close)
+	m, err := reg.Register(spec(name, nn.Baseline))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("%q:%q", "model", name)
+	// A new worker shows in the profile once it has first run; poll.
+	var workers []string
+	mine := 0
+	for deadline := time.Now().Add(2 * time.Second); mine < 2 && time.Now().Before(deadline); time.Sleep(10 * time.Millisecond) {
+		workers, mine = goroutineLabels(t, "serve.(*Batcher).work"), 0
+		for _, l := range workers {
+			if strings.Contains(l, want) {
+				mine++
+			}
+		}
+	}
+	if mine != 2 {
+		t.Fatalf("%d parked batcher workers carry %s, want the model's 2 (labels %q)", mine, want, workers)
+	}
+
+	if _, err := m.Predict(context.Background(), obsTestFeatures(m.spec.N)); err != nil {
+		t.Fatal(err)
+	}
+	// Only this model's workers: other tests' closed plans may still be
+	// exiting.
+	shards := goroutineLabels(t, "shard.(*ShardedPlan).workerLoop")
+	mine = 0
+	for _, l := range shards {
+		if !strings.Contains(l, want) {
+			continue
+		}
+		mine++
+		if !strings.Contains(l, `"ipu":"1"`) {
+			t.Errorf("a shard worker of the model carries labels %s, no ipu=1", l)
+		}
+	}
+	if mine != 1 {
+		t.Fatalf("%d shard workers carry %s after one batch on 2 IPUs, want 1 (labels %q)", mine, want, shards)
+	}
+}

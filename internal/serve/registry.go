@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"runtime/pprof"
 	"sort"
@@ -23,7 +24,7 @@ func newRNG(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
 // Options configure a Registry.
 type Options struct {
-	// IPU is the device model the program cache compiles against.
+	// IPU is the device model every model's programs are priced on.
 	// The zero value selects the paper's GC200.
 	IPU ipu.Config
 	// Batcher is applied to every model's micro-batcher.
@@ -64,13 +65,16 @@ const (
 	timelineKeep               = 8
 )
 
-// Registry builds, versions and owns servable models. All methods are safe
-// for concurrent use; the Predictors it hands out are safe to share across
-// goroutines.
+// Registry builds, versions and owns servable models. Each model version
+// owns its lowering and its bucket programs; the registry keeps only the
+// program counters they share. All methods are safe for concurrent use;
+// the Predictors it hands out are safe to share across goroutines.
 type Registry struct {
-	opts  Options
-	topo  shard.Topology
-	cache *ProgramCache
+	opts Options
+	topo shard.Topology
+	// cache holds the program counters and histograms every model's
+	// programs share.
+	cache *cacheMetrics
 
 	// obs is the metric registry every instrument of this serving stack
 	// registers into (scraped by the HTTP server's /metrics); tracer
@@ -100,14 +104,14 @@ func NewRegistry(opts Options) *Registry {
 		opts:     opts,
 		topo:     topo,
 		obs:      obs.NewRegistry(),
-		cache:    NewShardedProgramCache(opts.IPU, topo, opts.PerIPUMemBytes),
 		models:   map[string]*Model{},
 		versions: map[string]int{},
 	}
 	registerHelp(r.obs)
 	r.kstats = obs.NewKernelStats()
 	r.kstats.Export(r.obs, metKernelGflops, metKernelBytes)
-	r.cache.instrument(r.obs)
+	r.cache = newCacheMetrics(r.obs)
+	r.obs.GaugeFunc(metCacheEntries, func() float64 { return float64(r.entries()) })
 	r.obs.GaugeFunc(metModels, func() float64 {
 		r.mu.RLock()
 		n := len(r.models)
@@ -140,10 +144,11 @@ func (r *Registry) Tracer() *obs.Tracer { return r.tracer }
 // metrics.
 func (r *Registry) KernelStats() *obs.KernelStats { return r.kstats }
 
-// Register builds the spec's network and installs it under spec.Name. A
-// name already in use is replaced: the new model gets the next version
-// number and the old model's batcher is stopped (its in-flight requests
-// get ErrStopped; callers holding the old Predictor must re-resolve).
+// Register builds the spec's network, lowers it and installs it under
+// spec.Name. A name already in use is replaced: the new model gets the
+// next version number and the old model's batcher is stopped (its
+// in-flight requests get ErrStopped; callers holding the old Predictor
+// must re-resolve).
 func (r *Registry) Register(spec ModelSpec) (*Model, error) {
 	if err := spec.validate(); err != nil {
 		return nil, err
@@ -152,37 +157,48 @@ func (r *Registry) Register(spec ModelSpec) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	return r.install(spec, net, spec.Method.String(), nil, 0), nil
+	return r.install(spec, net, spec.Method.String(), nil, 0)
 }
 
-// install wires a built network into a servable Model and swaps it into
-// the registry under spec.Name. A nil workload builder means the cost
-// model derives the workload from the spec's method; factorErr is the max
-// per-layer relative factorization error of the installed weights (0 for
-// exactly-built models).
-func (r *Registry) install(spec ModelSpec, net *nn.Sequential, label string, wb workloadBuilder, factorErr float64) *Model {
+// install lowers a built network once, wires it into a servable Model
+// with one program per batch bucket, and swaps it into the registry under
+// spec.Name; a network that does not lower is refused. A nil workload
+// builder means the cost model derives the workload from the spec's
+// method; factorErr is the max per-layer relative factorization error of
+// the installed weights (0 for exactly-built models). Nothing is packed
+// and no plan is built here.
+func (r *Registry) install(spec ModelSpec, net *nn.Sequential, label string, wb workloadBuilder, factorErr float64) (*Model, error) {
+	low, err := net.Lower(nn.PlanOptions{})
+	if err != nil {
+		return nil, fmt.Errorf("serve: lowering %q: %w", spec.Name, err)
+	}
 	if wb == nil {
 		wb = func(cfg ipu.Config, batch int) (*ipu.Workload, error) {
 			return buildWorkload(cfg, spec, batch)
 		}
 	}
+	bcfg := r.opts.Batcher.withDefaults()
+	top := nextPow2(bcfg.MaxBatch)
 	m := &Model{
 		spec:        spec,
 		net:         net,
+		low:         low,
 		params:      net.ParamCount(),
 		methodLabel: label,
 		workload:    wb,
 		cache:       r.cache,
 		topo:        r.topo,
+		shards:      r.pickShards(low, top),
+		budget:      r.opts.PerIPUMemBytes,
 		factorErr:   factorErr,
 		obsReg:      r.obs,
 		tracer:      r.tracer,
 		kstats:      r.kstats,
 		lat:         newLatencyRing(latencyWindow),
-		pprofCtx:    pprof.WithLabels(context.Background(), pprof.Labels("model", spec.Name)),
-		pprofBase:   context.Background(),
 	}
-	m.shards = r.pickShards(net)
+	for b := 1; b <= top; b *= 2 {
+		m.progs = append(m.progs, &Program{m: m, batch: b})
+	}
 	m.mets = newModelMetrics(r.obs, spec.Name, m.shards)
 	m.mets.factorization.Set(factorErr)
 	if r.opts.TimelineSampleEvery >= 0 {
@@ -194,8 +210,14 @@ func (r *Registry) install(spec ModelSpec, net *nn.Sequential, label string, wb 
 		r.registerPhaseGauges(m)
 	}
 	// The batcher's instruments must exist before its goroutines start:
-	// the workers read the metrics pointer without synchronization.
-	m.batcher = newBatcher(spec.N, r.opts.Batcher, newBatcherMetrics(r.obs, spec.Name), m.runBatch)
+	// the workers read the metrics pointer without synchronization. The
+	// workers inherit the model's pprof label from this goroutine, so CPU
+	// profiles attribute each batch to the model that ran it.
+	bm := newBatcherMetrics(r.obs, spec.Name)
+	pprof.Do(context.Background(), pprof.Labels("model", spec.Name), func(ctx context.Context) {
+		m.pprofCtx = ctx
+		m.batcher = newBatcher(spec.N, bcfg, bm, m.runBatch)
+	})
 	// Scrape-time readers over the model's existing serving atomics —
 	// re-registering on replace swaps the closures to the new instance
 	// (counter-reset semantics, which Prometheus handles).
@@ -211,14 +233,12 @@ func (r *Registry) install(spec ModelSpec, net *nn.Sequential, label string, wb 
 	r.mu.Unlock()
 
 	if old != nil {
-		// Stop first (drains in-flight batches), then drop the old
-		// version's cached programs, closing their plans, so replaced
-		// weights and sharded-plan workers don't accumulate across
-		// redeploys.
+		// Stopping drains the old version's in-flight batches and closes
+		// its programs' plans, so replaced weights and sharded-plan
+		// workers don't accumulate across redeploys.
 		old.stop()
-		r.cache.Evict(old.spec.Name, old.version)
 	}
-	return m
+	return m, nil
 }
 
 // registerPhaseGauges exports the model's flight-recorder phase totals:
@@ -247,12 +267,12 @@ func (r *Registry) registerPhaseGauges(m *Model) {
 
 // pickShards decides how many modelled IPUs a model serves on: the fixed
 // Options.Shards when set, otherwise the smallest power-of-two count whose
-// per-IPU footprint (priced by the shard planner on the network's
-// lowering, at the batcher's largest batch bucket) fits the per-IPU memory
-// budget. Pricing packs no weight and builds no plan. When nothing fits,
-// the full topology is used anyway — the registry still serves,
-// oversubscribed in the model, and ProgramCost reports the overflow.
-func (r *Registry) pickShards(net *nn.Sequential) int {
+// per-IPU footprint (priced by the shard planner on the model's lowering,
+// at the largest batch bucket) fits the per-IPU memory budget. Pricing
+// packs no weight and builds no plan. When nothing fits, the full
+// topology is used anyway — the registry still serves, oversubscribed in
+// the model, and ProgramCost reports the overflow.
+func (r *Registry) pickShards(low *nn.Lowering, batch int) int {
 	if r.opts.Shards > 0 {
 		// Shard counts must be powers of two (slices and butterfly stages
 		// halve); round a fixed request down so the shard compiler never
@@ -260,11 +280,6 @@ func (r *Registry) pickShards(net *nn.Sequential) int {
 		return prevPow2(min(r.opts.Shards, r.topo.NumIPUs))
 	}
 	if r.topo.NumIPUs <= 1 {
-		return 1
-	}
-	batch := nextPow2(r.opts.Batcher.withDefaults().MaxBatch)
-	low, err := net.Lower(nn.PlanOptions{})
-	if err != nil {
 		return 1
 	}
 	cost, _, err := shard.FitShards(low, batch, r.topo, r.opts.PerIPUMemBytes)
@@ -304,8 +319,8 @@ type ModelHealth struct {
 	Error   string `json:"error,omitempty"`
 }
 
-// Health probes every registered model's readiness (plan compiled through
-// the shared cache, memoized per model), sorted by name.
+// Health probes every registered model's readiness (a plan of its
+// smallest bucket, memoized per model), sorted by name.
 func (r *Registry) Health() []ModelHealth {
 	models := r.Models()
 	out := make([]ModelHealth, 0, len(models))
@@ -344,7 +359,6 @@ func (r *Registry) Remove(name string) bool {
 	r.mu.Unlock()
 	if ok {
 		m.stop()
-		r.cache.Evict(m.spec.Name, m.version)
 		// Retire every series carrying the model label (including the
 		// Func closures over the removed model's state).
 		r.obs.DropLabeled("model", name)
@@ -352,8 +366,31 @@ func (r *Registry) Remove(name string) bool {
 	return ok
 }
 
-// CacheStats snapshots the shared compiled-program cache counters.
-func (r *Registry) CacheStats() CacheStats { return r.cache.Stats() }
+// CacheStats snapshots the program counters of every model the registry
+// serves or has served.
+func (r *Registry) CacheStats() CacheStats {
+	s := CacheStats{
+		Hits:      r.cache.hits.Load(),
+		Misses:    r.cache.misses.Load(),
+		Evictions: r.cache.evictions.Load(),
+		Entries:   r.entries(),
+	}
+	if total := s.Hits + s.Misses; total > 0 {
+		s.HitRate = float64(s.Hits) / float64(total)
+	}
+	return s
+}
+
+// entries counts the priced programs of the registered models.
+func (r *Registry) entries() int {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	n := 0
+	for _, m := range r.models {
+		n += m.priced()
+	}
+	return n
+}
 
 // Stats returns per-model serving statistics sorted by name.
 func (r *Registry) Stats() []ModelStats {
@@ -367,8 +404,7 @@ func (r *Registry) Stats() []ModelStats {
 	return out
 }
 
-// Close stops every model's batcher and evicts its programs, closing
-// their plans.
+// Close stops every model's batcher and closes its programs' plans.
 func (r *Registry) Close() {
 	r.mu.Lock()
 	models := make([]*Model, 0, len(r.models))
@@ -379,7 +415,6 @@ func (r *Registry) Close() {
 	r.mu.Unlock()
 	for _, m := range models {
 		m.stop()
-		r.cache.Evict(m.spec.Name, m.version)
 		r.obs.DropLabeled("model", m.spec.Name)
 	}
 }

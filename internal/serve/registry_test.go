@@ -295,8 +295,9 @@ func TestPredictAllocs(t *testing.T) {
 }
 
 // TestServedModelHeap bounds what a served model keeps live. Each model is
-// registered in its own registry with every batch bucket from 1 to 64
-// priced, as perfbench's set-up does. Set-up builds no plan, so each
+// registered in its own registry, batching up to 64 rows as perfbench and
+// ipuserve serve, with every batch bucket from 1 to 64 priced, as
+// perfbench's set-up does. Set-up builds no plan, so each
 // family at the paper's width, on two modelled IPUs (sharded_http's dense
 // and pixelfly) or one (structured_http's butterfly, fastfood and
 // circulant), may grow the live heap by at most 4 bytes per parameter
@@ -325,7 +326,7 @@ func TestServedModelHeap(t *testing.T) {
 			// into the pools' victim caches, the second frees it.
 			runtime.GC()
 			before := liveHeap()
-			reg := NewRegistry(Options{NumIPUs: tc.ipus, Shards: tc.ipus})
+			reg := NewRegistry(Options{Batcher: BatcherConfig{MaxBatch: 64}, NumIPUs: tc.ipus, Shards: tc.ipus})
 			defer reg.Close()
 			m, err := reg.Register(ModelSpec{Name: "m", Method: tc.method, N: 1024, Classes: 10, Seed: 42})
 			if err != nil {
@@ -355,7 +356,7 @@ func TestServedModelHeap(t *testing.T) {
 				if _, err := m.runBatch(tensor.New(b, 1024), &execInfo{}); err != nil {
 					t.Fatal(err)
 				}
-				prog, err := m.cache.programQuiet(m.spec.Name, m.version, b, m.shards, m.net, m.workload)
+				prog, err := m.program(b)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -11,9 +11,10 @@
 //     coalesce while the workers are busy (a batched butterfly multiply
 //     amortizes the O(N log N) factor sweeps across the whole batch) and
 //     none waits for company while a worker is idle;
-//   - a compiled-program cache (ProgramCache) that holds, per (model,
-//     batch bucket, shard count), the host plans batches execute on
-//     (nn.Plan, or shard.ShardedPlan across modelled IPUs) and the
+//   - per model version, one lowering and one compiled Program per
+//     power-of-two batch bucket up to MaxBatch, created when the model is
+//     installed: each holds the host plans batches execute on (nn.Plan,
+//     or shard.ShardedPlan across the model's modelled IPUs) and the
 //     memoized ipu.Compile cost every response carries.
 //
 // Every batch runs on a compiled plan; a batch whose plan cannot be
@@ -29,7 +30,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime/pprof"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -153,8 +154,8 @@ type Prediction struct {
 	LatencySeconds float64 `json:"latency_s"`
 
 	// IPU is the modelled cost of executing this request's batch (rounded
-	// up to the cached power-of-two bucket) on the device model; nil when
-	// the program could not be compiled (e.g. tile OOM).
+	// up to its power-of-two bucket) on the device model; nil when the
+	// program could not be compiled (e.g. tile OOM).
 	IPU *ProgramCost `json:"ipu,omitempty"`
 }
 
@@ -165,13 +166,26 @@ type Predictor interface {
 	Info() ModelInfo
 }
 
-// Model is a servable model: immutable weights plus the micro-batcher and
-// program cache wiring. It implements Predictor.
+// Model is one servable model version: immutable weights, their
+// lowering, the micro-batcher and the compiled programs of its batch
+// buckets. It implements Predictor.
 type Model struct {
 	spec    ModelSpec
 	version int
 	net     *nn.Sequential
 	params  int
+
+	// low is the network's lowering, made once at install: pricing and
+	// the shard planner read it. exe is low packed, made under exeMu by
+	// the first plan built; every plan of the model version runs it.
+	low   *nn.Lowering
+	exeMu sync.Mutex
+	exe   *nn.Lowering
+
+	// progs holds the program of every power-of-two batch bucket, from
+	// 1 up to the first power of two at or above MaxBatch: progs[i]
+	// serves batches of up to 1<<i rows.
+	progs []*Program
 
 	// methodLabel is what Info/Prediction report as the method; for
 	// spec-built models it is the Method's name, for compressed models it
@@ -183,9 +197,10 @@ type Model struct {
 	workload workloadBuilder
 
 	batcher *Batcher
-	cache   *ProgramCache
+	cache   *cacheMetrics
 	topo    shard.Topology
 	shards  int
+	budget  int // per-IPU bytes the shard planner fits plans into (0 = SRAM)
 
 	// factorErr is the max per-layer relative factorization error of the
 	// weights the model serves (0 for exactly-built models) - the accuracy
@@ -212,21 +227,15 @@ type Model struct {
 	// disabled (or outside a registry).
 	timeline *timeline.Recorder
 
-	// pprofCtx is the precomputed pprof-labeled context ("model" label)
-	// runBatch pins on the worker goroutine around plan execution, so CPU
-	// profiles attribute kernel time to the model that ran it, and
-	// pprofBase the unlabeled context it restores.
-	pprofCtx  context.Context
-	pprofBase context.Context
+	// pprofCtx carries the model's pprof label ("model"), which the
+	// batcher's workers wear; each sharded plan derives its shards'
+	// ipu=<k> labels from it.
+	pprofCtx context.Context
 
 	// readiness memoizes the /healthz plan-compile probe: nil until the
 	// first probe, then the cached verdict (a model's plan compilability
 	// does not change after install).
 	readiness atomic.Pointer[readyState]
-
-	// retired is set when the model is replaced or removed; it stops
-	// late ModelledCost calls from resurrecting evicted cache entries.
-	retired atomic.Bool
 
 	served atomic.Int64
 	lat    *latencyRing
@@ -333,23 +342,43 @@ func (m *Model) Predict(ctx context.Context, features []float32) (Prediction, er
 	return p, nil
 }
 
-// ModelledCost returns the cached modelled IPU cost of executing a batch
-// of the given size (rounded up to its power-of-two cache bucket). This
-// per-request lookup is the one that feeds the cache hit/miss statistics.
+// ModelledCost returns the memoized modelled IPU cost of executing a
+// batch of the given size, rounded up to its power-of-two bucket; a batch
+// below 1 or above the largest bucket is an error. This per-request call
+// is the one that feeds the registry's hit/miss statistics: a hit finds
+// its bucket already priced.
 func (m *Model) ModelledCost(batch int) (*ProgramCost, error) {
-	p, err := m.cache.Program(m.spec.Name, m.version, nextPow2(batch), m.shards, m.net, m.workload)
+	p, err := m.program(batch)
 	if err != nil {
 		return nil, err
 	}
-	// A Predict racing a replace/remove could have re-created an entry
-	// the registry just evicted; checking retirement after the lookup
-	// guarantees either the retire's eviction saw our entry or we see the
-	// retirement and evict our own resurrection — no permanent leak.
-	if m.retired.Load() {
-		m.cache.Evict(m.spec.Name, m.version)
-		return nil, ErrStopped
+	if p.costDone.Load() {
+		m.cache.hits.Add(1)
+	} else {
+		m.cache.misses.Add(1)
 	}
 	return p.Cost()
+}
+
+// program returns the program of the bucket a batch of rows rounds up to.
+func (m *Model) program(rows int) (*Program, error) {
+	i := bits.Len(uint(rows - 1))
+	if rows < 1 || i >= len(m.progs) {
+		return nil, fmt.Errorf("serve: model %q has programs for batches of 1 to %d rows, not %d",
+			m.spec.Name, m.progs[len(m.progs)-1].batch, rows)
+	}
+	return m.progs[i], nil
+}
+
+// packed returns the packed lowering every plan of the model runs,
+// packing the weights on first use.
+func (m *Model) packed() *nn.Lowering {
+	m.exeMu.Lock()
+	defer m.exeMu.Unlock()
+	if m.exe == nil {
+		m.exe = m.low.Pack()
+	}
+	return m.exe
 }
 
 // runBatch is the micro-batcher's inference function: it executes the
@@ -359,12 +388,7 @@ func (m *Model) ModelledCost(batch int) (*ProgramCost, error) {
 // before the plan goes back to the program. A program, plan or Execute
 // error fails the batch.
 func (m *Model) runBatch(x *tensor.Matrix, info *execInfo) (*tensor.Matrix, error) {
-	// Pin the model name on the worker goroutine for CPU-profile
-	// attribution around Plan.Execute; restored before the response
-	// fan-out so unrelated work is not mislabeled.
-	pprof.SetGoroutineLabels(m.pprofCtx)
-	defer pprof.SetGoroutineLabels(m.pprofBase)
-	prog, err := m.cache.programQuiet(m.spec.Name, m.version, nextPow2(x.Rows), m.shards, m.net, m.workload)
+	prog, err := m.program(x.Rows)
 	if err != nil {
 		return nil, err
 	}
@@ -381,12 +405,6 @@ func (m *Model) runBatch(x *tensor.Matrix, info *execInfo) (*tensor.Matrix, erro
 			closePlan(pl)
 		}
 	}()
-	if ps, ok := pl.(pprofSink); ok {
-		// Sharded executors refine the model label with a per-shard
-		// ipu=<k> on their goroutines (idempotent per context, so
-		// repeating it every batch is free).
-		ps.SetPprofLabels(m.pprofCtx)
-	}
 	y, err := pl.Execute(x)
 	if err != nil {
 		returned = true
@@ -404,11 +422,6 @@ func (m *Model) runBatch(x *tensor.Matrix, info *execInfo) (*tensor.Matrix, erro
 	return out, nil
 }
 
-// pprofSink is the per-shard pprof label hook sharded executors expose.
-type pprofSink interface {
-	SetPprofLabels(context.Context)
-}
-
 // Timeline returns the model's BSP phase flight recorder (nil when
 // timelines are disabled or the model was built outside a registry).
 func (m *Model) Timeline() *timeline.Recorder { return m.timeline }
@@ -419,33 +432,27 @@ type readyState struct {
 	err   string
 }
 
-// Ready reports whether the model can serve: registered, not retired, and
-// its compiled plan materializes at the smallest batch bucket. The probe
-// compiles through the shared program cache once and memoizes the verdict,
-// so health checks stay cheap; a compile failure surfaces its error.
+// Ready reports whether the model can serve: not stopped, and a plan of
+// its smallest batch bucket materializes. The probe runs once and its
+// verdict is memoized, so health checks stay cheap; a compile failure
+// surfaces its error. A probe racing the model's stop hands its plan back
+// to a closed program, which closes it.
 func (m *Model) Ready() (bool, string) {
-	if m.retired.Load() {
+	select {
+	case <-m.batcher.stopped:
 		return false, "model stopped"
+	default:
 	}
 	if rs := m.readiness.Load(); rs != nil {
 		return rs.ready, rs.err
 	}
 	rs := &readyState{}
-	prog, err := m.cache.programQuiet(m.spec.Name, m.version, 1, m.shards, m.net, m.workload)
-	if err != nil {
+	prog := m.progs[0]
+	if pl, err := prog.GetPlan(); err != nil {
 		rs.err = err.Error()
-	} else if pl, perr := prog.GetPlan(); perr != nil {
-		rs.err = perr.Error()
 	} else {
 		prog.PutPlan(pl)
 		rs.ready = true
-	}
-	// As in ModelledCost: a probe racing a replace or remove may have
-	// re-created an entry the registry just evicted, and only an eviction
-	// closes the plan it now holds.
-	if m.retired.Load() {
-		m.cache.Evict(m.spec.Name, m.version)
-		return false, "model stopped"
 	}
 	m.readiness.Store(rs)
 	return rs.ready, rs.err
@@ -474,12 +481,27 @@ type ModelStats struct {
 	FactorizationError float64 `json:"factorization_error,omitempty"`
 }
 
-// stop retires the model and shuts its batcher down; in-flight Predicts
-// get ErrStopped. Retirement must precede the registry's cache eviction so
-// ModelledCost's post-lookup check is race-free.
+// stop shuts the model's batcher down (in-flight Predicts get
+// ErrStopped) and, once it has drained, closes every program: their idle
+// plans now, plans still held when they come back. The programs it had
+// priced count as evictions.
 func (m *Model) stop() {
-	m.retired.Store(true)
 	m.batcher.Stop()
+	m.cache.evictions.Add(int64(m.priced()))
+	for _, p := range m.progs {
+		p.close()
+	}
+}
+
+// priced counts the model's programs whose pricing has finished.
+func (m *Model) priced() int {
+	n := 0
+	for _, p := range m.progs {
+		if p.costDone.Load() {
+			n++
+		}
+	}
+	return n
 }
 
 // prevPow2 rounds n down to a power of two (n ≥ 1) — the shard counts the
@@ -492,8 +514,8 @@ func prevPow2(n int) int {
 	return p
 }
 
-// nextPow2 rounds n up to the next power of two, bucketing cache keys so
-// the compiled-program cache holds O(log MaxBatch) programs per model
+// nextPow2 rounds n up to the next power of two. Of MaxBatch it is a
+// model's largest batch bucket, so a model holds O(log MaxBatch) programs
 // instead of one per distinct coalesced batch size.
 func nextPow2(n int) int {
 	p := 1

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -220,91 +221,69 @@ func TestRegistryFixedShards(t *testing.T) {
 	}
 }
 
-// TestProgramCacheShardedKeysDistinct: the same model/batch at different
-// shard counts are distinct compiled programs.
-func TestProgramCacheShardedKeysDistinct(t *testing.T) {
-	topo := shard.Topology{NumIPUs: 4, IPU: ipu.GC200(), Link: ipu.IPULink()}
-	c := NewShardedProgramCache(ipu.GC200(), topo, 0)
-	sp := spec("m", nn.Butterfly)
-	net, err := buildNet(sp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	build := func(cfg ipu.Config, b int) (*ipu.Workload, error) { return buildWorkload(cfg, sp, b) }
-	for _, shards := range []int{1, 2, 4} {
-		p, err := c.Program(sp.Name, 1, 8, shards, net, build)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p.shards != shards {
-			t.Fatalf("program shards %d, want %d", p.shards, shards)
-		}
-		pl, err := p.GetPlan()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if pl.MaxBatch() != 8 {
-			t.Fatalf("plan maxBatch %d, want 8", pl.MaxBatch())
-		}
-		p.PutPlan(pl)
-	}
-	if s := c.Stats(); s.Entries != 3 {
-		t.Fatalf("entries = %d, want 3 (one per shard count)", s.Entries)
-	}
-	if _, err := c.Program(sp.Name, 1, 8, 8, net, build); err == nil {
-		t.Fatal("shard count beyond the topology accepted")
-	}
-	c.Evict(sp.Name, 1)
-	if s := c.Stats(); s.Entries != 0 {
-		t.Fatalf("after evict: %d entries, want 0 (sharded keys must evict too)", s.Entries)
-	}
-}
-
-// TestProgramCacheConcurrentProgramEvict races Program/GetPlan/Execute
-// against Evict across shard counts and batch buckets — run under -race
-// (the satellite coverage for the cache's concurrency contract), so plans
-// are materialised from a plan source's base while other workers execute
-// it. Every lookup must either produce a usable program or a clean error;
-// entries and plan sources must all be gone at the end, and every sharded
-// plan's workers with them.
-func TestProgramCacheConcurrentProgramEvict(t *testing.T) {
+// TestRegistryConcurrentLookupsAndChurn races Predict, Ready and
+// ModelledCost on 1-, 2- and 4-IPU models against another goroutine that
+// replaces and removes them — run under -race, so plans are instanced
+// from a packed lowering other workers execute while their model stops.
+// Every call must answer with scores equal to Infer's, a cost, or a clean
+// ErrStopped; once every model is gone, every program of every version
+// seen must be closed and idle, no priced program may count as an entry,
+// and every sharded plan's workers must have ended without a collection.
+func TestRegistryConcurrentLookupsAndChurn(t *testing.T) {
 	before := runtime.NumGoroutine()
-	topo := shard.Topology{NumIPUs: 4, IPU: ipu.GC200(), Link: ipu.IPULink()}
-	c := NewShardedProgramCache(ipu.GC200(), topo, 0)
 	sp := spec("m", nn.Butterfly)
-	net, err := buildNet(sp)
-	if err != nil {
-		t.Fatal(err)
+	x := tensor.New(1, sp.N)
+	x.FillRandom(rand.New(rand.NewSource(3)), 1)
+	want := nn.BuildSHL(sp.Method, sp.N, sp.Classes, rand.New(rand.NewSource(sp.Seed))).Infer(x)
+	var regs []*Registry
+	for _, ipus := range []int{1, 2, 4} {
+		reg := NewRegistry(Options{Batcher: BatcherConfig{MaxBatch: 8, Workers: 2}, NumIPUs: ipus, Shards: ipus})
+		if _, err := reg.Register(sp); err != nil {
+			t.Fatal(err)
+		}
+		regs = append(regs, reg)
 	}
-	build := func(cfg ipu.Config, b int) (*ipu.Workload, error) { return buildWorkload(cfg, sp, b) }
 
 	const loops = 30
-	var wg sync.WaitGroup
+	var (
+		mu   sync.Mutex
+		seen = map[*Model]bool{}
+		wg   sync.WaitGroup
+	)
 	for g := 0; g < 6; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			shardsOf := []int{1, 2, 4}
-			x := tensor.New(2, sp.N)
-			x.FillRandom(rand.New(rand.NewSource(int64(g))), 1)
 			for i := 0; i < loops; i++ {
-				shards := shardsOf[(g+i)%len(shardsOf)]
-				p, err := c.Program(sp.Name, 1, 2<<(i%3), shards, net, build)
-				if err != nil {
-					t.Errorf("Program: %v", err)
-					return
+				m, ok := regs[(g+i)%len(regs)].Get(sp.Name)
+				if !ok {
+					continue
 				}
-				pl, err := p.GetPlan()
-				if err != nil {
-					t.Errorf("GetPlan: %v", err)
-					return
-				}
-				if _, err := pl.Execute(x); err != nil {
-					t.Errorf("Execute: %v", err)
-				}
-				p.PutPlan(pl)
-				if _, err := p.Cost(); err != nil {
-					t.Errorf("Cost: %v", err)
+				mu.Lock()
+				seen[m] = true
+				mu.Unlock()
+				switch (g + i) % 3 {
+				case 0:
+					pred, err := m.Predict(context.Background(), x.Row(0))
+					if errors.Is(err, ErrStopped) {
+						continue
+					}
+					if err != nil {
+						t.Errorf("Predict: %v", err)
+						return
+					}
+					for j, v := range pred.Scores {
+						if v != want.At(0, j) {
+							t.Errorf("Predict on %d IPUs: score[%d] = %v, want %v", m.Shards(), j, v, want.At(0, j))
+							return
+						}
+					}
+				case 1:
+					m.Ready()
+				case 2:
+					if _, err := m.ModelledCost(1 << (i % 4)); err != nil {
+						t.Errorf("ModelledCost: %v", err)
+					}
 				}
 			}
 		}(g)
@@ -313,36 +292,53 @@ func TestProgramCacheConcurrentProgramEvict(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < loops; i++ {
-			c.Evict(sp.Name, 1)
+			reg := regs[i%len(regs)]
+			if i%4 == 3 {
+				reg.Remove(sp.Name)
+			} else if _, err := reg.Register(sp); err != nil {
+				t.Error(err)
+			}
 		}
 	}()
 	wg.Wait()
-	c.Evict(sp.Name, 1)
-	if s := c.Stats(); s.Entries != 0 {
-		t.Fatalf("after final evict: %d entries, want 0", s.Entries)
+	for i, reg := range regs {
+		// Remove one registry's model, close the others with theirs.
+		if i == 0 {
+			reg.Remove(sp.Name)
+		} else {
+			reg.Close()
+		}
+		if s := reg.CacheStats(); s.Entries != 0 {
+			t.Errorf("%d entries once the model is gone, want 0", s.Entries)
+		}
 	}
-	if n := len(c.sources); n != 0 {
-		t.Fatalf("after final evict: %d plan sources, want 0", n)
+	for m := range seen {
+		for _, p := range m.progs {
+			p.mu.Lock()
+			closed, idle := p.closed, len(p.idle)
+			p.mu.Unlock()
+			if !closed || idle != 0 {
+				t.Errorf("a stopped model's bucket-%d program on %d IPUs: closed %v with %d idle plans", p.batch, m.Shards(), closed, idle)
+			}
+		}
 	}
-	// Every plan went back to a program that the last Evict closed, or
-	// came back to an already evicted one and was closed on return.
 	if n := settledGoroutines(before); n > before {
-		t.Fatalf("%d goroutines 2 s after the final evict, %d before the test", n, before)
+		t.Fatalf("%d goroutines 2 s after every model stopped, %d before the test", n, before)
 	}
 }
 
 // TestProgramClosesPlanReturnedAfterEvict: a caller holding a sharded plan
-// across an eviction keeps using it, handing it back closes it, and the
-// evicted program never hands a closed plan out again.
+// across its model's removal keeps using it, handing it back closes it,
+// and the stopped model's program never hands a closed plan out again.
 func TestProgramClosesPlanReturnedAfterEvict(t *testing.T) {
 	before := runtime.NumGoroutine()
-	c := NewShardedProgramCache(ipu.GC200(), shard.DefaultTopology(2), 0)
+	reg := NewRegistry(Options{Batcher: BatcherConfig{MaxBatch: 8, Workers: 2}, NumIPUs: 2, Shards: 2})
 	sp := spec("m", nn.Baseline)
-	net, err := buildNet(sp)
+	m, err := reg.Register(sp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := c.Program(sp.Name, 1, 4, 2, net, func(cfg ipu.Config, b int) (*ipu.Workload, error) { return buildWorkload(cfg, sp, b) })
+	p, err := m.program(4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,9 +346,11 @@ func TestProgramClosesPlanReturnedAfterEvict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Evict(sp.Name, 1)
+	if !reg.Remove(sp.Name) {
+		t.Fatal("Remove found no model")
+	}
 	if _, err := pl.Execute(tensor.New(4, sp.N)); err != nil {
-		t.Fatalf("Execute after the evict: %v", err)
+		t.Fatalf("Execute after the removal: %v", err)
 	}
 	p.PutPlan(pl)
 	next, err := p.GetPlan()
@@ -360,9 +358,10 @@ func TestProgramClosesPlanReturnedAfterEvict(t *testing.T) {
 		t.Fatal(err)
 	}
 	if next == pl {
-		t.Fatal("an evicted program handed out the plan it closed")
+		t.Fatal("a stopped model's program handed out the plan it closed")
 	}
 	p.PutPlan(next)
+	reg.Close()
 	if n := settledGoroutines(before); n > before {
 		t.Fatalf("%d goroutines 2 s after both plans came back, %d before the test", n, before)
 	}
@@ -385,10 +384,7 @@ func TestRunBatchClosesPanickedPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := m.cache.programQuiet(m.spec.Name, m.version, 1, m.shards, m.net, m.workload)
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog := m.progs[0]
 	bad := &panicPlan{}
 	prog.PutPlan(bad)
 	x := make([]float32, m.spec.N)
@@ -405,7 +401,8 @@ func TestRunBatchClosesPanickedPlan(t *testing.T) {
 
 // TestRegistryFixedShardsRoundsToPow2: a fixed -shards 3 must not produce
 // a model the shard compiler rejects on every batch (silent Infer
-// fallback); it rounds down to a power of two.
+// fallback); it rounds down to a power of two. A fixed count beyond the
+// topology is cut to the topology's IPUs.
 func TestRegistryFixedShardsRoundsToPow2(t *testing.T) {
 	reg := shardedRegistry(t, 0, 3)
 	m, err := reg.Register(spec("m", nn.Baseline))
@@ -417,5 +414,14 @@ func TestRegistryFixedShardsRoundsToPow2(t *testing.T) {
 	}
 	if cost, err := m.ModelledCost(4); err != nil || cost.Shards != 2 {
 		t.Fatalf("ModelledCost after rounding: cost=%+v err=%v", cost, err)
+	}
+	small := NewRegistry(Options{Batcher: BatcherConfig{MaxBatch: 8, Workers: 1}, NumIPUs: 2, Shards: 8})
+	t.Cleanup(small.Close)
+	m, err = small.Register(spec("m", nn.Baseline))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Shards() != 2 {
+		t.Fatalf("fixed shards 8 on 2 IPUs: got %d, want 2", m.Shards())
 	}
 }

@@ -18,10 +18,10 @@ import (
 	"testing"
 )
 
-// unreachedAllowed lists the non-test functions, methods and types that
-// no main package reaches but that stay in non-test files, each with
-// its reason. Names are "<package dir>.<Name>" or "<package
-// dir>.<Type>.<Method>".
+// unreachedAllowed lists the non-test functions, methods, types and
+// struct fields that no main package reaches but that stay in non-test
+// files, each with its reason. Names are "<package dir>.<Name>" or
+// "<package dir>.<Type>.<Method or field>".
 var unreachedAllowed = map[string]string{
 	"internal/baselines.Circulant.Dense":         "the transform's dense matrix: the oracle the baselines tests check Apply against",
 	"internal/baselines.Fastfood.Dense":          "the transform's dense matrix: the oracle the baselines tests check Apply against",
@@ -39,12 +39,12 @@ var unreachedAllowed = map[string]string{
 	"internal/tensor.Workspace.Capacity":         "a workspace's backing as a demand: the transform, nn and shard tests check every declared demand against it",
 }
 
-// TestEveryDeclarationIsReached fails on a non-test function, method or
-// type that no main package (cmd/*, examples/*, perfbench) reaches from
-// main, an init function or a package-level variable, unless
-// unreachedAllowed names it with a reason. Code only tests use belongs
-// in a _test.go file. It also fails on an allowlist entry that is
-// reached or gone, so the list cannot go stale.
+// TestEveryDeclarationIsReached fails on a non-test function, method,
+// type or struct field that no main package (cmd/*, examples/*,
+// perfbench) reaches from main, an init function or a package-level
+// variable, unless unreachedAllowed names it with a reason. Code only
+// tests use belongs in a _test.go file. It also fails on an allowlist
+// entry that is reached or gone, so the list cannot go stale.
 //
 // The walk is conservative about dynamic calls: a call through an
 // interface method reaches every method of that name, and a reached
@@ -52,6 +52,11 @@ var unreachedAllowed = map[string]string{
 // interfaces the reached code uses and those the standard library
 // packages in the build declare (so fmt.Stringer reaches String and
 // http.Handler reaches ServeHTTP).
+//
+// A field is reached when reached code names it, in a selector or as a
+// composite-literal key, or selects through it as an embedded field; an
+// unkeyed composite literal reaches every field of its type. Whether the
+// field is read or only written does not matter.
 func TestEveryDeclarationIsReached(t *testing.T) {
 	s := &reachScan{
 		fset:      token.NewFileSet(),
@@ -239,9 +244,9 @@ func (s *reachScan) addInterface(typ types.Type) {
 	s.ifaces = append(s.ifaces, it)
 }
 
-// record notes one package's functions, methods, types and constants,
-// and its roots: main, init functions and package-level variables, whose
-// initializers run whenever the package is linked.
+// record notes one package's functions, methods, types, struct fields
+// and constants, and its roots: main, init functions and package-level
+// variables, whose initializers run whenever the package is linked.
 func (s *reachScan) record(dir string, isMain bool, files []*ast.File, info *types.Info) {
 	named := func(node ast.Node, name string) reachNode {
 		p := s.fset.Position(node.Pos())
@@ -264,6 +269,15 @@ func (s *reachScan) record(dir string, isMain bool, files []*ast.File, info *typ
 					switch spec := spec.(type) {
 					case *ast.TypeSpec:
 						s.decls[info.Defs[spec.Name]] = named(spec, spec.Name.Name)
+						if st, ok := spec.Type.(*ast.StructType); ok {
+							for _, f := range st.Fields.List {
+								for _, id := range fieldNames(f) {
+									if id.Name != "_" {
+										s.decls[info.Defs[id]] = named(f, spec.Name.Name+"."+id.Name)
+									}
+								}
+							}
+						}
 					case *ast.ValueSpec:
 						if d.Tok == token.VAR {
 							s.roots = append(s.roots, reachNode{node: spec, info: info})
@@ -277,6 +291,25 @@ func (s *reachScan) record(dir string, isMain bool, files []*ast.File, info *typ
 			}
 		}
 	}
+}
+
+// fieldNames returns the identifiers a struct field declares: its names,
+// or for an embedded field the name of its type.
+func fieldNames(f *ast.Field) []*ast.Ident {
+	if len(f.Names) > 0 {
+		return f.Names
+	}
+	e := f.Type
+	if st, ok := e.(*ast.StarExpr); ok {
+		e = st.X
+	}
+	switch e := e.(type) {
+	case *ast.Ident:
+		return []*ast.Ident{e}
+	case *ast.SelectorExpr:
+		return []*ast.Ident{e.Sel}
+	}
+	return nil
 }
 
 // recvName returns the type name of a method receiver expression.
@@ -311,8 +344,11 @@ func (s *reachScan) walk() {
 }
 
 func (s *reachScan) mark(obj types.Object) {
-	if fn, ok := obj.(*types.Func); ok {
-		obj = fn.Origin()
+	switch o := obj.(type) {
+	case *types.Func:
+		obj = o.Origin()
+	case *types.Var:
+		obj = o.Origin()
 	}
 	if _, ok := s.decls[obj]; !ok || s.reached[obj] {
 		return
@@ -330,8 +366,23 @@ func (s *reachScan) inspect(r reachNode) {
 				s.mark(obj)
 			}
 		case *ast.SelectorExpr:
-			if sel := r.info.Selections[n]; sel != nil && sel.Kind() == types.MethodVal && types.IsInterface(sel.Recv()) {
-				s.dynNames[n.Sel.Name] = true
+			if sel := r.info.Selections[n]; sel != nil {
+				if sel.Kind() == types.MethodVal && types.IsInterface(sel.Recv()) {
+					s.dynNames[n.Sel.Name] = true
+				}
+				s.markEmbedded(sel.Recv(), sel.Index())
+			}
+		case *ast.CompositeLit:
+			if len(n.Elts) == 0 {
+				break
+			}
+			if _, keyed := n.Elts[0].(*ast.KeyValueExpr); keyed {
+				break
+			}
+			if st := structOf(r.info.Types[n].Type); st != nil {
+				for i := 0; i < st.NumFields(); i++ {
+					s.mark(st.Field(i))
+				}
 			}
 		}
 		if e, ok := n.(ast.Expr); ok {
@@ -343,8 +394,33 @@ func (s *reachScan) inspect(r reachNode) {
 	})
 }
 
+// markEmbedded marks the embedded fields a selection on typ passes
+// through: every step of its index path but the last.
+func (s *reachScan) markEmbedded(typ types.Type, index []int) {
+	for _, i := range index[:max(len(index)-1, 0)] {
+		st := structOf(typ)
+		if st == nil {
+			return
+		}
+		f := st.Field(i)
+		s.mark(f)
+		typ = f.Type()
+	}
+}
+
+// structOf returns the struct type under typ, or under the type typ
+// points to; nil if there is none.
+func structOf(typ types.Type) *types.Struct {
+	if p, ok := typ.Underlying().(*types.Pointer); ok {
+		typ = p.Elem()
+	}
+	st, _ := typ.Underlying().(*types.Struct)
+	return st
+}
+
 // dynamicMethods marks the methods of reached types that an interface
-// call or an implemented interface may reach.
+// call or an implemented interface may reach, and the embedded fields
+// such a method is promoted through.
 func (s *reachScan) dynamicMethods() {
 	for obj := range s.reached {
 		tn, ok := obj.(*types.TypeName)
@@ -354,8 +430,9 @@ func (s *reachScan) dynamicMethods() {
 		ptr := types.NewPointer(tn.Type())
 		ms := types.NewMethodSet(ptr)
 		for i := 0; i < ms.Len(); i++ {
-			if m := ms.At(i).Obj(); s.dynNames[m.Name()] {
-				s.mark(m)
+			if sel := ms.At(i); s.dynNames[sel.Obj().Name()] {
+				s.mark(sel.Obj())
+				s.markEmbedded(ptr, sel.Index())
 			}
 		}
 		for _, it := range s.ifaces {
@@ -363,8 +440,9 @@ func (s *reachScan) dynamicMethods() {
 				continue
 			}
 			for i := 0; i < it.NumMethods(); i++ {
-				if m, _, _ := types.LookupFieldOrMethod(ptr, true, tn.Pkg(), it.Method(i).Name()); m != nil {
+				if m, index, _ := types.LookupFieldOrMethod(ptr, true, tn.Pkg(), it.Method(i).Name()); m != nil {
 					s.mark(m)
+					s.markEmbedded(ptr, index)
 				}
 			}
 		}
