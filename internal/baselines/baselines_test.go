@@ -14,7 +14,7 @@ import (
 type transform interface {
 	Forward(x *tensor.Matrix) *tensor.Matrix
 	Apply(x *tensor.Matrix) *tensor.Matrix
-	Backward(dY *tensor.Matrix) *tensor.Matrix
+	Backward(dY *tensor.Matrix, inputGrad bool) *tensor.Matrix
 	ZeroGrad()
 	Params() (params, grads [][]float32)
 	Dense() *tensor.Matrix
@@ -49,7 +49,7 @@ func checkGradients(t *testing.T, name string, tr transform, n int, seed int64) 
 	}
 	tr.ZeroGrad()
 	tr.Forward(x)
-	dx := tr.Backward(r)
+	dx := tr.Backward(r, true)
 
 	// input gradient
 	const h = 1e-3
@@ -238,7 +238,7 @@ func TestBackwardBeforeForwardPanics(t *testing.T) {
 					t.Errorf("%s: Backward before Forward did not panic", tc.name)
 				}
 			}()
-			tc.tr.Backward(tensor.New(1, 8))
+			tc.tr.Backward(tensor.New(1, 8), true)
 		}()
 	}
 }
@@ -286,7 +286,7 @@ func TestGradientsAllocatedOnFirstUse(t *testing.T) {
 		viaBackward := c.build()
 		for _, m := range []transform{tr, viaBackward} {
 			m.Forward(x)
-			m.Backward(dY)
+			m.Backward(dY, true)
 		}
 		// grads are the slices an optimizer bound before the step.
 		_, got := viaBackward.Params()

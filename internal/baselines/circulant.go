@@ -3,6 +3,7 @@ package baselines
 import (
 	"fmt"
 	"math"
+	"math/cmplx"
 	"math/rand"
 
 	"repro/internal/fft"
@@ -24,6 +25,9 @@ type Circulant struct {
 	plan *fft.Plan
 	fc   []complex128
 
+	// ws holds Forward's output and FFT row, and Backward's dX, FFT rows
+	// and correlation; Forward resets it.
+	ws     tensor.Workspace
 	xSaved *tensor.Matrix
 }
 
@@ -59,9 +63,13 @@ func (c *Circulant) Flops(batch int) float64 {
 	return 3 * 5 * n * float64(fft.Log2(c.N)) * float64(batch)
 }
 
-// Forward convolves every row of x with the circulant vector.
+// Forward convolves every row of x with the circulant vector through
+// ApplyInto, so the cached fft(C) must be current, as SGD.Step's Refresh
+// keeps it.
 func (c *Circulant) Forward(x *tensor.Matrix) *tensor.Matrix {
-	out := c.Apply(x)
+	c.ws.Reset()
+	out := c.ws.Take(x.Rows, x.Cols)
+	c.ApplyInto(out, x, &c.ws, nil, tensor.ActNone)
 	c.xSaved = x
 	return out
 }
@@ -131,21 +139,53 @@ func (c *Circulant) Scratch(rows int) tensor.Scratch {
 }
 
 // Backward: with y = C·x (C circulant), dX = Cᵀ·dY is circular correlation
-// with c, and dc[m] = Σ_rows corr(x_row, dy_row)[m].
-func (c *Circulant) Backward(dY *tensor.Matrix) *tensor.Matrix {
+// with c, and dc[m] = Σ_rows corr(x_row, dy_row)[m]. Each correlation is
+// ifft(conj(fft(a))·fft(b)) through the in-place plan, with fft(C) the
+// cached fc and fft(dy_row) shared by both; fft's tests hold that
+// composition to the allocating oracle bit for bit. Without inputGrad it
+// skips dX and returns nil.
+func (c *Circulant) Backward(dY *tensor.Matrix, inputGrad bool) *tensor.Matrix {
 	if c.xSaved == nil {
 		panic("baselines: Circulant Backward before Forward")
 	}
 	c.ensureGrads()
-	dX := tensor.New(dY.Rows, dY.Cols)
+	var dX *tensor.Matrix
+	if inputGrad {
+		dX = c.ws.Take(dY.Rows, dY.Cols)
+	}
+	fy, buf := c.ws.TakeComplex(c.N), c.ws.TakeComplex(c.N)
+	// correlate writes into dst the correlation of the row whose
+	// transform is fa with dy_row, from fy.
+	correlate := func(dst []float32, fa []complex128) {
+		for i := range buf {
+			buf[i] = cmplx.Conj(fa[i]) * fy[i]
+		}
+		c.plan.Inverse(buf)
+		for i := range dst {
+			dst[i] = float32(real(buf[i]))
+		}
+	}
+	dc := c.ws.TakeVec(c.N)
 	for r := 0; r < dY.Rows; r++ {
-		copy(dX.Row(r), fft.CircularCorrelate(c.C, dY.Row(r)))
-		dc := fft.CircularCorrelate(c.xSaved.Row(r), dY.Row(r))
+		c.transformRow(fy, dY.Row(r))
+		if dX != nil {
+			correlate(dX.Row(r), c.fc)
+		}
+		c.transformRow(buf, c.xSaved.Row(r))
+		correlate(dc, buf)
 		for m := range dc {
 			c.GradC[m] += dc[m]
 		}
 	}
 	return dX
+}
+
+// transformRow writes fft(src) into dst, as fft.FFT does.
+func (c *Circulant) transformRow(dst []complex128, src []float32) {
+	for i, v := range src {
+		dst[i] = complex(float64(v), 0)
+	}
+	c.plan.Transform(dst)
 }
 
 // ZeroGrad clears gradients.

@@ -22,10 +22,12 @@ type Fastfood struct {
 
 	GradS, GradG, GradB []float32 // nil until Backward or Params
 
-	// forward intermediates (batch×n each): after B, after first Ĥ, after
-	// Π, after G, after second Ĥ
-	u1, u2, u3, u4, u5 *tensor.Matrix
-	xSaved             *tensor.Matrix
+	// ws holds the training step's buffers; Forward resets it. Backward
+	// reads two forward intermediates (batch×n each): u3 after Π, u5
+	// after the second Ĥ.
+	ws     tensor.Workspace
+	u3, u5 *tensor.Matrix
+	xSaved *tensor.Matrix
 }
 
 // NewFastfood builds a Fastfood layer with Gaussian-style initialization.
@@ -115,30 +117,40 @@ func permuteRowsInto(out, x *tensor.Matrix, perm []int) {
 	}
 }
 
-func unpermuteRows(x *tensor.Matrix, perm []int) *tensor.Matrix {
-	out := tensor.New(x.Rows, x.Cols)
+// unpermuteRowsInto writes the gradient of permuteRowsInto into out,
+// which must not alias x: each row is cleared, then scatters
+// out[perm[i]] += x[i].
+func unpermuteRowsInto(out, x *tensor.Matrix, perm []int) {
 	for r := 0; r < x.Rows; r++ {
 		src := x.Row(r)
 		dst := out.Row(r)
+		clear(dst)
 		for i, p := range perm {
 			dst[p] += src[i]
 		}
 	}
-	return out
 }
 
-// Forward applies y_row = S·Ĥ·G·Π·Ĥ·B · x_row to every row.
+// Forward applies y_row = S·Ĥ·G·Π·Ĥ·B · x_row to every row through
+// Apply's steps, overwriting in place each intermediate Backward does not
+// read.
 func (f *Fastfood) Forward(x *tensor.Matrix) *tensor.Matrix {
 	if x.Cols != f.N {
 		panic(fmt.Sprintf("baselines: Fastfood input width %d != %d", x.Cols, f.N))
 	}
+	f.ws.Reset()
 	f.xSaved = x
-	f.u1 = scaleRows(x, f.B)
-	f.u2 = fwhtRows(f.u1)
-	f.u3 = permuteRows(f.u2, f.Perm)
-	f.u4 = scaleRows(f.u3, f.G)
-	f.u5 = fwhtRows(f.u4)
-	return scaleRows(f.u5, f.S)
+	u := f.ws.Take(x.Rows, f.N)
+	scaleRowsInto(u, x, f.B)
+	fwhtRowsInPlace(u)
+	f.u3 = f.ws.Take(x.Rows, f.N)
+	permuteRowsInto(f.u3, u, f.Perm)
+	scaleRowsInto(u, f.u3, f.G)
+	fwhtRowsInPlace(u)
+	f.u5 = u
+	out := f.ws.Take(x.Rows, f.N)
+	scaleRowsInto(out, f.u5, f.S)
+	return out
 }
 
 // Apply is Forward without retaining state. It writes no receiver fields,
@@ -200,9 +212,11 @@ func (f *Fastfood) Scratch(rows int) tensor.Scratch {
 	return tensor.Scratch{Floats: 2 * rows * f.N, Headers: 2}
 }
 
-// Backward accumulates diagonal gradients and returns dX. Ĥ is symmetric,
-// so its transpose is itself; the permutation transposes to its inverse.
-func (f *Fastfood) Backward(dY *tensor.Matrix) *tensor.Matrix {
+// Backward accumulates diagonal gradients and returns dX, or nil without
+// inputGrad, which skips the final scaling by B. Ĥ is symmetric, so its
+// transpose is itself; the permutation transposes to its inverse. Each
+// gradient it does not read again is overwritten in place.
+func (f *Fastfood) Backward(dY *tensor.Matrix, inputGrad bool) *tensor.Matrix {
 	if f.xSaved == nil {
 		panic("baselines: Fastfood Backward before Forward")
 	}
@@ -215,22 +229,24 @@ func (f *Fastfood) Backward(dY *tensor.Matrix) *tensor.Matrix {
 			f.GradS[i] += dyr[i] * u5r[i]
 		}
 	}
-	d5 := scaleRows(dY, f.S)
+	d := f.ws.Take(dY.Rows, f.N)
+	scaleRowsInto(d, dY, f.S)
 	// u5 = Ĥ u4
-	d4 := fwhtRows(d5)
+	fwhtRowsInPlace(d)
 	// u4 = G ⊙ u3
-	for r := 0; r < d4.Rows; r++ {
-		d4r := d4.Row(r)
+	for r := 0; r < d.Rows; r++ {
+		d4r := d.Row(r)
 		u3r := f.u3.Row(r)
 		for i := range d4r {
 			f.GradG[i] += d4r[i] * u3r[i]
 		}
 	}
-	d3 := scaleRows(d4, f.G)
+	scaleRowsInto(d, d, f.G)
 	// u3 = Π u2
-	d2 := unpermuteRows(d3, f.Perm)
+	d1 := f.ws.Take(dY.Rows, f.N)
+	unpermuteRowsInto(d1, d, f.Perm)
 	// u2 = Ĥ u1
-	d1 := fwhtRows(d2)
+	fwhtRowsInPlace(d1)
 	// u1 = B ⊙ x
 	for r := 0; r < d1.Rows; r++ {
 		d1r := d1.Row(r)
@@ -239,7 +255,11 @@ func (f *Fastfood) Backward(dY *tensor.Matrix) *tensor.Matrix {
 			f.GradB[i] += d1r[i] * xr[i]
 		}
 	}
-	return scaleRows(d1, f.B)
+	if !inputGrad {
+		return nil
+	}
+	scaleRowsInto(d1, d1, f.B)
+	return d1
 }
 
 // ZeroGrad clears gradients.

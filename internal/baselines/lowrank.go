@@ -20,11 +20,14 @@ type LowRank struct {
 	U, V         *tensor.Matrix // n×r
 	GradU, GradV *tensor.Matrix // nil until Backward or Params
 
-	// ut caches Uᵀ (r×n) for the allocation-free inference path; it is
-	// re-derived by Refresh after every optimizer step (the same post-step
-	// hook the rotation butterfly uses).
+	// ut caches Uᵀ (r×n) for the allocation-free inference path and the
+	// training Forward; it is re-derived by Refresh after every optimizer
+	// step (the same post-step hook the rotation butterfly uses).
 	ut *tensor.Matrix
 
+	// ws holds the training step's buffers (Forward's X·V and output,
+	// Backward's products, transposes and dX); Forward resets it.
+	ws      tensor.Workspace
 	xSaved  *tensor.Matrix
 	xvSaved *tensor.Matrix
 }
@@ -95,9 +98,10 @@ func (l *LowRank) Forward(x *tensor.Matrix) *tensor.Matrix {
 	if x.Cols != l.N {
 		panic(fmt.Sprintf("baselines: LowRank input width %d != %d", x.Cols, l.N))
 	}
+	l.ws.Reset()
 	l.xSaved = x
-	l.xvSaved = tensor.MatMul(x, l.V)
-	return tensor.MatMul(l.xvSaved, l.U.Transpose())
+	l.xvSaved = l.ws.MatMul(x, l.V)
+	return l.ws.MatMul(l.xvSaved, l.ut)
 }
 
 // Apply is Forward without retaining state. It writes no receiver fields,
@@ -157,16 +161,21 @@ func (l *LowRank) ColsShared() (bytes int, flopsPerRow int64) {
 	return 4 * l.N * l.Rank, int64(2 * l.N * l.Rank)
 }
 
-// Backward accumulates dU, dV and returns dX.
-func (l *LowRank) Backward(dY *tensor.Matrix) *tensor.Matrix {
+// Backward accumulates dU, dV and returns dX, or nil without inputGrad,
+// which skips (dY·U)·Vᵀ.
+func (l *LowRank) Backward(dY *tensor.Matrix, inputGrad bool) *tensor.Matrix {
 	if l.xSaved == nil {
 		panic("baselines: LowRank Backward before Forward")
 	}
 	l.ensureGrads()
-	dyU := tensor.MatMul(dY, l.U)
-	tensor.AddInPlace(l.GradU, tensor.MatMul(dY.Transpose(), l.xvSaved))
-	tensor.AddInPlace(l.GradV, tensor.MatMul(l.xSaved.Transpose(), dyU))
-	return tensor.MatMul(dyU, l.V.Transpose())
+	dyU := l.ws.MatMul(dY, l.U)
+	tensor.AddInPlace(l.GradU, l.ws.MatMul(l.ws.Transpose(dY), l.xvSaved))
+	tensor.AddInPlace(l.GradV, l.ws.MatMul(l.ws.Transpose(l.xSaved), dyU))
+	var dX *tensor.Matrix
+	if inputGrad {
+		dX = l.ws.MatMul(dyU, l.ws.Transpose(l.V))
+	}
+	return dX
 }
 
 // ZeroGrad clears gradients.

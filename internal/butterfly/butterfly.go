@@ -76,6 +76,11 @@ type Butterfly struct {
 	Factors []*Factor // Factors[s-1] is stage s; applied in increasing order
 	Perm    []int     // input permutation; nil means identity
 
+	// ws holds the training step's buffers: Forward's stage inputs and
+	// output, then Backward's gradient at each stage input and dX.
+	// Forward resets it.
+	ws tensor.Workspace
+
 	// saved stage inputs from the last Forward, for Backward
 	stageInputs []*tensor.Matrix
 
@@ -247,11 +252,12 @@ func (b *Butterfly) Forward(x *tensor.Matrix) *tensor.Matrix {
 	if x.Cols != b.N {
 		panic(fmt.Sprintf("butterfly: input width %d != N %d", x.Cols, b.N))
 	}
+	b.ws.Reset()
 	b.stageInputs = b.stageInputs[:0]
 	for range b.Factors {
-		b.stageInputs = append(b.stageInputs, tensor.New(x.Rows, x.Cols))
+		b.stageInputs = append(b.stageInputs, b.ws.Take(x.Rows, x.Cols))
 	}
-	out := tensor.New(x.Rows, x.Cols)
+	out := b.ws.Take(x.Rows, x.Cols)
 	tensor.ParallelRows(x.Rows, b.macs(x.Rows), forwardJob{b, x, out}, func(j forwardJob, lo, hi int) {
 		j.b.forwardRows(j.x, j.out, lo, hi)
 	})
@@ -452,29 +458,38 @@ func (f *Factor) ApplyColsInto(dst, x *tensor.Matrix, lo, hi int, bias []float32
 }
 
 // Backward propagates dY (batch × N) through the butterfly, accumulating
-// parameter gradients (into GradA..GradD / GradTheta) and returning dX.
-// Forward must have been called first. It runs in two fan-outs over
-// GOMAXPROCS (tensor.ParallelRows). The first splits rows, which are
-// independent: each row window runs the input-gradient sweep of every
-// stage in turn, dX = Bᵀ·dY per pair, through the forward micro-kernels
-// on the transposed factors, then the permutation. The second splits
-// pairs: each pair's coefficient gradients sum the rows in ascending
-// order, as the serial sweep does, so the result does not depend on the
-// worker count.
-func (b *Butterfly) Backward(dY *tensor.Matrix) *tensor.Matrix {
+// parameter gradients (into GradA..GradD / GradTheta) and returning dX,
+// or nil without inputGrad. Forward must have been called first. It runs
+// in two fan-outs over GOMAXPROCS (tensor.ParallelRows). The first splits
+// rows, which are independent: each row window runs the input-gradient
+// sweep of every stage in turn, dX = Bᵀ·dY per pair, through the forward
+// micro-kernels on the transposed factors, then the permutation. Without
+// inputGrad it stops above the first stage, whose output gradient is
+// the last one the coefficient gradients read. The second splits pairs:
+// each pair's coefficient gradients sum the rows in ascending order, as
+// the serial sweep does, so the result does not depend on the worker
+// count.
+func (b *Butterfly) Backward(dY *tensor.Matrix, inputGrad bool) *tensor.Matrix {
 	if len(b.stageInputs) != len(b.Factors) {
 		panic("butterfly: Backward called before Forward")
 	}
 	b.ensureGrads()
 	b.stageGrads, b.transposed = b.stageGrads[:0], b.transposed[:0]
-	for _, f := range b.Factors {
-		b.stageGrads = append(b.stageGrads, tensor.New(dY.Rows, dY.Cols))
+	for s, f := range b.Factors {
+		var g *tensor.Matrix
+		if s > 0 || inputGrad {
+			g = b.ws.Take(dY.Rows, dY.Cols)
+		}
+		b.stageGrads = append(b.stageGrads, g)
 		b.transposed = append(b.transposed, Factor{N: f.N, Stage: f.Stage, A: f.A, B: f.C, C: f.B, D: f.D})
 	}
 	b.stageGrads = append(b.stageGrads, dY)
-	dX := b.stageGrads[0]
-	if b.Perm != nil {
-		dX = tensor.New(dY.Rows, dY.Cols)
+	var dX *tensor.Matrix
+	if inputGrad {
+		dX = b.stageGrads[0]
+		if b.Perm != nil {
+			dX = b.ws.Take(dY.Rows, dY.Cols)
+		}
 	}
 	tensor.ParallelRows(dY.Rows, b.macs(dY.Rows), backwardJob{b, dX}, func(j backwardJob, lo, hi int) {
 		j.b.inputGradRows(j.dX, lo, hi)
@@ -499,17 +514,23 @@ type backwardJob struct {
 
 // inputGradRows runs the rows [lo, hi) of the output gradient back through
 // every stage, then the permutation into dX. The forward permutation read
-// dst[i] = src[Perm[i]], so its gradient scatters dX[Perm[i]] = g[i].
+// dst[i] = src[Perm[i]], so its gradient scatters dX[Perm[i]] = g[i],
+// each added to a cleared row. A nil dX stops above the first stage.
 func (b *Butterfly) inputGradRows(dX *tensor.Matrix, lo, hi int) {
-	for s := len(b.Factors) - 1; s >= 0; s-- {
+	last := 1
+	if dX != nil {
+		last = 0
+	}
+	for s := len(b.Factors) - 1; s >= last; s-- {
 		applyFactorRowsMicro(&b.transposed[s], b.stageGrads[s+1], b.stageGrads[s], lo, hi)
 	}
-	if b.Perm == nil {
+	if dX == nil || b.Perm == nil {
 		return
 	}
 	for r := lo; r < hi; r++ {
 		src := b.stageGrads[0].Row(r)
 		dst := dX.Row(r)
+		clear(dst)
 		for i, p := range b.Perm {
 			dst[p] += src[i]
 		}

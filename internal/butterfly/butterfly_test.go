@@ -177,7 +177,7 @@ func TestForwardBackwardShapes(t *testing.T) {
 	if y.Rows != 4 || y.Cols != 16 {
 		t.Fatalf("forward shape %dx%d", y.Rows, y.Cols)
 	}
-	dx := b.Backward(y)
+	dx := b.Backward(y, true)
 	if dx.Rows != 4 || dx.Cols != 16 {
 		t.Fatalf("backward shape %dx%d", dx.Rows, dx.Cols)
 	}
@@ -190,7 +190,7 @@ func TestBackwardBeforeForwardPanics(t *testing.T) {
 		}
 	}()
 	b := NewIdentity(8, Dense2x2)
-	b.Backward(tensor.New(1, 8))
+	b.Backward(tensor.New(1, 8), true)
 }
 
 // Numerical gradient check for the input gradient.
@@ -212,7 +212,7 @@ func TestInputGradientNumerically(t *testing.T) {
 		}
 		b.ZeroGrad()
 		b.Forward(x)
-		dx := b.Backward(r)
+		dx := b.Backward(r, true)
 		const h = 1e-3
 		for i := 0; i < len(x.Data); i += 3 {
 			orig := x.Data[i]
@@ -249,7 +249,7 @@ func TestWeightGradientNumerically(t *testing.T) {
 		}
 		b.ZeroGrad()
 		b.Forward(x)
-		b.Backward(r)
+		b.Backward(r, true)
 		params, grads := b.Params()
 		const h = 1e-3
 		for pi, pslice := range params {
@@ -279,7 +279,7 @@ func TestZeroGradClears(t *testing.T) {
 	x := tensor.New(2, 8)
 	x.FillRandom(rng, 1)
 	b.Forward(x)
-	b.Backward(x)
+	b.Backward(x, true)
 	b.ZeroGrad()
 	_, grads := b.Params()
 	for _, g := range grads {

@@ -68,7 +68,7 @@ func TestButterflyLearnsHadamardTransform(t *testing.T) {
 			first = loss
 		}
 		last = loss
-		bf.Backward(grad)
+		bf.Backward(grad, true)
 		for pi := range params {
 			for j := range params[pi] {
 				vel[pi][j] = momentum*vel[pi][j] - lr*grads[pi][j]
@@ -128,7 +128,7 @@ func TestSingleFactorCannotLearnHadamard(t *testing.T) {
 			last += d * d * inv
 			grad.Data[i] = float32(2 * d * inv)
 		}
-		bf.Backward(grad)
+		bf.Backward(grad, true)
 		params, grads := bf.Params()
 		for pi := range params {
 			for j := range params[pi] {

@@ -106,7 +106,7 @@ func TestTrainingPathMatchesOracles(t *testing.T) {
 					x := randRows(rng, 50, n)
 					dY := randRows(rng, 50, n)
 					assertSame(t, n, 50, tag+" Forward", refForward(want, x), got.Forward(x))
-					assertSame(t, n, 50, tag+" Backward dX", refBackward(want, dY), got.Backward(dY))
+					assertSame(t, n, 50, tag+" Backward dX", refBackward(want, dY), got.Backward(dY, true))
 				}
 				_, wg := want.Params()
 				_, gg := got.Params()
@@ -197,7 +197,7 @@ func TestGradientsAllocatedOnFirstUse(t *testing.T) {
 		viaBackward := build()
 		for _, m := range []*Butterfly{b, viaBackward} {
 			m.Forward(x)
-			m.Backward(dY)
+			m.Backward(dY, true)
 		}
 		// grads are the slices an optimizer bound before the step.
 		_, got := viaBackward.Params()
@@ -228,7 +228,7 @@ func BenchmarkTrainStep(b *testing.B) {
 	b.Run("new", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			bf.Forward(x)
-			bf.Backward(dY)
+			bf.Backward(dY, true)
 		}
 	})
 }

@@ -226,11 +226,21 @@ func Batches(n, batchSize int, rng *rand.Rand) [][]int {
 // Gather copies the rows of x listed in idx into a new matrix, with the
 // matching labels.
 func Gather(x *tensor.Matrix, y []int, idx []int) (*tensor.Matrix, []int) {
-	out := tensor.New(len(idx), x.Cols)
-	labels := make([]int, len(idx))
+	out, labels := tensor.New(len(idx), x.Cols), make([]int, len(idx))
+	GatherInto(out, labels, x, y, idx)
+	return out, labels
+}
+
+// GatherInto is Gather into caller-owned dst (len(idx)×x.Cols) and
+// labels (len(idx)), both overwritten, so a training loop can gather
+// every batch into the same buffers.
+func GatherInto(dst *tensor.Matrix, labels []int, x *tensor.Matrix, y, idx []int) {
+	if dst.Rows != len(idx) || dst.Cols != x.Cols || len(labels) != len(idx) {
+		panic(fmt.Sprintf("dataset: GatherInto %dx%d matrix and %d labels for %d rows of width %d",
+			dst.Rows, dst.Cols, len(labels), len(idx), x.Cols))
+	}
 	for i, r := range idx {
-		copy(out.Row(i), x.Row(r))
+		copy(dst.Row(i), x.Row(r))
 		labels[i] = y[r]
 	}
-	return out, labels
 }

@@ -111,36 +111,10 @@ func CircularConvolve(a, b []float32) []float32 {
 	return out
 }
 
-// CircularCorrelate returns the circular cross-correlation c[k] =
-// Σ_t a[t]·b[t+k mod n]; it is the adjoint of CircularConvolve and is used
-// by the circulant layer's backward pass.
-func CircularCorrelate(a, b []float32) []float32 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("fft: CircularCorrelate length mismatch %d vs %d", len(a), len(b)))
-	}
-	n := len(a)
-	ca := make([]complex128, n)
-	cb := make([]complex128, n)
-	for i := range a {
-		ca[i] = complex(float64(a[i]), 0)
-		cb[i] = complex(float64(b[i]), 0)
-	}
-	fa := FFT(ca)
-	fb := FFT(cb)
-	for i := range fa {
-		fa[i] = cmplx.Conj(fa[i]) * fb[i]
-	}
-	res := IFFT(fa)
-	out := make([]float32, n)
-	for i := range res {
-		out[i] = float32(real(res[i]))
-	}
-	return out
-}
-
 // Plan precomputes the bit-reversal permutation of one FFT size so the
 // transform can run in place over caller-owned buffers — the
-// allocation-free path the circulant layer's compiled inference plan uses.
+// allocation-free path the circulant layer's compiled inference plan and
+// its training passes use.
 // Transform and Inverse perform exactly the same arithmetic as FFT and
 // IFFT, so results are bit-identical to the allocating path.
 type Plan struct {

@@ -247,6 +247,33 @@ func TestCircularConvolveMatchesDirect(t *testing.T) {
 	}
 }
 
+// CircularCorrelate returns the circular cross-correlation c[k] =
+// Σ_t a[t]·b[t+k mod n], the adjoint of CircularConvolve: the oracle of
+// the circulant layer's Backward, which composes it from plan primitives.
+func CircularCorrelate(a, b []float32) []float32 {
+	if len(a) != len(b) {
+		panic(fmt.Sprintf("fft: CircularCorrelate length mismatch %d vs %d", len(a), len(b)))
+	}
+	n := len(a)
+	ca := make([]complex128, n)
+	cb := make([]complex128, n)
+	for i := range a {
+		ca[i] = complex(float64(a[i]), 0)
+		cb[i] = complex(float64(b[i]), 0)
+	}
+	fa := FFT(ca)
+	fb := FFT(cb)
+	for i := range fa {
+		fa[i] = cmplx.Conj(fa[i]) * fb[i]
+	}
+	res := IFFT(fa)
+	out := make([]float32, n)
+	for i := range res {
+		out[i] = float32(real(res[i]))
+	}
+	return out
+}
+
 func TestCircularCorrelateIsAdjoint(t *testing.T) {
 	// <conv(a, x), y> == <x, corr(a, y)> — adjoint identity the circulant
 	// layer backward relies on.
@@ -390,8 +417,9 @@ func BenchmarkFFT1024(b *testing.B) {
 }
 
 // TestPlanBitIdenticalToFFT checks the in-place plan transform against the
-// allocating FFT/IFFT/CircularConvolve, exactly — the guarantee the
-// circulant layer's compiled inference path relies on.
+// allocating FFT/IFFT/CircularConvolve/CircularCorrelate, exactly — the
+// guarantee the circulant layer's compiled inference path and training
+// passes rely on.
 func TestPlanBitIdenticalToFFT(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for _, n := range []int{1, 2, 8, 64, 256} {
@@ -443,6 +471,24 @@ func TestPlanBitIdenticalToFFT(t *testing.T) {
 		for i := range wantConv {
 			if got := float32(real(cb[i])); got != wantConv[i] {
 				t.Fatalf("n=%d: plan convolution[%d] = %v, want %v (bit-exact)", n, i, got, wantConv[i])
+			}
+		}
+
+		// Correlation via plan primitives (the circulant layer's Backward
+		// composition: conjugate the first operand's transform, multiply,
+		// inverse) must be bit-identical to CircularCorrelate.
+		wantCorr := CircularCorrelate(a, b)
+		for i := 0; i < n; i++ {
+			cb[i] = complex(float64(b[i]), 0)
+		}
+		p.Transform(cb)
+		for i := range cb {
+			cb[i] = cmplx.Conj(ca[i]) * cb[i]
+		}
+		p.Inverse(cb)
+		for i := range wantCorr {
+			if got := float32(real(cb[i])); got != wantCorr[i] {
+				t.Fatalf("n=%d: plan correlation[%d] = %v, want %v (bit-exact)", n, i, got, wantCorr[i])
 			}
 		}
 	}

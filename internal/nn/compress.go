@@ -138,6 +138,7 @@ type FactorizedDense struct {
 	GradBias     []float32
 
 	xSaved, xaSaved *tensor.Matrix
+	ws              tensor.Workspace
 }
 
 // newFactorizedDense converts the column-operator factors M = P·Q
@@ -158,9 +159,10 @@ func (f *FactorizedDense) ParamCount() int { return f.Rank*(f.In+f.Out) + f.Out 
 
 // Forward implements Layer.
 func (f *FactorizedDense) Forward(x *tensor.Matrix) *tensor.Matrix {
+	f.ws.Reset()
 	f.xSaved = x
-	f.xaSaved = tensor.MatMulParallel(x, f.A)
-	out := tensor.MatMulParallel(f.xaSaved, f.B)
+	f.xaSaved = f.ws.MatMul(x, f.A)
+	out := f.ws.MatMul(f.xaSaved, f.B)
 	tensor.AddRowVector(out, f.Bias)
 	return out
 }
@@ -176,18 +178,24 @@ func (f *FactorizedDense) Infer(x *tensor.Matrix) *tensor.Matrix {
 }
 
 // Backward implements Layer.
-func (f *FactorizedDense) Backward(dY *tensor.Matrix) *tensor.Matrix {
+func (f *FactorizedDense) Backward(dY *tensor.Matrix) *tensor.Matrix { return f.backward(dY, true) }
+
+// backward leaves out dXa·Aᵀ, and the transposed A it reads, without
+// inputGrad.
+func (f *FactorizedDense) backward(dY *tensor.Matrix, inputGrad bool) *tensor.Matrix {
 	if f.xSaved == nil {
 		panic("nn: factorized dense Backward before Forward")
 	}
 	f.ensureGrads()
-	for j, v := range tensor.ColSums(dY) {
-		f.GradBias[j] += v
+	tensor.AddColSums(f.GradBias, dY)
+	tensor.AddInPlace(f.GradB, f.ws.MatMul(f.ws.Transpose(f.xaSaved), dY))
+	dXa := f.ws.MatMul(dY, f.ws.Transpose(f.B))
+	tensor.AddInPlace(f.GradA, f.ws.MatMul(f.ws.Transpose(f.xSaved), dXa))
+	var dX *tensor.Matrix
+	if inputGrad {
+		dX = f.ws.MatMul(dXa, f.ws.Transpose(f.A))
 	}
-	tensor.AddInPlace(f.GradB, tensor.MatMulParallel(f.xaSaved.Transpose(), dY))
-	dXa := tensor.MatMulParallel(dY, f.B.Transpose())
-	tensor.AddInPlace(f.GradA, tensor.MatMulParallel(f.xSaved.Transpose(), dXa))
-	return tensor.MatMulParallel(dXa, f.A.Transpose())
+	return dX
 }
 
 // Params implements Layer.

@@ -22,6 +22,16 @@ import (
 // Forward: it mutates no layer state, so one layer can serve concurrent
 // goroutines as long as nothing trains it at the same time.
 //
+// The layer owns what Forward and Backward return: both results live in
+// its workspace, a zero value until its first Forward, which every
+// Forward resets and which grows to the largest step it has run. They
+// stay valid until the layer's next Forward, so a training step
+// allocates nothing once the workspace has grown. Infer returns a fresh
+// matrix. backward is Backward's one body: without inputGrad it skips
+// the input gradient and returns nil, which Sequential.Backward asks of
+// the first layer with parameters, since nothing reads the gradient
+// with respect to a model's input.
+//
 // A layer allocates its gradient buffers on first use, in Backward or
 // Params, never in its constructor, so a model that is only served holds
 // its weights and inference caches and nothing else. Params returns them
@@ -31,6 +41,7 @@ type Layer interface {
 	Forward(x *tensor.Matrix) *tensor.Matrix
 	Infer(x *tensor.Matrix) *tensor.Matrix
 	Backward(dY *tensor.Matrix) *tensor.Matrix
+	backward(dY *tensor.Matrix, inputGrad bool) *tensor.Matrix
 	Params() (params, grads [][]float32)
 	ZeroGrad()
 	ParamCount() int
@@ -52,14 +63,16 @@ type refresher interface{ Refresh() }
 // writes dst. A nil bias with tensor.ActNone gives the plain product.
 // Scratch declares what one ApplyInto at rows rows takes from the
 // workspace, so a plan sizes its workspace without running the kernel.
-// Like a Layer, a transform allocates its gradient buffers on first use,
-// in Backward or Params.
+// Like a Layer, a transform owns what Forward and Backward return, in a
+// workspace it resets at every Forward, valid until its next Forward;
+// Backward skips the input gradient and returns nil when inputGrad is
+// false, and allocates the gradient buffers on first use, as Params does.
 type Transform interface {
 	Forward(x *tensor.Matrix) *tensor.Matrix
 	Apply(x *tensor.Matrix) *tensor.Matrix
 	ApplyInto(dst, x *tensor.Matrix, ws *tensor.Workspace, bias []float32, act tensor.Activation)
 	Scratch(rows int) tensor.Scratch
-	Backward(dY *tensor.Matrix) *tensor.Matrix
+	Backward(dY *tensor.Matrix, inputGrad bool) *tensor.Matrix
 	ZeroGrad()
 	Params() (params, grads [][]float32)
 	ParamCount() int
@@ -78,6 +91,7 @@ type Dense struct {
 	GradB []float32
 
 	xSaved *tensor.Matrix
+	ws     tensor.Workspace
 }
 
 // NewDense creates a dense layer with uniform Kaiming-style init.
@@ -96,32 +110,44 @@ func (d *Dense) ParamCount() int { return d.In*d.Out + d.Out }
 
 // Forward implements Layer.
 func (d *Dense) Forward(x *tensor.Matrix) *tensor.Matrix {
-	out := d.Infer(x)
+	d.ws.Reset()
+	out := d.affineInto(d.ws.Take(x.Rows, d.Out), x)
 	d.xSaved = x
 	return out
 }
 
 // Infer implements Layer: Forward without saving the input for Backward.
 func (d *Dense) Infer(x *tensor.Matrix) *tensor.Matrix {
+	return d.affineInto(tensor.New(x.Rows, d.Out), x)
+}
+
+// affineInto writes x·W + b into out and returns it.
+func (d *Dense) affineInto(out, x *tensor.Matrix) *tensor.Matrix {
 	if x.Cols != d.In {
 		panic(fmt.Sprintf("nn: dense input width %d != %d", x.Cols, d.In))
 	}
-	out := tensor.MatMulParallel(x, d.W)
+	tensor.MatMulParallelInto(out, x, d.W)
 	tensor.AddRowVector(out, d.Bias)
 	return out
 }
 
 // Backward implements Layer.
-func (d *Dense) Backward(dY *tensor.Matrix) *tensor.Matrix {
+func (d *Dense) Backward(dY *tensor.Matrix) *tensor.Matrix { return d.backward(dY, true) }
+
+// backward leaves out dY·Wᵀ, and the transposed W it reads, without
+// inputGrad.
+func (d *Dense) backward(dY *tensor.Matrix, inputGrad bool) *tensor.Matrix {
 	if d.xSaved == nil {
 		panic("nn: dense Backward before Forward")
 	}
 	d.ensureGrads()
-	tensor.AddInPlace(d.GradW, tensor.MatMulParallel(d.xSaved.Transpose(), dY))
-	for j, v := range tensor.ColSums(dY) {
-		d.GradB[j] += v
+	tensor.AddInPlace(d.GradW, d.ws.MatMul(d.ws.Transpose(d.xSaved), dY))
+	tensor.AddColSums(d.GradB, dY)
+	var dX *tensor.Matrix
+	if inputGrad {
+		dX = d.ws.MatMul(dY, d.ws.Transpose(d.W))
 	}
-	return tensor.MatMulParallel(dY, d.W.Transpose())
+	return dX
 }
 
 // Params implements Layer.
@@ -190,12 +216,15 @@ func (s *StructuredLinear) Infer(x *tensor.Matrix) *tensor.Matrix {
 }
 
 // Backward implements Layer.
-func (s *StructuredLinear) Backward(dY *tensor.Matrix) *tensor.Matrix {
+func (s *StructuredLinear) Backward(dY *tensor.Matrix) *tensor.Matrix { return s.backward(dY, true) }
+
+// backward adds the bias gradient and hands inputGrad to the transform,
+// whose buffers hold the step: the layer adds its bias to the
+// transform's Forward output in place and keeps none of its own.
+func (s *StructuredLinear) backward(dY *tensor.Matrix, inputGrad bool) *tensor.Matrix {
 	s.ensureGrads()
-	for j, v := range tensor.ColSums(dY) {
-		s.GradB[j] += v
-	}
-	return s.T.Backward(dY)
+	tensor.AddColSums(s.GradB, dY)
+	return s.T.Backward(dY, inputGrad)
 }
 
 // Params implements Layer.
@@ -236,6 +265,7 @@ func (s *StructuredLinear) Flops(batch int) float64 {
 // ReLU is the activation of Table 3.
 type ReLU struct {
 	mask []bool
+	ws   tensor.Workspace
 }
 
 // NewReLU returns a ReLU layer.
@@ -253,17 +283,19 @@ func (r *ReLU) Forward(x *tensor.Matrix) *tensor.Matrix {
 		r.mask = make([]bool, len(x.Data))
 	}
 	r.mask = r.mask[:len(x.Data)]
-	return relu(x, r.mask)
+	r.ws.Reset()
+	return relu(r.ws.Take(x.Rows, x.Cols), x, r.mask)
 }
 
 // Infer implements Layer: Forward without recording the activation mask.
-func (r *ReLU) Infer(x *tensor.Matrix) *tensor.Matrix { return relu(x, nil) }
+func (r *ReLU) Infer(x *tensor.Matrix) *tensor.Matrix {
+	return relu(tensor.New(x.Rows, x.Cols), x, nil)
+}
 
-// relu returns microkernel.ReLU of x, and records in mask, when it is
-// not nil, which elements it kept: a kept element is > 0, and every
-// other one is +0, so its bits say which it was.
-func relu(x *tensor.Matrix, mask []bool) *tensor.Matrix {
-	out := tensor.New(x.Rows, x.Cols)
+// relu writes microkernel.ReLU of x into out and returns it, and records
+// in mask, when it is not nil, which elements it kept: a kept element is
+// > 0, and every other one is +0, so its bits say which it was.
+func relu(out, x *tensor.Matrix, mask []bool) *tensor.Matrix {
 	y := out.Data[:len(x.Data)]
 	for i, v := range x.Data {
 		y[i] = microkernel.ReLU(v)
@@ -276,11 +308,17 @@ func relu(x *tensor.Matrix, mask []bool) *tensor.Matrix {
 
 // Backward implements Layer: dY where Forward kept its input, +0
 // elsewhere.
-func (r *ReLU) Backward(dY *tensor.Matrix) *tensor.Matrix {
+func (r *ReLU) Backward(dY *tensor.Matrix) *tensor.Matrix { return r.backward(dY, true) }
+
+// backward is all input gradient, so without inputGrad it does nothing.
+func (r *ReLU) backward(dY *tensor.Matrix, inputGrad bool) *tensor.Matrix {
 	if len(r.mask) != len(dY.Data) {
 		panic("nn: relu Backward shape mismatch (Forward not called?)")
 	}
-	out := tensor.New(dY.Rows, dY.Cols)
+	if !inputGrad {
+		return nil
+	}
+	out := r.ws.Take(dY.Rows, dY.Cols)
 	y, mask := out.Data[:len(dY.Data)], r.mask[:len(dY.Data)]
 	for i, v := range dY.Data {
 		y[i] = microkernel.Keep(v, mask[i])

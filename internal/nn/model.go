@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/baselines"
 	"repro/internal/butterfly"
@@ -37,12 +38,16 @@ func (s *Sequential) Infer(x *tensor.Matrix) *tensor.Matrix {
 	return x
 }
 
-// Backward runs all layers in reverse.
-func (s *Sequential) Backward(dY *tensor.Matrix) *tensor.Matrix {
-	for i := len(s.Layers) - 1; i >= 0; i-- {
-		dY = s.Layers[i].Backward(dY)
+// Backward runs the layers in reverse, accumulating every parameter
+// gradient, and stops at the first layer with parameters, which it runs
+// without its input gradient: nothing reads the gradient with respect to
+// the model's input, and the layers before that one have nothing to
+// update.
+func (s *Sequential) Backward(dY *tensor.Matrix) {
+	first := slices.IndexFunc(s.Layers, func(l Layer) bool { return l.ParamCount() > 0 })
+	for i := len(s.Layers) - 1; first >= 0 && i >= first; i-- {
+		dY = s.Layers[i].backward(dY, i > first)
 	}
-	return dY
 }
 
 // Params collects all (param, grad) pairs.

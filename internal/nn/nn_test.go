@@ -41,7 +41,9 @@ func TestDenseGradientsNumerically(t *testing.T) {
 	}
 	d.ZeroGrad()
 	d.Forward(x)
-	dx := d.Backward(r)
+	// Backward's result is the layer's until its next Forward, which
+	// loss runs.
+	dx := d.Backward(r).Clone()
 	const h = 1e-3
 	// input grads
 	for i := 0; i < len(x.Data); i += 4 {

@@ -38,11 +38,18 @@ func Train(model *Sequential, ds *dataset.Split, cfg TrainConfig) TrainResult {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	opt := NewSGD(model, cfg.LR, cfg.Momentum)
 	res := TrainResult{}
+	var x *tensor.Matrix
+	var y []int
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		var epochLoss float64
 		batches := dataset.Batches(ds.XTrain.Rows, cfg.BatchSize, rng)
 		for _, idx := range batches {
-			x, y := dataset.Gather(ds.XTrain, ds.YTrain, idx)
+			if x == nil || x.Rows != len(idx) {
+				// Kept across steps: only an epoch's last, partial
+				// batch changes its size.
+				x, y = tensor.New(len(idx), ds.XTrain.Cols), make([]int, len(idx))
+			}
+			dataset.GatherInto(x, y, ds.XTrain, ds.YTrain, idx)
 			model.ZeroGrad()
 			logits := model.Forward(x)
 			loss, dLogits := SoftmaxCrossEntropy(logits, y)

@@ -106,11 +106,12 @@ type Pixelfly struct {
 	// ut caches Uᵀ (r×N) for the allocation-free inference path;
 	// re-derived by Refresh after every optimizer step.
 	ut *tensor.Matrix
-	// wRows holds W's blocks in row-major order (sparse.TransposeBlocks),
-	// the layout the input gradient reads. Only training holds it: the
-	// first Backward allocates it and every Backward re-derives it from
-	// W, so a served layer keeps one copy of its blocks.
-	wRows []float32
+
+	// ws holds the training step's buffers: Forward's output, X·V and
+	// back-projection, then Backward's products, transposes, dX and the
+	// row-major copy of W's blocks the input gradient reads. Only
+	// training fills it, so a served layer keeps one copy of its blocks.
+	ws tensor.Workspace
 
 	// saved forward state
 	xSaved  *tensor.Matrix
@@ -187,7 +188,7 @@ func (p *Pixelfly) Flops(batch int) float64 {
 // Forward computes Y (batch×N) from X (batch×N): y_row = W·x_row + U·Vᵀ·x_row.
 // State is retained for Backward. The block-sparse product is
 // BSR.MulInto with the block rows split across GOMAXPROCS
-// (tensor.ParallelRows), and the low-rank term tensor.MatMulParallel;
+// (tensor.ParallelRows), and the low-rank term tensor.MatMulParallelInto;
 // both are microkernel.AccRow inside, on its AVX2 lane where the host has
 // one. Each output element is summed by one worker in the serial order,
 // so for finite inputs the result is bit-for-bit Apply's.
@@ -195,16 +196,15 @@ func (p *Pixelfly) Forward(x *tensor.Matrix) *tensor.Matrix {
 	if x.Cols != p.Cfg.N {
 		panic(fmt.Sprintf("pixelfly: input width %d != N %d", x.Cols, p.Cfg.N))
 	}
+	p.ws.Reset()
 	p.xSaved = x
-	out := tensor.New(x.Rows, p.Cfg.N)
+	out := p.ws.Take(x.Rows, p.Cfg.N)
 	tensor.ParallelRows(p.W.BlockRows, len(p.W.Blocks)*x.Rows, forwardJob{p.W, out, x}, func(j forwardJob, lo, hi int) {
 		j.w.MulInto(j.out, lo*j.w.BlockSize, j.x, lo, hi, nil, tensor.ActNone)
 	})
 	if p.Cfg.LowRank > 0 {
-		xv := tensor.MatMulParallel(x, p.V) // batch×r
-		p.xvSaved = xv
-		lr := tensor.MatMulParallel(xv, p.ut) // batch×N
-		tensor.AddInPlace(out, lr)
+		p.xvSaved = p.ws.MatMul(x, p.V)                      // batch×r
+		tensor.AddInPlace(out, p.ws.MatMul(p.xvSaved, p.ut)) // batch×N
 	}
 	return out
 }
@@ -307,37 +307,43 @@ func (p *Pixelfly) ColsShared() (bytes int, flopsPerRow int64) {
 // stored blocks tile the output into microkernel.AccRow calls.
 func (p *Pixelfly) MicroVariant() string { return "blocktiled" }
 
-// Backward propagates dY (batch×N), accumulating gradients, and returns dX.
-// Like Forward it runs on the training kernels split across GOMAXPROCS
+// Backward propagates dY (batch×N), accumulating gradients, and returns
+// dX, or nil without inputGrad, which skips the row-major copy of W's
+// blocks, the block-sparse input gradient, Vᵀ and (dY·U)·Vᵀ. Like
+// Forward it runs on the training kernels split across GOMAXPROCS
 // (BSR.InputGradInto over the row-major copy of W's blocks,
-// BSR.AccumulateOuter on the saved X, and tensor.MatMulParallel for the
-// low-rank terms), all of them microkernel.AccRow inside, each output and
-// gradient element summed by one worker in the serial order. The
+// BSR.AccumulateOuter on the saved X, and tensor.MatMulParallelInto for
+// the low-rank terms), all of them microkernel.AccRow inside, each output
+// and gradient element summed by one worker in the serial order. The
 // block-sparse products take dY and X batch-major as they come.
-func (p *Pixelfly) Backward(dY *tensor.Matrix) *tensor.Matrix {
+func (p *Pixelfly) Backward(dY *tensor.Matrix, inputGrad bool) *tensor.Matrix {
 	if p.xSaved == nil {
 		panic("pixelfly: Backward called before Forward")
 	}
 	p.ensureGrads()
 	x := p.xSaved
-	// dX from the block-sparse term: dX_row = Wᵀ·dY_row, over W's blocks
-	// re-derived in row-major order, since an optimizer step may have
-	// moved them since the last Backward.
-	if p.wRows == nil {
-		p.wRows = make([]float32, len(p.W.Blocks))
-	}
-	p.W.TransposeBlocks(p.wRows)
-	dX := tensor.New(dY.Rows, p.Cfg.N)
-	p.W.InputGradInto(dX, dY, p.wRows)
 	// dW = dYᵀ·X masked to the support.
 	p.GradW.AccumulateOuter(dY, x, 1)
+	// y += (X·V)·Uᵀ, so:
+	// dU = dYᵀ·(X·V); dV = Xᵀ·(dY·U); dX += (dY·U)·Vᵀ
+	var dyU *tensor.Matrix
 	if p.Cfg.LowRank > 0 {
-		// y += (X·V)·Uᵀ, so:
-		// dU = dYᵀ·(X·V); dV = Xᵀ·(dY·U); dX += (dY·U)·Vᵀ
-		dyU := tensor.MatMulParallel(dY, p.U) // batch×r
-		tensor.AddInPlace(p.GradU, tensor.MatMulParallel(dY.Transpose(), p.xvSaved))
-		tensor.AddInPlace(p.GradV, tensor.MatMulParallel(x.Transpose(), dyU))
-		tensor.AddInPlace(dX, tensor.MatMulParallel(dyU, p.V.Transpose()))
+		dyU = p.ws.MatMul(dY, p.U) // batch×r
+		tensor.AddInPlace(p.GradU, p.ws.MatMul(p.ws.Transpose(dY), p.xvSaved))
+		tensor.AddInPlace(p.GradV, p.ws.MatMul(p.ws.Transpose(x), dyU))
+	}
+	var dX *tensor.Matrix
+	if inputGrad {
+		// dX from the block-sparse term: dX_row = Wᵀ·dY_row, over W's
+		// blocks re-derived in row-major order, since an optimizer step
+		// may have moved them since the last Backward.
+		wRows := p.ws.TakeVec(len(p.W.Blocks))
+		p.W.TransposeBlocks(wRows)
+		dX = p.ws.Take(dY.Rows, p.Cfg.N)
+		p.W.InputGradInto(dX, dY, wRows)
+		if dyU != nil {
+			tensor.AddInPlace(dX, p.ws.MatMul(dyU, p.ws.Transpose(p.V)))
+		}
 	}
 	return dX
 }

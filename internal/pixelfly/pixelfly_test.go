@@ -161,7 +161,7 @@ func TestInputGradientNumerically(t *testing.T) {
 	}
 	p.ZeroGrad()
 	p.Forward(x)
-	dx := p.Backward(r)
+	dx := p.Backward(r, true)
 	const h = 1e-3
 	for i := 0; i < len(x.Data); i += 3 {
 		orig := x.Data[i]
@@ -195,7 +195,7 @@ func TestWeightGradientNumerically(t *testing.T) {
 	}
 	p.ZeroGrad()
 	p.Forward(x)
-	p.Backward(r)
+	p.Backward(r, true)
 	params, grads := p.Params()
 	const h = 1e-3
 	for pi, pslice := range params {
@@ -223,7 +223,7 @@ func TestZeroGrad(t *testing.T) {
 	x := tensor.New(2, 16)
 	x.FillRandom(rng, 1)
 	p.Forward(x)
-	p.Backward(x)
+	p.Backward(x, true)
 	p.ZeroGrad()
 	_, grads := p.Params()
 	for _, g := range grads {
@@ -269,7 +269,7 @@ func TestGradientsAllocatedOnFirstUse(t *testing.T) {
 		viaBackward := mustNew(t, cfg, 12)
 		for _, m := range []*Pixelfly{p, viaBackward} {
 			m.Forward(x)
-			m.Backward(dY)
+			m.Backward(dY, true)
 		}
 		// grads are the slices an optimizer bound before the step.
 		_, got := viaBackward.Params()
@@ -387,10 +387,11 @@ func refInputGrad(w *sparse.BSR, dY *tensor.Matrix) *tensor.Matrix {
 
 // TestTrainingCopyLifecycle pins the row-major copy of W's blocks that
 // the input gradient reads: New, Refresh and ApplyInto (at one row and
-// at 64) leave the layer without one, so a served layer holds its blocks
-// once, and every Backward reads the current W: after an SGD step moves
-// W, the next Backward's dX must equal the plain loop on the moved W bit
-// for bit, which a copy left from the first Backward fails.
+// at 64) leave the layer's training workspace empty, so a served layer
+// holds its blocks once, and every Backward reads the current W: after
+// an SGD step moves W, the next Backward's dX must equal the plain loop
+// on the moved W bit for bit, which a copy left from the first Backward
+// fails.
 func TestTrainingCopyLifecycle(t *testing.T) {
 	cfg := Config{N: 128, BlockSize: 16, ButterflySize: 8}
 	p := mustNew(t, cfg, 21)
@@ -403,15 +404,15 @@ func TestTrainingCopyLifecycle(t *testing.T) {
 		ws.Reset()
 		p.ApplyInto(tensor.New(rows, cfg.N), x, ws, nil, tensor.ActReLU)
 	}
-	if p.wRows != nil {
-		t.Fatal("New, Refresh and ApplyInto left a row-major copy of the blocks")
+	if c := p.ws.Capacity(); c != (tensor.Scratch{}) {
+		t.Fatalf("New, Refresh and ApplyInto left the training workspace holding %+v", c)
 	}
 	x, dY := tensor.New(50, cfg.N), tensor.New(50, cfg.N)
 	x.FillRandom(rng, 1)
 	dY.FillRandom(rng, 1)
 	for step := 0; step < 2; step++ {
 		p.Forward(x)
-		assertSameMat(t, fmt.Sprintf("step %d dX", step), refInputGrad(p.W, dY), p.Backward(dY))
+		assertSameMat(t, fmt.Sprintf("step %d dX", step), refInputGrad(p.W, dY), p.Backward(dY, true))
 		params, grads := p.Params()
 		for i := range params {
 			for j := range params[i] {
@@ -444,7 +445,7 @@ func BenchmarkTrainStep(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				p.Forward(x)
-				p.Backward(dY)
+				p.Backward(dY, true)
 			}
 		})
 	}

@@ -490,23 +490,33 @@ func TestPprofLabels(t *testing.T) {
 		t.Fatalf("%d parked batcher workers carry %s, want the model's 2 (labels %q)", mine, want, workers)
 	}
 
+	// Only this model's workers: other tests' closed plans may still be
+	// exiting.
+	shardWorkers := func(when string) {
+		t.Helper()
+		shards := goroutineLabels(t, "shard.(*ShardedPlan).workerLoop")
+		mine := 0
+		for _, l := range shards {
+			if !strings.Contains(l, want) {
+				continue
+			}
+			mine++
+			if !strings.Contains(l, `"ipu":"1"`) {
+				t.Errorf("a shard worker of the model carries labels %s %s, no ipu=1", l, when)
+			}
+		}
+		if mine != 1 {
+			t.Fatalf("%d shard workers carry %s %s on 2 IPUs, want 1 (labels %q)", mine, want, when, shards)
+		}
+	}
+	// Ready builds the probe plan, as a /healthz handler does, and runs
+	// no batch on it: its worker must wear its labels from its start.
+	if ok, msg := m.Ready(); !ok {
+		t.Fatalf("Ready: %s", msg)
+	}
+	shardWorkers("after Ready, before any batch")
 	if _, err := m.Predict(context.Background(), obsTestFeatures(m.spec.N)); err != nil {
 		t.Fatal(err)
 	}
-	// Only this model's workers: other tests' closed plans may still be
-	// exiting.
-	shards := goroutineLabels(t, "shard.(*ShardedPlan).workerLoop")
-	mine = 0
-	for _, l := range shards {
-		if !strings.Contains(l, want) {
-			continue
-		}
-		mine++
-		if !strings.Contains(l, `"ipu":"1"`) {
-			t.Errorf("a shard worker of the model carries labels %s, no ipu=1", l)
-		}
-	}
-	if mine != 1 {
-		t.Fatalf("%d shard workers carry %s after one batch on 2 IPUs, want 1 (labels %q)", mine, want, shards)
-	}
+	shardWorkers("after one batch")
 }

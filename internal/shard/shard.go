@@ -190,22 +190,21 @@ type ShardedPlan struct {
 	modelExchSec []float64
 
 	// pprof goroutine labels: pprofBase is the serving layer's labelled
-	// context (model=...); pprofCtxs[k] adds ipu=k. Workers apply their
-	// label lazily on wake (workerCtx[k] is each worker's privately-owned
-	// last-applied marker); the orchestrator wears pprofCtxs[0] for the
-	// span of Execute.
+	// context (model=...); pprofCtxs[k] adds ipu=k. SetPprofLabels hands
+	// each worker its label through its start channel; the orchestrator
+	// wears pprofCtxs[0] for the span of Execute.
 	pprofBase context.Context
 	pprofCtxs []context.Context
-	workerCtx []context.Context
 
 	// Orchestration state: the orchestrator publishes curDst/curX/stepIdx,
 	// wakes the workers through their start channels (the channel send is
-	// the happens-before edge), runs shard 0 inline, and collects one done
-	// token per worker as the barrier. Close closes quit, once, which
-	// stops the parked workers.
+	// the happens-before edge; a nil context runs the worker's shard or
+	// stage, any other is the pprof label it wears from then on), runs
+	// shard 0 inline, and collects one done token per worker as the
+	// barrier. Close closes quit, once, which stops the parked workers.
 	curDst, curX *tensor.Matrix
 	stepIdx      int
-	start        []chan struct{}
+	start        []chan context.Context
 	done         chan struct{}
 	quit         chan struct{}
 	quitOnce     sync.Once
@@ -340,7 +339,6 @@ func CompileMicro(low *nn.Lowering, maxBatch int, topo Topology, shards int, str
 	for i := range p.modelSec {
 		p.modelSec[i] = p.modelCompSec[i] + p.modelExchSec[i]
 	}
-	p.workerCtx = make([]context.Context, eff)
 	p.ws = make([]*tensor.Workspace, eff)
 	for k := range p.ws {
 		// Every micro-step resets the shard's workspace, so it holds the
@@ -352,7 +350,7 @@ func CompileMicro(low *nn.Lowering, maxBatch int, topo Topology, shards int, str
 		p.ws[k] = tensor.NewWorkspace(d)
 	}
 	for k := 1; k < eff; k++ {
-		c := make(chan struct{}, 1)
+		c := make(chan context.Context, 1)
 		p.start = append(p.start, c)
 		go p.workerLoop(k, c)
 	}
@@ -505,7 +503,7 @@ func (p *ShardedPlan) Execute(x *tensor.Matrix) (*tensor.Matrix, error) {
 		p.curDst, p.curX, p.stepIdx = act, cur, i
 		t0 := time.Now()
 		for _, c := range p.start {
-			c <- struct{}{}
+			c <- nil
 		}
 		p.runShard(0, st)
 		for range p.start {
@@ -546,7 +544,7 @@ func (p *ShardedPlan) executeWave(x *tensor.Matrix) *tensor.Matrix {
 	// One wake per worker per batch (not per step): each stage drains
 	// every micro-batch before sending its done token.
 	for _, c := range p.start {
-		c <- struct{}{}
+		c <- nil
 	}
 	p.runStage(0)
 	for range p.start {
@@ -628,9 +626,11 @@ func (p *ShardedPlan) runStage(k int) {
 
 // SetPprofLabels gives the execution goroutines pprof labels derived
 // from base (the serving layer's model-labelled context) with ipu=<k>
-// added per shard: workers pin theirs on next wake, and Execute wears
-// ipu=0 for its inline shard. Idempotent per base context, so the
-// serving layer can call it every batch for free.
+// added per shard: every worker wears its label before SetPprofLabels
+// returns, so a plan shows its model in a goroutine profile before it
+// runs a batch, and Execute wears ipu=0 for its inline shard. Call it
+// between Executes, never during one; a second call with the same base
+// does nothing.
 func (p *ShardedPlan) SetPprofLabels(base context.Context) {
 	if base == nil || base == p.pprofBase {
 		return
@@ -641,6 +641,14 @@ func (p *ShardedPlan) SetPprofLabels(base context.Context) {
 	}
 	p.pprofBase = base
 	p.pprofCtxs = ctxs
+	for k, c := range p.start {
+		c <- ctxs[k+1]
+		select {
+		case <-p.done:
+		case <-p.quit:
+			return
+		}
+	}
 }
 
 // ModelledPhaseSeconds returns the modelled per-micro-step seconds of
@@ -690,24 +698,21 @@ func (p *ShardedPlan) runShard(k int, st *step) {
 	*p.frame.Cell(p.stepIdx, 0, k) = timeline.Cell{Start: t0.Sub(p.execStart).Nanoseconds(), Dur: d}
 }
 
-func (p *ShardedPlan) workerLoop(k int, start <-chan struct{}) {
+func (p *ShardedPlan) workerLoop(k int, start <-chan context.Context) {
 	for {
 		select {
 		case <-p.quit:
 			return
-		case <-start:
-			// Apply this worker's ipu=k pprof label lazily: workerCtx[k]
-			// is only ever touched by this goroutine, and pprofCtxs was
-			// published by the start-channel send.
-			if c := p.pprofCtxs; c != nil && p.workerCtx[k] != c[k] {
-				p.workerCtx[k] = c[k]
-				pprof.SetGoroutineLabels(c[k])
-			}
-			// One token per batch under the wavefront (the worker drains
-			// its whole stage), one per step under the barrier loop.
-			if p.stageFirst != nil {
+		case label := <-start:
+			// One run token per batch under the wavefront (the worker
+			// drains its whole stage), one per step under the barrier
+			// loop.
+			switch {
+			case label != nil:
+				pprof.SetGoroutineLabels(label)
+			case p.stageFirst != nil:
 				p.runStage(k)
-			} else {
+			default:
 				p.runShard(k, &p.steps[p.stepIdx])
 			}
 			p.done <- struct{}{}

@@ -158,24 +158,30 @@ type outerJob struct {
 }
 
 // accumulateOuterRows adds lr·dYᵀ·x into the stored blocks of the block
-// rows [br0, br1). A block's sums run in buf, in the blocks' transposed
-// layout: column c is one microkernel.AccRow over the samples from zero,
-// a = x's column C+c and b = dY's columns R…, both strided by their
-// widths, and then each entry adds lr times its sum.
+// rows [br0, br1). Each column c of a block, one contiguous run in the
+// blocks' transposed layout, sums in col: one microkernel.AccRow over the
+// samples from zero, a = x's column C+c and b = dY's columns R…, both
+// strided by their widths, and then each entry adds lr times its sum.
+// col lives on the stack for blocks up to 64 wide.
 func (b *BSR) accumulateOuterRows(dY, x *tensor.Matrix, lr float32, br0, br1 int) {
 	bs := b.BlockSize
-	buf := make([]float32, bs*bs)
+	var stack [64]float32
+	col := stack[:min(bs, len(stack))]
+	if bs > len(stack) {
+		col = make([]float32, bs)
+	}
 	for bi := br0; bi < br1; bi++ {
 		dy := dY.Data[bi*bs:]
 		for p := b.RowPtr[bi]; p < b.RowPtr[bi+1]; p++ {
-			clear(buf)
 			xs := x.Data[int(b.ColIdx[p])*bs:]
-			for c := 0; c < bs; c++ {
-				microkernel.AccRow(buf[c*bs:], xs[c:], x.Cols, dy, dY.Cols, x.Rows, bs, false)
-			}
 			blk := b.Block(int(p))
-			for i, v := range buf {
-				blk[i] += lr * v
+			for c := 0; c < bs; c++ {
+				clear(col)
+				microkernel.AccRow(col, xs[c:], x.Cols, dy, dY.Cols, x.Rows, bs, false)
+				out := blk[c*bs : c*bs+bs]
+				for i, v := range col {
+					out[i] += lr * v
+				}
 			}
 		}
 	}

@@ -150,16 +150,20 @@ func AddRowVectorInto(dst, m *Matrix, v []float32) {
 	}
 }
 
-// ColSums returns the per-column sums of m (used for bias gradients).
-func ColSums(m *Matrix) []float32 {
-	out := make([]float32, m.Cols)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			out[j] += v
-		}
+// AddColSums adds the per-column sums of m to dst (len m.Cols), each
+// summed from +0 down the rows in order before it is added: a linear
+// layer's bias gradient, accumulated without a buffer of sums.
+func AddColSums(dst []float32, m *Matrix) {
+	if len(dst) != m.Cols {
+		panic(fmt.Sprintf("tensor: AddColSums length %d != cols %d", len(dst), m.Cols))
 	}
-	return out
+	for j := range dst {
+		var s float32
+		for i := j; i < len(m.Data); i += m.Cols {
+			s += m.Data[i]
+		}
+		dst[j] += s
+	}
 }
 
 // MaxAbsDiff returns the largest absolute element-wise difference.

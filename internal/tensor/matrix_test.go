@@ -215,9 +215,10 @@ func TestAddRowVectorAndColSums(t *testing.T) {
 			t.Fatalf("AddRowVector got %v, want %v", m.Data, want)
 		}
 	}
-	sums := ColSums(m)
-	if sums[0] != 24 || sums[1] != 46 {
-		t.Fatalf("ColSums = %v, want [24 46]", sums)
+	sums := []float32{1, -2}
+	AddColSums(sums, m)
+	if sums[0] != 25 || sums[1] != 44 {
+		t.Fatalf("AddColSums = %v, want [25 44]", sums)
 	}
 }
 

@@ -59,7 +59,11 @@ func NewWorkspace(demand Scratch) *Workspace {
 
 // Reset recycles the arena: all previously taken buffers are invalidated,
 // and the backing arrays grow to the previous cycle's total demand so the
-// next identical cycle allocates nothing.
+// next identical cycle allocates nothing. Headers the previous cycle did
+// not take are dropped: they point into backing arrays, or one-off
+// buffers, of older cycles, which a workspace whose cycles shrink (a
+// training layer's evaluation Forward after its Backward) would
+// otherwise keep alive.
 func (w *Workspace) Reset() {
 	if w.need > len(w.buf) {
 		w.buf = make([]float32, w.need)
@@ -67,6 +71,7 @@ func (w *Workspace) Reset() {
 	if w.cneed > len(w.cbuf) {
 		w.cbuf = make([]complex128, w.cneed)
 	}
+	clear(w.hdrs[w.hoff:])
 	w.off, w.need = 0, 0
 	w.coff, w.cneed = 0, 0
 	w.hoff = 0
@@ -96,6 +101,22 @@ func (w *Workspace) Take(rows, cols int) *Matrix {
 	w.hoff++
 	m.Rows, m.Cols, m.Data = rows, cols, data
 	return m
+}
+
+// Transpose returns mᵀ in a matrix taken from the workspace, valid until
+// the next Reset.
+func (w *Workspace) Transpose(m *Matrix) *Matrix {
+	t := w.Take(m.Cols, m.Rows)
+	TransposeInto(t, m)
+	return t
+}
+
+// MatMul returns a·b, computed by MatMulParallelInto, in a matrix taken
+// from the workspace, valid until the next Reset.
+func (w *Workspace) MatMul(a, b *Matrix) *Matrix {
+	out := w.Take(a.Rows, b.Cols)
+	MatMulParallelInto(out, a, b)
+	return out
 }
 
 // TakeComplex returns a scratch complex128 slice of length n with

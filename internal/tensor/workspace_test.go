@@ -91,6 +91,26 @@ func TestWorkspaceSteadyStateAllocationFree(t *testing.T) {
 	}
 }
 
+// TestWorkspaceResetDropsStaleHeaders runs a cycle of three buffers, which
+// overflows the empty arena, then a cycle of one: the Reset after it must
+// drop the two headers that cycle did not take, or they would keep the
+// first cycle's buffers alive.
+func TestWorkspaceResetDropsStaleHeaders(t *testing.T) {
+	var ws Workspace
+	ws.Reset()
+	for range 3 {
+		ws.Take(4, 4)
+	}
+	ws.Reset()
+	ws.Take(2, 2)
+	ws.Reset()
+	for i, h := range ws.hdrs[1:] {
+		if h.Data != nil {
+			t.Errorf("header %d, untaken in the last cycle, still holds %d floats", i+1, len(h.Data))
+		}
+	}
+}
+
 // TestWorkspaceOverflowStaysCorrect checks that buffers handed out before
 // and after an arena overflow never alias each other within a cycle.
 func TestWorkspaceOverflowStaysCorrect(t *testing.T) {
